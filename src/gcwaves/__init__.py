@@ -12,24 +12,23 @@ from .dispersion import (AssumptionReport, CriticalPoint, Params,
                          refine_degenerate)
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        build_eta_star, eps_of_mu, eval_J, eval_K,
-                       eval_L_lower, eval_L_trunc, eval_L_upper, grad_J,
-                       grad_K, grad_L_trunc, make_grid, mu_of_eps,
-                       read_profile_csv, suggest_carrier_multiple,
+                       eval_L_trunc, grad_J, grad_K, grad_L_trunc, make_grid,
+                       mu_of_eps, read_profile_csv, suggest_carrier_multiple,
                        write_profile_csv)
 from .nls import (NlsCoefficients, SolitonProfile, build_soliton,
                   check_focusing, compute_a3, compute_a4,
                   compute_coefficients, eval_alpha, eval_fbar)
 from .dno import DnoSolution, StripGrid, eval_L_exact, solve_lower, solve_upper
 from .minimizer import (MinimizeConfig, MinimizeResult, SpeedFit, minimize,
-                        speed_expansion_check, wave_speed)
+                        speed_expansion_check)
 
 __all__ = [
     "AssumptionReport", "CriticalPoint", "Params", "eval_PF", "eval_a",
     "eval_a2", "eval_g", "eval_lambda", "find_critical", "g_at_zero",
     "locate_branch_crossing", "refine_degenerate",
     "FunctionalBreakdown", "PeriodicGrid", "ProfilePair", "build_eta_star",
-    "eps_of_mu", "eval_J", "eval_K", "eval_L_lower", "eval_L_trunc",
-    "eval_L_upper", "grad_J", "grad_K", "grad_L_trunc", "make_grid",
+    "eps_of_mu", "eval_J", "eval_K", "eval_L_trunc", "grad_J", "grad_K",
+    "grad_L_trunc", "make_grid",
     "mu_of_eps", "read_profile_csv", "suggest_carrier_multiple",
     "write_profile_csv",
     "NlsCoefficients", "SolitonProfile", "build_soliton", "check_focusing",
@@ -37,7 +36,7 @@ __all__ = [
     "eval_fbar",
     "DnoSolution", "StripGrid", "eval_L_exact", "solve_lower", "solve_upper",
     "MinimizeConfig", "MinimizeResult", "SpeedFit", "minimize",
-    "speed_expansion_check", "wave_speed",
+    "speed_expansion_check",
 ]
 
 __version__ = "0.1.0"

@@ -446,8 +446,6 @@ def make_parser() -> argparse.ArgumentParser:
         prog="gcwaves",
         description="Two-layer gravity-capillary solitary-wave toolkit",
     )
-    ap.add_argument("--seedless", action="store_true",
-                    help="reserved; all runs are deterministic already")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, needs_out, out_help):

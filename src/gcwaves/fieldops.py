@@ -1,17 +1,38 @@
 """Periodic spectral grids and the truncated wave functionals.
 
 Everything here lives on a uniform periodic grid whose length is an
-integer number of carrier wavelengths.  Fourier-multiplier operators are
-applied by FFT conjugation; pointwise products entering cubic/quartic
-integrands are formed on a 2x zero-padded grid, which makes every
-quadratic, cubic and quartic integral alias-free for Nyquist-free inputs
-and every gradient field exact after projection back to the grid band.
+integer number of carrier wavelengths.  Pointwise products entering
+cubic/quartic integrands are formed on a 2x zero-padded grid, which
+makes every quadratic, cubic and quartic integral alias-free for
+Nyquist-free inputs and every gradient field exact after projection back
+to the grid band.
 
 The functionals are the quadratic/cubic/quartic truncations of the
-surface energy K and the kinetic energy L of the two-layer problem,
-together with the reduced objective J_mu = K + mu^2 / L_trunc and its
-L^2 gradient, and the modulated-carrier test profile used to seed the
-minimiser.
+surface energy K and the kinetic energy L of the two-layer problem (the
+kinetic truncation expands the Dirichlet-Neumann operators as Craig &
+Sulem do), together with the reduced objective J_mu = K + mu^2 / L_trunc
+and its L^2 gradient, and the modulated-carrier test profile used to
+seed the minimiser.  Each profile is evaluated in two stages:
+
+* Value stage (``_Fields``).  The (u, v) pair is transformed once; the
+  padded fields u, v, u_x, v_x, u_xx, |k|u, B1 and B2 take one inverse
+  transform each, and each product in L_trunc one forward transform.
+  Every integral is a sum of padded-grid values or, where it has the
+  form int a M b, a Parseval sum of spectra already held, with no
+  inverse transform.  Value-only calls (eval_J, eval_L_trunc, mu_of_eps)
+  stop here: 17 one-dimensional transforms.
+* Gradient stage (``_gradient``), run only for gradients.  Products
+  under a common multiplier are summed before one forward transform,
+  multipliers are combined and the chain-rule weights applied on the
+  padded spectrum, and the result is truncated and transformed back once
+  per component: grad_J costs 35 one-dimensional transforms in all.
+
+F-bar, the upper-layer multiplier matrix [[|k| coth|k|, -|k|/sinh|k|],
+[-|k|/sinh|k|, |k| coth|k|]], and its inverse are owned here by
+``_fbar_entries`` and ``_fbar_inverse_entries``, tabulated per grid in
+``_Symbols``; ``nls.eval_fbar`` evaluates the same matrix at a single
+wavenumber for the coefficient formulas, and the ``dno`` oracle shares
+no code with either.
 """
 
 from __future__ import annotations
@@ -20,8 +41,10 @@ import json
 import math
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,31 +143,50 @@ def _fbar_inverse_entries(k: np.ndarray):
 
 
 class _Symbols:
-    """Per-grid symbol arrays on both the base and the padded band."""
+    """Per-grid multiplier symbols on the padded band, with views of their
+    first n/2 + 1 entries as the base band (``absk`` and ``absk_pad``,
+    and so on).
+
+    ``fb_diag``/``fb_off`` are the entries of F-bar, the upper-layer
+    multiplier matrix, and ``nb_diag_pad``/``nb_off_pad`` those of its
+    inverse; every F-bar product in the truncated functionals is formed
+    from them.  ``parseval`` weights products of padded-grid rfft
+    coefficients so that their sum is the integral of the product of the
+    two fields over the period.
+    """
 
     def __init__(self, grid: PeriodicGrid):
-        self.grid = grid
-        for name, k in (("", grid.k), ("_pad", grid.k_pad)):
-            absk = np.abs(k)
-            fb_d, fb_o = _fbar_entries(k)
-            nb_d, nb_o = _fbar_inverse_entries(k)
-            setattr(self, "absk" + name, absk)
-            setattr(self, "fb_diag" + name, fb_d)
-            setattr(self, "fb_off" + name, fb_o)
-            setattr(self, "nb_diag" + name, nb_d)
-            setattr(self, "nb_off" + name, nb_o)
-            setattr(self, "ik" + name, 1j * k)
-            setattr(self, "mk2" + name, -(k**2))
+        k = grid.k_pad
+        fb_d, fb_o = _fbar_entries(k)
+        band = slice(0, grid.n // 2 + 1)
+        for name, value in (("absk", np.abs(k)), ("fb_diag", fb_d),
+                            ("fb_off", fb_o), ("ik", 1j * k),
+                            ("mk2", -(k**2))):
+            setattr(self, name + "_pad", value)
+            setattr(self, name, value[band])
+        self.nb_diag_pad, self.nb_off_pad = _fbar_inverse_entries(k)
+        npad = _PAD * grid.n
+        w = np.full(npad // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        self.parseval = w * grid.period / npad**2
 
 
-_symbol_cache: dict[tuple[int, float], _Symbols] = {}
+#: grids whose symbols stay cached; a descent or an eps(mu) inversion
+#: works on one grid at a time, a sweep on one grid per mu
+_SYMBOL_GRIDS = 4
+_symbol_cache: OrderedDict[tuple[int, float], _Symbols] = OrderedDict()
 
 
 def _symbols(grid: PeriodicGrid) -> _Symbols:
+    """Symbols of a grid, kept for the most recently used grids."""
     key = (grid.n, grid.period)
     sym = _symbol_cache.get(key)
     if sym is None:
         sym = _symbol_cache[key] = _Symbols(grid)
+        if len(_symbol_cache) > _SYMBOL_GRIDS:
+            _symbol_cache.popitem(last=False)
+    else:
+        _symbol_cache.move_to_end(key)
     return sym
 
 
@@ -157,38 +199,10 @@ def _rfft(u: np.ndarray, n: int) -> np.ndarray:
     return _clean(np.fft.rfft(u), n)
 
 
-def _pad_values(U: np.ndarray, n: int) -> np.ndarray:
-    """Trig-interpolate rfft coefficients of the n-grid onto the padded grid."""
-    Up = np.zeros(_PAD * n // 2 + 1, dtype=complex)
-    Up[: n // 2 + 1] = U
-    return np.fft.irfft(Up, _PAD * n) * _PAD
-
-
-def _truncate_values(w: np.ndarray, n: int) -> np.ndarray:
-    """Project padded-grid values back onto the n-grid band (values on n-grid)."""
-    W = np.fft.rfft(w)
-    U = W[: n // 2 + 1] / _PAD
-    return np.fft.irfft(_clean(U, n), n)
-
-
-def apply_multiplier(symbol, f, grid: PeriodicGrid):
-    """Apply a Fourier multiplier; ``symbol`` maps wavenumbers to scalars
-    or 2x2 matrices.
-
-    Scalar symbols act on a single grid function; matrix symbols act on a
-    (u, v) pair.  The symbol is evaluated on the non-negative wavenumbers
-    of the grid (symbols are even functions of k throughout this problem).
-    """
-    k = grid.k
-    if isinstance(f, tuple):
-        S = np.array([symbol(kk) for kk in k])  # (n/2+1, 2, 2)
-        U = _rfft(f[0], grid.n)
-        V = _rfft(f[1], grid.n)
-        out_u = np.fft.irfft(S[:, 0, 0] * U + S[:, 0, 1] * V, grid.n)
-        out_v = np.fft.irfft(S[:, 1, 0] * U + S[:, 1, 1] * V, grid.n)
-        return out_u, out_v
-    s = np.array([symbol(kk) for kk in k])
-    return np.fft.irfft(s * _rfft(f, grid.n), grid.n)
+def _fbar_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Apply the symmetric matrix multiplier [[diag, off], [off, diag]] to
+    the stacked spectra X = (X1, X2)."""
+    return np.stack([diag * X[0] + off * X[1], off * X[0] + diag * X[1]])
 
 
 @dataclass
@@ -242,67 +256,92 @@ class FunctionalBreakdown:
     mu: float
 
 
-class _Fields:
-    """All spectral fields of one profile needed by the functionals.
+class _Products(NamedTuple):
+    """The kinetic-energy products a gradient needs, and the upper quartic
+    term they give.
 
-    Base-band fields are stored as padded-grid values so products can be
-    formed directly; inner multiplier applications happen on the padded
-    spectrum (exact for products of two base-band fields).
+    P = F[u |k|u] and R = F[u u_x, v v_x] are padded spectra, as is
+    Z = Fbar^{-1} W, where W = d/dx F[u B1, v B2] - Fbar R is the
+    first-order flux correction of the upper layer.
+    """
+
+    P: np.ndarray
+    R: np.ndarray
+    Z: np.ndarray
+    upper_l4: float
+
+
+class _Fields:
+    """Value stage: the transforms of one profile, each formed once.
+
+    The pair is transformed once and the base-band fields u, v, u_x,
+    v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held as values on the
+    padded grid, where products are formed.  The spectra of the products
+    in the kinetic energy are formed on first use, so the surface energy
+    alone never pays for them.  Transforms run on (lower, upper) pairs of
+    rows.
     """
 
     def __init__(self, eta: ProfilePair):
-        g = eta.grid
-        self.grid = g
-        self.sym = _symbols(g)
-        n = g.n
-        self.U = _rfft(eta.eta_under, n)
-        self.V = _rfft(eta.eta_over, n)
-        s = self.sym
-        self.u = _pad_values(self.U, n)
-        self.v = _pad_values(self.V, n)
-        self.ux = _pad_values(s.ik * self.U, n)
-        self.vx = _pad_values(s.ik * self.V, n)
-        self.uxx = _pad_values(s.mk2 * self.U, n)
-        self.vxx = _pad_values(s.mk2 * self.V, n)
-        self.Ku = _pad_values(s.absk * self.U, n)
-        self.B1 = _pad_values(s.fb_diag * self.U + s.fb_off * self.V, n)
-        self.B2 = _pad_values(s.fb_off * self.U + s.fb_diag * self.V, n)
+        g = self.grid = eta.grid
+        s = self.sym = _symbols(g)
+        UV = np.fft.rfft(np.stack([eta.eta_under, eta.eta_over]))
+        UV[:, g.n // 2] = 0.0
+        U, self.V = UV
+        self.B_hat = _fbar_apply(s.fb_diag, s.fb_off, UV)
+        self.u, self.v = self.padded(UV)
+        self.ux, self.vx = self.padded(s.ik * UV)
+        self.uxx, self.Ku = self.padded(np.stack([s.mk2 * U, s.absk * U]))
+        self.B1, self.B2 = self.padded(self.B_hat)
+
+    def padded(self, X: np.ndarray) -> np.ndarray:
+        """Padded-grid values of base-band spectra (the inverse transform
+        zero-fills the padded band)."""
+        return np.fft.irfft(_PAD * X, _PAD * self.grid.n)
 
     def integral(self, w: np.ndarray) -> float:
         return float(np.mean(w)) * self.grid.period
 
-    def mult_pad(self, which: str, w: np.ndarray) -> np.ndarray:
-        """Apply a scalar multiplier on the padded grid."""
-        s = getattr(self.sym, which + "_pad")
-        return np.fft.irfft(s * np.fft.rfft(w), _PAD * self.grid.n)
+    def pairing(self, A: np.ndarray, C: np.ndarray) -> float:
+        """Integral of the product of two fields given by padded spectra
+        (summed over stacked components; A may stop at any wavenumber)."""
+        m = A.shape[-1]
+        wA = (self.sym.parseval[:m] * A).view(float).ravel()
+        # einsum, not vdot: vdot goes through BLAS, whose worker threads
+        # made it up to 60 times slower on a busy 2-core host
+        return float(np.einsum("i,i->", wA, C[..., :m].view(float).ravel()))
 
-    def nbar_pad(self, w1: np.ndarray, w2: np.ndarray):
-        """Apply the inverse upper-layer matrix multiplier on the padded grid."""
-        W1, W2 = np.fft.rfft(w1), np.fft.rfft(w2)
-        d, o = self.sym.nb_diag_pad, self.sym.nb_off_pad
-        npad = _PAD * self.grid.n
-        return (np.fft.irfft(d * W1 + o * W2, npad),
-                np.fft.irfft(o * W1 + d * W2, npad))
-
-    def upper_quartic_fields(self):
-        """Quadratic building blocks of the upper-layer quartic term."""
-        if not hasattr(self, "_uq"):
-            mp = self.mult_pad
-            r1 = self.u * self.ux
-            r2 = self.v * self.vx
-            w1 = -mp("fb_diag", r1) - mp("fb_off", r2) + mp("ik", self.u * self.B1)
-            w2 = -mp("fb_off", r1) - mp("fb_diag", r2) + mp("ik", self.v * self.B2)
-            z1, z2 = self.nbar_pad(w1, w2)
-            self._uq = (r1, r2, w1, w2, z1, z2)
-        return self._uq
+    @cached_property
+    def products(self) -> _Products:
+        # each spectrum is dropped once its integrals are taken: this
+        # and the gradient stage set the peak memory of a descent
+        s = self.sym
+        u, v = self.u, self.v
+        r1, r2 = u * self.ux, v * self.vx
+        P = np.fft.rfft(u * self.Ku)
+        R = np.fft.rfft(np.stack([r1, r2]))
+        S = np.fft.rfft(np.stack([u * r1, v * r2]))
+        del r1, r2
+        Bx = _PAD * s.ik * self.B_hat  # padded spectra of B1', B2', base band
+        upper_l4 = 0.5 * self.pairing(Bx, S)
+        del S
+        FR = _fbar_apply(s.fb_diag_pad, s.fb_off_pad, R)
+        upper_l4 -= 0.5 * self.pairing(FR, R)
+        W = s.ik_pad * np.fft.rfft(np.stack([u * self.B1, v * self.B2]))
+        W -= FR
+        del FR
+        Z = _fbar_apply(s.nb_diag_pad, s.nb_off_pad, W)
+        upper_l4 += 0.5 * self.pairing(Z, W)
+        return _Products(P, R, Z, upper_l4)
 
 
 def _lower_parts(f: _Fields):
+    """Quadratic, cubic and quartic kinetic terms of the lower layer."""
     u, ux, uxx, Ku = f.u, f.ux, f.uxx, f.Ku
+    P = f.products.P
     l2 = 0.5 * f.integral(u * Ku)
     l3 = 0.5 * f.integral((ux**2 - Ku**2) * u)
-    KuKu = f.mult_pad("absk", u * Ku)
-    l4 = 0.5 * f.integral(u**2 * uxx * Ku + u * Ku * KuKu)
+    l4 = 0.5 * (f.integral(u**2 * uxx * Ku) + f.pairing(f.sym.absk_pad * P, P))
     return l2, l3, l4
 
 
@@ -318,196 +357,40 @@ def _upper_parts(f: _Fields):
 
     with r1 = u u_x, r2 = v v_x and W the first-order flux correction;
     the same derivation specialised to one boundary reproduces the
-    single-layer quartic term exactly.
+    single-layer quartic term exactly.  ``_Fields.products`` evaluates
+    all three integrals as Parseval sums of the product spectra.
     """
     u, v, ux, vx, B1, B2 = f.u, f.v, f.ux, f.vx, f.B1, f.B2
-    mp = f.mult_pad
     l2 = 0.5 * f.integral(u * B1 + v * B2)
     l3 = 0.5 * f.integral(-(ux**2 - B1**2) * u + (vx**2 - B2**2) * v)
-    r1, r2, w1, w2, z1, z2 = f.upper_quartic_fields()
-    l4 = (
-        0.5 * f.integral(z1 * w1 + z2 * w2)
-        - 0.5 * f.integral(r1 * mp("fb_diag", r1) + 2.0 * r1 * mp("fb_off", r2)
-                           + r2 * mp("fb_diag", r2))
-        + 0.5 * f.integral(mp("ik", B1) * u**2 * ux + mp("ik", B2) * v**2 * vx)
-    )
-    return l2, l3, l4
+    return l2, l3, f.products.upper_l4
 
 
-def eval_L_lower(eta_under: np.ndarray, grid: PeriodicGrid):
-    """Quadratic, cubic and quartic kinetic terms of the lower layer."""
-    f = _Fields(ProfilePair(grid, eta_under, np.zeros_like(eta_under)))
-    return _lower_parts(f)
-
-
-def eval_L_upper(eta: ProfilePair):
-    """Quadratic, cubic and quartic kinetic terms of the upper layer."""
-    return _upper_parts(_Fields(eta))
-
-
-def eval_L_trunc(eta: ProfilePair, p: Params):
-    """Combined truncation (l2, l3, l4) with the density weighting."""
-    f = _Fields(eta)
+def _l_parts(f: _Fields, p: Params):
     lo = _lower_parts(f)
     up = _upper_parts(f)
     return tuple(a + p.rho * b for a, b in zip(lo, up))
 
 
-def eval_K(eta: ProfilePair, p: Params):
-    """Exact surface energy and its quadratic/quartic truncations.
-
-    Returns (k_total, k2, k4).  The exact value uses the full
-    sqrt(1 + eta_x^2) integrand on the padded grid; the truncations are
-    the displayed polynomial parts.
-    """
-    f = _Fields(eta)
+def _k_parts(f: _Fields, p: Params):
     r, bu, bo = p.rho, p.beta_under, p.beta_over
+    ux2, vx2 = f.ux**2, f.vx**2
     k_total = f.integral(
         0.5 * (1.0 - r) * f.u**2 + 0.5 * r * f.v**2
-        + bu * (np.sqrt(1.0 + f.ux**2) - 1.0)
-        + r * bo * (np.sqrt(1.0 + f.vx**2) - 1.0)
+        + bu * (np.sqrt(1.0 + ux2) - 1.0)
+        + r * bo * (np.sqrt(1.0 + vx2) - 1.0)
     )
     k2 = 0.5 * f.integral(
-        (1.0 - r) * f.u**2 + r * f.v**2 + bu * f.ux**2 + r * bo * f.vx**2
+        (1.0 - r) * f.u**2 + r * f.v**2 + bu * ux2 + r * bo * vx2
     )
-    k4 = -0.125 * f.integral(bu * f.ux**4 + r * bo * f.vx**4)
+    # squared squares: numpy's power takes a slow generic path for **4
+    k4 = -0.125 * f.integral(bu * ux2**2 + r * bo * vx2**2)
     return k_total, k2, k4
 
 
-def grad_K(eta: ProfilePair, p: Params):
-    """L^2 gradient of the exact surface energy."""
-    f = _Fields(eta)
-    n = eta.grid.n
-
-    def tension_term(wx, beta):
-        s = wx / np.sqrt(1.0 + wx**2)
-        S = np.fft.rfft(s)
-        ds = np.fft.irfft(_symbols(eta.grid).ik_pad * S, _PAD * n)
-        return -beta * ds
-
-    gu = _truncate_values((1.0 - p.rho) * f.u + tension_term(f.ux, p.beta_under), n)
-    gv = _truncate_values(
-        p.rho * f.v + p.rho * tension_term(f.vx, p.beta_over), n
-    )
-    return gu, gv
-
-
-def m_lower(u1: np.ndarray, u2: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Symmetric bilinear form whose diagonal is the cubic lower gradient."""
-    n = grid.n
-    s = _symbols(grid)
-    U1, U2 = _rfft(u1, n), _rfft(u2, n)
-    a1, a2 = _pad_values(U1, n), _pad_values(U2, n)
-    a1x, a2x = _pad_values(s.ik * U1, n), _pad_values(s.ik * U2, n)
-    a1xx, a2xx = _pad_values(s.mk2 * U1, n), _pad_values(s.mk2 * U2, n)
-    K1, K2 = _pad_values(s.absk * U1, n), _pad_values(s.absk * U2, n)
-
-    def Kp(w):
-        return np.fft.irfft(s.absk_pad * np.fft.rfft(w), _PAD * n)
-
-    # swapped pairs are grouped so the float sum is exactly symmetric
-    w = (
-        -0.5 * (Kp(a1 * K2) + Kp(a2 * K1))
-        - 0.5 * K1 * K2 - 0.5 * a1x * a2x
-        - 0.5 * (a1xx * a2 + a1 * a2xx)
-    )
-    return _truncate_values(w, n)
-
-
-def m_upper(eta1: ProfilePair, eta2: ProfilePair):
-    """Symmetric bilinear form whose diagonal is the cubic upper gradient."""
-    f1, f2 = _Fields(eta1), _Fields(eta2)
-    n = eta1.grid.n
-    Kd, Ko = f1.mult_pad, f1.mult_pad  # same grid symbols
-
-    comp1 = (
-        0.5 * f1.ux * f2.ux + 0.5 * (f1.uxx * f2.u + f2.uxx * f1.u)
-        + 0.5 * f1.B1 * f2.B1
-        + 0.5 * (Kd("fb_diag", f1.u * f2.B1) + Kd("fb_diag", f2.u * f1.B1))
-        - 0.5 * (Ko("fb_off", f1.v * f2.B2) + Ko("fb_off", f2.v * f1.B2))
-    )
-    comp2 = (
-        -0.5 * f1.vx * f2.vx - 0.5 * (f1.vxx * f2.v + f2.vxx * f1.v)
-        - 0.5 * f1.B2 * f2.B2
-        - 0.5 * (Kd("fb_diag", f1.v * f2.B2) + Kd("fb_diag", f2.v * f1.B2))
-        + 0.5 * (Ko("fb_off", f1.u * f2.B1) + Ko("fb_off", f2.u * f1.B1))
-    )
-    return _truncate_values(comp1, n), _truncate_values(comp2, n)
-
-
-def _grad_lower(f: _Fields) -> np.ndarray:
-    """Gradient of l2+l3+l4 of the lower layer, on the padded grid."""
-    u, ux, uxx, Ku = f.u, f.ux, f.uxx, f.Ku
-    mp = f.mult_pad
-    KuKu = mp("absk", u * Ku)
-    g2 = Ku
-    g3 = -0.5 * Ku**2 - 0.5 * ux**2 - u * uxx - KuKu
-    g4 = (
-        u * uxx * Ku
-        + 0.5 * mp("mk2", u**2 * Ku)
-        + 0.5 * mp("absk", u**2 * uxx)
-        + Ku * KuKu
-        + mp("absk", u * KuKu)
-    )
-    return g2 + g3 + g4
-
-
-def _grad_upper(f: _Fields):
-    """Gradient of l2+l3+l4 of the upper layer, on the padded grid."""
-    u, v, ux, vx, uxx, vxx, B1, B2 = (
-        f.u, f.v, f.ux, f.vx, f.uxx, f.vxx, f.B1, f.B2,
-    )
-    mp = f.mult_pad
-    K11_uB1 = mp("fb_diag", u * B1)
-    K21_vB2 = mp("fb_off", v * B2)
-
-    gu23 = B1 + 0.5 * ux**2 + u * uxx + 0.5 * B1**2 + K11_uB1 - K21_vB2
-    gv23 = B2 - 0.5 * vx**2 - v * vxx - 0.5 * B2**2 \
-        - mp("fb_diag", v * B2) + mp("fb_off", u * B1)
-
-    r1, r2, w1, w2, z1, z2 = f.upper_quartic_fields()
-    z1x = mp("ik", z1)
-    z2x = mp("ik", z2)
-    u2ux_x = mp("ik", u**2 * ux)
-    v2vx_x = mp("ik", v**2 * vx)
-    gu4 = (
-        u * mp("ik", mp("fb_diag", z1) + mp("fb_off", z2))
-        - z1x * B1
-        - mp("fb_diag", u * z1x)
-        - mp("fb_off", v * z2x)
-        + u * mp("ik", mp("fb_diag", r1) + mp("fb_off", r2))
-        - 0.5 * mp("fb_diag", u2ux_x)
-        - 0.5 * mp("fb_off", v2vx_x)
-        - 0.5 * u**2 * mp("mk2", B1)
-    )
-    gv4 = (
-        v * mp("ik", mp("fb_off", z1) + mp("fb_diag", z2))
-        - z2x * B2
-        - mp("fb_diag", v * z2x)
-        - mp("fb_off", u * z1x)
-        + v * mp("ik", mp("fb_off", r1) + mp("fb_diag", r2))
-        - 0.5 * mp("fb_diag", v2vx_x)
-        - 0.5 * mp("fb_off", u2ux_x)
-        - 0.5 * v**2 * mp("mk2", B2)
-    )
-    return gu23 + gu4, gv23 + gv4
-
-
-def grad_L_trunc(eta: ProfilePair, p: Params):
-    """L^2 gradient of the combined truncated kinetic energy."""
-    f = _Fields(eta)
-    n = eta.grid.n
-    glow = _grad_lower(f)
-    gu_up, gv_up = _grad_upper(f)
-    gu = _truncate_values(glow + p.rho * gu_up, n)
-    gv = _truncate_values(p.rho * gv_up, n)
-    return gu, gv
-
-
-def eval_J(eta: ProfilePair, p: Params, mu: float) -> FunctionalBreakdown:
-    """Reduced objective J_mu = K_exact + mu^2 / (l2 + l3 + l4)."""
-    k_total, k2, k4 = eval_K(eta, p)
-    l2, l3, l4 = eval_L_trunc(eta, p)
+def _breakdown(f: _Fields, p: Params, mu: float) -> FunctionalBreakdown:
+    k_total, k2, k4 = _k_parts(f, p)
+    l2, l3, l4 = _l_parts(f, p)
     l_trunc = l2 + l3 + l4
     if l_trunc <= 0.0:
         raise OutOfConeError(
@@ -520,13 +403,102 @@ def eval_J(eta: ProfilePair, p: Params, mu: float) -> FunctionalBreakdown:
     )
 
 
+def _gradient(f: _Fields, p: Params, ck: float, cl: float):
+    """Gradient stage: the L^2 gradient of ck K + cl L_trunc on the n-grid.
+
+    Terms free of an outer multiplier are summed on the padded grid, and
+    products under a common multiplier are summed before their forward
+    transform.  Only the grid band of the result survives, so the
+    multipliers, F-bar included, and the weights ck and cl act on that
+    band of the padded spectra, whose sum is transformed back once per
+    component.  Each padded field is dropped once its terms are formed.
+    """
+    s, r, n = f.sym, p.rho, f.grid.n
+    npad = _PAD * n
+    u, v, ux, vx = f.u, f.v, f.ux, f.vx
+
+    def band_spectra(a, b):
+        return np.fft.rfft(np.stack([a, b]))[:, : n // 2 + 1]
+
+    # surface tension: -beta d/dx (eta_x / sqrt(1 + eta_x^2))
+    beta = np.array([[p.beta_under], [r * p.beta_over]])
+    G = -ck * beta * s.ik * band_spectra(ux / np.sqrt(1.0 + ux**2),
+                                         vx / np.sqrt(1.0 + vx**2))
+    point_u = ck * (1.0 - r) * u
+    point_v = ck * r * v
+    if cl:
+        q = f.products
+        uxx, Ku, B1, B2 = f.uxx, f.Ku, f.B1, f.B2
+        # lower layer, with the products under -k^2 and under |k|
+        KuKu = np.fft.irfft(s.absk_pad * q.P, npad)
+        point_u += cl * (Ku - 0.5 * Ku**2 - 0.5 * ux**2 - u * uxx
+                         + u * uxx * Ku + Ku * KuKu)
+        Y = band_spectra(u**2 * Ku, 0.5 * u**2 * uxx + u * (KuKu - Ku))
+        G[0] += cl * (0.5 * s.mk2 * Y[0] + s.absk * Y[1])
+        del KuKu
+        # upper layer, with the products under F-bar, where
+        # d/dx (u^2 u_x) / 2 enters as u u_x^2 + u^2 u_xx / 2
+        cr = cl * r
+        vxx = f.padded(s.mk2 * f.V)
+        point_u += cr * (B1 + 0.5 * ux**2 + u * uxx + 0.5 * B1**2)
+        point_v += cr * (B2 - 0.5 * vx**2 - v * vxx - 0.5 * B2**2)
+        z1x, z2x = np.fft.irfft(s.ik_pad * q.Z, npad)
+        point_u -= cr * z1x * B1
+        point_v -= cr * z2x * B2
+        Y = band_spectra(u * (z1x - B1 + ux**2 + 0.5 * u * uxx),
+                         v * (z2x + B2 + vx**2 + 0.5 * v * vxx))
+        G -= cr * _fbar_apply(s.fb_diag, s.fb_off, Y)
+        del vxx, z1x, z2x
+        B1xx, B2xx = f.padded(s.mk2 * f.B_hat)
+        point_u -= 0.5 * cr * u**2 * B1xx
+        point_v -= 0.5 * cr * v**2 * B2xx
+        del B1xx, B2xx
+        T = _fbar_apply(s.fb_diag_pad, s.fb_off_pad, q.Z + q.R)
+        Tu, Tv = np.fft.irfft(s.ik_pad * T, npad)
+        point_u += cr * u * Tu
+        point_v += cr * v * Tv
+    G += band_spectra(point_u, point_v)
+    G /= _PAD
+    G[:, n // 2] = 0.0
+    gu, gv = np.fft.irfft(G, n)
+    return gu, gv
+
+
+def eval_L_trunc(eta: ProfilePair, p: Params):
+    """Combined truncation (l2, l3, l4) with the density weighting."""
+    return _l_parts(_Fields(eta), p)
+
+
+def eval_K(eta: ProfilePair, p: Params):
+    """Exact surface energy and its quadratic/quartic truncations.
+
+    Returns (k_total, k2, k4).  The exact value uses the full
+    sqrt(1 + eta_x^2) integrand on the padded grid; the truncations are
+    the displayed polynomial parts.
+    """
+    return _k_parts(_Fields(eta), p)
+
+
+def grad_K(eta: ProfilePair, p: Params):
+    """L^2 gradient of the exact surface energy."""
+    return _gradient(_Fields(eta), p, 1.0, 0.0)
+
+
+def grad_L_trunc(eta: ProfilePair, p: Params):
+    """L^2 gradient of the combined truncated kinetic energy."""
+    return _gradient(_Fields(eta), p, 0.0, 1.0)
+
+
+def eval_J(eta: ProfilePair, p: Params, mu: float) -> FunctionalBreakdown:
+    """Reduced objective J_mu = K_exact + mu^2 / (l2 + l3 + l4)."""
+    return _breakdown(_Fields(eta), p, mu)
+
+
 def grad_J(eta: ProfilePair, p: Params, mu: float):
     """L^2 gradient of J_mu via the chain rule, plus the breakdown."""
-    bd = eval_J(eta, p, mu)
-    gku, gkv = grad_K(eta, p)
-    glu, glv = grad_L_trunc(eta, p)
-    w = (mu / bd.l_trunc) ** 2
-    return (gku - w * glu, gkv - w * glv), bd
+    f = _Fields(eta)
+    bd = _breakdown(f, p, mu)
+    return _gradient(f, p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
 
 
 def l2_norm_pair(gu: np.ndarray, gv: np.ndarray, grid: PeriodicGrid) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import CriticalPoint, Params
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        build_eta_star, eps_of_mu, eval_J, grad_J,
                        l2_norm_pair, _rfft, _symbols)
@@ -232,7 +232,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             try:
                 f_try, g_try, bd_try = obj(x_try)
                 g_try = _evenize(g_try, n)
-            except Exception:
+            except OutOfConeError:
                 t *= 0.5
                 continue
             armijo = f_try <= f + 1e-4 * t * slope
@@ -367,11 +367,6 @@ def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
     result.l_exact = l_ex
     result.speed_exact = cfg.mu / l_ex
     result.speed = result.speed_exact
-
-
-def wave_speed(r: MinimizeResult) -> float:
-    """Lagrange-multiplier speed nu = mu / L of a converged run."""
-    return r.speed
 
 
 @dataclass(frozen=True)

@@ -147,23 +147,6 @@ def upper_quartic_kinetic(k0: float, a: float) -> float:
     return second_harmonic + mean_flow + direct
 
 
-def quartic_box_correction(k0: float, a: float, eps: float, period: float,
-                           amplitude: float, decay_rate: float) -> float:
-    """Finite-period deficit of the mean-flow part of the quartic term.
-
-    On a periodic domain the zero mode of the mean-flow response is
-    absent, which reduces the extracted quartic coefficient by
-    (c1 - a c2)^2 / 3 times (int psi^2)^2 / (period int psi^4) relative
-    to the real line.  Used by the extraction oracle tests.
-    """
-    fbk = eval_fbar(k0)
-    c1 = fbk[0, 0] - a * fbk[0, 1]
-    c2 = fbk[1, 0] - a * fbk[1, 1]
-    mass_sq = (2.0 * amplitude**2 / decay_rate) ** 2 * eps**2
-    quart = (4.0 / 3.0) * amplitude**4 / decay_rate * eps**3
-    return (c1 - a * c2) ** 2 / 3.0 * mass_sq / (period * quart)
-
-
 def compute_a4(p: Params, crit: CriticalPoint):
     """Quartic coefficient A4 = A4^1 - nu0^2 A4^2.
 

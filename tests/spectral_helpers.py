@@ -1,0 +1,143 @@
+"""Test-only spectral helpers and oracles.
+
+Plain-loop multiplier application, the symmetric bilinear forms whose
+diagonals are the cubic kinetic gradients, the per-layer kinetic
+truncations, and the finite-period correction of the quartic
+coefficient.  None of these is on a production path.
+"""
+
+import numpy as np
+
+from gcwaves import ProfilePair, eval_fbar
+from gcwaves import fieldops as fo
+
+_PAD = fo._PAD
+
+
+def apply_multiplier(symbol, f, grid):
+    """Apply a Fourier multiplier; ``symbol`` maps wavenumbers to scalars
+    or 2x2 matrices.
+
+    Scalar symbols act on a single grid function; matrix symbols act on a
+    (u, v) pair.  The symbol is evaluated on the non-negative wavenumbers
+    of the grid (symbols are even functions of k throughout this problem).
+    """
+    k = grid.k
+    if isinstance(f, tuple):
+        S = np.array([symbol(kk) for kk in k])  # (n/2+1, 2, 2)
+        U = fo._rfft(f[0], grid.n)
+        V = fo._rfft(f[1], grid.n)
+        out_u = np.fft.irfft(S[:, 0, 0] * U + S[:, 0, 1] * V, grid.n)
+        out_v = np.fft.irfft(S[:, 1, 0] * U + S[:, 1, 1] * V, grid.n)
+        return out_u, out_v
+    s = np.array([symbol(kk) for kk in k])
+    return np.fft.irfft(s * fo._rfft(f, grid.n), grid.n)
+
+
+def eval_L_lower(eta_under, grid):
+    """Quadratic, cubic and quartic kinetic terms of the lower layer."""
+    eta = ProfilePair(grid, eta_under, np.zeros_like(eta_under))
+    return fo._lower_parts(fo._Fields(eta))
+
+
+def eval_L_upper(eta):
+    """Quadratic, cubic and quartic kinetic terms of the upper layer."""
+    return fo._upper_parts(fo._Fields(eta))
+
+
+def _pad_values(U, n):
+    """Trig-interpolate rfft coefficients of the n-grid onto the padded grid."""
+    Up = np.zeros(_PAD * n // 2 + 1, dtype=complex)
+    Up[: n // 2 + 1] = U
+    return np.fft.irfft(Up, _PAD * n) * _PAD
+
+
+def _truncate_values(w, n):
+    """Project padded-grid values back onto the n-grid band."""
+    U = np.fft.rfft(w)[: n // 2 + 1] / _PAD
+    U[n // 2] = 0.0
+    return np.fft.irfft(U, n)
+
+
+def _mult_pad(symbol, w):
+    return np.fft.irfft(symbol * np.fft.rfft(w), len(w))
+
+
+def _padded_fields(eta):
+    """Padded-grid values of u, v, their derivatives and B = Fbar (u, v)."""
+    n = eta.grid.n
+    s = fo._symbols(eta.grid)
+    U, V = fo._rfft(eta.eta_under, n), fo._rfft(eta.eta_over, n)
+    spectra = {
+        "u": U, "v": V, "ux": s.ik * U, "vx": s.ik * V,
+        "uxx": s.mk2 * U, "vxx": s.mk2 * V,
+        "B1": s.fb_diag * U + s.fb_off * V, "B2": s.fb_off * U + s.fb_diag * V,
+    }
+    return {name: _pad_values(X, n) for name, X in spectra.items()}
+
+
+def m_lower(u1, u2, grid):
+    """Symmetric bilinear form whose diagonal is the cubic lower gradient."""
+    n = grid.n
+    s = fo._symbols(grid)
+    U1, U2 = fo._rfft(u1, n), fo._rfft(u2, n)
+    a1, a2 = _pad_values(U1, n), _pad_values(U2, n)
+    a1x, a2x = _pad_values(s.ik * U1, n), _pad_values(s.ik * U2, n)
+    a1xx, a2xx = _pad_values(s.mk2 * U1, n), _pad_values(s.mk2 * U2, n)
+    K1, K2 = _pad_values(s.absk * U1, n), _pad_values(s.absk * U2, n)
+
+    def Kp(w):
+        return _mult_pad(s.absk_pad, w)
+
+    # swapped pairs are grouped so the float sum is exactly symmetric
+    w = (
+        -0.5 * (Kp(a1 * K2) + Kp(a2 * K1))
+        - 0.5 * K1 * K2 - 0.5 * a1x * a2x
+        - 0.5 * (a1xx * a2 + a1 * a2xx)
+    )
+    return _truncate_values(w, n)
+
+
+def m_upper(eta1, eta2):
+    """Symmetric bilinear form whose diagonal is the cubic upper gradient."""
+    f1, f2 = _padded_fields(eta1), _padded_fields(eta2)
+    n = eta1.grid.n
+    s = fo._symbols(eta1.grid)
+
+    def Kd(w):
+        return _mult_pad(s.fb_diag_pad, w)
+
+    def Ko(w):
+        return _mult_pad(s.fb_off_pad, w)
+
+    comp1 = (
+        0.5 * f1["ux"] * f2["ux"]
+        + 0.5 * (f1["uxx"] * f2["u"] + f2["uxx"] * f1["u"])
+        + 0.5 * f1["B1"] * f2["B1"]
+        + 0.5 * (Kd(f1["u"] * f2["B1"]) + Kd(f2["u"] * f1["B1"]))
+        - 0.5 * (Ko(f1["v"] * f2["B2"]) + Ko(f2["v"] * f1["B2"]))
+    )
+    comp2 = (
+        -0.5 * f1["vx"] * f2["vx"]
+        - 0.5 * (f1["vxx"] * f2["v"] + f2["vxx"] * f1["v"])
+        - 0.5 * f1["B2"] * f2["B2"]
+        - 0.5 * (Kd(f1["v"] * f2["B2"]) + Kd(f2["v"] * f1["B2"]))
+        + 0.5 * (Ko(f1["u"] * f2["B1"]) + Ko(f2["u"] * f1["B1"]))
+    )
+    return _truncate_values(comp1, n), _truncate_values(comp2, n)
+
+
+def quartic_box_correction(k0, a, eps, period, amplitude, decay_rate):
+    """Finite-period deficit of the mean-flow part of the quartic term.
+
+    On a periodic domain the zero mode of the mean-flow response is
+    absent, which reduces the extracted quartic coefficient by
+    (c1 - a c2)^2 / 3 times (int psi^2)^2 / (period int psi^4) relative
+    to the real line.
+    """
+    fbk = eval_fbar(k0)
+    c1 = fbk[0, 0] - a * fbk[0, 1]
+    c2 = fbk[1, 0] - a * fbk[1, 1]
+    mass_sq = (2.0 * amplitude**2 / decay_rate) ** 2 * eps**2
+    quart = (4.0 / 3.0) * amplitude**4 / decay_rate * eps**3
+    return (c1 - a * c2) ** 2 / 3.0 * mass_sq / (period * quart)

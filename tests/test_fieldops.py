@@ -1,19 +1,22 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwaves import (PeriodicGrid, ProfilePair, build_eta_star, eps_of_mu,
-                     eval_J, eval_K, eval_L_lower, eval_L_trunc, eval_L_upper,
-                     eval_fbar, grad_J, grad_K, grad_L_trunc, make_grid,
-                     mu_of_eps, read_profile_csv, suggest_carrier_multiple,
+from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
+                     eps_of_mu, eval_J, eval_K, eval_L_trunc, eval_fbar,
+                     grad_J, grad_K, grad_L_trunc, make_grid, mu_of_eps,
+                     read_profile_csv, suggest_carrier_multiple,
                      write_profile_csv)
 from gcwaves.errors import ConfigError, GeometryError, OutOfConeError
-from gcwaves.fieldops import apply_multiplier, m_lower, m_upper, zero_profile
+from gcwaves.fieldops import zero_profile
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile
+from spectral_helpers import (apply_multiplier, eval_L_lower, eval_L_upper,
+                              m_lower, m_upper)
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +299,66 @@ def test_grad_L3_is_m_form(grid):
 def test_grad_at_zero_is_zero(grid):
     gu, gv = grad_L_trunc(zero_profile(grid), BENCH)
     assert np.max(np.abs(gu)) == 0.0 and np.max(np.abs(gv)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# parity with the reference implementation and the transform budget
+
+# Values and gradients recorded from the earlier implementation, which
+# built the padded fields separately in eval_K, eval_L_trunc, grad_K and
+# grad_L_trunc and applied every multiplier by a transform pair.  Inputs:
+# random_band_profile pairs at scales 0.02, 0.04, 0.06 drawn in turn from
+# default_rng(20261017), on make_grid(256, k0, 4) at BENCH and mu = 1e-3.
+REFERENCE = os.path.join(os.path.dirname(__file__), "data",
+                         "fieldops_reference.npz")
+
+
+def test_parity_with_reference_implementation():
+    ref = np.load(REFERENCE)
+    grid = PeriodicGrid(n=int(ref["n"]), period=float(ref["period"]))
+    p = Params(*ref["params"].tolist())
+    mu = float(ref["mu"])
+    for i, (u, v) in enumerate(ref["eta"]):
+        eta = pair(grid, u, v)
+        (gu, gv), bd = grad_J(eta, p, mu)
+        j_mu, l_trunc, k_total, _, k4, l2, l3, l4 = ref["breakdown"][i]
+        assert bd.j_mu == pytest.approx(j_mu, rel=1e-13, abs=0.0)
+        assert bd.l_trunc == pytest.approx(l_trunc, rel=1e-13, abs=0.0)
+        assert bd.k_total == pytest.approx(k_total, rel=1e-13, abs=0.0)
+        for got, want in ((bd.l3, l3), (bd.l4, l4), (bd.k4, k4)):
+            assert abs(got - want) <= 1e-13 * abs(l2)
+        for got, want in (((gu, gv), ref["grad_J"][i]),
+                          (grad_K(eta, p), ref["grad_K"][i]),
+                          (grad_L_trunc(eta, p), ref["grad_L_trunc"][i])):
+            err = np.linalg.norm(np.asarray(got) - want)
+            assert err <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.fixture
+def fft_rows(monkeypatch):
+    """Count one-dimensional transforms; a batched (m, n) call counts m."""
+    count = {"rows": 0}
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
+            a = np.asarray(a)
+            count["rows"] += a.size // a.shape[-1]
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+def test_transform_counts(grid, fft_rows):
+    rng = np.random.default_rng(15)
+    eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
+               random_band_profile(rng, grid.n, 0.04))
+    counts = {}
+    for name, fn in (("grad_J", lambda: grad_J(eta, BENCH, 1e-3)),
+                     ("eval_J", lambda: eval_J(eta, BENCH, 1e-3)),
+                     ("eval_L_trunc", lambda: eval_L_trunc(eta, BENCH))):
+        fft_rows["rows"] = 0
+        fn()
+        counts[name] = fft_rows["rows"]
+    assert counts == {"grad_J": 35, "eval_J": 17, "eval_L_trunc": 17}
 
 
 # ---------------------------------------------------------------------------

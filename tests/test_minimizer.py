@@ -3,8 +3,9 @@ import pytest
 
 from gcwaves import (MinimizeConfig, build_eta_star, eps_of_mu,
                      eval_J, make_grid, minimize, speed_expansion_check,
-                     suggest_carrier_multiple, wave_speed)
-from gcwaves.errors import ConfigError
+                     suggest_carrier_multiple)
+from gcwaves import minimizer
+from gcwaves.errors import ConfigError, OutOfConeError
 from gcwaves.fieldops import eval_L_trunc
 from gcwaves.minimizer import MinimizeResult, _evenize
 
@@ -52,7 +53,7 @@ def test_minimum_below_test_function(run, bench_crit, bench_coeffs):
 
 def test_speed_below_nu0(run, bench_crit):
     r, _ = run
-    assert 0.0 < wave_speed(r) < bench_crit.nu0
+    assert 0.0 < r.speed < bench_crit.nu0
 
 
 def test_speed_translation_invariant(run):
@@ -109,6 +110,46 @@ def test_barrier_activates_with_tiny_ball(bench_crit, bench_coeffs):
     assert r.boundary_hit
     # iterates never breach the ball itself
     assert r.eta.h2_norm() < tiny_M
+
+
+def _fail_line_search_trial(monkeypatch, error):
+    """Make the objective raise ``error`` on its second call, the first
+    trial step of the first line search."""
+    calls = []
+    grad_J = minimizer.grad_J
+
+    def objective(eta, p, mu):
+        calls.append(mu)
+        if len(calls) == 2:
+            raise error
+        return grad_J(eta, p, mu)
+    monkeypatch.setattr(minimizer, "grad_J", objective)
+    return calls
+
+
+def _small_config(bench_crit, bench_coeffs, max_iters):
+    mu = 6e-3
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    return MinimizeConfig(mu=mu, grid=make_grid(1024, bench_crit.k0, m),
+                          max_iters=max_iters)
+
+
+def test_programming_error_in_objective_propagates(bench_crit, bench_coeffs,
+                                                   monkeypatch):
+    calls = _fail_line_search_trial(monkeypatch, TypeError("broken objective"))
+    cfg = _small_config(bench_crit, bench_coeffs, max_iters=5)
+    with pytest.raises(TypeError, match="broken objective"):
+        minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert len(calls) == 2
+
+
+def test_out_of_cone_trial_halves_the_step(bench_crit, bench_coeffs,
+                                           monkeypatch):
+    _fail_line_search_trial(monkeypatch, OutOfConeError("left the cone"))
+    cfg = _small_config(bench_crit, bench_coeffs, max_iters=2)
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert r.iterations == 2
+    assert r.history[1][3] <= 0.5
 
 
 def test_evenize_projection():

@@ -7,12 +7,13 @@ from gcwaves import (ProfilePair, Params, build_soliton, check_focusing,
                      eval_alpha, eval_fbar, find_critical, make_grid)
 from gcwaves.dispersion import eval_g, g_at_zero
 from gcwaves.errors import RegimeError
-from gcwaves.nls import (_a3_vec1, _a3_vec2, quartic_box_correction,
-                         soliton_energy, soliton_mass, soliton_ode_residual,
-                         soliton_shape, upper_quartic_kinetic)
+from gcwaves.nls import (_a3_vec1, _a3_vec2, soliton_energy, soliton_mass,
+                         soliton_ode_residual, soliton_shape,
+                         upper_quartic_kinetic)
 import gcwaves.fieldops as fo
 
 from conftest import BENCH, NEAR_RESONANT
+from spectral_helpers import m_lower, m_upper, quartic_box_correction
 
 
 def test_fbar_limit_and_symmetry():
@@ -168,9 +169,9 @@ def test_a3_extraction_oracle(bench_crit, bench_coeffs):
     for eps, n, m in ((4e-3, 4096, 140), (2e-3, 8192, 280)):
         grid = make_grid(n, k0, m)
         e1 = _eta1(crit, c, eps, grid)
-        f_u = fo.m_lower(e1.eta_under, e1.eta_under, grid) \
-            + BENCH.rho * fo.m_upper(e1, e1)[0]
-        f_v = BENCH.rho * fo.m_upper(e1, e1)[1]
+        f_u = m_lower(e1.eta_under, e1.eta_under, grid) \
+            + BENCH.rho * m_upper(e1, e1)[0]
+        f_v = BENCH.rho * m_upper(e1, e1)[1]
         cu = np.fft.fft(f_u) / grid.n
         cv = np.fft.fft(f_v) / grid.n
         ks = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
