@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dispersion as disp
 from . import dno, fieldops, minimizer, nls
-from .errors import GcwavesError
+from .errors import GcwavesError, NumericalError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -342,8 +342,14 @@ def cmd_minimize(args) -> int:
         try:
             r = _run_minimize(cfg, p, rep, c, mu)
         except GcwavesError as ex:
-            write_json(os.path.join(args.out, f"{tag}.error.json"),
-                       {"mu": mu, "error": str(ex)})
+            record = {"mu": mu, "error": str(ex)}
+            if isinstance(ex, NumericalError):
+                record["diagnostics"] = ex.diagnostics
+                if ex.last_iterate is not None:
+                    fieldops.write_profile_csv(
+                        os.path.join(args.out, f"{tag}.error.profile.csv"),
+                        ex.last_iterate)
+            write_json(os.path.join(args.out, f"{tag}.error.json"), record)
             return EXIT_NUMERICAL
         runs.append(r)
         fieldops.write_profile_csv(os.path.join(args.out, f"{tag}.profile.csv"),

@@ -11,6 +11,14 @@ assembled from the quadrature, which keeps the operator symmetric
 positive semi-definite); the linear systems are solved by conjugate
 gradients preconditioned with the exact flat-geometry per-mode inverse.
 
+On a flat strip Fourier mode k_j decouples into the vertical matrix
+M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every nonzero
+mode shares one generalized eigenbasis, D^T W D V = W V Lambda with
+V^T W V = I, so M_j^{-1} = V diag(1 / (hx (k_j^2 + Lambda))) V^T and the
+preconditioner is two matrix products over all modes at once.  Mode 0,
+the only one with a null direction (the constants), keeps a regularized
+Cholesky factor.
+
 The module is the independent oracle against which the spectral
 truncations are validated, so it shares no code path with the truncated
 functionals.
@@ -19,6 +27,7 @@ functionals.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +105,13 @@ def _clenshaw_curtis(n: int):
 
 
 class _StripOperator:
-    """Shared machinery: grid, derivatives, quadrature, flat preconditioner."""
+    """Shared machinery: grid, derivatives, quadrature, flat preconditioner.
+
+    The preconditioner inverts the flat-geometry operator mode by mode:
+    the nonzero modes through the shared eigenbasis ``_V`` scaled by the
+    inverse eigenvalues ``_inv_eig`` (one column per mode), mode 0 through
+    the Cholesky factor ``_mode0`` of its regularized matrix.
+    """
 
     def __init__(self, nx: int, period: float, ny: int, y_bot: float,
                  y_top: float, cg_tol: float):
@@ -113,16 +128,20 @@ class _StripOperator:
         self._build_flat_preconditioner()
 
     def _build_flat_preconditioner(self):
+        # D^T W D V = W V Lambda with V^T W V = I, read off the SVD
+        # W^(1/2) D W^(-1/2) = U S Y^T as Lambda = S^2, V = W^(-1/2) Y;
+        # not forming D^T W D keeps its small eigenvalues accurate
+        sw = np.sqrt(self.wy)
+        _, s, Yt = np.linalg.svd(sw[:, None] * self.D / sw)
+        self._V = Yt.T / sw[:, None]
+        lam = s[:, None]**2
+        self._inv_eig = 1.0 / (self.hx * (self.k[None, 1:]**2 + lam))
         Wy = np.diag(self.wy)
-        base = self.D.T @ Wy @ self.D
-        self._factors = []
-        for j, kk in enumerate(self.k):
-            M = self.hx * (kk**2 * Wy + base)
-            if j == 0:
-                # regularize the constant null direction
-                v = self.wy / np.linalg.norm(self.wy)
-                M = M + np.outer(v, v) * np.mean(np.diag(M))
-            self._factors.append(cho_factor(M, lower=True))
+        M0 = self.hx * (self.D.T @ Wy @ self.D)
+        # regularize the constant null direction
+        v = self.wy / np.linalg.norm(self.wy)
+        self._mode0 = cho_factor(M0 + np.outer(v, v) * np.mean(np.diag(M0)),
+                                 lower=True)
 
     def dx(self, U: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
@@ -134,8 +153,9 @@ class _StripOperator:
     def precondition(self, R: np.ndarray) -> np.ndarray:
         Rh = np.fft.rfft(R, axis=1)
         Z = np.empty_like(Rh)
-        for j in range(len(self.k)):
-            Z[:, j] = cho_solve(self._factors[j], Rh[:, j])
+        Z[:, 0] = cho_solve(self._mode0, Rh[:, 0])
+        # V^T acts on all of Rh: a column slice would miss the BLAS path
+        Z[:, 1:] = self._V @ (self._inv_eig * (self._V.T @ Rh)[:, 1:])
         z = np.fft.irfft(Z, self.nx, axis=1)
         return z - z.mean()
 
@@ -263,15 +283,23 @@ class UpperSolver(_StripOperator):
                            relative_residual=rel)
 
 
-_solver_cache: dict = {}
+#: (strip, period) keys whose solver pairs stay cached; each mu of a
+#: sweep has its own period
+_SOLVER_PAIRS = 4
+_solver_cache: OrderedDict[tuple[StripGrid, float], tuple] = OrderedDict()
 
 
 def _solvers(strip: StripGrid, period: float):
+    """Lower and upper solvers of a strip, kept for the most recent periods."""
     key = (strip, period)
     pair = _solver_cache.get(key)
     if pair is None:
         pair = _solver_cache[key] = (LowerSolver(strip, period),
                                      UpperSolver(strip, period))
+        if len(_solver_cache) > _SOLVER_PAIRS:
+            _solver_cache.popitem(last=False)
+    else:
+        _solver_cache.move_to_end(key)
     return pair
 
 

@@ -2,8 +2,9 @@
 
 Plain-loop multiplier application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
-truncations, and the finite-period correction of the quartic
-coefficient.  None of these is on a production path.
+truncations, the finite-period correction of the quartic coefficient,
+and the dense per-mode matrices of the oracle's flat preconditioner.
+None of these is on a production path.
 """
 
 import numpy as np
@@ -141,3 +142,15 @@ def quartic_box_correction(k0, a, eps, period, amplitude, decay_rate):
     mass_sq = (2.0 * amplitude**2 / decay_rate) ** 2 * eps**2
     quart = (4.0 / 3.0) * amplitude**4 / decay_rate * eps**3
     return (c1 - a * c2) ** 2 / 3.0 * mass_sq / (period * quart)
+
+
+def flat_mode_matrices(op):
+    """Dense flat-geometry matrices M_j = hx (k_j^2 W + D^T W D) of a
+    ``dno`` strip operator, one per Fourier mode, with the constant null
+    direction of mode 0 regularized; shape (nx/2+1, ny+1, ny+1)."""
+    Wy = np.diag(op.wy)
+    base = op.D.T @ Wy @ op.D
+    M = op.hx * (op.k[:, None, None]**2 * Wy + base)
+    v = op.wy / np.linalg.norm(op.wy)
+    M[0] += np.outer(v, v) * np.mean(np.diag(M[0]))
+    return M

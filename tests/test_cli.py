@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from gcwaves import cli
 from gcwaves.cli import main, parse_config, ConfigParseError
 from gcwaves.dispersion import Params, refine_degenerate
+from gcwaves.errors import NumericalError
+from gcwaves.fieldops import PeriodicGrid, ProfilePair, read_profile_csv
 
 from conftest import BENCH, DEGENERATE_SEED
 
@@ -194,6 +197,31 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
         assert (outdir / f"{mu_tag}.result.json").exists()
         result = json.loads((outdir / f"{mu_tag}.result.json").read_text())
         assert result["converged"] is True
+
+
+def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):
+    grid = PeriodicGrid(n=16, period=10.0)
+    last = ProfilePair(grid, 1e-3 * np.cos(grid.x), -4e-4 * np.cos(grid.x))
+
+    def fail(*args):
+        raise NumericalError("line search failed at iteration 7",
+                             last_iterate=last,
+                             diagnostics={"J": 0.25, "grad_norm": 3e-4})
+
+    monkeypatch.setattr(cli, "_run_minimize", fail)
+    outdir = tmp_path / "fail"
+    rc = main(["minimize", "--config", bench_cfg, "--out", str(outdir)])
+    assert rc == cli.EXIT_NUMERICAL
+    tag = "mu_0p006"
+    record = json.loads((outdir / f"{tag}.error.json").read_text())
+    assert record == {"mu": 0.006,
+                      "error": "line search failed at iteration 7",
+                      "diagnostics": {"J": 0.25, "grad_norm": 3e-4}}
+    prof = read_profile_csv(str(outdir / f"{tag}.error.profile.csv"))
+    assert prof.grid == grid
+    assert np.array_equal(prof.eta_under, last.eta_under)
+    assert np.array_equal(prof.eta_over, last.eta_over)
+    assert not (outdir / f"{tag}.profile.csv").exists()
 
 
 def test_validate_passes(tmp_path, capsys):
