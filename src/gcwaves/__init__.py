@@ -7,8 +7,8 @@ elliptic oracle for the kinetic-energy functional.
 """
 
 from .dispersion import (AssumptionReport, CriticalPoint, Params,
-                         eval_PF, eval_a, eval_a2, eval_g, eval_lambda,
-                         find_critical, g_at_zero, locate_branch_crossing,
+                         eval_PF, eval_a, eval_a2, eval_fbar, eval_g,
+                         eval_lambda, find_critical, locate_branch_crossing,
                          refine_degenerate)
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        build_eta_star, eps_of_mu, eval_J, eval_K,
@@ -17,14 +17,14 @@ from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        write_profile_csv)
 from .nls import (NlsCoefficients, SolitonProfile, build_soliton,
                   check_focusing, compute_a3, compute_a4,
-                  compute_coefficients, eval_alpha, eval_fbar)
+                  compute_coefficients, eval_alpha)
 from .dno import DnoSolution, StripGrid, eval_L_exact, solve_lower, solve_upper
 from .minimizer import (MinimizeConfig, MinimizeResult, SpeedFit, minimize,
                         speed_expansion_check)
 
 __all__ = [
     "AssumptionReport", "CriticalPoint", "Params", "eval_PF", "eval_a",
-    "eval_a2", "eval_g", "eval_lambda", "find_critical", "g_at_zero",
+    "eval_a2", "eval_fbar", "eval_g", "eval_lambda", "find_critical",
     "locate_branch_crossing", "refine_degenerate",
     "FunctionalBreakdown", "PeriodicGrid", "ProfilePair", "build_eta_star",
     "eps_of_mu", "eval_J", "eval_K", "eval_L_trunc", "grad_J", "grad_K",
@@ -33,7 +33,6 @@ __all__ = [
     "write_profile_csv",
     "NlsCoefficients", "SolitonProfile", "build_soliton", "check_focusing",
     "compute_a3", "compute_a4", "compute_coefficients", "eval_alpha",
-    "eval_fbar",
     "DnoSolution", "StripGrid", "eval_L_exact", "solve_lower", "solve_upper",
     "MinimizeConfig", "MinimizeResult", "SpeedFit", "minimize",
     "speed_expansion_check",

@@ -6,10 +6,12 @@ elevation through a 2x2 generalised eigenvalue problem
     (P(k) - nu^2 F(k)) v = 0,
 
 whose smaller eigenvalue branch ``lambda_minus`` carries the slow waves.
-This module evaluates the matrices, the closed-form eigenvalue branches,
-locates and classifies the global minimum of the slow branch, and computes
-the eigen-data (k0, nu0, v0 = (1, -a), lambda''(k0), A2) consumed by the
-rest of the package.
+This module owns the linear symbols: the depth-factor matrix F-bar(k),
+P(k), F(k) and g(k) = P(k) - nu0^2 F(k), each evaluated at a scalar or
+over an array of wavenumbers.  It also evaluates the closed-form
+eigenvalue branches, locates and classifies the global minimum of the
+slow branch, and computes the eigen-data (k0, nu0, v0 = (1, -a),
+lambda''(k0), A2) consumed by the rest of the package.
 """
 
 from __future__ import annotations
@@ -89,36 +91,68 @@ class AssumptionReport:
 
 
 def _hyperbolics(ak: float):
-    """Return (tanh, coth, 1/sinh, 1/cosh^2) at ak = |k| with overflow guard."""
+    """Return (tanh, 1/cosh^2) at ak = |k| with overflow guard."""
     if ak > _K_HYPERBOLIC_CUTOFF:
-        return 1.0, 1.0, 0.0, 0.0
-    t = math.tanh(ak)
-    s = math.sinh(ak)
-    return t, 1.0 / t, 1.0 / s, 1.0 / math.cosh(ak) ** 2
+        return 1.0, 0.0
+    return math.tanh(ak), 1.0 / math.cosh(ak) ** 2
 
 
-def eval_PF(k: float, p: Params):
+def fbar_entries(k):
+    """Entries (diag, off) of F-bar, the upper-layer depth-factor matrix
+    [[diag, off], [off, diag]], at scalar or array k.
+
+    diag = |k| coth|k| and off = -|k|/sinh|k|, with the analytic limit
+    (1, -1) at k = 0 and the asymptotic values (|k|, 0) beyond the cutoff,
+    so no entry overflows.
+    """
+    ak = np.abs(np.asarray(k, dtype=float))
+    diag = np.ones_like(ak)
+    off = np.full_like(ak, -1.0)
+    hyp = (ak > 0.0) & (ak <= _K_HYPERBOLIC_CUTOFF)
+    diag[hyp] = ak[hyp] / np.tanh(ak[hyp])
+    off[hyp] = -ak[hyp] / np.sinh(ak[hyp])
+    big = ak > _K_HYPERBOLIC_CUTOFF
+    diag[big] = ak[big]
+    off[big] = 0.0
+    return diag, off
+
+
+def _sym2(a, b, c) -> np.ndarray:
+    """Stack entries into symmetric matrices [[a, b], [b, c]] of shape
+    (..., 2, 2)."""
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+def eval_fbar(k) -> np.ndarray:
+    """F-bar(k) at scalar or array k, shape (..., 2, 2); k = 0 gives the
+    analytic limit [[1, -1], [-1, 1]]."""
+    diag, off = fbar_entries(k)
+    return _sym2(diag, off, diag)
+
+
+def _pf(k, p: Params):
+    """P(k) and F(k) = diag(|k|, 0) + rho F-bar(k) at scalar or array k,
+    each of shape (..., 2, 2).  F(0) is the finite (singular) limit."""
+    ak = np.abs(np.asarray(k, dtype=float))
+    diag, off = fbar_entries(ak)
+    P = _sym2(1.0 - p.rho + p.beta_under * ak**2, np.zeros_like(ak),
+              p.rho * (1.0 + p.beta_over * ak**2))
+    F = _sym2(ak + p.rho * diag, p.rho * off, p.rho * diag)
+    if not (np.isfinite(P).all() and np.isfinite(F).all()):
+        raise RangeError(f"P/F overflowed at k={k}")
+    return P, F
+
+
+def eval_PF(k, p: Params):
     """Evaluate the dispersion matrices P(k) and F(k) for k != 0.
 
     P is diagonal with entries 1 - rho + beta_under k^2 and
     rho (1 + beta_over k^2); F carries the hyperbolic depth factors.
-    Both are symmetric 2x2 arrays.
+    Both are symmetric, of shape (..., 2, 2) for scalar or array k.
     """
-    if k == 0.0:
+    if np.any(np.asarray(k) == 0.0):
         raise RangeError("P/F are evaluated for k != 0 (F(0) is singular)")
-    ak = abs(k)
-    _, coth, inv_sinh, _ = _hyperbolics(ak)
-    P = np.array([
-        [1.0 - p.rho + p.beta_under * ak**2, 0.0],
-        [0.0, p.rho * (1.0 + p.beta_over * ak**2)],
-    ])
-    F = np.array([
-        [ak + p.rho * ak * coth, -p.rho * ak * inv_sinh],
-        [-p.rho * ak * inv_sinh, p.rho * ak * coth],
-    ])
-    if not (np.isfinite(P).all() and np.isfinite(F).all()):
-        raise RangeError(f"P/F overflowed at k={k}")
-    return P, F
+    return _pf(k, p)
 
 
 def eval_lambda(k: float, p: Params):
@@ -132,7 +166,7 @@ def eval_lambda(k: float, p: Params):
     if k == 0.0:
         raise RangeError("eigenvalues are evaluated for k != 0")
     ak = abs(k)
-    t, _, _, inv_cosh2 = _hyperbolics(ak)
+    t, inv_cosh2 = _hyperbolics(ak)
     p1 = 1.0 - p.rho + p.beta_under * ak**2
     q = 1.0 + p.beta_over * ak**2
     x = p1 - (t + p.rho) * q
@@ -149,23 +183,14 @@ def lambda_minus_grid(ks: np.ndarray, p: Params) -> np.ndarray:
     return np.array([eval_lambda(k, p)[0] for k in ks])
 
 
-def eval_g(k: float, p: Params, nu0: float) -> np.ndarray:
-    """g(k) = P(k) - nu0^2 F(k); symmetric, singular exactly at k = +-k0."""
-    P, F = eval_PF(k, p)
-    return P - nu0**2 * F
+def eval_g(k, p: Params, nu0: float) -> np.ndarray:
+    """g(k) = P(k) - nu0^2 F(k) at scalar or array k, shape (..., 2, 2).
 
-
-def g_at_zero(p: Params, nu0: float) -> np.ndarray:
-    """Analytic k->0 limit of g.
-
-    F(k) -> rho * [[1, -1], [-1, 1]] as k -> 0, so the limit is finite even
-    though F itself is singular there.
+    Symmetric, singular exactly at k = +-k0, and finite at k = 0, where
+    F(k) -> rho [[1, -1], [-1, 1]].
     """
-    r, n2 = p.rho, nu0**2
-    return np.array([
-        [1.0 - r - r * n2, r * n2],
-        [r * n2, r - r * n2],
-    ])
+    P, F = _pf(k, p)
+    return P - nu0**2 * F
 
 
 def eval_a(p: Params, k0: float) -> float:

@@ -261,7 +261,7 @@ class UpperSolver(_StripOperator):
         yy = self.y[:, None]
         fx = ex_u[None, :] + (ex_o - ex_u)[None, :] * yy
         one_fy = 1.0 + fy[None, :]
-        self._q = (one_fy * np.ones_like(yy), -fx, (1.0 + fx**2) / one_fy)
+        self._q = (one_fy, -fx, (1.0 + fx**2) / one_fy)
 
     def solve_neumann(self, eta_under: np.ndarray, eta_over: np.ndarray,
                       psi_i: np.ndarray, psi_s: np.ndarray) -> DnoSolution:

@@ -28,11 +28,10 @@ seed the minimiser.  Each profile is evaluated in two stages:
   per component: grad_J costs 35 one-dimensional transforms in all.
 
 F-bar, the upper-layer multiplier matrix [[|k| coth|k|, -|k|/sinh|k|],
-[-|k|/sinh|k|, |k| coth|k|]], and its inverse are owned here by
-``_fbar_entries`` and ``_fbar_inverse_entries``, tabulated per grid in
-``_Symbols``; ``nls.eval_fbar`` evaluates the same matrix at a single
-wavenumber for the coefficient formulas, and the ``dno`` oracle shares
-no code with either.
+[-|k|/sinh|k|, |k| coth|k|]], is owned by ``dispersion.fbar_entries``,
+which the coefficient formulas in ``nls`` also use; its inverse, needed
+only here, by ``_fbar_inverse_entries``.  Both are tabulated per grid in
+``_Symbols``.  The ``dno`` oracle shares no code with either.
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params, eval_g, g_at_zero
+from .dispersion import (CriticalPoint, Params, eval_g, fbar_entries,
+                         _K_HYPERBOLIC_CUTOFF)
 from .errors import ConfigError, GeometryError, OutOfConeError, RangeError
 from .nls import NlsCoefficients, soliton_shape
 
@@ -106,21 +106,6 @@ def make_grid(n: int, k0: float, multiples: int) -> PeriodicGrid:
                         k0_multiple=multiples)
 
 
-def _fbar_entries(k: np.ndarray):
-    """Vectorised upper-layer multiplier symbols (diag, offdiag) over k >= 0."""
-    ak = np.abs(k)
-    diag = np.ones_like(ak)
-    off = -np.ones_like(ak)
-    pos = ak > 0
-    small = pos & (ak <= 30.0)
-    diag[small] = ak[small] / np.tanh(ak[small])
-    off[small] = -ak[small] / np.sinh(ak[small])
-    big = ak > 30.0
-    diag[big] = ak[big]
-    off[big] = 0.0
-    return diag, off
-
-
 def _fbar_inverse_entries(k: np.ndarray):
     """Symbols of the inverse upper-layer matrix multiplier.
 
@@ -133,10 +118,10 @@ def _fbar_inverse_entries(k: np.ndarray):
     diag = np.full_like(ak, 0.25)
     off = np.full_like(ak, -0.25)
     pos = ak > 0
-    small = pos & (ak <= 30.0)
+    small = pos & (ak <= _K_HYPERBOLIC_CUTOFF)
     diag[small] = 1.0 / (np.tanh(ak[small]) * ak[small])
     off[small] = 1.0 / (np.sinh(ak[small]) * ak[small])
-    big = ak > 30.0
+    big = ak > _K_HYPERBOLIC_CUTOFF
     diag[big] = 1.0 / ak[big]
     off[big] = 0.0
     return diag, off
@@ -148,16 +133,17 @@ class _Symbols:
     and so on).
 
     ``fb_diag``/``fb_off`` are the entries of F-bar, the upper-layer
-    multiplier matrix, and ``nb_diag_pad``/``nb_off_pad`` those of its
-    inverse; every F-bar product in the truncated functionals is formed
-    from them.  ``parseval`` weights products of padded-grid rfft
-    coefficients so that their sum is the integral of the product of the
-    two fields over the period.
+    multiplier matrix, from ``dispersion.fbar_entries``, and
+    ``nb_diag_pad``/``nb_off_pad`` those of its inverse; every F-bar
+    product in the truncated functionals is formed from them.
+    ``parseval`` weights products of padded-grid rfft coefficients so that
+    their sum is the integral of the product of the two fields over the
+    period.  ``h2_weight`` is the base-band H^2 symbol 1 + k^2 + k^4.
     """
 
     def __init__(self, grid: PeriodicGrid):
         k = grid.k_pad
-        fb_d, fb_o = _fbar_entries(k)
+        fb_d, fb_o = fbar_entries(k)
         band = slice(0, grid.n // 2 + 1)
         for name, value in (("absk", np.abs(k)), ("fb_diag", fb_d),
                             ("fb_off", fb_o), ("ik", 1j * k),
@@ -165,6 +151,7 @@ class _Symbols:
             setattr(self, name + "_pad", value)
             setattr(self, name, value[band])
         self.nb_diag_pad, self.nb_off_pad = _fbar_inverse_entries(k)
+        self.h2_weight = 1.0 + self.absk**2 + self.absk**4
         npad = _PAD * grid.n
         w = np.full(npad // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
@@ -225,18 +212,23 @@ class ProfilePair:
         return ProfilePair(self.grid, np.roll(self.eta_under, shift),
                            np.roll(self.eta_over, shift))
 
-    def h2_norm(self) -> float:
-        """Discrete H^2 norm sqrt(int eta^2 + eta_x^2 + eta_xx^2) of the pair."""
-        sym = _symbols(self.grid)
-        w = 1.0 + sym.absk**2 + sym.absk**4
+    def h2_sq(self) -> float:
+        """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
+        over both components."""
+        n = self.grid.n
+        w = _symbols(self.grid).h2_weight
         # rfft coefficient -> line-spectrum weights (count +-k once each)
-        mult = np.full(self.grid.n // 2 + 1, 2.0)
+        mult = np.full(n // 2 + 1, 2.0)
         mult[0] = 1.0
-        total = 0.0
+        s = 0.0
         for comp in (self.eta_under, self.eta_over):
-            U = _rfft(comp, self.grid.n) / self.grid.n
-            total += float(np.sum(mult * w * np.abs(U) ** 2)) * self.grid.period
-        return math.sqrt(total)
+            U = _rfft(comp, n) / n
+            s += float(np.sum(mult * w * np.abs(U) ** 2))
+        return s * self.grid.period
+
+    def h2_norm(self) -> float:
+        """Discrete H^2 norm, the square root of ``h2_sq``."""
+        return math.sqrt(self.h2_sq())
 
 
 def zero_profile(grid: PeriodicGrid) -> ProfilePair:
@@ -538,7 +530,7 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         phi += amp / np.cosh(decay * eps * (x + j * L))
 
     w1 = np.linalg.solve(eval_g(2.0 * kc, p, crit.nu0), c.a3_vec1)
-    w2 = np.linalg.solve(g_at_zero(p, crit.nu0), c.a3_vec2)
+    w2 = np.linalg.solve(eval_g(0.0, p, crit.nu0), c.a3_vec2)
     env2 = -0.5 * phi**2
 
     carrier = np.cos(kc * x)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params
+from .dispersion import CriticalPoint, Params, eval_g
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        build_eta_star, eps_of_mu, eval_J, grad_J,
@@ -25,6 +25,9 @@ from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
+
+#: curvature pairs kept by the L-BFGS two-loop recursion
+_LBFGS_MEMORY = 12
 
 
 @dataclass(frozen=True)
@@ -38,16 +41,12 @@ class MinimizeConfig:
     #: stalls line searches near grad norms of a few times 1e-6 * mu).
     grad_tol: float | None = None
     admissibility_M: float = 0.5
-    penalty_strength: float = 1.0
     use_exact_L_refinement: bool = False
-    lbfgs_memory: int = 12
-    mu_ceiling: float = _MU_CEILING
-    precond_shift: float | None = None  # default |I_NLS| * mu
 
     def __post_init__(self):
-        if not 0.0 < self.mu < self.mu_ceiling:
+        if not 0.0 < self.mu < _MU_CEILING:
             raise ConfigError(
-                f"mu must lie in (0, {self.mu_ceiling}); got {self.mu}"
+                f"mu must lie in (0, {_MU_CEILING}); got {self.mu}"
             )
         if self.grad_tol is not None and self.grad_tol <= 0.0:
             raise ConfigError("grad_tol must be positive")
@@ -79,11 +78,7 @@ class _Objective:
         self.p = p
         self.cfg = cfg
         self.grid = cfg.grid
-        n = self.grid.n
-        sym = _symbols(self.grid)
-        self.h2_weight = 1.0 + sym.absk**2 + sym.absk**4
-        self.mult = np.full(n // 2 + 1, 2.0)
-        self.mult[0] = 1.0
+        self.h2_weight = _symbols(self.grid).h2_weight
         self.s0 = (0.9 * cfg.admissibility_M) ** 2
         self.s_edge = cfg.admissibility_M**2
         self.barrier_active = False
@@ -94,19 +89,12 @@ class _Objective:
 
         g(k) is the exact Hessian symbol of K2 - nu0^2 L2 and vanishes
         quadratically at the carrier, where the curvature is set by the
-        nonlinear terms; the shift matches their scale.
+        nonlinear terms; the shift sigma = max(|I_NLS|, 1) mu matches their
+        scale.
         """
-        from .dispersion import eval_g, g_at_zero
-        sigma = self.cfg.precond_shift
-        if sigma is None:
-            sigma = max(abs(c.i_nls), 1.0) * self.cfg.mu
-        ks = self.grid.k
-        inv = np.empty((len(ks), 2, 2))
-        for j, kk in enumerate(ks):
-            gm = g_at_zero(self.p, crit.nu0) if kk == 0.0 else \
-                eval_g(kk, self.p, crit.nu0)
-            inv[j] = np.linalg.inv(gm + sigma * np.eye(2))
-        self._pre = inv
+        sigma = max(abs(c.i_nls), 1.0) * self.cfg.mu
+        self._pre = np.linalg.inv(eval_g(self.grid.k, self.p, crit.nu0)
+                                  + sigma * np.eye(2))
 
     def precondition(self, q: np.ndarray) -> np.ndarray:
         """Apply the inverse Hessian model to a flat gradient vector."""
@@ -122,22 +110,12 @@ class _Objective:
         n = self.grid.n
         return ProfilePair(self.grid, x[:n], x[n:])
 
-    def h2_sq(self, eta: ProfilePair):
-        n = self.grid.n
-        s = 0.0
-        for comp in (eta.eta_under, eta.eta_over):
-            U = _rfft(comp, n) / n
-            s += float(np.sum(self.mult * self.h2_weight * np.abs(U) ** 2))
-        return s * self.grid.period
-
     def barrier(self, eta: ProfilePair):
-        s = self.h2_sq(eta)
+        s = eta.h2_sq()
         if s <= self.s0:
             return 0.0, None, s
         w = (s - self.s0) / (self.s_edge - self.s0)
-        value = self.cfg.penalty_strength * w**2
-        dvds = 2.0 * self.cfg.penalty_strength * w / (self.s_edge - self.s0)
-        return value, dvds, s
+        return w**2, 2.0 * w / (self.s_edge - self.s0), s
 
     def __call__(self, x: np.ndarray):
         eta = self.split(x)
@@ -271,7 +249,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             mem_s.append(s_v)
             mem_y.append(y_v)
             rho_mem.append(1.0 / sy)
-            if len(mem_s) > cfg.lbfgs_memory:
+            if len(mem_s) > _LBFGS_MEMORY:
                 mem_s.pop(0)
                 mem_y.pop(0)
                 rho_mem.pop(0)

@@ -14,28 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params, eval_g, g_at_zero, _hyperbolics
-from .errors import RangeError, RegimeError, ResonanceError
+from .dispersion import CriticalPoint, Params, eval_fbar, eval_g
+from .errors import RegimeError, ResonanceError
 
 _COND_LIMIT = 1e12
-
-
-def eval_fbar(k: float) -> np.ndarray:
-    """Depth-factor matrix of the upper layer at wavenumber k.
-
-    Symmetric, with |k| coth|k| on the diagonal and -|k|/sinh|k| off it;
-    k = 0 returns the analytic limit [[1, -1], [-1, 1]].
-    """
-    ak = abs(k)
-    if ak == 0.0:
-        return np.array([[1.0, -1.0], [-1.0, 1.0]])
-    _, coth, inv_sinh, _ = _hyperbolics(ak)
-    d = ak * coth
-    o = -ak * inv_sinh
-    M = np.array([[d, o], [o, d]])
-    if not np.isfinite(M).all():
-        raise RangeError(f"Fbar overflowed at k={k}")
-    return M
 
 
 @dataclass(frozen=True)
@@ -112,7 +94,7 @@ def compute_a3(p: Params, crit: CriticalPoint):
     v1 = _a3_vec1(k0, a, p.rho, nu0_sq, eval_fbar(2.0 * k0), c1, c2)
     v2 = _a3_vec2(k0, a, p.rho, nu0_sq, eval_fbar(0.0), c1, c2)
     g2 = eval_g(2.0 * k0, p, crit.nu0)
-    g0 = g_at_zero(p, crit.nu0)
+    g0 = eval_g(0.0, p, crit.nu0)
     a3 = (
         -float(_solve_checked(g2, v1, "g(2 k0)") @ v1) / 3.0
         - 2.0 * float(_solve_checked(g0, v2, "g(0)") @ v2) / 3.0

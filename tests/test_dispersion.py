@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwaves import Params, eval_PF, eval_a, eval_g, eval_lambda, find_critical
-from gcwaves.dispersion import (asymptotic_slopes, g_at_zero, lambda2_at,
+from gcwaves.dispersion import (asymptotic_slopes, fbar_entries, lambda2_at,
                                 locate_branch_crossing, refine_degenerate)
 from gcwaves.errors import ConfigError, RangeError
 
@@ -150,12 +150,45 @@ def test_g_symmetric_and_coercive_near_k0(resonant_crit):
 
 def test_g_invertible_at_2k0_and_0(resonant_crit):
     g2 = eval_g(2.0 * resonant_crit.k0, NEAR_RESONANT, resonant_crit.nu0)
-    g0 = g_at_zero(NEAR_RESONANT, resonant_crit.nu0)
+    g0 = eval_g(0.0, NEAR_RESONANT, resonant_crit.nu0)
     assert np.linalg.cond(g2) < 1e6
     assert np.linalg.cond(g0) < 1e6
     # both are positive definite away from the carrier
     assert np.all(np.linalg.eigvalsh(g2) > 0)
     assert np.all(np.linalg.eigvalsh(g0) > 0)
+
+
+def test_fbar_entries_limit_values_and_cutoff():
+    k = np.array([0.0, 1e-9, 1.0, 2.0, 30.0, 30.5, 800.0, 1e5])
+    with np.errstate(all="raise"):
+        diag, off = fbar_entries(k)
+    assert diag[:2] == pytest.approx([1.0, 1.0], abs=1e-15)
+    assert off[:2] == pytest.approx([-1.0, -1.0], abs=1e-15)
+    # frozen arbitrary-precision evaluations of |k| coth|k|, -|k|/sinh|k|
+    assert diag[2] == pytest.approx(1.313035285499331303636, rel=1e-15)
+    assert off[2] == pytest.approx(-0.8509181282393215451338, rel=1e-15)
+    assert diag[3] == pytest.approx(2.074629441455096191756, rel=1e-15)
+    assert off[3] == pytest.approx(-0.5514411295435664155167, rel=1e-15)
+    assert diag[4] == pytest.approx(30.0, rel=1e-15)
+    # above the cutoff the asymptotic values are exact
+    assert np.array_equal(diag[5:], k[5:])
+    assert np.array_equal(off[5:], np.zeros(3))
+
+
+def test_eval_g_array_matches_scalar_calls(resonant_crit):
+    nu0 = resonant_crit.nu0
+    k0 = resonant_crit.k0
+    ks = np.array([0.0, 1e-9, 0.5 * k0, k0, -k0, 2.0 * k0, 30.0, 30.5, 800.0])
+    stacked = np.array([eval_g(float(k), NEAR_RESONANT, nu0) for k in ks])
+    assert eval_g(ks, NEAR_RESONANT, nu0).shape == (len(ks), 2, 2)
+    assert np.array_equal(eval_g(ks, NEAR_RESONANT, nu0), stacked)
+
+
+def test_eval_g_at_zero_closed_form(resonant_crit):
+    r, n2 = NEAR_RESONANT.rho, resonant_crit.nu0**2
+    closed = np.array([[1.0 - r - r * n2, r * n2], [r * n2, r - r * n2]])
+    assert eval_g(0.0, NEAR_RESONANT, resonant_crit.nu0) == pytest.approx(
+        closed, abs=1e-15)
 
 
 def test_a2_positive_and_identity(resonant_crit):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gcwaves import dno
 from gcwaves import (PeriodicGrid, ProfilePair, StripGrid, eval_L_exact,
                      eval_L_trunc, eval_PF, eval_fbar, solve_lower,
                      solve_upper)
@@ -203,3 +206,25 @@ def test_solution_potential_shape(strip, x):
     top = float(np.max(np.abs(sol.potential[0])))
     bottom = float(np.max(np.abs(sol.potential[-1])))
     assert bottom < 1e-4 * top
+
+
+def test_oracle_shares_no_code_with_the_truncation():
+    # the oracle is the independent check of the truncated functionals: it
+    # may take the parameter record, the grid types and the error classes,
+    # but nothing that evaluates a symbol, a coefficient or a functional
+    allowed = {
+        "dispersion": {"Params"},
+        "errors": None,
+        "fieldops": {"PeriodicGrid", "ProfilePair", "_is_power_of_two"},
+    }
+    tree = ast.parse(Path(dno.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "gcwaves" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gcwaves")):
+            assert node.level == 1 and node.module in allowed, \
+                ast.unparse(node)
+            names = {a.name for a in node.names}
+            if allowed[node.module] is not None:
+                assert names <= allowed[node.module], ast.unparse(node)

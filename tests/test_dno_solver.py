@@ -78,8 +78,21 @@ def array_bytes(value):
 @pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
 def test_solver_memory_bounded(solver):
     # per-mode Cholesky factors held 2049 x 49^2 doubles (39 MB) here
-    op = solver(StripGrid(nx=4096, ny=48, depth_under=12.0 / K0), PERIOD)
+    strip = StripGrid(nx=4096, ny=48, depth_under=12.0 / K0)
+    op = solver(strip, PERIOD)
     assert array_bytes(list(vars(op).values())) < 2e6
+    # after a solve the geometry adds at most two full (ny+1) x nx
+    # coefficient arrays; a coefficient constant in depth is kept as a row
+    x = PERIOD / strip.nx * np.arange(strip.nx)
+    u = 0.12 * np.cos(K0 * x)
+    v = -0.05 * np.cos(K0 * x)
+    zu = op.dx(u[None, :])[0]
+    if solver is LowerSolver:
+        op.solve_neumann(u, zu)
+    else:
+        op.solve_neumann(u, v, -zu, op.dx(v[None, :])[0])
+    full, row = (strip.ny + 1) * strip.nx * 8, strip.nx * 8
+    assert array_bytes(list(vars(op).values())) < 2e6 + 2 * full + row
 
 
 def test_solver_cache_bounded():

@@ -5,6 +5,7 @@ from gcwaves import (MinimizeConfig, build_eta_star, eps_of_mu,
                      eval_J, make_grid, minimize, speed_expansion_check,
                      suggest_carrier_multiple)
 from gcwaves import minimizer
+from gcwaves.dispersion import eval_g
 from gcwaves.errors import ConfigError, OutOfConeError
 from gcwaves.fieldops import eval_L_trunc
 from gcwaves.minimizer import MinimizeResult, _evenize
@@ -150,6 +151,18 @@ def test_out_of_cone_trial_halves_the_step(bench_crit, bench_coeffs,
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.iterations == 2
     assert r.history[1][3] <= 0.5
+
+
+def test_preconditioner_inverts_shifted_g_on_every_mode(bench_crit,
+                                                        bench_coeffs):
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
+    cfg = MinimizeConfig(mu=MU, grid=make_grid(4096, bench_crit.k0, m))
+    obj = minimizer._Objective(BENCH, cfg, bench_crit, bench_coeffs)
+    sigma = max(abs(bench_coeffs.i_nls), 1.0) * MU
+    assert obj._pre.shape == (len(cfg.grid.k), 2, 2)
+    for k, pre in zip(cfg.grid.k, obj._pre):
+        shifted = eval_g(float(k), BENCH, bench_crit.nu0) + sigma * np.eye(2)
+        assert np.max(np.abs(pre @ shifted - np.eye(2))) <= 1e-13
 
 
 def test_evenize_projection():

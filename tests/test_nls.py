@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gcwaves import (ProfilePair, Params, build_soliton, check_focusing,
                      compute_a3, compute_a4, compute_coefficients, eval_PF,
                      eval_alpha, eval_fbar, find_critical, make_grid)
-from gcwaves.dispersion import eval_g, g_at_zero
+from gcwaves.dispersion import eval_g
 from gcwaves.errors import RegimeError
 from gcwaves.nls import (_a3_vec1, _a3_vec2, soliton_energy, soliton_mass,
                          soliton_ode_residual, soliton_shape,
@@ -178,8 +178,7 @@ def test_a3_extraction_oracle(bench_crit, bench_coeffs):
         mask = np.abs(np.abs(ks) - k0) >= k0 / 3.0
         quad = 0.0
         for kk, au, av in zip(ks[mask], cu[mask], cv[mask]):
-            g = g_at_zero(BENCH, crit.nu0) if kk == 0.0 \
-                else eval_g(float(kk), BENCH, crit.nu0)
+            g = eval_g(float(kk), BENCH, crit.nu0)
             vec = np.array([au, av])
             quad += float(np.real(np.linalg.solve(g, vec) @ np.conj(vec)))
         quad *= grid.period
