@@ -211,11 +211,8 @@ def cmd_dispersion(args) -> int:
     p, rep = _pipeline(cfg)
     scan = cfg["scan"]
     ks = np.geomspace(scan["k_min"], scan["k_max"], scan["samples"])
-    rows = []
-    for k in ks:
-        lm, lp, D = disp.eval_lambda(float(k), p)
-        rows.append((k, lm, lp, D))
-    write_csv(args.out, ["k", "lambda_minus", "lambda_plus", "D"], rows)
+    write_csv(args.out, ["k", "lambda_minus", "lambda_plus", "D"],
+              zip(ks, *disp.eval_lambda(ks, p)))
     write_json(args.out + ".json", _report_dict(rep))
     if args.require_valid and rep.verdict != "Valid":
         return EXIT_GATE

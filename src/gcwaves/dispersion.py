@@ -7,11 +7,14 @@ elevation through a 2x2 generalised eigenvalue problem
 
 whose smaller eigenvalue branch ``lambda_minus`` carries the slow waves.
 This module owns the linear symbols: the depth-factor matrix F-bar(k),
-P(k), F(k) and g(k) = P(k) - nu0^2 F(k), each evaluated at a scalar or
-over an array of wavenumbers.  It also evaluates the closed-form
-eigenvalue branches, locates and classifies the global minimum of the
-slow branch, and computes the eigen-data (k0, nu0, v0 = (1, -a),
-lambda''(k0), A2) consumed by the rest of the package.
+P(k), F(k), their k-derivatives and g(k) = P(k) - nu0^2 F(k), each over
+a scalar or an array of wavenumbers.  Every hyperbolic factor outside the
+``dno`` oracle comes from the F-bar entries d = |k| coth|k| and
+o = -|k|/sinh|k| of ``fbar_entries``.  It also evaluates the closed-form
+eigenvalue branches, locates the global minimum of the slow branch as a
+root of the closed-form slope lambda_minus', classifies it, and computes
+the eigen-data (k0, nu0, v0 = (1, -a), lambda''(k0), A2) consumed by the
+rest of the package in closed form.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from .errors import ConfigError, RangeError, NumericalError
 # near 710.  Evaluate the asymptotic branch instead.
 _K_HYPERBOLIC_CUTOFF = 30.0
 
-#: relative tolerance of the golden-section refinement of k0
-K0_REL_TOL = 1e-12
+#: a bracketed secant iteration stops once a step moves its iterate by
+#: at most this fraction of it, and bisects after this many steps
+_SECANT_REL_TOL = 1e-12
+_SECANT_STEPS = 50
 
 #: two local minima closer than this (in lambda_minus value) count as tied
 DOUBLE_MIN_TOL = 1e-9
@@ -90,13 +95,6 @@ class AssumptionReport:
     verdict: str = "Valid"  # one of Valid, DoubleMinimum, Degenerate
 
 
-def _hyperbolics(ak: float):
-    """Return (tanh, 1/cosh^2) at ak = |k| with overflow guard."""
-    if ak > _K_HYPERBOLIC_CUTOFF:
-        return 1.0, 0.0
-    return math.tanh(ak), 1.0 / math.cosh(ak) ** 2
-
-
 def fbar_entries(k):
     """Entries (diag, off) of F-bar, the upper-layer depth-factor matrix
     [[diag, off], [off, diag]], at scalar or array k.
@@ -143,6 +141,23 @@ def _pf(k, p: Params):
     return P, F
 
 
+def _pf_derivatives(k, p: Params):
+    """(P', F', P'', F'') at scalar or array k > 0, each (..., 2, 2).
+
+    The F-bar entries (d, o) obey d' = (d - o^2)/k, o' = o (1 - d)/k,
+    d'' = 2 o^2 (d - 1)/k^2 and o'' = o (d^2 + o^2 - 2 d)/k^2.
+    """
+    k = np.asarray(k, dtype=float)
+    d, o = fbar_entries(k)
+    d1, o1 = (d - o**2) / k, o * (1.0 - d) / k
+    d2, o2 = 2.0 * o**2 * (d - 1.0) / k**2, o * (d**2 + o**2 - 2.0 * d) / k**2
+    zero, one = np.zeros_like(k), np.ones_like(k)
+    bu, bo = 2.0 * p.beta_under, 2.0 * p.rho * p.beta_over
+    return (_sym2(bu * k, zero, bo * k),
+            _sym2(1.0 + p.rho * d1, p.rho * o1, p.rho * d1),
+            _sym2(bu * one, zero, bo * one), p.rho * _sym2(d2, o2, d2))
+
+
 def eval_PF(k, p: Params):
     """Evaluate the dispersion matrices P(k) and F(k) for k != 0.
 
@@ -155,32 +170,57 @@ def eval_PF(k, p: Params):
     return _pf(k, p)
 
 
-def eval_lambda(k: float, p: Params):
-    """Closed-form slow/fast eigenvalues of F(k)^{-1} P(k).
-
-    Returns
-    -------
-    (lambda_minus, lambda_plus, D) : tuple of float
-        The two branches and the (positive) discriminant.
-    """
-    if k == 0.0:
+def _branches(k, p: Params):
+    """lambda_minus, lambda_plus, the discriminant D and the slow
+    eigenvector v (unnormalised, shape (..., 2)) at scalar or array k."""
+    ak = np.abs(np.asarray(k, dtype=float))
+    if np.any(ak == 0.0):
         raise RangeError("eigenvalues are evaluated for k != 0")
-    ak = abs(k)
-    t, inv_cosh2 = _hyperbolics(ak)
+    d, o = fbar_entries(ak)
+    t, sech = ak / d, -o / d
     p1 = 1.0 - p.rho + p.beta_under * ak**2
     q = 1.0 + p.beta_over * ak**2
     x = p1 - (t + p.rho) * q
-    D = x * x + 4.0 * p.rho * inv_cosh2 * p1 * q
+    D = x * x + 4.0 * p.rho * sech**2 * p1 * q
+    root = np.sqrt(D)
     denom = 2.0 * ak * (1.0 + p.rho * t)
     mean = (p1 + q * (t + p.rho)) / denom
-    half = math.sqrt(D) / denom
-    if not math.isfinite(mean + half):
+    half = root / denom
+    if not np.all(np.isfinite(mean + half)):
         raise RangeError(f"eigenvalue evaluation overflowed at k={k}")
-    return mean - half, mean + half, D
+    # v = (1, -a) up to scale, from whichever of the equal forms
+    # a = 2 p1 sech / (sqrt(D) - x) = (sqrt(D) + x) / (2 rho q sech)
+    # has no cancellation in its denominator
+    v = np.where((x < 0.0)[..., None],
+                 np.stack([root - x, -2.0 * p1 * sech], -1),
+                 np.stack([2.0 * p.rho * q * sech, -(root + x)], -1))
+    return mean - half, mean + half, D, v
 
 
-def lambda_minus_grid(ks: np.ndarray, p: Params) -> np.ndarray:
-    return np.array([eval_lambda(k, p)[0] for k in ks])
+def eval_lambda(k, p: Params):
+    """Closed-form slow/fast eigenvalues of F(k)^{-1} P(k) at scalar or
+    array k != 0.
+
+    Returns
+    -------
+    (lambda_minus, lambda_plus, D)
+        The two branches and the (positive) discriminant, each of the
+        shape of k.
+    """
+    lm, lp, D, _ = _branches(k, p)
+    return lm[()], lp[()], D[()]
+
+
+def _slope(k, p: Params):
+    """lambda_minus'(k) = v.(P' - lambda_minus F')v / v.Fv at scalar or
+    array k > 0, with v the slow eigenvector."""
+    lm, _, _, v = _branches(k, p)
+    _, F = _pf(k, p)
+    dP, dF, _, _ = _pf_derivatives(k, p)
+
+    def quad(M):
+        return np.einsum("...i,...ij,...j->...", v, M, v)
+    return (quad(dP - lm[..., None, None] * dF) / quad(F))[()]
 
 
 def eval_g(k, p: Params, nu0: float) -> np.ndarray:
@@ -196,10 +236,10 @@ def eval_g(k, p: Params, nu0: float) -> np.ndarray:
 def eval_a(p: Params, k0: float) -> float:
     """Second eigenvector component at the slow-branch minimum.
 
-    v0 = (1, -a) spans the kernel of g(k0).  Evaluated in the rationalised
-    form a = 2 p1 / (cosh(k0) (sqrt(D) - x)), which is algebraically equal
-    to the textbook display but avoids the catastrophic cancellation of
-    x + sqrt(D) when x < 0.  Always positive.
+    v0 = (1, -a) spans the kernel of g(k0).  Evaluated in whichever
+    rationalised form, 2 p1 sech k0 / (sqrt(D) - x) or
+    (sqrt(D) + x) / (2 rho q sech k0), has no cancellation.  Always
+    positive.
     """
     if k0 <= 0.0:
         raise RangeError("k0 must be positive")
@@ -207,76 +247,41 @@ def eval_a(p: Params, k0: float) -> float:
         raise RangeError(
             f"closed-form a is ill-conditioned for k0={k0} > {_K_HYPERBOLIC_CUTOFF}"
         )
-    t = math.tanh(k0)
-    p1 = 1.0 - p.rho + p.beta_under * k0**2
-    q = 1.0 + p.beta_over * k0**2
-    x = p1 - (t + p.rho) * q
-    _, _, D = eval_lambda(k0, p)
-    return 2.0 * p1 / (math.cosh(k0) * (math.sqrt(D) - x))
-
-
-def _richardson_second_derivative(f, x0: float, h: float):
-    """Sixth-order Richardson-extrapolated central second derivative.
-
-    Returns (value, error_estimate); raises if the extrapolation sequence
-    does not contract.
-    """
-    def d2(h_):
-        return (f(x0 + h_) - 2.0 * f(x0) + f(x0 - h_)) / h_**2
-
-    d_h, d_h2, d_h4 = d2(h), d2(h / 2.0), d2(h / 4.0)
-    r1 = (4.0 * d_h2 - d_h) / 3.0
-    r2 = (4.0 * d_h4 - d_h2) / 3.0
-    value = (16.0 * r2 - r1) / 15.0
-    err = abs(r2 - r1)
-    scale = max(abs(value), abs(d_h), 1e-300)
-    if err > 0.5 * scale and abs(d_h - d_h2) < abs(d_h2 - d_h4):
-        raise NumericalError(
-            f"Richardson second-derivative sequence diverges at x0={x0}"
-        )
-    return value, err
+    v = _branches(k0, p)[3]
+    return float(-v[1] / v[0])
 
 
 def eval_a2(p: Params, k0: float, nu0: float, a: float) -> float:
-    """A2 = d^2/dk^2 [g(k) v0 . v0] at k0, by Richardson central differences."""
+    """A2 = d^2/dk^2 [g(k) v0 . v0] at k0, that is v0 . g''(k0) v0."""
+    _, _, d2P, d2F = _pf_derivatives(k0, p)
     v0 = np.array([1.0, -a])
-
-    def quad_form(k):
-        return float(eval_g(k, p, nu0) @ v0 @ v0)
-
-    value, _ = _richardson_second_derivative(quad_form, k0, 1e-3 * k0)
-    return value
+    return float(v0 @ (d2P - nu0**2 * d2F) @ v0)
 
 
-def lambda2_at(p: Params, k0: float) -> float:
-    """lambda_minus''(k0) by Richardson central differences."""
-    value, _ = _richardson_second_derivative(
-        lambda k: eval_lambda(k, p)[0], k0, 1e-3 * k0
-    )
-    return value
+def _secant_root(f, a: float, b: float, fa: float, fb: float, x: float):
+    """Root of f in the bracket (a, b), f(a) < 0 < f(b), by a
+    bisection-safeguarded secant iteration started at x.
 
-
-def _golden_refine(f, a: float, b: float, c: float, rel_tol: float):
-    """Golden-section minimisation of f given a bracket a < b < c, f(b) lowest."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    fb = f(b)
-    while (c - a) > rel_tol * b:
-        if (b - a) > (c - b):
-            x = b - (1.0 - invphi) * (b - a)
-        else:
-            x = b + (1.0 - invphi) * (c - b)
+    Each step is the secant through the bracket ends, or the bisection
+    where that leaves the bracket.  On a flat (near-multiple) root the
+    secant steps shrink too slowly to converge, so after _SECANT_STEPS
+    of them the iteration goes on by bisection alone.
+    """
+    for i in range(200):
         fx = f(x)
-        if fx < fb:
-            if x < b:
-                c, b, fb = b, x, fx
-            else:
-                a, b, fb = b, x, fx
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            a, fa = x, fx
         else:
-            if x < b:
-                a = x
-            else:
-                c = x
-    return b, fb
+            b, fb = x, fx
+        x_secant = (a * fb - b * fa) / (fb - fa)
+        x_new = (x_secant if i < _SECANT_STEPS and a < x_secant < b
+                 else 0.5 * (a + b))
+        if abs(x_new - x) <= _SECANT_REL_TOL * x_new:
+            return x_new
+        x = x_new
+    raise NumericalError("bracketed secant iteration did not converge")
 
 
 def find_critical(
@@ -284,19 +289,17 @@ def find_critical(
     k_min: float = 1e-3,
     k_max: float = 1e3,
     samples: int = 4096,
-    k0_rel_tol: float = K0_REL_TOL,
 ) -> AssumptionReport:
     """Locate and classify the global minimum of the slow branch.
 
-    Dense log-spaced scan followed by golden-section refinement of every
-    local minimum; the global one fills a CriticalPoint, the others are
-    screened for near-ties (double minima).  Deterministic for fixed inputs.
+    Dense log-spaced scan; every local minimum of the scan is then
+    refined to the root of the closed-form slope lambda_minus' between
+    its two neighbours.  The global one fills a CriticalPoint, the others
+    are screened for near-ties (double minima).  Deterministic for fixed
+    inputs.
     """
     ks = np.geomspace(k_min, k_max, samples)
-    lam = lambda_minus_grid(ks, p)
-
-    def f(k):
-        return eval_lambda(k, p)[0]
+    lam = eval_lambda(ks, p)[0]
 
     interior = np.arange(1, samples - 1)
     is_min = (lam[interior] < lam[interior - 1]) & (lam[interior] <= lam[interior + 1])
@@ -307,11 +310,16 @@ def find_critical(
             f"[{k_min}, {k_max}]; widen the window"
         )
 
+    lo, hi = ks[idxs - 1], ks[idxs + 1]
+    s_lo, s_hi = _slope(lo, p), _slope(hi, p)
+    if np.any(s_lo >= 0.0) or np.any(s_hi <= 0.0):
+        raise NumericalError(
+            "the slope of lambda_minus keeps its sign across a scan minimum"
+        )
     minima = []
-    for i in idxs:
-        k_star, lam_star = _golden_refine(f, ks[i - 1], ks[i], ks[i + 1],
-                                          k0_rel_tol)
-        minima.append((k_star, lam_star))
+    for i, a, b, fa, fb in zip(idxs, lo, hi, s_lo, s_hi):
+        k_star = float(_secant_root(lambda k: _slope(k, p), a, b, fa, fb, ks[i]))
+        minima.append((k_star, float(eval_lambda(k_star, p)[0])))
     minima.sort(key=lambda t: t[1])
     k0, lam0 = minima[0]
 
@@ -325,8 +333,14 @@ def find_critical(
 
     nu0 = math.sqrt(lam0)
     a = eval_a(p, k0)
-    lam2 = lambda2_at(p, k0)
     a2 = eval_a2(p, k0, nu0, a)
+    # A2 = lambda'' F v0.v0 + 2 g v0'.v0' at k0, where lambda' = 0 and
+    # v0' = (0, -a') with a = g11/g12 and g' = P' - nu0^2 F'
+    (P, F), (dP, dF, _, _) = _pf(k0, p), _pf_derivatives(k0, p)
+    g, dg = P - nu0**2 * F, dP - nu0**2 * dF
+    da = (dg[0, 0] * g[0, 1] - g[0, 0] * dg[0, 1]) / g[0, 1] ** 2
+    v0 = np.array([1.0, -a])
+    lam2 = float((a2 - 2.0 * g[1, 1] * da**2) / (v0 @ F @ v0))
 
     nondeg = lam2 > DEGENERACY_FACTOR * lam0 / k0**2
     global_ok = not competing

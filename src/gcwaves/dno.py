@@ -37,6 +37,9 @@ from .dispersion import Params
 from .errors import ConfigError, GeometryError, NumericalError, SolvabilityError
 from .fieldops import PeriodicGrid, ProfilePair, _is_power_of_two
 
+#: the upper layer counts as pinched off where its depth falls to this
+_PINCH_OFF_H0 = 0.1
+
 
 @dataclass(frozen=True)
 class StripGrid:
@@ -52,7 +55,6 @@ class StripGrid:
     ny: int
     depth_under: float
     cg_tol: float = 1e-10
-    h0: float = 0.1
 
     def __post_init__(self):
         if not _is_power_of_two(self.nx):
@@ -248,13 +250,12 @@ class UpperSolver(_StripOperator):
 
     def __init__(self, strip: StripGrid, period: float):
         super().__init__(strip.nx, period, strip.ny, 0.0, 1.0, strip.cg_tol)
-        self.h0 = strip.h0
 
     def set_geometry(self, eta_under: np.ndarray, eta_over: np.ndarray):
         fy = eta_over - eta_under
-        if 1.0 + float(np.min(fy)) <= self.h0:
+        if 1.0 + float(np.min(fy)) <= _PINCH_OFF_H0:
             raise GeometryError(
-                "layer pinch-off: 1 + inf(eta_over - eta_under) <= h0"
+                f"layer pinch-off: 1 + inf(eta_over - eta_under) <= {_PINCH_OFF_H0}"
             )
         ex_u = self.dx(eta_under[None, :])[0]
         ex_o = self.dx(eta_over[None, :])[0]

@@ -27,10 +27,11 @@ seed the minimiser.  Each profile is evaluated in two stages:
   padded spectrum, and the result is truncated and transformed back once
   per component: grad_J costs 35 one-dimensional transforms in all.
 
-F-bar, the upper-layer multiplier matrix [[|k| coth|k|, -|k|/sinh|k|],
-[-|k|/sinh|k|, |k| coth|k|]], is owned by ``dispersion.fbar_entries``,
-which the coefficient formulas in ``nls`` also use; its inverse, needed
-only here, by ``_fbar_inverse_entries``.  Both are tabulated per grid in
+F-bar, the upper-layer multiplier matrix [[d, o], [o, d]] with
+d = |k| coth|k| and o = -|k|/sinh|k|, is owned by
+``dispersion.fbar_entries``, which the coefficient formulas in ``nls``
+also use.  Its inverse [[d, -o], [-o, d]]/k^2 is read off those entries
+by ``_fbar_inverse_entries``, and both are tabulated per grid in
 ``_Symbols``.  The ``dno`` oracle shares no code with either.
 """
 
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersion import (CriticalPoint, Params, eval_g, fbar_entries,
-                         _K_HYPERBOLIC_CUTOFF)
+                         _secant_root)
 from .errors import ConfigError, GeometryError, OutOfConeError, RangeError
 from .nls import NlsCoefficients, soliton_shape
 
@@ -109,22 +110,15 @@ def make_grid(n: int, k0: float, multiples: int) -> PeriodicGrid:
 def _fbar_inverse_entries(k: np.ndarray):
     """Symbols of the inverse upper-layer matrix multiplier.
 
-    The inverse matrix is [[coth|k|, 1/sinh|k|], [1/sinh|k|, coth|k|]]/|k|.
-    It is singular at k = 0 on vectors (1, 1); fields it acts on here have
-    zero-sum zero modes, where the limit acts as the projection
-    [[1, -1], [-1, 1]]/4.
+    The F-bar entries (d, o) satisfy d^2 - o^2 = k^2, so the inverse
+    matrix is [[d, -o], [-o, d]]/k^2.  It is singular at k = 0 on vectors
+    (1, 1); fields it acts on here have zero-sum zero modes, where the
+    limit acts as the projection [[1, -1], [-1, 1]]/4.
     """
-    ak = np.abs(k)
-    diag = np.full_like(ak, 0.25)
-    off = np.full_like(ak, -0.25)
-    pos = ak > 0
-    small = pos & (ak <= _K_HYPERBOLIC_CUTOFF)
-    diag[small] = 1.0 / (np.tanh(ak[small]) * ak[small])
-    off[small] = 1.0 / (np.sinh(ak[small]) * ak[small])
-    big = ak > _K_HYPERBOLIC_CUTOFF
-    diag[big] = 1.0 / ak[big]
-    off[big] = 0.0
-    return diag, off
+    d, o = fbar_entries(k)
+    k2, pos = k**2, k != 0.0
+    return (np.divide(d, k2, out=np.full_like(k2, 0.25), where=pos),
+            np.divide(-o, k2, out=np.full_like(k2, -0.25), where=pos))
 
 
 class _Symbols:
@@ -549,15 +543,19 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     return ProfilePair(grid, eta_under, eta_over)
 
 
+#: margin on the shortest period that passes the envelope wrap test
+_WRAP_SAFETY = 1.1
+
+
 def suggest_carrier_multiple(c: NlsCoefficients, crit: CriticalPoint,
-                             mu: float, safety: float = 1.1) -> int:
+                             mu: float) -> int:
     """Smallest carrier multiple whose period passes the wrap test at mu.
 
     The widest envelope probed while inverting mu -> eps has eps ~ 0.95 mu,
-    and sech(x) < 1e-12 needs x > 28.4; ``safety`` pads the bound.
+    and sech(x) < 1e-12 needs x > 28.4; ``_WRAP_SAFETY`` pads the bound.
     """
     _, decay = soliton_shape(c)
-    period_min = 2.0 * 28.4 * safety / (decay * 0.95 * mu)
+    period_min = 2.0 * 28.4 * _WRAP_SAFETY / (decay * 0.95 * mu)
     return max(1, math.ceil(period_min * crit.k0 / (2.0 * np.pi)))
 
 
@@ -570,7 +568,7 @@ def mu_of_eps(p: Params, c: NlsCoefficients, crit: CriticalPoint,
 
 
 def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
-              grid: PeriodicGrid, mu: float, rel_tol: float = 1e-12) -> float:
+              grid: PeriodicGrid, mu: float) -> float:
     """Invert eps -> mu(eps) by a bisection-safeguarded secant iteration."""
     if mu <= 0.0:
         raise RangeError("mu must be positive")
@@ -589,21 +587,9 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             "mu(eps) is not increasing through the target on the bracket; "
             "eps is outside the small-amplitude range"
         )
-    x = mu  # eps ~ mu at leading order
-    for _ in range(200):
-        fx = mu_of_eps(p, c, crit, grid, x) - mu
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        x_secant = (a * fb - b * fa) / (fb - fa)
-        x_new = x_secant if a < x_secant < b else 0.5 * (a + b)
-        if abs(x_new - x) <= rel_tol * x_new:
-            return x_new
-        x = x_new
-    raise RangeError("eps(mu) iteration did not converge")
+    # started at eps = mu, its leading order
+    return _secant_root(lambda eps: mu_of_eps(p, c, crit, grid, eps) - mu,
+                        a, b, fa, fb, mu)
 
 
 # ---------------------------------------------------------------------------

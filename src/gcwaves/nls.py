@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params, eval_fbar, eval_g
+from .dispersion import CriticalPoint, Params, eval_PF, eval_fbar, eval_g
 from .errors import RegimeError, ResonanceError
 
 _COND_LIMIT = 1e12
@@ -30,8 +30,6 @@ class NlsCoefficients:
     a4_1: float
     a4_2: float
     alpha: float
-    nu_nls: float
-    i_nls: float
     focusing: bool
 
     @property
@@ -39,12 +37,22 @@ class NlsCoefficients:
         """The sign-carrying combination A3/2 + A4."""
         return 0.5 * self.a3 + self.a4
 
+    @property
+    def nu_nls(self) -> float:
+        """NLS speed of the sech standing wave, -9 alpha^2 cubic^2 / (8 A2)."""
+        return -9.0 * self.alpha**2 * self.cubic**2 / (8.0 * self.a2)
 
-def _carrier_couplings(crit: CriticalPoint):
+    @property
+    def i_nls(self) -> float:
+        """Energy level of the sech standing wave, -3 alpha^3 cubic^2 / (4 A2)."""
+        return -3.0 * self.alpha**3 * self.cubic**2 / (4.0 * self.a2)
+
+
+def _carrier_couplings(k0: float, a: float):
     """C1, C2: the two rows of Fbar(k0) contracted with v0 = (1, -a)."""
-    fb = eval_fbar(crit.k0)
-    c1 = fb[0, 0] - crit.a * fb[0, 1]
-    c2 = fb[1, 0] - crit.a * fb[1, 1]
+    fb = eval_fbar(k0)
+    c1 = fb[0, 0] - a * fb[0, 1]
+    c2 = fb[1, 0] - a * fb[1, 1]
     return c1, c2
 
 
@@ -90,7 +98,7 @@ def compute_a3(p: Params, crit: CriticalPoint):
     slow-branch minimum is strict.
     """
     k0, a, nu0_sq = crit.k0, crit.a, crit.nu0**2
-    c1, c2 = _carrier_couplings(crit)
+    c1, c2 = _carrier_couplings(k0, a)
     v1 = _a3_vec1(k0, a, p.rho, nu0_sq, eval_fbar(2.0 * k0), c1, c2)
     v2 = _a3_vec2(k0, a, p.rho, nu0_sq, eval_fbar(0.0), c1, c2)
     g2 = eval_g(2.0 * k0, p, crit.nu0)
@@ -112,10 +120,8 @@ def upper_quartic_kinetic(k0: float, a: float) -> float:
     at 2 k0), the mean-flow response (the squared zero-wavenumber flux
     coefficient), and the direct quartic products.
     """
-    fbk = eval_fbar(k0)
+    c1, c2 = _carrier_couplings(k0, a)
     fb2 = eval_fbar(2.0 * k0)
-    c1 = fbk[0, 0] - a * fbk[0, 1]
-    c2 = fbk[1, 0] - a * fbk[1, 1]
     d2, o2 = fb2[0, 0], fb2[0, 1]
 
     # first-order flux correction at the second harmonic
@@ -150,25 +156,19 @@ def check_focusing(a3: float, a4: float) -> bool:
 
 def eval_alpha(p: Params, crit: CriticalPoint) -> float:
     """Constrained-norm constant: alpha = 2 / (nu0 F(k0) v0 . v0)."""
-    fb = eval_fbar(crit.k0)
+    _, F = eval_PF(crit.k0, p)
     v0 = crit.v0
-    fbar_quad = float(fb @ v0 @ v0)
-    return 2.0 / (crit.nu0 * crit.k0 + crit.nu0 * p.rho * fbar_quad)
+    return 2.0 / (crit.nu0 * float(F @ v0 @ v0))
 
 
 def compute_coefficients(p: Params, crit: CriticalPoint) -> NlsCoefficients:
     """Assemble the full coefficient record for one parameter set."""
     a3, v1, v2 = compute_a3(p, crit)
     a4, a4_1, a4_2 = compute_a4(p, crit)
-    alpha = eval_alpha(p, crit)
-    s = 0.5 * a3 + a4
-    focusing = s < 0.0
-    nu_nls = -9.0 * alpha**2 * s**2 / (8.0 * crit.a2)
-    i_nls = -3.0 * alpha**3 * s**2 / (4.0 * crit.a2)
     return NlsCoefficients(
         a2=crit.a2, a3=a3, a4=a4, a3_vec1=v1, a3_vec2=v2,
-        a4_1=a4_1, a4_2=a4_2, alpha=alpha,
-        nu_nls=nu_nls, i_nls=i_nls, focusing=focusing,
+        a4_1=a4_1, a4_2=a4_2, alpha=eval_alpha(p, crit),
+        focusing=check_focusing(a3, a4),
     )
 
 

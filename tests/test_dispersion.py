@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwaves import Params, eval_PF, eval_a, eval_g, eval_lambda, find_critical
-from gcwaves.dispersion import (asymptotic_slopes, fbar_entries, lambda2_at,
+from gcwaves.dispersion import (asymptotic_slopes, fbar_entries,
                                 locate_branch_crossing, refine_degenerate)
 from gcwaves.errors import ConfigError, RangeError
 
@@ -116,11 +116,18 @@ def test_null_vector_property(resonant_crit):
 
 
 def test_a_matches_eigenvector_ratio(resonant_crit):
-    P, F = eval_PF(resonant_crit.k0, NEAR_RESONANT)
-    w, V = np.linalg.eig(np.linalg.solve(F, P))
-    i = int(np.argmin(w))
-    vec = V[:, i] / V[0, i]
-    assert -resonant_crit.a == pytest.approx(vec[1], rel=1e-12)
+    # the slow branch is an interface mode at the resonant minimum and a
+    # surface mode (a >> 1) at the global minimum near k = 4.24 of the
+    # double-minimum configuration and beyond it
+    double = Params(0.5, 1.0, 0.055108152548)
+    for p, k0 in ((NEAR_RESONANT, resonant_crit.k0), (double, 4.2427685),
+                  (double, 8.0), (double, 15.0), (double, 20.0)):
+        P, F = eval_PF(k0, p)
+        w, V = np.linalg.eig(np.linalg.solve(F, P))
+        i = int(np.argmin(w))
+        vec = V[:, i] / V[0, i]
+        assert -eval_a(p, k0) == pytest.approx(vec[1], rel=1e-12)
+    assert eval_a(NEAR_RESONANT, resonant_crit.k0) == resonant_crit.a
 
 
 @given(rho=st.floats(0.05, 0.95), bu=st.floats(0.05, 2.0),
@@ -255,6 +262,33 @@ def test_degenerate_regime():
     assert not rep.crit.assumption1_nondeg
 
 
-def test_lambda2_matches_bench(bench_crit):
-    assert lambda2_at(BENCH, bench_crit.k0) == pytest.approx(
-        bench_crit.lambda2, rel=1e-9)
+# frozen 40-digit evaluations of (k0, nu0, a, lambda''(k0), A2): k0 is the
+# root of lambda_minus', and the rest follow from the same closed forms
+MINIMUM_DATA = {
+    "BENCH": (BENCH, (1.2679370698119237722, 0.59883835251645516759,
+                      0.37536408480510382241, 0.10770219523418677675,
+                      0.30024868013598957831)),
+    "NEAR_RESONANT": (NEAR_RESONANT, (0.23377756591115947938,
+                                      0.6862179513262238728,
+                                      0.87797481656324665228,
+                                      1.0019761568995520008,
+                                      2.0148205416700461068)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINIMUM_DATA))
+def test_minimum_data_against_high_precision_values(name):
+    p, expected = MINIMUM_DATA[name]
+    crit = find_critical(p).crit
+    got = (crit.k0, crit.nu0, crit.a, crit.lambda2, crit.a2)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_eval_lambda_array_matches_scalar_calls(resonant_crit):
+    ks = np.array([1e-9, 1e-6, resonant_crit.k0, 30.0, 30.5, 800.0, 1e5])
+    with np.errstate(all="raise"):
+        branches = eval_lambda(ks, NEAR_RESONANT)
+        stacked = np.array([eval_lambda(float(k), NEAR_RESONANT) for k in ks])
+    for j in range(3):
+        assert branches[j].shape == ks.shape
+        assert np.array_equal(branches[j], stacked[:, j])

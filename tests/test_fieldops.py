@@ -10,8 +10,9 @@ from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
                      grad_J, grad_K, grad_L_trunc, make_grid, mu_of_eps,
                      read_profile_csv, suggest_carrier_multiple,
                      write_profile_csv)
+from gcwaves.dispersion import fbar_entries
 from gcwaves.errors import ConfigError, GeometryError, OutOfConeError
-from gcwaves.fieldops import zero_profile
+from gcwaves.fieldops import _fbar_inverse_entries, zero_profile
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile
@@ -332,6 +333,18 @@ def test_parity_with_reference_implementation():
                           (grad_L_trunc(eta, p), ref["grad_L_trunc"][i])):
             err = np.linalg.norm(np.asarray(got) - want)
             assert err <= 1e-13 * np.linalg.norm(want)
+
+
+def test_fbar_inverse_entries_invert_fbar(grid):
+    # the padded band of this grid runs from k0/4 past the hyperbolic
+    # cutoff; below it the product loses digits like cond(Fbar) ~ 4/k^2
+    k = grid.k_pad
+    d, o = fbar_entries(k)
+    nd, no = _fbar_inverse_entries(k)
+    assert (nd[0], no[0]) == (0.25, -0.25)
+    assert k[-1] > 30.0
+    assert np.max(np.abs(d[1:] * nd[1:] + o[1:] * no[1:] - 1.0)) <= 1e-14
+    assert np.max(np.abs(d[1:] * no[1:] + o[1:] * nd[1:])) <= 1e-14
 
 
 @pytest.fixture

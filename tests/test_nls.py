@@ -92,10 +92,10 @@ def test_a4_sign_of_surface_part(bench_crit):
 
 
 def test_coefficients_regression(bench_crit, bench_coeffs):
-    # frozen pipeline fixture for the bench parameters; k0 is located by
-    # value comparisons in a quadratically flat basin, so its own
-    # reproducibility is ~1e-6 relative and everything downstream
-    # inherits a fraction of that
+    # frozen pipeline fixture for the bench parameters, recorded when k0
+    # was located by value comparisons in a quadratically flat basin
+    # (reproducible to ~1e-6 relative); the minimum data themselves are
+    # pinned at 1e-12 in test_dispersion
     assert bench_crit.k0 == pytest.approx(1.26793708, rel=2e-6)
     assert bench_crit.nu0 == pytest.approx(0.59883835251645, rel=1e-11)
     assert bench_crit.a == pytest.approx(0.375364081, rel=1e-5)
@@ -142,14 +142,6 @@ def test_alpha_identity_and_positivity(bench_crit):
     v0 = bench_crit.v0
     assert alpha == pytest.approx(
         2.0 / (bench_crit.nu0 * float(F @ v0 @ v0)), rel=1e-13)
-
-
-def test_alpha_stable_under_k0_refinement():
-    rep_a = find_critical(BENCH, k0_rel_tol=1e-10)
-    rep_b = find_critical(BENCH, k0_rel_tol=1e-12)
-    alpha_a = eval_alpha(BENCH, rep_a.crit)
-    alpha_b = eval_alpha(BENCH, rep_b.crit)
-    assert alpha_a == pytest.approx(alpha_b, rel=1e-8)
 
 
 def _eta1(crit, coeffs, eps, grid):
