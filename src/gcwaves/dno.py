@@ -11,13 +11,18 @@ assembled from the quadrature, which keeps the operator symmetric
 positive semi-definite); the linear systems are solved by conjugate
 gradients preconditioned with the exact flat-geometry per-mode inverse.
 
+CG runs on the rfft spectra of the (ny+1) x nx fields along x, with
+Parseval inner products: the only transforms are the two irffts and two
+rffts of each operator application, around the flux formed in physical
+space, plus one rfft of the datum and one irfft of the solution.
+
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every nonzero
 mode shares one generalized eigenbasis, D^T W D V = W V Lambda with
 V^T W V = I, so M_j^{-1} = V diag(1 / (hx (k_j^2 + Lambda))) V^T and the
-preconditioner is two matrix products over all modes at once.  Mode 0,
-the only one with a null direction (the constants), keeps a regularized
-Cholesky factor.
+preconditioner is two real matrix products over all modes at once, on
+the float view of the spectrum.  Mode 0, the only one with a null
+direction (the constants), keeps a regularized Cholesky factor.
 
 The module is the independent oracle against which the spectral
 truncations are validated, so it shares no code path with the truncated
@@ -106,13 +111,25 @@ def _clenshaw_curtis(n: int):
     return w
 
 
+def _parseval_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """nx times sum(u * v) for real (m, nx) arrays u, v, nx even, from their
+    rfft spectra a, b: interior modes count twice, DC and Nyquist once
+    (their imaginary parts are zero)."""
+    af, bf = a.view(float), b.view(float)
+    return float(2.0 * np.vdot(af, bf) - np.vdot(af[:, 0], bf[:, 0])
+                 - np.vdot(af[:, -2], bf[:, -2]))
+
+
 class _StripOperator:
     """Shared machinery: grid, derivatives, quadrature, flat preconditioner.
 
-    The preconditioner inverts the flat-geometry operator mode by mode:
-    the nonzero modes through the shared eigenbasis ``_V`` scaled by the
-    inverse eigenvalues ``_inv_eig`` (one column per mode), mode 0 through
-    the Cholesky factor ``_mode0`` of its regularized matrix.
+    ``solve`` runs CG on rfft spectra of shape (ny+1, nx/2+1): ``apply``
+    and ``precondition`` take and return spectra, at four transforms per
+    iteration, all in ``apply``.  The preconditioner inverts the
+    flat-geometry operator mode by mode: the nonzero modes through the
+    shared eigenbasis ``_V`` scaled by the inverse eigenvalues
+    ``_inv_eig`` (one column per mode), mode 0 through the Cholesky factor
+    ``_mode0`` of its regularized matrix.
     """
 
     def __init__(self, nx: int, period: float, ny: int, y_bot: float,
@@ -125,8 +142,13 @@ class _StripOperator:
         self.y = y_bot + (t + 1.0) / scale
         self.D = D * scale
         self.wy = _clenshaw_curtis(ny) / scale
+        self._w = self.hx * self.wy[:, None]
+        self._DtW = np.ascontiguousarray(self.D.T * self._w.T)
         self.k = 2.0 * np.pi / period * np.arange(nx // 2 + 1)
+        # the Nyquist mode of a real sample has no derivative on the grid
+        # (irfft drops the imaginary part it would carry)
         self.ik = 1j * self.k
+        self.ik[-1] = 0.0
         self._build_flat_preconditioner()
 
     def _build_flat_preconditioner(self):
@@ -136,8 +158,11 @@ class _StripOperator:
         sw = np.sqrt(self.wy)
         _, s, Yt = np.linalg.svd(sw[:, None] * self.D / sw)
         self._V = Yt.T / sw[:, None]
+        self._Vt = np.ascontiguousarray(self._V.T)
         lam = s[:, None]**2
-        self._inv_eig = 1.0 / (self.hx * (self.k[None, 1:]**2 + lam))
+        # column 0 is a placeholder: mode 0 is solved through _mode0
+        self._inv_eig = np.zeros((self.ny + 1, self.nx // 2 + 1))
+        self._inv_eig[:, 1:] = 1.0 / (self.hx * (self.k[None, 1:]**2 + lam))
         Wy = np.diag(self.wy)
         M0 = self.hx * (self.D.T @ Wy @ self.D)
         # regularize the constant null direction
@@ -148,59 +173,77 @@ class _StripOperator:
     def dx(self, U: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
 
-    def dx_T(self, U: np.ndarray) -> np.ndarray:
-        # the uniform-grid spectral derivative is antisymmetric
-        return -self.dx(U)
+    def precondition(self, Rh: np.ndarray) -> np.ndarray:
+        """Flat-geometry inverse of a residual spectrum, mean projected out.
 
-    def precondition(self, R: np.ndarray) -> np.ndarray:
-        Rh = np.fft.rfft(R, axis=1)
-        Z = np.empty_like(Rh)
-        Z[:, 0] = cho_solve(self._mode0, Rh[:, 0])
-        # V^T acts on all of Rh: a column slice would miss the BLAS path
-        Z[:, 1:] = self._V @ (self._inv_eig * (self._V.T @ Rh)[:, 1:])
-        z = np.fft.irfft(Z, self.nx, axis=1)
-        return z - z.mean()
+        Runs no transform: the nonzero modes are two real matrix products
+        on the float view of the spectrum (real and imaginary parts side
+        by side), mode 0 is the Cholesky solve.
+        """
+        T = (self._Vt @ Rh.view(float)).view(complex)
+        T *= self._inv_eig
+        Z = (self._V @ T.view(float)).view(complex)
+        Z[:, 0] = cho_solve(self._mode0, Rh[:, 0].real)
+        Z[:, 0] -= Z[:, 0].mean()
+        return Z
 
-    def apply(self, U: np.ndarray) -> np.ndarray:
+    def apply(self, Uh: np.ndarray) -> np.ndarray:
+        """The energy-form operator on a spectrum: two irffts, the flux
+        in physical space, two rffts."""
         q11, q12, q22 = self._q
-        Ux = self.dx(U)
-        Uy = self.D @ U
-        f1 = q11 * Ux + q12 * Uy
-        f2 = q12 * Ux + q22 * Uy
-        W = self.hx * self.wy[:, None]
-        return self.dx_T(W * f1) + self.D.T @ (W * f2)
+        Ux = np.fft.irfft(self.ik * Uh, self.nx, axis=1)
+        Uy = self.D @ np.fft.irfft(Uh, self.nx, axis=1)
+        f1 = q11 * Ux
+        f1 += q12 * Uy
+        f1 *= self._w
+        f2 = Ux
+        f2 *= q12
+        Uy *= q22
+        f2 += Uy
+        # the uniform-grid spectral derivative is antisymmetric
+        F1 = np.fft.rfft(f1, axis=1)
+        F1 *= self.ik
+        out = np.fft.rfft(self._DtW @ f2, axis=1)
+        out -= F1
+        return out
 
     def solve(self, b: np.ndarray):
-        """Projected preconditioned CG for A u = b with A 1 = 0."""
-        b = b - b.mean()
-        bnorm = math.sqrt(float(np.sum(b * b)))
+        """Projected preconditioned CG for A u = b with A 1 = 0.
+
+        The iterate, residual and directions are rfft spectra; inner
+        products are Parseval sums and the projection onto zero mean
+        shifts column 0.  Returns the physical solution.
+        """
+        r = np.fft.rfft(b, axis=1)
+        r[:, 0] -= r[:, 0].mean()
+        bnorm = math.sqrt(_parseval_dot(r, r))
         if bnorm == 0.0:
             return np.zeros_like(b), 0, 0.0
-        x = np.zeros_like(b)
-        r = b.copy()
+        x = np.zeros_like(r)
         z = self.precondition(r)
         d = z.copy()
-        rz = float(np.sum(r * z))
+        rz = _parseval_dot(r, z)
         it = 0
         for it in range(1, 4000):
             Ad = self.apply(d)
-            alpha = rz / float(np.sum(d * Ad))
+            alpha = rz / _parseval_dot(d, Ad)
             x += alpha * d
             r -= alpha * Ad
-            rel = math.sqrt(float(np.sum(r * r))) / bnorm
+            rel = math.sqrt(_parseval_dot(r, r)) / bnorm
             if rel <= self.cg_tol:
                 break
             z = self.precondition(r)
-            rz_new = float(np.sum(r * z))
-            d = z + (rz_new / rz) * d
+            rz_new = _parseval_dot(r, z)
+            d *= rz_new / rz
+            d += z
             rz = rz_new
         else:
             raise NumericalError(
                 f"CG stalled at relative residual {rel:.3e}",
                 diagnostics={"iterations": it},
             )
-        x -= x.mean()
-        return x, it, rel
+        x[:, 0] -= x[:, 0].mean()
+        return np.fft.irfft(x, self.nx, axis=1), it, rel
 
 
 class LowerSolver(_StripOperator):
@@ -257,8 +300,7 @@ class UpperSolver(_StripOperator):
             raise GeometryError(
                 f"layer pinch-off: 1 + inf(eta_over - eta_under) <= {_PINCH_OFF_H0}"
             )
-        ex_u = self.dx(eta_under[None, :])[0]
-        ex_o = self.dx(eta_over[None, :])[0]
+        ex_u, ex_o = self.dx(np.stack([eta_under, eta_over]))
         yy = self.y[:, None]
         fx = ex_u[None, :] + (ex_o - ex_u)[None, :] * yy
         one_fy = 1.0 + fy[None, :]
@@ -347,8 +389,7 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
     lower, upper = _solvers(strip, period)
     u = _resample(eta.eta_under, strip.nx)
     v = _resample(eta.eta_over, strip.nx)
-    zu = lower.dx(u[None, :])[0]
-    zv = lower.dx(v[None, :])[0]
+    zu, zv = lower.dx(np.stack([u, v]))
 
     sol_low = lower.solve_neumann(u, zu)
     phi_under = sol_low.traces[0]
@@ -371,10 +412,10 @@ def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.nd
     nx = strip.nx
     x = period / nx * np.arange(nx)
     out = np.empty((2, 2))
+    lower, upper = _solvers(strip, period)
     for col, (au, av) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         eta = ProfilePair(PeriodicGrid(n=nx, period=period),
                           au * np.cos(k * x), av * np.cos(k * x))
-        lower, upper = _solvers(strip, period)
         zu = lower.dx(eta.eta_under[None, :])[0]
         zv = lower.dx(eta.eta_over[None, :])[0]
         flat = np.zeros(nx)

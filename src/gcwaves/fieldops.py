@@ -172,7 +172,7 @@ def _symbols(grid: PeriodicGrid) -> _Symbols:
 
 
 def _clean(U: np.ndarray, n: int) -> np.ndarray:
-    U[n // 2] = 0.0
+    U[..., n // 2] = 0.0
     return U
 
 

@@ -99,12 +99,11 @@ class _Objective:
     def precondition(self, q: np.ndarray) -> np.ndarray:
         """Apply the inverse Hessian model to a flat gradient vector."""
         n = self.grid.n
-        U = _rfft(q[:n], n)
-        V = _rfft(q[n:], n)
+        U, V = _rfft(q.reshape(2, n), n)
         P = self._pre
-        out_u = np.fft.irfft(P[:, 0, 0] * U + P[:, 0, 1] * V, n)
-        out_v = np.fft.irfft(P[:, 1, 0] * U + P[:, 1, 1] * V, n)
-        return np.concatenate([out_u, out_v]) / self.grid.dx
+        out = np.fft.irfft(np.stack([P[:, 0, 0] * U + P[:, 0, 1] * V,
+                                     P[:, 1, 0] * U + P[:, 1, 1] * V]), n)
+        return out.ravel() / self.grid.dx
 
     def split(self, x: np.ndarray) -> ProfilePair:
         n = self.grid.n
@@ -124,9 +123,10 @@ class _Objective:
         self.barrier_active = dvds is not None
         if dvds is not None:
             n = self.grid.n
-            for comp, g in ((eta.eta_under, gu), (eta.eta_over, gv)):
-                U = _rfft(comp, n)
-                g += dvds * 2.0 * np.fft.irfft(self.h2_weight * U, n)
+            H = self.h2_weight * _rfft(x.reshape(2, n), n)
+            h2u, h2v = np.fft.irfft(H, n)
+            gu += dvds * 2.0 * h2u
+            gv += dvds * 2.0 * h2v
         grad = np.concatenate([gu, gv]) * self.grid.dx
         return bd.j_mu + bval, grad, bd
 

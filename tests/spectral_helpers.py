@@ -3,7 +3,8 @@
 Plain-loop multiplier application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
 truncations, the finite-period correction of the quartic coefficient,
-and the dense per-mode matrices of the oracle's flat preconditioner.
+the dense per-mode matrices of the oracle's flat preconditioner and the
+physical-space form of the oracle's operator.
 None of these is on a production path.
 """
 
@@ -154,3 +155,16 @@ def flat_mode_matrices(op):
     v = op.wy / np.linalg.norm(op.wy)
     M[0] += np.outer(v, v) * np.mean(np.diag(M[0]))
     return M
+
+
+def physical_apply(op, U):
+    """The energy-form operator of a ``dno`` strip operator on a physical
+    (ny+1, nx) array, with the flux formed by two spectral derivatives
+    (the transpose of ``dx`` is ``-dx`` on the uniform grid)."""
+    q11, q12, q22 = op._q
+    Ux = op.dx(U)
+    Uy = op.D @ U
+    f1 = q11 * Ux + q12 * Uy
+    f2 = q12 * Ux + q22 * Uy
+    W = op.hx * op.wy[:, None]
+    return -op.dx(W * f1) + op.D.T @ (W * f2)

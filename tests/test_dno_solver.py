@@ -8,7 +8,7 @@ from gcwaves import dno
 from gcwaves.dno import LowerSolver, UpperSolver
 
 from conftest import BENCH
-from spectral_helpers import flat_mode_matrices
+from spectral_helpers import flat_mode_matrices, physical_apply
 
 K0 = 1.2679365323136993  # bench carrier scale, as in test_dno
 PERIOD = 2.0 * np.pi * 4 / K0
@@ -37,24 +37,36 @@ def test_precondition_matches_dense_per_mode_solve(solver, ny):
     rng = np.random.default_rng(ny)
     for _ in range(3):
         r = rng.standard_normal((ny + 1, op.nx))
-        z = op.precondition(r)
+        z = np.fft.irfft(op.precondition(np.fft.rfft(r, axis=1)), op.nx,
+                         axis=1)
         ref = dense_precondition(op, r)
         assert np.linalg.norm(z - ref) <= tol * np.linalg.norm(ref)
         # the preconditioner stays symmetric positive definite
         assert float(np.sum(r * z)) > 0.0
 
 
-def curved_cg_iterations(strip):
-    """CG iterations of the lower and upper solves of eval_L_exact on a
-    curved two-mode profile."""
+def curved_profile(strip):
+    """A curved two-mode profile pair on the strip's grid."""
     x = PERIOD / strip.nx * np.arange(strip.nx)
     u = 0.12 * np.cos(K0 * x) + 0.04 * np.sin(2 * K0 * x)
     v = -0.05 * np.cos(K0 * x) + 0.02 * np.cos(3 * K0 * x)
-    lower, upper = dno._solvers(strip, PERIOD)
-    zu = lower.dx(u[None, :])[0]
-    zv = lower.dx(v[None, :])[0]
-    return (lower.solve_neumann(u, zu).cg_iterations,
-            upper.solve_neumann(u, v, -zu, zv).cg_iterations)
+    return u, v
+
+
+def curved_solve(op, strip):
+    """The solve eval_L_exact makes with ``op`` on the curved profile."""
+    u, v = curved_profile(strip)
+    zu, zv = op.dx(np.stack([u, v]))
+    if isinstance(op, LowerSolver):
+        return op.solve_neumann(u, zu)
+    return op.solve_neumann(u, v, -zu, zv)
+
+
+def curved_cg_iterations(strip):
+    """CG iterations of the lower and upper solves of eval_L_exact on a
+    curved two-mode profile."""
+    return tuple(curved_solve(op, strip).cg_iterations
+                 for op in dno._solvers(strip, PERIOD))
 
 
 @pytest.mark.parametrize("ny, cg_tol, counts", [
@@ -66,6 +78,55 @@ def test_cg_iterations_pinned(ny, cg_tol, counts):
     # eigenbasis form is the same operator, so CG does the same work
     strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0, cg_tol=cg_tol)
     assert curved_cg_iterations(strip) == counts
+
+
+@pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
+@pytest.mark.parametrize("ny", [48, 128])
+def test_spectral_apply_matches_physical_form(solver, ny):
+    strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0)
+    op = solver(strip, PERIOD)
+    u, v = curved_profile(strip)
+    if solver is LowerSolver:
+        op.set_geometry(u)
+    else:
+        op.set_geometry(u, v)
+    rng = np.random.default_rng(ny)
+    a, b = (np.fft.rfft(rng.standard_normal((ny + 1, strip.nx)), axis=1)
+            for _ in range(2))
+    Aa, Ab = op.apply(a), op.apply(b)
+    ref = physical_apply(op, np.fft.irfft(b, strip.nx, axis=1))
+    got = np.fft.irfft(Ab, strip.nx, axis=1)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the Parseval sum is nx times the grid sum of the physical fields
+    phys = strip.nx * float(np.sum(np.fft.irfft(a, strip.nx, axis=1) * got))
+    dot = dno._parseval_dot
+    assert dot(a, Ab) == pytest.approx(phys, rel=1e-13)
+    # symmetric under that inner product, as CG needs
+    scale = np.sqrt(dot(a, a) * dot(Ab, Ab))
+    assert abs(dot(a, Ab) - dot(b, Aa)) <= 1e-13 * scale
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count calls of numpy's transforms; a batched call counts once."""
+    count = {"calls": 0}
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+            count["calls"] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
+def test_transform_counts_per_cg_iteration(solver, fft_calls):
+    # four transforms per iteration inside apply, none in precondition;
+    # outside the loop one dx for the data and one in set_geometry (two
+    # transforms each), the rfft of b and the irfft of x
+    strip = StripGrid(nx=256, ny=48, depth_under=14.0 / K0)
+    sol = curved_solve(solver(strip, PERIOD), strip)
+    assert sol.cg_iterations > 1
+    assert fft_calls["calls"] == 2 + 2 + 2 + 4 * sol.cg_iterations
 
 
 def array_bytes(value):
