@@ -309,6 +309,8 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
         "speed": r.speed,
         "nu0": crit.nu0,
         "iterations": r.iterations,
+        "value_evals": r.value_evals,
+        "gradient_evals": r.gradient_evals,
         "final_grad_norm": r.final_grad_norm,
         "boundary_hit": r.boundary_hit,
         "converged": r.converged,

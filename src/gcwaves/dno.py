@@ -170,6 +170,27 @@ class _StripOperator:
         self._mode0 = cho_factor(M0 + np.outer(v, v) * np.mean(np.diag(M0)),
                                  lower=True)
 
+    def refuse_unsolvable(self, flux: np.ndarray, scale: float,
+                          what: str) -> float:
+        """Refuse a Neumann datum that the operator's null vectors see.
+
+        The operator annihilates the constants and the depth-constant
+        Nyquist checkerboard (whose grid x-derivative vanishes), so the
+        boundary flux summed over the boundaries, ``flux``, must have no
+        mean and no Nyquist content.  Returns the absolute mean flux.
+        """
+        mean_flux = abs(float(np.sum(flux))) * self.hx
+        nyquist_flux = abs(float(np.sum(flux[::2])
+                                 - np.sum(flux[1::2]))) * self.hx
+        tol = 1e-10 * scale * self.period
+        if mean_flux > tol:
+            raise SolvabilityError(
+                f"{what} has non-zero mean flux {mean_flux:.3e}")
+        if nyquist_flux > tol:
+            raise SolvabilityError(
+                f"{what} has non-zero Nyquist flux {nyquist_flux:.3e}")
+        return mean_flux
+
     def dx(self, U: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
 
@@ -212,7 +233,10 @@ class _StripOperator:
 
         The iterate, residual and directions are rfft spectra; inner
         products are Parseval sums and the projection onto zero mean
-        shifts column 0.  Returns the physical solution.
+        shifts column 0.  Returns the physical solution.  A direction
+        without positive curvature means b met the operator's other null
+        vector, the depth-constant Nyquist checkerboard, and raises
+        NumericalError.
         """
         r = np.fft.rfft(b, axis=1)
         r[:, 0] -= r[:, 0].mean()
@@ -226,7 +250,13 @@ class _StripOperator:
         it = 0
         for it in range(1, 4000):
             Ad = self.apply(d)
-            alpha = rz / _parseval_dot(d, Ad)
+            dAd = _parseval_dot(d, Ad)
+            if dAd <= 0.0:
+                raise NumericalError(
+                    f"CG direction with curvature {dAd:.3e} <= 0",
+                    diagnostics={"iterations": it},
+                )
+            alpha = rz / dAd
             x += alpha * d
             r -= alpha * Ad
             rel = math.sqrt(_parseval_dot(r, r)) / bnorm
@@ -267,12 +297,8 @@ class LowerSolver(_StripOperator):
         )
 
     def solve_neumann(self, eta_under: np.ndarray, psi: np.ndarray) -> DnoSolution:
-        mean_flux = abs(float(np.sum(psi))) * self.hx
         scale = float(np.max(np.abs(psi))) + 1e-300
-        if mean_flux > 1e-10 * scale * self.period:
-            raise SolvabilityError(
-                f"Neumann datum has non-zero mean flux {mean_flux:.3e}"
-            )
+        mean_flux = self.refuse_unsolvable(psi, scale, "Neumann datum")
         self.set_geometry(eta_under)
         b = np.zeros((self.ny + 1, self.nx))
         b[0, :] = self.hx * psi
@@ -308,12 +334,9 @@ class UpperSolver(_StripOperator):
 
     def solve_neumann(self, eta_under: np.ndarray, eta_over: np.ndarray,
                       psi_i: np.ndarray, psi_s: np.ndarray) -> DnoSolution:
-        mean_flux = abs(float(np.sum(psi_i + psi_s))) * self.hx
         scale = float(np.max(np.abs(psi_i)) + np.max(np.abs(psi_s))) + 1e-300
-        if mean_flux > 1e-10 * scale * self.period:
-            raise SolvabilityError(
-                f"Neumann pair has non-zero total flux {mean_flux:.3e}"
-            )
+        mean_flux = self.refuse_unsolvable(psi_i + psi_s, scale,
+                                           "Neumann pair")
         self.set_geometry(eta_under, eta_over)
         b = np.zeros((self.ny + 1, self.nx))
         b[0, :] = self.hx * psi_s    # row 0 is the surface y = 1

@@ -27,6 +27,13 @@ seed the minimiser.  Each profile is evaluated in two stages:
   padded spectrum, and the result is truncated and transformed back once
   per component: grad_J costs 35 one-dimensional transforms in all.
 
+A ``StagedProfile`` keeps its value stage and breakdown between calls:
+eval_J on it runs the value stage, and a grad_J after that the gradient
+stage alone, 18 more transforms.  The minimizer's line-search trials are
+value-only eval_J calls on staged profiles, whose barrier reads the H^2
+norm off the value stage's spectra; only a trial that may be accepted
+goes on to grad_J.
+
 F-bar, the upper-layer multiplier matrix [[d, o], [o, d]] with
 d = |k| coth|k| and o = -|k|/sinh|k|, is owned by
 ``dispersion.fbar_entries``, which the coefficient formulas in ``nls``
@@ -186,6 +193,17 @@ def _fbar_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.stack([diag * X[0] + off * X[1], off * X[0] + diag * X[1]])
 
 
+def _h2_sq(UV: np.ndarray, grid: PeriodicGrid) -> float:
+    """Squared discrete H^2 norm of a pair from its stacked rfft spectra."""
+    n = grid.n
+    w = _symbols(grid).h2_weight
+    # rfft coefficient -> line-spectrum weights (count +-k once each)
+    mult = np.full(n // 2 + 1, 2.0)
+    mult[0] = 1.0
+    return sum(float(np.sum(mult * w * np.abs(X / n) ** 2))
+               for X in UV) * grid.period
+
+
 @dataclass
 class ProfilePair:
     """Interface and surface elevations on a shared periodic grid."""
@@ -210,15 +228,8 @@ class ProfilePair:
         """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
         over both components."""
         n = self.grid.n
-        w = _symbols(self.grid).h2_weight
-        # rfft coefficient -> line-spectrum weights (count +-k once each)
-        mult = np.full(n // 2 + 1, 2.0)
-        mult[0] = 1.0
-        s = 0.0
-        for comp in (self.eta_under, self.eta_over):
-            U = _rfft(comp, n) / n
-            s += float(np.sum(mult * w * np.abs(U) ** 2))
-        return s * self.grid.period
+        return _h2_sq(_rfft(np.stack([self.eta_under, self.eta_over]), n),
+                      self.grid)
 
     def h2_norm(self) -> float:
         """Discrete H^2 norm, the square root of ``h2_sq``."""
@@ -260,9 +271,9 @@ class _Products(NamedTuple):
 class _Fields:
     """Value stage: the transforms of one profile, each formed once.
 
-    The pair is transformed once and the base-band fields u, v, u_x,
-    v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held as values on the
-    padded grid, where products are formed.  The spectra of the products
+    The pair is transformed once (``UV``) and the base-band fields u, v,
+    u_x, v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held as values on
+    the padded grid, where products are formed.  The spectra of the products
     in the kinetic energy are formed on first use, so the surface energy
     alone never pays for them.  Transforms run on (lower, upper) pairs of
     rows.
@@ -271,9 +282,8 @@ class _Fields:
     def __init__(self, eta: ProfilePair):
         g = self.grid = eta.grid
         s = self.sym = _symbols(g)
-        UV = np.fft.rfft(np.stack([eta.eta_under, eta.eta_over]))
-        UV[:, g.n // 2] = 0.0
-        U, self.V = UV
+        UV = self.UV = _rfft(np.stack([eta.eta_under, eta.eta_over]), g.n)
+        U = UV[0]
         self.B_hat = _fbar_apply(s.fb_diag, s.fb_off, UV)
         self.u, self.v = self.padded(UV)
         self.ux, self.vx = self.padded(s.ik * UV)
@@ -425,7 +435,7 @@ def _gradient(f: _Fields, p: Params, ck: float, cl: float):
         # upper layer, with the products under F-bar, where
         # d/dx (u^2 u_x) / 2 enters as u u_x^2 + u^2 u_xx / 2
         cr = cl * r
-        vxx = f.padded(s.mk2 * f.V)
+        vxx = f.padded(s.mk2 * f.UV[1])
         point_u += cr * (B1 + 0.5 * ux**2 + u * uxx + 0.5 * B1**2)
         point_v += cr * (B2 - 0.5 * vx**2 - v * vxx - 0.5 * B2**2)
         z1x, z2x = np.fft.irfft(s.ik_pad * q.Z, npad)
@@ -448,6 +458,42 @@ def _gradient(f: _Fields, p: Params, ck: float, cl: float):
     G[:, n // 2] = 0.0
     gu, gv = np.fft.irfft(G, n)
     return gu, gv
+
+
+class StagedProfile:
+    """A profile whose value stage outlives the call that computes it.
+
+    eval_J and grad_J take a StagedProfile wherever they take a
+    ProfilePair.  The first of them to run transforms the profile and
+    keeps the value stage here, with the breakdown of the last (p, mu),
+    so a grad_J after an eval_J runs the gradient stage alone.  A value
+    stage holds about a dozen padded fields and spectra, so its owner
+    drops the StagedProfile as soon as it is done with it.
+    """
+
+    def __init__(self, eta: ProfilePair):
+        self.eta = eta
+        self._fields: _Fields | None = None
+        self._breakdown: tuple[tuple, FunctionalBreakdown] | None = None
+
+    def fields(self) -> _Fields:
+        if self._fields is None:
+            self._fields = _Fields(self.eta)
+        return self._fields
+
+    def breakdown(self, p: Params, mu: float) -> FunctionalBreakdown:
+        key = (p, mu)
+        if self._breakdown is None or self._breakdown[0] != key:
+            self._breakdown = key, _breakdown(self.fields(), p, mu)
+        return self._breakdown[1]
+
+    def h2_sq(self) -> float:
+        """``ProfilePair.h2_sq`` from the value stage's spectra."""
+        return _h2_sq(self.fields().UV, self.eta.grid)
+
+
+def _staged(eta: ProfilePair | StagedProfile) -> StagedProfile:
+    return eta if isinstance(eta, StagedProfile) else StagedProfile(eta)
 
 
 def eval_L_trunc(eta: ProfilePair, p: Params):
@@ -475,16 +521,17 @@ def grad_L_trunc(eta: ProfilePair, p: Params):
     return _gradient(_Fields(eta), p, 0.0, 1.0)
 
 
-def eval_J(eta: ProfilePair, p: Params, mu: float) -> FunctionalBreakdown:
+def eval_J(eta: ProfilePair | StagedProfile, p: Params,
+           mu: float) -> FunctionalBreakdown:
     """Reduced objective J_mu = K_exact + mu^2 / (l2 + l3 + l4)."""
-    return _breakdown(_Fields(eta), p, mu)
+    return _staged(eta).breakdown(p, mu)
 
 
-def grad_J(eta: ProfilePair, p: Params, mu: float):
+def grad_J(eta: ProfilePair | StagedProfile, p: Params, mu: float):
     """L^2 gradient of J_mu via the chain rule, plus the breakdown."""
-    f = _Fields(eta)
-    bd = _breakdown(f, p, mu)
-    return _gradient(f, p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
+    staged = _staged(eta)
+    bd = staged.breakdown(p, mu)
+    return _gradient(staged.fields(), p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
 
 
 def l2_norm_pair(gu: np.ndarray, gv: np.ndarray, grid: PeriodicGrid) -> float:

@@ -8,20 +8,28 @@ ball where the truncation is trusted, and the translation symmetry is
 quotiented by recentring the interface envelope after every step
 (recentring shifts the L-BFGS memory along, so the quasi-Newton model is
 preserved exactly).
+
+Each line-search trial is a value-only call: the objective evaluates J_mu
+and the barrier on a ``StagedProfile`` through ``eval_J``, and only a
+trial whose value did not rise, the only kind either acceptance rule can
+take, goes on to ``grad_J``, which runs the gradient stage on the same
+transforms.  The trial's value stage is dropped once it is accepted or
+rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dispersion import CriticalPoint, Params, eval_g
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
-                       build_eta_star, eps_of_mu, eval_J, grad_J,
-                       l2_norm_pair, _rfft, _symbols)
+                       StagedProfile, build_eta_star, eps_of_mu, eval_J,
+                       grad_J, l2_norm_pair, _rfft, _symbols)
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
@@ -68,6 +76,18 @@ class MinimizeResult:
     history: list = field(default_factory=list)  # (iter, J, grad_norm, step)
     l_exact: float | None = None
     speed_exact: float | None = None
+    #: objective values the descent took (line-search trials included)
+    #: and the gradients among them
+    value_evals: int = 0
+    gradient_evals: int = 0
+
+
+class _Trial(NamedTuple):
+    """One evaluated point: its staged profile and the barrier's slope
+    dV/ds in s = ||eta||_H2^2 (None inside the barrier-free ball)."""
+
+    eta: StagedProfile
+    dvds: float | None
 
 
 class _Objective:
@@ -81,7 +101,7 @@ class _Objective:
         self.h2_weight = _symbols(self.grid).h2_weight
         self.s0 = (0.9 * cfg.admissibility_M) ** 2
         self.s_edge = cfg.admissibility_M**2
-        self.barrier_active = False
+        self.value_evals = self.gradient_evals = 0
         self._build_preconditioner(crit, c)
 
     def _build_preconditioner(self, crit: CriticalPoint, c: NlsCoefficients):
@@ -109,26 +129,32 @@ class _Objective:
         n = self.grid.n
         return ProfilePair(self.grid, x[:n], x[n:])
 
-    def barrier(self, eta: ProfilePair):
-        s = eta.h2_sq()
+    def barrier(self, s: float):
+        """Barrier value and slope dV/ds at s = ||eta||_H2^2."""
         if s <= self.s0:
-            return 0.0, None, s
+            return 0.0, None
         w = (s - self.s0) / (self.s_edge - self.s0)
-        return w**2, 2.0 * w / (self.s_edge - self.s0), s
+        return w**2, 2.0 * w / (self.s_edge - self.s0)
 
     def __call__(self, x: np.ndarray):
-        eta = self.split(x)
-        (gu, gv), bd = grad_J(eta, self.p, self.cfg.mu)
-        bval, dvds, s = self.barrier(eta)
-        self.barrier_active = dvds is not None
-        if dvds is not None:
-            n = self.grid.n
-            H = self.h2_weight * _rfft(x.reshape(2, n), n)
-            h2u, h2v = np.fft.irfft(H, n)
-            gu += dvds * 2.0 * h2u
-            gv += dvds * 2.0 * h2v
-        grad = np.concatenate([gu, gv]) * self.grid.dx
-        return bd.j_mu + bval, grad, bd
+        """Value of J_mu plus the barrier at x, and the trial that holds
+        its value stage for ``gradient``."""
+        self.value_evals += 1
+        eta = StagedProfile(self.split(x))
+        bd = eval_J(eta, self.p, self.cfg.mu)
+        bval, dvds = self.barrier(eta.h2_sq())
+        return bd.j_mu + bval, _Trial(eta, dvds)
+
+    def gradient(self, trial: _Trial):
+        """Flat gradient at an evaluated trial, and its breakdown."""
+        self.gradient_evals += 1
+        (gu, gv), bd = grad_J(trial.eta, self.p, self.cfg.mu)
+        if trial.dvds is not None:
+            H = self.h2_weight * trial.eta.fields().UV
+            h2u, h2v = np.fft.irfft(H, self.grid.n)
+            gu += trial.dvds * 2.0 * h2u
+            gv += trial.dvds * 2.0 * h2v
+        return np.concatenate([gu, gv]) * self.grid.dx, bd
 
 
 def _envelope_argmax(u: np.ndarray) -> int:
@@ -169,11 +195,13 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
 
     n = grid.n
     x = _evenize(np.concatenate([eta0.eta_under, eta0.eta_over]), n)
-    f, g, bd = obj(x)
+    f, trial = obj(x)
+    g, bd = obj.gradient(trial)
     g = _evenize(g, n)
     gnorm = l2_norm_pair(g[:n], g[n:], grid) / grid.dx
     history = [(0, f, gnorm, 0.0)]
-    boundary_hit = obj.barrier_active
+    boundary_hit = trial.dvds is not None
+    trial = None
 
     mem_s: list[np.ndarray] = []
     mem_y: list[np.ndarray] = []
@@ -204,24 +232,29 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
 
         t = 1.0
         x_new = f_new = g_new = bd_new = None
-        accepted = False
+        accepted = barrier_hit = False
         for _ in range(50):
             x_try = _evenize(x + t * d, n)
             try:
-                f_try, g_try, bd_try = obj(x_try)
-                g_try = _evenize(g_try, n)
+                f_try, trial = obj(x_try)
             except OutOfConeError:
                 t *= 0.5
                 continue
             armijo = f_try <= f + 1e-4 * t * slope
             # near the optimum the Armijo decrease drowns in rounding;
-            # also accept non-increasing steps that shrink the gradient
-            flat = (f_try <= f
-                    and l2_norm_pair(g_try[:n], g_try[n:], grid) / grid.dx
-                    < 0.99 * gnorm)
-            if armijo or flat:
+            # also accept non-increasing steps that shrink the gradient.
+            # A trial whose value rose passes neither test, so it is
+            # rejected without a gradient.
+            if armijo or f_try <= f:
+                g_try, bd_try = obj.gradient(trial)
+                g_try = _evenize(g_try, n)
+                accepted = (armijo
+                            or l2_norm_pair(g_try[:n], g_try[n:], grid)
+                            / grid.dx < 0.99 * gnorm)
+            barrier_hit = trial.dvds is not None
+            trial = None  # drop the value stage before the next trial
+            if accepted:
                 x_new, f_new, g_new, bd_new = x_try, f_try, g_try, bd_try
-                accepted = True
                 break
             t *= 0.5
         if not accepted:
@@ -254,7 +287,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
                 mem_y.pop(0)
                 rho_mem.pop(0)
         x, f, g, bd = x_new, f_new, g_new, bd_new
-        boundary_hit = boundary_hit or obj.barrier_active
+        boundary_hit = boundary_hit or barrier_hit
 
         # the translation group is pinned by evenness; recentre by a half
         # period (which preserves evenness) if the peak ever hops there
@@ -276,6 +309,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         eta=eta, breakdown=bd, speed=cfg.mu / bd.l_trunc, iterations=it,
         final_grad_norm=gnorm, boundary_hit=boundary_hit,
         converged=converged, history=history,
+        value_evals=obj.value_evals, gradient_evals=obj.gradient_evals,
     )
     if cfg.use_exact_L_refinement:
         _exact_refinement(result, p, cfg, obj, mem_s)

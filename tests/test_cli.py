@@ -152,6 +152,7 @@ def test_minimize_dry_run_passthrough(tmp_path):
     tag = "mu_0p006"
     result = json.loads((outdir / f"{tag}.result.json").read_text())
     assert result["iterations"] == 0
+    assert result["value_evals"] == result["gradient_evals"] == 1
     # the emitted profile is the test function itself
     star = tmp_path / "star.csv"
     assert main(["ansatz", "--config", cfg, "--out", str(star)]) == 0
@@ -173,6 +174,10 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()
     assert iters[0] == "iteration,j_mu,grad_norm,step"
     assert len(iters) == result["iterations"] + 2
+    # one gradient per accepted step and at the start; the line search
+    # evaluates at least as many values
+    assert (result["iterations"] + 1 <= result["gradient_evals"]
+            <= result["value_evals"])
 
 
 def test_minimize_sweep_writes_speed_fit(tmp_path):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from gcwaves import PeriodicGrid, ProfilePair, StripGrid, eval_L_exact
+from gcwaves import (PeriodicGrid, ProfilePair, StripGrid, eval_L_exact,
+                     solve_lower, solve_upper)
 from gcwaves import dno
 from gcwaves.dno import LowerSolver, UpperSolver
+from gcwaves.errors import NumericalError, SolvabilityError
 
 from conftest import BENCH
 from spectral_helpers import flat_mode_matrices, physical_apply
@@ -170,3 +172,38 @@ def test_solver_cache_bounded():
     assert list(dno._solver_cache) == [
         (strip, period) for period in periods[-dno._SOLVER_PAIRS:]]
     dno._solver_cache.clear()
+
+
+NYQUIST = (-1.0) ** np.arange(256)  # the checkerboard on nx = 256
+
+
+@pytest.mark.parametrize("depth", [9.46, 5.0, 1.0])
+def test_nyquist_flux_refused(depth):
+    # the depth-constant checkerboard is a null vector of both layer
+    # operators, so CG cannot solve data that see it: it stalled, or
+    # divided by zero, before the datum was refused
+    strip = StripGrid(nx=256, ny=48, depth_under=depth)
+    flat, zero = np.zeros(strip.nx), np.zeros(strip.nx)
+    eta = ProfilePair(PeriodicGrid(n=strip.nx, period=PERIOD), flat, flat)
+    with pytest.raises(SolvabilityError, match="Nyquist"):
+        solve_lower(flat, NYQUIST, strip, PERIOD)
+    for pair in ((NYQUIST, zero), (zero, NYQUIST)):
+        with pytest.raises(SolvabilityError, match="Nyquist"):
+            solve_upper(eta, pair, strip)
+
+
+@pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
+def test_cg_refuses_direction_without_curvature(solver):
+    # past the datum check, a checkerboard right-hand side gives CG a
+    # direction with d.Ad = 0, which used to raise ZeroDivisionError
+    strip = StripGrid(nx=256, ny=48, depth_under=5.0)
+    op = solver(strip, PERIOD)
+    flat = np.zeros(strip.nx)
+    if solver is LowerSolver:
+        op.set_geometry(flat)
+    else:
+        op.set_geometry(flat, flat)
+    b = np.zeros((strip.ny + 1, strip.nx))
+    b[0] = op.hx * NYQUIST
+    with pytest.raises(NumericalError, match="curvature"):
+        op.solve(b)

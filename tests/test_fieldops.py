@@ -12,7 +12,8 @@ from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
                      write_profile_csv)
 from gcwaves.dispersion import fbar_entries
 from gcwaves.errors import ConfigError, GeometryError, OutOfConeError
-from gcwaves.fieldops import _fbar_inverse_entries, zero_profile
+from gcwaves.fieldops import (StagedProfile, _fbar_inverse_entries,
+                              zero_profile)
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile
@@ -372,6 +373,42 @@ def test_transform_counts(grid, fft_rows):
         fn()
         counts[name] = fft_rows["rows"]
     assert counts == {"grad_J": 35, "eval_J": 17, "eval_L_trunc": 17}
+
+
+def test_staged_profile_reuses_its_value_stage(grid, fft_rows):
+    # eval_J then grad_J on a staged profile: the value stage once, the
+    # gradient stage on the same transforms, the same numbers as unstaged
+    rng = np.random.default_rng(16)
+    eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
+               random_band_profile(rng, grid.n, 0.04))
+    staged = StagedProfile(eta)
+    fft_rows["rows"] = 0
+    bd = eval_J(staged, BENCH, 1e-3)
+    assert fft_rows["rows"] == 17
+    (gu, gv), bd_grad = grad_J(staged, BENCH, 1e-3)
+    assert fft_rows["rows"] == 35
+    h2_sq = staged.h2_sq()
+    assert fft_rows["rows"] == 35
+    assert h2_sq == eta.h2_sq()
+    (ref_u, ref_v), ref_bd = grad_J(eta, BENCH, 1e-3)
+    assert bd is bd_grad and bd == ref_bd
+    assert np.array_equal(gu, ref_u) and np.array_equal(gv, ref_v)
+    # another mu gets its own breakdown from the same transforms
+    fft_rows["rows"] = 0
+    assert eval_J(staged, BENCH, 2e-3) == eval_J(eta, BENCH, 2e-3)
+    assert fft_rows["rows"] == 17
+
+
+def test_h2_sq_matches_per_component_sum(grid):
+    rng = np.random.default_rng(17)
+    eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
+               random_band_profile(rng, grid.n, 0.04))
+    mult = np.full(grid.n // 2 + 1, 2.0)
+    mult[0] = 1.0
+    w = 1.0 + grid.k**2 + grid.k**4
+    ref = sum(float(np.sum(mult * w * np.abs(np.fft.rfft(c) / grid.n) ** 2))
+              for c in (eta.eta_under, eta.eta_over)) * grid.period
+    assert eta.h2_sq() == pytest.approx(ref, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

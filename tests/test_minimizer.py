@@ -4,7 +4,7 @@ import pytest
 from gcwaves import (MinimizeConfig, build_eta_star, eps_of_mu,
                      eval_J, make_grid, minimize, speed_expansion_check,
                      suggest_carrier_multiple)
-from gcwaves import minimizer
+from gcwaves import fieldops, minimizer
 from gcwaves.dispersion import eval_g
 from gcwaves.errors import ConfigError, OutOfConeError
 from gcwaves.fieldops import eval_L_trunc
@@ -113,18 +113,19 @@ def test_barrier_activates_with_tiny_ball(bench_crit, bench_coeffs):
     assert r.eta.h2_norm() < tiny_M
 
 
-def _fail_line_search_trial(monkeypatch, error):
-    """Make the objective raise ``error`` on its second call, the first
-    trial step of the first line search."""
+def _fail_line_search_trial(monkeypatch, error, entry):
+    """Make the objective entry ``entry`` raise ``error`` on its second
+    call: the first trial step of the first line search (for eval_J) or
+    the first trial that may be accepted (for grad_J)."""
     calls = []
-    grad_J = minimizer.grad_J
+    original = getattr(minimizer, entry)
 
     def objective(eta, p, mu):
         calls.append(mu)
         if len(calls) == 2:
             raise error
-        return grad_J(eta, p, mu)
-    monkeypatch.setattr(minimizer, "grad_J", objective)
+        return original(eta, p, mu)
+    monkeypatch.setattr(minimizer, entry, objective)
     return calls
 
 
@@ -135,9 +136,11 @@ def _small_config(bench_crit, bench_coeffs, max_iters):
                           max_iters=max_iters)
 
 
+@pytest.mark.parametrize("entry", ["eval_J", "grad_J"])
 def test_programming_error_in_objective_propagates(bench_crit, bench_coeffs,
-                                                   monkeypatch):
-    calls = _fail_line_search_trial(monkeypatch, TypeError("broken objective"))
+                                                   monkeypatch, entry):
+    calls = _fail_line_search_trial(monkeypatch, TypeError("broken objective"),
+                                    entry)
     cfg = _small_config(bench_crit, bench_coeffs, max_iters=5)
     with pytest.raises(TypeError, match="broken objective"):
         minimize(BENCH, bench_coeffs, bench_crit, cfg)
@@ -146,11 +149,55 @@ def test_programming_error_in_objective_propagates(bench_crit, bench_coeffs,
 
 def test_out_of_cone_trial_halves_the_step(bench_crit, bench_coeffs,
                                            monkeypatch):
-    _fail_line_search_trial(monkeypatch, OutOfConeError("left the cone"))
+    # the value entry is where _breakdown raises it
+    _fail_line_search_trial(monkeypatch, OutOfConeError("left the cone"),
+                            "eval_J")
     cfg = _small_config(bench_crit, bench_coeffs, max_iters=2)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.iterations == 2
     assert r.history[1][3] <= 0.5
+
+
+def test_rejected_trials_skip_the_gradient(bench_crit, bench_coeffs,
+                                          monkeypatch):
+    """A trial whose value rose runs no gradient stage, and the result
+    counts the gradient stages that did run."""
+    events = []
+    value, gradient = minimizer._Objective.__call__, fieldops._gradient
+
+    def counted_value(self, x):
+        f_try, trial = value(self, x)
+        events.append(f_try)
+        return f_try, trial
+
+    def counted_gradient(*args):
+        events.append(None)
+        return gradient(*args)
+    monkeypatch.setattr(minimizer._Objective, "__call__", counted_value)
+    monkeypatch.setattr(fieldops, "_gradient", counted_gradient)
+    r = minimize(BENCH, bench_coeffs, bench_crit,
+                 _small_config(bench_crit, bench_coeffs, max_iters=300))
+    assert r.converged
+    assert events.count(None) == r.gradient_evals
+    assert len(events) - r.gradient_evals == r.value_evals
+    assert r.gradient_evals < r.value_evals  # some trials were rejected
+    # walk the trials: each gradient after the first follows a value no
+    # higher than the current iterate's, and the accepted ones are the
+    # iterates of the history, in order
+    accepted = iter(h[1] for h in r.history)
+    f, following = next(accepted), next(accepted, None)
+    first, last = True, None
+    for e in events:
+        if e is not None:
+            last = e
+        elif first:
+            first = False
+            assert last == f
+        else:
+            assert last <= f
+            if last == following:
+                f, following = following, next(accepted, None)
+    assert following is None
 
 
 def test_preconditioner_inverts_shifted_g_on_every_mode(bench_crit,
