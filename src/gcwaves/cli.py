@@ -311,6 +311,7 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
         "iterations": r.iterations,
         "value_evals": r.value_evals,
         "gradient_evals": r.gradient_evals,
+        "spectral_tail": r.spectral_tail,
         "final_grad_norm": r.final_grad_norm,
         "boundary_hit": r.boundary_hit,
         "converged": r.converged,
@@ -356,7 +357,8 @@ def cmd_minimize(args) -> int:
         write_json(os.path.join(args.out, f"{tag}.result.json"),
                    _result_dict(r, rep.crit))
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),
-                  ["iteration", "j_mu", "grad_norm", "step"], r.history)
+                  ["iteration", "j_mu", "grad_norm", "step", "trials"],
+                  r.history)
     if len(runs) >= 3:
         fit = minimizer.speed_expansion_check(runs, rep.crit, c)
         write_json(os.path.join(args.out, "speed_fit.json"), {

@@ -534,10 +534,6 @@ def grad_J(eta: ProfilePair | StagedProfile, p: Params, mu: float):
     return _gradient(staged.fields(), p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
 
 
-def l2_norm_pair(gu: np.ndarray, gv: np.ndarray, grid: PeriodicGrid) -> float:
-    return math.sqrt(grid.dx * float(np.sum(gu**2 + gv**2)))
-
-
 def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
                    grid: PeriodicGrid, p: Params) -> ProfilePair:
     """Modulated-carrier test profile.

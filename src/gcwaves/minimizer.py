@@ -2,19 +2,33 @@
 
 Minimizes J_mu = K + mu^2 / L_trunc over profile pairs on a periodic
 grid, starting from the modulated-carrier test profile at the matched
-amplitude eps(mu).  The method is limited-memory BFGS with Armijo
-backtracking; a smooth quartic barrier keeps iterates inside the H^2
-ball where the truncation is trusted, and the translation symmetry is
-quotiented by recentring the interface envelope after every step
-(recentring shifts the L-BFGS memory along, so the quasi-Newton model is
-preserved exactly).
+amplitude eps(mu).  The method is limited-memory BFGS (20 curvature
+pairs) with a backtracking Armijo line search; a smooth quartic barrier
+keeps iterates inside the H^2 ball where the truncation is trusted.
+
+The descent is restricted to profiles even about x = 0, which quotients
+out the translation and carrier-phase symmetries; an even critical point
+of the restricted functional is a critical point of the full one because
+reflection is a symmetry.  An even pair is held
+as its samples 0..n/2 (the half grid): the iterate, the gradient, the
+direction and the L-BFGS memory are half-grid vectors, expanded to a
+trial profile by mirroring, u[n - j] = u[j], so every trial is even by
+construction.  Dot products weight the two end samples by 1 and the
+others by 2, which makes them equal to the full-grid products.  If the
+interface envelope ever peaks at the ends of the period (sample 0)
+rather than at x = 0 (sample n/2), the state and the memory are shifted
+by a half period, which on a half-grid vector is a reversal and keeps
+the quasi-Newton model exactly.
 
 Each line-search trial is a value-only call: the objective evaluates J_mu
 and the barrier on a ``StagedProfile`` through ``eval_J``, and only a
 trial whose value did not rise, the only kind either acceptance rule can
 take, goes on to ``grad_J``, which runs the gradient stage on the same
 transforms.  The trial's value stage is dropped once it is accepted or
-rejected.
+rejected.  After a trial whose value rose, the step backtracks to the
+minimiser of the quadratic through the current value, the slope and the
+trial's value, kept within [0.1 t, 0.5 t]; other rejected trials halve
+the step.
 """
 
 from __future__ import annotations
@@ -29,13 +43,13 @@ from .dispersion import CriticalPoint, Params, eval_g
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
-                       grad_J, l2_norm_pair, _rfft, _symbols)
+                       grad_J, _rfft, _symbols)
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
 
 #: curvature pairs kept by the L-BFGS two-loop recursion
-_LBFGS_MEMORY = 12
+_LBFGS_MEMORY = 20
 
 
 @dataclass(frozen=True)
@@ -73,13 +87,18 @@ class MinimizeResult:
     final_grad_norm: float
     boundary_hit: bool
     converged: bool
-    history: list = field(default_factory=list)  # (iter, J, grad_norm, step)
+    #: (iter, J, grad_norm, step, trials): trials counts the objective
+    #: values evaluated since the previous row (the start's for row 0)
+    history: list = field(default_factory=list)
     l_exact: float | None = None
     speed_exact: float | None = None
     #: objective values the descent took (line-search trials included)
     #: and the gradients among them
     value_evals: int = 0
     gradient_evals: int = 0
+    #: largest |rfft coefficient| in the top 20% of the band over the
+    #: largest one, the larger of the two components (report only)
+    spectral_tail: float | None = None
 
 
 class _Trial(NamedTuple):
@@ -90,8 +109,32 @@ class _Trial(NamedTuple):
     dvds: float | None
 
 
+def _mirror(h: np.ndarray, n: int) -> np.ndarray:
+    """The (2, n) even rows u[n - j] = u[j] of a half-grid vector."""
+    rows = h.reshape(2, n // 2 + 1)
+    return np.concatenate([rows, rows[:, -2:0:-1]], axis=1)
+
+
+def _half(rows: np.ndarray, n: int) -> np.ndarray:
+    """Half-grid vector of (2, n) even rows: samples 0..n/2 of each."""
+    return rows[:, :n // 2 + 1].ravel()
+
+
+def _half_weights(n: int) -> np.ndarray:
+    """Dot-product weights that make half-grid products equal the
+    full-grid products of the mirrored rows."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return np.concatenate([w, w])
+
+
+def _half_period_roll(h: np.ndarray) -> np.ndarray:
+    """Half-grid vector of the mirrored rows rolled by n/2."""
+    return h.reshape(2, -1)[:, ::-1].ravel()
+
+
 class _Objective:
-    """J_mu plus the H^2-ball barrier, in flat-vector form."""
+    """J_mu plus the H^2-ball barrier, on half-grid vectors."""
 
     def __init__(self, p: Params, cfg: MinimizeConfig, crit: CriticalPoint,
                  c: NlsCoefficients):
@@ -117,17 +160,17 @@ class _Objective:
                                   + sigma * np.eye(2))
 
     def precondition(self, q: np.ndarray) -> np.ndarray:
-        """Apply the inverse Hessian model to a flat gradient vector."""
+        """Apply the inverse Hessian model to a half-grid gradient."""
         n = self.grid.n
-        U, V = _rfft(q.reshape(2, n), n)
+        U, V = _rfft(_mirror(q, n), n)
         P = self._pre
         out = np.fft.irfft(np.stack([P[:, 0, 0] * U + P[:, 0, 1] * V,
                                      P[:, 1, 0] * U + P[:, 1, 1] * V]), n)
-        return out.ravel() / self.grid.dx
+        return _half(out, n) / self.grid.dx
 
-    def split(self, x: np.ndarray) -> ProfilePair:
-        n = self.grid.n
-        return ProfilePair(self.grid, x[:n], x[n:])
+    def split(self, h: np.ndarray) -> ProfilePair:
+        u, v = _mirror(h, self.grid.n)
+        return ProfilePair(self.grid, u, v)
 
     def barrier(self, s: float):
         """Barrier value and slope dV/ds at s = ||eta||_H2^2."""
@@ -136,25 +179,26 @@ class _Objective:
         w = (s - self.s0) / (self.s_edge - self.s0)
         return w**2, 2.0 * w / (self.s_edge - self.s0)
 
-    def __call__(self, x: np.ndarray):
-        """Value of J_mu plus the barrier at x, and the trial that holds
-        its value stage for ``gradient``."""
+    def __call__(self, h: np.ndarray):
+        """Value of J_mu plus the barrier at the half-grid vector h, and
+        the trial that holds its value stage for ``gradient``."""
         self.value_evals += 1
-        eta = StagedProfile(self.split(x))
+        eta = StagedProfile(self.split(h))
         bd = eval_J(eta, self.p, self.cfg.mu)
         bval, dvds = self.barrier(eta.h2_sq())
         return bd.j_mu + bval, _Trial(eta, dvds)
 
     def gradient(self, trial: _Trial):
-        """Flat gradient at an evaluated trial, and its breakdown."""
+        """Half-grid gradient (times dx) at an evaluated trial, and its
+        breakdown."""
         self.gradient_evals += 1
+        n = self.grid.n
         (gu, gv), bd = grad_J(trial.eta, self.p, self.cfg.mu)
+        g = np.stack([gu, gv])
         if trial.dvds is not None:
             H = self.h2_weight * trial.eta.fields().UV
-            h2u, h2v = np.fft.irfft(H, self.grid.n)
-            gu += trial.dvds * 2.0 * h2u
-            gv += trial.dvds * 2.0 * h2v
-        return np.concatenate([gu, gv]) * self.grid.dx, bd
+            g += trial.dvds * 2.0 * np.fft.irfft(H, n)
+        return _half(g, n) * self.grid.dx, bd
 
 
 def _envelope_argmax(u: np.ndarray) -> int:
@@ -165,19 +209,12 @@ def _envelope_argmax(u: np.ndarray) -> int:
     return int(np.argmax(np.abs(np.fft.ifft(U))))
 
 
-def _evenize(x: np.ndarray, n: int) -> np.ndarray:
-    """Project a flat (u, v) vector onto profiles even about x = 0.
-
-    Evenness quotients out both the translation zero mode and the
-    carrier-phase quasi-zero mode, which otherwise stall the descent;
-    an even critical point of the even-restricted functional is a
-    critical point of the full one because reflection is a symmetry.
-    """
-    out = np.empty_like(x)
-    for c0 in (0, n):
-        u = x[c0:c0 + n]
-        out[c0:c0 + n] = 0.5 * (u + np.roll(u[::-1], 1))
-    return out
+def _spectral_tail(eta: ProfilePair) -> float:
+    """Largest |rfft coefficient| in the top 20% of the band over the
+    largest one, the larger of the two components."""
+    a = np.abs(np.fft.rfft(np.stack([eta.eta_under, eta.eta_over])))
+    top = a[:, int(0.8 * (a.shape[1] - 1)):].max(axis=1)
+    return float(np.max(top / a.max(axis=1)))
 
 
 def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
@@ -194,12 +231,19 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     obj = _Objective(p, cfg, crit, c)
 
     n = grid.n
-    x = _evenize(np.concatenate([eta0.eta_under, eta0.eta_over]), n)
+    weights = _half_weights(n)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        # einsum, not @: BLAS worker threads made single dot products
+        # erratically slow on a busy 2-core host
+        return float(np.einsum("i,i,i->", weights, a, b))
+
+    x = _half(np.stack([eta0.eta_under, eta0.eta_over]), n)
     f, trial = obj(x)
     g, bd = obj.gradient(trial)
-    g = _evenize(g, n)
-    gnorm = l2_norm_pair(g[:n], g[n:], grid) / grid.dx
-    history = [(0, f, gnorm, 0.0)]
+    gnorm = math.sqrt(dot(g, g) / grid.dx)
+    history = [(0, f, gnorm, 0.0, obj.value_evals)]
+    logged_evals = obj.value_evals
     boundary_hit = trial.dvds is not None
     trial = None
 
@@ -217,24 +261,24 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         alphas = []
         for s_v, y_v, r in zip(reversed(mem_s), reversed(mem_y),
                                reversed(rho_mem)):
-            a = r * float(s_v @ q)
+            a = r * dot(s_v, q)
             alphas.append(a)
             q -= a * y_v
         q = obj.precondition(q)
         for s_v, y_v, r, a in zip(mem_s, mem_y, rho_mem, reversed(alphas)):
-            b = r * float(y_v @ q)
+            b = r * dot(y_v, q)
             q += (a - b) * s_v
         d = -q
-        slope = float(g @ d)
+        slope = dot(g, d)
         if slope >= 0.0:
             d = -obj.precondition(g)
-            slope = float(g @ d)
+            slope = dot(g, d)
 
         t = 1.0
         x_new = f_new = g_new = bd_new = None
         accepted = barrier_hit = False
         for _ in range(50):
-            x_try = _evenize(x + t * d, n)
+            x_try = x + t * d
             try:
                 f_try, trial = obj(x_try)
             except OutOfConeError:
@@ -247,16 +291,21 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             # rejected without a gradient.
             if armijo or f_try <= f:
                 g_try, bd_try = obj.gradient(trial)
-                g_try = _evenize(g_try, n)
                 accepted = (armijo
-                            or l2_norm_pair(g_try[:n], g_try[n:], grid)
-                            / grid.dx < 0.99 * gnorm)
+                            or math.sqrt(dot(g_try, g_try) / grid.dx)
+                            < 0.99 * gnorm)
             barrier_hit = trial.dvds is not None
             trial = None  # drop the value stage before the next trial
             if accepted:
                 x_new, f_new, g_new, bd_new = x_try, f_try, g_try, bd_try
                 break
-            t *= 0.5
+            if f_try > f:
+                # minimiser of the quadratic through f, the slope and
+                # f_try, safeguarded (Nocedal & Wright, section 3.5)
+                t_q = -slope * t * t / (2.0 * (f_try - f - slope * t))
+                t = min(max(t_q, 0.1 * t), 0.5 * t)
+            else:
+                t *= 0.5
         if not accepted:
             if mem_s:
                 # stale curvature pairs can poison the direction this far
@@ -277,7 +326,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
 
         s_v = x_new - x
         y_v = g_new - g
-        sy = float(s_v @ y_v)
+        sy = dot(s_v, y_v)
         if sy > 1e-300:
             mem_s.append(s_v)
             mem_y.append(y_v)
@@ -289,40 +338,39 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         x, f, g, bd = x_new, f_new, g_new, bd_new
         boundary_hit = boundary_hit or barrier_hit
 
-        # the translation group is pinned by evenness; recentre by a half
-        # period (which preserves evenness) if the peak ever hops there
-        if _envelope_argmax(x[:n]) not in (n // 2 - 1, n // 2, n // 2 + 1):
-            shift = n // 2 - _envelope_argmax(x[:n])
-            if abs(shift) == n // 2:
-                roll = lambda v: np.concatenate(
-                    [np.roll(v[:n], shift), np.roll(v[n:], shift)])
-                x, g = roll(x), roll(g)
-                mem_s = [roll(v) for v in mem_s]
-                mem_y = [roll(v) for v in mem_y]
+        # the translation group is pinned by evenness, which leaves the
+        # envelope peak at sample n/2 (x = 0) or at sample 0; recentre a
+        # peak at sample 0 by a half period, which preserves evenness
+        if _envelope_argmax(_mirror(x, n)[0]) == 0:
+            x, g = _half_period_roll(x), _half_period_roll(g)
+            mem_s = [_half_period_roll(v) for v in mem_s]
+            mem_y = [_half_period_roll(v) for v in mem_y]
 
-        gnorm = l2_norm_pair(g[:n], g[n:], grid) / grid.dx
-        history.append((it, f, gnorm, t))
+        gnorm = math.sqrt(dot(g, g) / grid.dx)
+        history.append((it, f, gnorm, t, obj.value_evals - logged_evals))
+        logged_evals = obj.value_evals
         converged = gnorm <= cfg.tol
 
-    eta = obj.split(x)
     result = MinimizeResult(
-        eta=eta, breakdown=bd, speed=cfg.mu / bd.l_trunc, iterations=it,
-        final_grad_norm=gnorm, boundary_hit=boundary_hit,
+        eta=obj.split(x), breakdown=bd, speed=cfg.mu / bd.l_trunc,
+        iterations=it, final_grad_norm=gnorm, boundary_hit=boundary_hit,
         converged=converged, history=history,
         value_evals=obj.value_evals, gradient_evals=obj.gradient_evals,
     )
     if cfg.use_exact_L_refinement:
-        _exact_refinement(result, p, cfg, obj, mem_s)
+        _exact_refinement(result, p, cfg,
+                          [_mirror(v, n).ravel() for v in mem_s[-3:]])
+    result.spectral_tail = _spectral_tail(result.eta)
     return result
 
 
 def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
-                      obj: _Objective, mem_s: list):
+                      directions: list):
     """Re-evaluate the kinetic energy with the elliptic oracle and take a
     few corrected steps along the recent descent subspace.
 
     The correction gradient is approximated by central differences of
-    J_exact along the (orthonormalised) last few descent directions.
+    J_exact along the (orthonormalised) full-grid ``directions``.
     """
     from .dno import StripGrid, eval_L_exact
 
@@ -330,21 +378,22 @@ def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
     n = grid.n
     strip = StripGrid(nx=grid.n, ny=48, depth_under=12.0 / grid.carrier)
 
-    def j_exact(eta: ProfilePair):
+    def j_exact(x: np.ndarray):
+        eta = ProfilePair(grid, x[:n], x[n:])
         bd = eval_J(eta, p, cfg.mu)
         l_ex = eval_L_exact(eta, p, strip)
         return bd.k_total + cfg.mu**2 / l_ex, l_ex
 
     x = np.concatenate([result.eta.eta_under, result.eta.eta_over])
     dirs = []
-    for v in mem_s[-3:]:
+    for v in directions:
         w = v.copy()
         for d in dirs:
             w -= float(w @ d) * d
         nw = float(np.sqrt(w @ w))
         if nw > 1e-14:
             dirs.append(w / nw)
-    f0, l_ex = j_exact(obj.split(x))
+    f0, l_ex = j_exact(x)
     scale = math.sqrt(float(x @ x)) + 1e-30
     for _ in range(2):
         if not dirs:
@@ -352,8 +401,8 @@ def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
         h = 1e-6 * scale
         coeffs = []
         for d in dirs:
-            fp, _ = j_exact(obj.split(x + h * d))
-            fm, _ = j_exact(obj.split(x - h * d))
+            fp, _ = j_exact(x + h * d)
+            fm, _ = j_exact(x - h * d)
             coeffs.append((fp - fm) / (2.0 * h))
         gsub = np.zeros_like(x)
         for cval, d in zip(coeffs, dirs):
@@ -364,7 +413,7 @@ def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
         t = h / gn * 10.0
         improved = False
         for _ in range(20):
-            f_try, l_try = j_exact(obj.split(x - t * gsub))
+            f_try, l_try = j_exact(x - t * gsub)
             if f_try < f0:
                 x = x - t * gsub
                 f0, l_ex = f_try, l_try
@@ -373,7 +422,7 @@ def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
             t *= 0.5
         if not improved:
             break
-    eta = obj.split(x)
+    eta = ProfilePair(grid, x[:n], x[n:])
     result.eta = eta
     result.breakdown = eval_J(eta, p, cfg.mu)
     result.l_exact = l_ex

@@ -172,8 +172,13 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert result["converged"] is True
     assert result["breakdown"]["j_mu"] < 2.0 * result["nu0"] * 0.006
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()
-    assert iters[0] == "iteration,j_mu,grad_norm,step"
+    assert iters[0] == "iteration,j_mu,grad_norm,step,trials"
     assert len(iters) == result["iterations"] + 2
+    # each row counts the values evaluated since the one before
+    trials = [int(row.split(",")[4]) for row in iters[1:]]
+    assert sum(trials) == result["value_evals"]
+    # reported, not gated: this coarse grid leaves a visible tail
+    assert 0.0 < result["spectral_tail"] < 1.0
     # one gradient per accepted step and at the start; the line search
     # evaluates at least as many values
     assert (result["iterations"] + 1 <= result["gradient_evals"]

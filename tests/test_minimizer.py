@@ -7,8 +7,9 @@ from gcwaves import (MinimizeConfig, build_eta_star, eps_of_mu,
 from gcwaves import fieldops, minimizer
 from gcwaves.dispersion import eval_g
 from gcwaves.errors import ConfigError, OutOfConeError
-from gcwaves.fieldops import eval_L_trunc
-from gcwaves.minimizer import MinimizeResult, _evenize
+from gcwaves.fieldops import ProfilePair, eval_L_trunc
+from gcwaves.minimizer import (MinimizeResult, _half, _half_period_roll,
+                               _half_weights, _mirror, _spectral_tail)
 
 from conftest import BENCH
 
@@ -111,6 +112,8 @@ def test_barrier_activates_with_tiny_ball(bench_crit, bench_coeffs):
     assert r.boundary_hit
     # iterates never breach the ball itself
     assert r.eta.h2_norm() < tiny_M
+    # the interpolating backtrack finds the barrier's wall in a few trials
+    assert r.value_evals <= 3 * r.iterations
 
 
 def _fail_line_search_trial(monkeypatch, error, entry):
@@ -212,14 +215,57 @@ def test_preconditioner_inverts_shifted_g_on_every_mode(bench_crit,
         assert np.max(np.abs(pre @ shifted - np.eye(2))) <= 1e-13
 
 
-def test_evenize_projection():
+def _evenize(x, n):
+    """Reference projection of a flat (u, v) vector onto even profiles:
+    the average of each row and its reflection u[j] -> u[-j mod n]."""
+    rows = x.reshape(2, n)
+    return 0.5 * (rows + np.roll(rows[:, ::-1], 1, axis=1))
+
+
+def test_mirrored_half_is_the_even_projection():
     n = 16
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(2 * n)
-    y = _evenize(x, n)
-    assert _evenize(y, n) == pytest.approx(y, abs=1e-16)
-    u = y[:n]
-    assert u[1:] == pytest.approx(u[1:][::-1], abs=1e-16)
+    y = _evenize(np.random.default_rng(3).standard_normal(2 * n), n)
+    h = _half(y, n)
+    assert h.shape == (n + 2,)
+    assert np.array_equal(_mirror(h, n), y)
+
+
+def test_half_grid_dot_equals_full_grid_dot():
+    n = 4096
+    rng = np.random.default_rng(5)
+    a, b = (_evenize(rng.standard_normal(2 * n), n) for _ in range(2))
+    full = float(np.sum(a * b))
+    half = float(np.sum(_half_weights(n) * _half(a, n) * _half(b, n)))
+    assert half == pytest.approx(full, rel=1e-15, abs=0.0)
+
+
+def test_half_period_roll_reverses_the_half():
+    n = 32
+    y = _evenize(np.random.default_rng(7).standard_normal(2 * n), n)
+    rolled = np.roll(y, n // 2, axis=1)
+    assert np.array_equal(_half(rolled, n), _half_period_roll(_half(y, n)))
+
+
+def test_spectral_tail_reads_the_top_band():
+    grid = make_grid(256, 1.0, 8)
+    x = grid.x
+    # the top 20% of the 129 rfft bins starts at bin 102
+    under = np.cos(3.0 * grid.k[1] * x) + 1e-6 * np.cos(110.0 * grid.k[1] * x)
+    over = 0.5 * np.cos(5.0 * grid.k[1] * x) + 4e-6 * np.cos(
+        120.0 * grid.k[1] * x)
+    eta = ProfilePair(grid, under, over)
+    assert _spectral_tail(eta) == pytest.approx(8e-6, rel=1e-6)
+    below = ProfilePair(grid, under, 0.5 * np.cos(101.0 * grid.k[1] * x)
+                        + np.cos(2.0 * grid.k[1] * x))
+    assert _spectral_tail(below) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_history_counts_every_value(run):
+    r, _ = run
+    assert [h[0] for h in r.history] == list(range(r.iterations + 1))
+    assert r.history[0][4] == 1
+    assert all(h[4] >= 1 for h in r.history)
+    assert sum(h[4] for h in r.history) == r.value_evals
 
 
 def test_speed_fit_on_synthetic_runs(bench_crit, bench_coeffs):
@@ -264,3 +310,5 @@ def test_exact_refinement_smoke(bench_crit, bench_coeffs):
     assert r.speed_exact == pytest.approx(mu / r.l_exact, rel=1e-14)
     # the truncation and the elliptic oracle agree closely at this size
     assert r.l_exact == pytest.approx(r.breakdown.l_trunc, rel=1e-3)
+    # the refinement steps along mirrored, hence even, directions
+    assert np.array_equal(r.eta.eta_under[1:], r.eta.eta_under[:0:-1])
