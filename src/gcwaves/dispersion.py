@@ -32,9 +32,8 @@ from .errors import ConfigError, RangeError, NumericalError
 _K_HYPERBOLIC_CUTOFF = 30.0
 
 #: a bracketed secant iteration stops once a step moves its iterate by
-#: at most this fraction of it, and bisects after this many steps
+#: at most this fraction of it
 _SECANT_REL_TOL = 1e-12
-_SECANT_STEPS = 50
 
 #: two local minima closer than this (in lambda_minus value) count as tied
 DOUBLE_MIN_TOL = 1e-9
@@ -259,25 +258,32 @@ def eval_a2(p: Params, k0: float, nu0: float, a: float) -> float:
 
 
 def _secant_root(f, a: float, b: float, fa: float, fb: float, x: float):
-    """Root of f in the bracket (a, b), f(a) < 0 < f(b), by a
-    bisection-safeguarded secant iteration started at x.
+    """Root of f in the bracket (a, b), f(a) < 0 < f(b), by the Illinois
+    variant of regula falsi started at x.
 
     Each step is the secant through the bracket ends, or the bisection
-    where that leaves the bracket.  On a flat (near-multiple) root the
-    secant steps shrink too slowly to converge, so after _SECANT_STEPS
-    of them the iteration goes on by bisection alone.
+    where that leaves the bracket.  When two new points in a row replace
+    the same end, the value kept at the other end is halved (the Illinois
+    rule), so a flat (near-multiple) root cannot pin one end in place and
+    the iteration stays superlinear.
     """
-    for i in range(200):
+    side = 0  # the end the last new point replaced: -1 for a, +1 for b
+    for _ in range(200):
         fx = f(x)
         if fx == 0.0:
             return x
         if fx < 0.0:
             a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
         else:
             b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
         x_secant = (a * fb - b * fa) / (fb - fa)
-        x_new = (x_secant if i < _SECANT_STEPS and a < x_secant < b
-                 else 0.5 * (a + b))
+        x_new = x_secant if a < x_secant < b else 0.5 * (a + b)
         if abs(x_new - x) <= _SECANT_REL_TOL * x_new:
             return x_new
         x = x_new

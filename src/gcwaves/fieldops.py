@@ -549,10 +549,10 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         raise RangeError("eps must be non-negative")
     amp, decay = soliton_shape(c)
     L = grid.period
-    overlap = 1.0 / math.cosh(0.5 * decay * eps * L)
-    if overlap > 1e-12:
+    if eps < wrap_floor(c, grid):
+        overlap = 1.0 / math.cosh(0.5 * decay * eps * L)
         raise GeometryError(
-            f"envelope wrap overlap {overlap:.2e} exceeds 1e-12; "
+            f"envelope wrap overlap {overlap:.2e} exceeds {_WRAP_OVERLAP:g}; "
             "enlarge the period or the carrier multiple"
         )
     kc = grid.carrier
@@ -581,21 +581,36 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         + eps**2 * env2 * (w1[1] * carrier2 + w2[1])
     )
     n = grid.n
-    eta_under = np.fft.irfft(_rfft(eta_under, n), n)
-    eta_over = np.fft.irfft(_rfft(eta_over, n), n)
+    eta_under, eta_over = np.fft.irfft(
+        _rfft(np.stack([eta_under, eta_over]), n), n)
     return ProfilePair(grid, eta_under, eta_over)
 
 
+#: largest envelope overlap across the period ends that a test profile
+#: may carry, sech(decay * eps * period / 2)
+_WRAP_OVERLAP = 1e-12
 #: margin on the shortest period that passes the envelope wrap test
 _WRAP_SAFETY = 1.1
+
+
+def wrap_floor(c: NlsCoefficients, grid: PeriodicGrid) -> float:
+    """Smallest eps whose test profile passes the envelope wrap test on
+    the grid, 2 acosh(1e12) / (decay * period); ``build_eta_star`` rejects
+    every eps below it."""
+    return (2.0 * math.acosh(1.0 / _WRAP_OVERLAP)
+            / (soliton_shape(c)[1] * grid.period))
 
 
 def suggest_carrier_multiple(c: NlsCoefficients, crit: CriticalPoint,
                              mu: float) -> int:
     """Smallest carrier multiple whose period passes the wrap test at mu.
 
-    The widest envelope probed while inverting mu -> eps has eps ~ 0.95 mu,
-    and sech(x) < 1e-12 needs x > 28.4; ``_WRAP_SAFETY`` pads the bound.
+    sech(x) < 1e-12 needs x > 28.4, so the period puts the grid's wrap
+    floor (``wrap_floor``) at or below 0.95 mu / ``_WRAP_SAFETY``, about
+    0.86 mu.  The root of mu(eps) = mu lies above it in the
+    small-amplitude range, where eps = mu (1 - kappa mu^2) with
+    kappa mu^2 of a few percent; ``eps_of_mu`` never probes below the
+    floor.
     """
     _, decay = soliton_shape(c)
     period_min = 2.0 * 28.4 * _WRAP_SAFETY / (decay * 0.95 * mu)
@@ -610,29 +625,90 @@ def mu_of_eps(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     return crit.nu0 * (l2 + l3 + l4)
 
 
+def _cubic_model_root(mu: float, kappa: float) -> float | None:
+    """Root of eps + kappa eps^3 = mu on the increasing branch of the
+    cubic, by Newton's method from eps = mu; None where it has none.
+
+    The cubic is convex (kappa > 0) or concave (kappa < 0) for eps > 0,
+    so the iterates approach the root from one side without crossing it.
+    """
+    eps = mu
+    for _ in range(50):
+        slope = 1.0 + 3.0 * kappa * eps**2
+        if slope <= 0.0:
+            return None
+        step = (eps + kappa * eps**3 - mu) / slope
+        eps -= step
+        if abs(step) <= 1e-15 * eps:
+            return eps
+    return None
+
+
+#: bracket rungs (below, above) in units of mu, widened in turn when the
+#: model step does not bracket the root
+_LADDER = ((0.95, 1.06), (0.8, 1.25), (0.5, 2.0), (0.25, 4.0))
+
+
 def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
               grid: PeriodicGrid, mu: float) -> float:
-    """Invert eps -> mu(eps) by a bisection-safeguarded secant iteration."""
+    """Invert eps -> mu(eps), bracketing the root from the NLS scaling.
+
+    mu(eps) = eps + O(eps^3), so one value f0 = mu(eps0) - mu at
+    eps0 = mu fixes kappa = f0 / mu^3 in the odd cubic model
+    eps + kappa eps^3 = mu, whose root eps1 is a scalar solve.  Where
+    f(eps1) and f0 differ in sign they bracket the root, and the
+    bracketed secant iteration (``dispersion._secant_root``) starts at
+    their secant point: three values of mu(eps) in all below mu ~ 3e-3 on
+    the bench configuration.  Otherwise the bracket widens rung by rung
+    (``_LADDER``), reusing every value already taken.  No trial lies
+    below the grid's wrap floor (``wrap_floor``); where mu(eps) at the
+    floor already exceeds mu, the root is unreachable on this grid and
+    a RangeError says so.
+    """
     if mu <= 0.0:
         raise RangeError("mu must be positive")
-    # mu(eps) = eps + O(eps^3): start from a narrow bracket (which keeps the
-    # widest trial envelope inside the wrap tolerance) and expand if needed.
-    a = b = fa = fb = None
-    for lo_f, hi_f in ((0.95, 1.06), (0.8, 1.25), (0.5, 2.0), (0.25, 4.0)):
-        lo, hi = lo_f * mu, hi_f * mu
-        f_lo = mu_of_eps(p, c, crit, grid, lo) - mu
-        f_hi = mu_of_eps(p, c, crit, grid, hi) - mu
-        if f_lo < 0.0 < f_hi:
-            a, b, fa, fb = lo, hi, f_lo, f_hi
-            break
-    if a is None:
+    eps_min = wrap_floor(c, grid)
+
+    def f(eps: float) -> float:
+        return mu_of_eps(p, c, crit, grid, eps) - mu
+
+    lo = hi = None  # the (eps, f) nearest the root with f < 0 and f >= 0
+
+    def probe(eps: float) -> float:
+        nonlocal lo, hi
+        value = f(eps)
+        if value < 0.0:
+            if lo is None or eps > lo[0]:
+                lo = (eps, value)
+        elif hi is None or eps < hi[0]:
+            hi = (eps, value)
+        return value
+
+    # eps0 exceeds mu only where the period is too short for mu
+    eps0 = max(mu, eps_min)
+    f0 = probe(eps0)
+    eps1 = _cubic_model_root(mu, (f0 + mu - eps0) / eps0**3)
+    if eps1 is not None and max(eps1, eps_min) != eps0:
+        probe(max(eps1, eps_min))
+    for lo_f, hi_f in _LADDER:
+        if lo is None and max(lo_f * mu, eps_min) < hi[0]:
+            probe(max(lo_f * mu, eps_min))
+        elif hi is None and hi_f * mu > lo[0]:
+            probe(hi_f * mu)
+    if lo is None and hi[0] == eps_min:
+        raise RangeError(
+            f"mu(eps) exceeds mu={mu:g} already at the wrap floor "
+            f"eps_min = {eps_min / mu:.4f} mu of this grid (carrier multiple "
+            f"{grid.k0_multiple}): mu is outside the small-amplitude range, "
+            "or the period is too short for it"
+        )
+    if lo is None or hi is None or lo[0] > hi[0]:
         raise RangeError(
             "mu(eps) is not increasing through the target on the bracket; "
             "eps is outside the small-amplitude range"
         )
-    # started at eps = mu, its leading order
-    return _secant_root(lambda eps: mu_of_eps(p, c, crit, grid, eps) - mu,
-                        a, b, fa, fb, mu)
+    (a, fa), (b, fb) = lo, hi
+    return _secant_root(f, a, b, fa, fb, (a * fb - b * fa) / (fb - fa))
 
 
 # ---------------------------------------------------------------------------

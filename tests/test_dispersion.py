@@ -262,6 +262,26 @@ def test_degenerate_regime():
     assert not rep.crit.assumption1_nondeg
 
 
+def test_flat_minimum_refines_in_few_slope_evaluations(monkeypatch):
+    # the degenerate minimum is a near-triple root of lambda_minus'; plain
+    # regula falsi keeps one bracket end for 50 steps there (83 slope
+    # evaluations), the Illinois rule does not
+    from gcwaves import dispersion
+    q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
+    calls = []
+    slope = dispersion._slope
+
+    def counted(k, p):
+        calls.append(k)
+        return slope(k, p)
+    monkeypatch.setattr(dispersion, "_slope", counted)
+    for samples in (512, 4096):
+        calls.clear()
+        rep = find_critical(q, samples=samples)
+        assert rep.verdict == "Degenerate"
+        assert len(calls) <= 30
+
+
 # frozen 40-digit evaluations of (k0, nu0, a, lambda''(k0), A2): k0 is the
 # root of lambda_minus', and the rest follow from the same closed forms
 MINIMUM_DATA = {

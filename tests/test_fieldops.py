@@ -11,9 +11,10 @@ from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
                      read_profile_csv, suggest_carrier_multiple,
                      write_profile_csv)
 from gcwaves.dispersion import fbar_entries
-from gcwaves.errors import ConfigError, GeometryError, OutOfConeError
+from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
+                            RangeError)
 from gcwaves.fieldops import (StagedProfile, _fbar_inverse_entries,
-                              zero_profile)
+                              wrap_floor, zero_profile)
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile
@@ -495,6 +496,65 @@ def test_mu_eps_roundtrip(bench_coeffs, bench_crit):
         mu = mu_of_eps(BENCH, bench_coeffs, bench_crit, grid, eps)
         back = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
         assert back == pytest.approx(eps, rel=1e-10)
+
+
+def _counted_inversion(monkeypatch, p, c, crit, mu, n):
+    """eps_of_mu on the suggested grid, with its mu(eps) values counted,
+    and the roundtrip error |mu(eps)/mu - 1|."""
+    from gcwaves import fieldops
+    grid = make_grid(n, crit.k0, suggest_carrier_multiple(c, crit, mu))
+    calls = []
+    monkeypatch.setattr(fieldops, "mu_of_eps",
+                        lambda *args: calls.append(args) or mu_of_eps(*args))
+    eps = eps_of_mu(p, c, crit, grid, mu)
+    monkeypatch.undo()
+    return len(calls), abs(mu_of_eps(p, c, crit, grid, eps) / mu - 1.0)
+
+
+@pytest.mark.parametrize("mu, budget", [(1e-3, 3), (2e-3, 3), (4e-3, 4)])
+def test_eps_of_mu_cost_and_accuracy(monkeypatch, bench_coeffs, bench_crit,
+                                     mu, budget):
+    # the cubic model brackets the root after one value; bracketing
+    # blindly took 5, 5 and 6 values
+    calls, roundtrip = _counted_inversion(monkeypatch, BENCH, bench_coeffs,
+                                          bench_crit, mu, 4096)
+    assert calls <= budget
+    assert roundtrip <= 1e-12
+
+
+def test_eps_of_mu_cost_near_resonance(monkeypatch, resonant_coeffs,
+                                       resonant_crit):
+    # kappa mu^2 is 4% here, so the model step misses the root by more;
+    # bracketing blindly took 9 values
+    from conftest import NEAR_RESONANT
+    calls, roundtrip = _counted_inversion(monkeypatch, NEAR_RESONANT,
+                                          resonant_coeffs, resonant_crit,
+                                          4e-4, 4096)
+    assert calls < 9
+    assert roundtrip <= 1e-12
+
+
+def test_wrap_floor_is_the_eta_star_test(bench_coeffs, bench_crit):
+    grid = make_grid(256, bench_crit.k0, 400)
+    eps_min = wrap_floor(bench_coeffs, grid)
+    build_eta_star(bench_coeffs, bench_crit, eps_min, grid, BENCH)
+    with pytest.raises(GeometryError):
+        build_eta_star(bench_coeffs, bench_crit, eps_min * (1.0 - 1e-12),
+                       grid, BENCH)
+
+
+def test_eps_of_mu_past_the_small_amplitude_range(bench_coeffs, bench_crit):
+    # mu(eps) at the suggested grid's wrap floor already exceeds mu = 0.02;
+    # a trial below the floor would raise GeometryError instead
+    mu = 0.02
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    grid = make_grid(4096, bench_crit.k0, m)
+    ratio = wrap_floor(bench_coeffs, grid) / mu
+    with pytest.raises(RangeError, match="wrap floor") as err:
+        eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+    assert f"mu={mu:g}" in str(err.value)
+    assert f"{ratio:.4f} mu" in str(err.value)
+    assert f"carrier multiple {m}" in str(err.value)
 
 
 def test_cubic_law_near_resonant_regime(resonant_crit, resonant_coeffs):
