@@ -315,6 +315,7 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
         "final_grad_norm": r.final_grad_norm,
         "boundary_hit": r.boundary_hit,
         "converged": r.converged,
+        "levels": r.levels,
     }
     if r.l_exact is not None:
         out["l_exact"] = r.l_exact
@@ -357,7 +358,7 @@ def cmd_minimize(args) -> int:
         write_json(os.path.join(args.out, f"{tag}.result.json"),
                    _result_dict(r, rep.crit))
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),
-                  ["iteration", "j_mu", "grad_norm", "step", "trials"],
+                  ["iteration", "j_mu", "grad_norm", "step", "trials", "n"],
                   r.history)
     if len(runs) >= 3:
         fit = minimizer.speed_expansion_check(runs, rep.crit, c)

@@ -265,27 +265,40 @@ def _secant_root(f, a: float, b: float, fa: float, fb: float, x: float):
     where that leaves the bracket.  When two new points in a row replace
     the same end, the value kept at the other end is halved (the Illinois
     rule), so a flat (near-multiple) root cannot pin one end in place and
-    the iteration stays superlinear.
+    the iteration stays superlinear.  The point returned on convergence
+    is the plain secant through the final bracket, with the ends' true
+    values: a halved value would double the last correction.  That
+    correction starts from the last point, an end of the bracket, and
+    may round onto it, so the point is kept in the closed bracket rather
+    than bisected.
     """
+
+    def secant(fa: float, fb: float) -> float:
+        return (a * fb - b * fa) / (fb - fa)
+
     side = 0  # the end the last new point replaced: -1 for a, +1 for b
+    fa_true, fb_true = fa, fb
     for _ in range(200):
         fx = f(x)
         if fx == 0.0:
             return x
         if fx < 0.0:
             a, fa = x, fx
+            fa_true = fx
             if side < 0:
                 fb *= 0.5
             side = -1
         else:
             b, fb = x, fx
+            fb_true = fx
             if side > 0:
                 fa *= 0.5
             side = 1
-        x_secant = (a * fb - b * fa) / (fb - fa)
-        x_new = x_secant if a < x_secant < b else 0.5 * (a + b)
+        x_new = secant(fa, fb)
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
         if abs(x_new - x) <= _SECANT_REL_TOL * x_new:
-            return x_new
+            return min(max(secant(fa_true, fb_true), a), b)
         x = x_new
     raise NumericalError("bracketed secant iteration did not converge")
 

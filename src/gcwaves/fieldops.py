@@ -159,8 +159,9 @@ class _Symbols:
         self.parseval = w * grid.period / npad**2
 
 
-#: grids whose symbols stay cached; a descent or an eps(mu) inversion
-#: works on one grid at a time, a sweep on one grid per mu
+#: grids whose symbols stay cached; an eps(mu) inversion works on one
+#: grid, a descent walks up to 3 grids of its ladder, and a sweep has
+#: its own ladder per mu
 _SYMBOL_GRIDS = 4
 _symbol_cache: OrderedDict[tuple[int, float], _Symbols] = OrderedDict()
 

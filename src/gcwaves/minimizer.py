@@ -29,12 +29,30 @@ rejected.  After a trial whose value rose, the step backtracks to the
 minimiser of the quadratic through the current value, the slope and the
 trial's value, kept within [0.1 t, 0.5 t]; other rejected trials halve
 the step.
+
+The descent climbs a ladder of grids (nested iteration; Brandt, Math.
+Comp. 1977).  The minimisers are modulated carriers whose j-th harmonic
+is O(eps^j), so the grid whose Nyquist wavenumber first clears the third
+carrier harmonic already holds the wave to within the stopping
+tolerance.  The ladder starts on the coarsest such power of two (same
+period) and doubles up to the requested grid; ``eps_of_mu`` and the test
+profile run on its first grid.  Each grid descends to the same gradient
+tolerance with its own objective, preconditioner and an empty L-BFGS
+memory, from the iterate of the grid below, prolonged by zero-padding
+its spectrum, which is exact for a band-limited iterate and keeps it
+even.  ``max_iters`` is one budget for the whole ladder.  The requested
+grid has the last word: ``converged`` is its gradient test, so content a
+coarse grid could not hold shows up there as gradient and its descent
+removes it.  Prolongation fills only wavenumbers below a quarter of the
+finer grid's samples, well under the top-20% band that
+``spectral_tail`` reads, so the tail still measures that grid's
+resolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +68,10 @@ _MU_CEILING = 1e-2
 
 #: curvature pairs kept by the L-BFGS two-loop recursion
 _LBFGS_MEMORY = 20
+
+#: carrier harmonics 0..3 lie below the Nyquist wavenumber of every grid
+#: of the descent's ladder (the j-th harmonic of the wave is O(eps^j))
+_LADDER_HARMONICS = 3
 
 
 @dataclass(frozen=True)
@@ -87,8 +109,9 @@ class MinimizeResult:
     final_grad_norm: float
     boundary_hit: bool
     converged: bool
-    #: (iter, J, grad_norm, step, trials): trials counts the objective
-    #: values evaluated since the previous row (the start's for row 0)
+    #: (iter, J, grad_norm, step, trials, n): trials counts the objective
+    #: values evaluated since the previous row, and n is the grid's size;
+    #: each grid's first row is its start, with step 0.0
     history: list = field(default_factory=list)
     l_exact: float | None = None
     speed_exact: float | None = None
@@ -99,6 +122,9 @@ class MinimizeResult:
     #: largest |rfft coefficient| in the top 20% of the band over the
     #: largest one, the larger of the two components (report only)
     spectral_tail: float | None = None
+    #: per grid of the ladder, coarsest first: {n, iterations,
+    #: value_evals, gradient_evals}
+    levels: list = field(default_factory=list)
 
 
 class _Trial(NamedTuple):
@@ -217,19 +243,101 @@ def _spectral_tail(eta: ProfilePair) -> float:
     return float(np.max(top / a.max(axis=1)))
 
 
+def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
+    """Grids of the descent, coarsest first: the coarsest power of two
+    n_c >= 16 whose Nyquist wavenumber lies above carrier harmonic
+    ``_LADDER_HARMONICS`` (n_c / 2 > 3 m), doubled up to the requested
+    grid, which ends the ladder.  ``[grid]`` where that grid is the
+    coarsest such one or has no carrier multiple."""
+    m = grid.k0_multiple
+    if m is None:
+        return [grid]
+    n_c = 16
+    while n_c < grid.n and n_c // 2 <= _LADDER_HARMONICS * m:
+        n_c *= 2
+    coarse = []
+    while n_c < grid.n:
+        coarse.append(PeriodicGrid(n=n_c, period=grid.period, k0_multiple=m))
+        n_c *= 2
+    return coarse + [grid]
+
+
+def _prolong(h: np.ndarray, n: int, n_to: int) -> np.ndarray:
+    """Half-grid vector on n_to samples of the band-limited interpolant of
+    the half-grid vector h on n samples (same period): the Nyquist-cleaned
+    spectrum of the mirrored rows, zero-padded."""
+    U = _rfft(_mirror(h, n), n)
+    return _half(np.fft.irfft(U, n_to) * (n_to / n), n_to)
+
+
+class _Level(NamedTuple):
+    """Where the descent on one grid stopped."""
+
+    x: np.ndarray
+    gnorm: float
+    bd: FunctionalBreakdown
+    iterations: int
+    converged: bool
+    boundary_hit: bool
+
+
 def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
              cfg: MinimizeConfig) -> MinimizeResult:
-    """Descend J_mu from the matched test profile.
+    """Descend J_mu from the matched test profile, up the grid ladder.
 
     Deterministic for fixed inputs.  Raises NumericalError (with the last
     iterate attached) if the line search fails away from the optimum;
     hitting max_iters returns converged=False rather than raising.
     """
-    grid = cfg.grid
-    eps = eps_of_mu(p, c, crit, grid, cfg.mu)
-    eta0 = build_eta_star(c, crit, eps, grid, p)
-    obj = _Objective(p, cfg, crit, c)
+    grids = _ladder(cfg.grid)
+    eps = eps_of_mu(p, c, crit, grids[0], cfg.mu)
+    eta0 = build_eta_star(c, crit, eps, grids[0], p)
+    x = _half(np.stack([eta0.eta_under, eta0.eta_over]), grids[0].n)
+    history: list = []
+    levels: list = []
+    # the last three steps taken on any grid, on the current grid
+    steps: list[np.ndarray] = []
+    it = 0
+    boundary_hit = False
+    for i, grid in enumerate(grids):
+        if i:
+            n_prev = grids[i - 1].n
+            x = _prolong(x, n_prev, grid.n)
+            steps = [_prolong(v, n_prev, grid.n) for v in steps]
+        obj = _Objective(p, replace(cfg, grid=grid), crit, c)
+        level = _descend(obj, x, it, history, steps)
+        levels.append({"n": grid.n, "iterations": level.iterations - it,
+                       "value_evals": obj.value_evals,
+                       "gradient_evals": obj.gradient_evals})
+        x, it = level.x, level.iterations
+        boundary_hit = boundary_hit or level.boundary_hit
 
+    n = cfg.grid.n
+    bd = level.bd
+    result = MinimizeResult(
+        eta=obj.split(x), breakdown=bd, speed=cfg.mu / bd.l_trunc,
+        iterations=it, final_grad_norm=level.gnorm,
+        boundary_hit=boundary_hit, converged=level.converged,
+        history=history,
+        value_evals=sum(lv["value_evals"] for lv in levels),
+        gradient_evals=sum(lv["gradient_evals"] for lv in levels),
+        levels=levels,
+    )
+    if cfg.use_exact_L_refinement:
+        _exact_refinement(result, p, cfg,
+                          [_mirror(v, n).ravel() for v in steps])
+    result.spectral_tail = _spectral_tail(result.eta)
+    return result
+
+
+def _descend(obj: _Objective, x: np.ndarray, it: int, history: list,
+             steps: list) -> _Level:
+    """L-BFGS descent on the objective's grid from the half-grid vector x,
+    with an empty memory, until the gradient norm reaches ``cfg.tol`` or
+    the iteration count ``it``, shared by all grids, reaches
+    ``cfg.max_iters``.  Appends its rows to ``history`` and its accepted
+    steps to ``steps``, which keeps the last three."""
+    cfg, grid = obj.cfg, obj.grid
     n = grid.n
     weights = _half_weights(n)
 
@@ -238,11 +346,10 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         # erratically slow on a busy 2-core host
         return float(np.einsum("i,i,i->", weights, a, b))
 
-    x = _half(np.stack([eta0.eta_under, eta0.eta_over]), n)
     f, trial = obj(x)
     g, bd = obj.gradient(trial)
     gnorm = math.sqrt(dot(g, g) / grid.dx)
-    history = [(0, f, gnorm, 0.0, obj.value_evals)]
+    history.append((it, f, gnorm, 0.0, obj.value_evals, n))
     logged_evals = obj.value_evals
     boundary_hit = trial.dvds is not None
     trial = None
@@ -250,7 +357,6 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     mem_s: list[np.ndarray] = []
     mem_y: list[np.ndarray] = []
     rho_mem: list[float] = []
-    it = 0
     stalls = 0
     converged = gnorm <= cfg.tol
 
@@ -321,7 +427,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             raise NumericalError(
                 f"line search failed at iteration {it} (grad norm {gnorm:.3e})",
                 last_iterate=obj.split(x),
-                diagnostics={"J": f, "grad_norm": gnorm},
+                diagnostics={"J": f, "grad_norm": gnorm, "n": n},
             )
 
         s_v = x_new - x
@@ -335,6 +441,8 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
                 mem_s.pop(0)
                 mem_y.pop(0)
                 rho_mem.pop(0)
+        steps.append(s_v)
+        del steps[:-3]
         x, f, g, bd = x_new, f_new, g_new, bd_new
         boundary_hit = boundary_hit or barrier_hit
 
@@ -345,23 +453,14 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             x, g = _half_period_roll(x), _half_period_roll(g)
             mem_s = [_half_period_roll(v) for v in mem_s]
             mem_y = [_half_period_roll(v) for v in mem_y]
+            steps[:] = [_half_period_roll(v) for v in steps]
 
         gnorm = math.sqrt(dot(g, g) / grid.dx)
-        history.append((it, f, gnorm, t, obj.value_evals - logged_evals))
+        history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n))
         logged_evals = obj.value_evals
         converged = gnorm <= cfg.tol
 
-    result = MinimizeResult(
-        eta=obj.split(x), breakdown=bd, speed=cfg.mu / bd.l_trunc,
-        iterations=it, final_grad_norm=gnorm, boundary_hit=boundary_hit,
-        converged=converged, history=history,
-        value_evals=obj.value_evals, gradient_evals=obj.gradient_evals,
-    )
-    if cfg.use_exact_L_refinement:
-        _exact_refinement(result, p, cfg,
-                          [_mirror(v, n).ravel() for v in mem_s[-3:]])
-    result.spectral_tail = _spectral_tail(result.eta)
-    return result
+    return _Level(x, gnorm, bd, it, converged, boundary_hit)
 
 
 def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,

@@ -214,18 +214,21 @@ def test_criterion_8_minimization(bench_crit, bench_coeffs):
     runs = []
     details = []
     ok = True
-    for mu in (4e-3, 2e-3, 1e-3):
+    # resolved grids, about 30 points per carrier wavelength
+    for mu, n in ((4e-3, 4096), (2e-3, 8192), (1e-3, 16384)):
         m = suggest_carrier_multiple(c, crit, mu)
-        grid = make_grid(4096, crit.k0, m)
+        grid = make_grid(n, crit.k0, m)
         cfg = MinimizeConfig(mu=mu, grid=grid, max_iters=1500)
         r = minimize(BENCH, c, crit, cfg)
         runs.append(r)
         run_ok = (r.converged and r.final_grad_norm <= cfg.tol
                   and not r.boundary_hit
                   and r.breakdown.j_mu < 2.0 * crit.nu0 * mu
-                  and r.speed < crit.nu0)
+                  and r.speed < crit.nu0
+                  and r.spectral_tail <= 1e-7)
         ok &= run_ok
-        details.append(f"mu={mu}: iters={r.iterations}, "
+        details.append(f"mu={mu} n={n}: iters={r.iterations}, "
+                       f"tail={r.spectral_tail:.1e}, "
                        f"J-2nu0mu={r.breakdown.j_mu - 2 * crit.nu0 * mu:.2e}, "
                        f"nu-nu0={r.speed - crit.nu0:.2e}")
     fit = speed_expansion_check(runs, crit, c)

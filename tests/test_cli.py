@@ -172,8 +172,13 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert result["converged"] is True
     assert result["breakdown"]["j_mu"] < 2.0 * result["nu0"] * 0.006
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()
-    assert iters[0] == "iteration,j_mu,grad_norm,step,trials"
-    assert len(iters) == result["iterations"] + 2
+    assert iters[0] == "iteration,j_mu,grad_norm,step,trials,n"
+    # one row per iteration and one start row per grid of the ladder
+    levels = result["levels"]
+    assert len(iters) == result["iterations"] + len(levels) + 1
+    assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 1024
+    for key in ("iterations", "value_evals", "gradient_evals"):
+        assert sum(lv[key] for lv in levels) == result[key]
     # each row counts the values evaluated since the one before
     trials = [int(row.split(",")[4]) for row in iters[1:]]
     assert sum(trials) == result["value_evals"]
@@ -207,6 +212,11 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
         assert (outdir / f"{mu_tag}.result.json").exists()
         result = json.loads((outdir / f"{mu_tag}.result.json").read_text())
         assert result["converged"] is True
+        for key in ("iterations", "value_evals", "gradient_evals"):
+            assert sum(lv[key] for lv in result["levels"]) == result[key]
+    # at mu = 8e-3 the descent starts on the coarser grid n = 512
+    result = json.loads((outdir / "mu_0p008.result.json").read_text())
+    assert [lv["n"] for lv in result["levels"]] == [512, 1024]
 
 
 def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):

@@ -534,6 +534,26 @@ def test_eps_of_mu_cost_near_resonance(monkeypatch, resonant_coeffs,
     assert roundtrip <= 1e-12
 
 
+@pytest.mark.parametrize("regime, mu, n", [
+    ("resonant", 2e-4, 4096),
+    ("resonant", 2e-4, 8192),
+    ("bench", 0.015, 4096),
+    # the last correction, 4e-19, rounds onto the bracket end, where a
+    # bisection fallback returned the bracket's midpoint (1.4e-3)
+    ("bench", 0.0030925396224699784, 8192),
+])
+def test_eps_of_mu_returns_the_plain_secant_point(monkeypatch, request,
+                                                  regime, mu, n):
+    # an Illinois step halves one end value; returned as the root, that
+    # step doubled the last correction and read 2.5e-14 in the first three
+    from conftest import NEAR_RESONANT
+    p = {"resonant": NEAR_RESONANT, "bench": BENCH}[regime]
+    crit = request.getfixturevalue(f"{regime}_crit")
+    c = request.getfixturevalue(f"{regime}_coeffs")
+    _, roundtrip = _counted_inversion(monkeypatch, p, c, crit, mu, n)
+    assert roundtrip <= 1e-15
+
+
 def test_wrap_floor_is_the_eta_star_test(bench_coeffs, bench_crit):
     grid = make_grid(256, bench_crit.k0, 400)
     eps_min = wrap_floor(bench_coeffs, grid)
