@@ -40,25 +40,15 @@ _SCHEMA = {
     "grid": {"n": int, "k0_multiples": int, "strip_ny": int,
              "depth_under": float},
     "minimize": {"mu": float, "max_iters": int, "grad_tol": float,
-                 "M": float, "use_exact_refinement": bool},
+                 "M": float},
     "scan": {"k_min": float, "k_max": float, "samples": int},
 }
 
 _DEFAULTS = {
     "grid": {"n": 4096, "k0_multiples": 0, "strip_ny": 128, "depth_under": 0.0},
-    "minimize": {"mu": 2e-3, "max_iters": 2000, "grad_tol": 0.0,
-                 "M": 0.5, "use_exact_refinement": False},
+    "minimize": {"mu": 2e-3, "max_iters": 2000, "grad_tol": 0.0, "M": 0.5},
     "scan": {"k_min": 1e-3, "k_max": 1e3, "samples": 4096},
 }
-
-
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def parse_config(path: str) -> dict:
@@ -97,8 +87,7 @@ def parse_config(path: str) -> dict:
                 f"{path}:{lineno}: unknown key {key!r} in [{current}]"
             )
         try:
-            sections[current][key] = (_parse_bool(value) if typ is bool
-                                      else typ(value))
+            sections[current][key] = typ(value)
         except ValueError as ex:
             raise ConfigParseError(f"{path}:{lineno}: {ex}") from ex
     missing = [k for k in _SCHEMA["params"] if k not in sections["params"]]
@@ -298,13 +287,12 @@ def _run_minimize(cfg, p, rep, c, mu):
         max_iters=cfg["minimize"]["max_iters"],
         grad_tol=cfg["minimize"]["grad_tol"] or None,
         admissibility_M=cfg["minimize"]["M"],
-        use_exact_L_refinement=cfg["minimize"]["use_exact_refinement"],
     )
     return minimizer.minimize(p, c, rep.crit, mcfg)
 
 
 def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
-    out = {
+    return {
         "breakdown": _breakdown_dict(r.breakdown),
         "speed": r.speed,
         "nu0": crit.nu0,
@@ -317,10 +305,6 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
         "converged": r.converged,
         "levels": r.levels,
     }
-    if r.l_exact is not None:
-        out["l_exact"] = r.l_exact
-        out["speed_exact"] = r.speed_exact
-    return out
 
 
 def cmd_minimize(args) -> int:

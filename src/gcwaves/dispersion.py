@@ -376,13 +376,6 @@ def find_critical(
     return AssumptionReport(crit=crit, competing_minima=competing, verdict=verdict)
 
 
-def asymptotic_slopes(p: Params):
-    """Large-k slopes of lambda_-/|k| and lambda_+/|k|."""
-    s = p.beta_under + (1.0 + p.rho) * p.beta_over
-    d = abs(p.beta_under - (1.0 + p.rho) * p.beta_over)
-    return (s - d) / (2.0 * (1.0 + p.rho)), (s + d) / (2.0 * (1.0 + p.rho))
-
-
 def locate_branch_crossing(
     rho: float,
     beta_under: float,

@@ -374,8 +374,8 @@ def _k_parts(f: _Fields, p: Params):
     ux2, vx2 = f.ux**2, f.vx**2
     k_total = f.integral(
         0.5 * (1.0 - r) * f.u**2 + 0.5 * r * f.v**2
-        + bu * (np.sqrt(1.0 + ux2) - 1.0)
-        + r * bo * (np.sqrt(1.0 + vx2) - 1.0)
+        + bu * ux2 / (np.sqrt(1.0 + ux2) + 1.0)
+        + r * bo * vx2 / (np.sqrt(1.0 + vx2) + 1.0)
     )
     k2 = 0.5 * f.integral(
         (1.0 - r) * f.u**2 + r * f.v**2 + bu * ux2 + r * bo * vx2
@@ -505,9 +505,11 @@ def eval_L_trunc(eta: ProfilePair, p: Params):
 def eval_K(eta: ProfilePair, p: Params):
     """Exact surface energy and its quadratic/quartic truncations.
 
-    Returns (k_total, k2, k4).  The exact value uses the full
-    sqrt(1 + eta_x^2) integrand on the padded grid; the truncations are
-    the displayed polynomial parts.
+    Returns (k_total, k2, k4).  The exact value integrates
+    sqrt(1 + eta_x^2) - 1 on the padded grid, written as
+    eta_x^2 / (sqrt(1 + eta_x^2) + 1) so that it keeps full relative
+    precision at small slopes; the truncations are the displayed
+    polynomial parts.
     """
     return _k_parts(_Fields(eta), p)
 

@@ -14,21 +14,16 @@ as its samples 0..n/2 (the half grid): the iterate, the gradient, the
 direction and the L-BFGS memory are half-grid vectors, expanded to a
 trial profile by mirroring, u[n - j] = u[j], so every trial is even by
 construction.  Dot products weight the two end samples by 1 and the
-others by 2, which makes them equal to the full-grid products.  If the
-interface envelope ever peaks at the ends of the period (sample 0)
-rather than at x = 0 (sample n/2), the state and the memory are shifted
-by a half period, which on a half-grid vector is a reversal and keeps
-the quasi-Newton model exactly.
+others by 2, which makes them equal to the full-grid products.
 
 Each line-search trial is a value-only call: the objective evaluates J_mu
 and the barrier on a ``StagedProfile`` through ``eval_J``, and only a
-trial whose value did not rise, the only kind either acceptance rule can
-take, goes on to ``grad_J``, which runs the gradient stage on the same
-transforms.  The trial's value stage is dropped once it is accepted or
-rejected.  After a trial whose value rose, the step backtracks to the
-minimiser of the quadratic through the current value, the slope and the
-trial's value, kept within [0.1 t, 0.5 t]; other rejected trials halve
-the step.
+trial that passes the Armijo test goes on to ``grad_J``, which runs the
+gradient stage on the same transforms and is accepted.  The trial's
+value stage is dropped once it is accepted or rejected.  A rejected
+trial backtracks to the minimiser of the quadratic through the current
+value, the slope and the trial's value, kept within [0.1 t, 0.5 t]; a
+trial outside the truncation's cone halves the step.
 
 The descent climbs a ladder of grids (nested iteration; Brandt, Math.
 Comp. 1977).  The minimisers are modulated carriers whose j-th harmonic
@@ -79,13 +74,12 @@ class MinimizeConfig:
     mu: float
     grid: PeriodicGrid
     max_iters: int = 2000
-    #: stopping threshold on the discrete-L2 gradient norm.  The default
-    #: 1e-5 * mu sits a factor ~3 above the double-precision plateau of
-    #: the objective at n = 4096 (J-evaluation roundoff ~ 1e-17 absolute
-    #: stalls line searches near grad norms of a few times 1e-6 * mu).
+    #: stopping threshold on the discrete-L2 gradient norm.  With the
+    #: surface energy free of cancellation (``fieldops._k_parts``) the
+    #: descent reaches 1e-7 * mu at mu = 5e-4; the default 1e-5 * mu is
+    #: kept because 1e-6 * mu costs about 1.5x the iterations.
     grad_tol: float | None = None
     admissibility_M: float = 0.5
-    use_exact_L_refinement: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.mu < _MU_CEILING:
@@ -113,8 +107,6 @@ class MinimizeResult:
     #: values evaluated since the previous row, and n is the grid's size;
     #: each grid's first row is its start, with step 0.0
     history: list = field(default_factory=list)
-    l_exact: float | None = None
-    speed_exact: float | None = None
     #: objective values the descent took (line-search trials included)
     #: and the gradients among them
     value_evals: int = 0
@@ -152,11 +144,6 @@ def _half_weights(n: int) -> np.ndarray:
     w = np.full(n // 2 + 1, 2.0)
     w[0] = w[-1] = 1.0
     return np.concatenate([w, w])
-
-
-def _half_period_roll(h: np.ndarray) -> np.ndarray:
-    """Half-grid vector of the mirrored rows rolled by n/2."""
-    return h.reshape(2, -1)[:, ::-1].ravel()
 
 
 class _Objective:
@@ -227,14 +214,6 @@ class _Objective:
         return _half(g, n) * self.grid.dx, bd
 
 
-def _envelope_argmax(u: np.ndarray) -> int:
-    U = np.fft.fft(u)
-    n = len(u)
-    U[n // 2 + 1:] = 0.0
-    U[1: n // 2] *= 2.0
-    return int(np.argmax(np.abs(np.fft.ifft(U))))
-
-
 def _spectral_tail(eta: ProfilePair) -> float:
     """Largest |rfft coefficient| in the top 20% of the band over the
     largest one, the larger of the two components."""
@@ -286,8 +265,8 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     """Descend J_mu from the matched test profile, up the grid ladder.
 
     Deterministic for fixed inputs.  Raises NumericalError (with the last
-    iterate attached) if the line search fails away from the optimum;
-    hitting max_iters returns converged=False rather than raising.
+    iterate attached) if a line search fails; hitting max_iters returns
+    converged=False rather than raising.
     """
     grids = _ladder(cfg.grid)
     eps = eps_of_mu(p, c, crit, grids[0], cfg.mu)
@@ -295,48 +274,38 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     x = _half(np.stack([eta0.eta_under, eta0.eta_over]), grids[0].n)
     history: list = []
     levels: list = []
-    # the last three steps taken on any grid, on the current grid
-    steps: list[np.ndarray] = []
     it = 0
     boundary_hit = False
     for i, grid in enumerate(grids):
         if i:
-            n_prev = grids[i - 1].n
-            x = _prolong(x, n_prev, grid.n)
-            steps = [_prolong(v, n_prev, grid.n) for v in steps]
+            x = _prolong(x, grids[i - 1].n, grid.n)
         obj = _Objective(p, replace(cfg, grid=grid), crit, c)
-        level = _descend(obj, x, it, history, steps)
+        level = _descend(obj, x, it, history)
         levels.append({"n": grid.n, "iterations": level.iterations - it,
                        "value_evals": obj.value_evals,
                        "gradient_evals": obj.gradient_evals})
         x, it = level.x, level.iterations
         boundary_hit = boundary_hit or level.boundary_hit
 
-    n = cfg.grid.n
-    bd = level.bd
-    result = MinimizeResult(
-        eta=obj.split(x), breakdown=bd, speed=cfg.mu / bd.l_trunc,
+    eta, bd = obj.split(x), level.bd
+    return MinimizeResult(
+        eta=eta, breakdown=bd, speed=cfg.mu / bd.l_trunc,
         iterations=it, final_grad_norm=level.gnorm,
         boundary_hit=boundary_hit, converged=level.converged,
         history=history,
         value_evals=sum(lv["value_evals"] for lv in levels),
         gradient_evals=sum(lv["gradient_evals"] for lv in levels),
+        spectral_tail=_spectral_tail(eta),
         levels=levels,
     )
-    if cfg.use_exact_L_refinement:
-        _exact_refinement(result, p, cfg,
-                          [_mirror(v, n).ravel() for v in steps])
-    result.spectral_tail = _spectral_tail(result.eta)
-    return result
 
 
-def _descend(obj: _Objective, x: np.ndarray, it: int, history: list,
-             steps: list) -> _Level:
+def _descend(obj: _Objective, x: np.ndarray, it: int,
+             history: list) -> _Level:
     """L-BFGS descent on the objective's grid from the half-grid vector x,
     with an empty memory, until the gradient norm reaches ``cfg.tol`` or
     the iteration count ``it``, shared by all grids, reaches
-    ``cfg.max_iters``.  Appends its rows to ``history`` and its accepted
-    steps to ``steps``, which keeps the last three."""
+    ``cfg.max_iters``.  Appends its rows to ``history``."""
     cfg, grid = obj.cfg, obj.grid
     n = grid.n
     weights = _half_weights(n)
@@ -357,7 +326,6 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, history: list,
     mem_s: list[np.ndarray] = []
     mem_y: list[np.ndarray] = []
     rho_mem: list[float] = []
-    stalls = 0
     converged = gnorm <= cfg.tol
 
     while not converged and it < cfg.max_iters:
@@ -381,8 +349,6 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, history: list,
             slope = dot(g, d)
 
         t = 1.0
-        x_new = f_new = g_new = bd_new = None
-        accepted = barrier_hit = False
         for _ in range(50):
             x_try = x + t * d
             try:
@@ -390,47 +356,24 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, history: list,
             except OutOfConeError:
                 t *= 0.5
                 continue
-            armijo = f_try <= f + 1e-4 * t * slope
-            # near the optimum the Armijo decrease drowns in rounding;
-            # also accept non-increasing steps that shrink the gradient.
-            # A trial whose value rose passes neither test, so it is
-            # rejected without a gradient.
-            if armijo or f_try <= f:
-                g_try, bd_try = obj.gradient(trial)
-                accepted = (armijo
-                            or math.sqrt(dot(g_try, g_try) / grid.dx)
-                            < 0.99 * gnorm)
-            barrier_hit = trial.dvds is not None
-            trial = None  # drop the value stage before the next trial
-            if accepted:
-                x_new, f_new, g_new, bd_new = x_try, f_try, g_try, bd_try
+            if f_try <= f + 1e-4 * t * slope:
                 break
-            if f_try > f:
-                # minimiser of the quadratic through f, the slope and
-                # f_try, safeguarded (Nocedal & Wright, section 3.5)
-                t_q = -slope * t * t / (2.0 * (f_try - f - slope * t))
-                t = min(max(t_q, 0.1 * t), 0.5 * t)
-            else:
-                t *= 0.5
-        if not accepted:
-            if mem_s:
-                # stale curvature pairs can poison the direction this far
-                # into the rounding regime; restart the memory
-                mem_s.clear()
-                mem_y.clear()
-                rho_mem.clear()
-                stalls += 1
-                if stalls <= 8:
-                    continue
-            if gnorm <= 1e4 * cfg.tol:
-                break  # stalled in the rounding plateau; report honestly
+            trial = None  # drop the value stage before the next trial
+            # minimiser of the quadratic through f, the slope and f_try,
+            # safeguarded (Nocedal & Wright, section 3.5)
+            t_q = -slope * t * t / (2.0 * (f_try - f - slope * t))
+            t = min(max(t_q, 0.1 * t), 0.5 * t)
+        else:
             raise NumericalError(
                 f"line search failed at iteration {it} (grad norm {gnorm:.3e})",
                 last_iterate=obj.split(x),
                 diagnostics={"J": f, "grad_norm": gnorm, "n": n},
             )
 
-        s_v = x_new - x
+        g_new, bd = obj.gradient(trial)
+        boundary_hit = boundary_hit or trial.dvds is not None
+        trial = None
+        s_v = x_try - x
         y_v = g_new - g
         sy = dot(s_v, y_v)
         if sy > 1e-300:
@@ -441,92 +384,13 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, history: list,
                 mem_s.pop(0)
                 mem_y.pop(0)
                 rho_mem.pop(0)
-        steps.append(s_v)
-        del steps[:-3]
-        x, f, g, bd = x_new, f_new, g_new, bd_new
-        boundary_hit = boundary_hit or barrier_hit
-
-        # the translation group is pinned by evenness, which leaves the
-        # envelope peak at sample n/2 (x = 0) or at sample 0; recentre a
-        # peak at sample 0 by a half period, which preserves evenness
-        if _envelope_argmax(_mirror(x, n)[0]) == 0:
-            x, g = _half_period_roll(x), _half_period_roll(g)
-            mem_s = [_half_period_roll(v) for v in mem_s]
-            mem_y = [_half_period_roll(v) for v in mem_y]
-            steps[:] = [_half_period_roll(v) for v in steps]
-
+        x, f, g = x_try, f_try, g_new
         gnorm = math.sqrt(dot(g, g) / grid.dx)
         history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n))
         logged_evals = obj.value_evals
         converged = gnorm <= cfg.tol
 
     return _Level(x, gnorm, bd, it, converged, boundary_hit)
-
-
-def _exact_refinement(result: MinimizeResult, p: Params, cfg: MinimizeConfig,
-                      directions: list):
-    """Re-evaluate the kinetic energy with the elliptic oracle and take a
-    few corrected steps along the recent descent subspace.
-
-    The correction gradient is approximated by central differences of
-    J_exact along the (orthonormalised) full-grid ``directions``.
-    """
-    from .dno import StripGrid, eval_L_exact
-
-    grid = cfg.grid
-    n = grid.n
-    strip = StripGrid(nx=grid.n, ny=48, depth_under=12.0 / grid.carrier)
-
-    def j_exact(x: np.ndarray):
-        eta = ProfilePair(grid, x[:n], x[n:])
-        bd = eval_J(eta, p, cfg.mu)
-        l_ex = eval_L_exact(eta, p, strip)
-        return bd.k_total + cfg.mu**2 / l_ex, l_ex
-
-    x = np.concatenate([result.eta.eta_under, result.eta.eta_over])
-    dirs = []
-    for v in directions:
-        w = v.copy()
-        for d in dirs:
-            w -= float(w @ d) * d
-        nw = float(np.sqrt(w @ w))
-        if nw > 1e-14:
-            dirs.append(w / nw)
-    f0, l_ex = j_exact(x)
-    scale = math.sqrt(float(x @ x)) + 1e-30
-    for _ in range(2):
-        if not dirs:
-            break
-        h = 1e-6 * scale
-        coeffs = []
-        for d in dirs:
-            fp, _ = j_exact(x + h * d)
-            fm, _ = j_exact(x - h * d)
-            coeffs.append((fp - fm) / (2.0 * h))
-        gsub = np.zeros_like(x)
-        for cval, d in zip(coeffs, dirs):
-            gsub += cval * d
-        gn = float(np.sqrt(gsub @ gsub))
-        if gn < 1e-16:
-            break
-        t = h / gn * 10.0
-        improved = False
-        for _ in range(20):
-            f_try, l_try = j_exact(x - t * gsub)
-            if f_try < f0:
-                x = x - t * gsub
-                f0, l_ex = f_try, l_try
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    eta = ProfilePair(grid, x[:n], x[n:])
-    result.eta = eta
-    result.breakdown = eval_J(eta, p, cfg.mu)
-    result.l_exact = l_ex
-    result.speed_exact = cfg.mu / l_ex
-    result.speed = result.speed_exact
 
 
 @dataclass(frozen=True)

@@ -216,24 +216,6 @@ def build_soliton(c: NlsCoefficients, half_width: float | None = None,
     )
 
 
-def soliton_ode_residual(prof: SolitonProfile, c: NlsCoefficients) -> np.ndarray:
-    """Residual of the standing-wave ODE at the sample points.
-
-    The second derivative is taken analytically from sech identities,
-    so this measures only the algebraic consistency of the closed forms.
-    """
-    phi = prof.samples
-    u = prof.decay_rate * prof.x
-    phi_xx = prof.amplitude * prof.decay_rate**2 * (
-        1.0 / np.cosh(u) - 2.0 / np.cosh(u) ** 3
-    )
-    return (
-        -0.25 * c.a2 * phi_xx
-        - 2.0 * c.nu_nls * phi
-        + 1.5 * c.cubic * phi**3
-    )
-
-
 def soliton_energy(prof: SolitonProfile, c: NlsCoefficients) -> float:
     """Trapezoid value of the NLS energy; converges to I_NLS as the
     window grows."""

@@ -47,6 +47,24 @@ def bench_coeffs(bench_crit):
     return compute_coefficients(BENCH, bench_crit)
 
 
+def soliton_ode_residual(prof, c):
+    """Residual of the standing-wave ODE at the sample points.
+
+    The second derivative is taken analytically from sech identities,
+    so this measures only the algebraic consistency of the closed forms.
+    """
+    phi = prof.samples
+    u = prof.decay_rate * prof.x
+    phi_xx = prof.amplitude * prof.decay_rate**2 * (
+        1.0 / np.cosh(u) - 2.0 / np.cosh(u) ** 3
+    )
+    return (
+        -0.25 * c.a2 * phi_xx
+        - 2.0 * c.nu_nls * phi
+        + 1.5 * c.cubic * phi**3
+    )
+
+
 def random_band_profile(rng, n, scale, max_mode=None, decay=6.0):
     """Smooth random periodic field, Nyquist-free, max-normalised."""
     max_mode = max_mode or max(8, n // 16)

@@ -23,10 +23,10 @@ from gcwaves import (MinimizeConfig, Params, ProfilePair, StripGrid,
                      suggest_carrier_multiple)
 from gcwaves.dispersion import locate_branch_crossing, refine_degenerate
 from gcwaves.dno import flat_K_matrix
-from gcwaves.nls import (soliton_energy, soliton_mass, soliton_ode_residual,
-                         soliton_shape)
+from gcwaves.nls import soliton_energy, soliton_mass, soliton_shape
 
-from conftest import BENCH, DEGENERATE_SEED, NEAR_RESONANT, random_band_profile
+from conftest import (BENCH, DEGENERATE_SEED, NEAR_RESONANT,
+                      random_band_profile, soliton_ode_residual)
 
 
 def _report(name, ok, detail):

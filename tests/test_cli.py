@@ -34,13 +34,20 @@ def bench_cfg(tmp_path):
     )
 
 
-def test_parse_error_reports_line(tmp_path, capsys):
+@pytest.mark.parametrize("text, line, key", [
+    ("[params]\nrho = 0.5\nbeta_under = 1.0\nwhat = 3\n", 4, "what"),
+    # the descent has no exact-L refinement any more
+    ("[params]\nrho = 0.5\nbeta_under = 1.0\nbeta_over = 1.0\n"
+     "[minimize]\nmu = 1e-3\nuse_exact_refinement = true\n", 7,
+     "use_exact_refinement"),
+], ids=["params", "minimize"])
+def test_parse_error_reports_line(tmp_path, capsys, text, line, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[params]\nrho = 0.5\nbeta_under = 1.0\nwhat = 3\n")
+    cfg.write_text(text)
     rc = main(["coeffs", "--config", str(cfg)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "bad.cfg:4" in err and "what" in err
+    assert f"bad.cfg:{line}" in err and key in err
 
 
 def test_parse_error_outside_section(tmp_path):
@@ -169,6 +176,10 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
                  str(outdir)]) == 0
     tag = "mu_0p006"
     result = json.loads((outdir / f"{tag}.result.json").read_text())
+    assert set(result) == {
+        "breakdown", "speed", "nu0", "iterations", "value_evals",
+        "gradient_evals", "spectral_tail", "final_grad_norm",
+        "boundary_hit", "converged", "levels"}
     assert result["converged"] is True
     assert result["breakdown"]["j_mu"] < 2.0 * result["nu0"] * 0.006
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()

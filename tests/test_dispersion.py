@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwaves import Params, eval_PF, eval_a, eval_g, eval_lambda, find_critical
-from gcwaves.dispersion import (asymptotic_slopes, fbar_entries,
-                                locate_branch_crossing, refine_degenerate)
+from gcwaves.dispersion import (fbar_entries, locate_branch_crossing,
+                                refine_degenerate)
 from gcwaves.errors import ConfigError, RangeError
 
 from conftest import BENCH, DEGENERATE_SEED, NEAR_RESONANT
@@ -73,6 +73,13 @@ def test_small_k_constant_and_slope():
     secant = (l2 - l1) / (1e-2 - 1e-4)
     expected = -NEAR_RESONANT.rho * (1.0 - NEAR_RESONANT.rho)
     assert secant == pytest.approx(expected, rel=0.05)
+
+
+def asymptotic_slopes(p: Params):
+    """Large-k slopes of lambda_-/|k| and lambda_+/|k|."""
+    s = p.beta_under + (1.0 + p.rho) * p.beta_over
+    d = abs(p.beta_under - (1.0 + p.rho) * p.beta_over)
+    return (s - d) / (2.0 * (1.0 + p.rho)), (s + d) / (2.0 * (1.0 + p.rho))
 
 
 def test_large_k_asymptotic_slopes():

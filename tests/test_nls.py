@@ -8,11 +8,10 @@ from gcwaves import (ProfilePair, Params, build_soliton, check_focusing,
 from gcwaves.dispersion import eval_g
 from gcwaves.errors import RegimeError
 from gcwaves.nls import (_a3_vec1, _a3_vec2, soliton_energy, soliton_mass,
-                         soliton_ode_residual, soliton_shape,
-                         upper_quartic_kinetic)
+                         soliton_shape, upper_quartic_kinetic)
 import gcwaves.fieldops as fo
 
-from conftest import BENCH, NEAR_RESONANT
+from conftest import BENCH, NEAR_RESONANT, soliton_ode_residual
 from spectral_helpers import m_lower, m_upper, quartic_box_correction
 
 
