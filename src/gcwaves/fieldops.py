@@ -19,8 +19,15 @@ seed the minimiser.  Each profile is evaluated in two stages:
   transform each, and each product in L_trunc one forward transform.
   Every integral is a sum of padded-grid values or, where it has the
   form int a M b, a Parseval sum of spectra already held, with no
-  inverse transform.  Value-only calls (eval_J, eval_L_trunc, mu_of_eps)
-  stop here: 17 one-dimensional transforms.
+  inverse transform.  Value-only calls (eval_J, eval_L_trunc) stop
+  here: 17 one-dimensional transforms.  mu_of_eps, and so each trial of
+  eps_of_mu, takes these 17 on the carrier grid (``_carrier_grid``), the
+  coarsest grid of the period above carrier harmonic 3, after the 4 that
+  build the test profile there: its transforms have 2 n_c points
+  whatever the requested grid (n_c is n/8 to n/4 at 30 points per
+  wavelength).
+  build_eta_star samples the profile on that grid too and zero-pads its
+  spectrum up to the requested one.
 * Gradient stage (``_gradient``), run only for gradients.  Products
   under a common multiplier are summed before one forward transform,
   multipliers are combined and the chain-rule weights applied on the
@@ -112,6 +119,41 @@ def make_grid(n: int, k0: float, multiples: int) -> PeriodicGrid:
         raise ConfigError("need at least one carrier wavelength in the period")
     return PeriodicGrid(n=n, period=2.0 * np.pi * multiples / k0,
                         k0_multiple=multiples)
+
+
+#: carrier harmonics 0..3 lie below the Nyquist wavenumber of the carrier
+#: grid (the j-th harmonic of a small-amplitude wave is O(eps^j))
+_CARRIER_HARMONICS = 3
+
+
+def _carrier_grid(grid: PeriodicGrid) -> PeriodicGrid:
+    """The coarsest power of two n_c >= 16 with the grid's period whose
+    Nyquist wavenumber lies above carrier harmonic ``_CARRIER_HARMONICS``
+    (n_c / 2 > 3 m), capped at ``grid.n``.  ``grid`` itself where it is
+    that grid, is coarser, or has no carrier multiple.
+
+    The test profile holds carrier harmonics 0..2 only, so it and its
+    truncated functionals are resolved to rounding on this grid; the
+    descent's ladder starts on it.
+    """
+    m = grid.k0_multiple
+    if m is None:
+        return grid
+    n_c = 16
+    while n_c < grid.n and n_c // 2 <= _CARRIER_HARMONICS * m:
+        n_c *= 2
+    if n_c == grid.n:
+        return grid
+    return PeriodicGrid(n=n_c, period=grid.period, k0_multiple=m)
+
+
+def _resample(rows: np.ndarray, n_to: int) -> np.ndarray:
+    """Values on n_to samples of the band-limited interpolant of rows of
+    samples on the same period: their Nyquist-cleaned spectrum,
+    zero-padded.  Exact for rows whose spectrum lies below both Nyquist
+    wavenumbers."""
+    n = rows.shape[-1]
+    return np.fft.irfft(_rfft(rows, n), n_to) * (n_to / n)
 
 
 def _fbar_inverse_entries(k: np.ndarray):
@@ -221,20 +263,12 @@ class ProfilePair:
     def copy(self) -> "ProfilePair":
         return ProfilePair(self.grid, self.eta_under.copy(), self.eta_over.copy())
 
-    def roll(self, shift: int) -> "ProfilePair":
-        return ProfilePair(self.grid, np.roll(self.eta_under, shift),
-                           np.roll(self.eta_over, shift))
-
     def h2_sq(self) -> float:
         """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
         over both components."""
         n = self.grid.n
         return _h2_sq(_rfft(np.stack([self.eta_under, self.eta_over]), n),
                       self.grid)
-
-    def h2_norm(self) -> float:
-        """Discrete H^2 norm, the square root of ``h2_sq``."""
-        return math.sqrt(self.h2_sq())
 
 
 def zero_profile(grid: PeriodicGrid) -> ProfilePair:
@@ -545,6 +579,12 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     corrections at order eps^2.  Envelopes are wrapped once around the
     period, which makes the profile smoothly periodic; the wrap overlap
     must be negligible.
+
+    The profile holds carrier harmonics 0..2 only, so it is sampled on
+    the carrier grid (``_carrier_grid``) and its Nyquist-cleaned spectrum
+    zero-padded up to ``grid``: on every grid at least as fine it is the
+    band-limited interpolant of the same samples, whose truncated
+    functionals are those of the carrier-grid profile to rounding.
     """
     if eps == 0.0:
         return zero_profile(grid)
@@ -564,7 +604,7 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
             f"grid carrier {kc} does not represent k0={crit.k0}"
         )
 
-    x = grid.x
+    x = _carrier_grid(grid).x
     phi = np.zeros_like(x)
     for j in (-1, 0, 1):
         phi += amp / np.cosh(decay * eps * (x + j * L))
@@ -583,9 +623,7 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         -crit.a * eps * phi * carrier
         + eps**2 * env2 * (w1[1] * carrier2 + w2[1])
     )
-    n = grid.n
-    eta_under, eta_over = np.fft.irfft(
-        _rfft(np.stack([eta_under, eta_over]), n), n)
+    eta_under, eta_over = _resample(np.stack([eta_under, eta_over]), grid.n)
     return ProfilePair(grid, eta_under, eta_over)
 
 
@@ -622,8 +660,11 @@ def suggest_carrier_multiple(c: NlsCoefficients, crit: CriticalPoint,
 
 def mu_of_eps(p: Params, c: NlsCoefficients, crit: CriticalPoint,
               grid: PeriodicGrid, eps: float) -> float:
-    """Momentum level carried by the test profile: mu = nu0 * L_trunc."""
-    eta = build_eta_star(c, crit, eps, grid, p)
+    """Momentum level carried by the test profile: mu = nu0 * L_trunc,
+    evaluated on the carrier grid (``_carrier_grid``), where the profile
+    and its truncated kinetic energy are exact whatever the size of
+    ``grid``."""
+    eta = build_eta_star(c, crit, eps, _carrier_grid(grid), p)
     l2, l3, l4 = eval_L_trunc(eta, p)
     return crit.nu0 * (l2 + l3 + l4)
 
@@ -666,7 +707,10 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     (``_LADDER``), reusing every value already taken.  No trial lies
     below the grid's wrap floor (``wrap_floor``); where mu(eps) at the
     floor already exceeds mu, the root is unreachable on this grid and
-    a RangeError says so.
+    a RangeError says so.  Every value of mu(eps) is taken on the carrier
+    grid (``mu_of_eps``), so each costs transforms of 2 n_c points, and
+    on every grid at least as fine as the carrier grid the root is the
+    same number.
     """
     if mu <= 0.0:
         raise RangeError("mu must be positive")

@@ -30,8 +30,9 @@ Comp. 1977).  The minimisers are modulated carriers whose j-th harmonic
 is O(eps^j), so the grid whose Nyquist wavenumber first clears the third
 carrier harmonic already holds the wave to within the stopping
 tolerance.  The ladder starts on the coarsest such power of two (same
-period) and doubles up to the requested grid; ``eps_of_mu`` and the test
-profile run on its first grid.  Each grid descends to the same gradient
+period), ``fieldops._carrier_grid``, where ``eps_of_mu`` and the test
+profile are computed whatever the requested grid, and doubles up to the
+requested grid.  Each grid descends to the same gradient
 tolerance with its own objective, preconditioner and an empty L-BFGS
 memory, from the iterate of the grid below, prolonged by zero-padding
 its spectrum, which is exact for a band-limited iterate and keeps it
@@ -56,17 +57,13 @@ from .dispersion import CriticalPoint, Params, eval_g
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
-                       grad_J, _rfft, _symbols)
+                       grad_J, _carrier_grid, _resample, _rfft, _symbols)
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
 
 #: curvature pairs kept by the L-BFGS two-loop recursion
 _LBFGS_MEMORY = 20
-
-#: carrier harmonics 0..3 lie below the Nyquist wavenumber of every grid
-#: of the descent's ladder (the j-th harmonic of the wave is O(eps^j))
-_LADDER_HARMONICS = 3
 
 
 @dataclass(frozen=True)
@@ -223,30 +220,22 @@ def _spectral_tail(eta: ProfilePair) -> float:
 
 
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
-    """Grids of the descent, coarsest first: the coarsest power of two
-    n_c >= 16 whose Nyquist wavenumber lies above carrier harmonic
-    ``_LADDER_HARMONICS`` (n_c / 2 > 3 m), doubled up to the requested
-    grid, which ends the ladder.  ``[grid]`` where that grid is the
-    coarsest such one or has no carrier multiple."""
-    m = grid.k0_multiple
-    if m is None:
-        return [grid]
-    n_c = 16
-    while n_c < grid.n and n_c // 2 <= _LADDER_HARMONICS * m:
-        n_c *= 2
-    coarse = []
-    while n_c < grid.n:
-        coarse.append(PeriodicGrid(n=n_c, period=grid.period, k0_multiple=m))
-        n_c *= 2
-    return coarse + [grid]
+    """Grids of the descent, coarsest first: the carrier grid
+    (``fieldops._carrier_grid``), doubled up to the requested grid, which
+    ends the ladder.  ``[grid]`` where that grid is the carrier grid or
+    has no carrier multiple."""
+    grids = [_carrier_grid(grid)]
+    while grids[-1] is not grid:
+        n = 2 * grids[-1].n
+        grids.append(grid if n == grid.n else replace(grid, n=n))
+    return grids
 
 
 def _prolong(h: np.ndarray, n: int, n_to: int) -> np.ndarray:
     """Half-grid vector on n_to samples of the band-limited interpolant of
     the half-grid vector h on n samples (same period): the Nyquist-cleaned
-    spectrum of the mirrored rows, zero-padded."""
-    U = _rfft(_mirror(h, n), n)
-    return _half(np.fft.irfft(U, n_to) * (n_to / n), n_to)
+    spectrum of the mirrored rows, zero-padded (``fieldops._resample``)."""
+    return _half(_resample(_mirror(h, n), n_to), n_to)
 
 
 class _Level(NamedTuple):

@@ -1,6 +1,7 @@
 """Test-only spectral helpers and oracles.
 
-Plain-loop multiplier application, the symmetric bilinear forms whose
+Translation and the H^2 norm of a profile pair, plain-loop multiplier
+application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
 truncations, the finite-period correction of the quartic coefficient,
 the dense per-mode matrices of the oracle's flat preconditioner and the
@@ -8,12 +9,25 @@ physical-space form of the oracle's operator.
 None of these is on a production path.
 """
 
+import math
+
 import numpy as np
 
 from gcwaves import ProfilePair, eval_fbar
 from gcwaves import fieldops as fo
 
 _PAD = fo._PAD
+
+
+def roll(eta, shift):
+    """The pair translated by ``shift`` samples."""
+    return ProfilePair(eta.grid, np.roll(eta.eta_under, shift),
+                       np.roll(eta.eta_over, shift))
+
+
+def h2_norm(eta):
+    """Discrete H^2 norm of a pair, the square root of ``h2_sq``."""
+    return math.sqrt(eta.h2_sq())
 
 
 def apply_multiplier(symbol, f, grid):

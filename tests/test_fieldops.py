@@ -12,13 +12,14 @@ from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
 from gcwaves.dispersion import fbar_entries
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
-from gcwaves.fieldops import (StagedProfile, _fbar_inverse_entries,
-                              wrap_floor, zero_profile)
+from gcwaves.fieldops import (StagedProfile, _carrier_grid,
+                              _fbar_inverse_entries, wrap_floor,
+                              zero_profile)
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile
 from spectral_helpers import (apply_multiplier, eval_L_lower, eval_L_upper,
-                              m_lower, m_upper)
+                              m_lower, m_upper, roll)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +206,7 @@ def test_translation_invariance(bench_crit, shift):
     rng = np.random.default_rng(5)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.05),
                random_band_profile(rng, grid.n, 0.05))
-    rolled = eta.roll(shift)
+    rolled = roll(eta, shift)
     for f in (lambda e: eval_K(e, BENCH), lambda e: eval_L_trunc(e, BENCH)):
         a, b = f(eta), f(rolled)
         for x, y in zip(a, b):
@@ -496,6 +497,59 @@ def test_mu_eps_roundtrip(bench_coeffs, bench_crit):
         mu = mu_of_eps(BENCH, bench_coeffs, bench_crit, grid, eps)
         back = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
         assert back == pytest.approx(eps, rel=1e-10)
+
+
+@pytest.mark.parametrize("mu, n, n_c", [
+    (4e-3, 4096, 1024), (1e-3, 16384, 4096), (5e-4, 32768, 8192),
+])
+def test_eps_of_mu_evaluates_on_the_carrier_grid(monkeypatch, bench_coeffs,
+                                                 bench_crit, mu, n, n_c):
+    from gcwaves import fieldops
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    grid = make_grid(n, bench_crit.k0, m)
+    sizes = []
+    monkeypatch.setattr(fieldops, "eval_L_trunc", lambda eta, p: (
+        sizes.append(eta.grid.n) or eval_L_trunc(eta, p)))
+    eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+    assert sizes and set(sizes) == {n_c}
+    assert _carrier_grid(grid).n == n_c
+
+
+_FINE_GRIDS = [(4e-3, 8192), (1e-3, 16384), (5e-4, 32768)]
+
+
+def _star_on(mu, n, c, crit):
+    grid = make_grid(n, crit.k0, suggest_carrier_multiple(c, crit, mu))
+    eps = eps_of_mu(BENCH, c, crit, grid, mu)
+    return eps, build_eta_star(c, crit, eps, grid, BENCH)
+
+
+@pytest.mark.parametrize("mu, n", _FINE_GRIDS)
+def test_eta_star_carries_mu_on_the_requested_grid(bench_coeffs, bench_crit,
+                                                   mu, n):
+    # eps is matched on the carrier grid; the profile it gives on the
+    # requested grid carries the same mu to rounding
+    _, eta = _star_on(mu, n, bench_coeffs, bench_crit)
+    l_trunc = sum(eval_L_trunc(eta, BENCH))
+    assert abs(bench_crit.nu0 * l_trunc / mu - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("mu, n", _FINE_GRIDS)
+def test_eta_star_interpolates_the_carrier_grid_profile(bench_coeffs,
+                                                        bench_crit, mu, n):
+    eps, eta = _star_on(mu, n, bench_coeffs, bench_crit)
+    coarse = _carrier_grid(eta.grid)
+    star = build_eta_star(bench_coeffs, bench_crit, eps, coarse, BENCH)
+    rows = np.stack([eta.eta_under, eta.eta_over])
+    coarse_rows = np.stack([star.eta_under, star.eta_over])
+    # above the carrier grid's band only the transforms' rounding is
+    # left; sampled on the requested grid, the profile held 1e-14 to
+    # 1e-13 of its peak coefficient there
+    U = np.abs(np.fft.rfft(rows))
+    assert U[:, coarse.n // 2:].max() <= 1e-15 * U.max()
+    step = n // coarse.n
+    assert (np.abs(rows[:, ::step] - coarse_rows).max()
+            <= 1e-15 * np.abs(coarse_rows).max())
 
 
 def _counted_inversion(monkeypatch, p, c, crit, mu, n):

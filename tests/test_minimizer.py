@@ -12,6 +12,7 @@ from gcwaves.minimizer import (MinimizeResult, _half, _half_weights,
                                _ladder, _mirror, _prolong, _spectral_tail)
 
 from conftest import BENCH
+from spectral_helpers import h2_norm, roll
 
 MU = 4e-3
 
@@ -68,7 +69,7 @@ def test_speed_below_nu0(run, bench_crit):
 
 def test_speed_translation_invariant(run):
     r, _ = run
-    rolled = r.eta.roll(137)
+    rolled = roll(r.eta, 137)
     l_trunc = sum(eval_L_trunc(rolled, BENCH))
     assert MU / l_trunc == pytest.approx(r.speed, rel=1e-12)
 
@@ -113,13 +114,13 @@ def test_barrier_activates_with_tiny_ball(bench_crit, bench_coeffs):
     grid = make_grid(1024, bench_crit.k0, m)
     eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
     eta0 = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
-    tiny_M = 0.98 * eta0.h2_norm() / 0.9  # barrier active from the start
+    tiny_M = 0.98 * h2_norm(eta0) / 0.9  # barrier active from the start
     cfg = MinimizeConfig(mu=mu, grid=grid, max_iters=60,
                          admissibility_M=tiny_M, grad_tol=1e-30)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.boundary_hit
     # iterates never breach the ball itself
-    assert r.eta.h2_norm() < tiny_M
+    assert h2_norm(r.eta) < tiny_M
     # the interpolating backtrack finds the barrier's wall in a few trials
     assert r.value_evals <= 3 * r.iterations
 
