@@ -5,6 +5,12 @@ All outputs are flat files (CSV / JSON) with every float serialized at
 17 significant digits so repeated runs are byte-identical.  Exit codes:
 0 success, 1 config parse error, 2 assumption/regime gate failed,
 3 numerical failure.
+
+Every command but ``dispersion`` passes its config through ``_gate``,
+which writes a JSON payload and nothing else when a gate fails:
+``coeffs`` and ``validate`` to ``--out`` (stdout when unset), ``soliton``,
+``ansatz`` and ``minimize`` to stdout.  ``oracle_suite`` holds the
+truncation-vs-oracle checks that ``validate`` and the tests share.
 """
 
 from __future__ import annotations
@@ -165,12 +171,36 @@ def _report_dict(rep: disp.AssumptionReport) -> dict:
     }
 
 
-def _pipeline(cfg: dict):
-    p = cfg["_params"]
-    scan = cfg["scan"]
-    rep = disp.find_critical(p, k_min=scan["k_min"], k_max=scan["k_max"],
-                             samples=scan["samples"])
-    return p, rep
+class _GateFailed(Exception):
+    """An assumption or regime gate failed; its payload is written."""
+
+
+def _emit(out, payload):
+    text = dump_json(payload)
+    if out:
+        fieldops.atomic_write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _gate(cfg: dict, out, focusing: bool):
+    """The critical point and NLS coefficients of a config, past its gates.
+
+    The slow branch must have a strict, non-degenerate global minimum
+    (verdict Valid) and, where ``focusing`` is set, the NLS must be
+    focusing.  A failed gate writes its payload to ``out`` (stdout when
+    ``out`` is None) and raises ``_GateFailed``.
+    """
+    rep = disp.find_critical(cfg["_params"], **cfg["scan"])
+    if rep.verdict != "Valid":
+        _emit(out, {"error": "assumption gate failed",
+                    "report": _report_dict(rep)})
+        raise _GateFailed
+    c = nls.compute_coefficients(cfg["_params"], rep.crit)
+    if focusing and not c.focusing:
+        _emit(out, {"error": "defocusing regime", **_coeff_dict(rep.crit, c)})
+        raise _GateFailed
+    return rep.crit, c
 
 
 def _grid_for(cfg: dict, crit, coeffs, mu: float) -> fieldops.PeriodicGrid:
@@ -197,8 +227,8 @@ def _coeff_dict(crit, c: nls.NlsCoefficients) -> dict:
 
 def cmd_dispersion(args) -> int:
     cfg = parse_config(args.config)
-    p, rep = _pipeline(cfg)
-    scan = cfg["scan"]
+    p, scan = cfg["_params"], cfg["scan"]
+    rep = disp.find_critical(p, **scan)
     ks = np.geomspace(scan["k_min"], scan["k_max"], scan["samples"])
     write_csv(args.out, ["k", "lambda_minus", "lambda_plus", "D"],
               zip(ks, *disp.eval_lambda(ks, p)))
@@ -209,66 +239,37 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    cfg = parse_config(args.config)
-    p, rep = _pipeline(cfg)
-    if rep.verdict != "Valid":
-        payload = {"error": "assumption gate failed", "report": _report_dict(rep)}
-        _emit(args.out, payload)
-        return EXIT_GATE
-    c = nls.compute_coefficients(p, rep.crit)
-    _emit(args.out, _coeff_dict(rep.crit, c))
+    crit, c = _gate(parse_config(args.config), args.out, focusing=False)
+    _emit(args.out, _coeff_dict(crit, c))
     return EXIT_OK
-
-
-def _emit(out, payload):
-    text = dump_json(payload)
-    if out:
-        fieldops.atomic_write_text(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_soliton(args) -> int:
     cfg = parse_config(args.config)
-    p, rep = _pipeline(cfg)
-    if rep.verdict != "Valid":
-        _emit(None, {"error": "assumption gate failed",
-                     "report": _report_dict(rep)})
-        return EXIT_GATE
-    c = nls.compute_coefficients(p, rep.crit)
-    if not c.focusing:
-        _emit(None, {"error": "defocusing regime", **_coeff_dict(rep.crit, c)})
-        return EXIT_GATE
+    crit, c = _gate(cfg, None, focusing=True)
     prof = nls.build_soliton(c, n=cfg["grid"]["n"])
     write_csv(args.out, ["x", "phi"], zip(prof.x, prof.samples))
     write_json(args.out + ".json", {
         "amplitude": prof.amplitude, "decay_rate": prof.decay_rate,
         "mass": nls.soliton_mass(prof), "energy": nls.soliton_energy(prof, c),
-        **_coeff_dict(rep.crit, c),
+        **_coeff_dict(crit, c),
     })
     return EXIT_OK
 
 
 def cmd_ansatz(args) -> int:
     cfg = parse_config(args.config)
-    p, rep = _pipeline(cfg)
-    if rep.verdict != "Valid":
-        _emit(None, {"error": "assumption gate failed",
-                     "report": _report_dict(rep)})
-        return EXIT_GATE
-    c = nls.compute_coefficients(p, rep.crit)
-    if not c.focusing:
-        _emit(None, {"error": "defocusing regime"})
-        return EXIT_GATE
+    crit, c = _gate(cfg, None, focusing=True)
+    p = cfg["_params"]
     mu = cfg["minimize"]["mu"]
-    grid = _grid_for(cfg, rep.crit, c, mu)
-    eps = fieldops.eps_of_mu(p, c, rep.crit, grid, mu)
-    eta = fieldops.build_eta_star(c, rep.crit, eps, grid, p)
+    grid = _grid_for(cfg, crit, c, mu)
+    eps = fieldops.eps_of_mu(p, c, crit, grid, mu)
+    eta = fieldops.build_eta_star(c, crit, eps, grid, p)
     bd = fieldops.eval_J(eta, p, mu)
     fieldops.write_profile_csv(args.out, eta)
     write_json(args.out + ".summary.json", {
         "mu": mu, "eps": eps, "j_mu": bd.j_mu,
-        "two_nu0_mu": 2.0 * rep.crit.nu0 * mu,
+        "two_nu0_mu": 2.0 * crit.nu0 * mu,
         "i_nls_mu3": c.i_nls * mu**3,
         "k_total": bd.k_total, "l_trunc": bd.l_trunc,
     })
@@ -280,15 +281,15 @@ def _breakdown_dict(bd: fieldops.FunctionalBreakdown) -> dict:
             ("k_total", "k2", "k4", "l2", "l3", "l4", "l_trunc", "j_mu", "mu")}
 
 
-def _run_minimize(cfg, p, rep, c, mu):
-    grid = _grid_for(cfg, rep.crit, c, mu)
+def _run_minimize(cfg, crit, c, mu):
+    grid = _grid_for(cfg, crit, c, mu)
     mcfg = minimizer.MinimizeConfig(
         mu=mu, grid=grid,
         max_iters=cfg["minimize"]["max_iters"],
         grad_tol=cfg["minimize"]["grad_tol"] or None,
         admissibility_M=cfg["minimize"]["M"],
     )
-    return minimizer.minimize(p, c, rep.crit, mcfg)
+    return minimizer.minimize(cfg["_params"], c, crit, mcfg)
 
 
 def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
@@ -309,15 +310,7 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
 
 def cmd_minimize(args) -> int:
     cfg = parse_config(args.config)
-    p, rep = _pipeline(cfg)
-    if rep.verdict != "Valid":
-        _emit(None, {"error": "assumption gate failed",
-                     "report": _report_dict(rep)})
-        return EXIT_GATE
-    c = nls.compute_coefficients(p, rep.crit)
-    if not c.focusing:
-        _emit(None, {"error": "defocusing regime"})
-        return EXIT_GATE
+    crit, c = _gate(cfg, None, focusing=True)
     os.makedirs(args.out, exist_ok=True)
     mus = ([float(s) for s in args.sweep.split(",")] if args.sweep
            else [cfg["minimize"]["mu"]])
@@ -325,7 +318,7 @@ def cmd_minimize(args) -> int:
     for mu in mus:
         tag = f"mu_{mu:.6g}".replace(".", "p").replace("-", "m")
         try:
-            r = _run_minimize(cfg, p, rep, c, mu)
+            r = _run_minimize(cfg, crit, c, mu)
         except GcwavesError as ex:
             record = {"mu": mu, "error": str(ex)}
             if isinstance(ex, NumericalError):
@@ -340,12 +333,12 @@ def cmd_minimize(args) -> int:
         fieldops.write_profile_csv(os.path.join(args.out, f"{tag}.profile.csv"),
                                    r.eta)
         write_json(os.path.join(args.out, f"{tag}.result.json"),
-                   _result_dict(r, rep.crit))
+                   _result_dict(r, crit))
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),
                   ["iteration", "j_mu", "grad_norm", "step", "trials", "n"],
                   r.history)
     if len(runs) >= 3:
-        fit = minimizer.speed_expansion_check(runs, rep.crit, c)
+        fit = minimizer.speed_expansion_check(runs, crit, c)
         write_json(os.path.join(args.out, "speed_fit.json"), {
             "fitted": fit.fitted, "predicted": fit.predicted,
             "mus": list(fit.mus), "values": list(fit.values),
@@ -354,35 +347,24 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    cfg = parse_config(args.config)
-    p, rep = _pipeline(cfg)
-    if rep.verdict != "Valid":
-        _emit(args.out, {"error": "assumption gate failed",
-                         "report": _report_dict(rep)})
-        return EXIT_GATE
-    crit = rep.crit
-    c = nls.compute_coefficients(p, crit)
-    k0 = crit.k0
-    nx = min(cfg["grid"]["n"], 256)
-    ny = cfg["grid"]["strip_ny"]
-    depth = cfg["grid"]["depth_under"] or 14.0 / k0
-    period = 2.0 * np.pi * 4 / k0
-    strip = dno.StripGrid(nx=nx, ny=ny, depth_under=depth)
-    checks = {}
-    ok = True
+def oracle_suite(p: disp.Params, k0: float, grid: fieldops.PeriodicGrid,
+                 strip: dno.StripGrid) -> dict:
+    """The truncated functionals against the elliptic oracle.
 
-    # flat-geometry symbols against the dispersion matrices
+    ``flat_symbol_max_abs_err`` is the largest entry of |K(k) - F(k)| at
+    k = k0, 2 k0, 3 k0, with K the oracle's flat-strip symbol on the
+    period of ``grid``.  ``truncation_diffs`` are |L_exact - L_trunc| for
+    a test profile of carrier harmonics 1..3 at amplitudes 0.2, 0.1 and
+    0.05, and ``truncation_slopes`` their log-log slopes, which approach
+    5 where the truncation error is O(amplitude^5).  The caller judges
+    the numbers.
+    """
     sym_err = 0.0
     for k in (k0, 2 * k0, 3 * k0):
-        K = dno.flat_K_matrix(k, p, strip, period)
+        K = dno.flat_K_matrix(k, p, strip, grid.period)
         _, F = disp.eval_PF(k, p)
         sym_err = max(sym_err, float(np.max(np.abs(K - F))))
-    checks["flat_symbol_max_abs_err"] = sym_err
-    ok &= sym_err <= 1e-8
 
-    # truncation order against the elliptic oracle
-    grid = fieldops.PeriodicGrid(n=nx, period=period)
     x = grid.x
     bu = 0.11 * np.cos(k0 * x) + 0.05 * np.cos(2 * k0 * x) \
         + 0.02 * np.sin(3 * k0 * x)
@@ -396,9 +378,23 @@ def cmd_validate(args) -> int:
         diffs.append(abs(lex - lt))
     slopes = [math.log(diffs[i] / diffs[i + 1]) / math.log(2.0)
               for i in range(len(diffs) - 1)]
-    checks["truncation_diffs"] = diffs
-    checks["truncation_slopes"] = slopes
-    ok &= min(slopes) >= 4.5
+    return {"flat_symbol_max_abs_err": sym_err, "truncation_diffs": diffs,
+            "truncation_slopes": slopes}
+
+
+def cmd_validate(args) -> int:
+    cfg = parse_config(args.config)
+    crit, _ = _gate(cfg, args.out, focusing=False)
+    p = cfg["_params"]
+    k0 = crit.k0
+    nx = min(cfg["grid"]["n"], 256)
+    ny = cfg["grid"]["strip_ny"]
+    depth = cfg["grid"]["depth_under"] or 14.0 / k0
+    grid = fieldops.PeriodicGrid(n=nx, period=2.0 * np.pi * 4 / k0)
+    strip = dno.StripGrid(nx=nx, ny=ny, depth_under=depth)
+    checks = oracle_suite(p, k0, grid, strip)
+    ok = (checks["flat_symbol_max_abs_err"] <= 1e-8
+          and min(checks["truncation_slopes"]) >= 4.5)
 
     # gradient consistency
     rng = np.random.default_rng(2024)
@@ -470,6 +466,8 @@ def main(argv=None) -> int:
     except ConfigParseError as ex:
         print(str(ex), file=sys.stderr)
         return EXIT_PARSE
+    except _GateFailed:
+        return EXIT_GATE
     except GcwavesError as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERICAL

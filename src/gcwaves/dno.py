@@ -31,8 +31,8 @@ functionals.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,31 +352,22 @@ class UpperSolver(_StripOperator):
 #: (strip, period) keys whose solver pairs stay cached; each mu of a
 #: sweep has its own period
 _SOLVER_PAIRS = 4
-_solver_cache: OrderedDict[tuple[StripGrid, float], tuple] = OrderedDict()
 
 
-def _solvers(strip: StripGrid, period: float):
+@functools.lru_cache(maxsize=_SOLVER_PAIRS)
+def _solver_cache(strip: StripGrid, period: float):
     """Lower and upper solvers of a strip, kept for the most recent periods."""
-    key = (strip, period)
-    pair = _solver_cache.get(key)
-    if pair is None:
-        pair = _solver_cache[key] = (LowerSolver(strip, period),
-                                     UpperSolver(strip, period))
-        if len(_solver_cache) > _SOLVER_PAIRS:
-            _solver_cache.popitem(last=False)
-    else:
-        _solver_cache.move_to_end(key)
-    return pair
+    return LowerSolver(strip, period), UpperSolver(strip, period)
 
 
 def solve_lower(eta_under: np.ndarray, psi: np.ndarray, strip: StripGrid,
                 period: float) -> DnoSolution:
-    return _solvers(strip, period)[0].solve_neumann(eta_under, psi)
+    return _solver_cache(strip, period)[0].solve_neumann(eta_under, psi)
 
 
 def solve_upper(eta: ProfilePair, neumann_pair, strip: StripGrid) -> DnoSolution:
     psi_i, psi_s = neumann_pair
-    return _solvers(strip, eta.grid.period)[1].solve_neumann(
+    return _solver_cache(strip, eta.grid.period)[1].solve_neumann(
         eta.eta_under, eta.eta_over, psi_i, psi_s
     )
 
@@ -409,7 +400,7 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
                         + zeta_over rho Phi_s] dx.
     """
     period = eta.grid.period
-    lower, upper = _solvers(strip, period)
+    lower, upper = _solver_cache(strip, period)
     u = _resample(eta.eta_under, strip.nx)
     v = _resample(eta.eta_over, strip.nx)
     zu, zv = lower.dx(np.stack([u, v]))
@@ -435,7 +426,7 @@ def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.nd
     nx = strip.nx
     x = period / nx * np.arange(nx)
     out = np.empty((2, 2))
-    lower, upper = _solvers(strip, period)
+    lower, upper = _solver_cache(strip, period)
     for col, (au, av) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         eta = ProfilePair(PeriodicGrid(n=nx, period=period),
                           au * np.cos(k * x), av * np.cos(k * x))

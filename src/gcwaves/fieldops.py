@@ -51,11 +51,11 @@ by ``_fbar_inverse_entries``, and both are tabulated per grid in
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -205,20 +205,16 @@ class _Symbols:
 #: grid, a descent walks up to 3 grids of its ladder, and a sweep has
 #: its own ladder per mu
 _SYMBOL_GRIDS = 4
-_symbol_cache: OrderedDict[tuple[int, float], _Symbols] = OrderedDict()
+
+
+@functools.lru_cache(maxsize=_SYMBOL_GRIDS)
+def _symbol_cache(n: int, period: float) -> _Symbols:
+    return _Symbols(PeriodicGrid(n=n, period=period))
 
 
 def _symbols(grid: PeriodicGrid) -> _Symbols:
     """Symbols of a grid, kept for the most recently used grids."""
-    key = (grid.n, grid.period)
-    sym = _symbol_cache.get(key)
-    if sym is None:
-        sym = _symbol_cache[key] = _Symbols(grid)
-        if len(_symbol_cache) > _SYMBOL_GRIDS:
-            _symbol_cache.popitem(last=False)
-    else:
-        _symbol_cache.move_to_end(key)
-    return sym
+    return _symbol_cache(grid.n, grid.period)
 
 
 def _clean(U: np.ndarray, n: int) -> np.ndarray:
@@ -236,17 +232,6 @@ def _fbar_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.stack([diag * X[0] + off * X[1], off * X[0] + diag * X[1]])
 
 
-def _h2_sq(UV: np.ndarray, grid: PeriodicGrid) -> float:
-    """Squared discrete H^2 norm of a pair from its stacked rfft spectra."""
-    n = grid.n
-    w = _symbols(grid).h2_weight
-    # rfft coefficient -> line-spectrum weights (count +-k once each)
-    mult = np.full(n // 2 + 1, 2.0)
-    mult[0] = 1.0
-    return sum(float(np.sum(mult * w * np.abs(X / n) ** 2))
-               for X in UV) * grid.period
-
-
 @dataclass
 class ProfilePair:
     """Interface and surface elevations on a shared periodic grid."""
@@ -259,16 +244,6 @@ class ProfilePair:
         n = self.grid.n
         if self.eta_under.shape != (n,) or self.eta_over.shape != (n,):
             raise ConfigError("profile arrays must match the grid size")
-
-    def copy(self) -> "ProfilePair":
-        return ProfilePair(self.grid, self.eta_under.copy(), self.eta_over.copy())
-
-    def h2_sq(self) -> float:
-        """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
-        over both components."""
-        n = self.grid.n
-        return _h2_sq(_rfft(np.stack([self.eta_under, self.eta_over]), n),
-                      self.grid)
 
 
 def zero_profile(grid: PeriodicGrid) -> ProfilePair:
@@ -523,8 +498,16 @@ class StagedProfile:
         return self._breakdown[1]
 
     def h2_sq(self) -> float:
-        """``ProfilePair.h2_sq`` from the value stage's spectra."""
-        return _h2_sq(self.fields().UV, self.eta.grid)
+        """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
+        over both components, from the value stage's spectra."""
+        grid = self.eta.grid
+        n = grid.n
+        w = _symbols(grid).h2_weight
+        # rfft coefficient -> line-spectrum weights (count +-k once each)
+        mult = np.full(n // 2 + 1, 2.0)
+        mult[0] = 1.0
+        return sum(float(np.sum(mult * w * np.abs(X / n) ** 2))
+                   for X in self.fields().UV) * grid.period
 
 
 def _staged(eta: ProfilePair | StagedProfile) -> StagedProfile:

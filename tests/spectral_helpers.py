@@ -26,8 +26,9 @@ def roll(eta, shift):
 
 
 def h2_norm(eta):
-    """Discrete H^2 norm of a pair, the square root of ``h2_sq``."""
-    return math.sqrt(eta.h2_sq())
+    """Discrete H^2 norm of a pair, the square root of the barrier's
+    ``StagedProfile.h2_sq``."""
+    return math.sqrt(fo.StagedProfile(eta).h2_sq())
 
 
 def apply_multiplier(symbol, f, grid):

@@ -9,7 +9,6 @@ carrier is far enough from the long-wave resonance that mu <= 1e-2 is
 inside the validity range of the expansions.
 """
 
-import math
 import time
 
 import numpy as np
@@ -17,12 +16,12 @@ import pytest
 
 from gcwaves import (MinimizeConfig, Params, ProfilePair, StripGrid,
                      build_eta_star, build_soliton, compute_coefficients,
-                     eps_of_mu, eval_J, eval_K, eval_L_exact, eval_L_trunc,
-                     eval_PF, eval_g, eval_lambda, find_critical, grad_J,
+                     eps_of_mu, eval_J, eval_K, eval_L_trunc, eval_PF,
+                     eval_g, eval_lambda, find_critical, grad_J,
                      make_grid, minimize, speed_expansion_check,
                      suggest_carrier_multiple)
+from gcwaves.cli import oracle_suite
 from gcwaves.dispersion import locate_branch_crossing, refine_degenerate
-from gcwaves.dno import flat_K_matrix
 from gcwaves.nls import soliton_energy, soliton_mass, soliton_shape
 
 from conftest import (BENCH, DEGENERATE_SEED, NEAR_RESONANT,
@@ -158,29 +157,10 @@ def test_criterion_5_gradient_correctness(bench_crit):
 def test_criterion_6_truncation_vs_oracle(bench_crit):
     t0 = time.time()
     k0 = bench_crit.k0
-    period = 2.0 * np.pi * 4 / k0
     strip = StripGrid(nx=256, ny=128, depth_under=14.0 / k0, cg_tol=1e-12)
-
-    sym_err = 0.0
-    for k in (k0, 2 * k0, 3 * k0):
-        K = flat_K_matrix(k, BENCH, strip, period)
-        _, F = eval_PF(k, BENCH)
-        sym_err = max(sym_err, float(np.max(np.abs(K - F))))
-
-    grid = make_grid(256, k0, 4)
-    x = grid.x
-    bu = 0.11 * np.cos(k0 * x) + 0.05 * np.cos(2 * k0 * x) \
-        + 0.02 * np.sin(3 * k0 * x)
-    bv = -0.04 * np.cos(k0 * x) + 0.03 * np.sin(2 * k0 * x) \
-        + 0.01 * np.cos(3 * k0 * x)
-    diffs = []
-    for s in (0.2, 0.1, 0.05):
-        eta = ProfilePair(grid, s * bu, s * bv)
-        lex = eval_L_exact(eta, BENCH, strip)
-        lt = sum(eval_L_trunc(eta, BENCH))
-        diffs.append(abs(lex - lt))
-    slopes = [math.log(diffs[i] / diffs[i + 1]) / math.log(2.0)
-              for i in range(2)]
+    checks = oracle_suite(BENCH, k0, make_grid(256, k0, 4), strip)
+    sym_err = checks["flat_symbol_max_abs_err"]
+    slopes = checks["truncation_slopes"]
     elapsed = time.time() - t0
     ok = sym_err <= 1e-8 and min(slopes) >= 4.5 and elapsed < 120.0
     _report("criterion 6 (truncation order vs oracle)", ok,

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from gcwaves import cli
+from gcwaves import cli, nls
 from gcwaves.cli import main, parse_config, ConfigParseError
 from gcwaves.dispersion import Params, refine_degenerate
 from gcwaves.errors import NumericalError
@@ -114,15 +115,50 @@ def test_coeffs_deterministic_bytes(tmp_path, bench_cfg):
         assert key in payload
 
 
-def test_coeffs_gate_on_degenerate(tmp_path):
+#: where each command writes its gate payload: the --out file, or stdout
+GATE_TO_OUT = {"coeffs": True, "validate": True,
+               "soliton": False, "ansatz": False, "minimize": False}
+
+
+@pytest.mark.parametrize("command", list(GATE_TO_OUT))
+def test_gate_on_degenerate(tmp_path, capsys, command):
     q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
     cfg = write_config(tmp_path / "deg.cfg", q, "[scan]\nsamples = 1024\n")
-    out = tmp_path / "c.json"
-    rc = main(["coeffs", "--config", cfg, "--out", str(out)])
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
-    payload = json.loads(out.read_text())
-    assert payload["error"] and payload["report"]["verdict"] == "Degenerate"
+    stdout = capsys.readouterr().out
+    if GATE_TO_OUT[command]:
+        assert stdout == ""
+        payload = json.loads(out.read_text())
+    else:
+        payload = json.loads(stdout)
+    assert payload["error"] == "assumption gate failed"
+    assert payload["report"]["verdict"] == "Degenerate"
     assert "A3" not in payload
+    # no profile, CSV or summary beside the payload
+    written = {"deg.cfg", "out"} if GATE_TO_OUT[command] else {"deg.cfg"}
+    assert set(os.listdir(tmp_path)) == written
+
+
+@pytest.mark.parametrize("command", ["coeffs", "soliton", "ansatz",
+                                     "minimize"])
+def test_defocusing_gate(tmp_path, capsys, bench_cfg, monkeypatch, command):
+    real = nls.compute_coefficients
+    monkeypatch.setattr(nls, "compute_coefficients", lambda p, crit:
+                        dataclasses.replace(real(p, crit), focusing=False))
+    out = tmp_path / "out"
+    rc = main([command, "--config", bench_cfg, "--out", str(out)])
+    if command == "coeffs":
+        assert rc == 0
+        assert json.loads(out.read_text())["focusing"] is False
+        return
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "defocusing regime"
+    # every command reports the coefficients it refused
+    assert payload["focusing"] is False and "A3" in payload
+    assert set(os.listdir(tmp_path)) == {"bench.cfg"}
 
 
 def test_soliton_outputs(tmp_path, bench_cfg):

@@ -7,9 +7,8 @@ import pytest
 
 from gcwaves import dno
 from gcwaves import (PeriodicGrid, ProfilePair, StripGrid, eval_L_exact,
-                     eval_L_trunc, eval_PF, eval_fbar, solve_lower,
-                     solve_upper)
-from gcwaves.dno import flat_K_matrix
+                     eval_L_trunc, eval_fbar, solve_lower, solve_upper)
+from gcwaves.cli import oracle_suite
 from gcwaves.errors import ConfigError, GeometryError, SolvabilityError
 
 from conftest import BENCH, random_band_profile
@@ -117,11 +116,13 @@ def test_upper_self_adjoint_on_curved_geometry(strip, x):
         assert ip_ab == pytest.approx(ip_ba, rel=1e-8)
 
 
-def test_flat_symbols_match_dispersion_matrix(strip):
-    for k in (K0, 2 * K0, 3 * K0):
-        K = flat_K_matrix(k, BENCH, strip, PERIOD)
-        _, F = eval_PF(k, BENCH)
-        assert np.max(np.abs(K - F)) <= 1e-8
+@pytest.fixture(scope="module")
+def suite(strip):
+    return oracle_suite(BENCH, K0, PeriodicGrid(n=NX, period=PERIOD), strip)
+
+
+def test_flat_symbols_match_dispersion_matrix(suite):
+    assert suite["flat_symbol_max_abs_err"] <= 1e-8
 
 
 def test_vertical_resolution_spectral_convergence(x):
@@ -181,21 +182,8 @@ def test_L_exact_approaches_l2_for_single_mode(strip, x):
     assert rels[1] < rels[0]
 
 
-def test_truncation_order(strip, x):
-    g = PeriodicGrid(n=NX, period=PERIOD)
-    bu = 0.11 * np.cos(K0 * x) + 0.05 * np.cos(2 * K0 * x) \
-        + 0.02 * np.sin(3 * K0 * x)
-    bv = -0.04 * np.cos(K0 * x) + 0.03 * np.sin(2 * K0 * x) \
-        + 0.01 * np.cos(3 * K0 * x)
-    diffs = []
-    for s in (0.2, 0.1, 0.05):
-        eta = ProfilePair(g, s * bu, s * bv)
-        lex = eval_L_exact(eta, BENCH, strip)
-        lt = sum(eval_L_trunc(eta, BENCH))
-        diffs.append(abs(lex - lt))
-    slopes = [math.log(diffs[i] / diffs[i + 1]) / math.log(2.0)
-              for i in range(2)]
-    assert min(slopes) >= 4.5
+def test_truncation_order(suite):
+    assert min(suite["truncation_slopes"]) >= 4.5
 
 
 def test_solution_potential_shape(strip, x):

@@ -68,7 +68,7 @@ def curved_cg_iterations(strip):
     """CG iterations of the lower and upper solves of eval_L_exact on a
     curved two-mode profile."""
     return tuple(curved_solve(op, strip).cg_iterations
-                 for op in dno._solvers(strip, PERIOD))
+                 for op in dno._solver_cache(strip, PERIOD))
 
 
 @pytest.mark.parametrize("ny, cg_tol, counts", [
@@ -158,20 +158,42 @@ def test_solver_memory_bounded(solver):
     assert array_bytes(list(vars(op).values())) < 2e6 + 2 * full + row
 
 
-def test_solver_cache_bounded():
-    dno._solver_cache.clear()
+def test_solver_cache_bounded(monkeypatch):
+    built = []
+
+    class CountedLower(LowerSolver):
+        def __init__(self, strip, period):
+            built.append(period)
+            super().__init__(strip, period)
+
+    monkeypatch.setattr(dno, "LowerSolver", CountedLower)
+    dno._solver_cache.cache_clear()
     strip = StripGrid(nx=64, ny=32, depth_under=14.0 / K0)
-    periods = [PERIOD * (1.0 + 0.1 * i) for i in range(dno._SOLVER_PAIRS + 3)]
+    size = dno._SOLVER_PAIRS
+    periods = [PERIOD * (1.0 + 0.1 * i) for i in range(size + 3)]
     for period in periods:
         g = PeriodicGrid(n=64, period=period)
         x = g.x
         eta = ProfilePair(g, 0.05 * np.cos(2 * np.pi * x / period),
                           -0.02 * np.cos(2 * np.pi * x / period))
         assert eval_L_exact(eta, BENCH, strip) > 0.0
-        assert len(dno._solver_cache) <= dno._SOLVER_PAIRS
-    assert list(dno._solver_cache) == [
-        (strip, period) for period in periods[-dno._SOLVER_PAIRS:]]
-    dno._solver_cache.clear()
+        assert dno._solver_cache.cache_info().currsize <= size
+    # one build per period, and every other lookup of a period hits
+    assert built == periods
+    info = dno._solver_cache.cache_info()
+    assert info.misses == len(periods) and info.currsize == size
+    # the last `size` periods are kept; using the oldest of them makes the
+    # next oldest the one a new period evicts
+    kept = periods[-size:]
+    dno._solver_cache(strip, kept[0])
+    dno._solver_cache(strip, periods[0])
+    assert built == periods + [periods[0]]
+    for period in [kept[0]] + kept[2:]:
+        dno._solver_cache(strip, period)
+    assert built == periods + [periods[0]]
+    dno._solver_cache(strip, kept[1])
+    assert built == periods + [periods[0], kept[1]]
+    dno._solver_cache.cache_clear()
 
 
 NYQUIST = (-1.0) ** np.arange(256)  # the checkerboard on nx = 256
