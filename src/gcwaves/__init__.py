@@ -7,33 +7,31 @@ elliptic oracle for the kinetic-energy functional.
 """
 
 from .dispersion import (AssumptionReport, CriticalPoint, Params,
-                         eval_PF, eval_a, eval_a2, eval_fbar, eval_g,
+                         eval_PF, eval_a, eval_fbar, eval_g,
                          eval_lambda, find_critical, locate_branch_crossing,
                          refine_degenerate)
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
-                       build_eta_star, eps_of_mu, eval_J, eval_K,
-                       eval_L_trunc, grad_J, grad_K, grad_L_trunc, make_grid,
-                       mu_of_eps, read_profile_csv, suggest_carrier_multiple,
-                       write_profile_csv)
+                       build_eta_star, eps_of_mu, eval_J, eval_L_trunc,
+                       grad_J, make_grid, mu_of_eps, read_profile_csv,
+                       suggest_carrier_multiple, write_profile_csv)
 from .nls import (NlsCoefficients, SolitonProfile, build_soliton,
                   check_focusing, compute_a3, compute_a4,
                   compute_coefficients, eval_alpha)
-from .dno import DnoSolution, StripGrid, eval_L_exact, solve_lower, solve_upper
+from .dno import DnoSolution, StripGrid, eval_L_exact
 from .minimizer import (MinimizeConfig, MinimizeResult, SpeedFit, minimize,
                         speed_expansion_check)
 
 __all__ = [
     "AssumptionReport", "CriticalPoint", "Params", "eval_PF", "eval_a",
-    "eval_a2", "eval_fbar", "eval_g", "eval_lambda", "find_critical",
+    "eval_fbar", "eval_g", "eval_lambda", "find_critical",
     "locate_branch_crossing", "refine_degenerate",
     "FunctionalBreakdown", "PeriodicGrid", "ProfilePair", "build_eta_star",
-    "eps_of_mu", "eval_J", "eval_K", "eval_L_trunc", "grad_J", "grad_K",
-    "grad_L_trunc", "make_grid",
+    "eps_of_mu", "eval_J", "eval_L_trunc", "grad_J", "make_grid",
     "mu_of_eps", "read_profile_csv", "suggest_carrier_multiple",
     "write_profile_csv",
     "NlsCoefficients", "SolitonProfile", "build_soliton", "check_focusing",
     "compute_a3", "compute_a4", "compute_coefficients", "eval_alpha",
-    "DnoSolution", "StripGrid", "eval_L_exact", "solve_lower", "solve_upper",
+    "DnoSolution", "StripGrid", "eval_L_exact",
     "MinimizeConfig", "MinimizeResult", "SpeedFit", "minimize",
     "speed_expansion_check",
 ]

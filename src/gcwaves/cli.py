@@ -16,6 +16,7 @@ truncation-vs-oracle checks that ``validate`` and the tests share.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -276,11 +277,6 @@ def cmd_ansatz(args) -> int:
     return EXIT_OK
 
 
-def _breakdown_dict(bd: fieldops.FunctionalBreakdown) -> dict:
-    return {k: getattr(bd, k) for k in
-            ("k_total", "k2", "k4", "l2", "l3", "l4", "l_trunc", "j_mu", "mu")}
-
-
 def _run_minimize(cfg, crit, c, mu):
     grid = _grid_for(cfg, crit, c, mu)
     mcfg = minimizer.MinimizeConfig(
@@ -294,7 +290,7 @@ def _run_minimize(cfg, crit, c, mu):
 
 def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
     return {
-        "breakdown": _breakdown_dict(r.breakdown),
+        "breakdown": dataclasses.asdict(r.breakdown),
         "speed": r.speed,
         "nu0": crit.nu0,
         "iterations": r.iterations,

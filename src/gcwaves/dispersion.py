@@ -250,13 +250,6 @@ def eval_a(p: Params, k0: float) -> float:
     return float(-v[1] / v[0])
 
 
-def eval_a2(p: Params, k0: float, nu0: float, a: float) -> float:
-    """A2 = d^2/dk^2 [g(k) v0 . v0] at k0, that is v0 . g''(k0) v0."""
-    _, _, d2P, d2F = _pf_derivatives(k0, p)
-    v0 = np.array([1.0, -a])
-    return float(v0 @ (d2P - nu0**2 * d2F) @ v0)
-
-
 def _secant_root(f, a: float, b: float, fa: float, fb: float, x: float):
     """Root of f in the bracket (a, b), f(a) < 0 < f(b), by the Illinois
     variant of regula falsi started at x.
@@ -352,13 +345,14 @@ def find_critical(
 
     nu0 = math.sqrt(lam0)
     a = eval_a(p, k0)
-    a2 = eval_a2(p, k0, nu0, a)
-    # A2 = lambda'' F v0.v0 + 2 g v0'.v0' at k0, where lambda' = 0 and
+    # A2 = d^2/dk^2 [g(k) v0 . v0] at k0 = v0 . g''(k0) v0, v0 held fixed,
+    # equals lambda'' F v0.v0 + 2 g v0'.v0' at k0, where lambda' = 0 and
     # v0' = (0, -a') with a = g11/g12 and g' = P' - nu0^2 F'
-    (P, F), (dP, dF, _, _) = _pf(k0, p), _pf_derivatives(k0, p)
+    (P, F), (dP, dF, d2P, d2F) = _pf(k0, p), _pf_derivatives(k0, p)
+    v0 = np.array([1.0, -a])
+    a2 = float(v0 @ (d2P - nu0**2 * d2F) @ v0)
     g, dg = P - nu0**2 * F, dP - nu0**2 * dF
     da = (dg[0, 0] * g[0, 1] - g[0, 0] * dg[0, 1]) / g[0, 1] ** 2
-    v0 = np.array([1.0, -a])
     lam2 = float((a2 - 2.0 * g[1, 1] * da**2) / (v0 @ F @ v0))
 
     nondeg = lam2 > DEGENERACY_FACTOR * lam0 / k0**2

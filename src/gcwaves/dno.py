@@ -40,7 +40,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .dispersion import Params
 from .errors import ConfigError, GeometryError, NumericalError, SolvabilityError
-from .fieldops import PeriodicGrid, ProfilePair, _is_power_of_two
+from .fieldops import ProfilePair, _is_power_of_two
 
 #: the upper layer counts as pinched off where its depth falls to this
 _PINCH_OFF_H0 = 0.1
@@ -275,6 +275,22 @@ class _StripOperator:
         x[:, 0] -= x[:, 0].mean()
         return np.fft.irfft(x, self.nx, axis=1), it, rel
 
+    def _solve_flux(self, flux_rows, mean_flux: float,
+                    trace_rows) -> DnoSolution:
+        """Solve for the potential whose boundary flux is psi on each
+        (row, psi) of ``flux_rows``, on the geometry already set, and read
+        its traces off ``trace_rows``.  The potential is defined up to
+        constants; the first trace row is given zero mean."""
+        b = np.zeros((self.ny + 1, self.nx))
+        for row, psi in flux_rows:
+            b[row, :] = self.hx * psi
+        u, it, rel = self.solve(b)
+        u = u - u[trace_rows[0], :].mean()
+        return DnoSolution(potential=u, y=self.y,
+                           traces=tuple(u[r, :].copy() for r in trace_rows),
+                           flux_residual=mean_flux, cg_iterations=it,
+                           relative_residual=rel)
+
 
 class LowerSolver(_StripOperator):
     """Neumann-Dirichlet map of the (truncated) lower layer.
@@ -300,13 +316,7 @@ class LowerSolver(_StripOperator):
         scale = float(np.max(np.abs(psi))) + 1e-300
         mean_flux = self.refuse_unsolvable(psi, scale, "Neumann datum")
         self.set_geometry(eta_under)
-        b = np.zeros((self.ny + 1, self.nx))
-        b[0, :] = self.hx * psi
-        u, it, rel = self.solve(b)
-        u = u - u[0, :].mean()  # quotient by constants: zero-mean trace
-        return DnoSolution(potential=u, y=self.y, traces=(u[0, :].copy(),),
-                           flux_residual=mean_flux, cg_iterations=it,
-                           relative_residual=rel)
+        return self._solve_flux(((0, psi),), mean_flux, (0,))
 
 
 class UpperSolver(_StripOperator):
@@ -338,15 +348,8 @@ class UpperSolver(_StripOperator):
         mean_flux = self.refuse_unsolvable(psi_i + psi_s, scale,
                                            "Neumann pair")
         self.set_geometry(eta_under, eta_over)
-        b = np.zeros((self.ny + 1, self.nx))
-        b[0, :] = self.hx * psi_s    # row 0 is the surface y = 1
-        b[-1, :] = self.hx * psi_i   # last row is the interface y = 0
-        u, it, rel = self.solve(b)
-        u = u - u[-1, :].mean()  # quotient by constants: zero-mean interface
-        return DnoSolution(potential=u, y=self.y,
-                           traces=(u[-1, :].copy(), u[0, :].copy()),
-                           flux_residual=mean_flux, cg_iterations=it,
-                           relative_residual=rel)
+        # row 0 is the surface y = 1, the last row the interface y = 0
+        return self._solve_flux(((0, psi_s), (-1, psi_i)), mean_flux, (-1, 0))
 
 
 #: (strip, period) keys whose solver pairs stay cached; each mu of a
@@ -358,18 +361,6 @@ _SOLVER_PAIRS = 4
 def _solver_cache(strip: StripGrid, period: float):
     """Lower and upper solvers of a strip, kept for the most recent periods."""
     return LowerSolver(strip, period), UpperSolver(strip, period)
-
-
-def solve_lower(eta_under: np.ndarray, psi: np.ndarray, strip: StripGrid,
-                period: float) -> DnoSolution:
-    return _solver_cache(strip, period)[0].solve_neumann(eta_under, psi)
-
-
-def solve_upper(eta: ProfilePair, neumann_pair, strip: StripGrid) -> DnoSolution:
-    psi_i, psi_s = neumann_pair
-    return _solver_cache(strip, eta.grid.period)[1].solve_neumann(
-        eta.eta_under, eta.eta_over, psi_i, psi_s
-    )
 
 
 def _resample(u: np.ndarray, nx: int) -> np.ndarray:
@@ -391,6 +382,16 @@ def _resample(u: np.ndarray, nx: int) -> np.ndarray:
     return np.fft.irfft(U[: nx // 2 + 1], nx) * (nx / n)
 
 
+def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,
+        eta_over: np.ndarray, zu: np.ndarray, zv: np.ndarray, rho: float):
+    """xi = (Phi_under - rho Phi_i, rho Phi_s) for the flux pair
+    zeta = (zu, zv): Phi_under = N_lower zu, and (Phi_i, Phi_s) the trace
+    pair of N_upper (-zu, zv)."""
+    phi_under = lower.solve_neumann(eta_under, zu).traces[0]
+    phi_i, phi_s = upper.solve_neumann(eta_under, eta_over, -zu, zv).traces
+    return phi_under - rho * phi_i, rho * phi_s
+
+
 def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
     """Exact kinetic energy via the layer solves.
 
@@ -404,14 +405,7 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
     u = _resample(eta.eta_under, strip.nx)
     v = _resample(eta.eta_over, strip.nx)
     zu, zv = lower.dx(np.stack([u, v]))
-
-    sol_low = lower.solve_neumann(u, zu)
-    phi_under = sol_low.traces[0]
-    sol_up = upper.solve_neumann(u, v, -zu, zv)
-    phi_i, phi_s = sol_up.traces
-
-    xi_under = phi_under - p.rho * phi_i
-    xi_over = p.rho * phi_s
+    xi_under, xi_over = _xi(lower, upper, u, v, zu, zv, p.rho)
     hx = period / strip.nx
     return 0.5 * hx * float(np.sum(zu * xi_under + zv * xi_over))
 
@@ -425,23 +419,16 @@ def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.nd
     """
     nx = strip.nx
     x = period / nx * np.arange(nx)
+    cosk = np.cos(k * x)
+    norm = float(np.sum(cosk * cosk))
+    flat = np.zeros(nx)
     out = np.empty((2, 2))
     lower, upper = _solver_cache(strip, period)
     for col, (au, av) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        eta = ProfilePair(PeriodicGrid(n=nx, period=period),
-                          au * np.cos(k * x), av * np.cos(k * x))
-        zu = lower.dx(eta.eta_under[None, :])[0]
-        zv = lower.dx(eta.eta_over[None, :])[0]
-        flat = np.zeros(nx)
-        phi_under = lower.solve_neumann(flat, zu).traces[0]
-        phi_i, phi_s = upper.solve_neumann(flat, flat, -zu, zv).traces
-        xi_u = phi_under - p.rho * phi_i
-        xi_o = p.rho * phi_s
+        zu, zv = lower.dx(np.stack([au * cosk, av * cosk]))
+        xi = _xi(lower, upper, flat, flat, zu, zv, p.rho)
         # K eta = -d/dx xi; project onto cos(kx)
-        ku = -lower.dx(xi_u[None, :])[0]
-        ko = -lower.dx(xi_o[None, :])[0]
-        cosk = np.cos(k * x)
-        norm = float(np.sum(cosk * cosk))
+        ku, ko = -lower.dx(np.stack(xi))
         out[0, col] = float(np.sum(ku * cosk)) / norm
         out[1, col] = float(np.sum(ko * cosk)) / norm
     return out

@@ -14,7 +14,7 @@ Sulem do), together with the reduced objective J_mu = K + mu^2 / L_trunc
 and its L^2 gradient, and the modulated-carrier test profile used to
 seed the minimiser.  Each profile is evaluated in two stages:
 
-* Value stage (``_Fields``).  The (u, v) pair is transformed once; the
+* Value stage (``StagedProfile``).  The (u, v) pair is transformed once; the
   padded fields u, v, u_x, v_x, u_xx, |k|u, B1 and B2 take one inverse
   transform each, and each product in L_trunc one forward transform.
   Every integral is a sum of padded-grid values or, where it has the
@@ -34,12 +34,13 @@ seed the minimiser.  Each profile is evaluated in two stages:
   padded spectrum, and the result is truncated and transformed back once
   per component: grad_J costs 35 one-dimensional transforms in all.
 
-A ``StagedProfile`` keeps its value stage and breakdown between calls:
-eval_J on it runs the value stage, and a grad_J after that the gradient
-stage alone, 18 more transforms.  The minimizer's line-search trials are
-value-only eval_J calls on staged profiles, whose barrier reads the H^2
-norm off the value stage's spectra; only a trial that may be accepted
-goes on to grad_J.
+A ``StagedProfile`` runs the value stage when it is built and keeps it,
+with the breakdown of the last (p, mu), between calls: a grad_J after an
+eval_J on it runs the gradient stage alone, 18 more transforms.  The
+minimizer's line-search trials are value-only eval_J calls on staged
+profiles, whose barrier reads the H^2 norm off the held spectrum
+(``StagedProfile.h2_sq``); only a trial that may be accepted goes on to
+grad_J.
 
 F-bar, the upper-layer multiplier matrix [[d, o], [o, d]] with
 d = |k| coth|k| and o = -|k|/sinh|k|, is owned by
@@ -278,18 +279,25 @@ class _Products(NamedTuple):
     upper_l4: float
 
 
-class _Fields:
-    """Value stage: the transforms of one profile, each formed once.
+class StagedProfile:
+    """A profile and its value stage: the transforms of the profile, each
+    formed once.
 
-    The pair is transformed once (``UV``) and the base-band fields u, v,
-    u_x, v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held as values on
-    the padded grid, where products are formed.  The spectra of the products
-    in the kinetic energy are formed on first use, so the surface energy
-    alone never pays for them.  Transforms run on (lower, upper) pairs of
-    rows.
+    The pair ``eta`` is transformed once (``UV``) and the base-band fields
+    u, v, u_x, v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held as
+    values on the padded grid, where products are formed.  The spectra of
+    the products in the kinetic energy are formed on first use, so the
+    surface energy alone never pays for them.  Transforms run on
+    (lower, upper) pairs of rows.
+
+    eval_J and grad_J take a StagedProfile wherever they take a
+    ProfilePair.  It holds about a dozen padded fields and spectra, so
+    its owner drops it as soon as it is done with it.
     """
 
     def __init__(self, eta: ProfilePair):
+        self.eta = eta
+        self._breakdown: tuple[tuple, FunctionalBreakdown] | None = None
         g = self.grid = eta.grid
         s = self.sym = _symbols(g)
         UV = self.UV = _rfft(np.stack([eta.eta_under, eta.eta_over]), g.n)
@@ -340,8 +348,20 @@ class _Fields:
         upper_l4 += 0.5 * self.pairing(Z, W)
         return _Products(P, R, Z, upper_l4)
 
+    def breakdown(self, p: Params, mu: float) -> FunctionalBreakdown:
+        key = (p, mu)
+        if self._breakdown is None or self._breakdown[0] != key:
+            self._breakdown = key, _breakdown(self, p, mu)
+        return self._breakdown[1]
 
-def _lower_parts(f: _Fields):
+    def h2_sq(self) -> float:
+        """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
+        over both components: a Parseval sum of the held spectrum (the
+        padded spectrum is _PAD times ``UV``), with no transform."""
+        return _PAD**2 * self.pairing(self.sym.h2_weight * self.UV, self.UV)
+
+
+def _lower_parts(f: StagedProfile):
     """Quadratic, cubic and quartic kinetic terms of the lower layer."""
     u, ux, uxx, Ku = f.u, f.ux, f.uxx, f.Ku
     P = f.products.P
@@ -351,7 +371,7 @@ def _lower_parts(f: _Fields):
     return l2, l3, l4
 
 
-def _upper_parts(f: _Fields):
+def _upper_parts(f: StagedProfile):
     """Upper-layer truncation.
 
     The quartic term comes from second-order perturbation theory of the
@@ -363,7 +383,7 @@ def _upper_parts(f: _Fields):
 
     with r1 = u u_x, r2 = v v_x and W the first-order flux correction;
     the same derivation specialised to one boundary reproduces the
-    single-layer quartic term exactly.  ``_Fields.products`` evaluates
+    single-layer quartic term exactly.  ``StagedProfile.products`` evaluates
     all three integrals as Parseval sums of the product spectra.
     """
     u, v, ux, vx, B1, B2 = f.u, f.v, f.ux, f.vx, f.B1, f.B2
@@ -372,13 +392,17 @@ def _upper_parts(f: _Fields):
     return l2, l3, f.products.upper_l4
 
 
-def _l_parts(f: _Fields, p: Params):
+def _l_parts(f: StagedProfile, p: Params):
     lo = _lower_parts(f)
     up = _upper_parts(f)
     return tuple(a + p.rho * b for a, b in zip(lo, up))
 
 
-def _k_parts(f: _Fields, p: Params):
+def _k_parts(f: StagedProfile, p: Params):
+    """Exact surface energy and its quadratic and quartic truncations,
+    (k_total, k2, k4).  The exact value integrates sqrt(1 + eta_x^2) - 1
+    written as eta_x^2 / (sqrt(1 + eta_x^2) + 1), which keeps full relative
+    precision at small slopes."""
     r, bu, bo = p.rho, p.beta_under, p.beta_over
     ux2, vx2 = f.ux**2, f.vx**2
     k_total = f.integral(
@@ -394,7 +418,7 @@ def _k_parts(f: _Fields, p: Params):
     return k_total, k2, k4
 
 
-def _breakdown(f: _Fields, p: Params, mu: float) -> FunctionalBreakdown:
+def _breakdown(f: StagedProfile, p: Params, mu: float) -> FunctionalBreakdown:
     k_total, k2, k4 = _k_parts(f, p)
     l2, l3, l4 = _l_parts(f, p)
     l_trunc = l2 + l3 + l4
@@ -409,7 +433,7 @@ def _breakdown(f: _Fields, p: Params, mu: float) -> FunctionalBreakdown:
     )
 
 
-def _gradient(f: _Fields, p: Params, ck: float, cl: float):
+def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
     """Gradient stage: the L^2 gradient of ck K + cl L_trunc on the n-grid.
 
     Terms free of an outer multiplier are summed on the padded grid, and
@@ -470,75 +494,13 @@ def _gradient(f: _Fields, p: Params, ck: float, cl: float):
     return gu, gv
 
 
-class StagedProfile:
-    """A profile whose value stage outlives the call that computes it.
-
-    eval_J and grad_J take a StagedProfile wherever they take a
-    ProfilePair.  The first of them to run transforms the profile and
-    keeps the value stage here, with the breakdown of the last (p, mu),
-    so a grad_J after an eval_J runs the gradient stage alone.  A value
-    stage holds about a dozen padded fields and spectra, so its owner
-    drops the StagedProfile as soon as it is done with it.
-    """
-
-    def __init__(self, eta: ProfilePair):
-        self.eta = eta
-        self._fields: _Fields | None = None
-        self._breakdown: tuple[tuple, FunctionalBreakdown] | None = None
-
-    def fields(self) -> _Fields:
-        if self._fields is None:
-            self._fields = _Fields(self.eta)
-        return self._fields
-
-    def breakdown(self, p: Params, mu: float) -> FunctionalBreakdown:
-        key = (p, mu)
-        if self._breakdown is None or self._breakdown[0] != key:
-            self._breakdown = key, _breakdown(self.fields(), p, mu)
-        return self._breakdown[1]
-
-    def h2_sq(self) -> float:
-        """Squared discrete H^2 norm, int eta^2 + eta_x^2 + eta_xx^2 summed
-        over both components, from the value stage's spectra."""
-        grid = self.eta.grid
-        n = grid.n
-        w = _symbols(grid).h2_weight
-        # rfft coefficient -> line-spectrum weights (count +-k once each)
-        mult = np.full(n // 2 + 1, 2.0)
-        mult[0] = 1.0
-        return sum(float(np.sum(mult * w * np.abs(X / n) ** 2))
-                   for X in self.fields().UV) * grid.period
-
-
 def _staged(eta: ProfilePair | StagedProfile) -> StagedProfile:
     return eta if isinstance(eta, StagedProfile) else StagedProfile(eta)
 
 
 def eval_L_trunc(eta: ProfilePair, p: Params):
     """Combined truncation (l2, l3, l4) with the density weighting."""
-    return _l_parts(_Fields(eta), p)
-
-
-def eval_K(eta: ProfilePair, p: Params):
-    """Exact surface energy and its quadratic/quartic truncations.
-
-    Returns (k_total, k2, k4).  The exact value integrates
-    sqrt(1 + eta_x^2) - 1 on the padded grid, written as
-    eta_x^2 / (sqrt(1 + eta_x^2) + 1) so that it keeps full relative
-    precision at small slopes; the truncations are the displayed
-    polynomial parts.
-    """
-    return _k_parts(_Fields(eta), p)
-
-
-def grad_K(eta: ProfilePair, p: Params):
-    """L^2 gradient of the exact surface energy."""
-    return _gradient(_Fields(eta), p, 1.0, 0.0)
-
-
-def grad_L_trunc(eta: ProfilePair, p: Params):
-    """L^2 gradient of the combined truncated kinetic energy."""
-    return _gradient(_Fields(eta), p, 0.0, 1.0)
+    return _l_parts(StagedProfile(eta), p)
 
 
 def eval_J(eta: ProfilePair | StagedProfile, p: Params,
@@ -551,7 +513,7 @@ def grad_J(eta: ProfilePair | StagedProfile, p: Params, mu: float):
     """L^2 gradient of J_mu via the chain rule, plus the breakdown."""
     staged = _staged(eta)
     bd = staged.breakdown(p, mu)
-    return _gradient(staged.fields(), p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
+    return _gradient(staged, p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
 
 
 def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,

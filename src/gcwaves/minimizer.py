@@ -206,7 +206,7 @@ class _Objective:
         (gu, gv), bd = grad_J(trial.eta, self.p, self.cfg.mu)
         g = np.stack([gu, gv])
         if trial.dvds is not None:
-            H = self.h2_weight * trial.eta.fields().UV
+            H = self.h2_weight * trial.eta.UV
             g += trial.dvds * 2.0 * np.fft.irfft(H, n)
         return _half(g, n) * self.grid.dx, bd
 

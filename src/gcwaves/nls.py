@@ -56,31 +56,24 @@ def _carrier_couplings(k0: float, a: float):
     return c1, c2
 
 
-def _a3_vec1(k0, a, rho, nu0_sq, fb2, c1, c2):
-    # second-harmonic forcing vector
+def _a3_forcing(k0, a, rho, nu0_sq, fb, c1, c2, harmonic: int):
+    """Forcing vector of carrier harmonic 2 (the second harmonic, with
+    fb = Fbar(2 k0)) or 0 (the mean flow, with fb = Fbar(0)).  The k0^2
+    terms weigh 1.5 in the first and 0.5 in the second, and only the
+    second harmonic carries the lower-layer term nu0^2 k0^2."""
+    w = 0.5 + 0.5 * harmonic
     main = rho * nu0_sq * np.array([
-        1.5 * k0**2 - 0.5 * c1**2 - fb2[0, 0] * c1,
-        -1.5 * k0**2 * a**2 + 0.5 * c2**2 - a * fb2[1, 1] * c2,
+        w * k0**2 - 0.5 * c1**2 - fb[0, 0] * c1,
+        -w * k0**2 * a**2 + 0.5 * c2**2 - a * fb[1, 1] * c2,
     ])
     cross = rho * nu0_sq * np.array([
-        -a * fb2[1, 0] * c2,
-        -fb2[0, 1] * c1,
+        -a * fb[1, 0] * c2,
+        -fb[0, 1] * c1,
     ])
-    lower = np.array([nu0_sq * k0**2, 0.0])
-    return main + cross + lower
-
-
-def _a3_vec2(k0, a, rho, nu0_sq, fb0, c1, c2):
-    # mean-flow forcing vector
-    main = rho * nu0_sq * np.array([
-        0.5 * k0**2 - 0.5 * c1**2 - fb0[0, 0] * c1,
-        -0.5 * k0**2 * a**2 + 0.5 * c2**2 - a * fb0[1, 1] * c2,
-    ])
-    cross = rho * nu0_sq * np.array([
-        -a * fb0[1, 0] * c2,
-        -fb0[0, 1] * c1,
-    ])
-    return main + cross
+    forcing = main + cross
+    if harmonic == 2:
+        forcing += np.array([nu0_sq * k0**2, 0.0])
+    return forcing
 
 
 def _solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -99,8 +92,8 @@ def compute_a3(p: Params, crit: CriticalPoint):
     """
     k0, a, nu0_sq = crit.k0, crit.a, crit.nu0**2
     c1, c2 = _carrier_couplings(k0, a)
-    v1 = _a3_vec1(k0, a, p.rho, nu0_sq, eval_fbar(2.0 * k0), c1, c2)
-    v2 = _a3_vec2(k0, a, p.rho, nu0_sq, eval_fbar(0.0), c1, c2)
+    v1 = _a3_forcing(k0, a, p.rho, nu0_sq, eval_fbar(2.0 * k0), c1, c2, 2)
+    v2 = _a3_forcing(k0, a, p.rho, nu0_sq, eval_fbar(0.0), c1, c2, 0)
     g2 = eval_g(2.0 * k0, p, crit.nu0)
     g0 = eval_g(0.0, p, crit.nu0)
     a3 = (

@@ -1,6 +1,7 @@
 """Test-only spectral helpers and oracles.
 
-Translation and the H^2 norm of a profile pair, plain-loop multiplier
+Translation and the H^2 norm of a profile pair, the surface energy and
+the separate surface and kinetic gradients, plain-loop multiplier
 application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
 truncations, the finite-period correction of the quartic coefficient,
@@ -31,6 +32,22 @@ def h2_norm(eta):
     return math.sqrt(fo.StagedProfile(eta).h2_sq())
 
 
+def eval_K(eta, p):
+    """Exact surface energy and its quadratic and quartic truncations,
+    (k_total, k2, k4)."""
+    return fo._k_parts(fo.StagedProfile(eta), p)
+
+
+def grad_K(eta, p):
+    """L^2 gradient of the exact surface energy."""
+    return fo._gradient(fo.StagedProfile(eta), p, 1.0, 0.0)
+
+
+def grad_L_trunc(eta, p):
+    """L^2 gradient of the combined truncated kinetic energy."""
+    return fo._gradient(fo.StagedProfile(eta), p, 0.0, 1.0)
+
+
 def apply_multiplier(symbol, f, grid):
     """Apply a Fourier multiplier; ``symbol`` maps wavenumbers to scalars
     or 2x2 matrices.
@@ -54,12 +71,12 @@ def apply_multiplier(symbol, f, grid):
 def eval_L_lower(eta_under, grid):
     """Quadratic, cubic and quartic kinetic terms of the lower layer."""
     eta = ProfilePair(grid, eta_under, np.zeros_like(eta_under))
-    return fo._lower_parts(fo._Fields(eta))
+    return fo._lower_parts(fo.StagedProfile(eta))
 
 
 def eval_L_upper(eta):
     """Quadratic, cubic and quartic kinetic terms of the upper layer."""
-    return fo._upper_parts(fo._Fields(eta))
+    return fo._upper_parts(fo.StagedProfile(eta))
 
 
 def _pad_values(U, n):

@@ -16,7 +16,7 @@ import pytest
 
 from gcwaves import (MinimizeConfig, Params, ProfilePair, StripGrid,
                      build_eta_star, build_soliton, compute_coefficients,
-                     eps_of_mu, eval_J, eval_K, eval_L_trunc, eval_PF,
+                     eps_of_mu, eval_J, eval_L_trunc, eval_PF,
                      eval_g, eval_lambda, find_critical, grad_J,
                      make_grid, minimize, speed_expansion_check,
                      suggest_carrier_multiple)
@@ -26,6 +26,7 @@ from gcwaves.nls import soliton_energy, soliton_mass, soliton_shape
 
 from conftest import (BENCH, DEGENERATE_SEED, NEAR_RESONANT,
                       random_band_profile, soliton_ode_residual)
+from spectral_helpers import eval_K, grad_K, grad_L_trunc
 
 
 def _report(name, ok, detail):
@@ -133,9 +134,9 @@ def test_criterion_5_gradient_correctness(bench_crit):
 
         for val, grad in (
             (lambda e: sum(eval_L_trunc(e, BENCH)),
-             lambda e: __import__("gcwaves").grad_L_trunc(e, BENCH)),
+             lambda e: grad_L_trunc(e, BENCH)),
             (lambda e: eval_K(e, BENCH)[0],
-             lambda e: __import__("gcwaves").grad_K(e, BENCH)),
+             lambda e: grad_K(e, BENCH)),
             (lambda e: eval_J(e, BENCH, mu).j_mu,
              lambda e: grad_J(e, BENCH, mu)[0]),
         ):

@@ -7,8 +7,9 @@ import pytest
 
 from gcwaves import dno
 from gcwaves import (PeriodicGrid, ProfilePair, StripGrid, eval_L_exact,
-                     eval_L_trunc, eval_fbar, solve_lower, solve_upper)
+                     eval_L_trunc, eval_fbar)
 from gcwaves.cli import oracle_suite
+from gcwaves.dno import LowerSolver, UpperSolver
 from gcwaves.errors import ConfigError, GeometryError, SolvabilityError
 
 from conftest import BENCH, random_band_profile
@@ -25,6 +26,16 @@ def strip():
 
 
 @pytest.fixture(scope="module")
+def lower(strip):
+    return LowerSolver(strip, PERIOD)
+
+
+@pytest.fixture(scope="module")
+def upper(strip):
+    return UpperSolver(strip, PERIOD)
+
+
+@pytest.fixture(scope="module")
 def x():
     return PERIOD / NX * np.arange(NX)
 
@@ -38,19 +49,19 @@ def test_strip_validation():
         StripGrid(nx=128, ny=64, depth_under=-1.0)
 
 
-def test_flat_lower_inverts_modulus_multiplier(strip, x):
+def test_flat_lower_inverts_modulus_multiplier(lower, x):
     for k in (K0, 2 * K0):
-        sol = solve_lower(np.zeros(NX), np.cos(k * x), strip, PERIOD)
+        sol = lower.solve_neumann(np.zeros(NX), np.cos(k * x))
         assert sol.traces[0] == pytest.approx(np.cos(k * x) / k, abs=1e-9 / k)
         assert sol.flux_residual <= 1e-12
 
 
-def test_lower_nonzero_mean_rejected(strip, x):
+def test_lower_nonzero_mean_rejected(lower, x):
     with pytest.raises(SolvabilityError):
-        solve_lower(np.zeros(NX), np.cos(K0 * x) + 0.1, strip, PERIOD)
+        lower.solve_neumann(np.zeros(NX), np.cos(K0 * x) + 0.1)
 
 
-def test_lower_self_adjoint_and_positive(strip, x):
+def test_lower_self_adjoint_and_positive(lower, x):
     rng = np.random.default_rng(21)
     eta = random_band_profile(rng, NX, 0.15)
     hx = PERIOD / NX
@@ -59,8 +70,8 @@ def test_lower_self_adjoint_and_positive(strip, x):
         psi2 = random_band_profile(rng, NX, 1.0)
         psi1 -= psi1.mean()
         psi2 -= psi2.mean()
-        n1 = solve_lower(eta, psi1, strip, PERIOD).traces[0]
-        n2 = solve_lower(eta, psi2, strip, PERIOD).traces[0]
+        n1 = lower.solve_neumann(eta, psi1).traces[0]
+        n2 = lower.solve_neumann(eta, psi2).traces[0]
         ip12 = hx * float(np.sum(n1 * psi2))
         ip21 = hx * float(np.sum(n2 * psi1))
         assert ip12 == pytest.approx(ip21, rel=1e-8)
@@ -68,37 +79,32 @@ def test_lower_self_adjoint_and_positive(strip, x):
         assert self_e >= 0.0
 
 
-def test_flat_upper_inverts_fbar(strip, x):
+def test_flat_upper_inverts_fbar(upper, x):
+    flat = np.zeros(NX)
     for k in (K0, 2 * K0):
         data = np.cos(k * x)
-        sol = solve_upper(
-            ProfilePair(PeriodicGrid(n=NX, period=PERIOD),
-                        np.zeros(NX), np.zeros(NX)),
-            (data, np.zeros(NX)), strip)
+        sol = upper.solve_neumann(flat, flat, data, np.zeros(NX))
         pred = np.linalg.inv(eval_fbar(k)) @ np.array([1.0, 0.0])
         assert sol.traces[0] == pytest.approx(pred[0] * data, abs=1e-9)
         assert sol.traces[1] == pytest.approx(pred[1] * data, abs=1e-9)
 
 
-def test_upper_compatibility_rejected(strip, x):
-    eta = ProfilePair(PeriodicGrid(n=NX, period=PERIOD),
-                      np.zeros(NX), np.zeros(NX))
+def test_upper_compatibility_rejected(upper, x):
+    flat = np.zeros(NX)
     with pytest.raises(SolvabilityError):
-        solve_upper(eta, (np.cos(K0 * x) + 0.2, -np.cos(K0 * x)), strip)
+        upper.solve_neumann(flat, flat, np.cos(K0 * x) + 0.2, -np.cos(K0 * x))
 
 
-def test_upper_pinch_off(strip, x):
-    g = PeriodicGrid(n=NX, period=PERIOD)
-    eta = ProfilePair(g, 0.5 * np.ones(NX), -0.5 * np.ones(NX))
+def test_upper_pinch_off(upper, x):
     with pytest.raises(GeometryError):
-        solve_upper(eta, (np.cos(K0 * x), -np.cos(K0 * x)), strip)
+        upper.solve_neumann(0.5 * np.ones(NX), -0.5 * np.ones(NX),
+                            np.cos(K0 * x), -np.cos(K0 * x))
 
 
-def test_upper_self_adjoint_on_curved_geometry(strip, x):
+def test_upper_self_adjoint_on_curved_geometry(upper, x):
     rng = np.random.default_rng(22)
-    g = PeriodicGrid(n=NX, period=PERIOD)
-    eta = ProfilePair(g, random_band_profile(rng, NX, 0.1),
-                      random_band_profile(rng, NX, 0.1))
+    eta = (random_band_profile(rng, NX, 0.1),
+           random_band_profile(rng, NX, 0.1))
     hx = PERIOD / NX
     for _ in range(3):
         a_i = random_band_profile(rng, NX, 1.0)
@@ -109,8 +115,8 @@ def test_upper_self_adjoint_on_curved_geometry(strip, x):
         a_i, a_s = a_i - shift, a_s - shift
         shift = (b_i.sum() + b_s.sum()) / (2 * NX)
         b_i, b_s = b_i - shift, b_s - shift
-        sa = solve_upper(eta, (a_i, a_s), strip)
-        sb = solve_upper(eta, (b_i, b_s), strip)
+        sa = upper.solve_neumann(*eta, a_i, a_s)
+        sb = upper.solve_neumann(*eta, b_i, b_s)
         ip_ab = hx * float(np.sum(sa.traces[0] * b_i + sa.traces[1] * b_s))
         ip_ba = hx * float(np.sum(sb.traces[0] * a_i + sb.traces[1] * a_s))
         assert ip_ab == pytest.approx(ip_ba, rel=1e-8)
@@ -130,14 +136,14 @@ def test_vertical_resolution_spectral_convergence(x):
     # Chebyshev collocation should gain much more than second order
     eta = 0.15 * np.cos(K0 * x)
     psi = np.cos(K0 * x)
-    ref = solve_lower(eta, psi,
-                      StripGrid(nx=NX, ny=160, depth_under=12.0 / K0,
-                                cg_tol=1e-13), PERIOD).traces[0]
+    def trace(ny):
+        strip = StripGrid(nx=NX, ny=ny, depth_under=12.0 / K0, cg_tol=1e-13)
+        return LowerSolver(strip, PERIOD).solve_neumann(eta, psi).traces[0]
+
+    ref = trace(160)
     errs = []
     for ny in (40, 56, 80):
-        tr = solve_lower(eta, psi,
-                         StripGrid(nx=NX, ny=ny, depth_under=12.0 / K0,
-                                   cg_tol=1e-13), PERIOD).traces[0]
+        tr = trace(ny)
         errs.append(float(np.max(np.abs(tr - ref))))
     assert errs[1] < errs[0] and errs[2] < errs[1]
     order = math.log(errs[0] / errs[2]) / math.log(80.0 / 40.0)
@@ -186,8 +192,8 @@ def test_truncation_order(suite):
     assert min(suite["truncation_slopes"]) >= 4.5
 
 
-def test_solution_potential_shape(strip, x):
-    sol = solve_lower(np.zeros(NX), np.cos(K0 * x), strip, PERIOD)
+def test_solution_potential_shape(strip, lower, x):
+    sol = lower.solve_neumann(np.zeros(NX), np.cos(K0 * x))
     assert sol.potential.shape == (strip.ny + 1, NX)
     assert sol.relative_residual <= strip.cg_tol
     # the harmonic extension decays with depth

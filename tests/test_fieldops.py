@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
-                     eps_of_mu, eval_J, eval_K, eval_L_trunc, eval_fbar,
-                     grad_J, grad_K, grad_L_trunc, make_grid, mu_of_eps,
-                     read_profile_csv, suggest_carrier_multiple,
-                     write_profile_csv)
+                     eps_of_mu, eval_J, eval_L_trunc, eval_fbar, grad_J,
+                     make_grid, mu_of_eps, read_profile_csv,
+                     suggest_carrier_multiple, write_profile_csv)
 from gcwaves.dispersion import fbar_entries
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
@@ -18,8 +17,9 @@ from gcwaves.fieldops import (StagedProfile, _carrier_grid,
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile
-from spectral_helpers import (apply_multiplier, eval_L_lower, eval_L_upper,
-                              m_lower, m_upper, roll)
+from spectral_helpers import (apply_multiplier, eval_K, eval_L_lower,
+                              eval_L_upper, grad_K, grad_L_trunc, m_lower,
+                              m_upper, roll)
 
 
 @pytest.fixture(scope="module")
@@ -383,8 +383,8 @@ def test_staged_profile_reuses_its_value_stage(grid, fft_rows):
     rng = np.random.default_rng(16)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
-    staged = StagedProfile(eta)
     fft_rows["rows"] = 0
+    staged = StagedProfile(eta)
     bd = eval_J(staged, BENCH, 1e-3)
     assert fft_rows["rows"] == 17
     (gu, gv), bd_grad = grad_J(staged, BENCH, 1e-3)

@@ -7,12 +7,13 @@ from gcwaves import (ProfilePair, Params, build_soliton, check_focusing,
                      eval_alpha, eval_fbar, find_critical, make_grid)
 from gcwaves.dispersion import eval_g
 from gcwaves.errors import RegimeError
-from gcwaves.nls import (_a3_vec1, _a3_vec2, soliton_energy, soliton_mass,
+from gcwaves.nls import (_a3_forcing, soliton_energy, soliton_mass,
                          soliton_shape, upper_quartic_kinetic)
 import gcwaves.fieldops as fo
 
 from conftest import BENCH, NEAR_RESONANT, soliton_ode_residual
-from spectral_helpers import m_lower, m_upper, quartic_box_correction
+from spectral_helpers import (eval_K, m_lower, m_upper,
+                              quartic_box_correction)
 
 
 def test_fbar_limit_and_symmetry():
@@ -43,9 +44,11 @@ def test_a3_blocks_hand_evaluated():
     # synthetic inputs chosen so every block is hand-checkable
     fb2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     fb0 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    v1 = _a3_vec1(k0=1.0, a=1.0, rho=1.0, nu0_sq=1.0, fb2=fb2, c1=3.0, c2=4.0)
+    v1 = _a3_forcing(k0=1.0, a=1.0, rho=1.0, nu0_sq=1.0, fb=fb2, c1=3.0,
+                     c2=4.0, harmonic=2)
     assert v1 == pytest.approx(np.array([-4.0, 1.5]), abs=1e-14)
-    v2 = _a3_vec2(k0=1.0, a=1.0, rho=1.0, nu0_sq=1.0, fb0=fb0, c1=3.0, c2=4.0)
+    v2 = _a3_forcing(k0=1.0, a=1.0, rho=1.0, nu0_sq=1.0, fb=fb0, c1=3.0,
+                     c2=4.0, harmonic=0)
     assert v2 == pytest.approx(np.array([-3.0, 6.5]), abs=1e-14)
 
 
@@ -191,7 +194,7 @@ def test_a4_extraction_oracle(bench_crit, bench_coeffs):
     for eps, n, m in ((4e-3, 4096, 140), (2e-3, 8192, 280)):
         grid = make_grid(n, k0, m)
         e1 = _eta1(crit, c, eps, grid)
-        _, _, k4 = fo.eval_K(e1, BENCH)
+        _, _, k4 = eval_K(e1, BENCH)
         _, _, l4 = fo.eval_L_trunc(e1, BENCH)
         quartic = float(np.mean(e1.eta_under**4)) * grid.period
         est = (k4 - crit.nu0**2 * l4) / quartic
