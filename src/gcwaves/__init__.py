@@ -12,7 +12,7 @@ from .dispersion import (AssumptionReport, CriticalPoint, Params,
                          refine_degenerate)
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        build_eta_star, eps_of_mu, eval_J, eval_L_trunc,
-                       grad_J, make_grid, mu_of_eps, read_profile_csv,
+                       grad_J, make_grid, mu_of_eps,
                        suggest_carrier_multiple, write_profile_csv)
 from .nls import (NlsCoefficients, SolitonProfile, build_soliton,
                   check_focusing, compute_a3, compute_a4,
@@ -27,7 +27,7 @@ __all__ = [
     "locate_branch_crossing", "refine_degenerate",
     "FunctionalBreakdown", "PeriodicGrid", "ProfilePair", "build_eta_star",
     "eps_of_mu", "eval_J", "eval_L_trunc", "grad_J", "make_grid",
-    "mu_of_eps", "read_profile_csv", "suggest_carrier_multiple",
+    "mu_of_eps", "suggest_carrier_multiple",
     "write_profile_csv",
     "NlsCoefficients", "SolitonProfile", "build_soliton", "check_focusing",
     "compute_a3", "compute_a4", "compute_coefficients", "eval_alpha",

@@ -17,12 +17,13 @@ rffts of each operator application, around the flux formed in physical
 space, plus one rfft of the datum and one irfft of the solution.
 
 On a flat strip Fourier mode k_j decouples into the vertical matrix
-M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every nonzero
-mode shares one generalized eigenbasis, D^T W D V = W V Lambda with
+M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
+shares one generalized eigenbasis, D^T W D V = W V Lambda with
 V^T W V = I, so M_j^{-1} = V diag(1 / (hx (k_j^2 + Lambda))) V^T and the
 preconditioner is two real matrix products over all modes at once, on
-the float view of the spectrum.  Mode 0, the only one with a null
-direction (the constants), keeps a regularized Cholesky factor.
+the float view of the spectrum.  Mode 0 is singular only along the
+constants (Lambda = 0); its inverse drops that one direction, which the
+mean projection removes anyway.
 
 The module is the independent oracle against which the spectral
 truncations are validated, so it shares no code path with the truncated
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dispersion import Params
 from .errors import ConfigError, GeometryError, NumericalError, SolvabilityError
@@ -126,10 +126,9 @@ class _StripOperator:
     ``solve`` runs CG on rfft spectra of shape (ny+1, nx/2+1): ``apply``
     and ``precondition`` take and return spectra, at four transforms per
     iteration, all in ``apply``.  The preconditioner inverts the
-    flat-geometry operator mode by mode: the nonzero modes through the
-    shared eigenbasis ``_V`` scaled by the inverse eigenvalues
-    ``_inv_eig`` (one column per mode), mode 0 through the Cholesky factor
-    ``_mode0`` of its regularized matrix.
+    flat-geometry operator mode by mode, through the shared eigenbasis
+    ``_V`` scaled by the inverse eigenvalues ``_inv_eig`` (one column per
+    mode).
     """
 
     def __init__(self, nx: int, period: float, ny: int, y_bot: float,
@@ -159,16 +158,10 @@ class _StripOperator:
         _, s, Yt = np.linalg.svd(sw[:, None] * self.D / sw)
         self._V = Yt.T / sw[:, None]
         self._Vt = np.ascontiguousarray(self._V.T)
-        lam = s[:, None]**2
-        # column 0 is a placeholder: mode 0 is solved through _mode0
-        self._inv_eig = np.zeros((self.ny + 1, self.nx // 2 + 1))
-        self._inv_eig[:, 1:] = 1.0 / (self.hx * (self.k[None, 1:]**2 + lam))
-        Wy = np.diag(self.wy)
-        M0 = self.hx * (self.D.T @ Wy @ self.D)
-        # regularize the constant null direction
-        v = self.wy / np.linalg.norm(self.wy)
-        self._mode0 = cho_factor(M0 + np.outer(v, v) * np.mean(np.diag(M0)),
-                                 lower=True)
+        self._inv_eig = 1.0 / (self.hx * (self.k**2 + s[:, None]**2))
+        # the last singular value (about 1e-14) is that of the constants,
+        # D 1 = 0: mode 0 drops their direction
+        self._inv_eig[-1, 0] = 0.0
 
     def refuse_unsolvable(self, flux: np.ndarray, scale: float,
                           what: str) -> float:
@@ -197,14 +190,13 @@ class _StripOperator:
     def precondition(self, Rh: np.ndarray) -> np.ndarray:
         """Flat-geometry inverse of a residual spectrum, mean projected out.
 
-        Runs no transform: the nonzero modes are two real matrix products
+        Runs no transform: every mode is in the two real matrix products
         on the float view of the spectrum (real and imaginary parts side
-        by side), mode 0 is the Cholesky solve.
+        by side).
         """
         T = (self._Vt @ Rh.view(float)).view(complex)
         T *= self._inv_eig
         Z = (self._V @ T.view(float)).view(complex)
-        Z[:, 0] = cho_solve(self._mode0, Rh[:, 0].real)
         Z[:, 0] -= Z[:, 0].mean()
         return Z
 
@@ -367,19 +359,19 @@ def _resample(u: np.ndarray, nx: int) -> np.ndarray:
     n = len(u)
     if n == nx:
         return u
+    # irfft zero-pads or truncates the spectrum to the strip's grid
     U = np.fft.rfft(u)
     if nx > n:
-        Up = np.zeros(nx // 2 + 1, dtype=complex)
-        Up[: n // 2 + 1] = U
-        Up[n // 2] = 0.0
-        return np.fft.irfft(Up, nx) * (nx / n)
-    tail = float(np.sum(np.abs(U[nx // 2:]) ** 2))
-    total = float(np.sum(np.abs(U) ** 2)) + 1e-300
-    if tail > 1e-20 * total:
-        raise ConfigError(
-            "profile has spectral content beyond the strip resolution"
-        )
-    return np.fft.irfft(U[: nx // 2 + 1], nx) * (nx / n)
+        # the source Nyquist mode would split on the finer grid
+        U[-1] = 0.0
+    else:
+        tail = float(np.sum(np.abs(U[nx // 2:]) ** 2))
+        total = float(np.sum(np.abs(U) ** 2)) + 1e-300
+        if tail > 1e-20 * total:
+            raise ConfigError(
+                "profile has spectral content beyond the strip resolution"
+            )
+    return np.fft.irfft(U, nx) * (nx / n)
 
 
 def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,

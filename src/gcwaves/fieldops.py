@@ -738,16 +738,3 @@ def write_profile_csv(path, eta: ProfilePair):
         "k0_multiple": eta.grid.k0_multiple,
     }
     atomic_write_text(sidecar_path(path), json.dumps(meta, sort_keys=True) + "\n")
-
-
-def read_profile_csv(path) -> ProfilePair:
-    with open(sidecar_path(path)) as fh:
-        meta = json.load(fh)
-    grid = PeriodicGrid(n=meta["n"], period=meta["period"],
-                        k0_multiple=meta["k0_multiple"])
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape != (grid.n, 3):
-        raise ConfigError(f"profile CSV shape {data.shape} does not match grid")
-    if not np.all(np.diff(data[:, 0]) > 0):
-        raise ConfigError("profile CSV rows must be ascending in x")
-    return ProfilePair(grid, data[:, 1].copy(), data[:, 2].copy())

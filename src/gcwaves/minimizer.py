@@ -85,6 +85,8 @@ class MinimizeConfig:
             )
         if self.grad_tol is not None and self.grad_tol <= 0.0:
             raise ConfigError("grad_tol must be positive")
+        if not self.admissibility_M > 0.0:
+            raise ConfigError("admissibility_M must be positive")
 
     @property
     def tol(self) -> float:

@@ -5,17 +5,20 @@ the separate surface and kinetic gradients, plain-loop multiplier
 application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
 truncations, the finite-period correction of the quartic coefficient,
-the dense per-mode matrices of the oracle's flat preconditioner and the
-physical-space form of the oracle's operator.
+the dense per-mode matrices of the oracle's flat preconditioner, the
+physical-space form of the oracle's operator, and the reader of the
+profile files ``write_profile_csv`` writes.
 None of these is on a production path.
 """
 
+import json
 import math
 
 import numpy as np
 
-from gcwaves import ProfilePair, eval_fbar
+from gcwaves import PeriodicGrid, ProfilePair, eval_fbar
 from gcwaves import fieldops as fo
+from gcwaves.errors import ConfigError
 
 _PAD = fo._PAD
 
@@ -200,3 +203,18 @@ def physical_apply(op, U):
     f2 = q12 * Ux + q22 * Uy
     W = op.hx * op.wy[:, None]
     return -op.dx(W * f1) + op.D.T @ (W * f2)
+
+
+def read_profile_csv(path) -> ProfilePair:
+    """The profile pair of a CSV that ``write_profile_csv`` wrote, with
+    the grid from its JSON sidecar."""
+    with open(fo.sidecar_path(path)) as fh:
+        meta = json.load(fh)
+    grid = PeriodicGrid(n=meta["n"], period=meta["period"],
+                        k0_multiple=meta["k0_multiple"])
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    if data.shape != (grid.n, 3):
+        raise ConfigError(f"profile CSV shape {data.shape} does not match grid")
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise ConfigError("profile CSV rows must be ascending in x")
+    return ProfilePair(grid, data[:, 1].copy(), data[:, 2].copy())

@@ -9,9 +9,10 @@ from gcwaves import cli, nls
 from gcwaves.cli import main, parse_config, ConfigParseError
 from gcwaves.dispersion import Params, refine_degenerate
 from gcwaves.errors import NumericalError
-from gcwaves.fieldops import PeriodicGrid, ProfilePair, read_profile_csv
+from gcwaves.fieldops import PeriodicGrid, ProfilePair
 
 from conftest import BENCH, DEGENERATE_SEED
+from spectral_helpers import read_profile_csv
 
 
 def write_config(path, params, extra=""):
@@ -289,6 +290,21 @@ def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):
     assert np.array_equal(prof.eta_under, last.eta_under)
     assert np.array_equal(prof.eta_over, last.eta_over)
     assert not (outdir / f"{tag}.profile.csv").exists()
+
+
+def test_minimize_refuses_zero_ball(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "m0.cfg", BENCH,
+        "[scan]\nsamples = 1024\n[grid]\nn = 1024\n"
+        "[minimize]\nmu = 6e-3\nM = 0\n",
+    )
+    outdir = tmp_path / "m0"
+    assert main(["minimize", "--config", cfg, "--out", str(outdir)]) \
+        == cli.EXIT_NUMERICAL
+    record = json.loads((outdir / "mu_0p006.error.json").read_text())
+    assert record == {"mu": 0.006,
+                      "error": "admissibility_M must be positive"}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_passes(tmp_path, capsys):

@@ -33,15 +33,22 @@ def test_precondition_matches_dense_per_mode_solve(solver, ny):
     # two backward-stable solves of M_j z = r may differ by eps cond(M_j)
     # in the direction of the smallest eigenvalue; cond(M_1) runs from
     # 1e4 (lower, ny=48) to 2e7 (upper, ny=128)
-    kappa = max(np.linalg.cond(m) for m in flat_mode_matrices(op))
+    M = flat_mode_matrices(op)
+    kappa = max(np.linalg.cond(m) for m in M)
     tol = 0.25 * np.finfo(float).eps * kappa
     rng = np.random.default_rng(ny)
     for _ in range(3):
         r = rng.standard_normal((ny + 1, op.nx))
-        z = np.fft.irfft(op.precondition(np.fft.rfft(r, axis=1)), op.nx,
-                         axis=1)
+        R = np.fft.rfft(r, axis=1)
+        Z = op.precondition(R)
+        z = np.fft.irfft(Z, op.nx, axis=1)
         ref = dense_precondition(op, r)
         assert np.linalg.norm(z - ref) <= tol * np.linalg.norm(ref)
+        # mode 0 on its own: the eigenbasis without the constants against
+        # the regularized dense solve, both with the mean removed
+        ref0 = np.linalg.solve(M[0], R[:, 0].real)
+        ref0 -= ref0.mean()
+        assert np.linalg.norm(Z[:, 0] - ref0) <= tol * np.linalg.norm(ref0)
         # the preconditioner stays symmetric positive definite
         assert float(np.sum(r * z)) > 0.0
 

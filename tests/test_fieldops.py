@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
                      eps_of_mu, eval_J, eval_L_trunc, eval_fbar, grad_J,
-                     make_grid, mu_of_eps, read_profile_csv,
-                     suggest_carrier_multiple, write_profile_csv)
+                     make_grid, mu_of_eps, suggest_carrier_multiple,
+                     write_profile_csv)
 from gcwaves.dispersion import fbar_entries
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
@@ -19,7 +19,7 @@ from gcwaves.nls import soliton_shape
 from conftest import BENCH, random_band_profile
 from spectral_helpers import (apply_multiplier, eval_K, eval_L_lower,
                               eval_L_upper, grad_K, grad_L_trunc, m_lower,
-                              m_upper, roll)
+                              m_upper, read_profile_csv, roll)
 
 
 @pytest.fixture(scope="module")

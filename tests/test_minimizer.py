@@ -31,6 +31,10 @@ def test_config_validation(bench_crit, bench_coeffs):
         MinimizeConfig(mu=0.5, grid=grid)  # above the mu ceiling
     with pytest.raises(ConfigError):
         MinimizeConfig(mu=1e-3, grid=grid, grad_tol=-1.0)
+    # M = 0 would divide the barrier by zero; a negative M is no radius
+    for M in (0.0, -0.5):
+        with pytest.raises(ConfigError, match="admissibility_M"):
+            MinimizeConfig(mu=1e-3, grid=grid, admissibility_M=M)
 
 
 def test_descent_converges_below_threshold(run, bench_crit):
