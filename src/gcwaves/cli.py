@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -142,15 +143,43 @@ def dump_json(obj) -> str:
     return _format_value(obj) + "\n"
 
 
+def atomic_write_text(path, text: str):
+    """Write via a same-directory temp file and rename."""
+    path = os.fspath(path)
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_json(path, obj):
-    fieldops.atomic_write_text(path, dump_json(obj))
+    atomic_write_text(path, dump_json(obj))
 
 
 def write_csv(path, header: list, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{float(v):.17g}" for v in row))
-    fieldops.atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def sidecar_path(csv_path) -> str:
+    return os.fspath(csv_path) + ".json"
+
+
+def write_profile_csv(path, eta: fieldops.ProfilePair):
+    """CSV columns x, eta_under, eta_over plus a JSON grid sidecar."""
+    g = eta.grid
+    write_csv(path, ["x", "eta_under", "eta_over"],
+              zip(g.x, eta.eta_under, eta.eta_over))
+    write_json(sidecar_path(path),
+               {"n": g.n, "period": g.period, "k0_multiple": g.k0_multiple})
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +208,7 @@ class _GateFailed(Exception):
 def _emit(out, payload):
     text = dump_json(payload)
     if out:
-        fieldops.atomic_write_text(out, text)
+        atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -233,7 +262,7 @@ def cmd_dispersion(args) -> int:
     ks = np.geomspace(scan["k_min"], scan["k_max"], scan["samples"])
     write_csv(args.out, ["k", "lambda_minus", "lambda_plus", "D"],
               zip(ks, *disp.eval_lambda(ks, p)))
-    write_json(args.out + ".json", _report_dict(rep))
+    write_json(sidecar_path(args.out), _report_dict(rep))
     if args.require_valid and rep.verdict != "Valid":
         return EXIT_GATE
     return EXIT_OK
@@ -250,7 +279,7 @@ def cmd_soliton(args) -> int:
     crit, c = _gate(cfg, None, focusing=True)
     prof = nls.build_soliton(c, n=cfg["grid"]["n"])
     write_csv(args.out, ["x", "phi"], zip(prof.x, prof.samples))
-    write_json(args.out + ".json", {
+    write_json(sidecar_path(args.out), {
         "amplitude": prof.amplitude, "decay_rate": prof.decay_rate,
         "mass": nls.soliton_mass(prof), "energy": nls.soliton_energy(prof, c),
         **_coeff_dict(crit, c),
@@ -267,7 +296,7 @@ def cmd_ansatz(args) -> int:
     eps = fieldops.eps_of_mu(p, c, crit, grid, mu)
     eta = fieldops.build_eta_star(c, crit, eps, grid, p)
     bd = fieldops.eval_J(eta, p, mu)
-    fieldops.write_profile_csv(args.out, eta)
+    write_profile_csv(args.out, eta)
     write_json(args.out + ".summary.json", {
         "mu": mu, "eps": eps, "j_mu": bd.j_mu,
         "two_nu0_mu": 2.0 * crit.nu0 * mu,
@@ -306,10 +335,14 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
 
 def cmd_minimize(args) -> int:
     cfg = parse_config(args.config)
+    mus = [cfg["minimize"]["mu"]]
+    if args.sweep:
+        try:
+            mus = [float(s) for s in args.sweep.split(",")]
+        except ValueError as ex:
+            raise ConfigParseError(f"--sweep {args.sweep!r}: {ex}") from ex
     crit, c = _gate(cfg, None, focusing=True)
     os.makedirs(args.out, exist_ok=True)
-    mus = ([float(s) for s in args.sweep.split(",")] if args.sweep
-           else [cfg["minimize"]["mu"]])
     runs = []
     for mu in mus:
         tag = f"mu_{mu:.6g}".replace(".", "p").replace("-", "m")
@@ -320,14 +353,13 @@ def cmd_minimize(args) -> int:
             if isinstance(ex, NumericalError):
                 record["diagnostics"] = ex.diagnostics
                 if ex.last_iterate is not None:
-                    fieldops.write_profile_csv(
+                    write_profile_csv(
                         os.path.join(args.out, f"{tag}.error.profile.csv"),
                         ex.last_iterate)
             write_json(os.path.join(args.out, f"{tag}.error.json"), record)
             return EXIT_NUMERICAL
         runs.append(r)
-        fieldops.write_profile_csv(os.path.join(args.out, f"{tag}.profile.csv"),
-                                   r.eta)
+        write_profile_csv(os.path.join(args.out, f"{tag}.profile.csv"), r.eta)
         write_json(os.path.join(args.out, f"{tag}.result.json"),
                    _result_dict(r, crit))
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),

@@ -53,10 +53,7 @@ by ``_fbar_inverse_entries``, and both are tabulated per grid in
 from __future__ import annotations
 
 import functools
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -701,40 +698,3 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         )
     (a, fa), (b, fb) = lo, hi
     return _secant_root(f, a, b, fa, fb, (a * fb - b * fa) / (fb - fa))
-
-
-# ---------------------------------------------------------------------------
-# profile serialisation
-
-
-def atomic_write_text(path, text: str):
-    """Write via a same-directory temp file and rename."""
-    path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def sidecar_path(csv_path) -> str:
-    return os.fspath(csv_path) + ".json"
-
-
-def write_profile_csv(path, eta: ProfilePair):
-    """CSV columns x, eta_under, eta_over plus a JSON grid sidecar."""
-    lines = ["x,eta_under,eta_over"]
-    for x, a, b in zip(eta.grid.x, eta.eta_under, eta.eta_over):
-        lines.append(f"{x:.17g},{a:.17g},{b:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    meta = {
-        "n": eta.grid.n,
-        "period": float(f"{eta.grid.period:.17g}"),
-        "k0_multiple": eta.grid.k0_multiple,
-    }
-    atomic_write_text(sidecar_path(path), json.dumps(meta, sort_keys=True) + "\n")

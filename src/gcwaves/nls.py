@@ -30,12 +30,16 @@ class NlsCoefficients:
     a4_1: float
     a4_2: float
     alpha: float
-    focusing: bool
 
     @property
     def cubic(self) -> float:
         """The sign-carrying combination A3/2 + A4."""
         return 0.5 * self.a3 + self.a4
+
+    @property
+    def focusing(self) -> bool:
+        """Whether the reduced NLS is focusing, A3/2 + A4 < 0."""
+        return self.cubic < 0.0
 
     @property
     def nu_nls(self) -> float:
@@ -143,10 +147,6 @@ def compute_a4(p: Params, crit: CriticalPoint):
     return a4_1 - crit.nu0**2 * a4_2, a4_1, a4_2
 
 
-def check_focusing(a3: float, a4: float) -> bool:
-    return 0.5 * a3 + a4 < 0.0
-
-
 def eval_alpha(p: Params, crit: CriticalPoint) -> float:
     """Constrained-norm constant: alpha = 2 / (nu0 F(k0) v0 . v0)."""
     _, F = eval_PF(crit.k0, p)
@@ -161,7 +161,6 @@ def compute_coefficients(p: Params, crit: CriticalPoint) -> NlsCoefficients:
     return NlsCoefficients(
         a2=crit.a2, a3=a3, a4=a4, a3_vec1=v1, a3_vec2=v2,
         a4_1=a4_1, a4_2=a4_2, alpha=eval_alpha(p, crit),
-        focusing=check_focusing(a3, a4),
     )
 
 

@@ -16,9 +16,12 @@ import math
 
 import numpy as np
 
-from gcwaves import PeriodicGrid, ProfilePair, eval_fbar
+from gcwaves import ProfilePair
 from gcwaves import fieldops as fo
+from gcwaves.cli import sidecar_path
+from gcwaves.dispersion import eval_fbar
 from gcwaves.errors import ConfigError
+from gcwaves.fieldops import PeriodicGrid
 
 _PAD = fo._PAD
 
@@ -208,7 +211,7 @@ def physical_apply(op, U):
 def read_profile_csv(path) -> ProfilePair:
     """The profile pair of a CSV that ``write_profile_csv`` wrote, with
     the grid from its JSON sidecar."""
-    with open(fo.sidecar_path(path)) as fh:
+    with open(sidecar_path(path)) as fh:
         meta = json.load(fh)
     grid = PeriodicGrid(n=meta["n"], period=meta["period"],
                         k0_multiple=meta["k0_multiple"])

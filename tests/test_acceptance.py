@@ -14,15 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from gcwaves import (MinimizeConfig, Params, ProfilePair, StripGrid,
-                     build_eta_star, build_soliton, compute_coefficients,
-                     eps_of_mu, eval_J, eval_L_trunc, eval_PF,
-                     eval_g, eval_lambda, find_critical, grad_J,
-                     make_grid, minimize, speed_expansion_check,
-                     suggest_carrier_multiple)
+from gcwaves import (Params, ProfilePair, StripGrid, compute_coefficients,
+                     eval_lambda, find_critical)
 from gcwaves.cli import oracle_suite
-from gcwaves.dispersion import locate_branch_crossing, refine_degenerate
-from gcwaves.nls import soliton_energy, soliton_mass, soliton_shape
+from gcwaves.dispersion import (eval_PF, eval_g, locate_branch_crossing,
+                                refine_degenerate)
+from gcwaves.fieldops import (build_eta_star, eps_of_mu, eval_J,
+                              eval_L_trunc, grad_J, make_grid,
+                              suggest_carrier_multiple)
+from gcwaves.minimizer import (MinimizeConfig, minimize,
+                               speed_expansion_check)
+from gcwaves.nls import (build_soliton, soliton_energy, soliton_mass,
+                         soliton_shape)
 
 from conftest import (BENCH, DEGENERATE_SEED, NEAR_RESONANT,
                       random_band_profile, soliton_ode_residual)

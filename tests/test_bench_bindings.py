@@ -2,18 +2,24 @@
 
 A renamed target fails no benchmark run: ``bench/clock.py`` prints
 ``clock: cannot hook`` and loses its host-drift correction inside long
-operations, and ``bench/tracer.py`` reads zero work for it.
+operations, and ``bench/tracer.py`` reads zero work for it.  A top-level
+name that the benchmark or a script uses, dropped from ``gcwaves``,
+would fail only when that file runs.
 """
 
+import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import gcwaves
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def _bench_module(name):
-    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    path = ROOT / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -37,3 +43,30 @@ def test_bench_bindings_resolve():
 
 def test_public_names_resolve():
     assert [n for n in gcwaves.__all__ if not hasattr(gcwaves, n)] == []
+
+
+def _top_level_names(path):
+    """Names read off the ``gcwaves`` package itself in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "gcwaves" \
+                and node.level == 0:
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "gcwaves":
+            names.add(node.attr)
+    return names
+
+
+def test_bench_and_scripts_use_exported_names():
+    submodules = {m.name for m in pkgutil.iter_modules(gcwaves.__path__)}
+    files = sorted((ROOT / "bench").glob("*.py")) \
+        + sorted((ROOT / "scripts").glob("*.py"))
+    used = {}
+    for path in files:
+        for name in _top_level_names(path) - submodules - {"__file__"}:
+            used.setdefault(name, []).append(path.name)
+    assert used
+    missing = {n: f for n, f in used.items() if n not in gcwaves.__all__}
+    assert missing == {}

@@ -93,6 +93,16 @@ def test_dispersion_gate_exit(tmp_path):
         == "Degenerate"
 
 
+def test_scan_window_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path / "scan.cfg", BENCH, "[scan]\nk_min = 0\n")
+    out = tmp_path / "disp.csv"
+    rc = main(["dispersion", "--config", cfg, "--out", str(out)])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "k_min" in err and "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == {"scan.cfg"}
+
+
 def test_dispersion_double_minimum_verdict(tmp_path):
     # at the branch-crossing tension the two slow-branch minima tie
     p = Params(0.5, 1.0, 0.055108152548)
@@ -147,7 +157,7 @@ def test_gate_on_degenerate(tmp_path, capsys, command):
 def test_defocusing_gate(tmp_path, capsys, bench_cfg, monkeypatch, command):
     real = nls.compute_coefficients
     monkeypatch.setattr(nls, "compute_coefficients", lambda p, crit:
-                        dataclasses.replace(real(p, crit), focusing=False))
+                        dataclasses.replace(real(p, crit), a3=1.0, a4=1.0))
     out = tmp_path / "out"
     rc = main([command, "--config", bench_cfg, "--out", str(out)])
     if command == "coeffs":
@@ -265,6 +275,18 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
     # at mu = 8e-3 the descent starts on the coarser grid n = 512
     result = json.loads((outdir / "mu_0p008.result.json").read_text())
     assert [lv["n"] for lv in result["levels"]] == [512, 1024]
+
+
+def test_minimize_sweep_parse_error(tmp_path, capsys, bench_cfg):
+    outdir = tmp_path / "sweep"
+    rc = main(["minimize", "--config", bench_cfg, "--out", str(outdir),
+               "--sweep", "4e-3,abc"])
+    assert rc == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--sweep" in captured.err and "'abc'" in captured.err
+    assert set(os.listdir(tmp_path)) == {"bench.cfg"}
 
 
 def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwaves import Params, eval_PF, eval_a, eval_g, eval_lambda, find_critical
-from gcwaves.dispersion import (fbar_entries, locate_branch_crossing,
-                                refine_degenerate)
+from gcwaves import Params, eval_lambda, find_critical
+from gcwaves.dispersion import (eval_PF, eval_a, eval_g, fbar_entries,
+                                locate_branch_crossing, refine_degenerate)
 from gcwaves.errors import ConfigError, RangeError
 
 from conftest import BENCH, DEGENERATE_SEED, NEAR_RESONANT
@@ -113,6 +113,15 @@ def test_find_critical_against_brute_scan(resonant_crit):
 def test_scan_window_error():
     with pytest.raises(ConfigError):
         find_critical(NEAR_RESONANT, k_min=1e-3, k_max=1e-2, samples=64)
+
+
+@pytest.mark.parametrize("window", [
+    {"k_min": 0.0}, {"k_min": -1.0}, {"k_min": 10.0, "k_max": 1.0},
+    {"samples": 2},
+], ids=["k_min_zero", "k_min_negative", "reversed", "two_samples"])
+def test_scan_window_validated(window):
+    with pytest.raises(ConfigError, match="0 < k_min < k_max"):
+        find_critical(NEAR_RESONANT, **window)
 
 
 def test_null_vector_property(resonant_crit):

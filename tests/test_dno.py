@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcwaves import dno
-from gcwaves import (PeriodicGrid, ProfilePair, StripGrid, eval_L_exact,
-                     eval_L_trunc, eval_fbar)
+from gcwaves import ProfilePair, StripGrid, dno
 from gcwaves.cli import oracle_suite
-from gcwaves.dno import LowerSolver, UpperSolver
+from gcwaves.dispersion import eval_fbar
+from gcwaves.dno import LowerSolver, UpperSolver, eval_L_exact
 from gcwaves.errors import ConfigError, GeometryError, SolvabilityError
+from gcwaves.fieldops import PeriodicGrid, eval_L_trunc
 
 from conftest import BENCH, random_band_profile
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from gcwaves import PeriodicGrid, ProfilePair, StripGrid, eval_L_exact
-from gcwaves import dno
-from gcwaves.dno import LowerSolver, UpperSolver
+from gcwaves import ProfilePair, StripGrid, dno
+from gcwaves.dno import LowerSolver, UpperSolver, eval_L_exact
 from gcwaves.errors import NumericalError, SolvabilityError
+from gcwaves.fieldops import PeriodicGrid
 
 from conftest import BENCH
 from spectral_helpers import flat_mode_matrices, physical_apply

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwaves import (Params, PeriodicGrid, ProfilePair, build_eta_star,
-                     eps_of_mu, eval_J, eval_L_trunc, eval_fbar, grad_J,
-                     make_grid, mu_of_eps, suggest_carrier_multiple,
-                     write_profile_csv)
-from gcwaves.dispersion import fbar_entries
+from gcwaves import Params, ProfilePair
+from gcwaves.cli import write_profile_csv
+from gcwaves.dispersion import eval_fbar, fbar_entries
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
-from gcwaves.fieldops import (StagedProfile, _carrier_grid,
-                              _fbar_inverse_entries, wrap_floor,
-                              zero_profile)
+from gcwaves.fieldops import (PeriodicGrid, StagedProfile, _carrier_grid,
+                              _fbar_inverse_entries, build_eta_star,
+                              eps_of_mu, eval_J, eval_L_trunc, grad_J,
+                              make_grid, mu_of_eps, suggest_carrier_multiple,
+                              wrap_floor, zero_profile)
 from gcwaves.nls import soliton_shape
 
 from conftest import BENCH, random_band_profile

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from gcwaves import (MinimizeConfig, build_eta_star, eps_of_mu,
-                     eval_J, make_grid, minimize, speed_expansion_check,
-                     suggest_carrier_multiple)
 from gcwaves import fieldops, minimizer
 from gcwaves.dispersion import eval_g
 from gcwaves.errors import ConfigError, NumericalError, OutOfConeError
-from gcwaves.fieldops import PeriodicGrid, ProfilePair, eval_L_trunc
-from gcwaves.minimizer import (MinimizeResult, _half, _half_weights,
-                               _ladder, _mirror, _prolong, _spectral_tail)
+from gcwaves.fieldops import (PeriodicGrid, ProfilePair, build_eta_star,
+                              eps_of_mu, eval_J, eval_L_trunc, make_grid,
+                              suggest_carrier_multiple)
+from gcwaves.minimizer import (MinimizeConfig, MinimizeResult, _half,
+                               _half_weights, _ladder, _mirror, _prolong,
+                               _spectral_tail, minimize,
+                               speed_expansion_check)
 
 from conftest import BENCH
 from spectral_helpers import h2_norm, roll

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwaves import (ProfilePair, Params, build_soliton, check_focusing,
-                     compute_a3, compute_a4, compute_coefficients, eval_PF,
-                     eval_alpha, eval_fbar, find_critical, make_grid)
-from gcwaves.dispersion import eval_g
+from gcwaves import ProfilePair, Params, compute_coefficients, find_critical
+from gcwaves.dispersion import eval_PF, eval_fbar, eval_g
 from gcwaves.errors import RegimeError
-from gcwaves.nls import (_a3_forcing, soliton_energy, soliton_mass,
+from gcwaves.fieldops import make_grid
+from gcwaves.nls import (_a3_forcing, build_soliton, compute_a3, compute_a4,
+                         eval_alpha, soliton_energy, soliton_mass,
                          soliton_shape, upper_quartic_kinetic)
 import gcwaves.fieldops as fo
 
@@ -126,9 +128,9 @@ def test_coefficients_regression_near_resonant(resonant_crit, resonant_coeffs):
     assert c.focusing
 
 
-def test_focusing_trivials():
-    assert check_focusing(-1.0, 0.0) is True
-    assert check_focusing(0.0, 1.0) is False
+def test_focusing_trivials(bench_coeffs):
+    assert replace(bench_coeffs, a3=-1.0, a4=0.0).focusing is True
+    assert replace(bench_coeffs, a3=0.0, a4=1.0).focusing is False
 
 
 def test_a4_parts(bench_crit, bench_coeffs):
@@ -251,7 +253,7 @@ def test_soliton_energy_translation_insensitive(bench_coeffs):
 
 
 def test_defocusing_rejected(bench_coeffs):
-    from dataclasses import replace
-    bad = replace(bench_coeffs, a3=1.0, a4=1.0, focusing=False)
+    bad = replace(bench_coeffs, a3=1.0, a4=1.0)
+    assert not bad.focusing
     with pytest.raises(RegimeError):
         build_soliton(bad)

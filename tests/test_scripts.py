@@ -15,20 +15,6 @@ def run_script(name, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_mu_sweep_script_runs(tmp_path):
-    # toy levels outside the speed law's range: the script's plumbing
-    # (eps_of_mu, build_eta_star, eval_J, minimize and the fit), not its
-    # numbers
-    out = tmp_path / "sweep"
-    run_script("mu_sweep.py", "--mus", "9e-3,8e-3,7e-3", "--n", "2048",
-               "--out", str(out))
-    summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"k0", "nu0", "i_nls", "fitted", "predicted",
-                            "rows"}
-    assert [row[0] for row in summary["rows"]] == [9e-3, 8e-3, 7e-3]
-    assert len(list(out.glob("minimizer_mu*.csv"))) == 3
-
-
 def test_dispersion_regimes_script_runs(tmp_path):
     run_script("dispersion_regimes.py", "--out", str(tmp_path))
     for name, verdict in (("valid", "Valid"),
