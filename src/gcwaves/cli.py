@@ -43,11 +43,19 @@ class ConfigParseError(Exception):
     pass
 
 
+def _mu(text: str) -> float:
+    """A momentum level, which must be finite and positive."""
+    mu = float(text)
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
+    return mu
+
+
 _SCHEMA = {
     "params": {"rho": float, "beta_under": float, "beta_over": float},
     "grid": {"n": int, "k0_multiples": int, "strip_ny": int,
              "depth_under": float},
-    "minimize": {"mu": float, "max_iters": int, "grad_tol": float,
+    "minimize": {"mu": _mu, "max_iters": int, "grad_tol": float,
                  "M": float},
     "scan": {"k_min": float, "k_max": float, "samples": int},
 }
@@ -57,6 +65,29 @@ _DEFAULTS = {
     "minimize": {"mu": 2e-3, "max_iters": 2000, "grad_tol": 0.0, "M": 0.5},
     "scan": {"k_min": 1e-3, "k_max": 1e3, "samples": 4096},
 }
+
+
+def _mu_tag(mu: float) -> str:
+    """The file-name prefix of a run's outputs."""
+    return f"mu_{mu:.6g}".replace(".", "p").replace("-", "m")
+
+
+def _parse_sweep(text: str) -> list:
+    """The mu list of ``--sweep``: finite, positive, and one output name
+    (``_mu_tag``) per entry."""
+    entries = text.split(",")
+    try:
+        mus = [_mu(s) for s in entries]
+    except ValueError as ex:
+        raise ConfigParseError(f"--sweep {text!r}: {ex}") from ex
+    runs = {}
+    for entry, mu in zip(entries, mus):
+        runs.setdefault(_mu_tag(mu), []).append(repr(entry.strip()))
+    clashes = [f"{', '.join(e)} share the output name {tag}"
+               for tag, e in runs.items() if len(e) > 1]
+    if clashes:
+        raise ConfigParseError(f"--sweep {text!r}: {'; '.join(clashes)}")
+    return mus
 
 
 def parse_config(path: str) -> dict:
@@ -335,17 +366,12 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
 
 def cmd_minimize(args) -> int:
     cfg = parse_config(args.config)
-    mus = [cfg["minimize"]["mu"]]
-    if args.sweep:
-        try:
-            mus = [float(s) for s in args.sweep.split(",")]
-        except ValueError as ex:
-            raise ConfigParseError(f"--sweep {args.sweep!r}: {ex}") from ex
+    mus = _parse_sweep(args.sweep) if args.sweep else [cfg["minimize"]["mu"]]
     crit, c = _gate(cfg, None, focusing=True)
     os.makedirs(args.out, exist_ok=True)
     runs = []
     for mu in mus:
-        tag = f"mu_{mu:.6g}".replace(".", "p").replace("-", "m")
+        tag = _mu_tag(mu)
         try:
             r = _run_minimize(cfg, crit, c, mu)
         except GcwavesError as ex:

@@ -51,9 +51,9 @@ class Params:
     rho : float
         Density ratio (upper over lower), in (0, 1).
     beta_under : float
-        Interfacial-tension coefficient, positive.
+        Interfacial-tension coefficient, positive and finite.
     beta_over : float
-        Surface-tension coefficient, positive.
+        Surface-tension coefficient, positive and finite.
     """
 
     rho: float
@@ -63,9 +63,11 @@ class Params:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.beta_under <= 0.0 or self.beta_over <= 0.0:
+        if not (0.0 < self.beta_under < math.inf
+                and 0.0 < self.beta_over < math.inf):
             raise ConfigError(
-                "surface/interfacial tension coefficients must be positive, "
+                "surface/interfacial tension coefficients must be positive "
+                "and finite, "
                 f"got beta_under={self.beta_under}, beta_over={self.beta_over}"
             )
 

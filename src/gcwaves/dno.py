@@ -73,7 +73,6 @@ class StripGrid:
 @dataclass
 class DnoSolution:
     potential: np.ndarray       # (ny+1, nx), row 0 = top boundary
-    y: np.ndarray
     traces: tuple               # lower: (top,); upper: (interface, surface)
     flux_residual: float
     cg_iterations: int
@@ -278,7 +277,7 @@ class _StripOperator:
             b[row, :] = self.hx * psi
         u, it, rel = self.solve(b)
         u = u - u[trace_rows[0], :].mean()
-        return DnoSolution(potential=u, y=self.y,
+        return DnoSolution(potential=u,
                            traces=tuple(u[r, :].copy() for r in trace_rows),
                            flux_residual=mean_flux, cg_iterations=it,
                            relative_residual=rel)
@@ -355,25 +354,6 @@ def _solver_cache(strip: StripGrid, period: float):
     return LowerSolver(strip, period), UpperSolver(strip, period)
 
 
-def _resample(u: np.ndarray, nx: int) -> np.ndarray:
-    n = len(u)
-    if n == nx:
-        return u
-    # irfft zero-pads or truncates the spectrum to the strip's grid
-    U = np.fft.rfft(u)
-    if nx > n:
-        # the source Nyquist mode would split on the finer grid
-        U[-1] = 0.0
-    else:
-        tail = float(np.sum(np.abs(U[nx // 2:]) ** 2))
-        total = float(np.sum(np.abs(U) ** 2)) + 1e-300
-        if tail > 1e-20 * total:
-            raise ConfigError(
-                "profile has spectral content beyond the strip resolution"
-            )
-    return np.fft.irfft(U, nx) * (nx / n)
-
-
 def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,
         eta_over: np.ndarray, zu: np.ndarray, zv: np.ndarray, rho: float):
     """xi = (Phi_under - rho Phi_i, rho Phi_s) for the flux pair
@@ -391,11 +371,14 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
     the upper map gives the trace pair of N_upper (-zeta_under, zeta_over),
     and L = (1/2) int [zeta_under (Phi_under - rho Phi_i)
                         + zeta_over rho Phi_s] dx.
+    The profile must be sampled on the strip's horizontal grid.
     """
+    if eta.grid.n != strip.nx:
+        raise ConfigError(
+            f"profile has n={eta.grid.n} samples, the strip nx={strip.nx}")
     period = eta.grid.period
     lower, upper = _solver_cache(strip, period)
-    u = _resample(eta.eta_under, strip.nx)
-    v = _resample(eta.eta_over, strip.nx)
+    u, v = eta.eta_under, eta.eta_over
     zu, zv = lower.dx(np.stack([u, v]))
     xi_under, xi_over = _xi(lower, upper, u, v, zu, zv, p.rho)
     hx = period / strip.nx

@@ -244,10 +244,6 @@ class ProfilePair:
             raise ConfigError("profile arrays must match the grid size")
 
 
-def zero_profile(grid: PeriodicGrid) -> ProfilePair:
-    return ProfilePair(grid, np.zeros(grid.n), np.zeros(grid.n))
-
-
 @dataclass(frozen=True)
 class FunctionalBreakdown:
     k_total: float
@@ -528,10 +524,8 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     band-limited interpolant of the same samples, whose truncated
     functionals are those of the carrier-grid profile to rounding.
     """
-    if eps == 0.0:
-        return zero_profile(grid)
-    if eps < 0.0:
-        raise RangeError("eps must be non-negative")
+    if not eps > 0.0:
+        raise RangeError("eps must be positive")
     amp, decay = soliton_shape(c)
     L = grid.period
     if eps < wrap_floor(c, grid):

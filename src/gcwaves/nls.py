@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import CriticalPoint, Params, eval_PF, eval_fbar, eval_g
-from .errors import RegimeError, ResonanceError
+from .errors import ConfigError, RegimeError, ResonanceError
 
 _COND_LIMIT = 1e12
 
@@ -170,8 +170,6 @@ class SolitonProfile:
     decay_rate: float
     x: np.ndarray
     samples: np.ndarray
-    nu_nls: float
-    i_nls: float
 
 
 def soliton_shape(c: NlsCoefficients):
@@ -186,26 +184,20 @@ def soliton_shape(c: NlsCoefficients):
     return amplitude, decay_rate
 
 
-def build_soliton(c: NlsCoefficients, half_width: float | None = None,
-                  n: int = 4096) -> SolitonProfile:
-    """Sample the sech profile on a symmetric interval.
+def build_soliton(c: NlsCoefficients, n: int = 4096) -> SolitonProfile:
+    """Sample the sech profile at n points of [-25, 25] / decay_rate.
 
-    Default half_width = 25/decay_rate puts the truncated tails below
-    1e-21, so quadrature truncation is negligible at double precision.
+    The window puts the truncated tails below 1e-21, so quadrature
+    truncation is negligible at double precision.
     """
     if n < 2:
-        raise ValueError("need at least 2 samples")
+        raise ConfigError(f"the soliton needs n >= 2 samples, got {n}")
     amplitude, decay_rate = soliton_shape(c)
-    if half_width is None:
-        half_width = 25.0 / decay_rate
-    if half_width <= 0.0:
-        raise ValueError("half_width must be positive")
+    half_width = 25.0 / decay_rate
     x = np.linspace(-half_width, half_width, n)
     samples = amplitude / np.cosh(decay_rate * x)
-    return SolitonProfile(
-        amplitude=amplitude, decay_rate=decay_rate, x=x, samples=samples,
-        nu_nls=c.nu_nls, i_nls=c.i_nls,
-    )
+    return SolitonProfile(amplitude=amplitude, decay_rate=decay_rate, x=x,
+                          samples=samples)
 
 
 def soliton_energy(prof: SolitonProfile, c: NlsCoefficients) -> float:

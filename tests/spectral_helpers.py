@@ -1,8 +1,8 @@
 """Test-only spectral helpers and oracles.
 
-Translation and the H^2 norm of a profile pair, the surface energy and
-the separate surface and kinetic gradients, plain-loop multiplier
-application, the symmetric bilinear forms whose
+The zero profile, translation and the H^2 norm of a profile pair, the
+surface energy and the separate surface and kinetic gradients,
+plain-loop multiplier application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
 truncations, the finite-period correction of the quartic coefficient,
 the dense per-mode matrices of the oracle's flat preconditioner, the
@@ -24,6 +24,11 @@ from gcwaves.errors import ConfigError
 from gcwaves.fieldops import PeriodicGrid
 
 _PAD = fo._PAD
+
+
+def zero_profile(grid):
+    """The flat pair on ``grid``."""
+    return ProfilePair(grid, np.zeros(grid.n), np.zeros(grid.n))
 
 
 def roll(eta, shift):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +291,71 @@ def test_minimize_sweep_parse_error(tmp_path, capsys, bench_cfg):
     assert set(os.listdir(tmp_path)) == {"bench.cfg"}
 
 
+@pytest.mark.parametrize("sweep", ["4e-3,nan", "4e-3,-1e-3", "4e-3,inf"])
+def test_minimize_sweep_refuses_bad_mu(tmp_path, capsys, bench_cfg, sweep):
+    # the list is checked before any entry runs, so the valid first entry
+    # leaves no files behind
+    rc = main(["minimize", "--config", bench_cfg, "--out",
+               str(tmp_path / "sweep"), "--sweep", sweep])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite and positive" in err
+    assert set(os.listdir(tmp_path)) == {"bench.cfg"}
+
+
+@pytest.mark.parametrize("command", ["ansatz", "minimize"])
+@pytest.mark.parametrize("mu", ["nan", "0", "-2e-3", "inf"])
+def test_config_mu_refused(tmp_path, capsys, command, mu):
+    cfg = write_config(tmp_path / "mu.cfg", BENCH,
+                       f"[scan]\nsamples = 1024\n[minimize]\nmu = {mu}\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    # the error names the line of the key
+    assert err.count("\n") == 1
+    assert "mu.cfg:8: mu must be finite and positive" in err
+    assert set(os.listdir(tmp_path)) == {"mu.cfg"}
+
+
+@pytest.mark.parametrize("key", ["beta_under", "beta_over"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_tension_refused(tmp_path, capsys, key, value):
+    # NaN passes a plain "<= 0" test
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[params]\nrho = 0.5\nbeta_under = 0.17\n"
+                   "beta_over = 0.17\n".replace(f"{key} = 0.17",
+                                                f"{key} = {value}"))
+    assert main(["coeffs", "--config", str(cfg)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid [params]" in captured.err and "finite" in captured.err
+
+
+@pytest.mark.parametrize("sweep, names", [
+    ("4e-3,4e-3,4e-3", "'4e-3', '4e-3', '4e-3'"),
+    # both entries print as mu_0p001 at six significant digits
+    ("1e-3,2e-3,0.0010000001", "'1e-3', '0.0010000001'"),
+], ids=["repeated", "same-name"])
+def test_minimize_sweep_refuses_repeats(tmp_path, capsys, bench_cfg, sweep,
+                                        names):
+    rc = main(["minimize", "--config", bench_cfg, "--out",
+               str(tmp_path / "sweep"), "--sweep", sweep])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{names} share the output name mu_0p00" in err
+    assert set(os.listdir(tmp_path)) == {"bench.cfg"}
+
+
+def test_soliton_refuses_one_sample(tmp_path, capsys):
+    cfg = write_config(tmp_path / "n1.cfg", BENCH,
+                       "[scan]\nsamples = 1024\n[grid]\nn = 1\n")
+    rc = main(["soliton", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n >= 2" in err
+    assert set(os.listdir(tmp_path)) == {"n1.cfg"}
+
+
 def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):
     grid = PeriodicGrid(n=16, period=10.0)
     last = ProfilePair(grid, 1e-3 * np.cos(grid.x), -4e-4 * np.cos(grid.x))
@@ -351,3 +418,21 @@ def test_seventeen_digit_roundtrip(tmp_path, bench_cfg):
     # re-serializing the parsed floats reproduces the same bytes
     from gcwaves.cli import dump_json
     assert dump_json(payload) == text
+
+
+def test_readme_config_example_covers_the_schema(tmp_path):
+    # the README's ini example parses and names every key the parser knows
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = tmp_path / "waves.cfg"
+    cfg.write_text(blocks[0])
+    parse_config(str(cfg))
+    keys, section = set(), None
+    for raw in blocks[0].splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            keys.add((section, line.split("=", 1)[0].strip()))
+    assert keys == {(s, k) for s, ks in cli._SCHEMA.items() for k in ks}

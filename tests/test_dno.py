@@ -49,6 +49,14 @@ def test_strip_validation():
         StripGrid(nx=128, ny=64, depth_under=-1.0)
 
 
+@pytest.mark.parametrize("n", [NX // 2, 2 * NX])
+def test_profile_off_the_strip_grid_refused(strip, n):
+    g = PeriodicGrid(n=n, period=PERIOD)
+    eta = ProfilePair(g, 1e-2 * np.cos(K0 * g.x), np.zeros(n))
+    with pytest.raises(ConfigError, match=f"n={n}"):
+        eval_L_exact(eta, BENCH, strip)
+
+
 def test_flat_lower_inverts_modulus_multiplier(lower, x):
     for k in (K0, 2 * K0):
         sol = lower.solve_neumann(np.zeros(NX), np.cos(k * x))

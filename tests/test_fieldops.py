@@ -6,20 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from gcwaves import Params, ProfilePair
 from gcwaves.cli import write_profile_csv
-from gcwaves.dispersion import eval_fbar, fbar_entries
+from gcwaves.dispersion import eval_fbar, fbar_entries, find_critical
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
 from gcwaves.fieldops import (PeriodicGrid, StagedProfile, _carrier_grid,
                               _fbar_inverse_entries, build_eta_star,
                               eps_of_mu, eval_J, eval_L_trunc, grad_J,
                               make_grid, mu_of_eps, suggest_carrier_multiple,
-                              wrap_floor, zero_profile)
-from gcwaves.nls import soliton_shape
+                              wrap_floor)
+from gcwaves.nls import compute_coefficients, soliton_shape
 
 from conftest import BENCH, random_band_profile
 from spectral_helpers import (apply_multiplier, eval_K, eval_L_lower,
                               eval_L_upper, grad_K, grad_L_trunc, m_lower,
-                              m_upper, read_profile_csv, roll)
+                              m_upper, read_profile_csv, roll, zero_profile)
 
 
 @pytest.fixture(scope="module")
@@ -461,8 +461,11 @@ def test_universal_lower_bound(grid, bench_crit):
 
 
 def test_eta_star_zero_eps(grid, bench_coeffs, bench_crit):
-    eta = build_eta_star(bench_coeffs, bench_crit, 0.0, grid, BENCH)
-    assert np.max(np.abs(eta.eta_under)) == 0.0
+    # eps_of_mu returns a positive eps for every mu > 0: no other amplitude
+    # has a test profile
+    for eps in (0.0, -1e-3, float("nan")):
+        with pytest.raises(RangeError, match="eps must be positive"):
+            build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
 
 
 def test_eta_star_spectrum_concentrates(bench_coeffs, bench_crit):
@@ -586,6 +589,27 @@ def test_eps_of_mu_cost_near_resonance(monkeypatch, resonant_coeffs,
                                           4e-4, 4096)
     assert calls < 9
     assert roundtrip <= 1e-12
+
+
+def test_eps_of_mu_widens_the_bracket(monkeypatch):
+    # at this Valid, focusing configuration both model probes overshoot
+    # mu = 5e-3 at the suggested carrier multiple 215, so only a rung of
+    # _LADDER brackets the root; without the rungs the search raises
+    # RangeError
+    from gcwaves import fieldops
+    p, mu = Params(0.2, 0.05, 0.05), 5e-3
+    rep = find_critical(p)
+    crit, c = rep.crit, compute_coefficients(p, rep.crit)
+    assert rep.verdict == "Valid" and c.focusing
+    assert suggest_carrier_multiple(c, crit, mu) == 215
+    grid = make_grid(2048, crit.k0, 215)
+    values = []
+    monkeypatch.setattr(fieldops, "mu_of_eps", lambda *args: (
+        values.append(mu_of_eps(*args)) or values[-1]))
+    eps = eps_of_mu(p, c, crit, grid, mu)
+    monkeypatch.undo()
+    assert len(values) > 2 and min(values[:2]) > mu
+    assert abs(mu_of_eps(p, c, crit, grid, eps) / mu - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("regime, mu, n", [
