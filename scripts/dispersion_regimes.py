@@ -48,7 +48,7 @@ def main():
     print(f"double-minimum transition bracketed at beta_over={beta_c:.12f}")
     emit(Params(0.5, 1.0, beta_c), "double_minimum", args.out)
 
-    q = refine_degenerate(DEGENERATE_SEED, 1.0)
+    q = refine_degenerate(DEGENERATE_SEED)
     print(f"degenerate parameters polished to rho={q.rho:.9f}, "
           f"beta_under={q.beta_under:.9f}, beta_over={q.beta_over:.9f}")
     emit(q, "degenerate", args.out)

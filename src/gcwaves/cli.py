@@ -267,7 +267,7 @@ def _gate(cfg: dict, out, focusing: bool):
 def _grid_for(cfg: dict, crit, coeffs, mu: float) -> fieldops.PeriodicGrid:
     g = cfg["grid"]
     m = g["k0_multiples"]
-    if m <= 0:
+    if m == 0:
         m = fieldops.suggest_carrier_multiple(coeffs, crit, mu)
     return fieldops.make_grid(g["n"], crit.k0, m)
 
@@ -444,7 +444,7 @@ def cmd_validate(args) -> int:
     nx = min(cfg["grid"]["n"], 256)
     ny = cfg["grid"]["strip_ny"]
     depth = cfg["grid"]["depth_under"] or 14.0 / k0
-    grid = fieldops.PeriodicGrid(n=nx, period=2.0 * np.pi * 4 / k0)
+    grid = fieldops.make_grid(nx, k0, 4)
     strip = dno.StripGrid(nx=nx, ny=ny, depth_under=depth)
     checks = oracle_suite(p, k0, grid, strip)
     ok = (checks["flat_symbol_max_abs_err"] <= 1e-8

@@ -377,22 +377,21 @@ def find_critical(
     return AssumptionReport(crit=crit, competing_minima=competing, verdict=verdict)
 
 
-def locate_branch_crossing(
-    rho: float,
-    beta_under: float,
-    beta_lo: float,
-    beta_hi: float,
-    width: float = 1e-12,
-    **scan_kwargs,
-):
+#: width below which ``locate_branch_crossing`` stops bisecting
+_CROSSING_WIDTH = 1e-12
+
+
+def locate_branch_crossing(rho: float, beta_under: float, beta_lo: float,
+                           beta_hi: float):
     """Bracket the beta_over value where the global slow-branch minimum jumps.
 
     Between beta_lo and beta_hi the argmin k0(beta_over) must jump between
-    two separated wavenumber branches; bisection on which branch wins
-    shrinks the bracket below ``width``.  Returns (lo, hi, report_at_mid).
+    two separated wavenumber branches; bisection on which branch wins, on
+    the default ``find_critical`` scan, shrinks the bracket below
+    ``_CROSSING_WIDTH``.  Returns (lo, hi, report_at_mid).
     """
     def argmin_k(beta_over):
-        rep = find_critical(Params(rho, beta_under, beta_over), **scan_kwargs)
+        rep = find_critical(Params(rho, beta_under, beta_over))
         return rep.crit.k0, rep
 
     k_lo, _ = argmin_k(beta_lo)
@@ -404,7 +403,7 @@ def locate_branch_crossing(
         )
     lo, hi = beta_lo, beta_hi
     rep_mid = None
-    while hi - lo > width:
+    while hi - lo > _CROSSING_WIDTH:
         mid = 0.5 * (lo + hi)
         k_mid, rep_mid = argmin_k(mid)
         if abs(math.log(k_mid / k_lo)) < abs(math.log(k_mid / k_hi)):
@@ -414,16 +413,22 @@ def locate_branch_crossing(
     return lo, hi, rep_mid
 
 
-def refine_degenerate(p0: Params, k_guess: float = 1.0, tol: float = 3e-9):
+#: wavenumber at which ``refine_degenerate`` makes the minimum degenerate
+_DEGENERATE_K = 1.0
+#: stopping residual of ``refine_degenerate``, just above the roundoff
+#: floor of its third-derivative stencil
+_DEGENERATE_TOL = 3e-9
+
+
+def refine_degenerate(p0: Params) -> Params:
     """Polish (rho, beta_under, beta_over) to a degenerate slow-branch minimum.
 
     Newton iteration on (lambda'(k*), lambda''(k*), lambda'''(k*)) = 0 at
-    k* = k_guess with a finite-difference Jacobian.  Used to reproduce the
-    degenerate-dispersion regime from coarsely rounded parameter values.
-    The stopping tolerance sits just above the roundoff floor of the
-    third-derivative stencil.
+    k* = ``_DEGENERATE_K`` with a finite-difference Jacobian.  Used to
+    reproduce the degenerate-dispersion regime from coarsely rounded
+    parameter values.
     """
-    k = k_guess
+    k = _DEGENERATE_K
 
     def derivs(q: Params):
         # fourth-order stencils: the minimum location is quartically flat,
@@ -446,7 +451,7 @@ def refine_degenerate(p0: Params, k_guess: float = 1.0, tol: float = 3e-9):
             best_x, best_r, stale = x, rnorm, 0
         else:
             stale += 1
-        if best_r < tol or stale >= 3:
+        if best_r < _DEGENERATE_TOL or stale >= 3:
             break
         J = np.empty((3, 3))
         for j in range(3):
@@ -465,7 +470,7 @@ def refine_degenerate(p0: Params, k_guess: float = 1.0, tol: float = 3e-9):
             if lam < 1e-6:
                 raise NumericalError("degenerate refinement left the admissible set")
         x = xn
-    if best_r > 100 * tol:
+    if best_r > 100 * _DEGENERATE_TOL:
         raise NumericalError(
             f"degenerate refinement stalled at residual {best_r:.3e}"
         )

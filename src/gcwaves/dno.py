@@ -66,23 +66,13 @@ class StripGrid:
             raise ConfigError("nx must be a power of two")
         if self.ny < 32:
             raise ConfigError("need at least 32 vertical intervals")
-        if self.depth_under <= 0.0:
-            raise ConfigError("depth_under must be positive")
-
-
-@dataclass
-class DnoSolution:
-    potential: np.ndarray       # (ny+1, nx), row 0 = top boundary
-    traces: tuple               # lower: (top,); upper: (interface, surface)
-    flux_residual: float
-    cg_iterations: int
-    relative_residual: float
+        if not 0.0 < self.depth_under < math.inf:
+            raise ConfigError(
+                f"depth_under must be positive and finite, got {self.depth_under}")
 
 
 def _cheb_nodes_diff(n: int):
     """Chebyshev-Lobatto nodes (descending) and differentiation matrix."""
-    if n == 0:
-        raise ConfigError("need at least one interval")
     j = np.arange(n + 1)
     t = np.cos(np.pi * j / n)
     c = np.ones(n + 1)
@@ -97,8 +87,6 @@ def _cheb_nodes_diff(n: int):
 
 def _clenshaw_curtis(n: int):
     """Quadrature weights at the Lobatto nodes on [-1, 1]."""
-    if n == 1:
-        return np.array([1.0, 1.0])
     w = np.zeros(n + 1)
     v = np.ones(n - 1)
     for kk in range(1, n // 2):
@@ -162,14 +150,13 @@ class _StripOperator:
         # D 1 = 0: mode 0 drops their direction
         self._inv_eig[-1, 0] = 0.0
 
-    def refuse_unsolvable(self, flux: np.ndarray, scale: float,
-                          what: str) -> float:
+    def refuse_unsolvable(self, flux: np.ndarray, scale: float, what: str):
         """Refuse a Neumann datum that the operator's null vectors see.
 
         The operator annihilates the constants and the depth-constant
         Nyquist checkerboard (whose grid x-derivative vanishes), so the
         boundary flux summed over the boundaries, ``flux``, must have no
-        mean and no Nyquist content.  Returns the absolute mean flux.
+        mean and no Nyquist content.
         """
         mean_flux = abs(float(np.sum(flux))) * self.hx
         nyquist_flux = abs(float(np.sum(flux[::2])
@@ -181,7 +168,6 @@ class _StripOperator:
         if nyquist_flux > tol:
             raise SolvabilityError(
                 f"{what} has non-zero Nyquist flux {nyquist_flux:.3e}")
-        return mean_flux
 
     def dx(self, U: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
@@ -266,21 +252,17 @@ class _StripOperator:
         x[:, 0] -= x[:, 0].mean()
         return np.fft.irfft(x, self.nx, axis=1), it, rel
 
-    def _solve_flux(self, flux_rows, mean_flux: float,
-                    trace_rows) -> DnoSolution:
+    def _solve_flux(self, flux_rows, trace_rows) -> tuple:
         """Solve for the potential whose boundary flux is psi on each
-        (row, psi) of ``flux_rows``, on the geometry already set, and read
-        its traces off ``trace_rows``.  The potential is defined up to
-        constants; the first trace row is given zero mean."""
+        (row, psi) of ``flux_rows``, on the geometry already set, and
+        return its traces on ``trace_rows``.  The potential is defined up
+        to constants; the first trace is given zero mean."""
         b = np.zeros((self.ny + 1, self.nx))
         for row, psi in flux_rows:
             b[row, :] = self.hx * psi
-        u, it, rel = self.solve(b)
-        u = u - u[trace_rows[0], :].mean()
-        return DnoSolution(potential=u,
-                           traces=tuple(u[r, :].copy() for r in trace_rows),
-                           flux_residual=mean_flux, cg_iterations=it,
-                           relative_residual=rel)
+        u, _, _ = self.solve(b)
+        u -= u[trace_rows[0], :].mean()
+        return tuple(u[r, :].copy() for r in trace_rows)
 
 
 class LowerSolver(_StripOperator):
@@ -303,11 +285,13 @@ class LowerSolver(_StripOperator):
             (1.0 + ex**2)[None, :],
         )
 
-    def solve_neumann(self, eta_under: np.ndarray, psi: np.ndarray) -> DnoSolution:
+    def solve_neumann(self, eta_under: np.ndarray,
+                      psi: np.ndarray) -> np.ndarray:
+        """Trace Phi_under on the interface of the potential with flux psi."""
         scale = float(np.max(np.abs(psi))) + 1e-300
-        mean_flux = self.refuse_unsolvable(psi, scale, "Neumann datum")
+        self.refuse_unsolvable(psi, scale, "Neumann datum")
         self.set_geometry(eta_under)
-        return self._solve_flux(((0, psi),), mean_flux, (0,))
+        return self._solve_flux(((0, psi),), (0,))[0]
 
 
 class UpperSolver(_StripOperator):
@@ -334,13 +318,14 @@ class UpperSolver(_StripOperator):
         self._q = (one_fy, -fx, (1.0 + fx**2) / one_fy)
 
     def solve_neumann(self, eta_under: np.ndarray, eta_over: np.ndarray,
-                      psi_i: np.ndarray, psi_s: np.ndarray) -> DnoSolution:
+                      psi_i: np.ndarray, psi_s: np.ndarray) -> tuple:
+        """Trace pair (Phi_i, Phi_s) on the interface and the surface of
+        the potential with fluxes (psi_i, psi_s)."""
         scale = float(np.max(np.abs(psi_i)) + np.max(np.abs(psi_s))) + 1e-300
-        mean_flux = self.refuse_unsolvable(psi_i + psi_s, scale,
-                                           "Neumann pair")
+        self.refuse_unsolvable(psi_i + psi_s, scale, "Neumann pair")
         self.set_geometry(eta_under, eta_over)
         # row 0 is the surface y = 1, the last row the interface y = 0
-        return self._solve_flux(((0, psi_s), (-1, psi_i)), mean_flux, (-1, 0))
+        return self._solve_flux(((0, psi_s), (-1, psi_i)), (-1, 0))
 
 
 #: (strip, period) keys whose solver pairs stay cached; each mu of a
@@ -359,8 +344,8 @@ def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,
     """xi = (Phi_under - rho Phi_i, rho Phi_s) for the flux pair
     zeta = (zu, zv): Phi_under = N_lower zu, and (Phi_i, Phi_s) the trace
     pair of N_upper (-zu, zv)."""
-    phi_under = lower.solve_neumann(eta_under, zu).traces[0]
-    phi_i, phi_s = upper.solve_neumann(eta_under, eta_over, -zu, zv).traces
+    phi_under = lower.solve_neumann(eta_under, zu)
+    phi_i, phi_s = upper.solve_neumann(eta_under, eta_over, -zu, zv)
     return phi_under - rho * phi_i, rho * phi_s
 
 

@@ -74,15 +74,19 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform periodic grid of n samples on [-period/2, period/2)."""
+    """Uniform periodic grid of n samples on [-period/2, period/2) whose
+    period holds k0_multiple >= 1 carrier wavelengths."""
 
     n: int
     period: float
-    k0_multiple: int | None = None
+    k0_multiple: int
 
     def __post_init__(self):
         if not _is_power_of_two(self.n) or self.n < 16:
             raise ConfigError(f"n must be a power of two >= 16, got {self.n}")
+        if self.k0_multiple < 1:
+            raise ConfigError("need at least one carrier wavelength in the "
+                              f"period, got k0_multiple = {self.k0_multiple}")
         if self.period <= 0.0:
             raise ConfigError("period must be positive")
 
@@ -99,22 +103,14 @@ class PeriodicGrid:
         """Non-negative rfft wavenumbers 2 pi j / period, j = 0..n/2."""
         return 2.0 * np.pi / self.period * np.arange(self.n // 2 + 1)
 
-    @cached_property
-    def k_pad(self) -> np.ndarray:
-        return 2.0 * np.pi / self.period * np.arange(_PAD * self.n // 2 + 1)
-
     @property
     def carrier(self) -> float:
         """The grid-exact carrier wavenumber 2 pi k0_multiple / period."""
-        if self.k0_multiple is None:
-            raise ConfigError("grid was built without a carrier multiple")
         return 2.0 * np.pi * self.k0_multiple / self.period
 
 
 def make_grid(n: int, k0: float, multiples: int) -> PeriodicGrid:
     """Grid whose period is an exact integer number of carrier wavelengths."""
-    if multiples < 1:
-        raise ConfigError("need at least one carrier wavelength in the period")
     return PeriodicGrid(n=n, period=2.0 * np.pi * multiples / k0,
                         k0_multiple=multiples)
 
@@ -128,15 +124,13 @@ def _carrier_grid(grid: PeriodicGrid) -> PeriodicGrid:
     """The coarsest power of two n_c >= 16 with the grid's period whose
     Nyquist wavenumber lies above carrier harmonic ``_CARRIER_HARMONICS``
     (n_c / 2 > 3 m), capped at ``grid.n``.  ``grid`` itself where it is
-    that grid, is coarser, or has no carrier multiple.
+    that grid or is coarser.
 
     The test profile holds carrier harmonics 0..2 only, so it and its
     truncated functionals are resolved to rounding on this grid; the
     descent's ladder starts on it.
     """
     m = grid.k0_multiple
-    if m is None:
-        return grid
     n_c = 16
     while n_c < grid.n and n_c // 2 <= _CARRIER_HARMONICS * m:
         n_c *= 2
@@ -169,9 +163,9 @@ def _fbar_inverse_entries(k: np.ndarray):
 
 
 class _Symbols:
-    """Per-grid multiplier symbols on the padded band, with views of their
-    first n/2 + 1 entries as the base band (``absk`` and ``absk_pad``,
-    and so on).
+    """Multiplier symbols of the grid of n samples on ``period``, on the
+    padded band, with views of their first n/2 + 1 entries as the base
+    band (``absk`` and ``absk_pad``, and so on).
 
     ``fb_diag``/``fb_off`` are the entries of F-bar, the upper-layer
     multiplier matrix, from ``dispersion.fbar_entries``, and
@@ -182,10 +176,10 @@ class _Symbols:
     period.  ``h2_weight`` is the base-band H^2 symbol 1 + k^2 + k^4.
     """
 
-    def __init__(self, grid: PeriodicGrid):
-        k = grid.k_pad
+    def __init__(self, n: int, period: float):
+        k = 2.0 * np.pi / period * np.arange(_PAD * n // 2 + 1)
         fb_d, fb_o = fbar_entries(k)
-        band = slice(0, grid.n // 2 + 1)
+        band = slice(0, n // 2 + 1)
         for name, value in (("absk", np.abs(k)), ("fb_diag", fb_d),
                             ("fb_off", fb_o), ("ik", 1j * k),
                             ("mk2", -(k**2))):
@@ -193,10 +187,10 @@ class _Symbols:
             setattr(self, name, value[band])
         self.nb_diag_pad, self.nb_off_pad = _fbar_inverse_entries(k)
         self.h2_weight = 1.0 + self.absk**2 + self.absk**4
-        npad = _PAD * grid.n
+        npad = _PAD * n
         w = np.full(npad // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
-        self.parseval = w * grid.period / npad**2
+        self.parseval = w * period / npad**2
 
 
 #: grids whose symbols stay cached; an eps(mu) inversion works on one
@@ -207,7 +201,7 @@ _SYMBOL_GRIDS = 4
 
 @functools.lru_cache(maxsize=_SYMBOL_GRIDS)
 def _symbol_cache(n: int, period: float) -> _Symbols:
-    return _Symbols(PeriodicGrid(n=n, period=period))
+    return _Symbols(n, period)
 
 
 def _symbols(grid: PeriodicGrid) -> _Symbols:

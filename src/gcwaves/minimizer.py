@@ -48,6 +48,7 @@ resolution.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -83,8 +84,12 @@ class MinimizeConfig:
             raise ConfigError(
                 f"mu must lie in (0, {_MU_CEILING}); got {self.mu}"
             )
-        if self.grad_tol is not None and self.grad_tol <= 0.0:
-            raise ConfigError("grad_tol must be positive")
+        if self.grad_tol is not None and not 0.0 < self.grad_tol < math.inf:
+            raise ConfigError(
+                f"grad_tol must be positive and finite, got {self.grad_tol}")
+        if self.max_iters < 0:
+            raise ConfigError(
+                f"max_iters must be non-negative, got {self.max_iters}")
         if not self.admissibility_M > 0.0:
             raise ConfigError("admissibility_M must be positive")
 
@@ -224,8 +229,7 @@ def _spectral_tail(eta: ProfilePair) -> float:
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
     """Grids of the descent, coarsest first: the carrier grid
     (``fieldops._carrier_grid``), doubled up to the requested grid, which
-    ends the ladder.  ``[grid]`` where that grid is the carrier grid or
-    has no carrier multiple."""
+    ends the ladder.  ``[grid]`` where that grid is the carrier grid."""
     grids = [_carrier_grid(grid)]
     while grids[-1] is not grid:
         n = 2 * grids[-1].n
@@ -314,9 +318,8 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
     boundary_hit = trial.dvds is not None
     trial = None
 
-    mem_s: list[np.ndarray] = []
-    mem_y: list[np.ndarray] = []
-    rho_mem: list[float] = []
+    # (s, y, 1 / s.y) per curvature pair, oldest first
+    memory: deque = deque(maxlen=_LBFGS_MEMORY)
     converged = gnorm <= cfg.tol
 
     while not converged and it < cfg.max_iters:
@@ -324,13 +327,12 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
         # two-loop recursion with the spectral Hessian model as H0
         q = g.copy()
         alphas = []
-        for s_v, y_v, r in zip(reversed(mem_s), reversed(mem_y),
-                               reversed(rho_mem)):
+        for s_v, y_v, r in reversed(memory):
             a = r * dot(s_v, q)
             alphas.append(a)
             q -= a * y_v
         q = obj.precondition(q)
-        for s_v, y_v, r, a in zip(mem_s, mem_y, rho_mem, reversed(alphas)):
+        for (s_v, y_v, r), a in zip(memory, reversed(alphas)):
             b = r * dot(y_v, q)
             q += (a - b) * s_v
         d = -q
@@ -368,13 +370,7 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
         y_v = g_new - g
         sy = dot(s_v, y_v)
         if sy > 1e-300:
-            mem_s.append(s_v)
-            mem_y.append(y_v)
-            rho_mem.append(1.0 / sy)
-            if len(mem_s) > _LBFGS_MEMORY:
-                mem_s.pop(0)
-                mem_y.pop(0)
-                rho_mem.pop(0)
+            memory.append((s_v, y_v, 1.0 / sy))
         x, f, g = x_try, f_try, g_new
         gnorm = math.sqrt(dot(g, g) / grid.dx)
         history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n))

@@ -184,7 +184,7 @@ def soliton_shape(c: NlsCoefficients):
     return amplitude, decay_rate
 
 
-def build_soliton(c: NlsCoefficients, n: int = 4096) -> SolitonProfile:
+def build_soliton(c: NlsCoefficients, n: int) -> SolitonProfile:
     """Sample the sech profile at n points of [-25, 25] / decay_rate.
 
     The window puts the truncated tails below 1e-21, so quadrature

@@ -62,7 +62,7 @@ def test_criterion_2_failure_modes():
     lo, hi, rep_mid = locate_branch_crossing(0.5, 1.0, 0.04, 0.07)
     bracket_ok = (hi - lo) <= 1e-3 and rep_mid.verdict == "DoubleMinimum"
 
-    q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
+    q = refine_degenerate(Params(*DEGENERATE_SEED))
     rounds = (round(float(q.rho), 3), round(float(q.beta_under), 3),
               round(float(q.beta_over), 3))
     rep_deg = find_critical(q)

@@ -85,7 +85,7 @@ def test_dispersion_csv_and_summary(tmp_path, bench_cfg):
 
 
 def test_dispersion_gate_exit(tmp_path):
-    q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
+    q = refine_degenerate(Params(*DEGENERATE_SEED))
     cfg = write_config(tmp_path / "deg.cfg", q, "[scan]\nsamples = 1024\n")
     out = tmp_path / "deg.csv"
     rc = main(["dispersion", "--config", cfg, "--out", str(out),
@@ -135,7 +135,7 @@ GATE_TO_OUT = {"coeffs": True, "validate": True,
 
 @pytest.mark.parametrize("command", list(GATE_TO_OUT))
 def test_gate_on_degenerate(tmp_path, capsys, command):
-    q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
+    q = refine_degenerate(Params(*DEGENERATE_SEED))
     cfg = write_config(tmp_path / "deg.cfg", q, "[scan]\nsamples = 1024\n")
     out = tmp_path / "out"
     rc = main([command, "--config", cfg, "--out", str(out)])
@@ -357,7 +357,7 @@ def test_soliton_refuses_one_sample(tmp_path, capsys):
 
 
 def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):
-    grid = PeriodicGrid(n=16, period=10.0)
+    grid = PeriodicGrid(n=16, period=10.0, k0_multiple=1)
     last = ProfilePair(grid, 1e-3 * np.cos(grid.x), -4e-4 * np.cos(grid.x))
 
     def fail(*args):
@@ -394,6 +394,57 @@ def test_minimize_refuses_zero_ball(tmp_path, capsys):
     assert record == {"mu": 0.006,
                       "error": "admissibility_M must be positive"}
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("grad_tol = nan", "grad_tol"),  # never met: ran every iteration
+    ("grad_tol = inf", "grad_tol"),  # met at once: "converged" unrelaxed
+    ("max_iters = -1", "max_iters"),  # ran 0 iterations, as max_iters = 0
+], ids=["grad_tol_nan", "grad_tol_inf", "max_iters_negative"])
+def test_minimize_refuses_bad_stopping_rule(tmp_path, capsys, line, key):
+    cfg = write_config(
+        tmp_path / "m.cfg", BENCH,
+        "[scan]\nsamples = 1024\n[grid]\nn = 1024\n"
+        f"[minimize]\nmu = 6e-3\nmax_iters = 30\n{line}\n",
+    )
+    outdir = tmp_path / "m"
+    assert main(["minimize", "--config", cfg, "--out", str(outdir)]) \
+        == cli.EXIT_NUMERICAL
+    record = json.loads((outdir / "mu_0p006.error.json").read_text())
+    assert record["mu"] == 0.006 and key in record["error"]
+    assert os.listdir(outdir) == ["mu_0p006.error.json"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", ["nan", "inf"])
+def test_validate_refuses_non_finite_depth(tmp_path, capsys, depth):
+    # nan passed the old depth check and failed in the SVD with a traceback
+    cfg = write_config(
+        tmp_path / "v.cfg", BENCH,
+        f"[scan]\nsamples = 1024\n[grid]\nn = 256\ndepth_under = {depth}\n",
+    )
+    out = tmp_path / "v.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "depth_under" in err
+    assert not out.exists()
+
+
+def test_negative_carrier_multiple_refused(tmp_path, capsys):
+    # only 0 means "choose per mu"; a negative count of wavelengths ran
+    # as 0 did
+    cfg = write_config(
+        tmp_path / "a.cfg", BENCH,
+        "[scan]\nsamples = 1024\n[grid]\nn = 1024\nk0_multiples = -3\n"
+        "[minimize]\nmu = 6e-3\n",
+    )
+    out = tmp_path / "a.csv"
+    assert main(["ansatz", "--config", cfg, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "carrier wavelength" in err
+    assert not out.exists()
 
 
 def test_validate_passes(tmp_path, capsys):

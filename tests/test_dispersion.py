@@ -267,7 +267,7 @@ def test_side_configurations_valid():
 
 
 def test_degenerate_regime():
-    q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
+    q = refine_degenerate(Params(*DEGENERATE_SEED))
     # the polished values round back to the 3-decimal seed
     assert round(q.rho, 3) == DEGENERATE_SEED[0]
     assert round(q.beta_under, 3) == DEGENERATE_SEED[1]
@@ -283,7 +283,7 @@ def test_flat_minimum_refines_in_few_slope_evaluations(monkeypatch):
     # regula falsi keeps one bracket end for 50 steps there (83 slope
     # evaluations), the Illinois rule does not
     from gcwaves import dispersion
-    q = refine_degenerate(Params(*DEGENERATE_SEED), 1.0)
+    q = refine_degenerate(Params(*DEGENERATE_SEED))
     calls = []
     slope = dispersion._slope
 

@@ -319,7 +319,8 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "data",
 
 def test_parity_with_reference_implementation():
     ref = np.load(REFERENCE)
-    grid = PeriodicGrid(n=int(ref["n"]), period=float(ref["period"]))
+    grid = PeriodicGrid(n=int(ref["n"]), period=float(ref["period"]),
+                        k0_multiple=4)
     p = Params(*ref["params"].tolist())
     mu = float(ref["mu"])
     for i, (u, v) in enumerate(ref["eta"]):
@@ -341,7 +342,7 @@ def test_parity_with_reference_implementation():
 def test_fbar_inverse_entries_invert_fbar(grid):
     # the padded band of this grid runs from k0/4 past the hyperbolic
     # cutoff; below it the product loses digits like cond(Fbar) ~ 4/k^2
-    k = grid.k_pad
+    k = 2.0 * np.pi / grid.period * np.arange(grid.n + 1)
     d, o = fbar_entries(k)
     nd, no = _fbar_inverse_entries(k)
     assert (nd[0], no[0]) == (0.25, -0.25)
@@ -707,8 +708,11 @@ def test_profile_roundtrip(tmp_path, grid):
 
 def test_grid_validation():
     with pytest.raises(ConfigError):
-        PeriodicGrid(n=100, period=10.0)
+        PeriodicGrid(n=100, period=10.0, k0_multiple=1)
     with pytest.raises(ConfigError):
-        PeriodicGrid(n=8, period=10.0)
+        PeriodicGrid(n=8, period=10.0, k0_multiple=1)
     with pytest.raises(ConfigError):
-        PeriodicGrid(n=64, period=-1.0)
+        PeriodicGrid(n=64, period=-1.0, k0_multiple=1)
+    for m in (0, -3):
+        with pytest.raises(ConfigError, match="carrier wavelength"):
+            PeriodicGrid(n=64, period=10.0, k0_multiple=m)

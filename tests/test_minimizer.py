@@ -4,8 +4,8 @@ import pytest
 from gcwaves import fieldops, minimizer
 from gcwaves.dispersion import eval_g
 from gcwaves.errors import ConfigError, NumericalError, OutOfConeError
-from gcwaves.fieldops import (PeriodicGrid, ProfilePair, build_eta_star,
-                              eps_of_mu, eval_J, eval_L_trunc, make_grid,
+from gcwaves.fieldops import (ProfilePair, build_eta_star, eps_of_mu, eval_J,
+                              eval_L_trunc, make_grid,
                               suggest_carrier_multiple)
 from gcwaves.minimizer import (MinimizeConfig, MinimizeResult, _half,
                                _half_weights, _ladder, _mirror, _prolong,
@@ -30,8 +30,13 @@ def test_config_validation(bench_crit, bench_coeffs):
     grid = make_grid(1024, bench_crit.k0, 4)
     with pytest.raises(ConfigError):
         MinimizeConfig(mu=0.5, grid=grid)  # above the mu ceiling
-    with pytest.raises(ConfigError):
-        MinimizeConfig(mu=1e-3, grid=grid, grad_tol=-1.0)
+    # nan never meets the stopping test, and inf is met before any step
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="grad_tol"):
+            MinimizeConfig(mu=1e-3, grid=grid, grad_tol=tol)
+    with pytest.raises(ConfigError, match="max_iters"):
+        MinimizeConfig(mu=1e-3, grid=grid, max_iters=-1)
+    assert MinimizeConfig(mu=1e-3, grid=grid, max_iters=0).max_iters == 0
     # M = 0 would divide the barrier by zero; a negative M is no radius
     for M in (0.0, -0.5):
         with pytest.raises(ConfigError, match="admissibility_M"):
@@ -344,11 +349,6 @@ def test_ladder_starts_above_the_third_harmonic(bench_crit, bench_coeffs,
     assert grids[0].n // 4 <= 3 * m < grids[0].n // 2
     assert all(g.period == grid.period and g.k0_multiple == m
                for g in grids)
-
-
-def test_ladder_without_a_carrier_is_the_grid():
-    grid = PeriodicGrid(n=4096, period=100.0)
-    assert _ladder(grid) == [grid]
 
 
 def test_prolongation_is_exact_for_band_limited_even_rows():

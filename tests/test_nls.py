@@ -248,4 +248,4 @@ def test_defocusing_rejected(bench_coeffs):
     bad = replace(bench_coeffs, a3=1.0, a4=1.0)
     assert not bad.focusing
     with pytest.raises(RegimeError):
-        build_soliton(bad)
+        build_soliton(bad, n=4096)
