@@ -25,7 +25,7 @@ def emit(p, name, outdir, k_min=1e-2, k_max=1e2, samples=2000):
     ks = np.geomspace(k_min, k_max, samples)
     write_csv(os.path.join(outdir, f"{name}.csv"),
               ["k", "lambda_minus", "lambda_plus", "D"],
-              zip(ks, *eval_lambda(ks, p)))
+              [ks, *eval_lambda(ks, p)])
     rep = find_critical(p)
     payload = _report_dict(rep)
     payload["params"] = {"rho": p.rho, "beta_under": p.beta_under,

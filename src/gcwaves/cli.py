@@ -193,11 +193,13 @@ def write_json(path, obj):
     atomic_write_text(path, dump_json(obj))
 
 
-def write_csv(path, header: list, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path, header: list, columns):
+    """CSV of equal-length columns, one per header name, every value
+    printed as a float at 17 significant digits."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    atomic_write_text(path, ",".join(header) + "\n"
+                      + "".join([row % values for values in rows]))
 
 
 def sidecar_path(csv_path) -> str:
@@ -208,7 +210,7 @@ def write_profile_csv(path, eta: fieldops.ProfilePair):
     """CSV columns x, eta_under, eta_over plus a JSON grid sidecar."""
     g = eta.grid
     write_csv(path, ["x", "eta_under", "eta_over"],
-              zip(g.x, eta.eta_under, eta.eta_over))
+              [g.x, eta.eta_under, eta.eta_over])
     write_json(sidecar_path(path),
                {"n": g.n, "period": g.period, "k0_multiple": g.k0_multiple})
 
@@ -292,7 +294,7 @@ def cmd_dispersion(args) -> int:
     rep = disp.find_critical(p, **scan)
     ks = np.geomspace(scan["k_min"], scan["k_max"], scan["samples"])
     write_csv(args.out, ["k", "lambda_minus", "lambda_plus", "D"],
-              zip(ks, *disp.eval_lambda(ks, p)))
+              [ks, *disp.eval_lambda(ks, p)])
     write_json(sidecar_path(args.out), _report_dict(rep))
     if args.require_valid and rep.verdict != "Valid":
         return EXIT_GATE
@@ -309,7 +311,7 @@ def cmd_soliton(args) -> int:
     cfg = parse_config(args.config)
     crit, c = _gate(cfg, None, focusing=True)
     prof = nls.build_soliton(c, n=cfg["grid"]["n"])
-    write_csv(args.out, ["x", "phi"], zip(prof.x, prof.samples))
+    write_csv(args.out, ["x", "phi"], [prof.x, prof.samples])
     write_json(sidecar_path(args.out), {
         "amplitude": prof.amplitude, "decay_rate": prof.decay_rate,
         "mass": nls.soliton_mass(prof), "energy": nls.soliton_energy(prof, c),
@@ -390,7 +392,7 @@ def cmd_minimize(args) -> int:
                    _result_dict(r, crit))
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),
                   ["iteration", "j_mu", "grad_norm", "step", "trials", "n"],
-                  r.history)
+                  list(zip(*r.history)))
     if len(runs) >= 3:
         fit = minimizer.speed_expansion_check(runs, crit, c)
         write_json(os.path.join(args.out, "speed_fit.json"), {

@@ -75,7 +75,8 @@ def _is_power_of_two(n: int) -> bool:
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic grid of n samples on [-period/2, period/2) whose
-    period holds k0_multiple >= 1 carrier wavelengths."""
+    period holds k0_multiple carrier wavelengths, 1 <= k0_multiple < n/2,
+    so the carrier lies below the Nyquist wavenumber."""
 
     n: int
     period: float
@@ -87,6 +88,10 @@ class PeriodicGrid:
         if self.k0_multiple < 1:
             raise ConfigError("need at least one carrier wavelength in the "
                               f"period, got k0_multiple = {self.k0_multiple}")
+        if self.k0_multiple >= self.n // 2:
+            raise ConfigError(
+                f"carrier multiple {self.k0_multiple} is at or above the "
+                f"Nyquist index {self.n // 2} of n = {self.n}; raise n")
         if self.period <= 0.0:
             raise ConfigError("period must be positive")
 

@@ -6,6 +6,16 @@ amplitude eps(mu).  The method is limited-memory BFGS (20 curvature
 pairs) with a backtracking Armijo line search; a smooth quartic barrier
 keeps iterates inside the H^2 ball where the truncation is trusted.
 
+The initial inverse Hessian of the two-loop recursion is the exact
+inverse Hessian of the quadratic truncation K2 + mu^2 / L2 at the NLS
+speed nu_m = nu0 + nu_NLS alpha mu^2 (``_Objective``).  The minimisers
+are modulated carriers, so the true Hessian has two scales: O(mu^2)
+curvature on the envelope modes near the carrier, from the symbol
+P - nu_m^2 F, and O(1) curvature along the amplitude, from the rank-one
+part of mu^2 / L2.  The model holds both, and the barrier's Hessian
+inside its shell; the rank-one terms are inverted by Woodbury's
+identity.
+
 The descent is restricted to profiles even about x = 0, which quotients
 out the translation and carrier-phase symmetries; an even critical point
 of the restricted functional is a critical point of the full one because
@@ -54,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params, eval_g
+from .dispersion import CriticalPoint, Params, eval_g, _pf
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
@@ -74,8 +84,9 @@ class MinimizeConfig:
     max_iters: int = 2000
     #: stopping threshold on the discrete-L2 gradient norm.  With the
     #: surface energy free of cancellation (``fieldops._k_parts``) the
-    #: descent reaches 1e-7 * mu at mu = 5e-4; the default 1e-5 * mu is
-    #: kept because 1e-6 * mu costs about 1.5x the iterations.
+    #: descent reaches 1e-7 * mu at mu = 5e-4.  The default is 1e-5 * mu;
+    #: on the benchmark's sweep grids 1e-6 * mu costs 1.05x to 1.2x its
+    #: iterations, and 1e-7 * mu 1.2x to 1.3x.
     grad_tol: float | None = None
     admissibility_M: float = 0.5
 
@@ -150,40 +161,84 @@ def _half_weights(n: int) -> np.ndarray:
     return np.concatenate([w, w])
 
 
+def _model_speed(crit: CriticalPoint, c: NlsCoefficients, mu: float) -> float:
+    """The NLS speed nu0 + nu_NLS alpha mu^2 of the sech wave at mu,
+    floored at 0: the speed the Hessian model is taken at."""
+    return max(crit.nu0 + c.nu_nls * c.alpha * mu**2, 0.0)
+
+
 class _Objective:
-    """J_mu plus the H^2-ball barrier, on half-grid vectors."""
+    """J_mu plus the H^2-ball barrier, on half-grid vectors.
+
+    ``precondition`` inverts the exact Hessian of the quadratic
+    truncation K2 + mu^2 / L2 at the NLS speed nu_m (``_model_speed``):
+    the symbol g_nu(k) = P(k) - nu_m^2 F(k) plus the rank-one term
+    (2 nu_m^2 / L2) l l^T with l = F eta, both taken at the level's start
+    eta.  Since 0 <= nu_m < nu0 and g_nu0 is semi-definite, g_nu =
+    g_nu0 + (nu0^2 - nu_m^2) F is definite at every mode, the carrier's
+    included.  At an accepted iterate inside the barrier shell the model
+    adds the barrier's Hessian 2 V'(s) h(k) + 4 V'' b b^T, with h the H^2
+    symbol and b = h eta.  The rank-one terms are inverted by Woodbury's
+    identity, so an application is one flat solve, plus a dot and an
+    axpy per column.
+    """
 
     def __init__(self, p: Params, cfg: MinimizeConfig, crit: CriticalPoint,
-                 c: NlsCoefficients):
+                 c: NlsCoefficients, x0: np.ndarray):
         self.p = p
         self.cfg = cfg
-        self.grid = cfg.grid
-        self.h2_weight = _symbols(self.grid).h2_weight
+        grid = self.grid = cfg.grid
+        n = grid.n
+        self.weights = _half_weights(n)
+        self.h2_weight = _symbols(grid).h2_weight
         self.s0 = (0.9 * cfg.admissibility_M) ** 2
         self.s_edge = cfg.admissibility_M**2
         self.value_evals = self.gradient_evals = 0
-        self._build_preconditioner(crit, c)
+        nu = _model_speed(crit, c, cfg.mu)
+        g = eval_g(grid.k, p, nu)
+        self._g = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        _, F = _pf(grid.k, p)
+        eta = _mirror(x0, n)
+        ell = np.fft.irfft(np.einsum("kij,jk->ik", F, _rfft(eta, n)), n)
+        l2 = 0.5 * grid.dx * float(np.sum(eta * ell))
+        # columns u scaled so that the model's term is u u^T in the
+        # half-grid products
+        self._ell = grid.dx * nu * math.sqrt(2.0 / l2) * _half(ell, n)
+        self._base = self._model(0.0, [self._ell])
+        self._pre = self._base
 
-    def _build_preconditioner(self, crit: CriticalPoint, c: NlsCoefficients):
-        """Inverse of the shifted quadratic Hessian model g(k) + sigma I.
+    def _model(self, shift, columns: list):
+        """Inverse symbol entries of g_nu + shift I, the flat solves Z of
+        the columns U, and the Woodbury capacitance (I + U.Z)^-1."""
+        a, b, c = self._g
+        a, c = a + shift, c + shift
+        det = a * c - b * b
+        inv = c / det, -b / det, a / det
+        Z = [self._flat(inv, u) for u in columns]
+        G = np.array([[self.dot(u, z) for z in Z] for u in columns])
+        return inv, Z, np.linalg.inv(np.eye(len(Z)) + G)
 
-        g(k) is the exact Hessian symbol of K2 - nu0^2 L2 and vanishes
-        quadratically at the carrier, where the curvature is set by the
-        nonlinear terms; the shift sigma = max(|I_NLS|, 1) mu matches their
-        scale.
-        """
-        sigma = max(abs(c.i_nls), 1.0) * self.cfg.mu
-        self._pre = np.linalg.inv(eval_g(self.grid.k, self.p, crit.nu0)
-                                  + sigma * np.eye(2))
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        # einsum, not @: BLAS worker threads made single dot products
+        # erratically slow on a busy 2-core host
+        return float(np.einsum("i,i,i->", self.weights, a, b))
+
+    def _flat(self, inv, q: np.ndarray) -> np.ndarray:
+        """Apply the inverse symbol to a half-grid gradient."""
+        n = self.grid.n
+        U, V = _rfft(_mirror(q, n), n)
+        a, b, c = inv
+        out = np.fft.irfft(np.stack([a * U + b * V, b * U + c * V]), n)
+        return _half(out, n) / self.grid.dx
 
     def precondition(self, q: np.ndarray) -> np.ndarray:
         """Apply the inverse Hessian model to a half-grid gradient."""
-        n = self.grid.n
-        U, V = _rfft(_mirror(q, n), n)
-        P = self._pre
-        out = np.fft.irfft(np.stack([P[:, 0, 0] * U + P[:, 0, 1] * V,
-                                     P[:, 1, 0] * U + P[:, 1, 1] * V]), n)
-        return _half(out, n) / self.grid.dx
+        inv, Z, S = self._pre
+        y = self._flat(inv, q)
+        r = S @ [self.dot(z, q) for z in Z]
+        for z, rj in zip(Z, r):
+            y -= rj * z
+        return y
 
     def split(self, h: np.ndarray) -> ProfilePair:
         u, v = _mirror(h, self.grid.n)
@@ -207,15 +262,22 @@ class _Objective:
 
     def gradient(self, trial: _Trial):
         """Half-grid gradient (times dx) at an evaluated trial, and its
-        breakdown."""
+        breakdown.  The trial is the descent's new iterate, so the Hessian
+        model takes its barrier terms there (none outside the shell)."""
         self.gradient_evals += 1
-        n = self.grid.n
+        n, dx = self.grid.n, self.grid.dx
         (gu, gv), bd = grad_J(trial.eta, self.p, self.cfg.mu)
         g = np.stack([gu, gv])
-        if trial.dvds is not None:
-            H = self.h2_weight * trial.eta.UV
-            g += trial.dvds * 2.0 * np.fft.irfft(H, n)
-        return _half(g, n) * self.grid.dx, bd
+        if trial.dvds is None:
+            self._pre = self._base
+        else:
+            b = np.fft.irfft(self.h2_weight * trial.eta.UV, n)
+            g += trial.dvds * 2.0 * b
+            # V'' = 2 / (s_edge - s0)^2, so sqrt(4 V'') = 2 sqrt(2) / width
+            scale = 2.0 * math.sqrt(2.0) / (self.s_edge - self.s0)
+            self._pre = self._model(2.0 * trial.dvds * self.h2_weight,
+                                    [self._ell, dx * scale * _half(b, n)])
+        return _half(g, n) * dx, bd
 
 
 def _spectral_tail(eta: ProfilePair) -> float:
@@ -274,7 +336,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     for i, grid in enumerate(grids):
         if i:
             x = _prolong(x, grids[i - 1].n, grid.n)
-        obj = _Objective(p, replace(cfg, grid=grid), crit, c)
+        obj = _Objective(p, replace(cfg, grid=grid), crit, c, x)
         level = _descend(obj, x, it, history)
         levels.append({"n": grid.n, "iterations": level.iterations - it,
                        "value_evals": obj.value_evals,
@@ -301,14 +363,8 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
     with an empty memory, until the gradient norm reaches ``cfg.tol`` or
     the iteration count ``it``, shared by all grids, reaches
     ``cfg.max_iters``.  Appends its rows to ``history``."""
-    cfg, grid = obj.cfg, obj.grid
+    cfg, grid, dot = obj.cfg, obj.grid, obj.dot
     n = grid.n
-    weights = _half_weights(n)
-
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        # einsum, not @: BLAS worker threads made single dot products
-        # erratically slow on a busy 2-core host
-        return float(np.einsum("i,i,i->", weights, a, b))
 
     f, trial = obj(x)
     g, bd = obj.gradient(trial)

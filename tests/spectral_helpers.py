@@ -6,8 +6,9 @@ plain-loop multiplier application, the symmetric bilinear forms whose
 diagonals are the cubic kinetic gradients, the per-layer kinetic
 truncations, the finite-period correction of the quartic coefficient,
 the dense per-mode matrices of the oracle's flat preconditioner, the
-physical-space form of the oracle's operator, and the reader of the
-profile files ``write_profile_csv`` writes.
+physical-space form of the oracle's operator, the dense Hessian model of
+the descent, and the reader of the profile files ``write_profile_csv``
+writes.
 None of these is on a production path.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from gcwaves import ProfilePair
 from gcwaves import fieldops as fo
 from gcwaves.cli import sidecar_path
-from gcwaves.dispersion import eval_fbar
+from gcwaves.dispersion import _pf, eval_fbar, eval_g
 from gcwaves.errors import ConfigError
 from gcwaves.fieldops import PeriodicGrid
 
@@ -211,6 +212,56 @@ def physical_apply(op, U):
     f2 = q12 * Ux + q22 * Uy
     W = op.hx * op.wy[:, None]
     return -op.dx(W * f1) + op.D.T @ (W * f2)
+
+
+def multiplier_matrix(symbol, n):
+    """Dense matrix of a real 2x2 Fourier multiplier, even in k, on the
+    stacked rows (u, v) of n samples each, summed as cosines with the
+    Nyquist mode dropped; ``symbol`` has shape (n/2 + 1, 2, 2)."""
+    q = np.arange(n // 2)
+    j = np.arange(n)
+    # the phase reduced mod n in integers keeps cos accurate to rounding
+    cos = np.cos(2.0 * np.pi / n * (q[:, None, None] * (j[:, None] - j) % n))
+    w = np.where(q == 0, 1.0, 2.0) / n
+    return np.einsum("q,qab,qjl->ajbl", w, symbol[: n // 2],
+                     cos).reshape(2 * n, 2 * n)
+
+
+def hessian_model_matrix(p, grid, nu, x0, barrier=None):
+    """Dense Hessian of the quadratic truncation K2 + mu^2 / L2 at the
+    speed nu and the even profile of the half-grid vector x0, in the
+    descent's coordinates: it maps a half-grid step to dx times the
+    change of the L^2 gradient, and is self-adjoint in the end-weighted
+    half-grid products.  ``barrier = (dV/ds, V'', x)`` adds the barrier's
+    Hessian 2 V' h(k) + 4 V'' b b^T at the half-grid vector x, with h the
+    H^2 symbol and b = h eta."""
+    n, dx, k = grid.n, grid.dx, grid.k
+    half = n // 2 + 1
+    # E mirrors a half-grid vector to its even rows, R takes samples 0..n/2
+    idx = np.concatenate([np.arange(half), np.arange(n // 2 - 1, 0, -1)])
+    E = np.zeros((2 * n, 2 * half))
+    E[np.arange(n), idx] = E[n + np.arange(n), half + idx] = 1.0
+    R = np.zeros((2 * half, 2 * n))
+    R[np.arange(half), np.arange(half)] = 1.0
+    R[half + np.arange(half), n + np.arange(half)] = 1.0
+
+    def rank_one(coef, f):
+        return coef * dx**2 * np.outer(R @ f, E.T @ f)
+
+    _, F = _pf(k, p)
+    eta = E @ x0
+    ell = multiplier_matrix(F, n) @ eta
+    l2 = 0.5 * dx * eta @ ell
+    symbol = eval_g(k, p, nu)
+    extra = 0.0
+    if barrier is not None:
+        dvds, v2, x = barrier
+        h2 = 1.0 + k**2 + k**4
+        symbol = symbol + 2.0 * dvds * h2[:, None, None] * np.eye(2)
+        b = multiplier_matrix(h2[:, None, None] * np.eye(2), n) @ (E @ x)
+        extra = rank_one(4.0 * v2, b)
+    M = dx * R @ multiplier_matrix(symbol, n) @ E
+    return M + rank_one(2.0 * nu**2 / l2, ell) + extra
 
 
 def read_profile_csv(path) -> ProfilePair:

@@ -447,6 +447,47 @@ def test_negative_carrier_multiple_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_carrier_above_nyquist_refused(tmp_path, capsys):
+    # at n = 256 the suggested multiple for mu = 2e-3 is 273, above the
+    # Nyquist index 128, so eta* would alias its carrier
+    cfg = write_config(
+        tmp_path / "a.cfg", BENCH,
+        "[scan]\nsamples = 1024\n[grid]\nn = 256\n[minimize]\nmu = 2e-3\n",
+    )
+    out = tmp_path / "a.csv"
+    assert main(["ansatz", "--config", cfg, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Nyquist index 128" in err
+    assert not out.exists()
+
+
+def _per_value_csv(header, rows):
+    """The CSV text of the formatter that printed one value at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_bytes_match_per_value_formatting(tmp_path):
+    specials = [-0.0, 5e-324, float("nan"), float("inf"), -float("inf"),
+                0.1, 1.0 / 3.0, -2.5e300, 1e16, 12.0]
+    rng = np.random.default_rng(7)
+    cols = [np.array(specials), rng.standard_normal(len(specials)) * 1e-9,
+            np.arange(len(specials))]
+    path = tmp_path / "a.csv"
+    cli.write_csv(path, ["a", "b", "c"], cols)
+    assert path.read_text() == _per_value_csv(["a", "b", "c"], zip(*cols))
+    # the integer columns (iteration, trials, n) of an iterations.csv
+    header = ["iteration", "j_mu", "grad_norm", "step", "trials", "n"]
+    history = [(0, 0.0024, 3.1e-3, 0.0, 1, 1024),
+               (1, 0.0023999999999999998, 1.2e-4, 0.25, 3, 1024),
+               (1, 0.0023999999999999998, 2.5e-5, 0.0, 1, 65536)]
+    cli.write_csv(path, header, list(zip(*history)))
+    assert path.read_text() == _per_value_csv(header, history)
+
+
 def test_validate_passes(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "val.cfg", BENCH,

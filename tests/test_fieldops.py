@@ -634,7 +634,7 @@ def test_eps_of_mu_returns_the_plain_secant_point(monkeypatch, request,
 
 
 def test_wrap_floor_is_the_eta_star_test(bench_coeffs, bench_crit):
-    grid = make_grid(256, bench_crit.k0, 400)
+    grid = make_grid(1024, bench_crit.k0, 400)
     eps_min = wrap_floor(bench_coeffs, grid)
     build_eta_star(bench_coeffs, bench_crit, eps_min, grid, BENCH)
     with pytest.raises(GeometryError):
@@ -716,3 +716,8 @@ def test_grid_validation():
     for m in (0, -3):
         with pytest.raises(ConfigError, match="carrier wavelength"):
             PeriodicGrid(n=64, period=10.0, k0_multiple=m)
+    # a carrier at or above the Nyquist index aliases
+    for m in (32, 273):
+        with pytest.raises(ConfigError, match="Nyquist index 32"):
+            PeriodicGrid(n=64, period=10.0, k0_multiple=m)
+    assert PeriodicGrid(n=64, period=10.0, k0_multiple=31).k0_multiple == 31

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gcwaves import fieldops, minimizer
-from gcwaves.dispersion import eval_g
 from gcwaves.errors import ConfigError, NumericalError, OutOfConeError
 from gcwaves.fieldops import (ProfilePair, build_eta_star, eps_of_mu, eval_J,
                               eval_L_trunc, make_grid,
@@ -13,7 +12,7 @@ from gcwaves.minimizer import (MinimizeConfig, MinimizeResult, _half,
                                speed_expansion_check)
 
 from conftest import BENCH
-from spectral_helpers import h2_norm, roll
+from spectral_helpers import h2_norm, hessian_model_matrix, roll
 
 MU = 4e-3
 
@@ -135,6 +134,17 @@ def test_barrier_activates_with_tiny_ball(bench_crit, bench_coeffs):
     assert r.value_evals <= 3 * r.iterations
 
 
+def test_bench_level_converges_in_few_iterations(bench_crit, bench_coeffs):
+    # the exact quadratic model at the NLS speed takes 23 iterations at
+    # the benchmark's first sweep level; the shifted symbol took 53
+    mu = 4e-3
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(4096, bench_crit.k0, m))
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert r.converged
+    assert r.iterations <= 30
+
+
 def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
                                                     bench_coeffs):
     # sqrt(1 + eta_x^2) - 1 formed by subtraction puts ~1e-15 of rounding
@@ -229,16 +239,59 @@ def test_rejected_trials_skip_the_gradient(bench_crit, bench_coeffs,
     assert next(accepted, None) is None
 
 
-def test_preconditioner_inverts_shifted_g_on_every_mode(bench_crit,
-                                                        bench_coeffs):
-    m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
-    cfg = MinimizeConfig(mu=MU, grid=make_grid(4096, bench_crit.k0, m))
-    obj = minimizer._Objective(BENCH, cfg, bench_crit, bench_coeffs)
-    sigma = max(abs(bench_coeffs.i_nls), 1.0) * MU
-    assert obj._pre.shape == (len(cfg.grid.k), 2, 2)
-    for k, pre in zip(cfg.grid.k, obj._pre):
-        shifted = eval_g(float(k), BENCH, bench_crit.nu0) + sigma * np.eye(2)
-        assert np.max(np.abs(pre @ shifted - np.eye(2))) <= 1e-13
+def _even_band_vector(rng, n):
+    """Half-grid vector of random even rows with no Nyquist mode."""
+    X = rng.standard_normal((2, n // 2 + 1))
+    X[:, -1] = 0.0
+    return _half(np.fft.irfft(X, n), n)
+
+
+@pytest.mark.parametrize("shell", [False, True])
+def test_preconditioner_inverts_the_quadratic_model(bench_crit, bench_coeffs,
+                                                    shell):
+    # the model is the dense Hessian of K2 + mu^2 / L2 at the NLS speed,
+    # its rank-one term at the level's start (a modulated carrier), plus
+    # the barrier's Hessian at an iterate inside the shell.  The forward
+    # error is rounding times the model's condition number, about 270
+    # outside the shell and 530 in it on this grid
+    n = 32
+    grid = make_grid(n, bench_crit.k0, 4)
+    x, kc = grid.x, grid.carrier
+    wave = 0.05 * (1.0 + 0.5 * np.cos(2.0 * np.pi * x / grid.period)) \
+        * np.cos(kc * x)
+    x0 = _half(np.stack([wave, -bench_crit.a * wave]), n)
+    ball = h2_norm(ProfilePair(grid, *_mirror(x0, n))) / 0.95 if shell \
+        else 1.0
+    cfg = MinimizeConfig(mu=MU, grid=grid, admissibility_M=ball)
+    obj = minimizer._Objective(BENCH, cfg, bench_crit, bench_coeffs, x0)
+    nu = minimizer._model_speed(bench_crit, bench_coeffs, MU)
+    rng = np.random.default_rng(11)
+    barrier = None
+    if shell:
+        x_in = x0 + 1e-3 * _even_band_vector(rng, n)
+        _, trial = obj(x_in)
+        assert trial.dvds is not None
+        obj.gradient(trial)
+        barrier = (trial.dvds, 2.0 / (obj.s_edge - obj.s0)**2, x_in)
+    M = hessian_model_matrix(BENCH, grid, nu, x0, barrier)
+    weights = _half_weights(n)
+    for _ in range(4):
+        d = _even_band_vector(rng, n)
+        back = obj.precondition(M @ d)
+        assert np.linalg.norm(back - d) <= 1e-12 * np.linalg.norm(d)
+        assert float(np.sum(weights * d * obj.precondition(d))) > 0.0
+
+
+@pytest.mark.parametrize("params", ["BENCH", "NEAR_RESONANT"])
+def test_model_speed_lies_below_nu0(params, bench_crit, bench_coeffs,
+                                    resonant_crit, resonant_coeffs):
+    # nu_NLS < 0 whenever A2 > 0, so the model's symbol g_nu is g_nu0 plus
+    # a positive multiple of F
+    crit, c = ((bench_crit, bench_coeffs) if params == "BENCH"
+               else (resonant_crit, resonant_coeffs))
+    for mu in np.geomspace(1e-5, minimizer._MU_CEILING, 12):
+        nu = minimizer._model_speed(crit, c, float(mu))
+        assert 0.0 <= nu < crit.nu0
 
 
 def _evenize(x, n):
