@@ -328,7 +328,10 @@ def cmd_ansatz(args) -> int:
     grid = _grid_for(cfg, crit, c, mu)
     eps = fieldops.eps_of_mu(p, c, crit, grid, mu)
     eta = fieldops.build_eta_star(c, crit, eps, grid, p)
-    bd = fieldops.eval_J(eta, p, mu)
+    # eta is band-limited to the carrier grid, where its J is the same
+    # number to rounding at a fraction of the transforms
+    bd = fieldops.eval_J(fieldops.build_eta_star(
+        c, crit, eps, fieldops._carrier_grid(grid), p), p, mu)
     write_profile_csv(args.out, eta)
     write_json(args.out + ".summary.json", {
         "mu": mu, "eps": eps, "j_mu": bd.j_mu,

@@ -13,7 +13,8 @@ a scalar or an array of wavenumbers.  Every hyperbolic factor outside the
 o = -|k|/sinh|k| of ``fbar_entries``.  It also evaluates the closed-form
 eigenvalue branches, locates the global minimum of the slow branch as a
 root of the closed-form slope lambda_minus', classifies it, and computes
-the eigen-data (k0, nu0, v0 = (1, -a), lambda''(k0), A2) consumed by the
+the eigen-data (k0, nu0, v0 = (1, -a), a'(k0), lambda''(k0) and the
+fixed-v0 curvature v0.g''(k0)v0 that lambda'' comes from) consumed by the
 rest of the package in closed form.
 """
 
@@ -80,7 +81,8 @@ class CriticalPoint:
     nu0: float
     a: float
     lambda2: float  # second derivative of lambda_minus at k0
-    a2: float       # NLS dispersive coefficient
+    a2: float       # v0 . g''(k0) v0 with v0 held fixed; lambda2 comes from it
+    a_prime: float  # da/dk at k0: how v0 = (1, -a) turns with wavenumber
     assumption1_global: bool
     assumption1_nondeg: bool
 
@@ -365,7 +367,7 @@ def find_critical(
     nondeg = lam2 > DEGENERACY_FACTOR * lam0 / k0**2
     global_ok = not competing
     crit = CriticalPoint(
-        k0=k0, nu0=nu0, a=a, lambda2=lam2, a2=a2,
+        k0=k0, nu0=nu0, a=a, lambda2=lam2, a2=a2, a_prime=float(da),
         assumption1_global=global_ok, assumption1_nondeg=nondeg,
     )
     if not global_ok:

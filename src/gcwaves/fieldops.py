@@ -512,10 +512,16 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
                    grid: PeriodicGrid, p: Params) -> ProfilePair:
     """Modulated-carrier test profile.
 
-    eps phi(eps x) cos(k0 x) v0 plus the second-harmonic and mean-flow
-    corrections at order eps^2.  Envelopes are wrapped once around the
-    period, which makes the profile smoothly periodic; the wrap overlap
-    must be negligible.
+    eps phi(eps x) cos(k0 x) v0, its first-harmonic corrector
+    -a' d/dx[eps phi(eps x)] sin(k0 x) on the surface, and the
+    second-harmonic and mean-flow corrections at order eps^2.  The
+    corrector turns v0 = (1, -a(k)) with the packet's local wavenumber.
+    It is the form the paper's reduction gives: eliminating the part of
+    the first harmonic outside ker g(k0) leaves this Schur-complement
+    term, and with it the envelope's dispersion is the branch curvature
+    A2 = lambda'' v0.F v0 (``nls``).  The profile stays even.  Envelopes
+    are wrapped once around the period, which makes the profile smoothly
+    periodic; the wrap overlap must be negligible.
 
     The profile holds carrier harmonics 0..2 only, so it is sampled on
     the carrier grid (``_carrier_grid``) and its Nyquist-cleaned spectrum
@@ -540,9 +546,14 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         )
 
     x = _carrier_grid(grid).x
+    # phi(eps x) and d/dx [eps phi(eps x)], each wrapped once
     phi = np.zeros_like(x)
+    dphi = np.zeros_like(x)
     for j in (-1, 0, 1):
-        phi += amp / np.cosh(decay * eps * (x + j * L))
+        z = decay * eps * (x + j * L)
+        sech = 1.0 / np.cosh(z)
+        phi += amp * sech
+        dphi -= amp * decay * eps**2 * sech * np.tanh(z)
 
     w1 = np.linalg.solve(eval_g(2.0 * kc, p, crit.nu0), c.a3_vec1)
     w2 = np.linalg.solve(eval_g(0.0, p, crit.nu0), c.a3_vec2)
@@ -556,6 +567,7 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     )
     eta_over = (
         -crit.a * eps * phi * carrier
+        - crit.a_prime * dphi * np.sin(kc * x)
         + eps**2 * env2 * (w1[1] * carrier2 + w2[1])
     )
     eta_under, eta_over = _resample(np.stack([eta_under, eta_over]), grid.n)

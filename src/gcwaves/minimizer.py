@@ -85,8 +85,9 @@ class MinimizeConfig:
     #: stopping threshold on the discrete-L2 gradient norm.  With the
     #: surface energy free of cancellation (``fieldops._k_parts``) the
     #: descent reaches 1e-7 * mu at mu = 5e-4.  The default is 1e-5 * mu;
-    #: on the benchmark's sweep grids 1e-6 * mu costs 1.05x to 1.2x its
-    #: iterations, and 1e-7 * mu 1.2x to 1.3x.
+    #: on the benchmark's sweep grids (16/12/11 iterations at the default)
+    #: 1e-6 * mu costs 1.05x to 1.25x its iterations, and 1e-7 * mu 1.2x
+    #: to 1.25x.
     grad_tol: float | None = None
     admissibility_M: float = 0.5
 

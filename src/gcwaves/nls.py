@@ -1,10 +1,16 @@
 """Cubic-NLS reduction coefficients and the explicit bright-soliton data.
 
-The slow-branch carrier at k0 drives second-harmonic and mean-flow
-corrections whose back-reaction produces the effective cubic coefficient
-A3; the direct quartic truncations produce A4.  When A3/2 + A4 < 0 the
-reduced equation is focusing and admits the sech standing wave whose
-amplitude, decay rate and energy are all in closed form.
+The dispersive coefficient A2 = lambda''(k0) v0.F(k0)v0 is the curvature
+of the slow branch.  A wave packet turns its eigenvector with the local
+wavenumber, v0' = (0, -a'), so A2 is not v0.g''(k0)v0 with v0 held fixed
+(``CriticalPoint.a2``) but that value less 2 g22 a'^2, the Schur
+complement of the first harmonic outside ker g(k0).  It vanishes where
+the minimum is degenerate.  The slow-branch carrier at k0 drives
+second-harmonic and mean-flow corrections whose back-reaction produces
+the effective cubic coefficient A3; the direct quartic truncations
+produce A4.  When A3/2 + A4 < 0 the reduced equation is focusing and
+admits the sech standing wave whose amplitude, decay rate and energy are
+all in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class NlsCoefficients:
-    a2: float
+    a2: float  # lambda''(k0) v0.F(k0)v0, the curvature of the slow branch
     a3: float
     a4: float
     a3_vec1: np.ndarray
@@ -147,20 +153,17 @@ def compute_a4(p: Params, crit: CriticalPoint):
     return a4_1 - crit.nu0**2 * a4_2, a4_1, a4_2
 
 
-def eval_alpha(p: Params, crit: CriticalPoint) -> float:
-    """Constrained-norm constant: alpha = 2 / (nu0 F(k0) v0 . v0)."""
-    _, F = eval_PF(crit.k0, p)
-    v0 = crit.v0
-    return 2.0 / (crit.nu0 * float(F @ v0 @ v0))
-
-
 def compute_coefficients(p: Params, crit: CriticalPoint) -> NlsCoefficients:
-    """Assemble the full coefficient record for one parameter set."""
+    """Assemble the full coefficient record for one parameter set: A2 is
+    lambda''(k0) F(k0) v0 . v0, and the constrained-norm constant is
+    alpha = 2 / (nu0 F(k0) v0 . v0)."""
     a3, v1, v2 = compute_a3(p, crit)
     a4, a4_1, a4_2 = compute_a4(p, crit)
+    _, F = eval_PF(crit.k0, p)
+    fv = float(F @ crit.v0 @ crit.v0)
     return NlsCoefficients(
-        a2=crit.a2, a3=a3, a4=a4, a3_vec1=v1, a3_vec2=v2,
-        a4_1=a4_1, a4_2=a4_2, alpha=eval_alpha(p, crit),
+        a2=crit.lambda2 * fv, a3=a3, a4=a4, a3_vec1=v1, a3_vec2=v2,
+        a4_1=a4_1, a4_2=a4_2, alpha=2.0 / (crit.nu0 * fv),
     )
 
 

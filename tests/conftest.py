@@ -12,7 +12,7 @@ DEGENERATE_SEED = (0.063, 0.939, 0.232)
 # Default bench configuration for the quantitative small-mu laws.  The
 # near-resonant reference above has its asymptotic range pushed down to
 # mu ~ 1e-4; this set keeps the same density ratio but has a
-# well-separated carrier (decay_rate / k0 ~ 19), so mu in the 1e-3 range
+# well-separated carrier (decay_rate / k0 ~ 22), so mu in the 1e-3 range
 # is genuinely small.
 BENCH = Params(rho=0.5, beta_under=0.17, beta_over=0.17)
 

@@ -9,7 +9,7 @@ import pytest
 
 from gcwaves import cli, nls
 from gcwaves.cli import main, parse_config, ConfigParseError
-from gcwaves.dispersion import Params, refine_degenerate
+from gcwaves.dispersion import Params, find_critical, refine_degenerate
 from gcwaves.errors import NumericalError
 from gcwaves.fieldops import PeriodicGrid, ProfilePair
 
@@ -196,11 +196,40 @@ def test_ansatz_outputs(tmp_path, bench_cfg):
     assert sidecar["n"] == 1024
 
 
+def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch):
+    # eta* is band-limited to the carrier grid (2048 points here), so its
+    # J is read there; the profile is still written on the requested grid
+    from gcwaves import fieldops
+    mu, n = 2e-3, 8192
+    cfg = write_config(tmp_path / "star.cfg", BENCH,
+                       f"[grid]\nn = {n}\n[minimize]\nmu = {mu}\n")
+    sizes = []
+    eval_J = fieldops.eval_J
+    monkeypatch.setattr(fieldops, "eval_J", lambda eta, p, mu: (
+        sizes.append(eta.grid.n) or eval_J(eta, p, mu)))
+    out = tmp_path / "star.csv"
+    assert main(["ansatz", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert sizes == [2048]
+    summary = json.loads((tmp_path / "star.csv.summary.json").read_text())
+    eta = read_profile_csv(str(out))
+    assert eta.grid.n == n
+    crit = find_critical(BENCH).crit
+    c = nls.compute_coefficients(BENCH, crit)
+    star = fieldops.build_eta_star(c, crit, summary["eps"], eta.grid,
+                                   BENCH)
+    np.testing.assert_array_equal(eta.eta_under, star.eta_under)
+    np.testing.assert_array_equal(eta.eta_over, star.eta_over)
+    fine = fieldops.eval_J(star, BENCH, mu)
+    for key in ("j_mu", "k_total", "l_trunc"):
+        assert abs(summary[key] / getattr(fine, key) - 1.0) <= 1e-15
+
+
 def test_minimize_dry_run_passthrough(tmp_path):
     cfg = write_config(
         tmp_path / "dry.cfg", BENCH,
         "[scan]\nsamples = 1024\n"
-        "[grid]\nn = 1024\n"
+        "[grid]\nn = 512\n"
         "[minimize]\nmu = 6e-3\nmax_iters = 0\n",
     )
     outdir = tmp_path / "dry"
@@ -448,7 +477,7 @@ def test_negative_carrier_multiple_refused(tmp_path, capsys):
 
 
 def test_carrier_above_nyquist_refused(tmp_path, capsys):
-    # at n = 256 the suggested multiple for mu = 2e-3 is 273, above the
+    # at n = 256 the suggested multiple for mu = 2e-3 is 235, above the
     # Nyquist index 128, so eta* would alias its carrier
     cfg = write_config(
         tmp_path / "a.cfg", BENCH,

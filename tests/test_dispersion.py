@@ -252,6 +252,19 @@ def test_a2_step_scaling(resonant_crit):
     assert errs[1] / errs[0] == pytest.approx(0.25, rel=0.3)
 
 
+@pytest.mark.parametrize("regime", ["bench", "resonant"])
+def test_a_prime_matches_central_differences(request, regime):
+    # central differences of the closed-form a converge to a'(k0) at
+    # second order in the step
+    p = {"bench": BENCH, "resonant": NEAR_RESONANT}[regime]
+    crit = request.getfixturevalue(f"{regime}_crit")
+    steps = [c * crit.k0 for c in (0.04, 0.02, 0.01)]
+    errs = [abs((eval_a(p, crit.k0 + h) - eval_a(p, crit.k0 - h)) / (2 * h)
+                - crit.a_prime) for h in steps]
+    slopes = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+    assert slopes == pytest.approx([2.0, 2.0], abs=0.01)
+
+
 def test_double_minimum_bracketing():
     lo, hi, rep_mid = locate_branch_crossing(0.5, 1.0, 0.04, 0.07)
     assert hi - lo <= 1e-3

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwaves import ProfilePair, Params, compute_coefficients, find_critical
-from gcwaves.dispersion import eval_PF, eval_fbar, eval_g
+from gcwaves.dispersion import eval_PF, eval_fbar, eval_g, refine_degenerate
 from gcwaves.errors import RegimeError
 from gcwaves.fieldops import make_grid
 from gcwaves.nls import (_a3_forcing, build_soliton, compute_a3, compute_a4,
-                         eval_alpha, soliton_energy, soliton_mass,
-                         soliton_shape, upper_quartic_kinetic)
+                         soliton_energy, soliton_mass, soliton_shape,
+                         upper_quartic_kinetic)
 import gcwaves.fieldops as fo
 
-from conftest import BENCH, NEAR_RESONANT, soliton_ode_residual
+from conftest import (BENCH, DEGENERATE_SEED, NEAR_RESONANT,
+                      soliton_ode_residual)
 from spectral_helpers import (eval_K, m_lower, m_upper,
                               quartic_box_correction)
 
@@ -63,6 +64,7 @@ def test_a3_resonance_guard(bench_crit):
     lam_2k0 = eval_lambda(2.0 * k0, BENCH)[0]
     fake = CriticalPoint(k0=k0, nu0=np.sqrt(lam_2k0), a=bench_crit.a,
                          lambda2=bench_crit.lambda2, a2=bench_crit.a2,
+                         a_prime=bench_crit.a_prime,
                          assumption1_global=True, assumption1_nondeg=True)
     with pytest.raises(ResonanceError):
         compute_a3(BENCH, fake)
@@ -104,12 +106,12 @@ def test_coefficients_regression(bench_crit, bench_coeffs):
     assert bench_crit.nu0 == pytest.approx(0.59883835251645, rel=1e-11)
     assert bench_crit.a == pytest.approx(0.375364081, rel=1e-5)
     c = bench_coeffs
-    assert c.a2 == pytest.approx(0.300248678, rel=1e-4)
+    assert c.a2 == pytest.approx(0.259190545, rel=1e-4)
     assert c.a3 == pytest.approx(-2.996508999, rel=1e-5)
     assert c.a4 == pytest.approx(-0.260290452, rel=1e-5)
     assert c.alpha == pytest.approx(1.387796499, rel=1e-5)
-    assert c.nu_nls == pytest.approx(-22.31669827, rel=1e-4)
-    assert c.i_nls == pytest.approx(-20.64735716, rel=1e-4)
+    assert c.nu_nls == pytest.approx(-25.85186664, rel=1e-4)
+    assert c.i_nls == pytest.approx(-23.91808681, rel=1e-4)
     assert c.focusing
 
 
@@ -121,10 +123,10 @@ def test_coefficients_regression_near_resonant(resonant_crit, resonant_coeffs):
     assert resonant_crit.nu0 == pytest.approx(0.68621795132622, rel=1e-11)
     assert resonant_crit.a == pytest.approx(0.87797481835, rel=1e-5)
     c = resonant_coeffs
-    assert c.a2 == pytest.approx(2.01482046, rel=1e-4)
+    assert c.a2 == pytest.approx(2.00926009, rel=1e-4)
     assert c.a3 == pytest.approx(-104.8799688, rel=1e-5)
     assert c.a4 == pytest.approx(-1.465895019, rel=1e-5)
-    assert c.i_nls == pytest.approx(-3320.967623, rel=1e-4)
+    assert c.i_nls == pytest.approx(-3330.157281, rel=1e-4)
     assert c.focusing
 
 
@@ -133,14 +135,38 @@ def test_focusing_trivials(bench_coeffs):
     assert replace(bench_coeffs, a3=0.0, a4=1.0).focusing is False
 
 
+@pytest.mark.parametrize("regime", ["bench", "resonant"])
+def test_a2_is_the_branch_curvature(request, regime):
+    p = {"bench": BENCH, "resonant": NEAR_RESONANT}[regime]
+    crit = request.getfixturevalue(f"{regime}_crit")
+    c = request.getfixturevalue(f"{regime}_coeffs")
+    _, F = eval_PF(crit.k0, p)
+    expected = crit.lambda2 * float(F @ crit.v0 @ crit.v0)
+    assert abs(c.a2 / expected - 1.0) <= 1e-12
+    # the eigenvector's turning takes 2 g22 a'^2 off the fixed-v0 value
+    g22 = eval_g(crit.k0, p, crit.nu0)[1, 1]
+    assert c.a2 == pytest.approx(crit.a2 - 2.0 * g22 * crit.a_prime**2,
+                                 rel=1e-10)
+
+
+def test_a2_vanishes_where_the_minimum_is_degenerate():
+    # the fixed-v0 curvature stays finite there; the branch's does not
+    p = refine_degenerate(Params(*DEGENERATE_SEED))
+    rep = find_critical(p)
+    assert rep.verdict == "Degenerate"
+    c = compute_coefficients(p, rep.crit)
+    assert abs(c.a2) <= 1e-4
+    assert rep.crit.a2 == pytest.approx(3.32, rel=1e-2)
+
+
 def test_a4_parts(bench_crit, bench_coeffs):
     a4, a4_1, a4_2 = compute_a4(BENCH, bench_crit)
     assert a4 == pytest.approx(a4_1 - bench_crit.nu0**2 * a4_2, rel=1e-14)
     assert a4 == pytest.approx(bench_coeffs.a4, rel=1e-14)
 
 
-def test_alpha_identity_and_positivity(bench_crit):
-    alpha = eval_alpha(BENCH, bench_crit)
+def test_alpha_identity_and_positivity(bench_crit, bench_coeffs):
+    alpha = bench_coeffs.alpha
     assert alpha > 0.0
     _, F = eval_PF(bench_crit.k0, BENCH)
     v0 = bench_crit.v0
