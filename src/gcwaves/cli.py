@@ -227,7 +227,7 @@ def _report_dict(rep: disp.AssumptionReport) -> dict:
         "nu0": c.nu0,
         "a": c.a,
         "lambda2": c.lambda2,
-        "A2": c.a2,
+        "A2_fixed_v0": c.a2,
         "assumption1_global": c.assumption1_global,
         "assumption1_nondeg": c.assumption1_nondeg,
         "competing_minima": [[k, v] for k, v in rep.competing_minima],

@@ -14,39 +14,40 @@ Sulem do), together with the reduced objective J_mu = K + mu^2 / L_trunc
 and its L^2 gradient, and the modulated-carrier test profile used to
 seed the minimiser.  Each profile is evaluated in two stages:
 
-* Value stage (``StagedProfile``).  The (u, v) pair is transformed once; the
-  padded fields u, v, u_x, v_x, u_xx, |k|u, B1 and B2 take one inverse
-  transform each, and each product in L_trunc one forward transform.
-  Every integral is a sum of padded-grid values or, where it has the
-  form int a M b, a Parseval sum of spectra already held, with no
-  inverse transform.  Value-only calls (eval_J, eval_L_trunc) stop
-  here: 17 one-dimensional transforms.  mu_of_eps, and so each trial of
-  eps_of_mu, takes these 17 on the carrier grid (``_carrier_grid``), the
-  coarsest grid of the period above carrier harmonic 3, after the 4 that
-  build the test profile there: its transforms have 2 n_c points
-  whatever the requested grid (n_c is n/8 to n/4 at 30 points per
-  wavelength).
+* Value stage (``StagedProfile``).  The (u, v) pair is transformed once;
+  the eight padded fields u, v, u_x, v_x, u_xx, |k|u, B1 and B2 come
+  from one inverse transform of their stacked spectra, and the seven
+  products in L_trunc from one forward transform of their stacked
+  values.  Every integral is a sum of padded-grid values or, where it
+  has the form int a M b, a Parseval sum of spectra already held, with
+  no inverse transform.  Value-only calls (eval_J, eval_L_trunc) stop
+  here: 17 one-dimensional transforms in 3 calls.  mu_of_eps, and so
+  each trial of eps_of_mu, takes these on the carrier grid
+  (``_carrier_grid``), the coarsest grid of the period above carrier
+  harmonic 3, after the 4 transforms (2 calls) that build the test
+  profile there: its transforms have 2 n_c points whatever the
+  requested grid (n_c is n/8 to n/4 at 30 points per wavelength).
   build_eta_star samples the profile on that grid too and zero-pads its
   spectrum up to the requested one.
 * Gradient stage (``_gradient``), run only for gradients.  Products
   under a common multiplier are summed before one forward transform,
   multipliers are combined and the chain-rule weights applied on the
   padded spectrum, and the result is truncated and transformed back once
-  per component: grad_J costs 35 one-dimensional transforms in all.
+  per component: grad_J costs 35 one-dimensional transforms in 13 calls.
 
 A ``StagedProfile`` runs the value stage when it is built and keeps it,
 with the breakdown of the last (p, mu), between calls: a grad_J after an
-eval_J on it runs the gradient stage alone, 18 more transforms.  The
-minimizer's line-search trials are value-only eval_J calls on staged
-profiles, whose barrier reads the H^2 norm off the held spectrum
-(``StagedProfile.h2_sq``); only a trial that may be accepted goes on to
-grad_J.
+eval_J on it runs the gradient stage alone, 18 more transforms in 10
+calls.  The minimizer's line-search trials are value-only eval_J calls
+on staged profiles, whose barrier reads the H^2 norm off the held
+spectrum (``StagedProfile.h2_sq``); only a trial that may be accepted
+goes on to grad_J.
 
 F-bar, the upper-layer multiplier matrix [[d, o], [o, d]] with
 d = |k| coth|k| and o = -|k|/sinh|k|, is owned by
 ``dispersion.fbar_entries``, which the coefficient formulas in ``nls``
-also use.  Its inverse [[d, -o], [-o, d]]/k^2 is read off those entries
-by ``_fbar_inverse_entries``, and both are tabulated per grid in
+also use.  Its inverse [[d, -o], [-o, d]]/k^2 is read off the same
+entries by ``_fbar_inverse_entries``, and both are tabulated per grid in
 ``_Symbols``.  The ``dno`` oracle shares no code with either.
 """
 
@@ -113,6 +114,13 @@ class PeriodicGrid:
         """The grid-exact carrier wavenumber 2 pi k0_multiple / period."""
         return 2.0 * np.pi * self.k0_multiple / self.period
 
+    @cached_property
+    def carrier_waves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """cos(k x), cos(2 k x) and sin(k x) at the carrier k, sampled on
+        the grid."""
+        kc, x = self.carrier, self.x
+        return np.cos(kc * x), np.cos(2.0 * kc * x), np.sin(kc * x)
+
 
 def make_grid(n: int, k0: float, multiples: int) -> PeriodicGrid:
     """Grid whose period is an exact integer number of carrier wavelengths."""
@@ -153,15 +161,15 @@ def _resample(rows: np.ndarray, n_to: int) -> np.ndarray:
     return np.fft.irfft(_rfft(rows, n), n_to) * (n_to / n)
 
 
-def _fbar_inverse_entries(k: np.ndarray):
-    """Symbols of the inverse upper-layer matrix multiplier.
+def _fbar_inverse_entries(k: np.ndarray, d: np.ndarray, o: np.ndarray):
+    """Symbols of the inverse upper-layer matrix multiplier, from the
+    F-bar entries (d, o) = ``fbar_entries(k)``.
 
-    The F-bar entries (d, o) satisfy d^2 - o^2 = k^2, so the inverse
-    matrix is [[d, -o], [-o, d]]/k^2.  It is singular at k = 0 on vectors
-    (1, 1); fields it acts on here have zero-sum zero modes, where the
-    limit acts as the projection [[1, -1], [-1, 1]]/4.
+    The entries satisfy d^2 - o^2 = k^2, so the inverse matrix is
+    [[d, -o], [-o, d]]/k^2.  It is singular at k = 0 on vectors (1, 1);
+    fields it acts on here have zero-sum zero modes, where the limit
+    acts as the projection [[1, -1], [-1, 1]]/4.
     """
-    d, o = fbar_entries(k)
     k2, pos = k**2, k != 0.0
     return (np.divide(d, k2, out=np.full_like(k2, 0.25), where=pos),
             np.divide(-o, k2, out=np.full_like(k2, -0.25), where=pos))
@@ -190,7 +198,8 @@ class _Symbols:
                             ("mk2", -(k**2))):
             setattr(self, name + "_pad", value)
             setattr(self, name, value[band])
-        self.nb_diag_pad, self.nb_off_pad = _fbar_inverse_entries(k)
+        self.nb_diag_pad, self.nb_off_pad = _fbar_inverse_entries(
+            k, fb_d, fb_o)
         self.h2_weight = 1.0 + self.absk**2 + self.absk**4
         npad = _PAD * n
         w = np.full(npad // 2 + 1, 2.0)
@@ -275,12 +284,14 @@ class StagedProfile:
     """A profile and its value stage: the transforms of the profile, each
     formed once.
 
-    The pair ``eta`` is transformed once (``UV``) and the base-band fields
-    u, v, u_x, v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held as
-    values on the padded grid, where products are formed.  The spectra of
-    the products in the kinetic energy are formed on first use, so the
-    surface energy alone never pays for them.  Transforms run on
-    (lower, upper) pairs of rows.
+    The pair ``eta`` is transformed once (``UV``, one call on its two
+    rows), and the base-band fields u, v, u_x, v_x, u_xx, |k|u and
+    (B1, B2) = Fbar (u, v) are held as values on the padded grid, where
+    products are formed: one call transforms their eight stacked
+    spectra.  The seven product spectra of the kinetic energy are formed
+    on first use, in one more call, so the surface energy alone never
+    pays for them.  A batched call transforms each row exactly as it
+    transforms that row alone.
 
     eval_J and grad_J take a StagedProfile wherever they take a
     ProfilePair.  It holds about a dozen padded fields and spectra, so
@@ -294,11 +305,16 @@ class StagedProfile:
         s = self.sym = _symbols(g)
         UV = self.UV = _rfft(np.stack([eta.eta_under, eta.eta_over]), g.n)
         U = UV[0]
+        X = np.empty((8, UV.shape[-1]), dtype=UV.dtype)
+        X[:2] = UV
+        np.multiply(s.ik, UV, out=X[2:4])
+        np.multiply(s.mk2, U, out=X[4])
+        np.multiply(s.absk, U, out=X[5])
         self.B_hat = _fbar_apply(s.fb_diag, s.fb_off, UV)
-        self.u, self.v = self.padded(UV)
-        self.ux, self.vx = self.padded(s.ik * UV)
-        self.uxx, self.Ku = self.padded(np.stack([s.mk2 * U, s.absk * U]))
-        self.B1, self.B2 = self.padded(self.B_hat)
+        X[6:] = self.B_hat
+        X *= _PAD
+        (self.u, self.v, self.ux, self.vx, self.uxx, self.Ku,
+         self.B1, self.B2) = np.fft.irfft(X, _PAD * g.n)
 
     def padded(self, X: np.ndarray) -> np.ndarray:
         """Padded-grid values of base-band spectra (the inverse transform
@@ -319,21 +335,30 @@ class StagedProfile:
 
     @cached_property
     def products(self) -> _Products:
-        # each spectrum is dropped once its integrals are taken: this
-        # and the gradient stage set the peak memory of a descent
+        # the seven spectra come from one transform; the block is dropped
+        # once its integrals are taken, and P and R, which the gradient
+        # stage needs, are copied out of it so as not to hold all seven:
+        # this and the gradient stage set the peak memory of a descent
         s = self.sym
         u, v = self.u, self.v
-        r1, r2 = u * self.ux, v * self.vx
-        P = np.fft.rfft(u * self.Ku)
-        R = np.fft.rfft(np.stack([r1, r2]))
-        S = np.fft.rfft(np.stack([u * r1, v * r2]))
-        del r1, r2
+        # u |k|u, r1 = u u_x, r2 = v v_x, u r1, v r2, u B1 and v B2
+        Q = np.empty((7, u.size))
+        np.multiply(u, self.Ku, out=Q[0])
+        np.multiply(u, self.ux, out=Q[1])
+        np.multiply(v, self.vx, out=Q[2])
+        np.multiply(u, Q[1], out=Q[3])
+        np.multiply(v, Q[2], out=Q[4])
+        np.multiply(u, self.B1, out=Q[5])
+        np.multiply(v, self.B2, out=Q[6])
+        spectra = np.fft.rfft(Q)
+        del Q
+        P, R = spectra[0].copy(), spectra[1:3].copy()
+        W = s.ik_pad * spectra[5:]
         Bx = _PAD * s.ik * self.B_hat  # padded spectra of B1', B2', base band
-        upper_l4 = 0.5 * self.pairing(Bx, S)
-        del S
+        upper_l4 = 0.5 * self.pairing(Bx, spectra[3:5])
+        del spectra
         FR = _fbar_apply(s.fb_diag_pad, s.fb_off_pad, R)
         upper_l4 -= 0.5 * self.pairing(FR, R)
-        W = s.ik_pad * np.fft.rfft(np.stack([u * self.B1, v * self.B2]))
         W -= FR
         del FR
         Z = _fbar_apply(s.nb_diag_pad, s.nb_off_pad, W)
@@ -527,7 +552,13 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     the carrier grid (``_carrier_grid``) and its Nyquist-cleaned spectrum
     zero-padded up to ``grid``: on every grid at least as fine it is the
     band-limited interpolant of the same samples, whose truncated
-    functionals are those of the carrier-grid profile to rounding.
+    functionals are those of the carrier-grid profile to rounding.  The
+    tables that do not depend on eps are built once per carrier grid:
+    the carrier waves cos k0x, cos 2k0x and sin k0x
+    (``PeriodicGrid.carrier_waves``, held by the carrier grid object, so
+    pass the carrier grid itself to reuse them) and the second-harmonic
+    and mean-flow vectors w1 = g(2k0)^-1 A3_1 and w2 = g(0)^-1 A3_2
+    (``_second_order_cache``).
     """
     if not eps > 0.0:
         raise RangeError("eps must be positive")
@@ -545,7 +576,8 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
             f"grid carrier {kc} does not represent k0={crit.k0}"
         )
 
-    x = _carrier_grid(grid).x
+    coarse = _carrier_grid(grid)
+    x = coarse.x
     # phi(eps x) and d/dx [eps phi(eps x)], each wrapped once
     phi = np.zeros_like(x)
     dphi = np.zeros_like(x)
@@ -555,23 +587,37 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         phi += amp * sech
         dphi -= amp * decay * eps**2 * sech * np.tanh(z)
 
-    w1 = np.linalg.solve(eval_g(2.0 * kc, p, crit.nu0), c.a3_vec1)
-    w2 = np.linalg.solve(eval_g(0.0, p, crit.nu0), c.a3_vec2)
+    w1, w2 = _second_order_cache(kc, p, crit.nu0, tuple(c.a3_vec1.tolist()),
+                                 tuple(c.a3_vec2.tolist()))
     env2 = -0.5 * phi**2
 
-    carrier = np.cos(kc * x)
-    carrier2 = np.cos(2.0 * kc * x)
+    carrier, carrier2, sine = coarse.carrier_waves
     eta_under = (
         eps * phi * carrier
         + eps**2 * env2 * (w1[0] * carrier2 + w2[0])
     )
     eta_over = (
         -crit.a * eps * phi * carrier
-        - crit.a_prime * dphi * np.sin(kc * x)
+        - crit.a_prime * dphi * sine
         + eps**2 * env2 * (w1[1] * carrier2 + w2[1])
     )
     eta_under, eta_over = _resample(np.stack([eta_under, eta_over]), grid.n)
     return ProfilePair(grid, eta_under, eta_over)
+
+
+#: carriers whose second-order vectors stay cached: one per carrier
+#: multiple in use, as for the symbols
+_CARRIERS = 4
+
+
+@functools.lru_cache(maxsize=_CARRIERS)
+def _second_order_cache(kc: float, p: Params, nu0: float,
+                        a3_vec1: tuple, a3_vec2: tuple):
+    """The vectors (w1, w2) = (g(2 kc)^-1 A3_1, g(0)^-1 A3_2) of eta*'s
+    second-harmonic and mean-flow corrections, as tuples of floats."""
+    w1 = np.linalg.solve(eval_g(2.0 * kc, p, nu0), np.array(a3_vec1))
+    w2 = np.linalg.solve(eval_g(0.0, p, nu0), np.array(a3_vec2))
+    return tuple(w1.tolist()), tuple(w2.tolist())
 
 
 #: largest envelope overlap across the period ends that a test profile
@@ -657,14 +703,19 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     a RangeError says so.  Every value of mu(eps) is taken on the carrier
     grid (``mu_of_eps``), so each costs transforms of 2 n_c points, and
     on every grid at least as fine as the carrier grid the root is the
-    same number.
+    same number.  The carrier grid is resolved once and handed to every
+    trial, so the test profile's eps-independent tables, the carrier
+    waves cos k0x, cos 2k0x and sin k0x and the second-harmonic and
+    mean-flow vectors w1 and w2, are built once per carrier grid
+    (``build_eta_star``).
     """
     if mu <= 0.0:
         raise RangeError("mu must be positive")
     eps_min = wrap_floor(c, grid)
+    coarse = _carrier_grid(grid)
 
     def f(eps: float) -> float:
-        return mu_of_eps(p, c, crit, grid, eps) - mu
+        return mu_of_eps(p, c, crit, coarse, eps) - mu
 
     lo = hi = None  # the (eps, f) nearest the root with f < 0 and f >= 0
 

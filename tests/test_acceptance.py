@@ -100,7 +100,8 @@ def test_criterion_3_eigen_structure(resonant_crit, bench_crit):
             + 2.0 * float(g @ vprime @ vprime)
         ident_rel = abs(ident - crit.a2) / abs(crit.a2)
         ok &= null_ok and crit.a2 > 0 and ident_rel <= 1e-6
-        details.append(f"{label}: |g v0|/|g|={resid:.1e}, A2={crit.a2:.5f}, "
+        details.append(f"{label}: |g v0|/|g|={resid:.1e}, "
+                       f"A2_fixed_v0={crit.a2:.5f}, "
                        f"identity rel err={ident_rel:.1e}")
     _report("criterion 3 (eigen-structure exactness)", ok, "; ".join(details))
 

@@ -81,6 +81,9 @@ def test_dispersion_csv_and_summary(tmp_path, bench_cfg):
     assert np.all(data[:, 3] > 0)
     summary = json.loads((tmp_path / "disp.csv.json").read_text())
     assert summary["verdict"] == "Valid"
+    # the fixed-v0 curvature has its own key; "A2" is the NLS coefficient
+    # that `coeffs` writes
+    assert "A2" not in summary and summary["A2_fixed_v0"] > 0.0
     assert summary["assumption1_global"] and summary["assumption1_nondeg"]
 
 

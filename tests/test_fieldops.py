@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -344,7 +345,7 @@ def test_fbar_inverse_entries_invert_fbar(grid):
     # cutoff; below it the product loses digits like cond(Fbar) ~ 4/k^2
     k = 2.0 * np.pi / grid.period * np.arange(grid.n + 1)
     d, o = fbar_entries(k)
-    nd, no = _fbar_inverse_entries(k)
+    nd, no = _fbar_inverse_entries(k, d, o)
     assert (nd[0], no[0]) == (0.25, -0.25)
     assert k[-1] > 30.0
     assert np.max(np.abs(d[1:] * nd[1:] + o[1:] * no[1:] - 1.0)) <= 1e-14
@@ -364,34 +365,50 @@ def fft_rows(monkeypatch):
     return count
 
 
-def test_transform_counts(grid, fft_rows):
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count transform calls; a batched (m, n) call counts 1."""
+    count = {"calls": 0}
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
+            count["calls"] += 1
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+def test_transform_counts(grid, fft_rows, fft_calls):
+    # the value stage makes 3 calls: the pair, the eight stacked padded
+    # fields and the seven stacked products; the gradient stage adds 10
     rng = np.random.default_rng(15)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
-    counts = {}
+    rows, calls = {}, {}
     for name, fn in (("grad_J", lambda: grad_J(eta, BENCH, 1e-3)),
                      ("eval_J", lambda: eval_J(eta, BENCH, 1e-3)),
                      ("eval_L_trunc", lambda: eval_L_trunc(eta, BENCH))):
-        fft_rows["rows"] = 0
+        fft_rows["rows"] = fft_calls["calls"] = 0
         fn()
-        counts[name] = fft_rows["rows"]
-    assert counts == {"grad_J": 35, "eval_J": 17, "eval_L_trunc": 17}
+        rows[name], calls[name] = fft_rows["rows"], fft_calls["calls"]
+    assert rows == {"grad_J": 35, "eval_J": 17, "eval_L_trunc": 17}
+    assert calls == {"grad_J": 13, "eval_J": 3, "eval_L_trunc": 3}
 
 
-def test_staged_profile_reuses_its_value_stage(grid, fft_rows):
+def test_staged_profile_reuses_its_value_stage(grid, fft_rows, fft_calls):
     # eval_J then grad_J on a staged profile: the value stage once, the
     # gradient stage on the same transforms, the same numbers as unstaged
     rng = np.random.default_rng(16)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
-    fft_rows["rows"] = 0
+    fft_rows["rows"] = fft_calls["calls"] = 0
     staged = StagedProfile(eta)
+    assert (fft_rows["rows"], fft_calls["calls"]) == (10, 2)
     bd = eval_J(staged, BENCH, 1e-3)
-    assert fft_rows["rows"] == 17
+    assert (fft_rows["rows"], fft_calls["calls"]) == (17, 3)
     (gu, gv), bd_grad = grad_J(staged, BENCH, 1e-3)
-    assert fft_rows["rows"] == 35
+    assert (fft_rows["rows"], fft_calls["calls"]) == (35, 13)
     h2_sq = staged.h2_sq()
-    assert fft_rows["rows"] == 35
+    assert (fft_rows["rows"], fft_calls["calls"]) == (35, 13)
     assert h2_sq == StagedProfile(eta).h2_sq()
     (ref_u, ref_v), ref_bd = grad_J(eta, BENCH, 1e-3)
     assert bd is bd_grad and bd == ref_bd
@@ -400,6 +417,28 @@ def test_staged_profile_reuses_its_value_stage(grid, fft_rows):
     fft_rows["rows"] = 0
     assert eval_J(staged, BENCH, 2e-3) == eval_J(eta, BENCH, 2e-3)
     assert fft_rows["rows"] == 17
+
+
+def test_batched_value_stage_equals_row_by_row_transforms(grid):
+    # one call per stacked block must give each row the bits that its own
+    # transform gives it
+    rng = np.random.default_rng(18)
+    eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
+               random_band_profile(rng, grid.n, 0.04))
+    f = StagedProfile(eta)
+    s, npad = f.sym, 2 * grid.n
+    U, V = f.UV
+    fields = {"u": U, "v": V, "ux": s.ik * U, "vx": s.ik * V,
+              "uxx": s.mk2 * U, "Ku": s.absk * U,
+              "B1": s.fb_diag * U + s.fb_off * V,
+              "B2": s.fb_off * U + s.fb_diag * V}
+    for name, X in fields.items():
+        assert np.array_equal(getattr(f, name), np.fft.irfft(2 * X, npad)), \
+            name
+    q = f.products
+    assert np.array_equal(q.P, np.fft.rfft(f.u * f.Ku))
+    assert np.array_equal(q.R[0], np.fft.rfft(f.u * f.ux))
+    assert np.array_equal(q.R[1], np.fft.rfft(f.v * f.vx))
 
 
 def test_h2_sq_matches_per_component_sum(grid):
@@ -651,6 +690,47 @@ def test_eps_of_mu_returns_the_plain_secant_point(monkeypatch, request,
     c = request.getfixturevalue(f"{regime}_coeffs")
     _, roundtrip = _counted_inversion(monkeypatch, p, c, crit, mu, n)
     assert roundtrip <= 1e-15
+
+
+# eps, J_mu and L_trunc of eta* at the benchmark's sweep levels, bit for
+# bit: the descent's iteration counts react to a rounding change in
+# eta*, so a change to the value path that reorders no arithmetic (how
+# transforms are batched, which tables are reused) must keep them.
+_SWEEP_PINS = {
+    (4e-3, 4096): (0.0039786910020952, 0.004789088922404112,
+                   0.006679598898753042),
+    (2e-3, 8192): (0.0019973240493673717, 0.0023951581419858793,
+                   0.0033397994493765213),
+    (1e-3, 16384): (0.000999665468254196, 0.0011976527351596766,
+                    0.0016698997246882609),
+}
+
+
+@pytest.mark.parametrize("mu, n", list(_SWEEP_PINS))
+def test_value_path_is_bit_identical(bench_coeffs, bench_crit, mu, n):
+    grid = make_grid(n, bench_crit.k0,
+                     suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
+    eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+    bd = eval_J(build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH),
+                BENCH, mu)
+    assert (eps, bd.j_mu, bd.l_trunc) == _SWEEP_PINS[mu, n]
+
+
+def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
+    # grad_J of eta* at mu = 4e-3 on its carrier grid (n = 1024), taken
+    # like _SWEEP_PINS: the SHA-256 of the two gradient rows' bytes
+    mu, n = 4e-3, 4096
+    eps, j_mu, _ = _SWEEP_PINS[mu, n]
+    grid = _carrier_grid(make_grid(
+        n, bench_crit.k0,
+        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)))
+    assert grid.n == 1024
+    eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
+    (gu, gv), bd = grad_J(eta, BENCH, mu)
+    digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
+    assert digest == ("cecad2cddb122112c5797f68a6156d88"
+                      "d2c8b00efd000f704f413dc569b4ceb8")
+    assert bd.j_mu == j_mu
 
 
 def test_wrap_floor_is_the_eta_star_test(bench_coeffs, bench_crit):

@@ -146,6 +146,21 @@ def test_bench_level_converges_in_few_iterations(bench_crit, bench_coeffs):
     assert r.iterations <= 30
 
 
+@pytest.mark.parametrize("mu, n, iterations", [
+    (4e-3, 4096, 16), (2e-3, 8192, 12), (1e-3, 16384, 11),
+])
+def test_sweep_levels_take_their_pinned_iterations(bench_crit, bench_coeffs,
+                                                   mu, n, iterations):
+    # the benchmark's sweep levels; the count reacts to any rounding
+    # change in the test profile or the value stage, so a change meant
+    # to keep every bit must leave it as it is
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(n, bench_crit.k0, m))
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert r.converged
+    assert r.iterations == iterations
+
+
 def test_small_mu_descent_starts_next_to_its_minimum(bench_crit,
                                                     bench_coeffs):
     # with A2 the branch curvature the test profile starts within
