@@ -196,10 +196,11 @@ def write_json(path, obj):
 def write_csv(path, header: list, columns):
     """CSV of equal-length columns, one per header name, every value
     printed as a float at 17 significant digits."""
+    # one format over the whole table: its rows in row-major order
+    table = np.asarray(columns, dtype=float).T
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     atomic_write_text(path, ",".join(header) + "\n"
-                      + "".join([row % values for values in rows]))
+                      + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def sidecar_path(csv_path) -> str:
@@ -328,10 +329,7 @@ def cmd_ansatz(args) -> int:
     grid = _grid_for(cfg, crit, c, mu)
     eps = fieldops.eps_of_mu(p, c, crit, grid, mu)
     eta = fieldops.build_eta_star(c, crit, eps, grid, p)
-    # eta is band-limited to the carrier grid, where its J is the same
-    # number to rounding at a fraction of the transforms
-    bd = fieldops.eval_J(fieldops.build_eta_star(
-        c, crit, eps, fieldops._carrier_grid(grid), p), p, mu)
+    bd = fieldops.eval_J(eta, p, mu)
     write_profile_csv(args.out, eta)
     write_json(args.out + ".summary.json", {
         "mu": mu, "eps": eps, "j_mu": bd.j_mu,

@@ -28,7 +28,10 @@ seed the minimiser.  Each profile is evaluated in two stages:
   profile there: its transforms have 2 n_c points whatever the
   requested grid (n_c is n/8 to n/4 at 30 points per wavelength).
   build_eta_star samples the profile on that grid too and zero-pads its
-  spectrum up to the requested one.
+  spectrum up to the requested one, and a profile finer than its
+  carrier grid keeps the carrier-grid samples as a read-only copy
+  (``ProfilePair.carrier_copy``): value-only calls on it take their 17
+  transforms at 2 n_c points.
 * Gradient stage (``_gradient``), run only for gradients.  Products
   under a common multiplier are summed before one forward transform,
   multipliers are combined and the chain-rule weights applied on the
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -240,11 +243,22 @@ def _fbar_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProfilePair:
-    """Interface and surface elevations on a shared periodic grid."""
+    """Interface and surface elevations on a shared periodic grid.
+
+    ``carrier_copy`` is set by ``build_eta_star`` alone, on a test profile
+    whose grid is finer than its carrier grid (``_carrier_grid``): the
+    same profile sampled on the carrier grid, where it is exact.  eval_J
+    and eval_L_trunc evaluate a plain pair on its copy, at 2 n_c points;
+    grad_J, whose gradient lives on the grid, ignores it.  The four arrays
+    of a profile with a copy are read-only, so no in-place write can
+    leave the copy stale.  A pair built from its arrays has no copy.
+    """
 
     grid: PeriodicGrid
     eta_under: np.ndarray
     eta_over: np.ndarray
+    carrier_copy: ProfilePair | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -511,24 +525,31 @@ def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
     return gu, gv
 
 
-def _staged(eta: ProfilePair | StagedProfile) -> StagedProfile:
-    return eta if isinstance(eta, StagedProfile) else StagedProfile(eta)
+def _value_profile(eta: ProfilePair) -> ProfilePair:
+    """The samples a value-only call evaluates: the carrier-grid copy
+    where the pair has one (``ProfilePair.carrier_copy``)."""
+    return eta if eta.carrier_copy is None else eta.carrier_copy
 
 
 def eval_L_trunc(eta: ProfilePair, p: Params):
-    """Combined truncation (l2, l3, l4) with the density weighting."""
-    return _l_parts(StagedProfile(eta), p)
+    """Combined truncation (l2, l3, l4) with the density weighting; on the
+    carrier-grid copy of a test profile that has one."""
+    return _l_parts(StagedProfile(_value_profile(eta)), p)
 
 
 def eval_J(eta: ProfilePair | StagedProfile, p: Params,
            mu: float) -> FunctionalBreakdown:
-    """Reduced objective J_mu = K_exact + mu^2 / (l2 + l3 + l4)."""
-    return _staged(eta).breakdown(p, mu)
+    """Reduced objective J_mu = K_exact + mu^2 / (l2 + l3 + l4); on the
+    carrier-grid copy of a test profile that has one.  A StagedProfile is
+    evaluated as staged."""
+    if not isinstance(eta, StagedProfile):
+        eta = StagedProfile(_value_profile(eta))
+    return eta.breakdown(p, mu)
 
 
 def grad_J(eta: ProfilePair | StagedProfile, p: Params, mu: float):
     """L^2 gradient of J_mu via the chain rule, plus the breakdown."""
-    staged = _staged(eta)
+    staged = eta if isinstance(eta, StagedProfile) else StagedProfile(eta)
     bd = staged.breakdown(p, mu)
     return _gradient(staged, p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
 
@@ -552,7 +573,11 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     the carrier grid (``_carrier_grid``) and its Nyquist-cleaned spectrum
     zero-padded up to ``grid``: on every grid at least as fine it is the
     band-limited interpolant of the same samples, whose truncated
-    functionals are those of the carrier-grid profile to rounding.  The
+    functionals are those of the carrier-grid profile to rounding.  On a
+    grid finer than the carrier grid one spectrum gives both the samples
+    on ``grid`` and the carrier-grid samples, held as the read-only
+    ``carrier_copy`` that eval_J and eval_L_trunc evaluate: they return
+    the carrier-grid build's numbers bit for bit.  The
     tables that do not depend on eps are built once per carrier grid:
     the carrier waves cos k0x, cos 2k0x and sin k0x
     (``PeriodicGrid.carrier_waves``, held by the carrier grid object, so
@@ -601,8 +626,18 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         - crit.a_prime * dphi * sine
         + eps**2 * env2 * (w1[1] * carrier2 + w2[1])
     )
-    eta_under, eta_over = _resample(np.stack([eta_under, eta_over]), grid.n)
-    return ProfilePair(grid, eta_under, eta_over)
+    # as _resample does; on a finer grid the same spectrum gives the
+    # carrier-grid copy, whose bits are those of the carrier-grid build
+    spectrum = _rfft(np.stack([eta_under, eta_over]), coarse.n)
+    eta = ProfilePair(grid, *(np.fft.irfft(spectrum, grid.n)
+                              * (grid.n / coarse.n)))
+    if coarse is grid:
+        return eta
+    eta.carrier_copy = ProfilePair(coarse, *np.fft.irfft(spectrum, coarse.n))
+    for a in (eta.eta_under, eta.eta_over, eta.carrier_copy.eta_under,
+              eta.carrier_copy.eta_over):
+        a.flags.writeable = False
+    return eta
 
 
 #: carriers whose second-order vectors stay cached: one per carrier

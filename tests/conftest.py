@@ -17,6 +17,23 @@ DEGENERATE_SEED = (0.063, 0.939, 0.232)
 BENCH = Params(rho=0.5, beta_under=0.17, beta_over=0.17)
 
 
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """Record the length of every one-dimensional transform taken, one
+    entry per call: the n argument, or the length the input implies."""
+    lengths = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        def recorded(a, n=None, *args, _original=getattr(np.fft, name),
+                     _inverse_real=name in ("irfft", "hfft"), **kwargs):
+            a = np.asarray(a)
+            if n is None:
+                n = 2 * (a.shape[-1] - 1) if _inverse_real else a.shape[-1]
+            lengths.append(n)
+            return _original(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    return lengths
+
+
 @pytest.fixture(scope="session")
 def resonant_report():
     return find_critical(NEAR_RESONANT)

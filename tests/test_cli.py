@@ -199,21 +199,28 @@ def test_ansatz_outputs(tmp_path, bench_cfg):
     assert sidecar["n"] == 1024
 
 
-def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch):
+def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch,
+                                              fft_lengths):
     # eta* is band-limited to the carrier grid (2048 points here), so its
-    # J is read there; the profile is still written on the requested grid
+    # J is read there, from transforms of at most 2 * 2048 points; the
+    # profile is still written on the requested grid
     from gcwaves import fieldops
     mu, n = 2e-3, 8192
     cfg = write_config(tmp_path / "star.cfg", BENCH,
                        f"[grid]\nn = {n}\n[minimize]\nmu = {mu}\n")
-    sizes = []
+    lengths = []
     eval_J = fieldops.eval_J
-    monkeypatch.setattr(fieldops, "eval_J", lambda eta, p, mu: (
-        sizes.append(eta.grid.n) or eval_J(eta, p, mu)))
+
+    def recorded(eta, p, mu):
+        fft_lengths.clear()
+        bd = eval_J(eta, p, mu)
+        lengths.append(sorted(fft_lengths))
+        return bd
+    monkeypatch.setattr(fieldops, "eval_J", recorded)
     out = tmp_path / "star.csv"
     assert main(["ansatz", "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
-    assert sizes == [2048]
+    assert lengths == [[2048, 2 * 2048, 2 * 2048]]
     summary = json.loads((tmp_path / "star.csv.summary.json").read_text())
     eta = read_profile_csv(str(out))
     assert eta.grid.n == n
@@ -223,7 +230,8 @@ def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch):
                                    BENCH)
     np.testing.assert_array_equal(eta.eta_under, star.eta_under)
     np.testing.assert_array_equal(eta.eta_over, star.eta_over)
-    fine = fieldops.eval_J(star, BENCH, mu)
+    fine = fieldops.eval_J(ProfilePair(eta.grid, star.eta_under,
+                                       star.eta_over), BENCH, mu)
     for key in ("j_mu", "k_total", "l_trunc"):
         assert abs(summary[key] / getattr(fine, key) - 1.0) <= 1e-15
 
@@ -518,6 +526,26 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path):
                (1, 0.0023999999999999998, 2.5e-5, 0.0, 1, 65536)]
     cli.write_csv(path, header, list(zip(*history)))
     assert path.read_text() == _per_value_csv(header, history)
+
+
+def test_write_csv_formats_the_table_as_row_by_row(tmp_path):
+    # a profile-sized table, formatted at once, has the bytes of one
+    # "%.17g" row format applied row by row
+    rng = np.random.default_rng(3)
+    cols = [rng.standard_normal(16384) * 10.0 ** rng.integers(-300, 300,
+                                                              16384)
+            for _ in range(3)]
+    cols[0][:4] = [-0.0, 5e-324, 1e300, 0.1]
+    cols[1][:4] = [1e300, -0.0, 5e-324, -1.0 / 3.0]
+    cols[2][-3:] = [5e-324, 1e300, -0.0]
+    path = tmp_path / "p.csv"
+    cli.write_csv(path, ["x", "eta_under", "eta_over"], cols)
+    row = "%.17g,%.17g,%.17g\n"
+    expected = "x,eta_under,eta_over\n" + "".join(
+        row % values for values in zip(*(c.tolist() for c in cols)))
+    assert path.read_bytes() == expected.encode()
+    cli.write_csv(path, ["x", "eta_under", "eta_over"], [[], [], []])
+    assert path.read_text() == "x,eta_under,eta_over\n"
 
 
 def test_validate_passes(tmp_path, capsys):

@@ -708,11 +708,13 @@ _SWEEP_PINS = {
 
 @pytest.mark.parametrize("mu, n", list(_SWEEP_PINS))
 def test_value_path_is_bit_identical(bench_coeffs, bench_crit, mu, n):
+    # the full-grid samples of eta*, without the carrier-grid copy that
+    # value-only calls would read instead
     grid = make_grid(n, bench_crit.k0,
                      suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
     eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
-    bd = eval_J(build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH),
-                BENCH, mu)
+    eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
+    bd = eval_J(ProfilePair(grid, eta.eta_under, eta.eta_over), BENCH, mu)
     assert (eps, bd.j_mu, bd.l_trunc) == _SWEEP_PINS[mu, n]
 
 
@@ -731,6 +733,79 @@ def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
     assert digest == ("cecad2cddb122112c5797f68a6156d88"
                       "d2c8b00efd000f704f413dc569b4ceb8")
     assert bd.j_mu == j_mu
+
+
+def _full_grid_eta_star(coeffs, crit, mu, n):
+    grid = make_grid(n, crit.k0, suggest_carrier_multiple(coeffs, crit, mu))
+    eps = eps_of_mu(BENCH, coeffs, crit, grid, mu)
+    return build_eta_star(coeffs, crit, eps, grid, BENCH), eps
+
+
+def test_eval_J_of_eta_star_transforms_carrier_grid_rows(
+        bench_coeffs, bench_crit, fft_lengths):
+    # n = 16384 at mu = 1e-3 has a carrier grid of 4096 points: the value
+    # stage transforms the pair there and its padded fields at 2 * 4096
+    eta, _ = _full_grid_eta_star(bench_coeffs, bench_crit, 1e-3, 16384)
+    assert eta.carrier_copy.grid.n == 4096
+    fft_lengths.clear()
+    eval_J(eta, BENCH, 1e-3)
+    assert sorted(fft_lengths) == [4096, 2 * 4096, 2 * 4096]
+    fft_lengths.clear()
+    eval_L_trunc(eta, BENCH)
+    assert max(fft_lengths) == 2 * 4096
+
+
+@pytest.mark.parametrize("mu, n", [*_SWEEP_PINS, (5e-4, 32768)])
+def test_value_calls_read_the_carrier_grid_copy(bench_coeffs, bench_crit,
+                                                mu, n):
+    eta, eps = _full_grid_eta_star(bench_coeffs, bench_crit, mu, n)
+    coarse = _carrier_grid(eta.grid)
+    assert coarse.n < n
+    on_coarse = build_eta_star(bench_coeffs, bench_crit, eps, coarse, BENCH)
+    assert on_coarse.carrier_copy is None
+    np.testing.assert_array_equal(eta.carrier_copy.eta_under,
+                                  on_coarse.eta_under)
+    np.testing.assert_array_equal(eta.carrier_copy.eta_over,
+                                  on_coarse.eta_over)
+    bd = eval_J(eta, BENCH, mu)
+    assert bd == eval_J(on_coarse, BENCH, mu)
+    assert eval_L_trunc(eta, BENCH) == eval_L_trunc(on_coarse, BENCH)
+    fine = eval_J(ProfilePair(eta.grid, eta.eta_under, eta.eta_over),
+                  BENCH, mu)
+    for key in ("j_mu", "k_total", "l_trunc"):
+        assert abs(getattr(bd, key) / getattr(fine, key) - 1.0) <= 1e-15
+
+
+def test_eta_star_with_a_copy_is_read_only(bench_coeffs, bench_crit):
+    eta, _ = _full_grid_eta_star(bench_coeffs, bench_crit, 4e-3, 4096)
+    for a in (eta.eta_under, eta.eta_over, eta.carrier_copy.eta_under,
+              eta.carrier_copy.eta_over):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+    # a pair built from the same arrays has no copy, and none can be passed
+    assert ProfilePair(eta.grid, eta.eta_under, eta.eta_over).carrier_copy \
+        is None
+    with pytest.raises(TypeError):
+        ProfilePair(eta.grid, eta.eta_under, eta.eta_over,
+                    carrier_copy=eta.carrier_copy)
+
+
+def test_gradient_of_full_grid_eta_star_ignores_the_copy(bench_coeffs,
+                                                         bench_crit):
+    # grad_J of eta* at mu = 4e-3 on the full n = 4096 grid, pinned like
+    # test_gradient_is_bit_identical; its breakdown is the full-grid one
+    mu, n = 4e-3, 4096
+    eta, _ = _full_grid_eta_star(bench_coeffs, bench_crit, mu, n)
+    (gu, gv), bd = grad_J(eta, BENCH, mu)
+    assert gu.shape == gv.shape == (n,)
+    digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
+    assert digest == ("81ffa4c85dcdf8042448f9c31df28233"
+                      "215cfa6d883b940dea58fce957a253ba")
+    assert bd == eval_J(ProfilePair(eta.grid, eta.eta_under, eta.eta_over),
+                        BENCH, mu)
+    assert bd.j_mu == _SWEEP_PINS[mu, n][1]
 
 
 def test_wrap_floor_is_the_eta_star_test(bench_coeffs, bench_crit):
