@@ -24,12 +24,11 @@ seed the minimiser.  Each profile is evaluated in two stages:
   here: 17 one-dimensional transforms in 3 calls.  mu_of_eps, and so
   each trial of eps_of_mu, takes these on the carrier grid
   (``_carrier_grid``), the coarsest grid of the period above carrier
-  harmonic 3, after the 4 transforms (2 calls) that build the test
-  profile there: its transforms have 2 n_c points whatever the
-  requested grid (n_c is n/8 to n/4 at 30 points per wavelength).
-  build_eta_star samples the profile on that grid too and zero-pads its
-  spectrum up to the requested one, and a profile finer than its
-  carrier grid keeps the carrier-grid samples as a read-only copy
+  harmonic 3, where the test profile is built with no transform: its
+  transforms have 2 n_c points whatever the requested grid (n_c is n/8
+  to n/4 at 30 points per wavelength).  On a finer grid build_eta_star
+  zero-pads the spectrum of those samples up to the requested grid and
+  keeps the samples themselves as a read-only copy
   (``ProfilePair.carrier_copy``): value-only calls on it take their 17
   transforms at 2 n_c points.
 * Gradient stage (``_gradient``), run only for gradients.  Products
@@ -64,8 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import (CriticalPoint, Params, eval_g, fbar_entries,
-                         _secant_root)
+from .dispersion import CriticalPoint, Params, fbar_entries, _secant_root
 from .errors import ConfigError, GeometryError, OutOfConeError, RangeError
 from .nls import NlsCoefficients, soliton_shape
 
@@ -247,7 +245,8 @@ class ProfilePair:
 
     ``carrier_copy`` is set by ``build_eta_star`` alone, on a test profile
     whose grid is finer than its carrier grid (``_carrier_grid``): the
-    same profile sampled on the carrier grid, where it is exact.  eval_J
+    carrier-grid samples it was built from, where the profile is exact,
+    and whose band-limited interpolant the pair holds.  eval_J
     and eval_L_trunc evaluate a plain pair on its copy, at 2 n_c points;
     grad_J, whose gradient lives on the grid, ignores it.  The four arrays
     of a profile with a copy are read-only, so no in-place write can
@@ -570,20 +569,19 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     periodic; the wrap overlap must be negligible.
 
     The profile holds carrier harmonics 0..2 only, so it is sampled on
-    the carrier grid (``_carrier_grid``) and its Nyquist-cleaned spectrum
-    zero-padded up to ``grid``: on every grid at least as fine it is the
-    band-limited interpolant of the same samples, whose truncated
-    functionals are those of the carrier-grid profile to rounding.  On a
-    grid finer than the carrier grid one spectrum gives both the samples
-    on ``grid`` and the carrier-grid samples, held as the read-only
+    the carrier grid (``_carrier_grid``).  On that grid the samples are
+    returned as computed, with no transform.  On a finer grid they are
+    the band-limited interpolant of those samples (``_resample``), whose
+    truncated functionals are those of the carrier-grid profile to
+    rounding, and the carrier-grid samples are kept as the read-only
     ``carrier_copy`` that eval_J and eval_L_trunc evaluate: they return
-    the carrier-grid build's numbers bit for bit.  The
-    tables that do not depend on eps are built once per carrier grid:
-    the carrier waves cos k0x, cos 2k0x and sin k0x
+    the carrier-grid build's numbers bit for bit.  The carrier waves
+    cos k0x, cos 2k0x and sin k0x are built once per carrier grid
     (``PeriodicGrid.carrier_waves``, held by the carrier grid object, so
-    pass the carrier grid itself to reuse them) and the second-harmonic
-    and mean-flow vectors w1 = g(2k0)^-1 A3_1 and w2 = g(0)^-1 A3_2
-    (``_second_order_cache``).
+    pass the carrier grid itself to reuse them).  The second-harmonic
+    and mean-flow vectors w1 = g(2k0)^-1 A3_1 and w2 = g(0)^-1 A3_2 are
+    those that ``nls.compute_a3`` solves for A3, read off ``c``.  ``p``
+    is not used; it stays for the callers that pass it.
     """
     if not eps > 0.0:
         raise RangeError("eps must be positive")
@@ -612,8 +610,7 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         phi += amp * sech
         dphi -= amp * decay * eps**2 * sech * np.tanh(z)
 
-    w1, w2 = _second_order_cache(kc, p, crit.nu0, tuple(c.a3_vec1.tolist()),
-                                 tuple(c.a3_vec2.tolist()))
+    w1, w2 = c.w_harmonic, c.w_mean
     env2 = -0.5 * phi**2
 
     carrier, carrier2, sine = coarse.carrier_waves
@@ -626,33 +623,15 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
         - crit.a_prime * dphi * sine
         + eps**2 * env2 * (w1[1] * carrier2 + w2[1])
     )
-    # as _resample does; on a finer grid the same spectrum gives the
-    # carrier-grid copy, whose bits are those of the carrier-grid build
-    spectrum = _rfft(np.stack([eta_under, eta_over]), coarse.n)
-    eta = ProfilePair(grid, *(np.fft.irfft(spectrum, grid.n)
-                              * (grid.n / coarse.n)))
     if coarse is grid:
-        return eta
-    eta.carrier_copy = ProfilePair(coarse, *np.fft.irfft(spectrum, coarse.n))
+        return ProfilePair(grid, eta_under, eta_over)
+    eta = ProfilePair(grid, *_resample(np.stack([eta_under, eta_over]),
+                                       grid.n))
+    eta.carrier_copy = ProfilePair(coarse, eta_under, eta_over)
     for a in (eta.eta_under, eta.eta_over, eta.carrier_copy.eta_under,
               eta.carrier_copy.eta_over):
         a.flags.writeable = False
     return eta
-
-
-#: carriers whose second-order vectors stay cached: one per carrier
-#: multiple in use, as for the symbols
-_CARRIERS = 4
-
-
-@functools.lru_cache(maxsize=_CARRIERS)
-def _second_order_cache(kc: float, p: Params, nu0: float,
-                        a3_vec1: tuple, a3_vec2: tuple):
-    """The vectors (w1, w2) = (g(2 kc)^-1 A3_1, g(0)^-1 A3_2) of eta*'s
-    second-harmonic and mean-flow corrections, as tuples of floats."""
-    w1 = np.linalg.solve(eval_g(2.0 * kc, p, nu0), np.array(a3_vec1))
-    w2 = np.linalg.solve(eval_g(0.0, p, nu0), np.array(a3_vec2))
-    return tuple(w1.tolist()), tuple(w2.tolist())
 
 
 #: largest envelope overlap across the period ends that a test profile
@@ -739,10 +718,10 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     grid (``mu_of_eps``), so each costs transforms of 2 n_c points, and
     on every grid at least as fine as the carrier grid the root is the
     same number.  The carrier grid is resolved once and handed to every
-    trial, so the test profile's eps-independent tables, the carrier
-    waves cos k0x, cos 2k0x and sin k0x and the second-harmonic and
-    mean-flow vectors w1 and w2, are built once per carrier grid
-    (``build_eta_star``).
+    trial, so the test profile's carrier waves cos k0x, cos 2k0x and
+    sin k0x are built once per carrier grid (``build_eta_star``), and
+    each trial builds the profile there with no transform: 17 rows in 3
+    calls per value of mu(eps).
     """
     if mu <= 0.0:
         raise RangeError("mu must be positive")

@@ -3,8 +3,12 @@
 Minimizes J_mu = K + mu^2 / L_trunc over profile pairs on a periodic
 grid, starting from the modulated-carrier test profile at the matched
 amplitude eps(mu).  The method is limited-memory BFGS (20 curvature
-pairs) with a backtracking Armijo line search; a smooth quartic barrier
-keeps iterates inside the H^2 ball where the truncation is trusted.
+pairs) with a backtracking Armijo line search.  A smooth quartic barrier
+on the shell 0.9 M <= ||eta||_H2 penalises iterates that leave the H^2
+ball of radius M where the truncation is trusted; it grows like a
+polynomial and sets no wall, so a trial can pass M.  A run whose last
+iterate lies inside the shell does not count as converged, since the
+barrier's slope can cancel the gradient of J there.
 
 The initial inverse Hessian of the two-loop recursion is the exact
 inverse Hessian of the quadratic truncation K2 + mu^2 / L2 at the NLS
@@ -363,7 +367,9 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
     """L-BFGS descent on the objective's grid from the half-grid vector x,
     with an empty memory, until the gradient norm reaches ``cfg.tol`` or
     the iteration count ``it``, shared by all grids, reaches
-    ``cfg.max_iters``.  Appends its rows to ``history``."""
+    ``cfg.max_iters``.  Appends its rows to ``history``.  The level has
+    converged if it stopped at the tolerance outside the barrier's shell,
+    where no barrier slope can cancel that of J."""
     cfg, grid, dot = obj.cfg, obj.grid, obj.dot
     n = grid.n
 
@@ -372,14 +378,14 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
     gnorm = math.sqrt(dot(g, g) / grid.dx)
     history.append((it, f, gnorm, 0.0, obj.value_evals, n))
     logged_evals = obj.value_evals
-    boundary_hit = trial.dvds is not None
+    in_shell = boundary_hit = trial.dvds is not None
     trial = None
 
     # (s, y, 1 / s.y) per curvature pair, oldest first
     memory: deque = deque(maxlen=_LBFGS_MEMORY)
-    converged = gnorm <= cfg.tol
+    at_tol = gnorm <= cfg.tol
 
-    while not converged and it < cfg.max_iters:
+    while not at_tol and it < cfg.max_iters:
         it += 1
         # two-loop recursion with the spectral Hessian model as H0
         q = g.copy()
@@ -421,7 +427,8 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
             )
 
         g_new, bd = obj.gradient(trial)
-        boundary_hit = boundary_hit or trial.dvds is not None
+        in_shell = trial.dvds is not None
+        boundary_hit = boundary_hit or in_shell
         trial = None
         s_v = x_try - x
         y_v = g_new - g
@@ -432,9 +439,9 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
         gnorm = math.sqrt(dot(g, g) / grid.dx)
         history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n))
         logged_evals = obj.value_evals
-        converged = gnorm <= cfg.tol
+        at_tol = gnorm <= cfg.tol
 
-    return _Level(x, gnorm, bd, it, converged, boundary_hit)
+    return _Level(x, gnorm, bd, it, at_tol and not in_shell, boundary_hit)
 
 
 @dataclass(frozen=True)

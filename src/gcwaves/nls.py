@@ -28,11 +28,14 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class NlsCoefficients:
+    """The reduced equation's coefficients, and the two solves behind A3
+    that the test profile carries (``compute_a3``)."""
+
     a2: float  # lambda''(k0) v0.F(k0)v0, the curvature of the slow branch
     a3: float
     a4: float
-    a3_vec1: np.ndarray
-    a3_vec2: np.ndarray
+    w_harmonic: np.ndarray  # g(2 k0)^-1 A3_1, the second-harmonic vector
+    w_mean: np.ndarray  # g(0)^-1 A3_2, the mean-flow vector
     a4_1: float
     a4_2: float
     alpha: float
@@ -96,8 +99,12 @@ def compute_a3(p: Params, crit: CriticalPoint):
     """Effective cubic coefficient from the second-harmonic and mean-flow
     corrections.
 
-    Returns (a3, A3_vec1, A3_vec2).  Both quadratic forms are non-positive
-    because g(2 k0) and g(0) are positive definite away from +-k0 when the
+    Returns (a3, w1, w2), where w1 = g(2 k0)^-1 A3_1 and w2 = g(0)^-1 A3_2
+    solve for the second-harmonic and mean-flow corrections that the
+    forcings A3_1 and A3_2 drive, and a3 = -(w1.A3_1)/3 - 2(w2.A3_2)/3.
+    The test profile ``fieldops.build_eta_star`` carries w1 and w2 as its
+    order-eps^2 terms.  Both quadratic forms are non-positive because
+    g(2 k0) and g(0) are positive definite away from +-k0 when the
     slow-branch minimum is strict.
     """
     k0, a, nu0_sq = crit.k0, crit.a, crit.nu0**2
@@ -106,11 +113,10 @@ def compute_a3(p: Params, crit: CriticalPoint):
     v2 = _a3_forcing(k0, a, p.rho, nu0_sq, eval_fbar(0.0), c1, c2, 0)
     g2 = eval_g(2.0 * k0, p, crit.nu0)
     g0 = eval_g(0.0, p, crit.nu0)
-    a3 = (
-        -float(_solve_checked(g2, v1, "g(2 k0)") @ v1) / 3.0
-        - 2.0 * float(_solve_checked(g0, v2, "g(0)") @ v2) / 3.0
-    )
-    return a3, v1, v2
+    w1 = _solve_checked(g2, v1, "g(2 k0)")
+    w2 = _solve_checked(g0, v2, "g(0)")
+    a3 = -float(w1 @ v1) / 3.0 - 2.0 * float(w2 @ v2) / 3.0
+    return a3, w1, w2
 
 
 def upper_quartic_kinetic(k0: float, a: float) -> float:
@@ -157,12 +163,12 @@ def compute_coefficients(p: Params, crit: CriticalPoint) -> NlsCoefficients:
     """Assemble the full coefficient record for one parameter set: A2 is
     lambda''(k0) F(k0) v0 . v0, and the constrained-norm constant is
     alpha = 2 / (nu0 F(k0) v0 . v0)."""
-    a3, v1, v2 = compute_a3(p, crit)
+    a3, w1, w2 = compute_a3(p, crit)
     a4, a4_1, a4_2 = compute_a4(p, crit)
     _, F = eval_PF(crit.k0, p)
     fv = float(F @ crit.v0 @ crit.v0)
     return NlsCoefficients(
-        a2=crit.lambda2 * fv, a3=a3, a4=a4, a3_vec1=v1, a3_vec2=v2,
+        a2=crit.lambda2 * fv, a3=a3, a4=a4, w_harmonic=w1, w_mean=w2,
         a4_1=a4_1, a4_2=a4_2, alpha=2.0 / (crit.nu0 * fv),
     )
 

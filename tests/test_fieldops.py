@@ -697,7 +697,7 @@ def test_eps_of_mu_returns_the_plain_secant_point(monkeypatch, request,
 # eta*, so a change to the value path that reorders no arithmetic (how
 # transforms are batched, which tables are reused) must keep them.
 _SWEEP_PINS = {
-    (4e-3, 4096): (0.0039786910020952, 0.004789088922404112,
+    (4e-3, 4096): (0.003978691002095201, 0.004789088922404112,
                    0.006679598898753042),
     (2e-3, 8192): (0.0019973240493673717, 0.0023951581419858793,
                    0.0033397994493765213),
@@ -730,9 +730,35 @@ def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
     eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
     (gu, gv), bd = grad_J(eta, BENCH, mu)
     digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
-    assert digest == ("cecad2cddb122112c5797f68a6156d88"
-                      "d2c8b00efd000f704f413dc569b4ceb8")
+    assert digest == ("31e6c6984107c1ba063139011a568aa6"
+                      "74dad20d2da23e6ef1f732453eeba699")
     assert bd.j_mu == j_mu
+
+
+def test_eta_star_on_its_carrier_grid_takes_no_transform(
+        bench_coeffs, bench_crit, fft_lengths):
+    # the samples are returned as computed; only a finer grid transforms
+    mu, n = 4e-3, 4096
+    grid = _carrier_grid(make_grid(
+        n, bench_crit.k0,
+        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)))
+    fft_lengths.clear()
+    eta = build_eta_star(bench_coeffs, bench_crit, _SWEEP_PINS[mu, n][0],
+                         grid, BENCH)
+    assert fft_lengths == []
+    assert eta.carrier_copy is None
+
+
+def test_mu_of_eps_takes_one_value_stage(bench_coeffs, bench_crit, fft_rows,
+                                         fft_calls):
+    # building eta* on the carrier grid adds nothing to the value stage's
+    # 17 rows in 3 calls
+    mu, n = 4e-3, 4096
+    grid = make_grid(n, bench_crit.k0,
+                     suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
+    fft_rows["rows"] = fft_calls["calls"] = 0
+    mu_of_eps(BENCH, bench_coeffs, bench_crit, grid, _SWEEP_PINS[mu, n][0])
+    assert (fft_rows["rows"], fft_calls["calls"]) == (17, 3)
 
 
 def _full_grid_eta_star(coeffs, crit, mu, n):
@@ -801,8 +827,8 @@ def test_gradient_of_full_grid_eta_star_ignores_the_copy(bench_coeffs,
     (gu, gv), bd = grad_J(eta, BENCH, mu)
     assert gu.shape == gv.shape == (n,)
     digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
-    assert digest == ("81ffa4c85dcdf8042448f9c31df28233"
-                      "215cfa6d883b940dea58fce957a253ba")
+    assert digest == ("d6ab2b19bc7e0b00aa609ac684152137"
+                      "d89afb22efdb66537a1cb9fb97f02e06")
     assert bd == eval_J(ProfilePair(eta.grid, eta.eta_under, eta.eta_over),
                         BENCH, mu)
     assert bd.j_mu == _SWEEP_PINS[mu, n][1]

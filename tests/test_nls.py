@@ -8,9 +8,9 @@ from gcwaves import ProfilePair, Params, compute_coefficients, find_critical
 from gcwaves.dispersion import eval_PF, eval_fbar, eval_g, refine_degenerate
 from gcwaves.errors import RegimeError
 from gcwaves.fieldops import make_grid
-from gcwaves.nls import (_a3_forcing, build_soliton, compute_a3, compute_a4,
-                         soliton_energy, soliton_mass, soliton_shape,
-                         upper_quartic_kinetic)
+from gcwaves.nls import (_a3_forcing, _carrier_couplings, build_soliton,
+                         compute_a3, compute_a4, soliton_energy, soliton_mass,
+                         soliton_shape, upper_quartic_kinetic)
 import gcwaves.fieldops as fo
 
 from conftest import (BENCH, DEGENERATE_SEED, NEAR_RESONANT,
@@ -75,6 +75,27 @@ def test_a3_nonpositive(resonant_crit, bench_crit):
     assert a3 <= 0.0
     a3b, _, _ = compute_a3(BENCH, bench_crit)
     assert a3b <= 0.0
+
+
+@pytest.mark.parametrize("which, a3", [("bench", -2.9965090275990054),
+                                       ("resonant", -104.8799586807889)],
+                         ids=["bench", "resonant"])
+def test_second_order_vectors_are_the_a3_solves(request, which, a3):
+    # w1 = g(2 k0)^-1 A3_1 and w2 = g(0)^-1 A3_2 are the solves that give
+    # A3, kept on the coefficients; A3 keeps the bits it was pinned with
+    p = {"bench": BENCH, "resonant": NEAR_RESONANT}[which]
+    crit = request.getfixturevalue(f"{which}_crit")
+    c = request.getfixturevalue(f"{which}_coeffs")
+    k0, a, nu0_sq = crit.k0, crit.a, crit.nu0**2
+    c1, c2 = _carrier_couplings(k0, a)
+    v1 = _a3_forcing(k0, a, p.rho, nu0_sq, eval_fbar(2.0 * k0), c1, c2, 2)
+    v2 = _a3_forcing(k0, a, p.rho, nu0_sq, eval_fbar(0.0), c1, c2, 0)
+    w1 = np.linalg.solve(eval_g(2.0 * k0, p, crit.nu0), v1)
+    w2 = np.linalg.solve(eval_g(0.0, p, crit.nu0), v2)
+    assert np.array_equal(c.w_harmonic, w1)
+    assert np.array_equal(c.w_mean, w2)
+    assert c.a3 == a3
+    assert c.a3 == -float(w1 @ v1) / 3.0 - 2.0 * float(w2 @ v2) / 3.0
 
 
 def test_a4_display_identity(bench_crit, resonant_crit):
