@@ -362,6 +362,7 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
         "spectral_tail": r.spectral_tail,
         "final_grad_norm": r.final_grad_norm,
         "boundary_hit": r.boundary_hit,
+        "max_trial_h2_sq": r.max_trial_h2_sq,
         "converged": r.converged,
         "levels": r.levels,
     }

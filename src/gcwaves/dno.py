@@ -14,7 +14,10 @@ gradients preconditioned with the exact flat-geometry per-mode inverse.
 CG runs on the rfft spectra of the (ny+1) x nx fields along x, with
 Parseval inner products: the only transforms are the two irffts and two
 rffts of each operator application, around the flux formed in physical
-space, plus one rfft of the datum and one irfft of the solution.
+space, plus one rfft of the flux rows that hold the datum and one irfft
+of the trace rows that L reads.  CG stops when the energy has
+converged, not the residual: L is a sum of b.u, whose error is the
+square of the solver's energy-norm error.
 
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
@@ -54,12 +57,18 @@ class StripGrid:
     the lower layer is truncated at depth_under (homogeneous Neumann
     bottom), which must be deep enough that the evanescent tail
     exp(-2 k_min depth) of the slowest active mode is negligible.
+
+    CG stops once sqrt(r.Pr / b.Pb) <= cg_tol, with r the residual, b the
+    datum and P the flat-strip preconditioner: that ratio estimates the
+    energy-norm error relative to the solution's energy norm, and its
+    square estimates the relative error of L (within a factor of 2 on
+    eta*).
     """
 
     nx: int
     ny: int
     depth_under: float
-    cg_tol: float = 1e-10
+    cg_tol: float = 1e-8
 
     def __post_init__(self):
         if not _is_power_of_two(self.nx):
@@ -208,22 +217,29 @@ class _StripOperator:
     def solve(self, b: np.ndarray):
         """Projected preconditioned CG for A u = b with A 1 = 0.
 
-        The iterate, residual and directions are rfft spectra; inner
-        products are Parseval sums and the projection onto zero mean
-        shifts column 0.  Returns the physical solution.  A direction
+        Takes the datum's rfft spectrum and returns the solution's, with
+        the iterations and the final ``rel``; the residual and directions
+        are spectra too, inner products are Parseval sums and the
+        projection onto zero mean shifts column 0.  CG stops on the
+        energy: P being the exact flat-strip inverse, r.Pr estimates the
+        A-norm error ||e||_A^2, which is exactly the error of b.u for an
+        iterate started at 0, so once rel = sqrt(r.Pr / b.Pb) <=
+        ``cg_tol`` the relative error of b.u is about rel**2.  A direction
         without positive curvature means b met the operator's other null
         vector, the depth-constant Nyquist checkerboard, and raises
         NumericalError.
         """
-        r = np.fft.rfft(b, axis=1)
+        r = b.copy()
         r[:, 0] -= r[:, 0].mean()
-        bnorm = math.sqrt(_parseval_dot(r, r))
-        if bnorm == 0.0:
-            return np.zeros_like(b), 0, 0.0
-        x = np.zeros_like(r)
         z = self.precondition(r)
-        d = z.copy()
         rz = _parseval_dot(r, z)
+        # P is definite on mean-free spectra: r.Pr = 0 only for r = 0
+        if rz <= 0.0:
+            return np.zeros_like(r), 0, 0.0
+        bpb = rz
+        x = np.zeros_like(r)
+        # d may take z's array: precondition returns a new one each step
+        d = z
         it = 0
         for it in range(1, 4000):
             Ad = self.apply(d)
@@ -235,34 +251,43 @@ class _StripOperator:
                 )
             alpha = rz / dAd
             x += alpha * d
-            r -= alpha * Ad
-            rel = math.sqrt(_parseval_dot(r, r)) / bnorm
+            Ad *= alpha
+            r -= Ad
+            z = self.precondition(r)
+            rz_new = max(_parseval_dot(r, z), 0.0)
+            rel = math.sqrt(rz_new / bpb)
             if rel <= self.cg_tol:
                 break
-            z = self.precondition(r)
-            rz_new = _parseval_dot(r, z)
             d *= rz_new / rz
             d += z
             rz = rz_new
         else:
             raise NumericalError(
-                f"CG stalled at relative residual {rel:.3e}",
+                f"CG stalled at energy ratio {rel:.3e}",
                 diagnostics={"iterations": it},
             )
         x[:, 0] -= x[:, 0].mean()
-        return np.fft.irfft(x, self.nx, axis=1), it, rel
+        return x, it, rel
 
     def _solve_flux(self, flux_rows, trace_rows) -> tuple:
         """Solve for the potential whose boundary flux is psi on each
-        (row, psi) of ``flux_rows``, on the geometry already set, and
-        return its traces on ``trace_rows``.  The potential is defined up
-        to constants; the first trace is given zero mean."""
-        b = np.zeros((self.ny + 1, self.nx))
-        for row, psi in flux_rows:
-            b[row, :] = self.hx * psi
-        u, _, _ = self.solve(b)
-        u -= u[trace_rows[0], :].mean()
-        return tuple(u[r, :].copy() for r in trace_rows)
+        (row, psi) of ``flux_rows``, on the geometry ``set_geometry`` set,
+        which it then drops, and return its traces on ``trace_rows``.
+        Only those rows are transformed: one rfft of the flux rows into
+        an otherwise zero datum spectrum, one irfft of the trace rows.
+        The potential is defined up to constants; the first trace is
+        given zero mean."""
+        rows, psis = zip(*flux_rows)
+        b = np.zeros((self.ny + 1, self.nx // 2 + 1), dtype=complex)
+        try:
+            b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
+            u, _, _ = self.solve(b)
+        finally:
+            del self._q
+        traces = u[list(trace_rows)]
+        # column 0 holds nx times each row's mean
+        traces[:, 0] -= traces[0, 0]
+        return tuple(np.fft.irfft(traces, self.nx, axis=1))
 
 
 class LowerSolver(_StripOperator):

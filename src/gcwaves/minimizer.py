@@ -134,6 +134,10 @@ class MinimizeResult:
     #: largest |rfft coefficient| in the top 20% of the band over the
     #: largest one, the larger of the two components (report only)
     spectral_tail: float | None = None
+    #: largest s = ||eta||_H2^2 of any trial the descent evaluated, line
+    #: search trials included, on every grid of the ladder (report only:
+    #: ``boundary_hit`` sees accepted points alone)
+    max_trial_h2_sq: float | None = None
     #: per grid of the ladder, coarsest first: {n, iterations,
     #: value_evals, gradient_evals}
     levels: list = field(default_factory=list)
@@ -199,6 +203,7 @@ class _Objective:
         self.s0 = (0.9 * cfg.admissibility_M) ** 2
         self.s_edge = cfg.admissibility_M**2
         self.value_evals = self.gradient_evals = 0
+        self.max_h2_sq = 0.0
         nu = _model_speed(crit, c, cfg.mu)
         g = eval_g(grid.k, p, nu)
         self._g = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
@@ -262,7 +267,9 @@ class _Objective:
         self.value_evals += 1
         eta = StagedProfile(self.split(h))
         bd = eval_J(eta, self.p, self.cfg.mu)
-        bval, dvds = self.barrier(eta.h2_sq())
+        s = eta.h2_sq()
+        self.max_h2_sq = max(self.max_h2_sq, s)
+        bval, dvds = self.barrier(s)
         return bd.j_mu + bval, _Trial(eta, dvds)
 
     def gradient(self, trial: _Trial):
@@ -338,6 +345,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     levels: list = []
     it = 0
     boundary_hit = False
+    max_h2_sq = 0.0
     for i, grid in enumerate(grids):
         if i:
             x = _prolong(x, grids[i - 1].n, grid.n)
@@ -348,6 +356,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
                        "gradient_evals": obj.gradient_evals})
         x, it = level.x, level.iterations
         boundary_hit = boundary_hit or level.boundary_hit
+        max_h2_sq = max(max_h2_sq, obj.max_h2_sq)
 
     eta, bd = obj.split(x), level.bd
     return MinimizeResult(
@@ -358,6 +367,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         value_evals=sum(lv["value_evals"] for lv in levels),
         gradient_evals=sum(lv["gradient_evals"] for lv in levels),
         spectral_tail=_spectral_tail(eta),
+        max_trial_h2_sq=max_h2_sq,
         levels=levels,
     )
 

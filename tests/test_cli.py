@@ -268,7 +268,7 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert set(result) == {
         "breakdown", "speed", "nu0", "iterations", "value_evals",
         "gradient_evals", "spectral_tail", "final_grad_norm",
-        "boundary_hit", "converged", "levels"}
+        "boundary_hit", "max_trial_h2_sq", "converged", "levels"}
     assert result["converged"] is True
     assert result["breakdown"]["j_mu"] < 2.0 * result["nu0"] * 0.006
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()

@@ -6,7 +6,8 @@ import pytest
 from gcwaves import ProfilePair, StripGrid, dno
 from gcwaves.dno import LowerSolver, UpperSolver, eval_L_exact
 from gcwaves.errors import NumericalError, SolvabilityError
-from gcwaves.fieldops import PeriodicGrid
+from gcwaves.fieldops import (PeriodicGrid, build_eta_star, eps_of_mu,
+                              make_grid, suggest_carrier_multiple)
 
 from conftest import BENCH
 from spectral_helpers import flat_mode_matrices, physical_apply
@@ -93,14 +94,74 @@ def curved_cg_iterations(strip):
 
 
 @pytest.mark.parametrize("ny, cg_tol, counts", [
-    (128, 1e-12, (14, 13)),
-    (48, 1e-10, (12, 11)),
+    (128, 1e-12, (13, 13)),
+    (48, 1e-10, (11, 11)),
+    (48, None, (9, 9)),
 ])
 def test_cg_iterations_pinned(ny, cg_tol, counts):
-    # counts recorded with the per-mode Cholesky preconditioner; the
-    # eigenbasis form is the same operator, so CG does the same work
-    strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0, cg_tol=cg_tol)
+    # counts of the energy stop, sqrt(r.Pr / b.Pb) <= cg_tol; cg_tol None
+    # is the StripGrid default
+    tol = {} if cg_tol is None else {"cg_tol": cg_tol}
+    strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0, **tol)
     assert curved_cg_iterations(strip) == counts
+
+
+@pytest.fixture(scope="module")
+def eta_star(bench_crit, bench_coeffs):
+    """eta* at mu = 4e-3 on n = 1024, and the bench oracle strip's depth."""
+    mu = 4e-3
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    grid = make_grid(1024, bench_crit.k0, m)
+    eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+    eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
+    return eta, 12.0 / bench_crit.k0
+
+
+def test_default_tolerance_gives_L_to_rounding(eta_star):
+    # the energy stop leaves L a relative error of about cg_tol^2 = 1e-16
+    eta, depth = eta_star
+    L = [eval_L_exact(eta, BENCH, StripGrid(nx=1024, ny=48, depth_under=depth,
+                                            **tol))
+         for tol in ({}, {"cg_tol": 1e-14})]
+    assert abs(L[0] - L[1]) <= 4 * np.spacing(L[1])
+
+
+def datum_spectrum(op, eta):
+    """The geometry of eta set on op, and the spectrum of the flux datum
+    eval_L_exact gives op: zeta_under on the lower layer's top row, the
+    pair (-zeta_under, zeta_over) on the upper layer's bottom and top."""
+    u, v = eta.eta_under, eta.eta_over
+    zu, zv = op.dx(np.stack([u, v]))
+    b = np.zeros((op.ny + 1, op.nx))
+    if isinstance(op, LowerSolver):
+        op.set_geometry(u)
+        b[0] = op.hx * zu
+    else:
+        op.set_geometry(u, v)
+        b[0], b[-1] = op.hx * zv, -op.hx * zu
+    return np.fft.rfft(b, axis=1)
+
+
+@pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
+@pytest.mark.parametrize("cg_tol", [1e-4, 1e-6, None])
+def test_energy_stop_bounds_the_error_of_b_dot_u(eta_star, solver, cg_tol):
+    # b.u, the part of L a layer gives, is off by ||e||_A^2, which the
+    # stop's rel^2 = r.Pr / b.Pb estimates; at the default cg_tol rel^2
+    # falls below the rounding of b.u, hence the 2 eps allowance
+    eta, depth = eta_star
+    out = []
+    for tol in (cg_tol, 1e-14):
+        kw = {} if tol is None else {"cg_tol": tol}
+        op = solver(StripGrid(nx=1024, ny=48, depth_under=depth, **kw),
+                    eta.grid.period)
+        b = datum_spectrum(op, eta)
+        x, _, rel = op.solve(b)
+        out.append((dno._parseval_dot(b, x), rel))
+    (bu, rel), (exact, _) = out
+    err = abs(bu - exact) / exact
+    assert err <= 2.0 * rel**2 + 2.0 * np.finfo(float).eps
+    if cg_tol is not None:  # the estimate is sharp, not just a bound
+        assert err >= 0.5 * rel**2
 
 
 @pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
@@ -145,11 +206,39 @@ def fft_calls(monkeypatch):
 def test_transform_counts_per_cg_iteration(solver, fft_calls):
     # four transforms per iteration inside apply, none in precondition;
     # outside the loop one dx for the data and one in set_geometry (two
-    # transforms each), the rfft of b and the irfft of x
+    # transforms each), one rfft of the flux rows and one irfft of the
+    # trace rows
     strip = StripGrid(nx=256, ny=48, depth_under=14.0 / K0)
     iterations = curved_solve(solver(strip, PERIOD), strip)
     assert iterations > 1
     assert fft_calls["calls"] == 2 + 2 + 2 + 4 * iterations
+
+
+@pytest.fixture
+def fft_rows(monkeypatch):
+    """The rows of every call of numpy's transforms, in call order; a
+    batched (m, n) call holds m."""
+    rows = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
+            a = np.asarray(a)
+            rows.append(a.size // a.shape[-1])
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("solver, data_rows", [(LowerSolver, 1),
+                                               (UpperSolver, 2)])
+def test_datum_and_traces_transform_only_their_rows(solver, data_rows,
+                                                    fft_rows):
+    # the dx of the data (two rows), the geometry's dx, the rfft of the
+    # flux rows, every apply on all ny + 1 rows, the irfft of the traces
+    strip = StripGrid(nx=256, ny=48, depth_under=14.0 / K0)
+    iterations = curved_solve(solver(strip, PERIOD), strip)
+    apply_rows = [strip.ny + 1] * (4 * iterations)
+    assert fft_rows == ([2, 2] + [data_rows] * 3 + apply_rows
+                        + [data_rows])
 
 
 def array_bytes(value):
@@ -165,8 +254,8 @@ def test_solver_memory_bounded(solver):
     strip = StripGrid(nx=4096, ny=48, depth_under=12.0 / K0)
     op = solver(strip, PERIOD)
     assert array_bytes(list(vars(op).values())) < 2e6
-    # after a solve the geometry adds at most two full (ny+1) x nx
-    # coefficient arrays; a coefficient constant in depth is kept as a row
+    # a solve drops its geometry, so a cached solver keeps no per-call
+    # coefficient arrays (the upper layer's are two (ny+1) x nx ones)
     x = PERIOD / strip.nx * np.arange(strip.nx)
     u = 0.12 * np.cos(K0 * x)
     v = -0.05 * np.cos(K0 * x)
@@ -175,8 +264,7 @@ def test_solver_memory_bounded(solver):
         op.solve_neumann(u, zu)
     else:
         op.solve_neumann(u, v, -zu, op.dx(v[None, :])[0])
-    full, row = (strip.ny + 1) * strip.nx * 8, strip.nx * 8
-    assert array_bytes(list(vars(op).values())) < 2e6 + 2 * full + row
+    assert array_bytes(list(vars(op).values())) < 2e6
 
 
 def test_solver_cache_bounded(monkeypatch):
@@ -249,4 +337,4 @@ def test_cg_refuses_direction_without_curvature(solver):
     b = np.zeros((strip.ny + 1, strip.nx))
     b[0] = op.hx * NYQUIST
     with pytest.raises(NumericalError, match="curvature"):
-        op.solve(b)
+        op.solve(np.fft.rfft(b, axis=1))

@@ -135,6 +135,32 @@ def test_barrier_activates_with_tiny_ball(bench_crit, bench_coeffs):
     assert r.value_evals <= 3 * r.iterations
 
 
+def test_largest_trial_h2_is_reported():
+    # a Valid, focusing configuration that converges without an accepted
+    # point in the shell, so boundary_hit is false, while one line-search
+    # trial lies far outside the ball (s = 3.4e3 against M^2 = 0.25)
+    p = Params(0.5, 0.543, 1.2)
+    crit = find_critical(p).crit
+    c = compute_coefficients(p, crit)
+    assert c.focusing
+    mu = 4e-4
+    m = suggest_carrier_multiple(c, crit, mu)
+    assert m == 57
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(2048, crit.k0, m))
+    r = minimize(p, c, crit, cfg)
+    assert r.converged and not r.boundary_hit
+    assert r.max_trial_h2_sq > 1e3 * cfg.admissibility_M**2
+    # the trials include every accepted point, the last one too
+    assert r.max_trial_h2_sq >= h2_norm(r.eta) ** 2
+
+
+def test_largest_trial_h2_inside_the_ball(run):
+    # BENCH at mu = 4e-3 never reaches the barrier's shell
+    r, cfg = run
+    s0 = (0.9 * cfg.admissibility_M) ** 2
+    assert h2_norm(r.eta) ** 2 <= r.max_trial_h2_sq < s0
+
+
 def test_no_convergence_on_the_barrier():
     # a Valid, focusing configuration whose descent at the default M ends
     # just inside the shell, s = 0.2025000028 against s0 = 0.2025: the
