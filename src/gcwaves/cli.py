@@ -276,11 +276,14 @@ def _grid_for(cfg: dict, crit, coeffs, mu: float) -> fieldops.PeriodicGrid:
 
 
 def _coeff_dict(crit, c: nls.NlsCoefficients) -> dict:
+    """The coefficients, with the soliton's speed and energy null where
+    the NLS defocuses and has no soliton."""
     return {
         "k0": crit.k0, "nu0": crit.nu0, "a": crit.a,
         "A2": c.a2, "A3": c.a3, "A4": c.a4,
-        "A4_1": c.a4_1, "A4_2": c.a4_2,
-        "alpha": c.alpha, "nu_nls": c.nu_nls, "i_nls": c.i_nls,
+        "A4_1": c.a4_1, "A4_2": c.a4_2, "alpha": c.alpha,
+        "nu_nls": c.nu_nls if c.focusing else None,
+        "i_nls": c.i_nls if c.focusing else None,
         "focusing": c.focusing,
     }
 
@@ -364,6 +367,7 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
         "boundary_hit": r.boundary_hit,
         "max_trial_h2_sq": r.max_trial_h2_sq,
         "converged": r.converged,
+        "reason": r.reason,
         "levels": r.levels,
     }
 

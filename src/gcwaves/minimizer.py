@@ -45,18 +45,20 @@ is O(eps^j), so the grid whose Nyquist wavenumber first clears the third
 carrier harmonic already holds the wave to within the stopping
 tolerance.  The ladder starts on the coarsest such power of two (same
 period), ``fieldops._carrier_grid``, where ``eps_of_mu`` and the test
-profile are computed whatever the requested grid, and doubles up to the
-requested grid.  Each grid descends to the same gradient
-tolerance with its own objective, preconditioner and an empty L-BFGS
-memory, from the iterate of the grid below, prolonged by zero-padding
-its spectrum, which is exact for a band-limited iterate and keeps it
-even.  ``max_iters`` is one budget for the whole ladder.  The requested
-grid has the last word: ``converged`` is its gradient test, so content a
-coarse grid could not hold shows up there as gradient and its descent
-removes it.  Prolongation fills only wavenumbers below a quarter of the
-finer grid's samples, well under the top-20% band that
-``spectral_tail`` reads, so the tail still measures that grid's
-resolution.
+profile are computed whatever the requested grid, and doubles towards
+the requested grid.  Each grid descends to the same gradient tolerance
+with its own objective, preconditioner and an empty L-BFGS memory, from
+the iterate of the grid below, prolonged by zero-padding its spectrum,
+which is exact for a band-limited iterate and keeps it even.
+``max_iters`` is one budget for the whole ladder.  The first grid above
+the carrier grid that takes no iteration ends the ladder, and its
+gradient test is the run's verdict: content the grid below could not
+hold would show up there as gradient, so a start that already meets the
+tolerance confirms that the wave is resolved.  The profile is that
+level's iterate prolonged to the requested grid: band-limited to the
+idle grid, which resolves it.  A run whose ladder ends on a grid that
+still iterated (the requested grid, or the carrier grid alone) has no
+such check and reports ``under_resolved``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -120,9 +123,16 @@ class MinimizeResult:
     breakdown: FunctionalBreakdown
     speed: float
     iterations: int
+    #: the gradient norm on the grid that ended the ladder, whose test is
+    #: the verdict
     final_grad_norm: float
     boundary_hit: bool
     converged: bool
+    #: None when converged, else why not, checked in this order:
+    #: "max_iters" (the budget ran out before the tolerance was met),
+    #: "barrier_shell" (met inside the barrier's shell) or
+    #: "under_resolved" (met outside it, but only on a grid that iterated)
+    reason: str | None = None
     #: (iter, J, grad_norm, step, trials, n): trials counts the objective
     #: values evaluated since the previous row, and n is the grid's size;
     #: each grid's first row is its start, with step 0.0
@@ -132,14 +142,18 @@ class MinimizeResult:
     value_evals: int = 0
     gradient_evals: int = 0
     #: largest |rfft coefficient| in the top 20% of the band over the
-    #: largest one, the larger of the two components (report only)
+    #: largest one, the larger of the two components (report only).  It
+    #: reads the written profile, the idle level's iterate prolonged to
+    #: the requested grid, so it is at rounding level by construction
+    #: wherever the ladder ends below that grid; the idle level's gradient
+    #: test is the resolution check
     spectral_tail: float | None = None
     #: largest s = ||eta||_H2^2 of any trial the descent evaluated, line
     #: search trials included, on every grid of the ladder (report only:
     #: ``boundary_hit`` sees accepted points alone)
     max_trial_h2_sq: float | None = None
-    #: per grid of the ladder, coarsest first: {n, iterations,
-    #: value_evals, gradient_evals}
+    #: per grid the ladder ran, coarsest first, up to the first idle one:
+    #: {n, iterations, value_evals, gradient_evals}
     levels: list = field(default_factory=list)
 
 
@@ -189,7 +203,8 @@ class _Objective:
     adds the barrier's Hessian 2 V'(s) h(k) + 4 V'' b b^T, with h the H^2
     symbol and b = h eta.  The rank-one terms are inverted by Woodbury's
     identity, so an application is one flat solve, plus a dot and an
-    axpy per column.
+    axpy per column.  The model is built on the first ``precondition``
+    after each gradient, so a level that takes no step builds none.
     """
 
     def __init__(self, p: Params, cfg: MinimizeConfig, crit: CriticalPoint,
@@ -204,23 +219,36 @@ class _Objective:
         self.s_edge = cfg.admissibility_M**2
         self.value_evals = self.gradient_evals = 0
         self.max_h2_sq = 0.0
-        nu = _model_speed(crit, c, cfg.mu)
-        g = eval_g(grid.k, p, nu)
-        self._g = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
-        _, F = _pf(grid.k, p)
-        eta = _mirror(x0, n)
+        self._nu = _model_speed(crit, c, cfg.mu)
+        self._x0 = x0
+        # the barrier's (shift, column) at the latest iterate, None outside
+        # the shell, and the model there once built
+        self._shell = self._pre = None
+
+    @cached_property
+    def _quadratic(self):
+        """Entries of the symbol g_nu, and the column u of the rank-one
+        term at the level's start, scaled so that the term is u u^T in the
+        half-grid products."""
+        grid, n, nu = self.grid, self.grid.n, self._nu
+        g = eval_g(grid.k, self.p, nu)
+        _, F = _pf(grid.k, self.p)
+        eta = _mirror(self._x0, n)
         ell = np.fft.irfft(np.einsum("kij,jk->ik", F, _rfft(eta, n)), n)
         l2 = 0.5 * grid.dx * float(np.sum(eta * ell))
-        # columns u scaled so that the model's term is u u^T in the
-        # half-grid products
-        self._ell = grid.dx * nu * math.sqrt(2.0 / l2) * _half(ell, n)
-        self._base = self._model(0.0, [self._ell])
-        self._pre = self._base
+        return ((g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]),
+                grid.dx * nu * math.sqrt(2.0 / l2) * _half(ell, n))
 
-    def _model(self, shift, columns: list):
+    @cached_property
+    def _base(self):
+        return self._model(0.0)
+
+    def _model(self, shift, *columns):
         """Inverse symbol entries of g_nu + shift I, the flat solves Z of
-        the columns U, and the Woodbury capacitance (I + U.Z)^-1."""
-        a, b, c = self._g
+        the columns U (the rank-one term's first), and the Woodbury
+        capacitance (I + U.Z)^-1."""
+        (a, b, c), ell = self._quadratic
+        columns = (ell, *columns)
         a, c = a + shift, c + shift
         det = a * c - b * b
         inv = c / det, -b / det, a / det
@@ -243,6 +271,9 @@ class _Objective:
 
     def precondition(self, q: np.ndarray) -> np.ndarray:
         """Apply the inverse Hessian model to a half-grid gradient."""
+        if self._pre is None:
+            self._pre = (self._base if self._shell is None
+                         else self._model(*self._shell))
         inv, Z, S = self._pre
         y = self._flat(inv, q)
         r = S @ [self.dot(z, q) for z in Z]
@@ -280,15 +311,14 @@ class _Objective:
         n, dx = self.grid.n, self.grid.dx
         (gu, gv), bd = grad_J(trial.eta, self.p, self.cfg.mu)
         g = np.stack([gu, gv])
-        if trial.dvds is None:
-            self._pre = self._base
-        else:
+        self._shell = self._pre = None
+        if trial.dvds is not None:
             b = np.fft.irfft(self.h2_weight * trial.eta.UV, n)
             g += trial.dvds * 2.0 * b
             # V'' = 2 / (s_edge - s0)^2, so sqrt(4 V'') = 2 sqrt(2) / width
             scale = 2.0 * math.sqrt(2.0) / (self.s_edge - self.s0)
-            self._pre = self._model(2.0 * trial.dvds * self.h2_weight,
-                                    [self._ell, dx * scale * _half(b, n)])
+            self._shell = (2.0 * trial.dvds * self.h2_weight,
+                           dx * scale * _half(b, n))
         return _half(g, n) * dx, bd
 
 
@@ -301,9 +331,10 @@ def _spectral_tail(eta: ProfilePair) -> float:
 
 
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
-    """Grids of the descent, coarsest first: the carrier grid
-    (``fieldops._carrier_grid``), doubled up to the requested grid, which
-    ends the ladder.  ``[grid]`` where that grid is the carrier grid."""
+    """Grids the descent may climb, coarsest first: the carrier grid
+    (``fieldops._carrier_grid``), doubled up to the requested grid.
+    ``[grid]`` where that grid is the carrier grid.  ``minimize`` stops
+    at the first grid above the carrier grid that takes no iteration."""
     grids = [_carrier_grid(grid)]
     while grids[-1] is not grid:
         n = 2 * grids[-1].n
@@ -325,17 +356,23 @@ class _Level(NamedTuple):
     gnorm: float
     bd: FunctionalBreakdown
     iterations: int
-    converged: bool
+    #: None at the tolerance outside the barrier's shell, else
+    #: "max_iters" or "barrier_shell" (``MinimizeResult.reason``)
+    reason: str | None
     boundary_hit: bool
 
 
 def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
              cfg: MinimizeConfig) -> MinimizeResult:
-    """Descend J_mu from the matched test profile, up the grid ladder.
+    """Descend J_mu from the matched test profile, up the grid ladder,
+    until a grid above the carrier grid takes no iteration.
 
-    Deterministic for fixed inputs.  Raises NumericalError (with the last
-    iterate attached) if a line search fails; hitting max_iters returns
-    converged=False rather than raising.
+    That grid's gradient test is the verdict, and the profile is its
+    iterate prolonged to the requested grid.  Deterministic for fixed
+    inputs.  Raises NumericalError (with the last iterate attached) if a
+    line search fails; hitting max_iters, stopping in the barrier's shell
+    or ending the ladder on a grid that still iterated returns
+    converged=False, with its ``reason``, rather than raising.
     """
     grids = _ladder(cfg.grid)
     eps = eps_of_mu(p, c, crit, grids[0], cfg.mu)
@@ -351,18 +388,26 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
             x = _prolong(x, grids[i - 1].n, grid.n)
         obj = _Objective(p, replace(cfg, grid=grid), crit, c, x)
         level = _descend(obj, x, it, history)
+        # an idle grid above the carrier grid confirms the one below
+        confirmed = i > 0 and level.iterations == it
         levels.append({"n": grid.n, "iterations": level.iterations - it,
                        "value_evals": obj.value_evals,
                        "gradient_evals": obj.gradient_evals})
         x, it = level.x, level.iterations
         boundary_hit = boundary_hit or level.boundary_hit
         max_h2_sq = max(max_h2_sq, obj.max_h2_sq)
+        if confirmed:
+            break
 
-    eta, bd = obj.split(x), level.bd
+    if grid is not cfg.grid:
+        x = _prolong(x, grid.n, cfg.grid.n)
+    eta = ProfilePair(cfg.grid, *_mirror(x, cfg.grid.n))
+    bd = level.bd
+    reason = level.reason or (None if confirmed else "under_resolved")
     return MinimizeResult(
         eta=eta, breakdown=bd, speed=cfg.mu / bd.l_trunc,
         iterations=it, final_grad_norm=level.gnorm,
-        boundary_hit=boundary_hit, converged=level.converged,
+        boundary_hit=boundary_hit, converged=reason is None, reason=reason,
         history=history,
         value_evals=sum(lv["value_evals"] for lv in levels),
         gradient_evals=sum(lv["gradient_evals"] for lv in levels),
@@ -378,8 +423,9 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
     with an empty memory, until the gradient norm reaches ``cfg.tol`` or
     the iteration count ``it``, shared by all grids, reaches
     ``cfg.max_iters``.  Appends its rows to ``history``.  The level has
-    converged if it stopped at the tolerance outside the barrier's shell,
-    where no barrier slope can cancel that of J."""
+    converged (its ``reason`` is None) if it stopped at the tolerance
+    outside the barrier's shell, where no barrier slope can cancel that
+    of J."""
     cfg, grid, dot = obj.cfg, obj.grid, obj.dot
     n = grid.n
 
@@ -451,7 +497,9 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
         logged_evals = obj.value_evals
         at_tol = gnorm <= cfg.tol
 
-    return _Level(x, gnorm, bd, it, at_tol and not in_shell, boundary_hit)
+    reason = ("max_iters" if not at_tol
+              else "barrier_shell" if in_shell else None)
+    return _Level(x, gnorm, bd, it, reason, boundary_hit)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from gcwaves import cli, nls
 from gcwaves.cli import main, parse_config, ConfigParseError
 from gcwaves.dispersion import Params, find_critical, refine_degenerate
-from gcwaves.errors import NumericalError
+from gcwaves.errors import NumericalError, RegimeError
 from gcwaves.fieldops import PeriodicGrid, ProfilePair
 
 from conftest import BENCH, DEGENERATE_SEED
@@ -30,10 +32,12 @@ def write_config(path, params, extra=""):
 
 @pytest.fixture()
 def bench_cfg(tmp_path):
+    # the descent's ladder (512: 34, 1024: 4, 2048: 1, 4096: 0) ends on an
+    # idle grid, which confirms the wave is resolved
     return write_config(
         tmp_path / "bench.cfg", BENCH,
         "[scan]\nsamples = 1024\n"
-        "[grid]\nn = 1024\n"
+        "[grid]\nn = 4096\n"
         "[minimize]\nmu = 6e-3\nmax_iters = 400\n",
     )
 
@@ -131,6 +135,23 @@ def test_coeffs_deterministic_bytes(tmp_path, bench_cfg):
         assert key in payload
 
 
+def test_coeffs_write_no_soliton_where_the_nls_defocuses(tmp_path):
+    # a Valid, defocusing configuration: the cubic coefficient's sign
+    # leaves no sech soliton, so its speed and energy are null
+    p = Params(0.5, 0.05, 0.259)
+    report = find_critical(p)
+    assert report.verdict == "Valid"
+    with pytest.raises(RegimeError):
+        nls.soliton_shape(nls.compute_coefficients(p, report.crit))
+    out = tmp_path / "c.json"
+    cfg = write_config(tmp_path / "defocusing.cfg", p)
+    assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["focusing"] is False
+    assert payload["i_nls"] is None and payload["nu_nls"] is None
+    assert all(math.isfinite(payload[key]) for key in ("A2", "A3", "alpha"))
+
+
 #: where each command writes its gate payload: the --out file, or stdout
 GATE_TO_OUT = {"coeffs": True, "validate": True,
                "soliton": False, "ansatz": False, "minimize": False}
@@ -196,7 +217,7 @@ def test_ansatz_outputs(tmp_path, bench_cfg):
     gap = summary["j_mu"] - summary["two_nu0_mu"]
     assert gap == pytest.approx(summary["i_nls_mu3"], rel=0.2)
     sidecar = json.loads((tmp_path / "star.csv.json").read_text())
-    assert sidecar["n"] == 1024
+    assert sidecar["n"] == 4096
 
 
 def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch,
@@ -268,21 +289,22 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert set(result) == {
         "breakdown", "speed", "nu0", "iterations", "value_evals",
         "gradient_evals", "spectral_tail", "final_grad_norm",
-        "boundary_hit", "max_trial_h2_sq", "converged", "levels"}
-    assert result["converged"] is True
+        "boundary_hit", "max_trial_h2_sq", "converged", "reason", "levels"}
+    assert result["converged"] is True and result["reason"] is None
     assert result["breakdown"]["j_mu"] < 2.0 * result["nu0"] * 0.006
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()
     assert iters[0] == "iteration,j_mu,grad_norm,step,trials,n"
     # one row per iteration and one start row per grid of the ladder
     levels = result["levels"]
     assert len(iters) == result["iterations"] + len(levels) + 1
-    assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 1024
+    assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 4096
     for key in ("iterations", "value_evals", "gradient_evals"):
         assert sum(lv[key] for lv in levels) == result[key]
     # each row counts the values evaluated since the one before
     trials = [int(row.split(",")[4]) for row in iters[1:]]
     assert sum(trials) == result["value_evals"]
-    # reported, not gated: this coarse grid leaves a visible tail
+    # reported, not gated: the profile is the idle grid's iterate
+    # prolonged, so its top band holds rounding alone
     assert 0.0 < result["spectral_tail"] < 1.0
     # one gradient per accepted step and at the start; the line search
     # evaluates at least as many values
@@ -294,7 +316,7 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
     cfg = write_config(
         tmp_path / "sweep.cfg", BENCH,
         "[scan]\nsamples = 1024\n"
-        "[grid]\nn = 1024\n"
+        "[grid]\nn = 4096\n"
         "[minimize]\nmax_iters = 600\n",
     )
     outdir = tmp_path / "sweep"
@@ -314,9 +336,61 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
         assert result["converged"] is True
         for key in ("iterations", "value_evals", "gradient_evals"):
             assert sum(lv[key] for lv in result["levels"]) == result[key]
-    # at mu = 8e-3 the descent starts on the coarser grid n = 512
+    # at mu = 8e-3 the descent starts on the coarser grid n = 512, and
+    # the idle grid 2048 ends it
     result = json.loads((outdir / "mu_0p008.result.json").read_text())
-    assert [lv["n"] for lv in result["levels"]] == [512, 1024]
+    assert [lv["n"] for lv in result["levels"]] == [512, 1024, 2048]
+
+
+@pytest.mark.parametrize("mu, n, ladder, digest, j_mu", [
+    (4e-3, 4096, [(1024, 15), (2048, 1), (4096, 0)],
+     "4bb8c4e5ca2a9b7d138f70735bcf2ff8a8cc9c670cfef70aa1cddde5f7fee40a",
+     0.004788963384652583),
+    (2e-3, 8192, [(2048, 12), (4096, 0)],
+     "c022ced26867b7ec2eda1945030c5f044e90abf485a9599c187779393e492ce6",
+     0.0023951554801741803),
+    (1e-3, 16384, [(4096, 11), (8192, 0)],
+     "6419daef91cdb2028689ae3a312fbfadaa4100899e70245928e9af6c37e3ed77",
+     0.0011976526610054244),
+])
+def test_sweep_levels_end_on_their_idle_grid(tmp_path, mu, n, ladder,
+                                             digest, j_mu):
+    # the benchmark's sweep levels.  The ladder ends on the first grid
+    # above the carrier grid that takes no step.  The profile is that
+    # grid's iterate prolonged to n, the bytes the full ladder wrote when
+    # every grid above it took no step too; J, read on the idle grid,
+    # stays within a few ulps of the full ladder's
+    cfg = write_config(tmp_path / "sweep.cfg", BENCH,
+                       f"[grid]\nn = {n}\n[minimize]\nmu = {mu!r}\n")
+    outdir = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(outdir)]) == 0
+    tag = cli._mu_tag(mu)
+    result = json.loads((outdir / f"{tag}.result.json").read_text())
+    assert [(lv["n"], lv["iterations"]) for lv in result["levels"]] == ladder
+    assert result["converged"] is True and result["reason"] is None
+    profile = (outdir / f"{tag}.profile.csv").read_bytes()
+    assert hashlib.sha256(profile).hexdigest() == digest
+    assert abs(result["breakdown"]["j_mu"] - j_mu) <= 4 * np.spacing(j_mu)
+
+
+@pytest.mark.parametrize("n, ladder", [
+    (1024, [(1024, 15)]),             # the carrier grid alone
+    (2048, [(1024, 15), (2048, 1)]),  # the top grid still takes a step
+])
+def test_minimize_reports_an_unconfirmed_grid(tmp_path, n, ladder):
+    # both runs meet the tolerance outside the barrier's shell, but no
+    # idle grid above the carrier grid confirms that n resolves the wave
+    mu = 4e-3
+    cfg = write_config(tmp_path / "run.cfg", BENCH,
+                       f"[grid]\nn = {n}\n[minimize]\nmu = {mu!r}\n")
+    outdir = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(outdir)]) == 0
+    result = json.loads((outdir / "mu_0p004.result.json").read_text())
+    assert [(lv["n"], lv["iterations"]) for lv in result["levels"]] == ladder
+    assert result["final_grad_norm"] <= 1e-5 * mu
+    assert result["boundary_hit"] is False
+    assert result["converged"] is False
+    assert result["reason"] == "under_resolved"
 
 
 def test_minimize_sweep_parse_error(tmp_path, capsys, bench_cfg):

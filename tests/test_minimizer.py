@@ -20,8 +20,10 @@ MU = 4e-3
 
 @pytest.fixture(scope="module")
 def run(bench_crit, bench_coeffs):
+    # the ladder (1024: 15, 2048: 1, 4096: 0) ends on an idle grid; on
+    # n = 2048 its top grid would still take a step
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
-    grid = make_grid(2048, bench_crit.k0, m)
+    grid = make_grid(4096, bench_crit.k0, m)
     cfg = MinimizeConfig(mu=MU, grid=grid, max_iters=1200)
     return minimize(BENCH, bench_coeffs, bench_crit, cfg), cfg
 
@@ -56,7 +58,7 @@ def test_descent_monotone(run):
     # iterate is valued on two discretisations; they agreed to 1.9e-13 of
     # J on the bench grids and to 7.7e-13 at mu = 5e-4, n = 32768
     r, _ = run
-    assert len(r.levels) == 2
+    assert len(r.levels) == 3
     rows = r.history
     for prev, row in zip(rows, rows[1:]):
         if row[5] == prev[5]:
@@ -179,7 +181,7 @@ def test_no_convergence_on_the_barrier():
     (gu, gv), _ = fieldops.grad_J(r.eta, p, mu)
     grad_j = np.sqrt(cfg.grid.dx * (np.sum(gu**2) + np.sum(gv**2)))
     assert grad_j > 100.0 * cfg.tol
-    assert not r.converged
+    assert not r.converged and r.reason == "barrier_shell"
 
 
 def test_bench_level_converges_in_few_iterations(bench_crit, bench_coeffs):
@@ -225,16 +227,17 @@ def test_small_mu_descent_starts_next_to_its_minimum(bench_crit,
 
 def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
                                                     bench_coeffs):
-    # it ends at 3.9e-7 mu in 12 iterations.  A tighter tolerance can meet
+    # it ends at 3.9e-7 mu in 12 iterations on the carrier grid, and the
+    # grid above confirms it without a step.  A tighter tolerance can meet
     # the line search's rounding stall, where no trial moves J by more
     # than an ulp: at 1e-9 mu this descent stops at 6.4e-8 mu after 300
     # iterations
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
-    cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m),
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m),
                          grad_tol=1e-6 * mu, max_iters=300)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert [lv["n"] for lv in r.levels] == [8192]
+    assert [lv["n"] for lv in r.levels] == [8192, 16384]
     assert r.converged and r.final_grad_norm <= cfg.tol
 
 
@@ -255,9 +258,10 @@ def _fail_line_search_trial(monkeypatch, error, entry):
 
 
 def _small_config(bench_crit, bench_coeffs, max_iters):
+    # the ladder (512: 34, 1024: 4, 2048: 1, 4096: 0) ends on an idle grid
     mu = 6e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
-    return MinimizeConfig(mu=mu, grid=make_grid(1024, bench_crit.k0, m),
+    return MinimizeConfig(mu=mu, grid=make_grid(4096, bench_crit.k0, m),
                           max_iters=max_iters)
 
 
@@ -499,19 +503,55 @@ def test_prolongation_is_exact_for_band_limited_even_rows():
 
 
 def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
-    # the single-grid descent on n = 8192 gave these; the ladder
-    # (2048, 4096, 8192) must land within the stopping noise
+    # the single-grid descent on n = 8192 gave these; the ladder, which
+    # ends on its idle grid 4096, must land within the stopping noise
     mu = 2e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.converged and r.final_grad_norm <= cfg.tol
-    assert [lv["n"] for lv in r.levels] == [2048, 4096, 8192]
+    assert [lv["n"] for lv in r.levels] == [2048, 4096]
     assert r.eta.grid is cfg.grid
     assert r.speed == pytest.approx(0.5986858459751254, rel=2e-7)
     cubic = (r.breakdown.j_mu - 2.0 * bench_crit.nu0 * mu) / mu**3
     assert cubic == pytest.approx(-24.741236, abs=1e-4)
     assert r.spectral_tail <= 1e-14
+
+
+def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
+                                             monkeypatch):
+    # the ladder (2048: 12, 4096: 0) preconditions steps on its carrier
+    # grid alone, so only that grid takes the model's symbol; the full
+    # ladder up to 8192 took it on each of its three grids
+    sizes = []
+    eval_g = minimizer.eval_g
+
+    def counted(k, p, nu):
+        sizes.append(k.size)
+        return eval_g(k, p, nu)
+    monkeypatch.setattr(minimizer, "eval_g", counted)
+    mu = 2e-3
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert [(lv["n"], lv["iterations"]) for lv in r.levels] == \
+        [(2048, 12), (4096, 0)]
+    assert r.converged
+    assert sizes == [2048 // 2 + 1]
+
+
+def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
+    # the budget runs out on the carrier grid, so the grid above takes no
+    # step: it ends the ladder, short of the tolerance
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
+    cfg = MinimizeConfig(mu=MU, grid=make_grid(4096, bench_crit.k0, m),
+                         max_iters=5)
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert [(lv["n"], lv["iterations"]) for lv in r.levels] == \
+        [(1024, 5), (2048, 0)]
+    assert r.final_grad_norm > cfg.tol
+    assert not r.converged and r.reason == "max_iters"
+    assert r.eta.grid is cfg.grid
 
 
 def test_coarse_grid_failure_names_its_grid(bench_crit, bench_coeffs,
