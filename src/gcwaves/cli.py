@@ -11,6 +11,13 @@ which writes a JSON payload and nothing else when a gate fails:
 ``coeffs`` and ``validate`` to ``--out`` (stdout when unset), ``soliton``,
 ``ansatz`` and ``minimize`` to stdout.  ``oracle_suite`` holds the
 truncation-vs-oracle checks that ``validate`` and the tests share.
+
+``minimize`` writes each run's ``result.json`` whether or not the run
+converged, and a single run exits 0 either way (``converged`` and
+``reason`` say which).  A ``--sweep`` fits the speed law only from
+converged runs: where any run reports ``converged=False`` it writes no
+``speed_fit.json``, names each such mu and its ``reason`` on stderr and
+exits 3.
 """
 
 from __future__ import annotations
@@ -399,6 +406,12 @@ def cmd_minimize(args) -> int:
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),
                   ["iteration", "j_mu", "grad_norm", "step", "trials", "n"],
                   list(zip(*r.history)))
+    unconverged = [f"mu={mu:g} ({r.reason})"
+                   for mu, r in zip(mus, runs) if not r.converged]
+    if args.sweep and unconverged:
+        print(f"sweep not converged, no speed fit: {', '.join(unconverged)}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     if len(runs) >= 3:
         fit = minimizer.speed_expansion_check(runs, crit, c)
         write_json(os.path.join(args.out, "speed_fit.json"), {

@@ -19,6 +19,14 @@ of the trace rows that L reads.  CG stops when the energy has
 converged, not the residual: L is a sum of b.u, whose error is the
 square of the solver's energy-norm error.
 
+A solve keeps only what L reads: the solution on the trace rows (and
+column 0 of every row, for the mean projection), with the datum as the
+residual, which the solve overwrites.  Each preconditioned residual is
+dropped once the next direction holds it, and an operator application
+frees its temporaries as the flux absorbs them.  One solver pair is
+cached, that of the most recent period: every caller finishes with one
+period before it moves to the next.
+
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
 shares one generalized eigenbasis, D^T W D V = W V Lambda with
@@ -124,7 +132,9 @@ class _StripOperator:
     iteration, all in ``apply``.  The preconditioner inverts the
     flat-geometry operator mode by mode, through the shared eigenbasis
     ``_V`` scaled by the inverse eigenvalues ``_inv_eig`` (one column per
-    mode).
+    mode).  ``set_geometry`` sets the flux coefficients ``_q`` =
+    (q11, q12, q22) that ``apply`` reads; q11 is None where it is
+    identically 1, as in the lower layer.
     """
 
     def __init__(self, nx: int, period: float, ny: int, y_bot: float,
@@ -196,49 +206,59 @@ class _StripOperator:
 
     def apply(self, Uh: np.ndarray) -> np.ndarray:
         """The energy-form operator on a spectrum: two irffts, the flux
-        in physical space, two rffts."""
+        in physical space, two rffts.  Each temporary is dropped once the
+        flux has absorbed it, so at most four (ny+1) x nx arrays are
+        alive at once, the output included."""
         q11, q12, q22 = self._q
         Ux = np.fft.irfft(self.ik * Uh, self.nx, axis=1)
         Uy = self.D @ np.fft.irfft(Uh, self.nx, axis=1)
-        f1 = q11 * Ux
-        f1 += q12 * Uy
+        f1 = q12 * Uy
+        f1 += Ux if q11 is None else q11 * Ux
         f1 *= self._w
+        # f2 takes Ux's array, which f1 no longer needs
         f2 = Ux
         f2 *= q12
         Uy *= q22
         f2 += Uy
+        del Uy
         # the uniform-grid spectral derivative is antisymmetric
         F1 = np.fft.rfft(f1, axis=1)
+        del f1
         F1 *= self.ik
-        out = np.fft.rfft(self._DtW @ f2, axis=1)
+        f2 = self._DtW @ f2
+        out = np.fft.rfft(f2, axis=1)
         out -= F1
         return out
 
-    def solve(self, b: np.ndarray):
+    def solve(self, b: np.ndarray, rows=slice(None)):
         """Projected preconditioned CG for A u = b with A 1 = 0.
 
-        Takes the datum's rfft spectrum and returns the solution's, with
-        the iterations and the final ``rel``; the residual and directions
-        are spectra too, inner products are Parseval sums and the
-        projection onto zero mean shifts column 0.  CG stops on the
-        energy: P being the exact flat-strip inverse, r.Pr estimates the
-        A-norm error ||e||_A^2, which is exactly the error of b.u for an
-        iterate started at 0, so once rel = sqrt(r.Pr / b.Pb) <=
-        ``cg_tol`` the relative error of b.u is about rel**2.  A direction
-        without positive curvature means b met the operator's other null
-        vector, the depth-constant Nyquist checkerboard, and raises
+        Takes the datum's rfft spectrum, which it overwrites (b becomes
+        the residual), and returns the solution's spectrum on ``rows``
+        (all rows by default), with the iterations and the final ``rel``.
+        The residual and directions are spectra too, inner products are
+        Parseval sums and the projection onto zero mean shifts column 0,
+        which is kept for every row, so the solution on ``rows`` is that
+        of the full solve bit for bit.  CG stops on the energy: P being
+        the exact flat-strip inverse, r.Pr estimates the A-norm error
+        ||e||_A^2, which is exactly the error of b.u for an iterate
+        started at 0, so once rel = sqrt(r.Pr / b.Pb) <= ``cg_tol`` the
+        relative error of b.u is about rel**2.  A direction without
+        positive curvature means b met the operator's other null vector,
+        the depth-constant Nyquist checkerboard, and raises
         NumericalError.
         """
-        r = b.copy()
+        r = b
         r[:, 0] -= r[:, 0].mean()
         z = self.precondition(r)
         rz = _parseval_dot(r, z)
+        x = np.zeros_like(r[rows])
+        x0 = np.zeros_like(r[:, 0])
         # P is definite on mean-free spectra: r.Pr = 0 only for r = 0
         if rz <= 0.0:
-            return np.zeros_like(r), 0, 0.0
+            return x, 0, 0.0
         bpb = rz
-        x = np.zeros_like(r)
-        # d may take z's array: precondition returns a new one each step
+        # d takes z's array: precondition returns a new one each step
         d = z
         it = 0
         for it in range(1, 4000):
@@ -250,7 +270,8 @@ class _StripOperator:
                     diagnostics={"iterations": it},
                 )
             alpha = rz / dAd
-            x += alpha * d
+            x += alpha * d[rows]
+            x0 += alpha * d[:, 0]
             Ad *= alpha
             r -= Ad
             z = self.precondition(r)
@@ -260,13 +281,14 @@ class _StripOperator:
                 break
             d *= rz_new / rz
             d += z
+            del z
             rz = rz_new
         else:
             raise NumericalError(
                 f"CG stalled at energy ratio {rel:.3e}",
                 diagnostics={"iterations": it},
             )
-        x[:, 0] -= x[:, 0].mean()
+        x[:, 0] = x0[rows] - x0.mean()
         return x, it, rel
 
     def _solve_flux(self, flux_rows, trace_rows) -> tuple:
@@ -274,17 +296,17 @@ class _StripOperator:
         (row, psi) of ``flux_rows``, on the geometry ``set_geometry`` set,
         which it then drops, and return its traces on ``trace_rows``.
         Only those rows are transformed: one rfft of the flux rows into
-        an otherwise zero datum spectrum, one irfft of the trace rows.
-        The potential is defined up to constants; the first trace is
-        given zero mean."""
+        an otherwise zero datum spectrum, which the solve consumes, and
+        one irfft of the trace rows, the only rows the solve keeps.  The
+        potential is defined up to constants; the first trace is given
+        zero mean."""
         rows, psis = zip(*flux_rows)
         b = np.zeros((self.ny + 1, self.nx // 2 + 1), dtype=complex)
         try:
             b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
-            u, _, _ = self.solve(b)
+            traces, _, _ = self.solve(b, list(trace_rows))
         finally:
             del self._q
-        traces = u[list(trace_rows)]
         # column 0 holds nx times each row's mean
         traces[:, 0] -= traces[0, 0]
         return tuple(np.fft.irfft(traces, self.nx, axis=1))
@@ -304,11 +326,7 @@ class LowerSolver(_StripOperator):
 
     def set_geometry(self, eta_under: np.ndarray):
         ex = self.dx(eta_under[None, :])[0]
-        self._q = (
-            np.ones(self.nx)[None, :],
-            -ex[None, :],
-            (1.0 + ex**2)[None, :],
-        )
+        self._q = (None, -ex[None, :], (1.0 + ex**2)[None, :])
 
     def solve_neumann(self, eta_under: np.ndarray,
                       psi: np.ndarray) -> np.ndarray:
@@ -353,14 +371,17 @@ class UpperSolver(_StripOperator):
         return self._solve_flux(((0, psi_s), (-1, psi_i)), (-1, 0))
 
 
-#: (strip, period) keys whose solver pairs stay cached; each mu of a
-#: sweep has its own period
-_SOLVER_PAIRS = 4
+#: (strip, period) keys whose solver pair stays cached.  Each mu has its
+#: own period, and every caller finishes with one period before it moves
+#: to the next (``cli.oracle_suite`` uses one; the benchmark's oracle
+#: evaluates each period's amplitudes in a row), so one pair is enough and
+#: a new period frees the last one's solvers
+_SOLVER_PAIRS = 1
 
 
 @functools.lru_cache(maxsize=_SOLVER_PAIRS)
 def _solver_cache(strip: StripGrid, period: float):
-    """Lower and upper solvers of a strip, kept for the most recent periods."""
+    """Lower and upper solvers of a strip, kept for the most recent period."""
     return LowerSolver(strip, period), UpperSolver(strip, period)
 
 

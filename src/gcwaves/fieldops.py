@@ -116,6 +116,22 @@ class PeriodicGrid:
         return 2.0 * np.pi * self.k0_multiple / self.period
 
     @cached_property
+    def _coarse_carrier(self) -> PeriodicGrid | None:
+        """The coarsest power of two n_c >= 16 with this period whose
+        Nyquist wavenumber lies above carrier harmonic
+        ``_CARRIER_HARMONICS`` (n_c / 2 > 3 m), as a grid, where it is
+        coarser than this grid; None where this grid is that grid or is
+        coarser (a grid that held itself would be a reference cycle,
+        whose cached arrays only the garbage collector frees)."""
+        m = self.k0_multiple
+        n_c = 16
+        while n_c < self.n and n_c // 2 <= _CARRIER_HARMONICS * m:
+            n_c *= 2
+        if n_c == self.n:
+            return None
+        return PeriodicGrid(n=n_c, period=self.period, k0_multiple=m)
+
+    @cached_property
     def carrier_waves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """cos(k x), cos(2 k x) and sin(k x) at the carrier k, sampled on
         the grid."""
@@ -135,22 +151,17 @@ _CARRIER_HARMONICS = 3
 
 
 def _carrier_grid(grid: PeriodicGrid) -> PeriodicGrid:
-    """The coarsest power of two n_c >= 16 with the grid's period whose
-    Nyquist wavenumber lies above carrier harmonic ``_CARRIER_HARMONICS``
-    (n_c / 2 > 3 m), capped at ``grid.n``.  ``grid`` itself where it is
-    that grid or is coarser.
+    """The grid's carrier grid: the coarser one it holds
+    (``PeriodicGrid._coarse_carrier``), the same object on every call,
+    with the carrier waves (``PeriodicGrid.carrier_waves``) it has built;
+    ``grid`` itself where it has none.
 
     The test profile holds carrier harmonics 0..2 only, so it and its
     truncated functionals are resolved to rounding on this grid; the
     descent's ladder starts on it.
     """
-    m = grid.k0_multiple
-    n_c = 16
-    while n_c < grid.n and n_c // 2 <= _CARRIER_HARMONICS * m:
-        n_c *= 2
-    if n_c == grid.n:
-        return grid
-    return PeriodicGrid(n=n_c, period=grid.period, k0_multiple=m)
+    coarse = grid._coarse_carrier
+    return grid if coarse is None else coarse
 
 
 def _resample(rows: np.ndarray, n_to: int) -> np.ndarray:
@@ -577,8 +588,9 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     ``carrier_copy`` that eval_J and eval_L_trunc evaluate: they return
     the carrier-grid build's numbers bit for bit.  The carrier waves
     cos k0x, cos 2k0x and sin k0x are built once per carrier grid
-    (``PeriodicGrid.carrier_waves``, held by the carrier grid object, so
-    pass the carrier grid itself to reuse them).  The second-harmonic
+    (``PeriodicGrid.carrier_waves``, held by the carrier grid object,
+    which a finer grid holds), so every build on one grid, or on its
+    carrier grid, reuses them.  The second-harmonic
     and mean-flow vectors w1 = g(2k0)^-1 A3_1 and w2 = g(0)^-1 A3_2 are
     those that ``nls.compute_a3`` solves for A3, read off ``c``.  ``p``
     is not used; it stays for the callers that pass it.
@@ -717,19 +729,19 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     a RangeError says so.  Every value of mu(eps) is taken on the carrier
     grid (``mu_of_eps``), so each costs transforms of 2 n_c points, and
     on every grid at least as fine as the carrier grid the root is the
-    same number.  The carrier grid is resolved once and handed to every
-    trial, so the test profile's carrier waves cos k0x, cos 2k0x and
-    sin k0x are built once per carrier grid (``build_eta_star``), and
-    each trial builds the profile there with no transform: 17 rows in 3
-    calls per value of mu(eps).
+    same number.  A finer grid holds its carrier grid, so the test
+    profile's carrier waves cos k0x, cos 2k0x and sin k0x are built once
+    per grid (``build_eta_star``), for every trial and for the
+    ``build_eta_star`` that follows on the same grid, and each trial
+    builds the profile there with no transform: 17 rows in 3 calls per
+    value of mu(eps).
     """
     if mu <= 0.0:
         raise RangeError("mu must be positive")
     eps_min = wrap_floor(c, grid)
-    coarse = _carrier_grid(grid)
 
     def f(eps: float) -> float:
-        return mu_of_eps(p, c, crit, coarse, eps) - mu
+        return mu_of_eps(p, c, crit, grid, eps) - mu
 
     lo = hi = None  # the (eps, f) nearest the root with f < 0 and f >= 0
 

@@ -204,8 +204,10 @@ def flat_mode_matrices(op):
 def physical_apply(op, U):
     """The energy-form operator of a ``dno`` strip operator on a physical
     (ny+1, nx) array, with the flux formed by two spectral derivatives
-    (the transpose of ``dx`` is ``-dx`` on the uniform grid)."""
+    (the transpose of ``dx`` is ``-dx`` on the uniform grid); a q11 of
+    None is the lower layer's, identically 1."""
     q11, q12, q22 = op._q
+    q11 = 1.0 if q11 is None else q11
     Ux = op.dx(U)
     Uy = op.D @ U
     f1 = q11 * Ux + q12 * Uy

@@ -393,6 +393,26 @@ def test_minimize_reports_an_unconfirmed_grid(tmp_path, n, ladder):
     assert result["reason"] == "under_resolved"
 
 
+def test_sweep_with_unconverged_runs_reports_no_fit(tmp_path, capsys):
+    # on n = 1024 no run has an idle grid above its carrier grid, so all
+    # three are under_resolved; their fit read +16.1 against -35.9
+    cfg = write_config(tmp_path / "sweep.cfg", BENCH, "[grid]\nn = 1024\n")
+    outdir = tmp_path / "sweep"
+    rc = main(["minimize", "--config", cfg, "--out", str(outdir),
+               "--sweep", "8e-3,6e-3,4e-3"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert not (outdir / "speed_fit.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    for mu, tag in ((8e-3, "mu_0p008"), (6e-3, "mu_0p006"),
+                    (4e-3, "mu_0p004")):
+        result = json.loads((outdir / f"{tag}.result.json").read_text())
+        assert (outdir / f"{tag}.profile.csv").exists()
+        assert result["converged"] is False
+        assert result["reason"] == "under_resolved"
+        assert f"mu={mu:g} (under_resolved)" in err[0]
+
+
 def test_minimize_sweep_parse_error(tmp_path, capsys, bench_cfg):
     outdir = tmp_path / "sweep"
     rc = main(["minimize", "--config", bench_cfg, "--out", str(outdir),

@@ -1,5 +1,9 @@
 """The oracle's strip solvers: flat preconditioner, CG work, memory, cache."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -70,8 +74,8 @@ def curved_solve(op, strip) -> int:
     results = []
     solve = op.solve
 
-    def recorded(b):
-        results.append(solve(b))
+    def recorded(b, rows=slice(None)):
+        results.append(solve(b, rows))
         return results[-1]
 
     op.solve = recorded
@@ -155,7 +159,8 @@ def test_energy_stop_bounds_the_error_of_b_dot_u(eta_star, solver, cg_tol):
         op = solver(StripGrid(nx=1024, ny=48, depth_under=depth, **kw),
                     eta.grid.period)
         b = datum_spectrum(op, eta)
-        x, _, rel = op.solve(b)
+        # the solve overwrites its datum
+        x, _, rel = op.solve(b.copy())
         out.append((dno._parseval_dot(b, x), rel))
     (bu, rel), (exact, _) = out
     err = abs(bu - exact) / exact
@@ -267,6 +272,55 @@ def test_solver_memory_bounded(solver):
     assert array_bytes(list(vars(op).values())) < 2e6
 
 
+def test_oracle_working_set_bounded(eta_star):
+    # the solves keep the solution on the trace rows only, consume their
+    # datum, drop each preconditioned residual once the direction holds
+    # it, and apply frees its temporaries as it goes: 14.1 arrays of
+    # (ny + 1) x nx doubles were alive at the peak, 9.3 now
+    eta, depth = eta_star
+    strip = StripGrid(nx=1024, ny=48, depth_under=depth)
+    first = eval_L_exact(eta, BENCH, strip)  # builds the solvers
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert eval_L_exact(eta, BENCH, strip) == first
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (strip.ny + 1) * strip.nx * 8
+
+
+def test_one_solver_pair_per_period(monkeypatch):
+    # every caller finishes one period before the next, so two amplitudes
+    # on each of two periods build one pair per period, and the second
+    # period's pair frees the first's
+    built = []
+
+    for name in ("LowerSolver", "UpperSolver"):
+        class Counted(getattr(dno, name)):
+            def __init__(self, strip, period, _name=name):
+                built.append(_name)
+                super().__init__(strip, period)
+
+        monkeypatch.setattr(dno, name, Counted)
+    dno._solver_cache.cache_clear()
+    strip = StripGrid(nx=64, ny=32, depth_under=14.0 / K0)
+    first = None
+    for period in (PERIOD, 1.5 * PERIOD):
+        g = PeriodicGrid(n=64, period=period, k0_multiple=1)
+        wave = np.cos(2 * np.pi * g.x / period)
+        for amp in (1.0, 0.5):
+            eta = ProfilePair(g, 0.05 * amp * wave, -0.02 * amp * wave)
+            assert eval_L_exact(eta, BENCH, strip) > 0.0
+        if first is None:
+            first = [weakref.ref(op) for op in dno._solver_cache(strip, period)]
+    assert sorted(built) == ["LowerSolver"] * 2 + ["UpperSolver"] * 2
+    assert dno._solver_cache.cache_info().currsize == 1
+    gc.collect()
+    assert all(ref() is None for ref in first)
+    dno._solver_cache.cache_clear()
+
+
 def test_solver_cache_bounded(monkeypatch):
     built = []
 
@@ -291,17 +345,19 @@ def test_solver_cache_bounded(monkeypatch):
     assert built == periods
     info = dno._solver_cache.cache_info()
     assert info.misses == len(periods) and info.currsize == size
-    # the last `size` periods are kept; using the oldest of them makes the
-    # next oldest the one a new period evicts
+    # the last `size` periods are kept, and a hit builds nothing; a new
+    # period evicts the least recently used of them
     kept = periods[-size:]
-    dno._solver_cache(strip, kept[0])
+    for period in kept:
+        dno._solver_cache(strip, period)
+    assert built == periods
     dno._solver_cache(strip, periods[0])
     assert built == periods + [periods[0]]
-    for period in [kept[0]] + kept[2:]:
+    for period in kept[1:] + [periods[0]]:
         dno._solver_cache(strip, period)
     assert built == periods + [periods[0]]
-    dno._solver_cache(strip, kept[1])
-    assert built == periods + [periods[0], kept[1]]
+    dno._solver_cache(strip, kept[0])
+    assert built == periods + [periods[0], kept[0]]
     dno._solver_cache.cache_clear()
 
 

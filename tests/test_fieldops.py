@@ -1,5 +1,8 @@
+import functools
+import gc
 import hashlib
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -576,6 +579,48 @@ def test_eps_of_mu_evaluates_on_the_carrier_grid(monkeypatch, bench_coeffs,
     eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
     assert sizes and set(sizes) == {n_c}
     assert _carrier_grid(grid).n == n_c
+
+
+def test_carrier_waves_built_once_per_fine_grid(monkeypatch, bench_coeffs,
+                                               bench_crit):
+    # a fine grid holds its carrier grid, so eps_of_mu and the build_eta_star
+    # that follows on one fine grid share one set of carrier waves
+    built = []
+    waves = PeriodicGrid.carrier_waves.func
+
+    def counted(grid):
+        built.append(grid.n)
+        return waves(grid)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(PeriodicGrid, "carrier_waves")
+    monkeypatch.setattr(PeriodicGrid, "carrier_waves", prop)
+    mu, n = 1e-3, 16384
+    grid = make_grid(n, bench_crit.k0,
+                     suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
+    assert _carrier_grid(grid) is _carrier_grid(grid)
+    eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+    build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
+    assert built == [4096]
+
+
+def test_grids_are_freed_without_the_garbage_collector(bench_coeffs,
+                                                      bench_crit):
+    # a finer grid holds its carrier grid; a grid that held itself would
+    # keep its cached arrays until a collection (9 MB more peak memory on
+    # the benchmark's value-only pass)
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, 1e-3)
+    gc.disable()
+    try:
+        for n in (16384, 4096):  # a fine grid, and its own carrier grid
+            grid = make_grid(n, bench_crit.k0, m)
+            coarse = _carrier_grid(grid)
+            assert coarse.n == 4096 and len(coarse.carrier_waves) == 3
+            refs = [weakref.ref(grid), weakref.ref(coarse)]
+            del grid, coarse
+            assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 _FINE_GRIDS = [(4e-3, 8192), (1e-3, 16384), (5e-4, 32768)]
