@@ -58,19 +58,16 @@ def _mu(text: str) -> float:
     return mu
 
 
+#: (parser, default) of each key; the [params] keys have no default
 _SCHEMA = {
-    "params": {"rho": float, "beta_under": float, "beta_over": float},
-    "grid": {"n": int, "k0_multiples": int, "strip_ny": int,
-             "depth_under": float},
-    "minimize": {"mu": _mu, "max_iters": int, "grad_tol": float,
-                 "M": float},
-    "scan": {"k_min": float, "k_max": float, "samples": int},
-}
-
-_DEFAULTS = {
-    "grid": {"n": 4096, "k0_multiples": 0, "strip_ny": 128, "depth_under": 0.0},
-    "minimize": {"mu": 2e-3, "max_iters": 2000, "grad_tol": 0.0, "M": 0.5},
-    "scan": {"k_min": 1e-3, "k_max": 1e3, "samples": 4096},
+    "params": {"rho": (float, None), "beta_under": (float, None),
+               "beta_over": (float, None)},
+    "grid": {"n": (int, 4096), "k0_multiples": (int, 0),
+             "strip_ny": (int, 128), "depth_under": (float, 0.0)},
+    "minimize": {"mu": (_mu, 2e-3), "max_iters": (int, 2000),
+                 "grad_tol": (float, 0.0), "M": (float, 0.5)},
+    "scan": {"k_min": (float, 1e-3), "k_max": (float, 1e3),
+             "samples": (int, 4096)},
 }
 
 
@@ -99,8 +96,9 @@ def _parse_sweep(text: str) -> list:
 
 def parse_config(path: str) -> dict:
     """Parse the flat key-value config file with line-numbered errors."""
-    sections: dict = {k: dict(v) for k, v in _DEFAULTS.items()}
-    sections.setdefault("params", {})
+    sections: dict = {
+        name: {k: d for k, (_, d) in keys.items() if d is not None}
+        for name, keys in _SCHEMA.items()}
     current = None
     try:
         with open(path) as fh:
@@ -127,13 +125,12 @@ def parse_config(path: str) -> dict:
                 f"{path}:{lineno}: key outside any [section]"
             )
         key, value = (s.strip() for s in line.split("=", 1))
-        typ = _SCHEMA[current].get(key)
-        if typ is None:
+        if key not in _SCHEMA[current]:
             raise ConfigParseError(
                 f"{path}:{lineno}: unknown key {key!r} in [{current}]"
             )
         try:
-            sections[current][key] = typ(value)
+            sections[current][key] = _SCHEMA[current][key][0](value)
         except ValueError as ex:
             raise ConfigParseError(f"{path}:{lineno}: {ex}") from ex
     missing = [k for k in _SCHEMA["params"] if k not in sections["params"]]

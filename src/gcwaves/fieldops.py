@@ -23,12 +23,12 @@ seed the minimiser.  Each profile is evaluated in two stages:
   no inverse transform.  Value-only calls (eval_J, eval_L_trunc) stop
   here: 17 one-dimensional transforms in 3 calls.  mu_of_eps, and so
   each trial of eps_of_mu, takes these on the carrier grid
-  (``_carrier_grid``), the coarsest grid of the period above carrier
-  harmonic 3, where the test profile is built with no transform: its
-  transforms have 2 n_c points whatever the requested grid (n_c is n/8
-  to n/4 at 30 points per wavelength).  On a finer grid build_eta_star
-  zero-pads the spectrum of those samples up to the requested grid and
-  keeps the samples themselves as a read-only copy
+  (``PeriodicGrid.carrier_grid``), the coarsest grid of the period
+  above carrier harmonic 3, where the test profile is built with no
+  transform: its transforms have 2 n_c points whatever the requested
+  grid (n_c is n/8 to n/4 at 30 points per wavelength).  On a finer
+  grid build_eta_star zero-pads the spectrum of those samples up to the
+  requested grid and keeps the samples themselves as a read-only copy
   (``ProfilePair.carrier_copy``): value-only calls on it take their 17
   transforms at 2 n_c points.
 * Gradient stage (``_gradient``), run only for gradients.  Products
@@ -49,13 +49,14 @@ F-bar, the upper-layer multiplier matrix [[d, o], [o, d]] with
 d = |k| coth|k| and o = -|k|/sinh|k|, is owned by
 ``dispersion.fbar_entries``, which the coefficient formulas in ``nls``
 also use.  Its inverse [[d, -o], [-o, d]]/k^2 is read off the same
-entries by ``_fbar_inverse_entries``, and both are tabulated per grid in
-``_Symbols``.  The ``dno`` oracle shares no code with either.
+entries by ``_fbar_inverse_entries``, and both are tabulated in the
+``_Symbols`` that each grid builds on first use and holds
+(``PeriodicGrid.symbols``).  The ``dno`` oracle shares no code with
+either.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -68,6 +69,9 @@ from .errors import ConfigError, GeometryError, OutOfConeError, RangeError
 from .nls import NlsCoefficients, soliton_shape
 
 _PAD = 2
+#: carrier harmonics 0..3 lie below the Nyquist wavenumber of the carrier
+#: grid (the j-th harmonic of a small-amplitude wave is O(eps^j))
+_CARRIER_HARMONICS = 3
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -131,6 +135,19 @@ class PeriodicGrid:
             return None
         return PeriodicGrid(n=n_c, period=self.period, k0_multiple=m)
 
+    @property
+    def carrier_grid(self) -> PeriodicGrid:
+        """The grid's carrier grid: the coarser one it holds
+        (``_coarse_carrier``), the same object on every call, with the
+        carrier waves (``carrier_waves``) and symbols it has built; this
+        grid itself where it has none.
+
+        The test profile holds carrier harmonics 0..2 only, so it and its
+        truncated functionals are resolved to rounding on this grid; the
+        descent's ladder starts on it.
+        """
+        return self._coarse_carrier or self
+
     @cached_property
     def carrier_waves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """cos(k x), cos(2 k x) and sin(k x) at the carrier k, sampled on
@@ -138,30 +155,17 @@ class PeriodicGrid:
         kc, x = self.carrier, self.x
         return np.cos(kc * x), np.cos(2.0 * kc * x), np.sin(kc * x)
 
+    @cached_property
+    def symbols(self) -> _Symbols:
+        """The grid's multiplier symbols (``_Symbols``), built on first use
+        and freed with the grid."""
+        return _Symbols(self.n, self.period)
+
 
 def make_grid(n: int, k0: float, multiples: int) -> PeriodicGrid:
     """Grid whose period is an exact integer number of carrier wavelengths."""
     return PeriodicGrid(n=n, period=2.0 * np.pi * multiples / k0,
                         k0_multiple=multiples)
-
-
-#: carrier harmonics 0..3 lie below the Nyquist wavenumber of the carrier
-#: grid (the j-th harmonic of a small-amplitude wave is O(eps^j))
-_CARRIER_HARMONICS = 3
-
-
-def _carrier_grid(grid: PeriodicGrid) -> PeriodicGrid:
-    """The grid's carrier grid: the coarser one it holds
-    (``PeriodicGrid._coarse_carrier``), the same object on every call,
-    with the carrier waves (``PeriodicGrid.carrier_waves``) it has built;
-    ``grid`` itself where it has none.
-
-    The test profile holds carrier harmonics 0..2 only, so it and its
-    truncated functionals are resolved to rounding on this grid; the
-    descent's ladder starts on it.
-    """
-    coarse = grid._coarse_carrier
-    return grid if coarse is None else coarse
 
 
 def _resample(rows: np.ndarray, n_to: int) -> np.ndarray:
@@ -219,22 +223,6 @@ class _Symbols:
         self.parseval = w * period / npad**2
 
 
-#: grids whose symbols stay cached; an eps(mu) inversion works on one
-#: grid, a descent walks up to 3 grids of its ladder, and a sweep has
-#: its own ladder per mu
-_SYMBOL_GRIDS = 4
-
-
-@functools.lru_cache(maxsize=_SYMBOL_GRIDS)
-def _symbol_cache(n: int, period: float) -> _Symbols:
-    return _Symbols(n, period)
-
-
-def _symbols(grid: PeriodicGrid) -> _Symbols:
-    """Symbols of a grid, kept for the most recently used grids."""
-    return _symbol_cache(grid.n, grid.period)
-
-
 def _clean(U: np.ndarray, n: int) -> np.ndarray:
     U[..., n // 2] = 0.0
     return U
@@ -255,13 +243,14 @@ class ProfilePair:
     """Interface and surface elevations on a shared periodic grid.
 
     ``carrier_copy`` is set by ``build_eta_star`` alone, on a test profile
-    whose grid is finer than its carrier grid (``_carrier_grid``): the
-    carrier-grid samples it was built from, where the profile is exact,
-    and whose band-limited interpolant the pair holds.  eval_J
-    and eval_L_trunc evaluate a plain pair on its copy, at 2 n_c points;
-    grad_J, whose gradient lives on the grid, ignores it.  The four arrays
-    of a profile with a copy are read-only, so no in-place write can
-    leave the copy stale.  A pair built from its arrays has no copy.
+    whose grid is finer than its carrier grid
+    (``PeriodicGrid.carrier_grid``): the carrier-grid samples it was built
+    from, where the profile is exact, and whose band-limited interpolant
+    the pair holds.  eval_J and eval_L_trunc evaluate a plain pair on its
+    copy, at 2 n_c points; grad_J, whose gradient lives on the grid,
+    ignores it.  The four arrays of a profile with a copy are read-only,
+    so no in-place write can leave the copy stale.  A pair built from its
+    arrays has no copy.
     """
 
     grid: PeriodicGrid
@@ -326,7 +315,7 @@ class StagedProfile:
         self.eta = eta
         self._breakdown: tuple[tuple, FunctionalBreakdown] | None = None
         g = self.grid = eta.grid
-        s = self.sym = _symbols(g)
+        s = self.sym = g.symbols
         UV = self.UV = _rfft(np.stack([eta.eta_under, eta.eta_over]), g.n)
         U = UV[0]
         X = np.empty((8, UV.shape[-1]), dtype=UV.dtype)
@@ -580,20 +569,20 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     periodic; the wrap overlap must be negligible.
 
     The profile holds carrier harmonics 0..2 only, so it is sampled on
-    the carrier grid (``_carrier_grid``).  On that grid the samples are
-    returned as computed, with no transform.  On a finer grid they are
-    the band-limited interpolant of those samples (``_resample``), whose
-    truncated functionals are those of the carrier-grid profile to
-    rounding, and the carrier-grid samples are kept as the read-only
-    ``carrier_copy`` that eval_J and eval_L_trunc evaluate: they return
-    the carrier-grid build's numbers bit for bit.  The carrier waves
-    cos k0x, cos 2k0x and sin k0x are built once per carrier grid
-    (``PeriodicGrid.carrier_waves``, held by the carrier grid object,
-    which a finer grid holds), so every build on one grid, or on its
-    carrier grid, reuses them.  The second-harmonic
-    and mean-flow vectors w1 = g(2k0)^-1 A3_1 and w2 = g(0)^-1 A3_2 are
-    those that ``nls.compute_a3`` solves for A3, read off ``c``.  ``p``
-    is not used; it stays for the callers that pass it.
+    the carrier grid (``PeriodicGrid.carrier_grid``).  On that grid the
+    samples are returned as computed, with no transform.  On a finer grid
+    they are the band-limited interpolant of those samples
+    (``_resample``), whose truncated functionals are those of the
+    carrier-grid profile to rounding, and the carrier-grid samples are
+    kept as the read-only ``carrier_copy`` that eval_J and eval_L_trunc
+    evaluate: they return the carrier-grid build's numbers bit for bit.
+    The carrier waves cos k0x, cos 2k0x and sin k0x are built once per
+    carrier grid (``PeriodicGrid.carrier_waves``, held by the carrier
+    grid object, which a finer grid holds), so every build on one grid,
+    or on its carrier grid, reuses them.  The second-harmonic and
+    mean-flow vectors w1 = g(2k0)^-1 A3_1 and w2 = g(0)^-1 A3_2 are those
+    that ``nls.compute_a3`` solves for A3, read off ``c``.  ``p`` is not
+    used; it stays for the callers that pass it.
     """
     if not eps > 0.0:
         raise RangeError("eps must be positive")
@@ -611,7 +600,7 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
             f"grid carrier {kc} does not represent k0={crit.k0}"
         )
 
-    coarse = _carrier_grid(grid)
+    coarse = grid.carrier_grid
     x = coarse.x
     # phi(eps x) and d/dx [eps phi(eps x)], each wrapped once
     phi = np.zeros_like(x)
@@ -680,10 +669,10 @@ def suggest_carrier_multiple(c: NlsCoefficients, crit: CriticalPoint,
 def mu_of_eps(p: Params, c: NlsCoefficients, crit: CriticalPoint,
               grid: PeriodicGrid, eps: float) -> float:
     """Momentum level carried by the test profile: mu = nu0 * L_trunc,
-    evaluated on the carrier grid (``_carrier_grid``), where the profile
-    and its truncated kinetic energy are exact whatever the size of
-    ``grid``."""
-    eta = build_eta_star(c, crit, eps, _carrier_grid(grid), p)
+    evaluated on the carrier grid (``PeriodicGrid.carrier_grid``), where
+    the profile and its truncated kinetic energy are exact whatever the
+    size of ``grid``."""
+    eta = build_eta_star(c, crit, eps, grid.carrier_grid, p)
     l2, l3, l4 = eval_L_trunc(eta, p)
     return crit.nu0 * (l2 + l3 + l4)
 

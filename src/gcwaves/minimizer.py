@@ -44,7 +44,7 @@ Comp. 1977).  The minimisers are modulated carriers whose j-th harmonic
 is O(eps^j), so the grid whose Nyquist wavenumber first clears the third
 carrier harmonic already holds the wave to within the stopping
 tolerance.  The ladder starts on the coarsest such power of two (same
-period), ``fieldops._carrier_grid``, where ``eps_of_mu`` and the test
+period), ``PeriodicGrid.carrier_grid``, where ``eps_of_mu`` and the test
 profile are computed whatever the requested grid, and doubles towards
 the requested grid.  Each grid descends to the same gradient tolerance
 with its own objective, preconditioner and an empty L-BFGS memory, from
@@ -71,11 +71,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params, eval_g, _pf
+from .dispersion import CriticalPoint, Params, _pf
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
-                       grad_J, _carrier_grid, _resample, _rfft, _symbols)
+                       grad_J, _resample, _rfft)
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
@@ -214,7 +214,7 @@ class _Objective:
         grid = self.grid = cfg.grid
         n = grid.n
         self.weights = _half_weights(n)
-        self.h2_weight = _symbols(grid).h2_weight
+        self.h2_weight = grid.symbols.h2_weight
         self.s0 = (0.9 * cfg.admissibility_M) ** 2
         self.s_edge = cfg.admissibility_M**2
         self.value_evals = self.gradient_evals = 0
@@ -231,8 +231,8 @@ class _Objective:
         term at the level's start, scaled so that the term is u u^T in the
         half-grid products."""
         grid, n, nu = self.grid, self.grid.n, self._nu
-        g = eval_g(grid.k, self.p, nu)
-        _, F = _pf(grid.k, self.p)
+        P, F = _pf(grid.k, self.p)
+        g = P - nu**2 * F
         eta = _mirror(self._x0, n)
         ell = np.fft.irfft(np.einsum("kij,jk->ik", F, _rfft(eta, n)), n)
         l2 = 0.5 * grid.dx * float(np.sum(eta * ell))
@@ -332,10 +332,10 @@ def _spectral_tail(eta: ProfilePair) -> float:
 
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
     """Grids the descent may climb, coarsest first: the carrier grid
-    (``fieldops._carrier_grid``), doubled up to the requested grid.
+    (``PeriodicGrid.carrier_grid``), doubled up to the requested grid.
     ``[grid]`` where that grid is the carrier grid.  ``minimize`` stops
     at the first grid above the carrier grid that takes no iteration."""
-    grids = [_carrier_grid(grid)]
+    grids = [grid.carrier_grid]
     while grids[-1] is not grid:
         n = 2 * grids[-1].n
         grids.append(grid if n == grid.n else replace(grid, n=n))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcwaves import (Params, compute_coefficients, find_critical)
+from gcwaves import (Params, compute_coefficients, fieldops, find_critical)
 
 # Reference configuration for the classification regimes: strong
 # interfacial tension with the slow branch close to the long-wave
@@ -32,6 +32,20 @@ def fft_lengths(monkeypatch):
             return _original(a, n, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, recorded)
     return lengths
+
+
+@pytest.fixture
+def symbol_builds(monkeypatch):
+    """Record the n of every grid's symbols (``fieldops._Symbols``) as
+    they are built."""
+    sizes = []
+    build = fieldops._Symbols
+
+    def recorded(n, period):
+        sizes.append(n)
+        return build(n, period)
+    monkeypatch.setattr(fieldops, "_Symbols", recorded)
+    return sizes
 
 
 @pytest.fixture(scope="session")

@@ -112,7 +112,7 @@ def _mult_pad(symbol, w):
 def _padded_fields(eta):
     """Padded-grid values of u, v, their derivatives and B = Fbar (u, v)."""
     n = eta.grid.n
-    s = fo._symbols(eta.grid)
+    s = eta.grid.symbols
     U, V = fo._rfft(eta.eta_under, n), fo._rfft(eta.eta_over, n)
     spectra = {
         "u": U, "v": V, "ux": s.ik * U, "vx": s.ik * V,
@@ -125,7 +125,7 @@ def _padded_fields(eta):
 def m_lower(u1, u2, grid):
     """Symmetric bilinear form whose diagonal is the cubic lower gradient."""
     n = grid.n
-    s = fo._symbols(grid)
+    s = grid.symbols
     U1, U2 = fo._rfft(u1, n), fo._rfft(u2, n)
     a1, a2 = _pad_values(U1, n), _pad_values(U2, n)
     a1x, a2x = _pad_values(s.ik * U1, n), _pad_values(s.ik * U2, n)
@@ -148,7 +148,7 @@ def m_upper(eta1, eta2):
     """Symmetric bilinear form whose diagonal is the cubic upper gradient."""
     f1, f2 = _padded_fields(eta1), _padded_fields(eta2)
     n = eta1.grid.n
-    s = fo._symbols(eta1.grid)
+    s = eta1.grid.symbols
 
     def Kd(w):
         return _mult_pad(s.fb_diag_pad, w)

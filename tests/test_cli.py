@@ -682,3 +682,18 @@ def test_readme_config_example_covers_the_schema(tmp_path):
         elif line:
             keys.add((section, line.split("=", 1)[0].strip()))
     assert keys == {(s, k) for s, ks in cli._SCHEMA.items() for k in ks}
+
+
+def test_readme_sweep_example_converges(tmp_path):
+    # the README's speed-law sweep, on its ini example, writes the fit
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    [sweep] = set(re.findall(r'--sweep "([^"]+)"', readme))
+    cfg = tmp_path / "waves.cfg"
+    cfg.write_text(block)
+    outdir = tmp_path / "rundir"
+    rc = main(["minimize", "--config", str(cfg), "--out", str(outdir),
+               "--sweep", sweep])
+    assert rc == 0
+    fit = json.loads((outdir / "speed_fit.json").read_text())
+    assert len(fit["mus"]) == len(sweep.split(","))

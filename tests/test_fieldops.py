@@ -13,7 +13,7 @@ from gcwaves.cli import write_profile_csv
 from gcwaves.dispersion import eval_fbar, fbar_entries, find_critical
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
-from gcwaves.fieldops import (PeriodicGrid, StagedProfile, _carrier_grid,
+from gcwaves.fieldops import (PeriodicGrid, StagedProfile,
                               _fbar_inverse_entries, build_eta_star,
                               eps_of_mu, eval_J, eval_L_trunc, grad_J,
                               make_grid, mu_of_eps, suggest_carrier_multiple,
@@ -578,7 +578,7 @@ def test_eps_of_mu_evaluates_on_the_carrier_grid(monkeypatch, bench_coeffs,
         sizes.append(eta.grid.n) or eval_L_trunc(eta, p)))
     eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
     assert sizes and set(sizes) == {n_c}
-    assert _carrier_grid(grid).n == n_c
+    assert grid.carrier_grid.n == n_c
 
 
 def test_carrier_waves_built_once_per_fine_grid(monkeypatch, bench_coeffs,
@@ -598,10 +598,33 @@ def test_carrier_waves_built_once_per_fine_grid(monkeypatch, bench_coeffs,
     mu, n = 1e-3, 16384
     grid = make_grid(n, bench_crit.k0,
                      suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
-    assert _carrier_grid(grid) is _carrier_grid(grid)
+    assert grid.carrier_grid is grid.carrier_grid
     eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
     build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
     assert built == [4096]
+
+
+def test_value_pass_builds_symbols_once(bench_coeffs, bench_crit,
+                                        symbol_builds):
+    # eps_of_mu and build_eta_star read the carrier grid's symbols, and
+    # eval_J of the result reads its carrier-grid copy, which is on the
+    # same carrier grid object
+    mu, n = 1e-3, 16384
+    eps, eta = _star_on(mu, n, bench_coeffs, bench_crit)
+    eval_J(eta, BENCH, mu)
+    assert symbol_builds == [4096]
+
+
+def test_symbols_are_freed_with_their_grid(bench_crit):
+    gc.disable()
+    try:
+        grid = make_grid(1024, bench_crit.k0, 16)
+        ref = weakref.ref(grid.symbols)
+        assert grid.symbols is ref()
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_grids_are_freed_without_the_garbage_collector(bench_coeffs,
@@ -614,7 +637,7 @@ def test_grids_are_freed_without_the_garbage_collector(bench_coeffs,
     try:
         for n in (16384, 4096):  # a fine grid, and its own carrier grid
             grid = make_grid(n, bench_crit.k0, m)
-            coarse = _carrier_grid(grid)
+            coarse = grid.carrier_grid
             assert coarse.n == 4096 and len(coarse.carrier_waves) == 3
             refs = [weakref.ref(grid), weakref.ref(coarse)]
             del grid, coarse
@@ -646,7 +669,7 @@ def test_eta_star_carries_mu_on_the_requested_grid(bench_coeffs, bench_crit,
 def test_eta_star_interpolates_the_carrier_grid_profile(bench_coeffs,
                                                         bench_crit, mu, n):
     eps, eta = _star_on(mu, n, bench_coeffs, bench_crit)
-    coarse = _carrier_grid(eta.grid)
+    coarse = eta.grid.carrier_grid
     star = build_eta_star(bench_coeffs, bench_crit, eps, coarse, BENCH)
     rows = np.stack([eta.eta_under, eta.eta_over])
     coarse_rows = np.stack([star.eta_under, star.eta_over])
@@ -768,9 +791,9 @@ def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
     # like _SWEEP_PINS: the SHA-256 of the two gradient rows' bytes
     mu, n = 4e-3, 4096
     eps, j_mu, _ = _SWEEP_PINS[mu, n]
-    grid = _carrier_grid(make_grid(
+    grid = make_grid(
         n, bench_crit.k0,
-        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)))
+        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)).carrier_grid
     assert grid.n == 1024
     eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
     (gu, gv), bd = grad_J(eta, BENCH, mu)
@@ -784,9 +807,9 @@ def test_eta_star_on_its_carrier_grid_takes_no_transform(
         bench_coeffs, bench_crit, fft_lengths):
     # the samples are returned as computed; only a finer grid transforms
     mu, n = 4e-3, 4096
-    grid = _carrier_grid(make_grid(
+    grid = make_grid(
         n, bench_crit.k0,
-        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)))
+        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)).carrier_grid
     fft_lengths.clear()
     eta = build_eta_star(bench_coeffs, bench_crit, _SWEEP_PINS[mu, n][0],
                          grid, BENCH)
@@ -830,7 +853,7 @@ def test_eval_J_of_eta_star_transforms_carrier_grid_rows(
 def test_value_calls_read_the_carrier_grid_copy(bench_coeffs, bench_crit,
                                                 mu, n):
     eta, eps = _full_grid_eta_star(bench_coeffs, bench_crit, mu, n)
-    coarse = _carrier_grid(eta.grid)
+    coarse = eta.grid.carrier_grid
     assert coarse.n < n
     on_coarse = build_eta_star(bench_coeffs, bench_crit, eps, coarse, BENCH)
     assert on_coarse.carrier_copy is None

@@ -524,12 +524,12 @@ def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
     # grid alone, so only that grid takes the model's symbol; the full
     # ladder up to 8192 took it on each of its three grids
     sizes = []
-    eval_g = minimizer.eval_g
+    pf = minimizer._pf
 
-    def counted(k, p, nu):
+    def counted(k, p):
         sizes.append(k.size)
-        return eval_g(k, p, nu)
-    monkeypatch.setattr(minimizer, "eval_g", counted)
+        return pf(k, p)
+    monkeypatch.setattr(minimizer, "_pf", counted)
     mu = 2e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
@@ -538,6 +538,16 @@ def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
         [(2048, 12), (4096, 0)]
     assert r.converged
     assert sizes == [2048 // 2 + 1]
+
+
+def test_descent_builds_symbols_once_per_grid(bench_crit, bench_coeffs,
+                                              symbol_builds):
+    # the carrier grid's symbols serve eps_of_mu, eta* and its level of
+    # the ladder; each grid above it builds its own once
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
+    cfg = MinimizeConfig(mu=MU, grid=make_grid(4096, bench_crit.k0, m))
+    minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert symbol_builds == [1024, 2048, 4096]
 
 
 def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
