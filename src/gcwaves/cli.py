@@ -100,6 +100,7 @@ def parse_config(path: str) -> dict:
         name: {k: d for k, (_, d) in keys.items() if d is not None}
         for name, keys in _SCHEMA.items()}
     current = None
+    seen = {}  # (section, key) -> the line that set it
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -128,6 +129,12 @@ def parse_config(path: str) -> dict:
         if key not in _SCHEMA[current]:
             raise ConfigParseError(
                 f"{path}:{lineno}: unknown key {key!r} in [{current}]"
+            )
+        first = seen.setdefault((current, key), lineno)
+        if first != lineno:
+            raise ConfigParseError(
+                f"{path}:{lineno}: key {key!r} repeats in [{current}], "
+                f"first set on line {first}"
             )
         try:
             sections[current][key] = _SCHEMA[current][key][0](value)

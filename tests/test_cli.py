@@ -451,6 +451,23 @@ def test_config_mu_refused(tmp_path, capsys, command, mu):
     assert set(os.listdir(tmp_path)) == {"mu.cfg"}
 
 
+@pytest.mark.parametrize("extra", [
+    "rho = 0.9\n",  # the repeat follows in the same block
+    "[scan]\nsamples = 1024\n[params]\nrho = 0.9\n",  # or in a later one
+])
+def test_config_repeated_key_refused(tmp_path, capsys, extra):
+    # a repeat is refused rather than read as an override of the first
+    cfg = write_config(tmp_path / "rep.cfg", BENCH, extra)
+    rc = main(["ansatz", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    lineno = 4 + extra.count("\n")
+    assert err.count("\n") == 1
+    assert (f"rep.cfg:{lineno}: key 'rho' repeats in [params], "
+            "first set on line 2") in err
+    assert set(os.listdir(tmp_path)) == {"rep.cfg"}
+
+
 @pytest.mark.parametrize("key", ["beta_under", "beta_over"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_tension_refused(tmp_path, capsys, key, value):
@@ -536,10 +553,13 @@ def test_minimize_refuses_zero_ball(tmp_path, capsys):
     ("max_iters = -1", "max_iters"),  # ran 0 iterations, as max_iters = 0
 ], ids=["grad_tol_nan", "grad_tol_inf", "max_iters_negative"])
 def test_minimize_refuses_bad_stopping_rule(tmp_path, capsys, line, key):
+    # a key may be set once per section, so the iteration cap that keeps
+    # the grad_tol cases short is written only beside another key
+    cap = "" if key == "max_iters" else "max_iters = 30\n"
     cfg = write_config(
         tmp_path / "m.cfg", BENCH,
         "[scan]\nsamples = 1024\n[grid]\nn = 1024\n"
-        f"[minimize]\nmu = 6e-3\nmax_iters = 30\n{line}\n",
+        f"[minimize]\nmu = 6e-3\n{cap}{line}\n",
     )
     outdir = tmp_path / "m"
     assert main(["minimize", "--config", cfg, "--out", str(outdir)]) \

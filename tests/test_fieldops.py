@@ -707,6 +707,22 @@ def test_eps_of_mu_cost_and_accuracy(monkeypatch, bench_coeffs, bench_crit,
     assert roundtrip <= 1e-12
 
 
+@pytest.mark.parametrize("mu, n, values", [
+    # the cubic model puts the secant point of the first two values
+    # within half an ulp of the root, so a third would only re-read rounding
+    (5e-4, 8192, 2), (8e-4, 4096, 2),
+    # the extremes of the oracle's jittered level near 1e-3 read 0.65 ulp
+    # and above, so they keep the third value
+    (0.98e-3, 4096, 3), (1.02e-3, 4096, 3),
+])
+def test_eps_of_mu_stops_within_half_an_ulp(monkeypatch, bench_coeffs,
+                                            bench_crit, mu, n, values):
+    calls, roundtrip = _counted_inversion(monkeypatch, BENCH, bench_coeffs,
+                                          bench_crit, mu, n)
+    assert calls == values
+    assert roundtrip <= 1e-15
+
+
 def test_eps_of_mu_cost_near_resonance(monkeypatch, resonant_coeffs,
                                        resonant_crit):
     # kappa mu^2 is 4% here, so the model step misses the root by more;
