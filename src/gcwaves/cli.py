@@ -185,14 +185,16 @@ def dump_json(obj) -> str:
     return _format_value(obj) + "\n"
 
 
-def atomic_write_text(path, text: str):
-    """Write via a same-directory temp file and rename."""
+def _atomic_write(path, chunks):
+    """Write an iterable of byte strings via a same-directory temp file
+    and rename; a chunk that raises leaves ``path`` as it was."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -200,18 +202,200 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def atomic_write_text(path, text: str):
+    """Write via a same-directory temp file and rename."""
+    _atomic_write(path, [text.encode()])
+
+
 def write_json(path, obj):
     atomic_write_text(path, dump_json(obj))
 
 
+def _pow10_pairs(kmin: int, kmax: int):
+    """10**k for k = kmin..kmax as unevaluated sums hi + lo of doubles,
+    each part correctly rounded from integer arithmetic."""
+    hi, lo = [], []
+    for k in range(kmin, kmax + 1):
+        if k >= 0:
+            h = float(10 ** k)
+            lo.append(float(10 ** k - int(h)))
+        else:
+            q = 10 ** -k
+            h = 1 / q
+            a, b = h.as_integer_ratio()
+            lo.append((b - a * q) / (b * q))  # 10**k - a/b
+        hi.append(h)
+    return np.array(hi), np.array(lo)
+
+
+def _split(a):
+    """Dekker's split of a into high and low halves of 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    h = c - (c - a)
+    return h, a - h
+
+
+#: the range of |x| that write_csv formats in numpy, and the scales
+#: 10**k it needs there: k = 16 - P for P = floor(log10|x|), -282..282
+#: once log10 may be one off
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_POW_MIN = -266
+_POW_HI, _POW_LO = _pow10_pairs(_POW_MIN, 298)
+#: the four ASCII digits of 0000..9999 ([a, b, c, d] holds "abcd"), as
+#: one little-endian word
+_DIGITS4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+_DIGITS4[..., 0] = np.arange(ord("0"), ord("9") + 1)[:, None, None, None]
+_DIGITS4[..., 1] = np.arange(ord("0"), ord("9") + 1)[:, None, None]
+_DIGITS4[..., 2] = np.arange(ord("0"), ord("9") + 1)[:, None]
+_DIGITS4[..., 3] = np.arange(ord("0"), ord("9") + 1)
+_DIGITS4 = _DIGITS4.reshape(10000, 4).view("<u4").ravel()
+#: the trailing zeros of 0000..9999 (4 for 0000)
+_ZEROS4 = np.zeros((10, 10, 10, 10), np.int8)
+_ZEROS4[:, :, :, 0] = 1
+_ZEROS4[:, :, 0, 0] = 2
+_ZEROS4[:, 0, 0, 0] = 3
+_ZEROS4[0, 0, 0, 0] = 4
+_ZEROS4 = _ZEROS4.ravel()
+_CSV_BLOCK_ROWS = 2048
+#: a value's bytes in a block's character matrix: sign, "0.000", 17
+#: digits with a point among them, "e+123" and the separator
+_WIDTH = 30
+#: row n is 0xff in its first n columns
+_FIRST = np.array([[0xFF] * n + [0] * (18 - n) for n in range(18)], np.uint8)
+#: row j holds a point in column j; row 18 is empty
+_POINT = np.array([[0] * j + [ord(".")] + [0] * (17 - j) for j in range(18)]
+                  + [[0] * 18], np.uint8)
+#: row -p: what fixed notation puts before the digits at exponent p,
+#: -1 >= p >= -4
+_LEADING = np.array([[0] * 5] + [list(b"0." + b"0" * z) + [0] * (3 - z)
+                                 for z in range(4)], np.uint8)
+#: "e-300" .. "e+300", the exponent part of each exponent; the last
+#: row is empty
+_EXP_MAX = 300
+_EXPONENTS = np.frombuffer(b"".join(
+    f"e{e:+03d}".encode().ljust(5, b"\0")
+    for e in range(-_EXP_MAX, _EXP_MAX + 1)) + bytes(5),
+    np.uint8).reshape(-1, 5)
+
+
+def _scaled(a, p):
+    """Floor and fraction of a * 10**(16 - p), to within 2**-47."""
+    k = 16 - p - _POW_MIN
+    hi = _POW_HI.take(k)
+    prod = a * hi
+    (ah, al), (hh, hl) = _split(a), _split(hi)
+    # Dekker's exact rounding error of prod, plus a * lo
+    t = ((ah * hh - prod) + ah * hl + al * hh) + al * hl + a * _POW_LO.take(k)
+    f = np.floor(t)
+    return prod.astype(np.int64) + f.astype(np.int64), t - f
+
+
+def _format_block(values, seps):
+    """The "%.17g" text of each value, followed by its separator (an
+    ASCII code); see write_csv."""
+    a = np.abs(values)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    p = np.floor(np.log10(a)).astype(np.int64)
+    f, r = _scaled(a, p)
+    off = (f >= 10 ** 17).astype(np.int64) - (f < 10 ** 16)
+    moved = np.flatnonzero(off)  # log10 is off by one near 10**p
+    if len(moved):
+        p[moved] += off[moved]
+        f[moved], r[moved] = _scaled(a[moved], p[moved])
+    fast &= (f >= 10 ** 16) & (f < 10 ** 17) & (np.abs(r - 0.5) > 1e-6)
+    d = np.where(fast, f + (r > 0.5), 10 ** 16)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    p += carry
+
+    # the 17 digits, from the head digit and four groups of four
+    head, rest = np.divmod(d, 10 ** 16)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    quads = [*np.divmod(upper, 10 ** 4), *np.divmod(lower, 10 ** 4)]
+    words = np.empty((len(values), 5), "<u4")
+    words[:, 0] = (head + ord("0")) << 24
+    for j, q in enumerate(quads):
+        words[:, j + 1] = _DIGITS4.take(q)
+    digits = words.view(np.uint8)[:, 3:]
+    # digits left once the trailing zeros go
+    nd, run = np.full(len(values), 17), np.ones(len(values), bool)
+    for q in reversed(quads):
+        nd -= run * _ZEROS4.take(q)
+        run &= q == 0
+    fixed = (p >= -4) & (p < 17)
+    small = fixed & (p < 0)  # 0.000ddd
+    # the decimal point follows digit `point`: p in fixed notation, 0 in
+    # exponential, none (16) in 0.000ddd; fixed notation keeps the
+    # integer part's zeros
+    point = np.where(fixed, np.where(small, 16, p), 0)
+    nd = np.where(fixed & ~small, np.maximum(nd, point + 1), nd)
+    kept = digits & _FIRST.take(nd, 0)[:, :17]
+    lead = kept & _FIRST.take(point + 1, 0)[:, :17]
+
+    out = np.empty((len(values), _WIDTH), np.uint8)
+    out[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    out[:, 1:6] = _LEADING.take(np.where(small, -p, 0), 0)
+    # digits 0..point, the point, then the rest: a digit column holds its
+    # own digit up to the point and its left neighbour's after it
+    body = out[:, 6:24]
+    body[:, :17] = lead
+    body[:, 17] = 0
+    body[:, 1:] |= kept ^ lead
+    body |= _POINT.take(np.where(nd > point + 1, point + 1, 18), 0)
+    out[:, 24:29] = _EXPONENTS.take(
+        np.where(fixed, 2 * _EXP_MAX + 1, p + _EXP_MAX), 0)
+    out[:, 29] = seps
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = b"".join((b"%.17g" % v).ljust(_WIDTH - 1, b"\0")
+                        for v in values[slow].tolist())
+        out[slow, :-1] = np.frombuffer(text, np.uint8).reshape(len(slow), -1)
+    return out.tobytes().translate(None, b"\0")
+
+
 def write_csv(path, header: list, columns):
     """CSV of equal-length columns, one per header name, every value
-    printed as a float at 17 significant digits."""
-    # one format over the whole table: its rows in row-major order
+    printed as a float at 17 significant digits, byte for byte as "%.17g"
+    prints it.
+
+    The digits come from numpy, not from one decimal conversion per
+    value.  For P = floor(log10|x|), S = |x| * 10**(16 - P) lies in
+    [1e16, 1e17), and the integer nearest S is the 17 digits.  S is
+    formed in double-double arithmetic: Dekker's exact product of |x|
+    with hi, the double nearest 10**(16 - P), plus |x| times lo, the
+    residual 10**(16 - P) - hi.  The computed S is within 2**-47 (7e-15)
+    of the exact one: the error comes only from rounding |x| * lo, lo
+    itself and the sum of the low parts.  So wherever the fraction r of
+    S lies more than 1e-6 from 1/2, no half-integer lies between the
+    computed and the exact S, and both round to the same digits.  Where
+    floor(S) falls outside [1e16, 1e17), log10 was off by one next to a
+    power of ten, and P moves once.
+
+    Python's "%.17g" prints every other value, one at a time: +-0, nan,
+    +-inf, |x| outside [1e-280, 1e280] (well inside the range where
+    Dekker's split stays finite and every lo is a normal double),
+    |r - 1/2| <= 1e-6 (among them the exact ties, which "%.17g" rounds
+    to even), and a value whose floor(S) still lies outside
+    [1e16, 1e17).  The digits are laid out by "%g"'s rules in a
+    character matrix of _WIDTH bytes a value, padded with NULs, and the
+    padding is squeezed out.
+
+    A block's arrays take about 280 bytes a value, some 13 times its
+    text.  So the rows go through in blocks of _CSV_BLOCK_ROWS, each
+    written as it is done, and no table-sized array or text is held.
+    """
     table = np.asarray(columns, dtype=float).T
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    atomic_write_text(path, ",".join(header) + "\n"
-                      + (row * len(table)) % tuple(table.ravel().tolist()))
+    seps = np.full(len(header), ord(","), np.uint8)
+    seps[-1] = ord("\n")
+
+    def chunks():
+        yield (",".join(header) + "\n").encode()
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            yield _format_block(block.ravel(), np.tile(seps, len(block)))
+
+    _atomic_write(path, chunks())
 
 
 def sidecar_path(csv_path) -> str:

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import re
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcwaves import cli, nls
 from gcwaves.cli import main, parse_config, ConfigParseError
@@ -660,6 +663,60 @@ def test_write_csv_formats_the_table_as_row_by_row(tmp_path):
     assert path.read_bytes() == expected.encode()
     cli.write_csv(path, ["x", "eta_under", "eta_over"], [[], [], []])
     assert path.read_text() == "x,eta_under,eta_over\n"
+
+
+#: any double: hypothesis' floats (nan, inf and subnormals among them)
+#: and raw 64-bit patterns
+_DOUBLES = st.floats(width=64) | st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+
+
+@given(values=st.lists(_DOUBLES, min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_bytes_match_per_value_formatting_for_any_double(values):
+    values = values + [0.0] * (-len(values) % 3)
+    rows = np.reshape(values, (-1, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.csv"
+        cli.write_csv(path, ["a", "b", "c"], list(rows.T))
+        assert path.read_text() == _per_value_csv(["a", "b", "c"], rows)
+
+
+def test_write_csv_ties_and_decade_edges_across_a_block(tmp_path):
+    # the exact ties, which "%.17g" rounds to even, and the doubles at
+    # the edges of a decade (1e-78 and 1e-243 lie below their powers of
+    # ten and round up to them), in a table one row taller than a block
+    ties = [1000000000000000.25, 1000000000000000.75, 1000000000000001.25]
+    assert [f"{v:.17g}" for v in ties] == [
+        "1000000000000000.2", "1000000000000000.8", "1000000000000001.2"]
+    edges = ties + [np.nextafter(1e16, 0), 1e16, 1e17,
+                    9.9999999999999991e-05, 1e-4, np.nextafter(1e-4, 1),
+                    1e-78, 1e-243]
+    rows = cli._CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(11)
+    col = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+    col[:len(edges)] = edges
+    cols = [col, -col[::-1], np.roll(col, rows - 1)]
+    path = tmp_path / "e.csv"
+    cli.write_csv(path, ["a", "b", "c"], cols)
+    assert path.read_text() == _per_value_csv(["a", "b", "c"], zip(*cols))
+
+
+def test_write_csv_holds_no_table_sized_text(tmp_path):
+    # a profile-sized table is formatted a block at a time: the writer's
+    # peak allocation stays within a few times the file it writes
+    rng = np.random.default_rng(5)
+    n = 16384
+    cols = [np.arange(n) * (2 * np.pi * 931 / n),
+            rng.standard_normal(n) * 1e-4, rng.standard_normal(n) * 1e-5]
+    path = tmp_path / "p.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(path, ["x", "eta_under", "eta_over"], cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size
 
 
 def test_validate_passes(tmp_path, capsys):

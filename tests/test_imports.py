@@ -18,3 +18,13 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_imports_neither_fractions_nor_decimal():
+    # the CSV writer builds its powers of ten from integer arithmetic
+    code = ("import sys, gcwaves.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
