@@ -19,13 +19,16 @@ of the trace rows that L reads.  CG stops when the energy has
 converged, not the residual: L is a sum of b.u, whose error is the
 square of the solver's energy-norm error.
 
-A solve keeps only what L reads: the solution on the trace rows (and
-column 0 of every row, for the mean projection), with the datum as the
-residual, which the solve overwrites.  Each preconditioned residual is
-dropped once the next direction holds it, and an operator application
-frees its temporaries as the flux absorbs them.  One solver pair is
-cached, that of the most recent period: every caller finishes with one
-period before it moves to the next.
+A solve runs in one work area (``_WorkArea``) of nine (ny+1) x nx
+arrays: the four CG spectra, three physical arrays for the operator and
+the preconditioner, and the upper layer's two depth-varying flux
+coefficients.  Every transform, matrix product and ufunc writes into
+it, so a solve allocates no array of that size; it returns only what L
+reads, the solution on the trace rows (column 0 of every row is kept
+for the mean projection).  One solver pair is cached, that of the most
+recent period: every caller finishes with one period before it moves
+to the next.  The pair shares one area, allocated on its first solve,
+by which time the cache has freed the last period's pair and its area.
 
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
@@ -86,6 +89,8 @@ class StripGrid:
         if not 0.0 < self.depth_under < math.inf:
             raise ConfigError(
                 f"depth_under must be positive and finite, got {self.depth_under}")
+        if not 0.0 < self.cg_tol < 1.0:
+            raise ConfigError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
 
 
 def _cheb_nodes_diff(n: int):
@@ -124,17 +129,58 @@ def _parseval_dot(a: np.ndarray, b: np.ndarray) -> float:
                  - np.vdot(af[:, -2], bf[:, -2]))
 
 
+class _WorkArea:
+    """The arrays a solve runs in, on a strip of (ny+1) x nx samples.
+
+    Four spectra of shape (ny+1, nx/2+1): the residual ``r`` (which
+    ``_solve_flux`` fills with the datum), the preconditioned residual
+    ``z``, the direction ``d`` and ``ad`` = A d.  Three physical arrays
+    for ``apply``: ``u0``, ``u1`` and ``wide``, two columns wider so that
+    it also takes the preconditioner's float V^T R; ``wide_c`` views it
+    as a spectrum, and ``wide_p`` and ``z_p`` view the leading
+    (ny+1) x nx doubles of ``wide`` and ``z`` as physical arrays.  The
+    upper layer's flux coefficients -f_x and (1 + f_x^2)/(1 + f_y) go to
+    ``fx`` and ``q22``.
+
+    The arrays are allocated on the first ``ready``: the solver cache
+    builds a period's pair before it frees the last one, so an area made
+    with its solvers would briefly double.
+    """
+
+    def __init__(self, nx: int, ny: int):
+        self.nx, self.ny = nx, ny
+        self.allocated = False
+
+    def ready(self) -> "_WorkArea":
+        """The area, its arrays allocated on the first call."""
+        if not self.allocated:
+            m, nx = self.ny + 1, self.nx
+            self.r, self.z, self.d, self.ad = (
+                np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(4))
+            self.u0, self.u1, self.fx, self.q22 = (
+                np.empty((m, nx)) for _ in range(4))
+            self.wide = np.empty((m, nx + 2))
+            self.wide_c = self.wide.view(complex)
+            self.wide_p, self.z_p = (
+                a.view(float).reshape(-1)[:m * nx].reshape(m, nx)
+                for a in (self.wide, self.z))
+            self.allocated = True
+        return self
+
+
 class _StripOperator:
     """Shared machinery: grid, derivatives, quadrature, flat preconditioner.
 
     ``solve`` runs CG on rfft spectra of shape (ny+1, nx/2+1): ``apply``
-    and ``precondition`` take and return spectra, at four transforms per
-    iteration, all in ``apply``.  The preconditioner inverts the
-    flat-geometry operator mode by mode, through the shared eigenbasis
-    ``_V`` scaled by the inverse eigenvalues ``_inv_eig`` (one column per
-    mode).  ``set_geometry`` sets the flux coefficients ``_q`` =
-    (q11, q12, q22) that ``apply`` reads; q11 is None where it is
-    identically 1, as in the lower layer.
+    and ``precondition`` take a spectrum and the array to write theirs
+    into, at four transforms per iteration, all in ``apply``.  The
+    preconditioner inverts the flat-geometry operator mode by mode,
+    through the shared eigenbasis ``_V`` scaled by the inverse
+    eigenvalues ``_inv_eig`` (one column per mode).  ``set_geometry``
+    sets the flux coefficients ``_q`` = (q11, q12, q22) that ``apply``
+    reads; q11 is None where it is identically 1, as in the lower layer.
+    Everything of (ny+1) x nx size lives in ``work``, a ``_WorkArea``
+    of the solver's own, which ``_solver_cache`` shares within a pair.
     """
 
     def __init__(self, nx: int, period: float, ny: int, y_bot: float,
@@ -155,6 +201,7 @@ class _StripOperator:
         self.ik = 1j * self.k
         self.ik[-1] = 0.0
         self._build_flat_preconditioner()
+        self.work = _WorkArea(nx, ny)
 
     def _build_flat_preconditioner(self):
         # D^T W D V = W V Lambda with V^T W V = I, read off the SVD
@@ -191,42 +238,47 @@ class _StripOperator:
     def dx(self, U: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
 
-    def precondition(self, Rh: np.ndarray) -> np.ndarray:
-        """Flat-geometry inverse of a residual spectrum, mean projected out.
+    def precondition(self, Rh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Flat-geometry inverse of a residual spectrum, mean projected
+        out, written into the spectrum ``out``.
 
         Runs no transform: every mode is in the two real matrix products
         on the float view of the spectrum (real and imaginary parts side
-        by side).
+        by side), the first into the work area's ``wide``.
         """
-        T = (self._Vt @ Rh.view(float)).view(complex)
-        T *= self._inv_eig
-        Z = (self._V @ T.view(float)).view(complex)
-        Z[:, 0] -= Z[:, 0].mean()
-        return Z
+        w = self.work.ready()
+        np.matmul(self._Vt, Rh.view(float), out=w.wide)
+        w.wide_c *= self._inv_eig
+        np.matmul(self._V, w.wide, out=out.view(float))
+        out[:, 0] -= out[:, 0].mean()
+        return out
 
-    def apply(self, Uh: np.ndarray) -> np.ndarray:
-        """The energy-form operator on a spectrum: two irffts, the flux
-        in physical space, two rffts.  Each temporary is dropped once the
-        flux has absorbed it, so at most four (ny+1) x nx arrays are
-        alive at once, the output included."""
+    def apply(self, Uh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The energy-form operator on a spectrum, written into the
+        spectrum ``out``: two irffts, the flux in physical space, two
+        rffts.  The temporaries are the work area's ``u0``, ``u1`` and
+        ``wide``, each reused once the flux has absorbed what it held,
+        and q11 Ux goes to ``z``, which ``solve`` has added to the
+        direction before it applies the operator."""
+        w = self.work.ready()
         q11, q12, q22 = self._q
-        Ux = np.fft.irfft(self.ik * Uh, self.nx, axis=1)
-        Uy = self.D @ np.fft.irfft(Uh, self.nx, axis=1)
-        f1 = q12 * Uy
-        f1 += Ux if q11 is None else q11 * Ux
+        np.multiply(self.ik, Uh, out=w.wide_c)
+        Ux = np.fft.irfft(w.wide_c, self.nx, axis=1, out=w.u0)
+        U = np.fft.irfft(Uh, self.nx, axis=1, out=w.u1)
+        Uy = np.matmul(self.D, U, out=w.wide_p)
+        f1 = np.multiply(q12, Uy, out=U)
+        f1 += Ux if q11 is None else np.multiply(q11, Ux, out=w.z_p)
         f1 *= self._w
         # f2 takes Ux's array, which f1 no longer needs
         f2 = Ux
         f2 *= q12
         Uy *= q22
         f2 += Uy
-        del Uy
         # the uniform-grid spectral derivative is antisymmetric
-        F1 = np.fft.rfft(f1, axis=1)
-        del f1
+        F1 = np.fft.rfft(f1, axis=1, out=w.wide_c)
         F1 *= self.ik
-        f2 = self._DtW @ f2
-        out = np.fft.rfft(f2, axis=1)
+        f2 = np.matmul(self._DtW, f2, out=f1)
+        np.fft.rfft(f2, axis=1, out=out)
         out -= F1
         return out
 
@@ -246,23 +298,24 @@ class _StripOperator:
         relative error of b.u is about rel**2.  A direction without
         positive curvature means b met the operator's other null vector,
         the depth-constant Nyquist checkerboard, and raises
-        NumericalError.
+        NumericalError.  The preconditioned residual, the direction and
+        A d are the work area's ``z``, ``d`` and ``ad``.
         """
+        w = self.work.ready()
         r = b
         r[:, 0] -= r[:, 0].mean()
-        z = self.precondition(r)
-        rz = _parseval_dot(r, z)
+        # the first direction is the first preconditioned residual
+        d = self.precondition(r, w.d)
+        rz = _parseval_dot(r, d)
         x = np.zeros_like(r[rows])
         x0 = np.zeros_like(r[:, 0])
         # P is definite on mean-free spectra: r.Pr = 0 only for r = 0
         if rz <= 0.0:
             return x, 0, 0.0
         bpb = rz
-        # d takes z's array: precondition returns a new one each step
-        d = z
         it = 0
         for it in range(1, 4000):
-            Ad = self.apply(d)
+            Ad = self.apply(d, w.ad)
             dAd = _parseval_dot(d, Ad)
             if dAd <= 0.0:
                 raise NumericalError(
@@ -274,14 +327,13 @@ class _StripOperator:
             x0 += alpha * d[:, 0]
             Ad *= alpha
             r -= Ad
-            z = self.precondition(r)
+            z = self.precondition(r, w.z)
             rz_new = max(_parseval_dot(r, z), 0.0)
             rel = math.sqrt(rz_new / bpb)
             if rel <= self.cg_tol:
                 break
             d *= rz_new / rz
             d += z
-            del z
             rz = rz_new
         else:
             raise NumericalError(
@@ -296,12 +348,13 @@ class _StripOperator:
         (row, psi) of ``flux_rows``, on the geometry ``set_geometry`` set,
         which it then drops, and return its traces on ``trace_rows``.
         Only those rows are transformed: one rfft of the flux rows into
-        an otherwise zero datum spectrum, which the solve consumes, and
+        an otherwise zero datum spectrum, the work area's residual, and
         one irfft of the trace rows, the only rows the solve keeps.  The
         potential is defined up to constants; the first trace is given
         zero mean."""
         rows, psis = zip(*flux_rows)
-        b = np.zeros((self.ny + 1, self.nx // 2 + 1), dtype=complex)
+        b = self.work.ready().r
+        b.fill(0.0)
         try:
             b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
             traces, _, _ = self.solve(b, list(trace_rows))
@@ -355,10 +408,14 @@ class UpperSolver(_StripOperator):
                 f"layer pinch-off: 1 + inf(eta_over - eta_under) <= {_PINCH_OFF_H0}"
             )
         ex_u, ex_o = self.dx(np.stack([eta_under, eta_over]))
-        yy = self.y[:, None]
-        fx = ex_u[None, :] + (ex_o - ex_u)[None, :] * yy
+        w = self.work.ready()
+        fx = np.multiply((ex_o - ex_u)[None, :], self.y[:, None], out=w.fx)
+        fx += ex_u[None, :]
+        q22 = np.square(fx, out=w.q22)
+        q22 += 1.0
         one_fy = 1.0 + fy[None, :]
-        self._q = (one_fy, -fx, (1.0 + fx**2) / one_fy)
+        q22 /= one_fy
+        self._q = (one_fy, np.negative(fx, out=fx), q22)
 
     def solve_neumann(self, eta_under: np.ndarray, eta_over: np.ndarray,
                       psi_i: np.ndarray, psi_s: np.ndarray) -> tuple:
@@ -381,8 +438,11 @@ _SOLVER_PAIRS = 1
 
 @functools.lru_cache(maxsize=_SOLVER_PAIRS)
 def _solver_cache(strip: StripGrid, period: float):
-    """Lower and upper solvers of a strip, kept for the most recent period."""
-    return LowerSolver(strip, period), UpperSolver(strip, period)
+    """Lower and upper solvers of a strip, kept for the most recent period.
+    They solve one at a time, so they share one work area."""
+    lower, upper = LowerSolver(strip, period), UpperSolver(strip, period)
+    upper.work = lower.work
+    return lower, upper
 
 
 def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,

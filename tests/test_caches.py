@@ -5,7 +5,8 @@ module-level attribute of ``gcwaves.*`` whose name ends in ``_cache``.
 A plain function under such a name, for instance ``lru_cache`` imported
 by name, would make every pass fail, and an unbounded cache would grow
 with every grid a long run visits.  The oracle's solver pair is the one
-such cache: what is derived from a periodic grid (its symbols, its
+such cache, and the work area its solves run in is held by the pair and
+freed with it; what is derived from a periodic grid (its symbols, its
 carrier grid and carrier waves) is held by the grid and freed with it.
 """
 

@@ -49,6 +49,14 @@ def test_strip_validation():
         StripGrid(nx=128, ny=64, depth_under=-1.0)
 
 
+@pytest.mark.parametrize("cg_tol", [0.0, -1.0, float("nan"), 1.0, 2.0])
+def test_strip_refuses_cg_tol_outside_unit_interval(cg_tol):
+    # 2.0 stopped CG at once with L 0.7% off, and 0 ran every iteration
+    # before it raised that CG stalled
+    with pytest.raises(ConfigError, match=f"cg_tol .*{cg_tol}"):
+        StripGrid(nx=128, ny=64, depth_under=5.0, cg_tol=cg_tol)
+
+
 @pytest.mark.parametrize("n", [NX // 2, 2 * NX])
 def test_profile_off_the_strip_grid_refused(strip, n):
     g = PeriodicGrid(n=n, period=PERIOD, k0_multiple=4)
