@@ -15,9 +15,11 @@ truncation-vs-oracle checks that ``validate`` and the tests share.
 ``minimize`` writes each run's ``result.json`` whether or not the run
 converged, and a single run exits 0 either way (``converged`` and
 ``reason`` say which).  A ``--sweep`` fits the speed law only from
-converged runs: where any run reports ``converged=False`` it writes no
-``speed_fit.json``, names each such mu and its ``reason`` on stderr and
-exits 3.
+three or more converged runs: where any run reports ``converged=False``
+it writes no ``speed_fit.json``, names each such mu and its ``reason``
+on stderr and exits 3.  A run that raises writes its ``.error.json``,
+names its mu, the error and the mu left unrun on one stderr line, and
+exits 3 without running the rest of the sweep.
 """
 
 from __future__ import annotations
@@ -573,7 +575,7 @@ def cmd_minimize(args) -> int:
     crit, c = _gate(cfg, None, focusing=True)
     os.makedirs(args.out, exist_ok=True)
     runs = []
-    for mu in mus:
+    for i, mu in enumerate(mus):
         tag = _mu_tag(mu)
         try:
             r = _run_minimize(cfg, crit, c, mu)
@@ -586,6 +588,9 @@ def cmd_minimize(args) -> int:
                         os.path.join(args.out, f"{tag}.error.profile.csv"),
                         ex.last_iterate)
             write_json(os.path.join(args.out, f"{tag}.error.json"), record)
+            skipped = ", ".join(f"mu={m:g}" for m in mus[i + 1:]) or "none"
+            print(f"mu={mu:g} failed: {ex}; not run: {skipped}",
+                  file=sys.stderr)
             return EXIT_NUMERICAL
         runs.append(r)
         write_profile_csv(os.path.join(args.out, f"{tag}.profile.csv"), r.eta)

@@ -131,19 +131,6 @@ def eval_fbar(k) -> np.ndarray:
     return _sym2(diag, off, diag)
 
 
-def _pf(k, p: Params):
-    """P(k) and F(k) = diag(|k|, 0) + rho F-bar(k) at scalar or array k,
-    each of shape (..., 2, 2).  F(0) is the finite (singular) limit."""
-    ak = np.abs(np.asarray(k, dtype=float))
-    diag, off = fbar_entries(ak)
-    P = _sym2(1.0 - p.rho + p.beta_under * ak**2, np.zeros_like(ak),
-              p.rho * (1.0 + p.beta_over * ak**2))
-    F = _sym2(ak + p.rho * diag, p.rho * off, p.rho * diag)
-    if not (np.isfinite(P).all() and np.isfinite(F).all()):
-        raise RangeError(f"P/F overflowed at k={k}")
-    return P, F
-
-
 def _pf_derivatives(k, p: Params):
     """(P', F', P'', F'') at scalar or array k > 0, each (..., 2, 2).
 
@@ -162,15 +149,22 @@ def _pf_derivatives(k, p: Params):
 
 
 def eval_PF(k, p: Params):
-    """Evaluate the dispersion matrices P(k) and F(k) for k != 0.
+    """Evaluate the dispersion matrices P(k) and F(k).
 
-    P is diagonal with entries 1 - rho + beta_under k^2 and
-    rho (1 + beta_over k^2); F carries the hyperbolic depth factors.
-    Both are symmetric, of shape (..., 2, 2) for scalar or array k.
+    P is diagonal with entries 1 - rho + beta_under |k|^2 and
+    rho (1 + beta_over |k|^2); F = diag(|k|, 0) + rho F-bar(k) carries the
+    hyperbolic depth factors.  Both are symmetric, of shape (..., 2, 2)
+    for scalar or array k.  F(0) is the finite (singular) limit
+    rho [[1, -1], [-1, 1]].
     """
-    if np.any(np.asarray(k) == 0.0):
-        raise RangeError("P/F are evaluated for k != 0 (F(0) is singular)")
-    return _pf(k, p)
+    ak = np.abs(np.asarray(k, dtype=float))
+    diag, off = fbar_entries(ak)
+    P = _sym2(1.0 - p.rho + p.beta_under * ak**2, np.zeros_like(ak),
+              p.rho * (1.0 + p.beta_over * ak**2))
+    F = _sym2(ak + p.rho * diag, p.rho * off, p.rho * diag)
+    if not (np.isfinite(P).all() and np.isfinite(F).all()):
+        raise RangeError(f"P/F overflowed at k={k}")
+    return P, F
 
 
 def _branches(k, p: Params):
@@ -218,7 +212,7 @@ def _slope(k, p: Params):
     """lambda_minus'(k) = v.(P' - lambda_minus F')v / v.Fv at scalar or
     array k > 0, with v the slow eigenvector."""
     lm, _, _, v = _branches(k, p)
-    _, F = _pf(k, p)
+    _, F = eval_PF(k, p)
     dP, dF, _, _ = _pf_derivatives(k, p)
 
     def quad(M):
@@ -232,7 +226,7 @@ def eval_g(k, p: Params, nu0: float) -> np.ndarray:
     Symmetric, singular exactly at k = +-k0, and finite at k = 0, where
     F(k) -> rho [[1, -1], [-1, 1]].
     """
-    P, F = _pf(k, p)
+    P, F = eval_PF(k, p)
     return P - nu0**2 * F
 
 
@@ -357,7 +351,7 @@ def find_critical(
     # A2 = d^2/dk^2 [g(k) v0 . v0] at k0 = v0 . g''(k0) v0, v0 held fixed,
     # equals lambda'' F v0.v0 + 2 g v0'.v0' at k0, where lambda' = 0 and
     # v0' = (0, -a') with a = g11/g12 and g' = P' - nu0^2 F'
-    (P, F), (dP, dF, d2P, d2F) = _pf(k0, p), _pf_derivatives(k0, p)
+    (P, F), (dP, dF, d2P, d2F) = eval_PF(k0, p), _pf_derivatives(k0, p)
     v0 = np.array([1.0, -a])
     a2 = float(v0 @ (d2P - nu0**2 * d2F) @ v0)
     g, dg = P - nu0**2 * F, dP - nu0**2 * dF

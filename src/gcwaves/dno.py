@@ -19,16 +19,14 @@ of the trace rows that L reads.  CG stops when the energy has
 converged, not the residual: L is a sum of b.u, whose error is the
 square of the solver's energy-norm error.
 
-A solve runs in one work area (``_WorkArea``) of nine (ny+1) x nx
-arrays: the four CG spectra, three physical arrays for the operator and
-the preconditioner, and the upper layer's two depth-varying flux
-coefficients.  Every transform, matrix product and ufunc writes into
-it, so a solve allocates no array of that size; it returns only what L
-reads, the solution on the trace rows (column 0 of every row is kept
-for the mean projection).  One solver pair is cached, that of the most
-recent period: every caller finishes with one period before it moves
-to the next.  The pair shares one area, allocated on its first solve,
-by which time the cache has freed the last period's pair and its area.
+Each ``StripGrid`` owns the oracle's state on it: one work area
+(``_WorkArea``) of nine (ny+1) x nx arrays, shared by every solver built
+on the strip, and the solver pair of the latest period solved on it,
+which a new period replaces.  Every transform, matrix product and ufunc
+of a solve writes into the area, so a solve allocates no array of that
+size; it returns only what L reads, the solution on the trace rows
+(column 0 of every row is kept for the mean projection).  A strip runs
+one solve at a time.
 
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
@@ -74,6 +72,11 @@ class StripGrid:
     energy-norm error relative to the solution's energy norm, and its
     square estimates the relative error of L (within a factor of 2 on
     eta*).
+
+    The strip owns the oracle's state on it: its work area ``work`` and
+    the solver pair that ``solvers`` keeps.  Neither refers back to the
+    strip, so both are freed with it, without the garbage collector.
+    Its solvers share the area, so a strip runs one solve at a time.
     """
 
     nx: int
@@ -91,6 +94,22 @@ class StripGrid:
                 f"depth_under must be positive and finite, got {self.depth_under}")
         if not 0.0 < self.cg_tol < 1.0:
             raise ConfigError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
+
+    @functools.cached_property
+    def work(self) -> "_WorkArea":
+        """The work area of every solver built on this strip."""
+        return _WorkArea(self.nx, self.ny)
+
+    def solvers(self, period: float) -> tuple:
+        """The lower and upper solvers of ``period``.  The strip keeps the
+        pair of the latest period solved on it; another period frees that
+        pair before it builds its own."""
+        state = vars(self)
+        if "_solvers" not in state or state["_solvers"][0].period != period:
+            state.pop("_solvers", None)
+            state["_solvers"] = (LowerSolver(self, period),
+                                 UpperSolver(self, period))
+        return state["_solvers"]
 
 
 def _cheb_nodes_diff(n: int):
@@ -142,30 +161,21 @@ class _WorkArea:
     upper layer's flux coefficients -f_x and (1 + f_x^2)/(1 + f_y) go to
     ``fx`` and ``q22``.
 
-    The arrays are allocated on the first ``ready``: the solver cache
-    builds a period's pair before it frees the last one, so an area made
-    with its solvers would briefly double.
+    A ``StripGrid`` allocates its one area on first use and shares it
+    among the solvers built on it, which therefore solve one at a time.
     """
 
     def __init__(self, nx: int, ny: int):
-        self.nx, self.ny = nx, ny
-        self.allocated = False
-
-    def ready(self) -> "_WorkArea":
-        """The area, its arrays allocated on the first call."""
-        if not self.allocated:
-            m, nx = self.ny + 1, self.nx
-            self.r, self.z, self.d, self.ad = (
-                np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(4))
-            self.u0, self.u1, self.fx, self.q22 = (
-                np.empty((m, nx)) for _ in range(4))
-            self.wide = np.empty((m, nx + 2))
-            self.wide_c = self.wide.view(complex)
-            self.wide_p, self.z_p = (
-                a.view(float).reshape(-1)[:m * nx].reshape(m, nx)
-                for a in (self.wide, self.z))
-            self.allocated = True
-        return self
+        m = ny + 1
+        self.r, self.z, self.d, self.ad = (
+            np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(4))
+        self.u0, self.u1, self.fx, self.q22 = (
+            np.empty((m, nx)) for _ in range(4))
+        self.wide = np.empty((m, nx + 2))
+        self.wide_c = self.wide.view(complex)
+        self.wide_p, self.z_p = (
+            a.view(float).reshape(-1)[:m * nx].reshape(m, nx)
+            for a in (self.wide, self.z))
 
 
 class _StripOperator:
@@ -177,16 +187,17 @@ class _StripOperator:
     preconditioner inverts the flat-geometry operator mode by mode,
     through the shared eigenbasis ``_V`` scaled by the inverse
     eigenvalues ``_inv_eig`` (one column per mode).  ``set_geometry``
-    sets the flux coefficients ``_q`` = (q11, q12, q22) that ``apply``
-    reads; q11 is None where it is identically 1, as in the lower layer.
-    Everything of (ny+1) x nx size lives in ``work``, a ``_WorkArea``
-    of the solver's own, which ``_solver_cache`` shares within a pair.
+    returns the flux coefficients q = (q11, q12, q22) that ``solve`` and
+    ``apply`` take; q11 is None where it is identically 1, as in the
+    lower layer.  Everything of (ny+1) x nx size lives in ``work``, the
+    strip's ``_WorkArea``; the solver keeps no reference to the strip.
     """
 
-    def __init__(self, nx: int, period: float, ny: int, y_bot: float,
-                 y_top: float, cg_tol: float):
+    def __init__(self, strip: StripGrid, period: float, y_bot: float,
+                 y_top: float):
+        nx, ny = strip.nx, strip.ny
         self.nx, self.period, self.ny = nx, period, ny
-        self.cg_tol = cg_tol
+        self.cg_tol = strip.cg_tol
         self.hx = period / nx
         t, D = _cheb_nodes_diff(ny)
         scale = 2.0 / (y_top - y_bot)
@@ -201,7 +212,7 @@ class _StripOperator:
         self.ik = 1j * self.k
         self.ik[-1] = 0.0
         self._build_flat_preconditioner()
-        self.work = _WorkArea(nx, ny)
+        self.work = strip.work
 
     def _build_flat_preconditioner(self):
         # D^T W D V = W V Lambda with V^T W V = I, read off the SVD
@@ -246,22 +257,23 @@ class _StripOperator:
         on the float view of the spectrum (real and imaginary parts side
         by side), the first into the work area's ``wide``.
         """
-        w = self.work.ready()
+        w = self.work
         np.matmul(self._Vt, Rh.view(float), out=w.wide)
         w.wide_c *= self._inv_eig
         np.matmul(self._V, w.wide, out=out.view(float))
         out[:, 0] -= out[:, 0].mean()
         return out
 
-    def apply(self, Uh: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The energy-form operator on a spectrum, written into the
-        spectrum ``out``: two irffts, the flux in physical space, two
-        rffts.  The temporaries are the work area's ``u0``, ``u1`` and
-        ``wide``, each reused once the flux has absorbed what it held,
-        and q11 Ux goes to ``z``, which ``solve`` has added to the
-        direction before it applies the operator."""
-        w = self.work.ready()
-        q11, q12, q22 = self._q
+    def apply(self, Uh: np.ndarray, q: tuple,
+              out: np.ndarray) -> np.ndarray:
+        """The energy-form operator with flux coefficients ``q`` on a
+        spectrum, written into the spectrum ``out``: two irffts, the flux
+        in physical space, two rffts.  The temporaries are the work area's
+        ``u0``, ``u1`` and ``wide``, each reused once the flux has absorbed
+        what it held, and q11 Ux goes to ``z``, which ``solve`` has added
+        to the direction before it applies the operator."""
+        w = self.work
+        q11, q12, q22 = q
         np.multiply(self.ik, Uh, out=w.wide_c)
         Ux = np.fft.irfft(w.wide_c, self.nx, axis=1, out=w.u0)
         U = np.fft.irfft(Uh, self.nx, axis=1, out=w.u1)
@@ -282,8 +294,9 @@ class _StripOperator:
         out -= F1
         return out
 
-    def solve(self, b: np.ndarray, rows=slice(None)):
-        """Projected preconditioned CG for A u = b with A 1 = 0.
+    def solve(self, b: np.ndarray, q: tuple, rows=slice(None)):
+        """Projected preconditioned CG for A u = b with A 1 = 0, A the
+        operator with flux coefficients ``q``.
 
         Takes the datum's rfft spectrum, which it overwrites (b becomes
         the residual), and returns the solution's spectrum on ``rows``
@@ -301,7 +314,7 @@ class _StripOperator:
         NumericalError.  The preconditioned residual, the direction and
         A d are the work area's ``z``, ``d`` and ``ad``.
         """
-        w = self.work.ready()
+        w = self.work
         r = b
         r[:, 0] -= r[:, 0].mean()
         # the first direction is the first preconditioned residual
@@ -315,7 +328,7 @@ class _StripOperator:
         bpb = rz
         it = 0
         for it in range(1, 4000):
-            Ad = self.apply(d, w.ad)
+            Ad = self.apply(d, q, w.ad)
             dAd = _parseval_dot(d, Ad)
             if dAd <= 0.0:
                 raise NumericalError(
@@ -343,23 +356,20 @@ class _StripOperator:
         x[:, 0] = x0[rows] - x0.mean()
         return x, it, rel
 
-    def _solve_flux(self, flux_rows, trace_rows) -> tuple:
+    def _solve_flux(self, q, flux_rows, trace_rows) -> tuple:
         """Solve for the potential whose boundary flux is psi on each
-        (row, psi) of ``flux_rows``, on the geometry ``set_geometry`` set,
-        which it then drops, and return its traces on ``trace_rows``.
+        (row, psi) of ``flux_rows``, on the geometry of the flux
+        coefficients ``q``, and return its traces on ``trace_rows``.
         Only those rows are transformed: one rfft of the flux rows into
         an otherwise zero datum spectrum, the work area's residual, and
         one irfft of the trace rows, the only rows the solve keeps.  The
         potential is defined up to constants; the first trace is given
         zero mean."""
         rows, psis = zip(*flux_rows)
-        b = self.work.ready().r
+        b = self.work.r
         b.fill(0.0)
-        try:
-            b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
-            traces, _, _ = self.solve(b, list(trace_rows))
-        finally:
-            del self._q
+        b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
+        traces, _, _ = self.solve(b, q, list(trace_rows))
         # column 0 holds nx times each row's mean
         traces[:, 0] -= traces[0, 0]
         return tuple(np.fft.irfft(traces, self.nx, axis=1))
@@ -374,20 +384,19 @@ class LowerSolver(_StripOperator):
     """
 
     def __init__(self, strip: StripGrid, period: float):
-        super().__init__(strip.nx, period, strip.ny,
-                         -strip.depth_under, 0.0, strip.cg_tol)
+        super().__init__(strip, period, -strip.depth_under, 0.0)
 
-    def set_geometry(self, eta_under: np.ndarray):
+    def set_geometry(self, eta_under: np.ndarray) -> tuple:
         ex = self.dx(eta_under[None, :])[0]
-        self._q = (None, -ex[None, :], (1.0 + ex**2)[None, :])
+        return None, -ex[None, :], (1.0 + ex**2)[None, :]
 
     def solve_neumann(self, eta_under: np.ndarray,
                       psi: np.ndarray) -> np.ndarray:
         """Trace Phi_under on the interface of the potential with flux psi."""
         scale = float(np.max(np.abs(psi))) + 1e-300
         self.refuse_unsolvable(psi, scale, "Neumann datum")
-        self.set_geometry(eta_under)
-        return self._solve_flux(((0, psi),), (0,))[0]
+        q = self.set_geometry(eta_under)
+        return self._solve_flux(q, ((0, psi),), (0,))[0]
 
 
 class UpperSolver(_StripOperator):
@@ -399,23 +408,24 @@ class UpperSolver(_StripOperator):
     """
 
     def __init__(self, strip: StripGrid, period: float):
-        super().__init__(strip.nx, period, strip.ny, 0.0, 1.0, strip.cg_tol)
+        super().__init__(strip, period, 0.0, 1.0)
 
-    def set_geometry(self, eta_under: np.ndarray, eta_over: np.ndarray):
+    def set_geometry(self, eta_under: np.ndarray,
+                     eta_over: np.ndarray) -> tuple:
         fy = eta_over - eta_under
         if 1.0 + float(np.min(fy)) <= _PINCH_OFF_H0:
             raise GeometryError(
                 f"layer pinch-off: 1 + inf(eta_over - eta_under) <= {_PINCH_OFF_H0}"
             )
         ex_u, ex_o = self.dx(np.stack([eta_under, eta_over]))
-        w = self.work.ready()
+        w = self.work
         fx = np.multiply((ex_o - ex_u)[None, :], self.y[:, None], out=w.fx)
         fx += ex_u[None, :]
         q22 = np.square(fx, out=w.q22)
         q22 += 1.0
         one_fy = 1.0 + fy[None, :]
         q22 /= one_fy
-        self._q = (one_fy, np.negative(fx, out=fx), q22)
+        return one_fy, np.negative(fx, out=fx), q22
 
     def solve_neumann(self, eta_under: np.ndarray, eta_over: np.ndarray,
                       psi_i: np.ndarray, psi_s: np.ndarray) -> tuple:
@@ -423,26 +433,9 @@ class UpperSolver(_StripOperator):
         the potential with fluxes (psi_i, psi_s)."""
         scale = float(np.max(np.abs(psi_i)) + np.max(np.abs(psi_s))) + 1e-300
         self.refuse_unsolvable(psi_i + psi_s, scale, "Neumann pair")
-        self.set_geometry(eta_under, eta_over)
+        q = self.set_geometry(eta_under, eta_over)
         # row 0 is the surface y = 1, the last row the interface y = 0
-        return self._solve_flux(((0, psi_s), (-1, psi_i)), (-1, 0))
-
-
-#: (strip, period) keys whose solver pair stays cached.  Each mu has its
-#: own period, and every caller finishes with one period before it moves
-#: to the next (``cli.oracle_suite`` uses one; the benchmark's oracle
-#: evaluates each period's amplitudes in a row), so one pair is enough and
-#: a new period frees the last one's solvers
-_SOLVER_PAIRS = 1
-
-
-@functools.lru_cache(maxsize=_SOLVER_PAIRS)
-def _solver_cache(strip: StripGrid, period: float):
-    """Lower and upper solvers of a strip, kept for the most recent period.
-    They solve one at a time, so they share one work area."""
-    lower, upper = LowerSolver(strip, period), UpperSolver(strip, period)
-    upper.work = lower.work
-    return lower, upper
+        return self._solve_flux(q, ((0, psi_s), (-1, psi_i)), (-1, 0))
 
 
 def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,
@@ -468,7 +461,7 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
         raise ConfigError(
             f"profile has n={eta.grid.n} samples, the strip nx={strip.nx}")
     period = eta.grid.period
-    lower, upper = _solver_cache(strip, period)
+    lower, upper = strip.solvers(period)
     u, v = eta.eta_under, eta.eta_over
     zu, zv = lower.dx(np.stack([u, v]))
     xi_under, xi_over = _xi(lower, upper, u, v, zu, zv, p.rho)
@@ -489,7 +482,7 @@ def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.nd
     norm = float(np.sum(cosk * cosk))
     flat = np.zeros(nx)
     out = np.empty((2, 2))
-    lower, upper = _solver_cache(strip, period)
+    lower, upper = strip.solvers(period)
     for col, (au, av) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         zu, zv = lower.dx(np.stack([au * cosk, av * cosk]))
         xi = _xi(lower, upper, flat, flat, zu, zv, p.rho)

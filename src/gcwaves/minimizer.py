@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import CriticalPoint, Params, _pf
+from .dispersion import CriticalPoint, Params, eval_PF
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
@@ -231,7 +231,7 @@ class _Objective:
         term at the level's start, scaled so that the term is u u^T in the
         half-grid products."""
         grid, n, nu = self.grid, self.grid.n, self._nu
-        P, F = _pf(grid.k, self.p)
+        P, F = eval_PF(grid.k, self.p)
         g = P - nu**2 * F
         eta = _mirror(self._x0, n)
         ell = np.fft.irfft(np.einsum("kij,jk->ik", F, _rfft(eta, n)), n)

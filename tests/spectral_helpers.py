@@ -20,7 +20,7 @@ import numpy as np
 from gcwaves import ProfilePair
 from gcwaves import fieldops as fo
 from gcwaves.cli import sidecar_path
-from gcwaves.dispersion import _pf, eval_fbar, eval_g
+from gcwaves.dispersion import eval_PF, eval_fbar, eval_g
 from gcwaves.errors import ConfigError
 from gcwaves.fieldops import PeriodicGrid
 
@@ -201,12 +201,13 @@ def flat_mode_matrices(op):
     return M
 
 
-def physical_apply(op, U):
-    """The energy-form operator of a ``dno`` strip operator on a physical
-    (ny+1, nx) array, with the flux formed by two spectral derivatives
-    (the transpose of ``dx`` is ``-dx`` on the uniform grid); a q11 of
-    None is the lower layer's, identically 1."""
-    q11, q12, q22 = op._q
+def physical_apply(op, q, U):
+    """The energy-form operator of a ``dno`` strip operator with flux
+    coefficients ``q`` on a physical (ny+1, nx) array, with the flux
+    formed by two spectral derivatives (the transpose of ``dx`` is ``-dx``
+    on the uniform grid); a q11 of None is the lower layer's,
+    identically 1."""
+    q11, q12, q22 = q
     q11 = 1.0 if q11 is None else q11
     Ux = op.dx(U)
     Uy = op.D @ U
@@ -250,7 +251,7 @@ def hessian_model_matrix(p, grid, nu, x0, barrier=None):
     def rank_one(coef, f):
         return coef * dx**2 * np.outer(R @ f, E.T @ f)
 
-    _, F = _pf(k, p)
+    _, F = eval_PF(k, p)
     eta = E @ x0
     ell = multiplier_matrix(F, n) @ eta
     l2 = 0.5 * dx * eta @ ell

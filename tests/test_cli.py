@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -550,6 +552,23 @@ def test_minimize_refuses_zero_ball(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_minimize_sweep_failure_names_its_mu(tmp_path, capsys):
+    # the first run raises, so the sweep stops there: its error record is
+    # the only file, and one stderr line names it and the mu left unrun
+    cfg = write_config(
+        tmp_path / "m0.cfg", BENCH,
+        "[scan]\nsamples = 1024\n[grid]\nn = 1024\n[minimize]\nM = 0\n",
+    )
+    outdir = tmp_path / "m0"
+    rc = main(["minimize", "--config", cfg, "--out", str(outdir),
+               "--sweep", "6e-3,5e-3,4e-3"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert os.listdir(outdir) == ["mu_0p006.error.json"]
+    assert capsys.readouterr().err == (
+        "mu=0.006 failed: admissibility_M must be positive; "
+        "not run: mu=0.005, mu=0.004\n")
+
+
 @pytest.mark.parametrize("line, key", [
     ("grad_tol = nan", "grad_tol"),  # never met: ran every iteration
     ("grad_tol = inf", "grad_tol"),  # met at once: "converged" unrelaxed
@@ -731,6 +750,31 @@ def test_validate_passes(tmp_path, capsys):
     assert checks["flat_symbol_max_abs_err"] <= 1e-8
     assert min(checks["truncation_slopes"]) >= 4.5
     assert checks["gradient_max_rel_err"] <= 1e-6
+
+
+#: SHA-256 of validate's JSON at [grid] n = 128, strip_ny = 48; its
+#: checks fail on that strip, so it exits 3
+VALIDATE_N128_SHA256 = \
+    "ad830a3d82c47ac74718bda121cd070a698919ef0b7761c763777be5de9019ae"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_validate_bytes_pinned(tmp_path, threads):
+    # at n = 128 np.vdot does not split its sums across threads, so the
+    # bytes hold at 1 and 2 OpenBLAS threads; at n = 256 it does.  OpenBLAS
+    # reads its thread count at load, hence a subprocess
+    cfg = write_config(tmp_path / "val.cfg", BENCH,
+                       "[scan]\nsamples = 1024\n[grid]\nn = 128\n"
+                       "strip_ny = 48\n")
+    out = tmp_path / "val.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-m", "gcwaves.cli", "validate",
+                           "--config", cfg, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        VALIDATE_N128_SHA256
 
 
 def test_seventeen_digit_roundtrip(tmp_path, bench_cfg):

@@ -33,10 +33,13 @@ def test_F_small_k_limit():
 
 
 def test_k_zero_rejected():
-    with pytest.raises(RangeError):
-        eval_PF(0.0, NEAR_RESONANT)
+    # the eigenvalues have no k = 0 value; P and F take their finite limit
     with pytest.raises(RangeError):
         eval_lambda(0.0, NEAR_RESONANT)
+    rho = NEAR_RESONANT.rho
+    P, F = eval_PF(0.0, NEAR_RESONANT)
+    assert P.tolist() == [[1.0 - rho, 0.0], [0.0, rho]]
+    assert F.tolist() == [[rho, -rho], [-rho, rho]]
 
 
 @given(k=st.floats(min_value=1e-6, max_value=1e6,

@@ -210,10 +210,10 @@ def test_truncation_order(suite):
 
 def test_solution_potential_shape(strip, lower, x):
     # the flux datum on the top row, as solve_neumann poses it
-    lower.set_geometry(np.zeros(NX))
+    q = lower.set_geometry(np.zeros(NX))
     b = np.zeros((strip.ny + 1, NX))
     b[0] = PERIOD / NX * np.cos(K0 * x)
-    spectrum, _, rel = lower.solve(np.fft.rfft(b, axis=1))
+    spectrum, _, rel = lower.solve(np.fft.rfft(b, axis=1), q)
     assert spectrum.shape == (strip.ny + 1, NX // 2 + 1)
     assert rel <= strip.cg_tol
     potential = np.fft.irfft(spectrum, NX, axis=1)

@@ -1,6 +1,6 @@
-"""The oracle's strip solvers: flat preconditioner, CG work, memory, cache."""
+"""The oracle's strip solvers: flat preconditioner, CG work, memory, and
+the work area and solver pair each strip owns."""
 
-import gc
 import tracemalloc
 import weakref
 
@@ -76,8 +76,8 @@ def curved_solve(op, strip) -> int:
     results = []
     solve = op.solve
 
-    def recorded(b, rows=slice(None)):
-        results.append(solve(b, rows))
+    def recorded(b, q, rows=slice(None)):
+        results.append(solve(b, q, rows))
         return results[-1]
 
     op.solve = recorded
@@ -95,8 +95,7 @@ def curved_solve(op, strip) -> int:
 def curved_cg_iterations(strip):
     """CG iterations of the lower and upper solves of eval_L_exact on a
     curved two-mode profile."""
-    return tuple(curved_solve(op, strip)
-                 for op in dno._solver_cache(strip, PERIOD))
+    return tuple(curved_solve(op, strip) for op in strip.solvers(PERIOD))
 
 
 @pytest.mark.parametrize("ny, cg_tol, counts", [
@@ -133,19 +132,20 @@ def test_default_tolerance_gives_L_to_rounding(eta_star):
 
 
 def datum_spectrum(op, eta):
-    """The geometry of eta set on op, and the spectrum of the flux datum
-    eval_L_exact gives op: zeta_under on the lower layer's top row, the
-    pair (-zeta_under, zeta_over) on the upper layer's bottom and top."""
+    """The flux coefficients of eta's geometry on op, and the spectrum of
+    the flux datum eval_L_exact gives op: zeta_under on the lower layer's
+    top row, the pair (-zeta_under, zeta_over) on the upper layer's bottom
+    and top."""
     u, v = eta.eta_under, eta.eta_over
     zu, zv = op.dx(np.stack([u, v]))
     b = np.zeros((op.ny + 1, op.nx))
     if isinstance(op, LowerSolver):
-        op.set_geometry(u)
+        q = op.set_geometry(u)
         b[0] = op.hx * zu
     else:
-        op.set_geometry(u, v)
+        q = op.set_geometry(u, v)
         b[0], b[-1] = op.hx * zv, -op.hx * zu
-    return np.fft.rfft(b, axis=1)
+    return q, np.fft.rfft(b, axis=1)
 
 
 @pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
@@ -160,9 +160,9 @@ def test_energy_stop_bounds_the_error_of_b_dot_u(eta_star, solver, cg_tol):
         kw = {} if tol is None else {"cg_tol": tol}
         op = solver(StripGrid(nx=1024, ny=48, depth_under=depth, **kw),
                     eta.grid.period)
-        b = datum_spectrum(op, eta)
+        q, b = datum_spectrum(op, eta)
         # the solve overwrites its datum
-        x, _, rel = op.solve(b.copy())
+        x, _, rel = op.solve(b.copy(), q)
         out.append((dno._parseval_dot(b, x), rel))
     (bu, rel), (exact, _) = out
     err = abs(bu - exact) / exact
@@ -177,15 +177,12 @@ def test_spectral_apply_matches_physical_form(solver, ny):
     strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0)
     op = solver(strip, PERIOD)
     u, v = curved_profile(strip)
-    if solver is LowerSolver:
-        op.set_geometry(u)
-    else:
-        op.set_geometry(u, v)
+    q = op.set_geometry(u) if solver is LowerSolver else op.set_geometry(u, v)
     rng = np.random.default_rng(ny)
     a, b = (np.fft.rfft(rng.standard_normal((ny + 1, strip.nx)), axis=1)
             for _ in range(2))
-    Aa, Ab = (op.apply(c, out=np.empty_like(c)) for c in (a, b))
-    ref = physical_apply(op, np.fft.irfft(b, strip.nx, axis=1))
+    Aa, Ab = (op.apply(c, q, out=np.empty_like(c)) for c in (a, b))
+    ref = physical_apply(op, q, np.fft.irfft(b, strip.nx, axis=1))
     got = np.fft.irfft(Ab, strip.nx, axis=1)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     # the Parseval sum is nx times the grid sum of the physical fields
@@ -261,7 +258,7 @@ def test_solver_memory_bounded(solver):
     strip = StripGrid(nx=4096, ny=48, depth_under=12.0 / K0)
     op = solver(strip, PERIOD)
     assert array_bytes(list(vars(op).values())) < 2e6
-    # a solve drops its geometry, so a cached solver keeps no per-call
+    # a solve passes its geometry along, so a solver keeps no per-call
     # coefficient arrays (the upper layer's are two (ny+1) x nx ones)
     x = PERIOD / strip.nx * np.arange(strip.nx)
     u = 0.12 * np.cos(K0 * x)
@@ -275,8 +272,8 @@ def test_solver_memory_bounded(solver):
 
 
 def test_oracle_working_set_bounded(eta_star):
-    # the solves run in the solver pair's work area, which the first
-    # evaluation allocates, and keep the solution on the trace rows only,
+    # the solves run in the strip's work area, which the first evaluation
+    # allocates, and keep the solution on the trace rows only,
     # so the repeat allocates less than one (ny + 1) x nx array (see
     # test_repeat_evaluation_allocates_no_strip_array); this looser bound
     # of 10 such arrays stays as the guard on eta*
@@ -320,11 +317,9 @@ def test_work_area_is_nine_strip_arrays():
     # physical array, each (ny + 1) x (nx + 2) doubles, and four physical
     # (ny + 1) x nx arrays; every other array of the area views them
     strip = StripGrid(nx=256, ny=48, depth_under=14.0 / K0)
-    dno._solver_cache.cache_clear()
-    lower, upper = dno._solver_cache(strip, PERIOD)
-    assert lower.work is upper.work and not lower.work.allocated
-    eval_L_exact(curved_pair(strip), BENCH, strip)
-    arrays = [a for a in vars(lower.work).values()
+    lower, upper = strip.solvers(PERIOD)
+    assert lower.work is upper.work is strip.work
+    arrays = [a for a in vars(strip.work).values()
               if isinstance(a, np.ndarray)]
     owned = [a for a in arrays if a.base is None]
     m, nx = strip.ny + 1, strip.nx
@@ -332,39 +327,46 @@ def test_work_area_is_nine_strip_arrays():
                                                + [m * (nx + 2) * 8] * 5)
     assert all(any(a.base is o for o in owned)
                for a in arrays if a.base is not None)
-    # a solver built on its own runs in an area of its own
-    assert LowerSolver(strip, PERIOD).work is not lower.work
-    dno._solver_cache.cache_clear()
+    # the solves run in those arrays and bind no other
+    eval_L_exact(curved_pair(strip), BENCH, strip)
+    after = [a for a in vars(strip.work).values()
+             if isinstance(a, np.ndarray)]
+    assert all(a is b for a, b in zip(after, arrays, strict=True))
+    # a solver built on its own runs in the strip's area too
+    assert LowerSolver(strip, PERIOD).work is strip.work
 
 
-def test_next_period_frees_the_last_area_first(monkeypatch):
-    # the cache builds a period's pair before it drops the last one; the
-    # area, allocated on the pair's first solve, comes after that drop,
-    # so two areas never exist at once
-    dno._solver_cache.cache_clear()
+def test_next_period_keeps_the_area(monkeypatch):
+    # a new period frees the last pair before it builds its own, and its
+    # solves run in the strip's area: it allocates no area
     strip = StripGrid(nx=64, ny=32, depth_under=14.0 / K0)
     g = PeriodicGrid(n=64, period=PERIOD, k0_multiple=1)
     wave = np.cos(2 * np.pi * g.x / PERIOD)
     assert eval_L_exact(ProfilePair(g, 0.05 * wave, -0.02 * wave), BENCH,
                         strip) > 0.0
-    last = weakref.ref(dno._solver_cache(strip, PERIOD)[0].work)
-    assert last().allocated
-    last_alive = []
-    ready = dno._WorkArea.ready
+    area = strip.work
+    last = weakref.ref(strip.solvers(PERIOD)[0])
+    areas, last_alive = [], []
+    init = dno._WorkArea.__init__
 
-    def recorded(area):
-        if not area.allocated:
+    def recorded(self, nx, ny):
+        areas.append((nx, ny))
+        init(self, nx, ny)
+
+    class Lower(LowerSolver):
+        def __init__(self, strip, period):
             last_alive.append(last() is not None)
-        return ready(area)
+            super().__init__(strip, period)
 
-    monkeypatch.setattr(dno._WorkArea, "ready", recorded)
+    monkeypatch.setattr(dno._WorkArea, "__init__", recorded)
+    monkeypatch.setattr(dno, "LowerSolver", Lower)
     g = PeriodicGrid(n=64, period=1.5 * PERIOD, k0_multiple=1)
     wave = np.cos(2 * np.pi * g.x / g.period)
     assert eval_L_exact(ProfilePair(g, 0.05 * wave, -0.02 * wave), BENCH,
                         strip) > 0.0
-    # one allocation for the new pair, after the last area was freed
+    assert areas == [] and strip.work is area
     assert last_alive == [False]
-    dno._solver_cache.cache_clear()
+    assert all(op.work is area for op in strip.solvers(g.period))
 
 
 @pytest.mark.parametrize("x0, L_hex", [(0.0, "0x1.abc07ef8ecf4ap-3"),
@@ -385,9 +387,9 @@ def test_oracle_bits_pinned(x0, L_hex):
 
 
 def test_one_solver_pair_per_period(monkeypatch):
-    # every caller finishes one period before the next, so two amplitudes
-    # on each of two periods build one pair per period, and the second
-    # period's pair frees the first's
+    # two amplitudes on each of two periods build one pair per period,
+    # and the second period's pair frees the first's, without the
+    # garbage collector
     built = []
 
     for name in ("LowerSolver", "UpperSolver"):
@@ -397,7 +399,6 @@ def test_one_solver_pair_per_period(monkeypatch):
                 super().__init__(strip, period)
 
         monkeypatch.setattr(dno, name, Counted)
-    dno._solver_cache.cache_clear()
     strip = StripGrid(nx=64, ny=32, depth_under=14.0 / K0)
     first = None
     for period in (PERIOD, 1.5 * PERIOD):
@@ -407,52 +408,59 @@ def test_one_solver_pair_per_period(monkeypatch):
             eta = ProfilePair(g, 0.05 * amp * wave, -0.02 * amp * wave)
             assert eval_L_exact(eta, BENCH, strip) > 0.0
         if first is None:
-            first = [weakref.ref(op) for op in dno._solver_cache(strip, period)]
+            first = [weakref.ref(op) for op in strip.solvers(period)]
     assert sorted(built) == ["LowerSolver"] * 2 + ["UpperSolver"] * 2
-    assert dno._solver_cache.cache_info().currsize == 1
-    gc.collect()
+    # the strip holds the last period's pair, and no other
+    strip.solvers(1.5 * PERIOD)
+    assert len(built) == 4
     assert all(ref() is None for ref in first)
-    dno._solver_cache.cache_clear()
 
 
 def test_solver_cache_bounded(monkeypatch):
-    built = []
+    # a strip keeps at most one solver pair, that of its latest period,
+    # and each strip keeps its own: two strips evict no pair of each other
+    built, alive = [], []
 
     class CountedLower(LowerSolver):
         def __init__(self, strip, period):
             built.append(period)
+            alive.append(weakref.ref(self))
             super().__init__(strip, period)
 
+    def live():
+        return sum(ref() is not None for ref in alive)
+
     monkeypatch.setattr(dno, "LowerSolver", CountedLower)
-    dno._solver_cache.cache_clear()
     strip = StripGrid(nx=64, ny=32, depth_under=14.0 / K0)
-    size = dno._SOLVER_PAIRS
-    periods = [PERIOD * (1.0 + 0.1 * i) for i in range(size + 3)]
+    periods = [PERIOD * (1.0 + 0.1 * i) for i in range(4)]
     for period in periods:
         g = PeriodicGrid(n=64, period=period, k0_multiple=1)
         x = g.x
         eta = ProfilePair(g, 0.05 * np.cos(2 * np.pi * x / period),
                           -0.02 * np.cos(2 * np.pi * x / period))
         assert eval_L_exact(eta, BENCH, strip) > 0.0
-        assert dno._solver_cache.cache_info().currsize <= size
+        assert live() == 1
     # one build per period, and every other lookup of a period hits
     assert built == periods
-    info = dno._solver_cache.cache_info()
-    assert info.misses == len(periods) and info.currsize == size
-    # the last `size` periods are kept, and a hit builds nothing; a new
-    # period evicts the least recently used of them
-    kept = periods[-size:]
-    for period in kept:
-        dno._solver_cache(strip, period)
+    # the latest period is kept, and a hit builds nothing; another period
+    # replaces it
+    strip.solvers(periods[-1])
     assert built == periods
-    dno._solver_cache(strip, periods[0])
-    assert built == periods + [periods[0]]
-    for period in kept[1:] + [periods[0]]:
-        dno._solver_cache(strip, period)
-    assert built == periods + [periods[0]]
-    dno._solver_cache(strip, kept[0])
-    assert built == periods + [periods[0], kept[0]]
-    dno._solver_cache.cache_clear()
+    strip.solvers(periods[0])
+    strip.solvers(periods[0])
+    assert built == periods + [periods[0]] and live() == 1
+    strip.solvers(periods[-1])
+    assert built == periods + [periods[0], periods[-1]] and live() == 1
+    # an equal strip is another owner, with its own pair and area
+    other = StripGrid(nx=64, ny=32, depth_under=14.0 / K0)
+    assert other == strip
+    other.solvers(periods[0])
+    assert other.work is not strip.work and live() == 2
+    del built[:]
+    for _ in range(2):
+        strip.solvers(periods[-1])
+        other.solvers(periods[0])
+    assert built == [] and live() == 2
 
 
 NYQUIST = (-1.0) ** np.arange(256)  # the checkerboard on nx = 256
@@ -480,11 +488,9 @@ def test_cg_refuses_direction_without_curvature(solver):
     strip = StripGrid(nx=256, ny=48, depth_under=5.0)
     op = solver(strip, PERIOD)
     flat = np.zeros(strip.nx)
-    if solver is LowerSolver:
-        op.set_geometry(flat)
-    else:
-        op.set_geometry(flat, flat)
+    q = (op.set_geometry(flat) if solver is LowerSolver
+         else op.set_geometry(flat, flat))
     b = np.zeros((strip.ny + 1, strip.nx))
     b[0] = op.hx * NYQUIST
     with pytest.raises(NumericalError, match="curvature"):
-        op.solve(np.fft.rfft(b, axis=1))
+        op.solve(np.fft.rfft(b, axis=1), q)

@@ -524,12 +524,12 @@ def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
     # grid alone, so only that grid takes the model's symbol; the full
     # ladder up to 8192 took it on each of its three grids
     sizes = []
-    pf = minimizer._pf
+    pf = minimizer.eval_PF
 
     def counted(k, p):
         sizes.append(k.size)
         return pf(k, p)
-    monkeypatch.setattr(minimizer, "_pf", counted)
+    monkeypatch.setattr(minimizer, "eval_PF", counted)
     mu = 2e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
