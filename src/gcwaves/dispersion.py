@@ -308,10 +308,10 @@ def find_critical(
     are screened for near-ties (double minima).  Deterministic for fixed
     inputs.
     """
-    if not (0.0 < k_min < k_max and samples >= 3):
+    if not (0.0 < k_min < k_max < math.inf and samples >= 3):
         raise ConfigError(
-            "the scan window needs 0 < k_min < k_max and samples >= 3, got "
-            f"k_min = {k_min}, k_max = {k_max}, samples = {samples}"
+            "the scan window needs 0 < k_min < k_max < inf and samples >= 3, "
+            f"got k_min = {k_min}, k_max = {k_max}, samples = {samples}"
         )
     ks = np.geomspace(k_min, k_max, samples)
     lam = eval_lambda(ks, p)[0]

@@ -24,9 +24,9 @@ Each ``StripGrid`` owns the oracle's state on it: one work area
 on the strip, and the solver pair of the latest period solved on it,
 which a new period replaces.  Every transform, matrix product and ufunc
 of a solve writes into the area, so a solve allocates no array of that
-size; it returns only what L reads, the solution on the trace rows
-(column 0 of every row is kept for the mean projection).  A strip runs
-one solve at a time.
+size; it returns only what L reads, the solution on the trace rows.
+A strip runs one solve at a time.  ``eval_L_exact`` takes the profile's
+slopes once: they are both the flux datum and the geometry.
 
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
@@ -34,8 +34,8 @@ shares one generalized eigenbasis, D^T W D V = W V Lambda with
 V^T W V = I, so M_j^{-1} = V diag(1 / (hx (k_j^2 + Lambda))) V^T and the
 preconditioner is two real matrix products over all modes at once, on
 the float view of the spectrum.  Mode 0 is singular only along the
-constants (Lambda = 0); its inverse drops that one direction, which the
-mean projection removes anyway.
+constants (Lambda = 0); its inverse drops that one direction and
+projects column 0 onto zero mean, so the constant is left to one gauge.
 
 The module is the independent oracle against which the spectral
 truncations are validated, so it shares no code path with the truncated
@@ -196,7 +196,7 @@ class _StripOperator:
     def __init__(self, strip: StripGrid, period: float, y_bot: float,
                  y_top: float):
         nx, ny = strip.nx, strip.ny
-        self.nx, self.period, self.ny = nx, period, ny
+        self.nx, self.period = nx, period
         self.cg_tol = strip.cg_tol
         self.hx = period / nx
         t, D = _cheb_nodes_diff(ny)
@@ -294,21 +294,20 @@ class _StripOperator:
         out -= F1
         return out
 
-    def solve(self, b: np.ndarray, q: tuple, rows=slice(None)):
+    def solve(self, b: np.ndarray, q: tuple, rows):
         """Projected preconditioned CG for A u = b with A 1 = 0, A the
         operator with flux coefficients ``q``.
 
         Takes the datum's rfft spectrum, which it overwrites (b becomes
-        the residual), and returns the solution's spectrum on ``rows``
-        (all rows by default), with the iterations and the final ``rel``.
-        The residual and directions are spectra too, inner products are
-        Parseval sums and the projection onto zero mean shifts column 0,
-        which is kept for every row, so the solution on ``rows`` is that
-        of the full solve bit for bit.  CG stops on the energy: P being
-        the exact flat-strip inverse, r.Pr estimates the A-norm error
-        ||e||_A^2, which is exactly the error of b.u for an iterate
-        started at 0, so once rel = sqrt(r.Pr / b.Pb) <= ``cg_tol`` the
-        relative error of b.u is about rel**2.  A direction without
+        the residual), and returns the solution's spectrum on ``rows``,
+        with the iterations and the final ``rel``.  The residual and
+        directions are spectra too and inner products are Parseval sums;
+        column 0 of the datum and of every direction is mean-free, and
+        the solution's constant is left to the caller.  CG stops on the
+        energy: P being the exact flat-strip inverse, r.Pr estimates the
+        A-norm error ||e||_A^2, which is exactly the error of b.u for an
+        iterate started at 0, so once rel = sqrt(r.Pr / b.Pb) <= ``cg_tol``
+        the relative error of b.u is about rel**2.  A direction without
         positive curvature means b met the operator's other null vector,
         the depth-constant Nyquist checkerboard, and raises
         NumericalError.  The preconditioned residual, the direction and
@@ -321,7 +320,6 @@ class _StripOperator:
         d = self.precondition(r, w.d)
         rz = _parseval_dot(r, d)
         x = np.zeros_like(r[rows])
-        x0 = np.zeros_like(r[:, 0])
         # P is definite on mean-free spectra: r.Pr = 0 only for r = 0
         if rz <= 0.0:
             return x, 0, 0.0
@@ -337,7 +335,6 @@ class _StripOperator:
                 )
             alpha = rz / dAd
             x += alpha * d[rows]
-            x0 += alpha * d[:, 0]
             Ad *= alpha
             r -= Ad
             z = self.precondition(r, w.z)
@@ -353,7 +350,6 @@ class _StripOperator:
                 f"CG stalled at energy ratio {rel:.3e}",
                 diagnostics={"iterations": it},
             )
-        x[:, 0] = x0[rows] - x0.mean()
         return x, it, rel
 
     def _solve_flux(self, q, flux_rows, trace_rows) -> tuple:
@@ -363,8 +359,8 @@ class _StripOperator:
         Only those rows are transformed: one rfft of the flux rows into
         an otherwise zero datum spectrum, the work area's residual, and
         one irfft of the trace rows, the only rows the solve keeps.  The
-        potential is defined up to constants; the first trace is given
-        zero mean."""
+        potential is defined up to constants, and this is its one gauge:
+        the first trace is given zero mean."""
         rows, psis = zip(*flux_rows)
         b = self.work.r
         b.fill(0.0)
@@ -386,16 +382,17 @@ class LowerSolver(_StripOperator):
     def __init__(self, strip: StripGrid, period: float):
         super().__init__(strip, period, -strip.depth_under, 0.0)
 
-    def set_geometry(self, eta_under: np.ndarray) -> tuple:
-        ex = self.dx(eta_under[None, :])[0]
-        return None, -ex[None, :], (1.0 + ex**2)[None, :]
+    def set_geometry(self, slope: np.ndarray) -> tuple:
+        """The flux coefficients, which depend only on the slope eta_x."""
+        return None, -slope[None, :], (1.0 + slope**2)[None, :]
 
-    def solve_neumann(self, eta_under: np.ndarray,
+    def solve_neumann(self, slope: np.ndarray,
                       psi: np.ndarray) -> np.ndarray:
-        """Trace Phi_under on the interface of the potential with flux psi."""
+        """Trace Phi_under on the interface of slope ``slope`` of the
+        potential with flux psi."""
         scale = float(np.max(np.abs(psi))) + 1e-300
         self.refuse_unsolvable(psi, scale, "Neumann datum")
-        q = self.set_geometry(eta_under)
+        q = self.set_geometry(slope)
         return self._solve_flux(q, ((0, psi),), (0,))[0]
 
 
@@ -410,14 +407,14 @@ class UpperSolver(_StripOperator):
     def __init__(self, strip: StripGrid, period: float):
         super().__init__(strip, period, 0.0, 1.0)
 
-    def set_geometry(self, eta_under: np.ndarray,
-                     eta_over: np.ndarray) -> tuple:
-        fy = eta_over - eta_under
+    def set_geometry(self, eta: np.ndarray, slopes: np.ndarray) -> tuple:
+        """The flux coefficients of the stacked profile and its slopes."""
+        fy = eta[1] - eta[0]
         if 1.0 + float(np.min(fy)) <= _PINCH_OFF_H0:
             raise GeometryError(
                 f"layer pinch-off: 1 + inf(eta_over - eta_under) <= {_PINCH_OFF_H0}"
             )
-        ex_u, ex_o = self.dx(np.stack([eta_under, eta_over]))
+        ex_u, ex_o = slopes
         w = self.work
         fx = np.multiply((ex_o - ex_u)[None, :], self.y[:, None], out=w.fx)
         fx += ex_u[None, :]
@@ -427,24 +424,26 @@ class UpperSolver(_StripOperator):
         q22 /= one_fy
         return one_fy, np.negative(fx, out=fx), q22
 
-    def solve_neumann(self, eta_under: np.ndarray, eta_over: np.ndarray,
+    def solve_neumann(self, eta: np.ndarray, slopes: np.ndarray,
                       psi_i: np.ndarray, psi_s: np.ndarray) -> tuple:
         """Trace pair (Phi_i, Phi_s) on the interface and the surface of
-        the potential with fluxes (psi_i, psi_s)."""
+        the potential with fluxes (psi_i, psi_s), on the stacked profile
+        eta of stacked slopes ``slopes``."""
         scale = float(np.max(np.abs(psi_i)) + np.max(np.abs(psi_s))) + 1e-300
         self.refuse_unsolvable(psi_i + psi_s, scale, "Neumann pair")
-        q = self.set_geometry(eta_under, eta_over)
+        q = self.set_geometry(eta, slopes)
         # row 0 is the surface y = 1, the last row the interface y = 0
         return self._solve_flux(q, ((0, psi_s), (-1, psi_i)), (-1, 0))
 
 
-def _xi(lower: LowerSolver, upper: UpperSolver, eta_under: np.ndarray,
-        eta_over: np.ndarray, zu: np.ndarray, zv: np.ndarray, rho: float):
+def _xi(lower: LowerSolver, upper: UpperSolver, eta: np.ndarray,
+        slopes: np.ndarray, zeta: np.ndarray, rho: float):
     """xi = (Phi_under - rho Phi_i, rho Phi_s) for the flux pair
-    zeta = (zu, zv): Phi_under = N_lower zu, and (Phi_i, Phi_s) the trace
-    pair of N_upper (-zu, zv)."""
-    phi_under = lower.solve_neumann(eta_under, zu)
-    phi_i, phi_s = upper.solve_neumann(eta_under, eta_over, -zu, zv)
+    zeta = (zu, zv) on the stacked profile eta of stacked slopes ``slopes``:
+    Phi_under = N_lower zu, and (Phi_i, Phi_s) the trace pair of
+    N_upper (-zu, zv)."""
+    phi_under = lower.solve_neumann(slopes[0], zeta[0])
+    phi_i, phi_s = upper.solve_neumann(eta, slopes, -zeta[0], zeta[1])
     return phi_under - rho * phi_i, rho * phi_s
 
 
@@ -455,18 +454,17 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
     the upper map gives the trace pair of N_upper (-zeta_under, zeta_over),
     and L = (1/2) int [zeta_under (Phi_under - rho Phi_i)
                         + zeta_over rho Phi_s] dx.
-    The profile must be sampled on the strip's horizontal grid.
+    zeta is taken once and is also the slopes of the geometry.  The
+    profile must be sampled on the strip's horizontal grid.
     """
     if eta.grid.n != strip.nx:
         raise ConfigError(
             f"profile has n={eta.grid.n} samples, the strip nx={strip.nx}")
-    period = eta.grid.period
-    lower, upper = strip.solvers(period)
-    u, v = eta.eta_under, eta.eta_over
-    zu, zv = lower.dx(np.stack([u, v]))
-    xi_under, xi_over = _xi(lower, upper, u, v, zu, zv, p.rho)
-    hx = period / strip.nx
-    return 0.5 * hx * float(np.sum(zu * xi_under + zv * xi_over))
+    lower, upper = strip.solvers(eta.grid.period)
+    profile = np.stack([eta.eta_under, eta.eta_over])
+    zu, zv = zeta = lower.dx(profile)
+    xi_under, xi_over = _xi(lower, upper, profile, zeta, zeta, p.rho)
+    return 0.5 * lower.hx * float(np.sum(zu * xi_under + zv * xi_over))
 
 
 def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.ndarray:
@@ -480,12 +478,12 @@ def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.nd
     x = period / nx * np.arange(nx)
     cosk = np.cos(k * x)
     norm = float(np.sum(cosk * cosk))
-    flat = np.zeros(nx)
+    flat = np.zeros((2, nx))  # the flat profile, and its slopes
     out = np.empty((2, 2))
     lower, upper = strip.solvers(period)
     for col, (au, av) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        zu, zv = lower.dx(np.stack([au * cosk, av * cosk]))
-        xi = _xi(lower, upper, flat, flat, zu, zv, p.rho)
+        zeta = lower.dx(np.stack([au * cosk, av * cosk]))
+        xi = _xi(lower, upper, flat, flat, zeta, p.rho)
         # K eta = -d/dx xi; project onto cos(kx)
         ku, ko = -lower.dx(np.stack(xi))
         out[0, col] = float(np.sum(ku * cosk)) / norm

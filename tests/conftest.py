@@ -18,20 +18,31 @@ BENCH = Params(rho=0.5, beta_under=0.17, beta_over=0.17)
 
 
 @pytest.fixture
-def fft_lengths(monkeypatch):
-    """Record the length of every one-dimensional transform taken, one
-    entry per call: the n argument, or the length the input implies."""
-    lengths = []
+def fft_record(monkeypatch):
+    """Record every call of numpy's one-dimensional transforms, in call
+    order, as (rows, n): a batched (m, ...) call holds m rows, and n is
+    the n argument or the length the input implies."""
+    record = []
     for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
         def recorded(a, n=None, *args, _original=getattr(np.fft, name),
                      _inverse_real=name in ("irfft", "hfft"), **kwargs):
             a = np.asarray(a)
             if n is None:
                 n = 2 * (a.shape[-1] - 1) if _inverse_real else a.shape[-1]
-            lengths.append(n)
+            record.append((a.size // a.shape[-1], n))
             return _original(a, n, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, recorded)
-    return lengths
+    return record
+
+
+def fft_lengths(record):
+    """The n of every call in an ``fft_record``."""
+    return [n for _, n in record]
+
+
+def fft_rows_calls(record):
+    """The rows and the calls of an ``fft_record``."""
+    return sum(rows for rows, _ in record), len(record)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from gcwaves.dispersion import Params, find_critical, refine_degenerate
 from gcwaves.errors import NumericalError, RegimeError
 from gcwaves.fieldops import PeriodicGrid, ProfilePair
 
-from conftest import BENCH, DEGENERATE_SEED
+from conftest import BENCH, DEGENERATE_SEED, fft_lengths
 from spectral_helpers import read_profile_csv
 
 
@@ -114,6 +114,18 @@ def test_scan_window_refused(tmp_path, capsys):
     assert rc == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "k_min" in err and "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == {"scan.cfg"}
+
+
+@pytest.mark.parametrize("window", ["k_min = nan", "k_max = inf"])
+def test_coeffs_refuses_non_finite_scan_window(tmp_path, capsys, window):
+    # k_max = inf overflowed the scan: three numpy warnings, then a failure
+    # naming the k it overflowed at
+    cfg = write_config(tmp_path / "scan.cfg", BENCH, f"[scan]\n{window}\n")
+    rc = main(["coeffs", "--config", cfg, "--out", str(tmp_path / "c.json")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "0 < k_min < k_max < inf" in err
     assert set(os.listdir(tmp_path)) == {"scan.cfg"}
 
 
@@ -226,7 +238,7 @@ def test_ansatz_outputs(tmp_path, bench_cfg):
 
 
 def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch,
-                                              fft_lengths):
+                                              fft_record):
     # eta* is band-limited to the carrier grid (2048 points here), so its
     # J is read there, from transforms of at most 2 * 2048 points; the
     # profile is still written on the requested grid
@@ -238,9 +250,9 @@ def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch,
     eval_J = fieldops.eval_J
 
     def recorded(eta, p, mu):
-        fft_lengths.clear()
+        fft_record.clear()
         bd = eval_J(eta, p, mu)
-        lengths.append(sorted(fft_lengths))
+        lengths.append(sorted(fft_lengths(fft_record)))
         return bd
     monkeypatch.setattr(fieldops, "eval_J", recorded)
     out = tmp_path / "star.csv"

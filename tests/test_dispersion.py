@@ -121,9 +121,13 @@ def test_scan_window_error():
 @pytest.mark.parametrize("window", [
     {"k_min": 0.0}, {"k_min": -1.0}, {"k_min": 10.0, "k_max": 1.0},
     {"samples": 2},
-], ids=["k_min_zero", "k_min_negative", "reversed", "two_samples"])
+    # k_max = inf passed the check, and the scan overflowed with three
+    # RuntimeWarnings before it failed
+    {"k_max": math.inf},
+], ids=["k_min_zero", "k_min_negative", "reversed", "two_samples",
+        "k_max_infinite"])
 def test_scan_window_validated(window):
-    with pytest.raises(ConfigError, match="0 < k_min < k_max"):
+    with pytest.raises(ConfigError, match="0 < k_min < k_max < inf"):
         find_critical(NEAR_RESONANT, **window)
 
 

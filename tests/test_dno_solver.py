@@ -71,21 +71,21 @@ def curved_profile(strip, x=None):
 def curved_solve(op, strip) -> int:
     """The CG iterations of the solve eval_L_exact makes with ``op`` on
     the curved profile, as ``_StripOperator.solve`` reports them."""
-    u, v = curved_profile(strip)
-    zu, zv = op.dx(np.stack([u, v]))
+    eta = np.stack(curved_profile(strip))
+    zu, zv = zeta = op.dx(eta)
     results = []
     solve = op.solve
 
-    def recorded(b, q, rows=slice(None)):
+    def recorded(b, q, rows):
         results.append(solve(b, q, rows))
         return results[-1]
 
     op.solve = recorded
     try:
         if isinstance(op, LowerSolver):
-            op.solve_neumann(u, zu)
+            op.solve_neumann(zu, zu)
         else:
-            op.solve_neumann(u, v, -zu, zv)
+            op.solve_neumann(eta, zeta, -zu, zv)
     finally:
         del op.solve
     (_, iterations, _), = results
@@ -131,19 +131,25 @@ def test_default_tolerance_gives_L_to_rounding(eta_star):
     assert abs(L[0] - L[1]) <= 4 * np.spacing(L[1])
 
 
+def geometry(op, eta):
+    """The flux coefficients of the stacked profile eta on op, from its
+    slopes, as eval_L_exact sets them, and those slopes."""
+    zeta = op.dx(eta)
+    if isinstance(op, LowerSolver):
+        return op.set_geometry(zeta[0]), zeta
+    return op.set_geometry(eta, zeta), zeta
+
+
 def datum_spectrum(op, eta):
     """The flux coefficients of eta's geometry on op, and the spectrum of
     the flux datum eval_L_exact gives op: zeta_under on the lower layer's
     top row, the pair (-zeta_under, zeta_over) on the upper layer's bottom
     and top."""
-    u, v = eta.eta_under, eta.eta_over
-    zu, zv = op.dx(np.stack([u, v]))
-    b = np.zeros((op.ny + 1, op.nx))
+    q, (zu, zv) = geometry(op, np.stack([eta.eta_under, eta.eta_over]))
+    b = np.zeros((op.y.size, op.nx))
     if isinstance(op, LowerSolver):
-        q = op.set_geometry(u)
         b[0] = op.hx * zu
     else:
-        q = op.set_geometry(u, v)
         b[0], b[-1] = op.hx * zv, -op.hx * zu
     return q, np.fft.rfft(b, axis=1)
 
@@ -162,7 +168,7 @@ def test_energy_stop_bounds_the_error_of_b_dot_u(eta_star, solver, cg_tol):
                     eta.grid.period)
         q, b = datum_spectrum(op, eta)
         # the solve overwrites its datum
-        x, _, rel = op.solve(b.copy(), q)
+        x, _, rel = op.solve(b.copy(), q, slice(None))
         out.append((dno._parseval_dot(b, x), rel))
     (bu, rel), (exact, _) = out
     err = abs(bu - exact) / exact
@@ -176,8 +182,7 @@ def test_energy_stop_bounds_the_error_of_b_dot_u(eta_star, solver, cg_tol):
 def test_spectral_apply_matches_physical_form(solver, ny):
     strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0)
     op = solver(strip, PERIOD)
-    u, v = curved_profile(strip)
-    q = op.set_geometry(u) if solver is LowerSolver else op.set_geometry(u, v)
+    q, _ = geometry(op, np.stack(curved_profile(strip)))
     rng = np.random.default_rng(ny)
     a, b = (np.fft.rfft(rng.standard_normal((ny + 1, strip.nx)), axis=1)
             for _ in range(2))
@@ -194,55 +199,65 @@ def test_spectral_apply_matches_physical_form(solver, ny):
     assert abs(dot(a, Ab) - dot(b, Aa)) <= 1e-13 * scale
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Count calls of numpy's transforms; a batched call counts once."""
-    count = {"calls": 0}
-    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
-        def counted(*args, _original=getattr(np.fft, name), **kwargs):
-            count["calls"] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return count
-
-
 @pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
-def test_transform_counts_per_cg_iteration(solver, fft_calls):
+def test_transform_counts_per_cg_iteration(solver, fft_record):
     # four transforms per iteration inside apply, none in precondition;
-    # outside the loop one dx for the data and one in set_geometry (two
-    # transforms each), one rfft of the flux rows and one irfft of the
-    # trace rows
+    # outside the loop one dx of the profile, whose slopes are both the
+    # data and the geometry (two transforms), one rfft of the flux rows
+    # and one irfft of the trace rows
     strip = StripGrid(nx=256, ny=48, depth_under=14.0 / K0)
     iterations = curved_solve(solver(strip, PERIOD), strip)
     assert iterations > 1
-    assert fft_calls["calls"] == 2 + 2 + 2 + 4 * iterations
-
-
-@pytest.fixture
-def fft_rows(monkeypatch):
-    """The rows of every call of numpy's transforms, in call order; a
-    batched (m, n) call holds m."""
-    rows = []
-    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
-        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
-            a = np.asarray(a)
-            rows.append(a.size // a.shape[-1])
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return rows
+    assert len(fft_record) == 2 + 2 + 4 * iterations
 
 
 @pytest.mark.parametrize("solver, data_rows", [(LowerSolver, 1),
                                                (UpperSolver, 2)])
 def test_datum_and_traces_transform_only_their_rows(solver, data_rows,
-                                                    fft_rows):
-    # the dx of the data (two rows), the geometry's dx, the rfft of the
-    # flux rows, every apply on all ny + 1 rows, the irfft of the traces
+                                                    fft_record):
+    # the dx of the profile (two rows), the rfft of the flux rows, every
+    # apply on all ny + 1 rows, the irfft of the traces
     strip = StripGrid(nx=256, ny=48, depth_under=14.0 / K0)
     iterations = curved_solve(solver(strip, PERIOD), strip)
     apply_rows = [strip.ny + 1] * (4 * iterations)
-    assert fft_rows == ([2, 2] + [data_rows] * 3 + apply_rows
-                        + [data_rows])
+    assert [rows for rows, _ in fft_record] == (
+        [2, 2] + [data_rows] + apply_rows + [data_rows])
+
+
+def test_eval_L_exact_takes_each_slope_once(fft_record, monkeypatch):
+    # outside CG, one dx of the profile (two transforms) and, for each
+    # layer, one rfft of the flux rows and one irfft of the trace rows
+    # (ten when each solver differentiated the profile again)
+    strip = StripGrid(nx=1024, ny=48, depth_under=14.0 / K0)
+    eta = curved_pair(strip)
+    iterations = []
+    solve = dno._StripOperator.solve
+
+    def recorded(self, b, q, rows):
+        result = solve(self, b, q, rows)
+        iterations.append(result[1])
+        return result
+
+    monkeypatch.setattr(dno._StripOperator, "solve", recorded)
+    eval_L_exact(eta, BENCH, strip)
+    assert len(iterations) == 2 and min(iterations) > 1
+    assert len(fft_record) - 4 * sum(iterations) == 6
+
+
+def test_flat_K_matrix_transforms_no_zero_profile(monkeypatch):
+    # the flat geometry's slopes are zeros, not the dx of zero profiles:
+    # dx takes the two cosine profiles and the two xi, nothing else
+    strip = StripGrid(nx=128, ny=48, depth_under=14.0 / K0)
+    taken = []
+    dx = dno._StripOperator.dx
+
+    def recorded(self, U):
+        taken.append(bool(np.any(U != 0.0)))
+        return dx(self, U)
+
+    monkeypatch.setattr(dno._StripOperator, "dx", recorded)
+    dno.flat_K_matrix(K0, BENCH, strip, PERIOD)
+    assert taken == [True] * 4
 
 
 def array_bytes(value):
@@ -261,13 +276,12 @@ def test_solver_memory_bounded(solver):
     # a solve passes its geometry along, so a solver keeps no per-call
     # coefficient arrays (the upper layer's are two (ny+1) x nx ones)
     x = PERIOD / strip.nx * np.arange(strip.nx)
-    u = 0.12 * np.cos(K0 * x)
-    v = -0.05 * np.cos(K0 * x)
-    zu = op.dx(u[None, :])[0]
+    eta = np.stack([0.12 * np.cos(K0 * x), -0.05 * np.cos(K0 * x)])
+    zu, zv = zeta = op.dx(eta)
     if solver is LowerSolver:
-        op.solve_neumann(u, zu)
+        op.solve_neumann(zu, zu)
     else:
-        op.solve_neumann(u, v, -zu, op.dx(v[None, :])[0])
+        op.solve_neumann(eta, zeta, -zu, zv)
     assert array_bytes(list(vars(op).values())) < 2e6
 
 
@@ -472,11 +486,11 @@ def test_nyquist_flux_refused(depth):
     # operators, so CG cannot solve data that see it: it stalled, or
     # divided by zero, before the datum was refused
     strip = StripGrid(nx=256, ny=48, depth_under=depth)
-    flat = np.zeros(strip.nx)
+    flat = np.zeros((2, strip.nx))
     with pytest.raises(SolvabilityError, match="Nyquist"):
-        LowerSolver(strip, PERIOD).solve_neumann(flat, NYQUIST)
+        LowerSolver(strip, PERIOD).solve_neumann(flat[0], NYQUIST)
     upper = UpperSolver(strip, PERIOD)
-    for pair in ((NYQUIST, flat), (flat, NYQUIST)):
+    for pair in ((NYQUIST, flat[0]), (flat[0], NYQUIST)):
         with pytest.raises(SolvabilityError, match="Nyquist"):
             upper.solve_neumann(flat, flat, *pair)
 
@@ -487,10 +501,10 @@ def test_cg_refuses_direction_without_curvature(solver):
     # direction with d.Ad = 0, which used to raise ZeroDivisionError
     strip = StripGrid(nx=256, ny=48, depth_under=5.0)
     op = solver(strip, PERIOD)
-    flat = np.zeros(strip.nx)
-    q = (op.set_geometry(flat) if solver is LowerSolver
+    flat = np.zeros((2, strip.nx))
+    q = (op.set_geometry(flat[0]) if solver is LowerSolver
          else op.set_geometry(flat, flat))
     b = np.zeros((strip.ny + 1, strip.nx))
     b[0] = op.hx * NYQUIST
     with pytest.raises(NumericalError, match="curvature"):
-        op.solve(np.fft.rfft(b, axis=1), q)
+        op.solve(np.fft.rfft(b, axis=1), q, slice(None))

@@ -20,7 +20,7 @@ from gcwaves.fieldops import (PeriodicGrid, StagedProfile,
                               wrap_floor)
 from gcwaves.nls import compute_coefficients, soliton_shape
 
-from conftest import BENCH, random_band_profile
+from conftest import BENCH, fft_lengths, fft_rows_calls, random_band_profile
 from spectral_helpers import (apply_multiplier, eval_K, eval_L_lower,
                               eval_L_upper, grad_K, grad_L_trunc, m_lower,
                               m_upper, read_profile_csv, roll, zero_profile)
@@ -355,32 +355,7 @@ def test_fbar_inverse_entries_invert_fbar(grid):
     assert np.max(np.abs(d[1:] * no[1:] + o[1:] * nd[1:])) <= 1e-14
 
 
-@pytest.fixture
-def fft_rows(monkeypatch):
-    """Count one-dimensional transforms; a batched (m, n) call counts m."""
-    count = {"rows": 0}
-    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
-        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
-            a = np.asarray(a)
-            count["rows"] += a.size // a.shape[-1]
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return count
-
-
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Count transform calls; a batched (m, n) call counts 1."""
-    count = {"calls": 0}
-    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
-        def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
-            count["calls"] += 1
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return count
-
-
-def test_transform_counts(grid, fft_rows, fft_calls):
+def test_transform_counts(grid, fft_record):
     # the value stage makes 3 calls: the pair, the eight stacked padded
     # fields and the seven stacked products; the gradient stage adds 10
     rng = np.random.default_rng(15)
@@ -390,36 +365,36 @@ def test_transform_counts(grid, fft_rows, fft_calls):
     for name, fn in (("grad_J", lambda: grad_J(eta, BENCH, 1e-3)),
                      ("eval_J", lambda: eval_J(eta, BENCH, 1e-3)),
                      ("eval_L_trunc", lambda: eval_L_trunc(eta, BENCH))):
-        fft_rows["rows"] = fft_calls["calls"] = 0
+        fft_record.clear()
         fn()
-        rows[name], calls[name] = fft_rows["rows"], fft_calls["calls"]
+        rows[name], calls[name] = fft_rows_calls(fft_record)
     assert rows == {"grad_J": 35, "eval_J": 17, "eval_L_trunc": 17}
     assert calls == {"grad_J": 13, "eval_J": 3, "eval_L_trunc": 3}
 
 
-def test_staged_profile_reuses_its_value_stage(grid, fft_rows, fft_calls):
+def test_staged_profile_reuses_its_value_stage(grid, fft_record):
     # eval_J then grad_J on a staged profile: the value stage once, the
     # gradient stage on the same transforms, the same numbers as unstaged
     rng = np.random.default_rng(16)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
-    fft_rows["rows"] = fft_calls["calls"] = 0
+    fft_record.clear()
     staged = StagedProfile(eta)
-    assert (fft_rows["rows"], fft_calls["calls"]) == (10, 2)
+    assert fft_rows_calls(fft_record) == (10, 2)
     bd = eval_J(staged, BENCH, 1e-3)
-    assert (fft_rows["rows"], fft_calls["calls"]) == (17, 3)
+    assert fft_rows_calls(fft_record) == (17, 3)
     (gu, gv), bd_grad = grad_J(staged, BENCH, 1e-3)
-    assert (fft_rows["rows"], fft_calls["calls"]) == (35, 13)
+    assert fft_rows_calls(fft_record) == (35, 13)
     h2_sq = staged.h2_sq()
-    assert (fft_rows["rows"], fft_calls["calls"]) == (35, 13)
+    assert fft_rows_calls(fft_record) == (35, 13)
     assert h2_sq == StagedProfile(eta).h2_sq()
     (ref_u, ref_v), ref_bd = grad_J(eta, BENCH, 1e-3)
     assert bd is bd_grad and bd == ref_bd
     assert np.array_equal(gu, ref_u) and np.array_equal(gv, ref_v)
     # another mu gets its own breakdown from the same transforms
-    fft_rows["rows"] = 0
+    fft_record.clear()
     assert eval_J(staged, BENCH, 2e-3) == eval_J(eta, BENCH, 2e-3)
-    assert fft_rows["rows"] == 17
+    assert fft_rows_calls(fft_record)[0] == 17
 
 
 def test_batched_value_stage_equals_row_by_row_transforms(grid):
@@ -820,29 +795,29 @@ def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
 
 
 def test_eta_star_on_its_carrier_grid_takes_no_transform(
-        bench_coeffs, bench_crit, fft_lengths):
+        bench_coeffs, bench_crit, fft_record):
     # the samples are returned as computed; only a finer grid transforms
     mu, n = 4e-3, 4096
     grid = make_grid(
         n, bench_crit.k0,
         suggest_carrier_multiple(bench_coeffs, bench_crit, mu)).carrier_grid
-    fft_lengths.clear()
+    fft_record.clear()
     eta = build_eta_star(bench_coeffs, bench_crit, _SWEEP_PINS[mu, n][0],
                          grid, BENCH)
-    assert fft_lengths == []
+    assert fft_record == []
     assert eta.carrier_copy is None
 
 
-def test_mu_of_eps_takes_one_value_stage(bench_coeffs, bench_crit, fft_rows,
-                                         fft_calls):
+def test_mu_of_eps_takes_one_value_stage(bench_coeffs, bench_crit,
+                                         fft_record):
     # building eta* on the carrier grid adds nothing to the value stage's
     # 17 rows in 3 calls
     mu, n = 4e-3, 4096
     grid = make_grid(n, bench_crit.k0,
                      suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
-    fft_rows["rows"] = fft_calls["calls"] = 0
+    fft_record.clear()
     mu_of_eps(BENCH, bench_coeffs, bench_crit, grid, _SWEEP_PINS[mu, n][0])
-    assert (fft_rows["rows"], fft_calls["calls"]) == (17, 3)
+    assert fft_rows_calls(fft_record) == (17, 3)
 
 
 def _full_grid_eta_star(coeffs, crit, mu, n):
@@ -852,17 +827,17 @@ def _full_grid_eta_star(coeffs, crit, mu, n):
 
 
 def test_eval_J_of_eta_star_transforms_carrier_grid_rows(
-        bench_coeffs, bench_crit, fft_lengths):
+        bench_coeffs, bench_crit, fft_record):
     # n = 16384 at mu = 1e-3 has a carrier grid of 4096 points: the value
     # stage transforms the pair there and its padded fields at 2 * 4096
     eta, _ = _full_grid_eta_star(bench_coeffs, bench_crit, 1e-3, 16384)
     assert eta.carrier_copy.grid.n == 4096
-    fft_lengths.clear()
+    fft_record.clear()
     eval_J(eta, BENCH, 1e-3)
-    assert sorted(fft_lengths) == [4096, 2 * 4096, 2 * 4096]
-    fft_lengths.clear()
+    assert sorted(fft_lengths(fft_record)) == [4096, 2 * 4096, 2 * 4096]
+    fft_record.clear()
     eval_L_trunc(eta, BENCH)
-    assert max(fft_lengths) == 2 * 4096
+    assert max(fft_lengths(fft_record)) == 2 * 4096
 
 
 @pytest.mark.parametrize("mu, n", [*_SWEEP_PINS, (5e-4, 32768)])
