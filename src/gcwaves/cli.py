@@ -3,8 +3,8 @@
 Subcommands: dispersion, coeffs, soliton, ansatz, minimize, validate.
 All outputs are flat files (CSV / JSON) with every float serialized at
 17 significant digits so repeated runs are byte-identical.  Exit codes:
-0 success, 1 config parse error, 2 assumption/regime gate failed,
-3 numerical failure.
+0 success, 1 config parse error or unwritable output, 2 assumption/regime
+gate failed, 3 invalid configuration or numerical failure.
 
 Every command but ``dispersion`` passes its config through ``_gate``,
 which writes a JSON payload and nothing else when a gate fails:
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dispersion as disp
 from . import dno, fieldops, minimizer, nls
-from .errors import GcwavesError, NumericalError
+from .errors import ConfigError, GcwavesError, NumericalError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -50,6 +50,13 @@ EXIT_NUMERICAL = 3
 
 class ConfigParseError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output path that cannot be written, named as given."""
+
+    def __init__(self, path, ex: OSError):
+        super().__init__(f"{path}: cannot write: {ex.strerror or ex}")
 
 
 def _mu(text: str) -> float:
@@ -189,19 +196,21 @@ def dump_json(obj) -> str:
 
 def _atomic_write(path, chunks):
     """Write an iterable of byte strings via a same-directory temp file
-    and rename; a chunk that raises leaves ``path`` as it was."""
+    and rename; a chunk that raises leaves ``path`` as it was, and an
+    OSError is raised as an ``OutputError`` that names ``path``."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as ex:
+        raise OutputError(path, ex) from ex
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path, text: str):
@@ -541,39 +550,31 @@ def cmd_ansatz(args) -> int:
 
 
 def _run_minimize(cfg, crit, c, mu):
-    grid = _grid_for(cfg, crit, c, mu)
+    m = cfg["minimize"]
     mcfg = minimizer.MinimizeConfig(
-        mu=mu, grid=grid,
-        max_iters=cfg["minimize"]["max_iters"],
-        grad_tol=cfg["minimize"]["grad_tol"] or None,
-        admissibility_M=cfg["minimize"]["M"],
-    )
+        mu=mu, grid=_grid_for(cfg, crit, c, mu), max_iters=m["max_iters"],
+        grad_tol=m["grad_tol"] or None, admissibility_M=m["M"])
     return minimizer.minimize(cfg["_params"], c, crit, mcfg)
 
 
 def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
-    return {
-        "breakdown": dataclasses.asdict(r.breakdown),
-        "speed": r.speed,
-        "nu0": crit.nu0,
-        "iterations": r.iterations,
-        "value_evals": r.value_evals,
-        "gradient_evals": r.gradient_evals,
-        "spectral_tail": r.spectral_tail,
-        "final_grad_norm": r.final_grad_norm,
-        "boundary_hit": r.boundary_hit,
-        "max_trial_h2_sq": r.max_trial_h2_sq,
-        "converged": r.converged,
-        "reason": r.reason,
-        "levels": r.levels,
-    }
+    """Every field of the result but the profile and the history, which
+    have files of their own, plus nu0."""
+    out = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+           if f.name not in ("eta", "history")}
+    out["breakdown"] = dataclasses.asdict(r.breakdown)
+    out["nu0"] = crit.nu0
+    return out
 
 
 def cmd_minimize(args) -> int:
     cfg = parse_config(args.config)
     mus = _parse_sweep(args.sweep) if args.sweep else [cfg["minimize"]["mu"]]
     crit, c = _gate(cfg, None, focusing=True)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as ex:
+        raise OutputError(args.out, ex) from ex
     runs = []
     for i, mu in enumerate(mus):
         tag = _mu_tag(mu)
@@ -607,11 +608,8 @@ def cmd_minimize(args) -> int:
         return EXIT_NUMERICAL
     if len(runs) >= 3:
         fit = minimizer.speed_expansion_check(runs, crit, c)
-        write_json(os.path.join(args.out, "speed_fit.json"), {
-            "fitted": fit.fitted, "predicted": fit.predicted,
-            "mus": list(fit.mus), "values": list(fit.values),
-            "residual_trend": list(fit.residual_trend),
-        })
+        write_json(os.path.join(args.out, "speed_fit.json"),
+                   dataclasses.asdict(fit))
     return EXIT_OK
 
 
@@ -704,26 +702,22 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_out, out_help):
+    def add(name, fn, out_required, out_help):
         q = sub.add_parser(name)
         q.add_argument("--config", required=True, help="config file path")
-        if needs_out == "required":
-            q.add_argument("--out", required=True, help=out_help)
-        elif needs_out == "optional":
-            q.add_argument("--out", default=None, help=out_help)
+        q.add_argument("--out", required=out_required, help=out_help)
         q.set_defaults(func=fn)
         return q
 
-    q = add("dispersion", cmd_dispersion, "required", "output CSV path")
+    q = add("dispersion", cmd_dispersion, True, "output CSV path")
     q.add_argument("--require-valid", action="store_true")
-    add("coeffs", cmd_coeffs, "optional", "output JSON path (default stdout)")
-    add("soliton", cmd_soliton, "required", "output CSV path")
-    add("ansatz", cmd_ansatz, "required", "output profile CSV path")
-    q = add("minimize", cmd_minimize, "required", "output directory")
+    add("coeffs", cmd_coeffs, False, "output JSON path (default stdout)")
+    add("soliton", cmd_soliton, True, "output CSV path")
+    add("ansatz", cmd_ansatz, True, "output profile CSV path")
+    q = add("minimize", cmd_minimize, True, "output directory")
     q.add_argument("--sweep", default=None,
                    help="comma-separated mu values for a sweep")
-    add("validate", cmd_validate, "optional",
-        "output JSON path (default stdout)")
+    add("validate", cmd_validate, False, "output JSON path (default stdout)")
     return ap
 
 
@@ -731,11 +725,14 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigParseError as ex:
+    except (ConfigParseError, OutputError) as ex:
         print(str(ex), file=sys.stderr)
         return EXIT_PARSE
     except _GateFailed:
         return EXIT_GATE
+    except ConfigError as ex:
+        print(f"invalid configuration: {ex}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except GcwavesError as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERICAL

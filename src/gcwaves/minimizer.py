@@ -47,18 +47,19 @@ tolerance.  The ladder starts on the coarsest such power of two (same
 period), ``PeriodicGrid.carrier_grid``, where ``eps_of_mu`` and the test
 profile are computed whatever the requested grid, and doubles towards
 the requested grid.  Each grid descends to the same gradient tolerance
-with its own objective, preconditioner and an empty L-BFGS memory, from
-the iterate of the grid below, prolonged by zero-padding its spectrum,
-which is exact for a band-limited iterate and keeps it even.
-``max_iters`` is one budget for the whole ladder.  The first grid above
-the carrier grid that takes no iteration ends the ladder, and its
-gradient test is the run's verdict: content the grid below could not
-hold would show up there as gradient, so a start that already meets the
-tolerance confirms that the wave is resolved.  The profile is that
-level's iterate prolonged to the requested grid: band-limited to the
-idle grid, which resolves it.  A run whose ladder ends on a grid that
-still iterated (the requested grid, or the carrier grid alone) has no
-such check and reports ``under_resolved``.
+with an empty L-BFGS memory and its own objective, built from p, mu, M,
+that grid, nu_m (computed once per run) and its start: the iterate of
+the grid below, prolonged by zero-padding its spectrum, which is exact
+for a band-limited iterate and keeps it even.  ``max_iters`` is one
+budget for the whole ladder.  The first grid above the carrier grid
+that takes no iteration ends the ladder, and its gradient test is the
+run's verdict: content the grid below could not hold would show up there
+as gradient, so a start that already meets the tolerance confirms that
+the wave is resolved.  The profile is that level's iterate prolonged to
+the requested grid: band-limited to the idle grid, which resolves it.
+A run whose ladder ends on a grid that still iterated (the requested
+grid, or the carrier grid alone) has no such check and reports
+``under_resolved``.
 """
 
 from __future__ import annotations
@@ -193,6 +194,9 @@ def _model_speed(crit: CriticalPoint, c: NlsCoefficients, mu: float) -> float:
 class _Objective:
     """J_mu plus the H^2-ball barrier, on half-grid vectors.
 
+    Built from p, mu, the ball's radius M, the level's grid, the model
+    speed nu_m and the level's start x0, a half-grid vector.
+
     ``precondition`` inverts the exact Hessian of the quadratic
     truncation K2 + mu^2 / L2 at the NLS speed nu_m (``_model_speed``):
     the symbol g_nu(k) = P(k) - nu_m^2 F(k) plus the rank-one term
@@ -207,20 +211,16 @@ class _Objective:
     after each gradient, so a level that takes no step builds none.
     """
 
-    def __init__(self, p: Params, cfg: MinimizeConfig, crit: CriticalPoint,
-                 c: NlsCoefficients, x0: np.ndarray):
-        self.p = p
-        self.cfg = cfg
-        grid = self.grid = cfg.grid
-        n = grid.n
-        self.weights = _half_weights(n)
+    def __init__(self, p: Params, mu: float, M: float, grid: PeriodicGrid,
+                 nu: float, x0: np.ndarray):
+        self.p, self.mu, self.grid = p, mu, grid
+        self.weights = _half_weights(grid.n)
         self.h2_weight = grid.symbols.h2_weight
-        self.s0 = (0.9 * cfg.admissibility_M) ** 2
-        self.s_edge = cfg.admissibility_M**2
+        self.s0 = (0.9 * M) ** 2
+        self.s_edge = M**2
         self.value_evals = self.gradient_evals = 0
         self.max_h2_sq = 0.0
-        self._nu = _model_speed(crit, c, cfg.mu)
-        self._x0 = x0
+        self._nu, self._x0 = nu, x0
         # the barrier's (shift, column) at the latest iterate, None outside
         # the shell, and the model there once built
         self._shell = self._pre = None
@@ -297,7 +297,7 @@ class _Objective:
         the trial that holds its value stage for ``gradient``."""
         self.value_evals += 1
         eta = StagedProfile(self.split(h))
-        bd = eval_J(eta, self.p, self.cfg.mu)
+        bd = eval_J(eta, self.p, self.mu)
         s = eta.h2_sq()
         self.max_h2_sq = max(self.max_h2_sq, s)
         bval, dvds = self.barrier(s)
@@ -309,7 +309,7 @@ class _Objective:
         model takes its barrier terms there (none outside the shell)."""
         self.gradient_evals += 1
         n, dx = self.grid.n, self.grid.dx
-        (gu, gv), bd = grad_J(trial.eta, self.p, self.cfg.mu)
+        (gu, gv), bd = grad_J(trial.eta, self.p, self.mu)
         g = np.stack([gu, gv])
         self._shell = self._pre = None
         if trial.dvds is not None:
@@ -373,10 +373,13 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     line search fails; hitting max_iters, stopping in the barrier's shell
     or ending the ladder on a grid that still iterated returns
     converged=False, with its ``reason``, rather than raising.
+    ``c`` and ``crit`` give the start eta*(eps(mu)) and nu_m; ``cfg``
+    gives mu, M, the requested grid, the tolerance and the budget.
     """
     grids = _ladder(cfg.grid)
     eps = eps_of_mu(p, c, crit, grids[0], cfg.mu)
     eta0 = build_eta_star(c, crit, eps, grids[0], p)
+    nu = _model_speed(crit, c, cfg.mu)
     x = _half(np.stack([eta0.eta_under, eta0.eta_over]), grids[0].n)
     history: list = []
     levels: list = []
@@ -386,8 +389,8 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     for i, grid in enumerate(grids):
         if i:
             x = _prolong(x, grids[i - 1].n, grid.n)
-        obj = _Objective(p, replace(cfg, grid=grid), crit, c, x)
-        level = _descend(obj, x, it, history)
+        obj = _Objective(p, cfg.mu, cfg.admissibility_M, grid, nu, x)
+        level = _descend(obj, x, it, cfg.tol, cfg.max_iters, history)
         # an idle grid above the carrier grid confirms the one below
         confirmed = i > 0 and level.iterations == it
         levels.append({"n": grid.n, "iterations": level.iterations - it,
@@ -402,10 +405,9 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     if grid is not cfg.grid:
         x = _prolong(x, grid.n, cfg.grid.n)
     eta = ProfilePair(cfg.grid, *_mirror(x, cfg.grid.n))
-    bd = level.bd
     reason = level.reason or (None if confirmed else "under_resolved")
     return MinimizeResult(
-        eta=eta, breakdown=bd, speed=cfg.mu / bd.l_trunc,
+        eta=eta, breakdown=level.bd, speed=cfg.mu / level.bd.l_trunc,
         iterations=it, final_grad_norm=level.gnorm,
         boundary_hit=boundary_hit, converged=reason is None, reason=reason,
         history=history,
@@ -417,16 +419,16 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     )
 
 
-def _descend(obj: _Objective, x: np.ndarray, it: int,
-             history: list) -> _Level:
+def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
+             max_iters: int, history: list) -> _Level:
     """L-BFGS descent on the objective's grid from the half-grid vector x,
-    with an empty memory, until the gradient norm reaches ``cfg.tol`` or
-    the iteration count ``it``, shared by all grids, reaches
-    ``cfg.max_iters``.  Appends its rows to ``history``.  The level has
+    with an empty memory, until the gradient norm reaches ``tol`` or the
+    iteration count ``it``, shared by all grids, reaches the run's budget
+    ``max_iters``.  Appends its rows to ``history``.  The level has
     converged (its ``reason`` is None) if it stopped at the tolerance
     outside the barrier's shell, where no barrier slope can cancel that
     of J."""
-    cfg, grid, dot = obj.cfg, obj.grid, obj.dot
+    grid, dot = obj.grid, obj.dot
     n = grid.n
 
     f, trial = obj(x)
@@ -439,9 +441,9 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
 
     # (s, y, 1 / s.y) per curvature pair, oldest first
     memory: deque = deque(maxlen=_LBFGS_MEMORY)
-    at_tol = gnorm <= cfg.tol
+    at_tol = gnorm <= tol
 
-    while not at_tol and it < cfg.max_iters:
+    while not at_tol and it < max_iters:
         it += 1
         # two-loop recursion with the spectral Hessian model as H0
         q = g.copy()
@@ -495,7 +497,7 @@ def _descend(obj: _Objective, x: np.ndarray, it: int,
         gnorm = math.sqrt(dot(g, g) / grid.dx)
         history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n))
         logged_evals = obj.value_evals
-        at_tol = gnorm <= cfg.tol
+        at_tol = gnorm <= tol
 
     reason = ("max_iters" if not at_tol
               else "barrier_shell" if in_shell else None)

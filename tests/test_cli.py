@@ -524,6 +524,42 @@ def test_soliton_refuses_one_sample(tmp_path, capsys):
     assert set(os.listdir(tmp_path)) == {"n1.cfg"}
 
 
+def test_soliton_one_sample_is_a_config_error(tmp_path, capsys):
+    # a bad config value was reported as a numerical failure
+    cfg = write_config(tmp_path / "n1.cfg", BENCH,
+                       "[scan]\nsamples = 1024\n[grid]\nn = 1\n")
+    main(["soliton", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+    assert capsys.readouterr().err == (
+        "invalid configuration: the soliton needs n >= 2 samples, got 1\n")
+
+
+def test_numerical_failure_keeps_its_label(capsys, bench_cfg, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalError("eigenvalue evaluation overflowed")
+
+    monkeypatch.setattr(cli.disp, "find_critical", fail)
+    assert main(["coeffs", "--config", bench_cfg]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: eigenvalue evaluation overflowed\n")
+
+
+@pytest.mark.parametrize("command, out", [
+    ("dispersion", "missing/x.csv"),
+    ("coeffs", "missing/c.json"),
+    ("minimize", "bench.cfg"),  # an existing file, not a directory
+], ids=["dispersion", "coeffs", "minimize"])
+def test_unwritable_output_names_the_path(tmp_path, capsys, bench_cfg,
+                                          command, out):
+    # each printed a traceback naming a temp file, or failing in makedirs
+    path = str(tmp_path / out)
+    rc = main([command, "--config", bench_cfg, "--out", path])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: cannot write: ")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert set(os.listdir(tmp_path)) == {"bench.cfg"}
+
+
 def test_minimize_failure_record(tmp_path, bench_cfg, monkeypatch):
     grid = PeriodicGrid(n=16, period=10.0, k0_multiple=1)
     last = ProfilePair(grid, 1e-3 * np.cos(grid.x), -4e-4 * np.cos(grid.x))

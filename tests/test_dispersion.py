@@ -107,7 +107,7 @@ def test_find_critical_resonant_valid_and_deterministic(resonant_report):
 
 def test_find_critical_against_brute_scan(resonant_crit):
     ks = np.geomspace(0.01, 10.0, 200_001)
-    lams = np.array([eval_lambda(float(k), NEAR_RESONANT)[0] for k in ks])
+    lams = eval_lambda(ks, NEAR_RESONANT)[0]
     k_brute = ks[np.argmin(lams)]
     assert resonant_crit.k0 == pytest.approx(k_brute, rel=1e-4)
     assert resonant_crit.nu0**2 == pytest.approx(np.min(lams), rel=1e-10)

@@ -346,9 +346,8 @@ def test_preconditioner_inverts_the_quadratic_model(bench_crit, bench_coeffs,
     x0 = _half(np.stack([wave, -bench_crit.a * wave]), n)
     ball = h2_norm(ProfilePair(grid, *_mirror(x0, n))) / 0.95 if shell \
         else 1.0
-    cfg = MinimizeConfig(mu=MU, grid=grid, admissibility_M=ball)
-    obj = minimizer._Objective(BENCH, cfg, bench_crit, bench_coeffs, x0)
     nu = minimizer._model_speed(bench_crit, bench_coeffs, MU)
+    obj = minimizer._Objective(BENCH, MU, ball, grid, nu, x0)
     rng = np.random.default_rng(11)
     barrier = None
     if shell:
