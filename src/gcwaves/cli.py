@@ -598,7 +598,8 @@ def cmd_minimize(args) -> int:
         write_json(os.path.join(args.out, f"{tag}.result.json"),
                    _result_dict(r, crit))
         write_csv(os.path.join(args.out, f"{tag}.iterations.csv"),
-                  ["iteration", "j_mu", "grad_norm", "step", "trials", "n"],
+                  ["iteration", "j_mu", "grad_norm", "step", "trials", "n",
+                   "approx_wolfe"],
                   list(zip(*r.history)))
     unconverged = [f"mu={mu:g} ({r.reason})"
                    for mu, r in zip(mus, runs) if not r.converged]

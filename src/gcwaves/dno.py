@@ -143,9 +143,11 @@ def _parseval_dot(a: np.ndarray, b: np.ndarray) -> float:
     """nx times sum(u * v) for real (m, nx) arrays u, v, nx even, from their
     rfft spectra a, b: interior modes count twice, DC and Nyquist once
     (their imaginary parts are zero)."""
-    af, bf = a.view(float), b.view(float)
-    return float(2.0 * np.vdot(af, bf) - np.vdot(af[:, 0], bf[:, 0])
-                 - np.vdot(af[:, -2], bf[:, -2]))
+    # per-column sums over the rows, then numpy's pairwise sum over the
+    # columns: no BLAS call, whose threads split a long sum and so make its
+    # rounding depend on their count
+    s = np.einsum("ij,ij->j", a.view(float), b.view(float))
+    return float(2.0 * s.sum() - s[0] - s[-2])
 
 
 class _WorkArea:
@@ -307,14 +309,25 @@ class _StripOperator:
         energy: P being the exact flat-strip inverse, r.Pr estimates the
         A-norm error ||e||_A^2, which is exactly the error of b.u for an
         iterate started at 0, so once rel = sqrt(r.Pr / b.Pb) <= ``cg_tol``
-        the relative error of b.u is about rel**2.  A direction without
-        positive curvature means b met the operator's other null vector,
-        the depth-constant Nyquist checkerboard, and raises
-        NumericalError.  The preconditioned residual, the direction and
-        A d are the work area's ``z``, ``d`` and ``ad``.
+        the relative error of b.u is about rel**2.  A datum that meets the
+        operator's other null vector, the depth-constant Nyquist
+        checkerboard (its spectrum is column nx/2, the same on every row),
+        would give CG a direction without curvature: it is refused with
+        NumericalError before the first step.  Its level, 1e-10 of
+        sqrt((ny+1) nx b.b), bounds 1e-10 nx times the sum of the rows'
+        largest samples, so any datum ``refuse_unsolvable`` passes stays
+        below it.  A direction without positive curvature met later raises
+        NumericalError too.  The preconditioned residual, the direction
+        and A d are the work area's ``z``, ``d`` and ``ad``.
         """
         w = self.work
         r = b
+        checker = abs(float(np.sum(r[:, -1].real)))
+        bb = _parseval_dot(r, r)
+        if checker > 1e-10 * math.sqrt(len(r) * self.nx * bb):
+            raise NumericalError(
+                f"datum meets the Nyquist checkerboard ({checker:.3e}), a "
+                "direction without curvature")
         r[:, 0] -= r[:, 0].mean()
         # the first direction is the first preconditioned residual
         d = self.precondition(r, w.d)

@@ -276,6 +276,9 @@ class FunctionalBreakdown:
     l_trunc: float
     j_mu: float
     mu: float
+    #: the upper layer's quadratic term before the density weighting,
+    #: (1/2) int (u B1 + v B2) (``minimizer.line_corrected`` reads it)
+    l2_upper: float
 
 
 class _Products(NamedTuple):
@@ -423,9 +426,10 @@ def _upper_parts(f: StagedProfile):
 
 
 def _l_parts(f: StagedProfile, p: Params):
+    """The combined (l2, l3, l4), and the upper layer's l2 before rho."""
     lo = _lower_parts(f)
     up = _upper_parts(f)
-    return tuple(a + p.rho * b for a, b in zip(lo, up))
+    return tuple(a + p.rho * b for a, b in zip(lo, up)), up[0]
 
 
 def _k_parts(f: StagedProfile, p: Params):
@@ -450,7 +454,7 @@ def _k_parts(f: StagedProfile, p: Params):
 
 def _breakdown(f: StagedProfile, p: Params, mu: float) -> FunctionalBreakdown:
     k_total, k2, k4 = _k_parts(f, p)
-    l2, l3, l4 = _l_parts(f, p)
+    (l2, l3, l4), l2_upper = _l_parts(f, p)
     l_trunc = l2 + l3 + l4
     if l_trunc <= 0.0:
         raise OutOfConeError(
@@ -460,6 +464,7 @@ def _breakdown(f: StagedProfile, p: Params, mu: float) -> FunctionalBreakdown:
     return FunctionalBreakdown(
         k_total=k_total, k2=k2, k4=k4, l2=l2, l3=l3, l4=l4,
         l_trunc=l_trunc, j_mu=k_total + mu**2 / l_trunc, mu=mu,
+        l2_upper=l2_upper,
     )
 
 
@@ -533,7 +538,7 @@ def _value_profile(eta: ProfilePair) -> ProfilePair:
 def eval_L_trunc(eta: ProfilePair, p: Params):
     """Combined truncation (l2, l3, l4) with the density weighting; on the
     carrier-grid copy of a test profile that has one."""
-    return _l_parts(StagedProfile(_value_profile(eta)), p)
+    return _l_parts(StagedProfile(_value_profile(eta)), p)[0]
 
 
 def eval_J(eta: ProfilePair | StagedProfile, p: Params,

@@ -3,7 +3,9 @@
 Minimizes J_mu = K + mu^2 / L_trunc over profile pairs on a periodic
 grid, starting from the modulated-carrier test profile at the matched
 amplitude eps(mu).  The method is limited-memory BFGS (20 curvature
-pairs) with a backtracking Armijo line search.  A smooth quartic barrier
+pairs) with a backtracking Armijo line search, which falls back on the
+approximate Wolfe conditions where J cannot resolve the decrease (Hager
+& Zhang, SIAM J. Optim. 16, 2005).  A smooth quartic barrier
 on the shell 0.9 M <= ||eta||_H2 penalises iterates that leave the H^2
 ball of radius M where the truncation is trusted; it grows like a
 polynomial and sets no wall, so a trial can pass M.  A run whose last
@@ -33,11 +35,19 @@ others by 2, which makes them equal to the full-grid products.
 Each line-search trial is a value-only call: the objective evaluates J_mu
 and the barrier on a ``StagedProfile`` through ``eval_J``, and only a
 trial that passes the Armijo test goes on to ``grad_J``, which runs the
-gradient stage on the same transforms and is accepted.  The trial's
-value stage is dropped once it is accepted or rejected.  A rejected
-trial backtracks to the minimiser of the quadratic through the current
-value, the slope and the trial's value, kept within [0.1 t, 0.5 t]; a
-trial outside the truncation's cone halves the step.
+gradient stage on the same transforms and is accepted.  Near the
+minimum the predicted decrease can fall below one ulp of J, so every
+trial reads J to within a few ulps and the Armijo test cannot tell a
+good step from a bad one.  A trial that fails it with |f_try - f| <=
+4 ulp(f) therefore takes its gradient, and is accepted if its slope
+along the direction meets the approximate Wolfe conditions
+(2 delta - 1) phi'(0) >= phi'(t) >= sigma phi'(0), delta = 0.1 and
+sigma = 0.9; the accepted step keeps that gradient.  The trial's value
+stage is dropped once it is accepted or rejected.  A rejected trial
+backtracks to the minimiser of the quadratic through the current value,
+the slope and the trial's value, kept within [0.1 t, 0.5 t]; a trial
+outside the truncation's cone halves the step.  A step that leaves the
+iterate unchanged ends the ladder as ``stalled``.
 
 The descent climbs a ladder of grids (nested iteration; Brandt, Math.
 Comp. 1977).  The minimisers are modulated carriers whose j-th harmonic
@@ -55,11 +65,11 @@ budget for the whole ladder.  The first grid above the carrier grid
 that takes no iteration ends the ladder, and its gradient test is the
 run's verdict: content the grid below could not hold would show up there
 as gradient, so a start that already meets the tolerance confirms that
-the wave is resolved.  The profile is that level's iterate prolonged to
-the requested grid: band-limited to the idle grid, which resolves it.
-A run whose ladder ends on a grid that still iterated (the requested
-grid, or the carrier grid alone) has no such check and reports
-``under_resolved``.
+the wave is resolved.  The profile is that grid's iterate, on that grid:
+the requested grid caps the ladder but does not set the profile's
+size.  A run whose ladder ends on a grid that still iterated (the
+requested grid, or the carrier grid alone) has no such check and
+reports ``under_resolved``; its profile is on that last grid.
 """
 
 from __future__ import annotations
@@ -84,10 +94,16 @@ _MU_CEILING = 1e-2
 #: curvature pairs kept by the L-BFGS two-loop recursion
 _LBFGS_MEMORY = 20
 
+#: the approximate Wolfe conditions' delta and sigma (Hager & Zhang), and
+#: the largest |f_try - f|, in ulps of f, at which a line search tests them
+_WOLFE_DELTA, _WOLFE_SIGMA = 0.1, 0.9
+_WOLFE_ULPS = 4
+
 
 @dataclass(frozen=True)
 class MinimizeConfig:
     mu: float
+    #: the top grid the ladder may climb to (its cap)
     grid: PeriodicGrid
     max_iters: int = 2000
     #: stopping threshold on the discrete-L2 gradient norm.  With the
@@ -120,6 +136,8 @@ class MinimizeConfig:
 
 @dataclass
 class MinimizeResult:
+    #: the profile on the grid that ended the ladder: the idle grid that
+    #: confirmed it, or the last grid where none did (``levels[-1]``)
     eta: ProfilePair
     breakdown: FunctionalBreakdown
     speed: float
@@ -130,13 +148,16 @@ class MinimizeResult:
     boundary_hit: bool
     converged: bool
     #: None when converged, else why not, checked in this order:
+    #: "stalled" (a line search left the iterate unchanged),
     #: "max_iters" (the budget ran out before the tolerance was met),
     #: "barrier_shell" (met inside the barrier's shell) or
     #: "under_resolved" (met outside it, but only on a grid that iterated)
     reason: str | None = None
-    #: (iter, J, grad_norm, step, trials, n): trials counts the objective
-    #: values evaluated since the previous row, and n is the grid's size;
-    #: each grid's first row is its start, with step 0.0
+    #: (iter, J, grad_norm, step, trials, n, approx_wolfe): trials counts
+    #: the objective values evaluated since the previous row, n is the
+    #: grid's size, and approx_wolfe is 1 where the approximate Wolfe test
+    #: accepted the step, 0 where the Armijo test did; each grid's first
+    #: row is its start, with step 0.0 and approx_wolfe 0
     history: list = field(default_factory=list)
     #: objective values the descent took (line-search trials included)
     #: and the gradients among them
@@ -144,9 +165,9 @@ class MinimizeResult:
     gradient_evals: int = 0
     #: largest |rfft coefficient| in the top 20% of the band over the
     #: largest one, the larger of the two components (report only).  It
-    #: reads the written profile, the idle level's iterate prolonged to
-    #: the requested grid, so it is at rounding level by construction
-    #: wherever the ladder ends below that grid; the idle level's gradient
+    #: reads the profile, the idle grid's iterate, which is the grid
+    #: below's prolonged, so it is at rounding level by construction
+    #: wherever an idle grid ends the ladder; the idle grid's gradient
     #: test is the resolution check
     spectral_tail: float | None = None
     #: largest s = ||eta||_H2^2 of any trial the descent evaluated, line
@@ -156,6 +177,11 @@ class MinimizeResult:
     #: per grid the ladder ran, coarsest first, up to the first idle one:
     #: {n, iterations, value_evals, gradient_evals}
     levels: list = field(default_factory=list)
+    #: J_mu, L_trunc and the speed with the period's missing k = 0 term
+    #: restored (``line_corrected``): estimates of the values on the line
+    j_mu_line: float | None = None
+    l_trunc_line: float | None = None
+    speed_line: float | None = None
 
 
 class _Trial(NamedTuple):
@@ -208,7 +234,7 @@ class _Objective:
     symbol and b = h eta.  The rank-one terms are inverted by Woodbury's
     identity, so an application is one flat solve, plus a dot and an
     axpy per column.  The model is built on the first ``precondition``
-    after each gradient, so a level that takes no step builds none.
+    after each ``move``, so a level that takes no step builds none.
     """
 
     def __init__(self, p: Params, mu: float, M: float, grid: PeriodicGrid,
@@ -304,22 +330,28 @@ class _Objective:
         return bd.j_mu + bval, _Trial(eta, dvds)
 
     def gradient(self, trial: _Trial):
-        """Half-grid gradient (times dx) at an evaluated trial, and its
-        breakdown.  The trial is the descent's new iterate, so the Hessian
-        model takes its barrier terms there (none outside the shell)."""
+        """Half-grid gradient (times dx) at an evaluated trial, its
+        breakdown, and the barrier's Hessian terms there (None outside the
+        shell), which ``move`` hands to the model if the trial becomes the
+        iterate."""
         self.gradient_evals += 1
         n, dx = self.grid.n, self.grid.dx
         (gu, gv), bd = grad_J(trial.eta, self.p, self.mu)
         g = np.stack([gu, gv])
-        self._shell = self._pre = None
+        shell = None
         if trial.dvds is not None:
             b = np.fft.irfft(self.h2_weight * trial.eta.UV, n)
             g += trial.dvds * 2.0 * b
             # V'' = 2 / (s_edge - s0)^2, so sqrt(4 V'') = 2 sqrt(2) / width
             scale = 2.0 * math.sqrt(2.0) / (self.s_edge - self.s0)
-            self._shell = (2.0 * trial.dvds * self.h2_weight,
-                           dx * scale * _half(b, n))
-        return _half(g, n) * dx, bd
+            shell = (2.0 * trial.dvds * self.h2_weight,
+                     dx * scale * _half(b, n))
+        return _half(g, n) * dx, bd, shell
+
+    def move(self, shell):
+        """Take the barrier's Hessian terms ``shell`` (from ``gradient``)
+        at the descent's new iterate into the model."""
+        self._shell, self._pre = shell, None
 
 
 def _spectral_tail(eta: ProfilePair) -> float:
@@ -328,6 +360,28 @@ def _spectral_tail(eta: ProfilePair) -> float:
     a = np.abs(np.fft.rfft(np.stack([eta.eta_under, eta.eta_over])))
     top = a[:, int(0.8 * (a.shape[1] - 1)):].max(axis=1)
     return float(np.max(top / a.max(axis=1)))
+
+
+def line_corrected(bd: FunctionalBreakdown, p: Params, period: float):
+    """The (J_mu, L_trunc, speed) of a localised wave on the line, from
+    its breakdown on a period: the periodic values with the missing k = 0
+    term of the kinetic energy restored.
+
+    On the line, the upper layer's quartic integrand tends to a finite,
+    nonzero limit as q -> 0, through the (1, 1) part of W, about i q S
+    with S = int (u B1 + v B2) = 2 l2_upper, against Fbar^-1's 2 / q^2;
+    the periodic energy is a Riemann sum over q = 2 pi j / P whose j = 0
+    term has no (1, 1) part, so it misses dL = rho S^2 / (2 P).  The
+    corrected L is L + dL, J_mu falls by (mu / L)^2 dL, to first order
+    in dL like the estimate itself, whose residual is O(1/P^2), and the
+    speed is mu over the corrected L.  The periodic values stay as they
+    are: they are exact for the periodic problem, which the oracle
+    checks.
+    """
+    dL = 2.0 * p.rho * bd.l2_upper**2 / period
+    l_line = bd.l_trunc + dL
+    return (bd.j_mu - (bd.mu / bd.l_trunc) ** 2 * dL, l_line,
+            bd.mu / l_line)
 
 
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
@@ -368,13 +422,16 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     until a grid above the carrier grid takes no iteration.
 
     That grid's gradient test is the verdict, and the profile is its
-    iterate prolonged to the requested grid.  Deterministic for fixed
+    iterate, on that grid, which confirmed it: the requested grid caps
+    the ladder, and a run that reaches it without an idle grid, or stops
+    short, returns its last grid's iterate.  Deterministic for fixed
     inputs.  Raises NumericalError (with the last iterate attached) if a
-    line search fails; hitting max_iters, stopping in the barrier's shell
-    or ending the ladder on a grid that still iterated returns
-    converged=False, with its ``reason``, rather than raising.
+    line search fails; stalling, hitting max_iters, stopping in the
+    barrier's shell or ending the ladder on a grid that still iterated
+    returns converged=False, with its ``reason``, rather than raising.
     ``c`` and ``crit`` give the start eta*(eps(mu)) and nu_m; ``cfg``
-    gives mu, M, the requested grid, the tolerance and the budget.
+    gives mu, M, the requested grid (the ladder's cap), the tolerance
+    and the budget.
     """
     grids = _ladder(cfg.grid)
     eps = eps_of_mu(p, c, crit, grids[0], cfg.mu)
@@ -399,13 +456,12 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         x, it = level.x, level.iterations
         boundary_hit = boundary_hit or level.boundary_hit
         max_h2_sq = max(max_h2_sq, obj.max_h2_sq)
-        if confirmed:
+        if confirmed or level.reason == "stalled":
             break
 
-    if grid is not cfg.grid:
-        x = _prolong(x, grid.n, cfg.grid.n)
-    eta = ProfilePair(cfg.grid, *_mirror(x, cfg.grid.n))
+    eta = ProfilePair(grid, *_mirror(x, grid.n))
     reason = level.reason or (None if confirmed else "under_resolved")
+    j_line, l_line, speed_line = line_corrected(level.bd, p, grid.period)
     return MinimizeResult(
         eta=eta, breakdown=level.bd, speed=cfg.mu / level.bd.l_trunc,
         iterations=it, final_grad_norm=level.gnorm,
@@ -416,6 +472,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         spectral_tail=_spectral_tail(eta),
         max_trial_h2_sq=max_h2_sq,
         levels=levels,
+        j_mu_line=j_line, l_trunc_line=l_line, speed_line=speed_line,
     )
 
 
@@ -424,17 +481,18 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
     """L-BFGS descent on the objective's grid from the half-grid vector x,
     with an empty memory, until the gradient norm reaches ``tol`` or the
     iteration count ``it``, shared by all grids, reaches the run's budget
-    ``max_iters``.  Appends its rows to ``history``.  The level has
-    converged (its ``reason`` is None) if it stopped at the tolerance
-    outside the barrier's shell, where no barrier slope can cancel that
-    of J."""
+    ``max_iters``, or a line search leaves x unchanged (``stalled``).
+    Appends its rows to ``history``.  The level has converged (its
+    ``reason`` is None) if it stopped at the tolerance outside the
+    barrier's shell, where no barrier slope can cancel that of J."""
     grid, dot = obj.grid, obj.dot
     n = grid.n
 
     f, trial = obj(x)
-    g, bd = obj.gradient(trial)
+    g, bd, shell = obj.gradient(trial)
+    obj.move(shell)
     gnorm = math.sqrt(dot(g, g) / grid.dx)
-    history.append((it, f, gnorm, 0.0, obj.value_evals, n))
+    history.append((it, f, gnorm, 0.0, obj.value_evals, n, 0))
     logged_evals = obj.value_evals
     in_shell = boundary_hit = trial.dvds is not None
     trial = None
@@ -442,6 +500,7 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
     # (s, y, 1 / s.y) per curvature pair, oldest first
     memory: deque = deque(maxlen=_LBFGS_MEMORY)
     at_tol = gnorm <= tol
+    stalled = False
 
     while not at_tol and it < max_iters:
         it += 1
@@ -463,6 +522,7 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
             slope = dot(g, d)
 
         t = 1.0
+        wolfe = None  # the trial's gradient, where that test accepts it
         for _ in range(50):
             x_try = x + t * d
             try:
@@ -472,6 +532,14 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
                 continue
             if f_try <= f + 1e-4 * t * slope:
                 break
+            if abs(f_try - f) <= _WOLFE_ULPS * math.ulp(f):
+                # J cannot resolve the decrease: judge the trial by its
+                # slope (the approximate Wolfe conditions)
+                wolfe = obj.gradient(trial)
+                if ((2.0 * _WOLFE_DELTA - 1.0) * slope >= dot(wolfe[0], d)
+                        >= _WOLFE_SIGMA * slope):
+                    break
+                wolfe = None
             trial = None  # drop the value stage before the next trial
             # minimiser of the quadratic through f, the slope and f_try,
             # safeguarded (Nocedal & Wright, section 3.5)
@@ -484,7 +552,14 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
                 diagnostics={"J": f, "grad_norm": gnorm, "n": n},
             )
 
-        g_new, bd = obj.gradient(trial)
+        if np.array_equal(x_try, x):
+            stalled = True
+            history.append((it, f, gnorm, t, obj.value_evals - logged_evals,
+                            n, 0))
+            break
+        g_new, bd, shell = (obj.gradient(trial) if wolfe is None
+                            else wolfe)
+        obj.move(shell)
         in_shell = trial.dvds is not None
         boundary_hit = boundary_hit or in_shell
         trial = None
@@ -495,11 +570,12 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
             memory.append((s_v, y_v, 1.0 / sy))
         x, f, g = x_try, f_try, g_new
         gnorm = math.sqrt(dot(g, g) / grid.dx)
-        history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n))
+        history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n,
+                        int(wolfe is not None)))
         logged_evals = obj.value_evals
         at_tol = gnorm <= tol
 
-    reason = ("max_iters" if not at_tol
+    reason = ("stalled" if stalled else "max_iters" if not at_tol
               else "barrier_shell" if in_shell else None)
     return _Level(x, gnorm, bd, it, reason, boundary_hit)
 

@@ -306,11 +306,15 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert set(result) == {
         "breakdown", "speed", "nu0", "iterations", "value_evals",
         "gradient_evals", "spectral_tail", "final_grad_norm",
-        "boundary_hit", "max_trial_h2_sq", "converged", "reason", "levels"}
+        "boundary_hit", "max_trial_h2_sq", "converged", "reason", "levels",
+        "j_mu_line", "l_trunc_line", "speed_line"}
+    assert set(result["breakdown"]) == {
+        "k_total", "k2", "k4", "l2", "l3", "l4", "l_trunc", "j_mu", "mu",
+        "l2_upper"}
     assert result["converged"] is True and result["reason"] is None
     assert result["breakdown"]["j_mu"] < 2.0 * result["nu0"] * 0.006
     iters = (outdir / f"{tag}.iterations.csv").read_text().splitlines()
-    assert iters[0] == "iteration,j_mu,grad_norm,step,trials,n"
+    assert iters[0] == "iteration,j_mu,grad_norm,step,trials,n,approx_wolfe"
     # one row per iteration and one start row per grid of the ladder
     levels = result["levels"]
     assert len(iters) == result["iterations"] + len(levels) + 1
@@ -320,8 +324,8 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     # each row counts the values evaluated since the one before
     trials = [int(row.split(",")[4]) for row in iters[1:]]
     assert sum(trials) == result["value_evals"]
-    # reported, not gated: the profile is the idle grid's iterate
-    # prolonged, so its top band holds rounding alone
+    # reported, not gated: the profile is the idle grid's iterate, the
+    # grid below's prolonged, so its top band holds rounding alone
     assert 0.0 < result["spectral_tail"] < 1.0
     # one gradient per accepted step and at the start; the line search
     # evaluates at least as many values
@@ -359,24 +363,28 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
     assert [lv["n"] for lv in result["levels"]] == [512, 1024, 2048]
 
 
-@pytest.mark.parametrize("mu, n, ladder, digest, j_mu", [
+#: the benchmark's sweep levels: mu, [grid] n, the ladder, the SHA-256 of
+#: the profile.csv and the reported J
+SWEEP_LEVELS = [
     (4e-3, 4096, [(1024, 15), (2048, 1), (4096, 0)],
      "4bb8c4e5ca2a9b7d138f70735bcf2ff8a8cc9c670cfef70aa1cddde5f7fee40a",
      0.004788963384652583),
     (2e-3, 8192, [(2048, 12), (4096, 0)],
-     "c022ced26867b7ec2eda1945030c5f044e90abf485a9599c187779393e492ce6",
+     "1711efa323eb389457a55b979b8325d2a099ed093070dbb5ddb35dc38d07627d",
      0.0023951554801741803),
     (1e-3, 16384, [(4096, 11), (8192, 0)],
-     "6419daef91cdb2028689ae3a312fbfadaa4100899e70245928e9af6c37e3ed77",
+     "7fa376e0e2c309d31c4272cb641ae76809398d61fd7156e214f3b28a81f108c4",
      0.0011976526610054244),
-])
+]
+
+
+@pytest.mark.parametrize("mu, n, ladder, digest, j_mu", SWEEP_LEVELS)
 def test_sweep_levels_end_on_their_idle_grid(tmp_path, mu, n, ladder,
                                              digest, j_mu):
     # the benchmark's sweep levels.  The ladder ends on the first grid
-    # above the carrier grid that takes no step.  The profile is that
-    # grid's iterate prolonged to n, the bytes the full ladder wrote when
-    # every grid above it took no step too; J, read on the idle grid,
-    # stays within a few ulps of the full ladder's
+    # above the carrier grid that takes no step, and the profile is that
+    # grid's iterate, on that grid; J, read on the idle grid, stays within
+    # a few ulps of the full ladder's
     cfg = write_config(tmp_path / "sweep.cfg", BENCH,
                        f"[grid]\nn = {n}\n[minimize]\nmu = {mu!r}\n")
     outdir = tmp_path / "out"
@@ -388,6 +396,28 @@ def test_sweep_levels_end_on_their_idle_grid(tmp_path, mu, n, ladder,
     profile = (outdir / f"{tag}.profile.csv").read_bytes()
     assert hashlib.sha256(profile).hexdigest() == digest
     assert abs(result["breakdown"]["j_mu"] - j_mu) <= 4 * np.spacing(j_mu)
+
+
+def test_grid_n_caps_the_ladder(tmp_path):
+    # under one cap of n = 16384 the benchmark's three sweep levels climb
+    # the ladders they climb under their own n, up to their idle grids
+    # (4096, 4096 and 8192), and write the same profiles; each profile
+    # and its sidecar are on the grid that ended its ladder
+    cfg = write_config(tmp_path / "sweep.cfg", BENCH, "[grid]\nn = 16384\n")
+    outdir = tmp_path / "out"
+    mus = [mu for mu, *_ in SWEEP_LEVELS]
+    assert main(["minimize", "--config", cfg, "--out", str(outdir),
+                 "--sweep", ",".join(map(repr, mus))]) == 0
+    for mu, _, ladder, digest, _ in SWEEP_LEVELS:
+        tag = cli._mu_tag(mu)
+        result = json.loads((outdir / f"{tag}.result.json").read_text())
+        assert [(lv["n"], lv["iterations"])
+                for lv in result["levels"]] == ladder
+        n = result["levels"][-1]["n"]
+        path = outdir / f"{tag}.profile.csv"
+        assert len(path.read_bytes().splitlines()) == 1 + n
+        assert json.loads(Path(cli.sidecar_path(path)).read_text())["n"] == n
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, ladder", [
@@ -803,14 +833,13 @@ def test_validate_passes(tmp_path, capsys):
 #: SHA-256 of validate's JSON at [grid] n = 128, strip_ny = 48; its
 #: checks fail on that strip, so it exits 3
 VALIDATE_N128_SHA256 = \
-    "ad830a3d82c47ac74718bda121cd070a698919ef0b7761c763777be5de9019ae"
+    "fbd78ceecd71273eb218c82ebac3e437fc71749141b578133373c6e02ae84577"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_validate_bytes_pinned(tmp_path, threads):
-    # at n = 128 np.vdot does not split its sums across threads, so the
-    # bytes hold at 1 and 2 OpenBLAS threads; at n = 256 it does.  OpenBLAS
-    # reads its thread count at load, hence a subprocess
+    # the bytes hold at 1 and 2 OpenBLAS threads.  OpenBLAS reads its
+    # thread count at load, hence a subprocess
     cfg = write_config(tmp_path / "val.cfg", BENCH,
                        "[scan]\nsamples = 1024\n[grid]\nn = 128\n"
                        "strip_ny = 48\n")

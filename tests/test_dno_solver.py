@@ -1,8 +1,12 @@
 """The oracle's strip solvers: flat preconditioner, CG work, memory, and
 the work area and solver pair each strip owns."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,20 +388,37 @@ def test_next_period_keeps_the_area(monkeypatch):
 
 
 @pytest.mark.parametrize("x0, L_hex", [(0.0, "0x1.abc07ef8ecf4ap-3"),
-                                       (-0.5 * PERIOD, "0x1.abc07ef8ecf4fp-3")],
+                                       (-0.5 * PERIOD, "0x1.abc07ef8ecf4ep-3")],
                          ids=["from_zero", "from_grid_start"])
 def test_oracle_bits_pinned(x0, L_hex):
     # float.hex of L_exact on the curved profile, sampled from x0 (the
-    # second origin is the grid's own), and of the flat symbol at k0.  At
-    # nx = 128 they read the same at 1 and 2 OpenBLAS threads; at nx = 256
-    # L differs by 2 ulps between them (np.vdot splits its sum)
+    # second origin is the grid's own), and of the flat symbol at k0
     strip = StripGrid(nx=128, ny=48, depth_under=14.0 / K0)
     x = x0 + PERIOD / strip.nx * np.arange(strip.nx)
     assert eval_L_exact(curved_pair(strip, x), BENCH, strip).hex() == L_hex
     K = dno.flat_K_matrix(K0, BENCH, strip, PERIOD)
     assert [k.hex() for k in K.ravel()] == [
-        "0x1.0166dd20bdcc4p+1", "-0x1.8ccc998a656ffp-2",
-        "-0x1.8ccc998a65815p-2", "0x1.7c6c793c1a8f7p-1"]
+        "0x1.0166dd20bdcc3p+1", "-0x1.8ccc998a656fbp-2",
+        "-0x1.8ccc998a65813p-2", "0x1.7c6c793c1a8f2p-1"]
+
+
+def test_oracle_bits_do_not_depend_on_blas_threads():
+    # at nx = 256 np.vdot split the CG's Parseval sums across OpenBLAS
+    # threads, and L read 1 ulp apart at 1 and 2 threads.  OpenBLAS reads
+    # its thread count at load, hence a subprocess per count
+    code = ("import test_dno_solver as t\n"
+            "s = t.StripGrid(nx=256, ny=48, depth_under=14.0 / t.K0)\n"
+            "print(t.eval_L_exact(t.curved_pair(s), t.BENCH, s).hex())\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    hexes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        hexes.add(proc.stdout.strip())
+    assert len(hexes) == 1, hexes
 
 
 def test_one_solver_pair_per_period(monkeypatch):

@@ -228,10 +228,7 @@ def test_small_mu_descent_starts_next_to_its_minimum(bench_crit,
 def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
                                                     bench_coeffs):
     # it ends at 3.9e-7 mu in 12 iterations on the carrier grid, and the
-    # grid above confirms it without a step.  A tighter tolerance can meet
-    # the line search's rounding stall, where no trial moves J by more
-    # than an ulp: at 1e-9 mu this descent stops at 6.4e-8 mu after 300
-    # iterations
+    # grid above confirms it without a step
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m),
@@ -239,6 +236,36 @@ def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert [lv["n"] for lv in r.levels] == [8192, 16384]
     assert r.converged and r.final_grad_norm <= cfg.tol
+
+
+def test_tight_tolerance_passes_the_rounding_plateau(bench_crit,
+                                                    bench_coeffs):
+    # at 1e-9 mu the predicted decrease of a step falls below an ulp of J,
+    # so no trial passes the Armijo test on its value: that test alone
+    # spent all 300 iterations on the carrier grid.  The approximate Wolfe
+    # test reads the slope instead; the ladder (8192: 16, 16384: 1,
+    # 32768: 0) took 17 iterations
+    mu = 5e-4
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(32768, bench_crit.k0, m),
+                         grad_tol=1e-9 * mu, max_iters=300)
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert r.converged and r.final_grad_norm <= cfg.tol
+    assert r.iterations <= 40
+    assert any(h[6] for h in r.history)
+
+
+def test_a_step_that_moves_nothing_stalls(bench_crit, bench_coeffs,
+                                          monkeypatch):
+    # a zero direction: the Armijo test accepts the unchanged iterate,
+    # which ends the ladder on its grid instead of spending the budget
+    monkeypatch.setattr(minimizer._Objective, "precondition",
+                        lambda self, q: np.zeros_like(q))
+    cfg = _small_config(bench_crit, bench_coeffs, max_iters=300)
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert not r.converged and r.reason == "stalled"
+    assert r.iterations <= 3
+    assert [lv["n"] for lv in r.levels] == [r.eta.grid.n]
 
 
 def _fail_line_search_trial(monkeypatch, error, entry):
@@ -354,7 +381,7 @@ def test_preconditioner_inverts_the_quadratic_model(bench_crit, bench_coeffs,
         x_in = x0 + 1e-3 * _even_band_vector(rng, n)
         _, trial = obj(x_in)
         assert trial.dvds is not None
-        obj.gradient(trial)
+        obj.move(obj.gradient(trial)[2])
         barrier = (trial.dvds, 2.0 / (obj.s_edge - obj.s0)**2, x_in)
     M = hessian_model_matrix(BENCH, grid, nu, x0, barrier)
     weights = _half_weights(n)
@@ -501,6 +528,15 @@ def test_prolongation_is_exact_for_band_limited_even_rows():
     assert np.max(np.abs(_mirror(h, n_to) - rows(x_to))) <= 1e-14
 
 
+def assert_on_last_grid(r, cfg):
+    """The profile is on the grid that ended the ladder: the requested
+    grid's period and carrier multiple at the last level's n."""
+    g = r.eta.grid
+    assert g.n == r.levels[-1]["n"]
+    assert (g.period, g.k0_multiple) == (cfg.grid.period,
+                                         cfg.grid.k0_multiple)
+
+
 def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
     # the single-grid descent on n = 8192 gave these; the ladder, which
     # ends on its idle grid 4096, must land within the stopping noise
@@ -510,7 +546,8 @@ def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.converged and r.final_grad_norm <= cfg.tol
     assert [lv["n"] for lv in r.levels] == [2048, 4096]
-    assert r.eta.grid is cfg.grid
+    # the profile is on the idle grid that confirmed it
+    assert_on_last_grid(r, cfg)
     assert r.speed == pytest.approx(0.5986858459751254, rel=2e-7)
     cubic = (r.breakdown.j_mu - 2.0 * bench_crit.nu0 * mu) / mu**3
     assert cubic == pytest.approx(-24.741236, abs=1e-4)
@@ -560,7 +597,7 @@ def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
         [(1024, 5), (2048, 0)]
     assert r.final_grad_norm > cfg.tol
     assert not r.converged and r.reason == "max_iters"
-    assert r.eta.grid is cfg.grid
+    assert_on_last_grid(r, cfg)
 
 
 def test_coarse_grid_failure_names_its_grid(bench_crit, bench_coeffs,
@@ -581,3 +618,57 @@ def test_coarse_grid_failure_names_its_grid(bench_crit, bench_coeffs,
         minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert err.value.diagnostics["n"] == 1024
     assert err.value.last_iterate.grid.n == 1024
+
+
+@pytest.fixture(scope="module")
+def period_runs(bench_crit, bench_coeffs):
+    """mu = 1e-3 at grad_tol 1e-7 mu on the default period (x1) and on
+    twice and four times it (x2, x4: twice and four times m and n)."""
+    mu = 1e-3
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    runs = []
+    for k in (1, 2, 4):
+        cfg = MinimizeConfig(mu=mu, grid=make_grid(16384 * k, bench_crit.k0,
+                                                   k * m),
+                             grad_tol=1e-7 * mu)
+        r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+        assert r.converged
+        runs.append(r)
+    return runs
+
+
+def _per_mu3(j, crit, mu):
+    return (j - 2.0 * crit.nu0 * mu) / mu**3
+
+
+def test_line_correction_removes_the_period_offset(period_runs, bench_crit):
+    # the periodic J misses the k = 0 term of a localised wave, an O(1/P)
+    # offset: raw J/mu^3 reads -24.04403 at x1 and -24.23673 at x2, and
+    # corrected, -24.42874 and -24.42908
+    mu = period_runs[0].breakdown.mu
+    raw = [_per_mu3(r.breakdown.j_mu, bench_crit, mu) for r in period_runs]
+    line = [_per_mu3(r.j_mu_line, bench_crit, mu) for r in period_runs]
+    assert raw[0] - raw[1] == pytest.approx(0.1927, abs=1e-3)
+    assert abs(line[0] - line[1]) <= 1e-3
+
+
+def test_line_correction_is_the_closed_form_k0_term(period_runs):
+    # dL = rho S^2 / (2 P) with S = 2 l2_upper; J falls by (mu / L)^2 dL,
+    # here to within the rounding of J itself
+    for r in period_runs:
+        bd = r.breakdown
+        dL = 2.0 * BENCH.rho * bd.l2_upper**2 / r.eta.grid.period
+        drop = (bd.mu / bd.l_trunc) ** 2 * dL
+        assert abs((r.j_mu_line - bd.j_mu) + drop) <= 2.0 * np.spacing(bd.j_mu)
+        assert r.l_trunc_line == pytest.approx(bd.l_trunc + dL, rel=1e-15)
+        assert r.speed_line == bd.mu / r.l_trunc_line
+
+
+def test_line_corrected_energy_converges_like_inverse_period_squared(
+        period_runs, bench_crit):
+    # what the correction leaves is O(1/P^2): each doubling of the period
+    # cuts it by 4 (3.4e-4, then 8.5e-5, in J/mu^3)
+    mu = period_runs[0].breakdown.mu
+    line = [_per_mu3(r.j_mu_line, bench_crit, mu) for r in period_runs]
+    assert (line[0] - line[1]) / (line[1] - line[2]) == \
+        pytest.approx(4.0, abs=0.5)
