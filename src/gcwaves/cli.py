@@ -74,7 +74,7 @@ _SCHEMA = {
     "grid": {"n": (int, 4096), "k0_multiples": (int, 0),
              "strip_ny": (int, 128), "depth_under": (float, 0.0)},
     "minimize": {"mu": (_mu, 2e-3), "max_iters": (int, 2000),
-                 "grad_tol": (float, 0.0), "M": (float, 0.5)},
+                 "grad_tol": (float, 1e-5), "M": (float, 0.5)},
     "scan": {"k_min": (float, 1e-3), "k_max": (float, 1e3),
              "samples": (int, 4096)},
 }
@@ -553,7 +553,7 @@ def _run_minimize(cfg, crit, c, mu):
     m = cfg["minimize"]
     mcfg = minimizer.MinimizeConfig(
         mu=mu, grid=_grid_for(cfg, crit, c, mu), max_iters=m["max_iters"],
-        grad_tol=m["grad_tol"] or None, admissibility_M=m["M"])
+        grad_tol=m["grad_tol"], admissibility_M=m["M"])
     return minimizer.minimize(cfg["_params"], c, crit, mcfg)
 
 
@@ -679,7 +679,7 @@ def cmd_validate(args) -> int:
     for _ in range(3):
         eta = fieldops.ProfilePair(grid, rand_field(), rand_field())
         du, dv = rand_field(), rand_field()
-        (gu, gv), _ = fieldops.grad_J(eta, p, mu)
+        gu, gv = np.fft.irfft(fieldops.grad_J(eta, p, mu)[0], nx)
         ep = fieldops.ProfilePair(grid, eta.eta_under + h * du,
                                   eta.eta_over + h * dv)
         em = fieldops.ProfilePair(grid, eta.eta_under - h * du,

@@ -34,16 +34,17 @@ seed the minimiser.  Each profile is evaluated in two stages:
 * Gradient stage (``_gradient``), run only for gradients.  Products
   under a common multiplier are summed before one forward transform,
   multipliers are combined and the chain-rule weights applied on the
-  padded spectrum, and the result is truncated and transformed back once
-  per component: grad_J costs 35 one-dimensional transforms in 13 calls.
+  padded spectrum, whose grid band grad_J returns untransformed: 33
+  one-dimensional transforms in 12 calls.
 
 A ``StagedProfile`` runs the value stage when it is built and keeps it,
 with the breakdown of the last (p, mu), between calls: a grad_J after an
-eval_J on it runs the gradient stage alone, 18 more transforms in 10
+eval_J on it runs the gradient stage alone, 16 more transforms in 9
 calls.  The minimizer's line-search trials are value-only eval_J calls
-on staged profiles, whose barrier reads the H^2 norm off the held
-spectrum (``StagedProfile.h2_sq``); only a trial that may be accepted
-goes on to grad_J.
+on profiles staged from its spectra (15 transforms in 2 calls), whose
+barrier reads the H^2 norm off the held spectrum
+(``StagedProfile.h2_sq``); only a trial that may be accepted goes on to
+grad_J.
 
 F-bar, the upper-layer multiplier matrix [[d, o], [o, d]] with
 d = |k| coth|k| and o = -|k|/sinh|k|, is owned by
@@ -300,28 +301,27 @@ class StagedProfile:
     """A profile and its value stage: the transforms of the profile, each
     formed once.
 
-    The pair ``eta`` is transformed once (``UV``, one call on its two
-    rows), and the base-band fields u, v, u_x, v_x, u_xx, |k|u and
-    (B1, B2) = Fbar (u, v) are held as values on the padded grid, where
-    products are formed: one call transforms their eight stacked
-    spectra.  The seven product spectra of the kinetic energy are formed
-    on first use, in one more call, so the surface energy alone never
-    pays for them.  A batched call transforms each row exactly as it
-    transforms that row alone.
+    Built from ``UV``, the rfft spectrum of the pair's rows with its
+    Nyquist column zero (``_staged`` takes it in one call).  The base-band
+    fields u, v, u_x, v_x, u_xx, |k|u and (B1, B2) = Fbar (u, v) are held
+    as values on the padded grid, where products are formed: one call
+    transforms their eight stacked spectra.  The seven product spectra
+    of the kinetic energy are formed on first use, in one more call, so
+    the surface energy alone never pays for them.  A batched call
+    transforms each row exactly as it transforms that row alone.
 
     eval_J and grad_J take a StagedProfile wherever they take a
     ProfilePair.  It holds about a dozen padded fields and spectra, so
     its owner drops it as soon as it is done with it.
     """
 
-    def __init__(self, eta: ProfilePair):
-        self.eta = eta
+    def __init__(self, grid: PeriodicGrid, UV: np.ndarray):
         self._breakdown: tuple[tuple, FunctionalBreakdown] | None = None
-        g = self.grid = eta.grid
+        g = self.grid = grid
         s = self.sym = g.symbols
-        UV = self.UV = _rfft(np.stack([eta.eta_under, eta.eta_over]), g.n)
+        self.UV = UV
         U = UV[0]
-        X = np.empty((8, UV.shape[-1]), dtype=UV.dtype)
+        X = np.empty((8, UV.shape[-1]), dtype=complex)
         X[:2] = UV
         np.multiply(s.ik, UV, out=X[2:4])
         np.multiply(s.mk2, U, out=X[4])
@@ -392,6 +392,12 @@ class StagedProfile:
         over both components: a Parseval sum of the held spectrum (the
         padded spectrum is _PAD times ``UV``), with no transform."""
         return _PAD**2 * self.pairing(self.sym.h2_weight * self.UV, self.UV)
+
+
+def _staged(eta: ProfilePair) -> StagedProfile:
+    """The pair staged from the spectrum of its rows."""
+    rows = np.stack([eta.eta_under, eta.eta_over])
+    return StagedProfile(eta.grid, _rfft(rows, eta.grid.n))
 
 
 def _lower_parts(f: StagedProfile):
@@ -469,14 +475,16 @@ def _breakdown(f: StagedProfile, p: Params, mu: float) -> FunctionalBreakdown:
 
 
 def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
-    """Gradient stage: the L^2 gradient of ck K + cl L_trunc on the n-grid.
+    """Gradient stage: the L^2 gradient of ck K + cl L_trunc on the n-grid,
+    as its rfft spectrum G, shape (2, n/2 + 1), Nyquist column zero
+    (``np.fft.irfft(G, n)`` gives the two gradient rows).
 
     Terms free of an outer multiplier are summed on the padded grid, and
     products under a common multiplier are summed before their forward
     transform.  Only the grid band of the result survives, so the
     multipliers, F-bar included, and the weights ck and cl act on that
-    band of the padded spectra, whose sum is transformed back once per
-    component.  Each padded field is dropped once its terms are formed.
+    band of the padded spectra, whose sum is G.  Each padded field is
+    dropped once its terms are formed.
     """
     s, r, n = f.sym, p.rho, f.grid.n
     npad = _PAD * n
@@ -525,8 +533,7 @@ def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
     G += band_spectra(point_u, point_v)
     G /= _PAD
     G[:, n // 2] = 0.0
-    gu, gv = np.fft.irfft(G, n)
-    return gu, gv
+    return G
 
 
 def _value_profile(eta: ProfilePair) -> ProfilePair:
@@ -538,7 +545,7 @@ def _value_profile(eta: ProfilePair) -> ProfilePair:
 def eval_L_trunc(eta: ProfilePair, p: Params):
     """Combined truncation (l2, l3, l4) with the density weighting; on the
     carrier-grid copy of a test profile that has one."""
-    return _l_parts(StagedProfile(_value_profile(eta)), p)[0]
+    return _l_parts(_staged(_value_profile(eta)), p)[0]
 
 
 def eval_J(eta: ProfilePair | StagedProfile, p: Params,
@@ -547,13 +554,14 @@ def eval_J(eta: ProfilePair | StagedProfile, p: Params,
     carrier-grid copy of a test profile that has one.  A StagedProfile is
     evaluated as staged."""
     if not isinstance(eta, StagedProfile):
-        eta = StagedProfile(_value_profile(eta))
+        eta = _staged(_value_profile(eta))
     return eta.breakdown(p, mu)
 
 
 def grad_J(eta: ProfilePair | StagedProfile, p: Params, mu: float):
-    """L^2 gradient of J_mu via the chain rule, plus the breakdown."""
-    staged = eta if isinstance(eta, StagedProfile) else StagedProfile(eta)
+    """L^2 gradient of J_mu via the chain rule, as its band spectrum G
+    (``_gradient``), plus the breakdown."""
+    staged = eta if isinstance(eta, StagedProfile) else _staged(eta)
     bd = staged.breakdown(p, mu)
     return _gradient(staged, p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
 

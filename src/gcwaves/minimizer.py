@@ -25,12 +25,14 @@ identity.
 The descent is restricted to profiles even about x = 0, which quotients
 out the translation and carrier-phase symmetries; an even critical point
 of the restricted functional is a critical point of the full one because
-reflection is a symmetry.  An even pair is held
-as its samples 0..n/2 (the half grid): the iterate, the gradient, the
-direction and the L-BFGS memory are half-grid vectors, expanded to a
-trial profile by mirroring, u[n - j] = u[j], so every trial is even by
-construction.  Dot products weight the two end samples by 1 and the
-others by 2, which makes them equal to the full-grid products.
+reflection is a symmetry.  An even pair is held as its cosine spectrum,
+the real rfft coefficients of its two rows, shape (2, n/2 + 1): the
+iterate, the gradient (the even part of ``grad_J``'s, its real part),
+the direction and the L-BFGS memory are such arrays, and dot products
+carry the Parseval weights (period / n^2) (1, 2, ..., 2, 1), which
+makes them the L^2 products of the rows.  The Hessian model and the
+prolongation are Fourier multipliers, so the descent transforms only to
+stage a trial and to return a profile.
 
 Each line-search trial is a value-only call: the objective evaluates J_mu
 and the barrier on a ``StagedProfile`` through ``eval_J``, and only a
@@ -86,7 +88,7 @@ from .dispersion import CriticalPoint, Params, eval_PF
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
-                       grad_J, _resample, _rfft)
+                       grad_J, _clean)
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
@@ -106,13 +108,13 @@ class MinimizeConfig:
     #: the top grid the ladder may climb to (its cap)
     grid: PeriodicGrid
     max_iters: int = 2000
-    #: stopping threshold on the discrete-L2 gradient norm.  With the
-    #: surface energy free of cancellation (``fieldops._k_parts``) the
-    #: descent reaches 1e-7 * mu at mu = 5e-4.  The default is 1e-5 * mu;
-    #: on the benchmark's sweep grids (16/12/11 iterations at the default)
-    #: 1e-6 * mu costs 1.05x to 1.25x its iterations, and 1e-7 * mu 1.2x
-    #: to 1.25x.
-    grad_tol: float | None = None
+    #: stopping threshold on the discrete-L2 gradient norm, in units of
+    #: mu (``tol``).  With the surface energy free of cancellation
+    #: (``fieldops._k_parts``) and the approximate Wolfe test the descent
+    #: reaches 1e-9 at mu = 5e-4.  On the benchmark's sweep grids (16/12/11
+    #: iterations at the default 1e-5) 1e-6 costs 1.05x to 1.25x their
+    #: iterations, and 1e-7 1.2x to 1.25x.
+    grad_tol: float = 1e-5
     admissibility_M: float = 0.5
 
     def __post_init__(self):
@@ -120,7 +122,7 @@ class MinimizeConfig:
             raise ConfigError(
                 f"mu must lie in (0, {_MU_CEILING}); got {self.mu}"
             )
-        if self.grad_tol is not None and not 0.0 < self.grad_tol < math.inf:
+        if not 0.0 < self.grad_tol < math.inf:
             raise ConfigError(
                 f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 0:
@@ -131,7 +133,8 @@ class MinimizeConfig:
 
     @property
     def tol(self) -> float:
-        return self.grad_tol if self.grad_tol is not None else 1e-5 * self.mu
+        """The absolute threshold, grad_tol * mu."""
+        return self.grad_tol * self.mu
 
 
 @dataclass
@@ -168,14 +171,17 @@ class MinimizeResult:
     #: reads the profile, the idle grid's iterate, which is the grid
     #: below's prolonged, so it is at rounding level by construction
     #: wherever an idle grid ends the ladder; the idle grid's gradient
-    #: test is the resolution check
+    #: test is the resolution check, and each level's own tail is in
+    #: ``levels``
     spectral_tail: float | None = None
     #: largest s = ||eta||_H2^2 of any trial the descent evaluated, line
     #: search trials included, on every grid of the ladder (report only:
     #: ``boundary_hit`` sees accepted points alone)
     max_trial_h2_sq: float | None = None
     #: per grid the ladder ran, coarsest first, up to the first idle one:
-    #: {n, iterations, value_evals, gradient_evals}
+    #: {n, iterations, value_evals, gradient_evals, spectral_tail}, the
+    #: tail read off the level's final spectrum (exactly 0 on an idle
+    #: grid, whose top half is the zero padding)
     levels: list = field(default_factory=list)
     #: J_mu, L_trunc and the speed with the period's missing k = 0 term
     #: restored (``line_corrected``): estimates of the values on the line
@@ -192,25 +198,6 @@ class _Trial(NamedTuple):
     dvds: float | None
 
 
-def _mirror(h: np.ndarray, n: int) -> np.ndarray:
-    """The (2, n) even rows u[n - j] = u[j] of a half-grid vector."""
-    rows = h.reshape(2, n // 2 + 1)
-    return np.concatenate([rows, rows[:, -2:0:-1]], axis=1)
-
-
-def _half(rows: np.ndarray, n: int) -> np.ndarray:
-    """Half-grid vector of (2, n) even rows: samples 0..n/2 of each."""
-    return rows[:, :n // 2 + 1].ravel()
-
-
-def _half_weights(n: int) -> np.ndarray:
-    """Dot-product weights that make half-grid products equal the
-    full-grid products of the mirrored rows."""
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = w[-1] = 1.0
-    return np.concatenate([w, w])
-
-
 def _model_speed(crit: CriticalPoint, c: NlsCoefficients, mu: float) -> float:
     """The NLS speed nu0 + nu_NLS alpha mu^2 of the sech wave at mu,
     floored at 0: the speed the Hessian model is taken at."""
@@ -218,10 +205,10 @@ def _model_speed(crit: CriticalPoint, c: NlsCoefficients, mu: float) -> float:
 
 
 class _Objective:
-    """J_mu plus the H^2-ball barrier, on half-grid vectors.
+    """J_mu plus the H^2-ball barrier, on cosine spectra.
 
     Built from p, mu, the ball's radius M, the level's grid, the model
-    speed nu_m and the level's start x0, a half-grid vector.
+    speed nu_m and the level's start x0, a cosine spectrum.
 
     ``precondition`` inverts the exact Hessian of the quadratic
     truncation K2 + mu^2 / L2 at the NLS speed nu_m (``_model_speed``):
@@ -232,15 +219,18 @@ class _Objective:
     included.  At an accepted iterate inside the barrier shell the model
     adds the barrier's Hessian 2 V'(s) h(k) + 4 V'' b b^T, with h the H^2
     symbol and b = h eta.  The rank-one terms are inverted by Woodbury's
-    identity, so an application is one flat solve, plus a dot and an
-    axpy per column.  The model is built on the first ``precondition``
-    after each ``move``, so a level that takes no step builds none.
+    identity, so an application is one flat solve, a 2x2 multiply per
+    mode, plus a dot and an axpy per column.  The model is built on the
+    first ``precondition`` after each ``move``, so a level that takes no
+    step builds none.
     """
 
     def __init__(self, p: Params, mu: float, M: float, grid: PeriodicGrid,
                  nu: float, x0: np.ndarray):
         self.p, self.mu, self.grid = p, mu, grid
-        self.weights = _half_weights(grid.n)
+        w = np.full(grid.n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        self.weights = w * (grid.period / grid.n**2)
         self.h2_weight = grid.symbols.h2_weight
         self.s0 = (0.9 * M) ** 2
         self.s_edge = M**2
@@ -255,15 +245,14 @@ class _Objective:
     def _quadratic(self):
         """Entries of the symbol g_nu, and the column u of the rank-one
         term at the level's start, scaled so that the term is u u^T in the
-        half-grid products."""
-        grid, n, nu = self.grid, self.grid.n, self._nu
-        P, F = eval_PF(grid.k, self.p)
+        weighted products."""
+        nu = self._nu
+        P, F = eval_PF(self.grid.k, self.p)
         g = P - nu**2 * F
-        eta = _mirror(self._x0, n)
-        ell = np.fft.irfft(np.einsum("kij,jk->ik", F, _rfft(eta, n)), n)
-        l2 = 0.5 * grid.dx * float(np.sum(eta * ell))
+        ell = _clean(np.einsum("kij,jk->ik", F, self._x0), self.grid.n)
+        l2 = 0.5 * self.dot(self._x0, ell)
         return ((g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]),
-                grid.dx * nu * math.sqrt(2.0 / l2) * _half(ell, n))
+                nu * math.sqrt(2.0 / l2) * ell)
 
     @cached_property
     def _base(self):
@@ -285,18 +274,17 @@ class _Objective:
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # einsum, not @: BLAS worker threads made single dot products
         # erratically slow on a busy 2-core host
-        return float(np.einsum("i,i,i->", self.weights, a, b))
+        return float(np.einsum("k,ik,ik->", self.weights, a, b))
 
-    def _flat(self, inv, q: np.ndarray) -> np.ndarray:
-        """Apply the inverse symbol to a half-grid gradient."""
-        n = self.grid.n
-        U, V = _rfft(_mirror(q, n), n)
+    @staticmethod
+    def _flat(inv, q: np.ndarray) -> np.ndarray:
+        """Apply the inverse symbol to a gradient, mode by mode."""
         a, b, c = inv
-        out = np.fft.irfft(np.stack([a * U + b * V, b * U + c * V]), n)
-        return _half(out, n) / self.grid.dx
+        U, V = q
+        return np.stack([a * U + b * V, b * U + c * V])
 
     def precondition(self, q: np.ndarray) -> np.ndarray:
-        """Apply the inverse Hessian model to a half-grid gradient."""
+        """Apply the inverse Hessian model to a gradient."""
         if self._pre is None:
             self._pre = (self._base if self._shell is None
                          else self._model(*self._shell))
@@ -307,9 +295,9 @@ class _Objective:
             y -= rj * z
         return y
 
-    def split(self, h: np.ndarray) -> ProfilePair:
-        u, v = _mirror(h, self.grid.n)
-        return ProfilePair(self.grid, u, v)
+    def profile(self, x: np.ndarray) -> ProfilePair:
+        """The even pair of the cosine spectrum x."""
+        return ProfilePair(self.grid, *np.fft.irfft(x, self.grid.n))
 
     def barrier(self, s: float):
         """Barrier value and slope dV/ds at s = ||eta||_H2^2."""
@@ -318,11 +306,11 @@ class _Objective:
         w = (s - self.s0) / (self.s_edge - self.s0)
         return w**2, 2.0 * w / (self.s_edge - self.s0)
 
-    def __call__(self, h: np.ndarray):
-        """Value of J_mu plus the barrier at the half-grid vector h, and
+    def __call__(self, x: np.ndarray):
+        """Value of J_mu plus the barrier at the cosine spectrum x, and
         the trial that holds its value stage for ``gradient``."""
         self.value_evals += 1
-        eta = StagedProfile(self.split(h))
+        eta = StagedProfile(self.grid, _clean(x.copy(), self.grid.n))
         bd = eval_J(eta, self.p, self.mu)
         s = eta.h2_sq()
         self.max_h2_sq = max(self.max_h2_sq, s)
@@ -330,23 +318,20 @@ class _Objective:
         return bd.j_mu + bval, _Trial(eta, dvds)
 
     def gradient(self, trial: _Trial):
-        """Half-grid gradient (times dx) at an evaluated trial, its
-        breakdown, and the barrier's Hessian terms there (None outside the
-        shell), which ``move`` hands to the model if the trial becomes the
-        iterate."""
+        """Gradient at an evaluated trial, its breakdown, and the
+        barrier's Hessian terms there (None outside the shell), which
+        ``move`` hands to the model if the trial becomes the iterate."""
         self.gradient_evals += 1
-        n, dx = self.grid.n, self.grid.dx
-        (gu, gv), bd = grad_J(trial.eta, self.p, self.mu)
-        g = np.stack([gu, gv])
+        G, bd = grad_J(trial.eta, self.p, self.mu)
+        g = G.real.copy()
         shell = None
         if trial.dvds is not None:
-            b = np.fft.irfft(self.h2_weight * trial.eta.UV, n)
+            b = self.h2_weight * trial.eta.UV
             g += trial.dvds * 2.0 * b
             # V'' = 2 / (s_edge - s0)^2, so sqrt(4 V'') = 2 sqrt(2) / width
             scale = 2.0 * math.sqrt(2.0) / (self.s_edge - self.s0)
-            shell = (2.0 * trial.dvds * self.h2_weight,
-                     dx * scale * _half(b, n))
-        return _half(g, n) * dx, bd, shell
+            shell = (2.0 * trial.dvds * self.h2_weight, scale * b)
+        return g, bd, shell
 
     def move(self, shell):
         """Take the barrier's Hessian terms ``shell`` (from ``gradient``)
@@ -354,10 +339,11 @@ class _Objective:
         self._shell, self._pre = shell, None
 
 
-def _spectral_tail(eta: ProfilePair) -> float:
-    """Largest |rfft coefficient| in the top 20% of the band over the
-    largest one, the larger of the two components."""
-    a = np.abs(np.fft.rfft(np.stack([eta.eta_under, eta.eta_over])))
+def _spectral_tail(X: np.ndarray) -> float:
+    """Largest |coefficient| of the two rows' rfft spectra X in the top
+    20% of the band over the largest one, the larger of the two
+    components."""
+    a = np.abs(X)
     top = a[:, int(0.8 * (a.shape[1] - 1)):].max(axis=1)
     return float(np.max(top / a.max(axis=1)))
 
@@ -396,11 +382,14 @@ def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
     return grids
 
 
-def _prolong(h: np.ndarray, n: int, n_to: int) -> np.ndarray:
-    """Half-grid vector on n_to samples of the band-limited interpolant of
-    the half-grid vector h on n samples (same period): the Nyquist-cleaned
-    spectrum of the mirrored rows, zero-padded (``fieldops._resample``)."""
-    return _half(_resample(_mirror(h, n), n_to), n_to)
+def _prolong(x: np.ndarray, n_to: int) -> np.ndarray:
+    """Cosine spectrum on n_to samples of the band-limited interpolant of
+    the rows of the cosine spectrum x (same period): x without its Nyquist
+    mode, zero-padded and scaled by the ratio of the sizes."""
+    m = x.shape[-1] - 1
+    out = np.zeros((2, n_to // 2 + 1))
+    out[:, :m] = x[:, :m] * (n_to / (2 * m))
+    return out
 
 
 class _Level(NamedTuple):
@@ -437,7 +426,7 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     eps = eps_of_mu(p, c, crit, grids[0], cfg.mu)
     eta0 = build_eta_star(c, crit, eps, grids[0], p)
     nu = _model_speed(crit, c, cfg.mu)
-    x = _half(np.stack([eta0.eta_under, eta0.eta_over]), grids[0].n)
+    x = np.fft.rfft(np.stack([eta0.eta_under, eta0.eta_over])).real
     history: list = []
     levels: list = []
     it = 0
@@ -445,21 +434,22 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     max_h2_sq = 0.0
     for i, grid in enumerate(grids):
         if i:
-            x = _prolong(x, grids[i - 1].n, grid.n)
+            x = _prolong(x, grid.n)
         obj = _Objective(p, cfg.mu, cfg.admissibility_M, grid, nu, x)
         level = _descend(obj, x, it, cfg.tol, cfg.max_iters, history)
         # an idle grid above the carrier grid confirms the one below
         confirmed = i > 0 and level.iterations == it
         levels.append({"n": grid.n, "iterations": level.iterations - it,
                        "value_evals": obj.value_evals,
-                       "gradient_evals": obj.gradient_evals})
+                       "gradient_evals": obj.gradient_evals,
+                       "spectral_tail": _spectral_tail(level.x)})
         x, it = level.x, level.iterations
         boundary_hit = boundary_hit or level.boundary_hit
         max_h2_sq = max(max_h2_sq, obj.max_h2_sq)
         if confirmed or level.reason == "stalled":
             break
 
-    eta = ProfilePair(grid, *_mirror(x, grid.n))
+    eta = obj.profile(x)
     reason = level.reason or (None if confirmed else "under_resolved")
     j_line, l_line, speed_line = line_corrected(level.bd, p, grid.period)
     return MinimizeResult(
@@ -469,7 +459,8 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         history=history,
         value_evals=sum(lv["value_evals"] for lv in levels),
         gradient_evals=sum(lv["gradient_evals"] for lv in levels),
-        spectral_tail=_spectral_tail(eta),
+        spectral_tail=_spectral_tail(
+            np.fft.rfft(np.stack([eta.eta_under, eta.eta_over]))),
         max_trial_h2_sq=max_h2_sq,
         levels=levels,
         j_mu_line=j_line, l_trunc_line=l_line, speed_line=speed_line,
@@ -478,20 +469,19 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
 
 def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
              max_iters: int, history: list) -> _Level:
-    """L-BFGS descent on the objective's grid from the half-grid vector x,
+    """L-BFGS descent on the objective's grid from the cosine spectrum x,
     with an empty memory, until the gradient norm reaches ``tol`` or the
     iteration count ``it``, shared by all grids, reaches the run's budget
     ``max_iters``, or a line search leaves x unchanged (``stalled``).
     Appends its rows to ``history``.  The level has converged (its
     ``reason`` is None) if it stopped at the tolerance outside the
     barrier's shell, where no barrier slope can cancel that of J."""
-    grid, dot = obj.grid, obj.dot
-    n = grid.n
+    dot, n = obj.dot, obj.grid.n
 
     f, trial = obj(x)
     g, bd, shell = obj.gradient(trial)
     obj.move(shell)
-    gnorm = math.sqrt(dot(g, g) / grid.dx)
+    gnorm = math.sqrt(dot(g, g))
     history.append((it, f, gnorm, 0.0, obj.value_evals, n, 0))
     logged_evals = obj.value_evals
     in_shell = boundary_hit = trial.dvds is not None
@@ -548,7 +538,7 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
         else:
             raise NumericalError(
                 f"line search failed at iteration {it} (grad norm {gnorm:.3e})",
-                last_iterate=obj.split(x),
+                last_iterate=obj.profile(x),
                 diagnostics={"J": f, "grad_norm": gnorm, "n": n},
             )
 
@@ -569,7 +559,7 @@ def _descend(obj: _Objective, x: np.ndarray, it: int, tol: float,
         if sy > 1e-300:
             memory.append((s_v, y_v, 1.0 / sy))
         x, f, g = x_try, f_try, g_new
-        gnorm = math.sqrt(dot(g, g) / grid.dx)
+        gnorm = math.sqrt(dot(g, g))
         history.append((it, f, gnorm, t, obj.value_evals - logged_evals, n,
                         int(wolfe is not None)))
         logged_evals = obj.value_evals

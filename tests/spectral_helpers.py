@@ -40,24 +40,27 @@ def roll(eta, shift):
 
 def h2_norm(eta):
     """Discrete H^2 norm of a pair, the square root of the barrier's
-    ``StagedProfile.h2_sq``."""
-    return math.sqrt(fo.StagedProfile(eta).h2_sq())
+    ``StagedProfile.h2_sq``, staged as eval_J stages it."""
+    return math.sqrt(fo._staged(eta).h2_sq())
 
 
 def eval_K(eta, p):
     """Exact surface energy and its quadratic and quartic truncations,
     (k_total, k2, k4)."""
-    return fo._k_parts(fo.StagedProfile(eta), p)
+    return fo._k_parts(fo._staged(eta), p)
 
 
 def grad_K(eta, p):
-    """L^2 gradient of the exact surface energy."""
-    return fo._gradient(fo.StagedProfile(eta), p, 1.0, 0.0)
+    """L^2 gradient of the exact surface energy, as its two rows."""
+    return np.fft.irfft(fo._gradient(fo._staged(eta), p, 1.0, 0.0),
+                        eta.grid.n)
 
 
 def grad_L_trunc(eta, p):
-    """L^2 gradient of the combined truncated kinetic energy."""
-    return fo._gradient(fo.StagedProfile(eta), p, 0.0, 1.0)
+    """L^2 gradient of the combined truncated kinetic energy, as its two
+    rows."""
+    return np.fft.irfft(fo._gradient(fo._staged(eta), p, 0.0, 1.0),
+                        eta.grid.n)
 
 
 def apply_multiplier(symbol, f, grid):
@@ -83,12 +86,12 @@ def apply_multiplier(symbol, f, grid):
 def eval_L_lower(eta_under, grid):
     """Quadratic, cubic and quartic kinetic terms of the lower layer."""
     eta = ProfilePair(grid, eta_under, np.zeros_like(eta_under))
-    return fo._lower_parts(fo.StagedProfile(eta))
+    return fo._lower_parts(fo._staged(eta))
 
 
 def eval_L_upper(eta):
     """Quadratic, cubic and quartic kinetic terms of the upper layer."""
-    return fo._upper_parts(fo.StagedProfile(eta))
+    return fo._upper_parts(fo._staged(eta))
 
 
 def _pad_values(U, n):
@@ -230,41 +233,43 @@ def multiplier_matrix(symbol, n):
                      cos).reshape(2 * n, 2 * n)
 
 
+def _cosine_maps(n):
+    """Dense maps between the stacked rows (u, v) of an even pair, n
+    samples each, and its cosine spectrum, shape (2, n/2 + 1), both
+    flattened: E synthesises the rows (the inverse rfft of a real
+    spectrum) and R analyses them (the real part of the rfft)."""
+    q = np.arange(n // 2 + 1)
+    # the phase reduced mod n in integers keeps cos accurate to rounding
+    cos = np.cos(2.0 * np.pi / n * (np.outer(np.arange(n), q) % n))
+    w = np.where((q == 0) | (q == n // 2), 1.0, 2.0) / n
+    return np.kron(np.eye(2), cos * w), np.kron(np.eye(2), cos.T)
+
+
 def hessian_model_matrix(p, grid, nu, x0, barrier=None):
     """Dense Hessian of the quadratic truncation K2 + mu^2 / L2 at the
-    speed nu and the even profile of the half-grid vector x0, in the
-    descent's coordinates: it maps a half-grid step to dx times the
-    change of the L^2 gradient, and is self-adjoint in the end-weighted
-    half-grid products.  ``barrier = (dV/ds, V'', x)`` adds the barrier's
-    Hessian 2 V' h(k) + 4 V'' b b^T at the half-grid vector x, with h the
-    H^2 symbol and b = h eta."""
+    speed nu and the even profile of the cosine spectrum x0, in the
+    descent's coordinates: formed on the rows as the L^2 Hessian, it maps
+    a step's cosine spectrum to that of the change of the L^2 gradient
+    (both flattened), and is self-adjoint in the Parseval-weighted
+    products.  ``barrier = (dV/ds, V'', x)`` adds the barrier's Hessian
+    2 V' h(k) + 4 V'' b b^T at the cosine spectrum x, with h the H^2
+    symbol and b = h eta."""
     n, dx, k = grid.n, grid.dx, grid.k
-    half = n // 2 + 1
-    # E mirrors a half-grid vector to its even rows, R takes samples 0..n/2
-    idx = np.concatenate([np.arange(half), np.arange(n // 2 - 1, 0, -1)])
-    E = np.zeros((2 * n, 2 * half))
-    E[np.arange(n), idx] = E[n + np.arange(n), half + idx] = 1.0
-    R = np.zeros((2 * half, 2 * n))
-    R[np.arange(half), np.arange(half)] = 1.0
-    R[half + np.arange(half), n + np.arange(half)] = 1.0
-
-    def rank_one(coef, f):
-        return coef * dx**2 * np.outer(R @ f, E.T @ f)
-
+    E, R = _cosine_maps(n)
     _, F = eval_PF(k, p)
-    eta = E @ x0
+    eta = E @ x0.ravel()
     ell = multiplier_matrix(F, n) @ eta
     l2 = 0.5 * dx * eta @ ell
     symbol = eval_g(k, p, nu)
-    extra = 0.0
+    extra = 2.0 * nu**2 / l2 * dx * np.outer(ell, ell)
     if barrier is not None:
         dvds, v2, x = barrier
         h2 = 1.0 + k**2 + k**4
         symbol = symbol + 2.0 * dvds * h2[:, None, None] * np.eye(2)
-        b = multiplier_matrix(h2[:, None, None] * np.eye(2), n) @ (E @ x)
-        extra = rank_one(4.0 * v2, b)
-    M = dx * R @ multiplier_matrix(symbol, n) @ E
-    return M + rank_one(2.0 * nu**2 / l2, ell) + extra
+        b = multiplier_matrix(h2[:, None, None] * np.eye(2), n) \
+            @ (E @ x.ravel())
+        extra = extra + 4.0 * v2 * dx * np.outer(b, b)
+    return R @ (multiplier_matrix(symbol, n) + extra) @ E
 
 
 def read_profile_csv(path) -> ProfilePair:

@@ -293,7 +293,8 @@ def test_minimize_dry_run_passthrough(tmp_path):
     prof = np.loadtxt(str(outdir / f"{tag}.profile.csv"), delimiter=",",
                       skiprows=1)
     ref = np.loadtxt(str(star), delimiter=",", skiprows=1)
-    # the descent state is symmetrised, which perturbs the last few ulps
+    # the descent holds its even part, the real rfft spectrum, whose
+    # inverse transform perturbs the last few ulps
     assert prof == pytest.approx(ref, abs=1e-14)
 
 
@@ -321,6 +322,13 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 4096
     for key in ("iterations", "value_evals", "gradient_evals"):
         assert sum(lv[key] for lv in levels) == result[key]
+    assert all(set(lv) == {"n", "iterations", "value_evals",
+                           "gradient_evals", "spectral_tail"}
+               for lv in levels)
+    # each level's tail is read off its final spectrum: a grid that
+    # iterated holds a top band, and the idle grid only zero padding
+    assert all(lv["spectral_tail"] > 0.0 for lv in levels[:-1])
+    assert levels[-1]["iterations"] == 0 and levels[-1]["spectral_tail"] == 0
     # each row counts the values evaluated since the one before
     trials = [int(row.split(",")[4]) for row in iters[1:]]
     assert sum(trials) == result["value_evals"]
@@ -367,18 +375,19 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
 #: the profile.csv and the reported J
 SWEEP_LEVELS = [
     (4e-3, 4096, [(1024, 15), (2048, 1), (4096, 0)],
-     "4bb8c4e5ca2a9b7d138f70735bcf2ff8a8cc9c670cfef70aa1cddde5f7fee40a",
+     "e250c9daad8d2d590aed3ce1483a33019136b1744b92d81a5680fcad75bde395",
      0.004788963384652583),
     (2e-3, 8192, [(2048, 12), (4096, 0)],
-     "1711efa323eb389457a55b979b8325d2a099ed093070dbb5ddb35dc38d07627d",
+     "9973b6b018ce4c2b7d529ab59ee4e9604192867b7f144cc3241039de0af37f7a",
      0.0023951554801741803),
     (1e-3, 16384, [(4096, 11), (8192, 0)],
-     "7fa376e0e2c309d31c4272cb641ae76809398d61fd7156e214f3b28a81f108c4",
+     "5b941696521de73b1886bacc39b7c1bc7abce253c25ebd20f7f19b48f63975eb",
      0.0011976526610054244),
 ]
 
 
-@pytest.mark.parametrize("mu, n, ladder, digest, j_mu", SWEEP_LEVELS)
+@pytest.mark.parametrize("mu, n, ladder, digest, j_mu", SWEEP_LEVELS,
+                         ids=[f"{mu!r}-{n}" for mu, n, *_ in SWEEP_LEVELS])
 def test_sweep_levels_end_on_their_idle_grid(tmp_path, mu, n, ladder,
                                              digest, j_mu):
     # the benchmark's sweep levels.  The ladder ends on the first grid
@@ -650,8 +659,10 @@ def test_minimize_sweep_failure_names_its_mu(tmp_path, capsys):
 @pytest.mark.parametrize("line, key", [
     ("grad_tol = nan", "grad_tol"),  # never met: ran every iteration
     ("grad_tol = inf", "grad_tol"),  # met at once: "converged" unrelaxed
+    ("grad_tol = 0", "grad_tol"),  # once the default, never met
     ("max_iters = -1", "max_iters"),  # ran 0 iterations, as max_iters = 0
-], ids=["grad_tol_nan", "grad_tol_inf", "max_iters_negative"])
+], ids=["grad_tol_nan", "grad_tol_inf", "grad_tol_zero",
+        "max_iters_negative"])
 def test_minimize_refuses_bad_stopping_rule(tmp_path, capsys, line, key):
     # a key may be set once per section, so the iteration cap that keeps
     # the grad_tol cases short is written only beside another key

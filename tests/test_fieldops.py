@@ -13,11 +13,10 @@ from gcwaves.cli import write_profile_csv
 from gcwaves.dispersion import eval_fbar, fbar_entries, find_critical
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
-from gcwaves.fieldops import (PeriodicGrid, StagedProfile,
-                              _fbar_inverse_entries, build_eta_star,
-                              eps_of_mu, eval_J, eval_L_trunc, grad_J,
-                              make_grid, mu_of_eps, suggest_carrier_multiple,
-                              wrap_floor)
+from gcwaves.fieldops import (PeriodicGrid, _fbar_inverse_entries, _staged,
+                              build_eta_star, eps_of_mu, eval_J,
+                              eval_L_trunc, grad_J, make_grid, mu_of_eps,
+                              suggest_carrier_multiple, wrap_floor)
 from gcwaves.nls import compute_coefficients, soliton_shape
 
 from conftest import BENCH, fft_lengths, fft_rows_calls, random_band_profile
@@ -276,7 +275,7 @@ def test_gradients_match_finite_differences(grid):
         rel_J = _directional_check(
             grid, eta, du, dv,
             lambda e: eval_J(e, BENCH, 1e-3).j_mu,
-            lambda e: grad_J(e, BENCH, 1e-3)[0])
+            lambda e: np.fft.irfft(grad_J(e, BENCH, 1e-3)[0], grid.n))
         assert rel_L <= 1e-6 and rel_K <= 1e-6 and rel_J <= 1e-6
 
 
@@ -329,7 +328,8 @@ def test_parity_with_reference_implementation():
     mu = float(ref["mu"])
     for i, (u, v) in enumerate(ref["eta"]):
         eta = pair(grid, u, v)
-        (gu, gv), bd = grad_J(eta, p, mu)
+        G, bd = grad_J(eta, p, mu)
+        gu, gv = np.fft.irfft(G, grid.n)
         j_mu, l_trunc, k_total, _, k4, l2, l3, l4 = ref["breakdown"][i]
         assert bd.j_mu == pytest.approx(j_mu, rel=1e-13, abs=0.0)
         assert bd.l_trunc == pytest.approx(l_trunc, rel=1e-13, abs=0.0)
@@ -357,7 +357,8 @@ def test_fbar_inverse_entries_invert_fbar(grid):
 
 def test_transform_counts(grid, fft_record):
     # the value stage makes 3 calls: the pair, the eight stacked padded
-    # fields and the seven stacked products; the gradient stage adds 10
+    # fields and the seven stacked products; the gradient stage adds 9,
+    # and grad_J returns the gradient's spectrum with no inverse transform
     rng = np.random.default_rng(15)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
@@ -368,8 +369,8 @@ def test_transform_counts(grid, fft_record):
         fft_record.clear()
         fn()
         rows[name], calls[name] = fft_rows_calls(fft_record)
-    assert rows == {"grad_J": 35, "eval_J": 17, "eval_L_trunc": 17}
-    assert calls == {"grad_J": 13, "eval_J": 3, "eval_L_trunc": 3}
+    assert rows == {"grad_J": 33, "eval_J": 17, "eval_L_trunc": 17}
+    assert calls == {"grad_J": 12, "eval_J": 3, "eval_L_trunc": 3}
 
 
 def test_staged_profile_reuses_its_value_stage(grid, fft_record):
@@ -379,18 +380,18 @@ def test_staged_profile_reuses_its_value_stage(grid, fft_record):
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
     fft_record.clear()
-    staged = StagedProfile(eta)
+    staged = _staged(eta)
     assert fft_rows_calls(fft_record) == (10, 2)
     bd = eval_J(staged, BENCH, 1e-3)
     assert fft_rows_calls(fft_record) == (17, 3)
-    (gu, gv), bd_grad = grad_J(staged, BENCH, 1e-3)
-    assert fft_rows_calls(fft_record) == (35, 13)
+    G, bd_grad = grad_J(staged, BENCH, 1e-3)
+    assert fft_rows_calls(fft_record) == (33, 12)
     h2_sq = staged.h2_sq()
-    assert fft_rows_calls(fft_record) == (35, 13)
-    assert h2_sq == StagedProfile(eta).h2_sq()
-    (ref_u, ref_v), ref_bd = grad_J(eta, BENCH, 1e-3)
+    assert fft_rows_calls(fft_record) == (33, 12)
+    assert h2_sq == _staged(eta).h2_sq()
+    ref_G, ref_bd = grad_J(eta, BENCH, 1e-3)
     assert bd is bd_grad and bd == ref_bd
-    assert np.array_equal(gu, ref_u) and np.array_equal(gv, ref_v)
+    assert np.array_equal(G, ref_G)
     # another mu gets its own breakdown from the same transforms
     fft_record.clear()
     assert eval_J(staged, BENCH, 2e-3) == eval_J(eta, BENCH, 2e-3)
@@ -403,7 +404,7 @@ def test_batched_value_stage_equals_row_by_row_transforms(grid):
     rng = np.random.default_rng(18)
     eta = pair(grid, random_band_profile(rng, grid.n, 0.04),
                random_band_profile(rng, grid.n, 0.04))
-    f = StagedProfile(eta)
+    f = _staged(eta)
     s, npad = f.sym, 2 * grid.n
     U, V = f.UV
     fields = {"u": U, "v": V, "ux": s.ik * U, "vx": s.ik * V,
@@ -428,7 +429,7 @@ def test_h2_sq_matches_per_component_sum(grid):
     w = 1.0 + grid.k**2 + grid.k**4
     ref = sum(float(np.sum(mult * w * np.abs(np.fft.rfft(c) / grid.n) ** 2))
               for c in (eta.eta_under, eta.eta_over)) * grid.period
-    assert StagedProfile(eta).h2_sq() == pytest.approx(ref, rel=1e-13)
+    assert _staged(eta).h2_sq() == pytest.approx(ref, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +788,9 @@ def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
         suggest_carrier_multiple(bench_coeffs, bench_crit, mu)).carrier_grid
     assert grid.n == 1024
     eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
-    (gu, gv), bd = grad_J(eta, BENCH, mu)
+    G, bd = grad_J(eta, BENCH, mu)
+    assert G.shape == (2, grid.n // 2 + 1) and not G[:, -1].any()
+    gu, gv = np.fft.irfft(G, grid.n)
     digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
     assert digest == ("31e6c6984107c1ba063139011a568aa6"
                       "74dad20d2da23e6ef1f732453eeba699")
@@ -883,8 +886,9 @@ def test_gradient_of_full_grid_eta_star_ignores_the_copy(bench_coeffs,
     # test_gradient_is_bit_identical; its breakdown is the full-grid one
     mu, n = 4e-3, 4096
     eta, _ = _full_grid_eta_star(bench_coeffs, bench_crit, mu, n)
-    (gu, gv), bd = grad_J(eta, BENCH, mu)
-    assert gu.shape == gv.shape == (n,)
+    G, bd = grad_J(eta, BENCH, mu)
+    assert G.shape == (2, n // 2 + 1)
+    gu, gv = np.fft.irfft(G, n)
     digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
     assert digest == ("d6ab2b19bc7e0b00aa609ac684152137"
                       "d89afb22efdb66537a1cb9fb97f02e06")

@@ -7,12 +7,11 @@ from gcwaves.errors import ConfigError, NumericalError, OutOfConeError
 from gcwaves.fieldops import (ProfilePair, build_eta_star, eps_of_mu, eval_J,
                               eval_L_trunc, make_grid,
                               suggest_carrier_multiple)
-from gcwaves.minimizer import (MinimizeConfig, MinimizeResult, _half,
-                               _half_weights, _ladder, _mirror, _prolong,
-                               _spectral_tail, minimize,
+from gcwaves.minimizer import (MinimizeConfig, MinimizeResult, _ladder,
+                               _prolong, _spectral_tail, minimize,
                                speed_expansion_check)
 
-from conftest import BENCH
+from conftest import BENCH, fft_rows_calls
 from spectral_helpers import h2_norm, hessian_model_matrix, roll
 
 MU = 4e-3
@@ -32,13 +31,17 @@ def test_config_validation(bench_crit, bench_coeffs):
     grid = make_grid(1024, bench_crit.k0, 4)
     with pytest.raises(ConfigError):
         MinimizeConfig(mu=0.5, grid=grid)  # above the mu ceiling
-    # nan never meets the stopping test, and inf is met before any step
-    for tol in (-1.0, float("nan"), float("inf")):
+    # nan and 0 never meet the stopping test, and inf is met before any
+    # step
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="grad_tol"):
             MinimizeConfig(mu=1e-3, grid=grid, grad_tol=tol)
     with pytest.raises(ConfigError, match="max_iters"):
         MinimizeConfig(mu=1e-3, grid=grid, max_iters=-1)
     assert MinimizeConfig(mu=1e-3, grid=grid, max_iters=0).max_iters == 0
+    # the tolerance is in units of mu
+    assert MinimizeConfig(mu=1e-3, grid=grid).tol == 1e-5 * 1e-3
+    assert MinimizeConfig(mu=2e-3, grid=grid, grad_tol=1e-7).tol == 2e-10
     # M = 0 would divide the barrier by zero; a negative M is no radius
     for M in (0.0, -0.5):
         with pytest.raises(ConfigError, match="admissibility_M"):
@@ -178,7 +181,7 @@ def test_no_convergence_on_the_barrier():
     assert r.boundary_hit
     assert 0.9 * cfg.admissibility_M < h2_norm(r.eta) < cfg.admissibility_M
     assert r.final_grad_norm <= cfg.tol
-    (gu, gv), _ = fieldops.grad_J(r.eta, p, mu)
+    gu, gv = np.fft.irfft(fieldops.grad_J(r.eta, p, mu)[0], cfg.grid.n)
     grad_j = np.sqrt(cfg.grid.dx * (np.sum(gu**2) + np.sum(gv**2)))
     assert grad_j > 100.0 * cfg.tol
     assert not r.converged and r.reason == "barrier_shell"
@@ -232,7 +235,7 @@ def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m),
-                         grad_tol=1e-6 * mu, max_iters=300)
+                         grad_tol=1e-6, max_iters=300)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert [lv["n"] for lv in r.levels] == [8192, 16384]
     assert r.converged and r.final_grad_norm <= cfg.tol
@@ -248,7 +251,7 @@ def test_tight_tolerance_passes_the_rounding_plateau(bench_crit,
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(32768, bench_crit.k0, m),
-                         grad_tol=1e-9 * mu, max_iters=300)
+                         grad_tol=1e-9, max_iters=300)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.converged and r.final_grad_norm <= cfg.tol
     assert r.iterations <= 40
@@ -351,28 +354,24 @@ def test_rejected_trials_skip_the_gradient(bench_crit, bench_coeffs,
 
 
 def _even_band_vector(rng, n):
-    """Half-grid vector of random even rows with no Nyquist mode."""
+    """Cosine spectrum of random even rows with no Nyquist mode."""
     X = rng.standard_normal((2, n // 2 + 1))
     X[:, -1] = 0.0
-    return _half(np.fft.irfft(X, n), n)
+    return X
 
 
-@pytest.mark.parametrize("shell", [False, True])
-def test_preconditioner_inverts_the_quadratic_model(bench_crit, bench_coeffs,
-                                                    shell):
-    # the model is the dense Hessian of K2 + mu^2 / L2 at the NLS speed,
-    # its rank-one term at the level's start (a modulated carrier), plus
-    # the barrier's Hessian at an iterate inside the shell.  The forward
-    # error is rounding times the model's condition number, about 270
-    # outside the shell and 530 in it on this grid
+def _model_objective(bench_crit, bench_coeffs, shell):
+    """An objective on n = 32 whose start x0 is a modulated carrier, with
+    the barrier's Hessian in its model where ``shell``: (objective, x0,
+    the barrier's (dV/ds, V'', x) or None, a generator)."""
     n = 32
     grid = make_grid(n, bench_crit.k0, 4)
     x, kc = grid.x, grid.carrier
     wave = 0.05 * (1.0 + 0.5 * np.cos(2.0 * np.pi * x / grid.period)) \
         * np.cos(kc * x)
-    x0 = _half(np.stack([wave, -bench_crit.a * wave]), n)
-    ball = h2_norm(ProfilePair(grid, *_mirror(x0, n))) / 0.95 if shell \
-        else 1.0
+    rows = np.stack([wave, -bench_crit.a * wave])
+    x0 = np.fft.rfft(rows).real
+    ball = h2_norm(ProfilePair(grid, *rows)) / 0.95 if shell else 1.0
     nu = minimizer._model_speed(bench_crit, bench_coeffs, MU)
     obj = minimizer._Objective(BENCH, MU, ball, grid, nu, x0)
     rng = np.random.default_rng(11)
@@ -383,13 +382,44 @@ def test_preconditioner_inverts_the_quadratic_model(bench_crit, bench_coeffs,
         assert trial.dvds is not None
         obj.move(obj.gradient(trial)[2])
         barrier = (trial.dvds, 2.0 / (obj.s_edge - obj.s0)**2, x_in)
-    M = hessian_model_matrix(BENCH, grid, nu, x0, barrier)
-    weights = _half_weights(n)
+    return obj, x0, barrier, rng
+
+
+@pytest.mark.parametrize("shell", [False, True])
+def test_preconditioner_inverts_the_quadratic_model(bench_crit, bench_coeffs,
+                                                    shell):
+    # the model is the dense Hessian of K2 + mu^2 / L2 at the NLS speed,
+    # its rank-one term at the level's start (a modulated carrier), plus
+    # the barrier's Hessian at an iterate inside the shell, formed on the
+    # rows and taken to cosine spectra.  The forward error is rounding
+    # times the model's condition number, about 270 outside the shell and
+    # 530 in it on this grid
+    obj, x0, barrier, rng = _model_objective(bench_crit, bench_coeffs, shell)
+    M = hessian_model_matrix(BENCH, obj.grid, obj._nu, x0, barrier)
     for _ in range(4):
-        d = _even_band_vector(rng, n)
-        back = obj.precondition(M @ d)
+        d = _even_band_vector(rng, obj.grid.n)
+        back = obj.precondition((M @ d.ravel()).reshape(d.shape))
         assert np.linalg.norm(back - d) <= 1e-12 * np.linalg.norm(d)
-        assert float(np.sum(weights * d * obj.precondition(d))) > 0.0
+        assert obj.dot(d, obj.precondition(d)) > 0.0
+
+
+@pytest.mark.parametrize("shell", [False, True])
+def test_one_descent_step_transforms(bench_crit, bench_coeffs, fft_record,
+                                     shell):
+    # a trial is staged from its spectrum: the eight padded fields and
+    # the seven products, 15 rows in 2 calls; its gradient stage adds 16
+    # rows in 9 calls, and the model acts mode by mode, with none
+    obj, x0, _, _ = _model_objective(bench_crit, bench_coeffs, shell)
+    fft_record.clear()
+    _, trial = obj(x0)
+    assert fft_rows_calls(fft_record) == (15, 2)
+    fft_record.clear()
+    g, _, shell_terms = obj.gradient(trial)
+    assert fft_rows_calls(fft_record) == (16, 9)
+    obj.move(shell_terms)
+    fft_record.clear()
+    obj.precondition(g)
+    assert fft_record == []
 
 
 @pytest.mark.parametrize("params", ["BENCH", "NEAR_RESONANT"])
@@ -411,21 +441,30 @@ def _evenize(x, n):
     return 0.5 * (rows + np.roll(rows[:, ::-1], 1, axis=1))
 
 
-def test_mirrored_half_is_the_even_projection():
-    n = 16
-    y = _evenize(np.random.default_rng(3).standard_normal(2 * n), n)
-    h = _half(y, n)
-    assert h.shape == (n + 2,)
-    assert np.array_equal(_mirror(h, n), y)
+def test_cosine_spectrum_is_the_even_projection(bench_crit, bench_coeffs):
+    # the real part of the rfft keeps the even part of the rows, which
+    # the objective's profile returns
+    obj = _model_objective(bench_crit, bench_coeffs, False)[0]
+    n = obj.grid.n
+    y = np.random.default_rng(3).standard_normal((2, n))
+    eta = obj.profile(np.fft.rfft(y).real)
+    even = _evenize(y, n)
+    assert np.max(np.abs(eta.eta_under - even[0])) <= 1e-15
+    assert np.max(np.abs(eta.eta_over - even[1])) <= 1e-15
 
 
-def test_half_grid_dot_equals_full_grid_dot():
-    n = 4096
+def test_spectral_dot_equals_full_grid_dot(bench_crit, bench_coeffs):
+    # the Parseval-weighted product of two cosine spectra is the L^2
+    # product dx sum(a b) of their even rows
+    obj = _model_objective(bench_crit, bench_coeffs, False)[0]
+    n, dx = obj.grid.n, obj.grid.dx
     rng = np.random.default_rng(5)
-    a, b = (_evenize(rng.standard_normal(2 * n), n) for _ in range(2))
-    full = float(np.sum(a * b))
-    half = float(np.sum(_half_weights(n) * _half(a, n) * _half(b, n)))
-    assert half == pytest.approx(full, rel=1e-15, abs=0.0)
+    a = _evenize(rng.standard_normal(2 * n), n)
+    b = a + 0.5 * _evenize(rng.standard_normal(2 * n), n)
+    for u, v in ((a, a), (a, b)):
+        full = dx * float(np.sum(u * v))
+        spectral = obj.dot(np.fft.rfft(u).real, np.fft.rfft(v).real)
+        assert spectral == pytest.approx(full, rel=1e-15, abs=0.0)
 
 
 def test_spectral_tail_reads_the_top_band():
@@ -435,11 +474,11 @@ def test_spectral_tail_reads_the_top_band():
     under = np.cos(3.0 * grid.k[1] * x) + 1e-6 * np.cos(110.0 * grid.k[1] * x)
     over = 0.5 * np.cos(5.0 * grid.k[1] * x) + 4e-6 * np.cos(
         120.0 * grid.k[1] * x)
-    eta = ProfilePair(grid, under, over)
-    assert _spectral_tail(eta) == pytest.approx(8e-6, rel=1e-6)
-    below = ProfilePair(grid, under, 0.5 * np.cos(101.0 * grid.k[1] * x)
-                        + np.cos(2.0 * grid.k[1] * x))
-    assert _spectral_tail(below) == pytest.approx(1e-6, rel=1e-6)
+    assert _spectral_tail(np.fft.rfft([under, over])) == \
+        pytest.approx(8e-6, rel=1e-6)
+    below = 0.5 * np.cos(101.0 * grid.k[1] * x) + np.cos(2.0 * grid.k[1] * x)
+    assert _spectral_tail(np.fft.rfft([under, below])) == \
+        pytest.approx(1e-6, rel=1e-6)
 
 
 def test_history_counts_every_value(run):
@@ -515,6 +554,7 @@ def test_ladder_starts_above_the_third_harmonic(bench_crit, bench_coeffs,
 
 
 def test_prolongation_is_exact_for_band_limited_even_rows():
+    # zero-padding the cosine spectrum reproduces band-limited rows
     n, n_to, period = 64, 256, 10.0
     x, x_to = (-0.5 * period + period / m * np.arange(m)
                for m in (n, n_to))
@@ -523,9 +563,9 @@ def test_prolongation_is_exact_for_band_limited_even_rows():
         k = 2.0 * np.pi / period
         return np.stack([np.cos(3 * k * x) + 0.25 * np.cos(30 * k * x),
                          0.5 - np.cos(7 * k * x)])
-    h = _prolong(_half(rows(x), n), n, n_to)
-    assert h.shape == (n_to + 2,)
-    assert np.max(np.abs(_mirror(h, n_to) - rows(x_to))) <= 1e-14
+    X = _prolong(np.fft.rfft(rows(x)).real, n_to)
+    assert X.shape == (2, n_to // 2 + 1)
+    assert np.max(np.abs(np.fft.irfft(X, n_to) - rows(x_to))) <= 1e-14
 
 
 def assert_on_last_grid(r, cfg):
@@ -617,7 +657,15 @@ def test_coarse_grid_failure_names_its_grid(bench_crit, bench_coeffs,
     with pytest.raises(NumericalError) as err:
         minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert err.value.diagnostics["n"] == 1024
-    assert err.value.last_iterate.grid.n == 1024
+    # the last iterate is the start of that grid: an even pair whose J is
+    # the last history row's (outside the shell, J alone)
+    eta = err.value.last_iterate
+    assert eta.grid.n == 1024
+    for row in (eta.eta_under, eta.eta_over):
+        mirrored = np.roll(row[::-1], 1)
+        assert np.max(np.abs(row - mirrored)) <= 1e-15 * np.max(np.abs(row))
+    j = err.value.diagnostics["J"]
+    assert abs(original(eta, BENCH, MU).j_mu - j) <= 4 * np.spacing(j)
 
 
 @pytest.fixture(scope="module")
@@ -630,7 +678,7 @@ def period_runs(bench_crit, bench_coeffs):
     for k in (1, 2, 4):
         cfg = MinimizeConfig(mu=mu, grid=make_grid(16384 * k, bench_crit.k0,
                                                    k * m),
-                             grad_tol=1e-7 * mu)
+                             grad_tol=1e-7)
         r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
         assert r.converged
         runs.append(r)
