@@ -171,7 +171,10 @@ def _format_value(v):
     if isinstance(v, (float, np.floating)):
         if math.isnan(v) or math.isinf(v):
             return json.dumps(str(v))
-        return f"{float(v):.17g}"
+        text = f"{float(v):.17g}"
+        # an integral float has no point or exponent, so JSON would read
+        # it back as an int
+        return text if any(ch in text for ch in ".e") else text + ".0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if v is None:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .dispersion import Params
 from .errors import ConfigError, GeometryError, NumericalError, SolvabilityError
-from .fieldops import ProfilePair, _is_power_of_two
+from .fieldops import ProfilePair, _is_grid_size
 
 #: the upper layer counts as pinched off where its depth falls to this
 _PINCH_OFF_H0 = 0.1
@@ -85,8 +85,9 @@ class StripGrid:
     cg_tol: float = 1e-8
 
     def __post_init__(self):
-        if not _is_power_of_two(self.nx):
-            raise ConfigError("nx must be a power of two")
+        if not _is_grid_size(self.nx):
+            raise ConfigError(
+                f"nx must be 2^k or 3*2^k and >= 16, got {self.nx}")
         if self.ny < 32:
             raise ConfigError("need at least 32 vertical intervals")
         if not 0.0 < self.depth_under < math.inf:

@@ -26,8 +26,11 @@ seed the minimiser.  Each profile is evaluated in two stages:
   (``PeriodicGrid.carrier_grid``), the coarsest grid of the period
   above carrier harmonic 3, where the test profile is built with no
   transform: its transforms have 2 n_c points whatever the requested
-  grid (n_c is n/8 to n/4 at 30 points per wavelength).  On a finer
-  grid build_eta_star zero-pads the spectrum of those samples up to the
+  grid (n_c is n/8 to n/4 at 30 points per wavelength).  Grid sizes
+  are 2^k or 3 2^k (``_is_grid_size``), which numpy's FFT transforms at
+  about the same cost per point, so n_c / 2 exceeds 3 m by a factor
+  below 1.5 where powers of two alone left up to 2.  On a finer grid
+  build_eta_star zero-pads the spectrum of those samples up to the
   requested grid and keeps the samples themselves as a read-only copy
   (``ProfilePair.carrier_copy``): value-only calls on it take their 17
   transforms at 2 n_c points.
@@ -75,8 +78,11 @@ _PAD = 2
 _CARRIER_HARMONICS = 3
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_grid_size(n: int) -> bool:
+    """Whether n is a grid size: 2^k or 3 2^k, at least 16, the sizes
+    at which a transform costs about the same per point."""
+    odd = n // (n & -n) if n > 0 else 0
+    return n >= 16 and odd in (1, 3)
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,9 @@ class PeriodicGrid:
     k0_multiple: int
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n) or self.n < 16:
-            raise ConfigError(f"n must be a power of two >= 16, got {self.n}")
+        if not _is_grid_size(self.n):
+            raise ConfigError(
+                f"n must be 2^k or 3*2^k and >= 16, got {self.n}")
         if self.k0_multiple < 1:
             raise ConfigError("need at least one carrier wavelength in the "
                               f"period, got k0_multiple = {self.k0_multiple}")
@@ -122,8 +129,8 @@ class PeriodicGrid:
 
     @cached_property
     def _coarse_carrier(self) -> PeriodicGrid | None:
-        """The coarsest power of two n_c >= 16 with this period whose
-        Nyquist wavenumber lies above carrier harmonic
+        """The coarsest grid size n_c (``_is_grid_size``) with this period
+        whose Nyquist wavenumber lies above carrier harmonic
         ``_CARRIER_HARMONICS`` (n_c / 2 > 3 m), as a grid, where it is
         coarser than this grid; None where this grid is that grid or is
         coarser (a grid that held itself would be a reference cycle,
@@ -131,7 +138,8 @@ class PeriodicGrid:
         m = self.k0_multiple
         n_c = 16
         while n_c < self.n and n_c // 2 <= _CARRIER_HARMONICS * m:
-            n_c *= 2
+            # the next grid size: 2^k -> 3 2^(k-1) -> 2^(k+1)
+            n_c = n_c * 3 // 2 if n_c & (n_c - 1) == 0 else n_c * 4 // 3
         if n_c == self.n:
             return None
         return PeriodicGrid(n=n_c, period=self.period, k0_multiple=m)

@@ -55,14 +55,16 @@ The descent climbs a ladder of grids (nested iteration; Brandt, Math.
 Comp. 1977).  The minimisers are modulated carriers whose j-th harmonic
 is O(eps^j), so the grid whose Nyquist wavenumber first clears the third
 carrier harmonic already holds the wave to within the stopping
-tolerance.  The ladder starts on the coarsest such power of two (same
-period), ``PeriodicGrid.carrier_grid``, where ``eps_of_mu`` and the test
-profile are computed whatever the requested grid, and doubles towards
-the requested grid.  Each grid descends to the same gradient tolerance
-with an empty L-BFGS memory and its own objective, built from p, mu, M,
-that grid, nu_m (computed once per run) and its start: the iterate of
-the grid below, prolonged by zero-padding its spectrum, which is exact
-for a band-limited iterate and keeps it even.  ``max_iters`` is one
+tolerance.  The ladder starts on the coarsest such grid size, 2^k or
+3 2^k (same period), ``PeriodicGrid.carrier_grid``, where ``eps_of_mu``
+and the test profile are computed whatever the requested grid, doubles
+while below the requested grid and ends on the requested grid itself,
+so its last step may be less than twofold.  Each grid descends to the
+same gradient tolerance with an empty L-BFGS memory and its own
+objective, built from p, mu, M, that grid, nu_m (computed once per run)
+and its start: the iterate of the grid below, prolonged by zero-padding
+its spectrum, which is exact for a band-limited iterate and keeps it
+even.  ``max_iters`` is one
 budget for the whole ladder.  The first grid above the carrier grid
 that takes no iteration ends the ladder, and its gradient test is the
 run's verdict: content the grid below could not hold would show up there
@@ -111,9 +113,9 @@ class MinimizeConfig:
     #: stopping threshold on the discrete-L2 gradient norm, in units of
     #: mu (``tol``).  With the surface energy free of cancellation
     #: (``fieldops._k_parts``) and the approximate Wolfe test the descent
-    #: reaches 1e-9 at mu = 5e-4.  On the benchmark's sweep grids (16/12/11
-    #: iterations at the default 1e-5) 1e-6 costs 1.05x to 1.25x their
-    #: iterations, and 1e-7 1.2x to 1.25x.
+    #: reaches 1e-9 at mu = 5e-4.  On the benchmark's sweep grids (17/13/11
+    #: iterations at the default 1e-5) 1e-6 costs 1.05x to 1.2x their
+    #: iterations, and 1e-7 1.2x to 1.5x.
     grad_tol: float = 1e-5
     admissibility_M: float = 0.5
 
@@ -372,13 +374,15 @@ def line_corrected(bd: FunctionalBreakdown, p: Params, period: float):
 
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
     """Grids the descent may climb, coarsest first: the carrier grid
-    (``PeriodicGrid.carrier_grid``), doubled up to the requested grid.
-    ``[grid]`` where that grid is the carrier grid.  ``minimize`` stops
-    at the first grid above the carrier grid that takes no iteration."""
+    (``PeriodicGrid.carrier_grid``), doubled while below the requested
+    grid, and the requested grid itself, which caps the ladder and is
+    its top rung.  ``[grid]`` where that grid is the carrier grid.
+    ``minimize`` stops at the first grid above the carrier grid that
+    takes no iteration."""
     grids = [grid.carrier_grid]
     while grids[-1] is not grid:
         n = 2 * grids[-1].n
-        grids.append(grid if n == grid.n else replace(grid, n=n))
+        grids.append(grid if n >= grid.n else replace(grid, n=n))
     return grids
 
 

@@ -239,8 +239,8 @@ def test_ansatz_outputs(tmp_path, bench_cfg):
 
 def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch,
                                               fft_record):
-    # eta* is band-limited to the carrier grid (2048 points here), so its
-    # J is read there, from transforms of at most 2 * 2048 points; the
+    # eta* is band-limited to the carrier grid (1536 points here), so its
+    # J is read there, from transforms of at most 2 * 1536 points; the
     # profile is still written on the requested grid
     from gcwaves import fieldops
     mu, n = 2e-3, 8192
@@ -258,7 +258,7 @@ def test_ansatz_takes_j_from_the_carrier_grid(tmp_path, monkeypatch,
     out = tmp_path / "star.csv"
     assert main(["ansatz", "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
-    assert lengths == [[2048, 2 * 2048, 2 * 2048]]
+    assert lengths == [[1536, 2 * 1536, 2 * 1536]]
     summary = json.loads((tmp_path / "star.csv.summary.json").read_text())
     eta = read_profile_csv(str(out))
     assert eta.grid.n == n
@@ -365,24 +365,24 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
         assert result["converged"] is True
         for key in ("iterations", "value_evals", "gradient_evals"):
             assert sum(lv[key] for lv in result["levels"]) == result[key]
-    # at mu = 8e-3 the descent starts on the coarser grid n = 512, and
-    # the idle grid 2048 ends it
+    # at mu = 8e-3 the descent starts on the coarser grid n = 384, and
+    # the idle grid 3072 ends it
     result = json.loads((outdir / "mu_0p008.result.json").read_text())
-    assert [lv["n"] for lv in result["levels"]] == [512, 1024, 2048]
+    assert [lv["n"] for lv in result["levels"]] == [384, 768, 1536, 3072]
 
 
 #: the benchmark's sweep levels: mu, [grid] n, the ladder, the SHA-256 of
 #: the profile.csv and the reported J
 SWEEP_LEVELS = [
-    (4e-3, 4096, [(1024, 15), (2048, 1), (4096, 0)],
-     "e250c9daad8d2d590aed3ce1483a33019136b1744b92d81a5680fcad75bde395",
-     0.004788963384652583),
-    (2e-3, 8192, [(2048, 12), (4096, 0)],
-     "9973b6b018ce4c2b7d529ab59ee4e9604192867b7f144cc3241039de0af37f7a",
-     0.0023951554801741803),
-    (1e-3, 16384, [(4096, 11), (8192, 0)],
-     "5b941696521de73b1886bacc39b7c1bc7abce253c25ebd20f7f19b48f63975eb",
-     0.0011976526610054244),
+    (4e-3, 4096, [(768, 15), (1536, 2), (3072, 0)],
+     "2e3dccb455e0587164376a7e8dce1dd2e41fd4a208e83590e2cfdcda630c7876",
+     0.004788963384652517),
+    (2e-3, 8192, [(1536, 12), (3072, 1), (6144, 0)],
+     "59caacaa66ea3fea95a2cc5e3e8f3711587fae6db23f998ef5895d4aa633b4d7",
+     0.0023951554801740892),
+    (1e-3, 16384, [(3072, 11), (6144, 0)],
+     "e0bfed4897fbd3a9502f8279e5cd55285e1d0eed57724d92dee5196ea8d19513",
+     0.0011976526610054437),
 ]
 
 
@@ -410,8 +410,10 @@ def test_sweep_levels_end_on_their_idle_grid(tmp_path, mu, n, ladder,
 def test_grid_n_caps_the_ladder(tmp_path):
     # under one cap of n = 16384 the benchmark's three sweep levels climb
     # the ladders they climb under their own n, up to their idle grids
-    # (4096, 4096 and 8192), and write the same profiles; each profile
-    # and its sidecar are on the grid that ended its ladder
+    # (3072, 6144 and 6144), and write the same profiles; each profile
+    # and its sidecar are on the grid that ended its ladder.  Every
+    # level's spectral tail reads back as a float, an idle grid's 0.0
+    # too
     cfg = write_config(tmp_path / "sweep.cfg", BENCH, "[grid]\nn = 16384\n")
     outdir = tmp_path / "out"
     mus = [mu for mu, *_ in SWEEP_LEVELS]
@@ -422,6 +424,8 @@ def test_grid_n_caps_the_ladder(tmp_path):
         result = json.loads((outdir / f"{tag}.result.json").read_text())
         assert [(lv["n"], lv["iterations"])
                 for lv in result["levels"]] == ladder
+        assert all(type(lv["spectral_tail"]) is float
+                   for lv in result["levels"])
         n = result["levels"][-1]["n"]
         path = outdir / f"{tag}.profile.csv"
         assert len(path.read_bytes().splitlines()) == 1 + n
@@ -430,8 +434,8 @@ def test_grid_n_caps_the_ladder(tmp_path):
 
 
 @pytest.mark.parametrize("n, ladder", [
-    (1024, [(1024, 15)]),             # the carrier grid alone
-    (2048, [(1024, 15), (2048, 1)]),  # the top grid still takes a step
+    (1024, [(768, 15), (1024, 2)]),  # the top grid still takes a step
+    (768, [(768, 15)]),              # the carrier grid alone
 ])
 def test_minimize_reports_an_unconfirmed_grid(tmp_path, n, ladder):
     # both runs meet the tolerance outside the barrier's shell, but no

@@ -7,12 +7,14 @@ import pytest
 
 from gcwaves import ProfilePair, StripGrid, dno
 from gcwaves.cli import oracle_suite
-from gcwaves.dispersion import eval_fbar
+from gcwaves.dispersion import eval_fbar, eval_PF
 from gcwaves.dno import LowerSolver, UpperSolver, eval_L_exact
 from gcwaves.errors import ConfigError, GeometryError, SolvabilityError
-from gcwaves.fieldops import PeriodicGrid, eval_L_trunc
+from gcwaves.fieldops import (PeriodicGrid, _is_grid_size, eval_L_trunc,
+                              make_grid, suggest_carrier_multiple)
+from gcwaves.minimizer import MinimizeConfig, minimize
 
-from conftest import BENCH, random_band_profile
+from conftest import BENCH, fft_lengths, random_band_profile
 
 
 K0 = 1.2679365323136993  # bench carrier scale, fixes all test geometry
@@ -41,8 +43,10 @@ def x():
 
 
 def test_strip_validation():
-    with pytest.raises(ConfigError):
-        StripGrid(nx=100, ny=64, depth_under=5.0)
+    # nx takes the sizes a PeriodicGrid takes, 2^k and 3 2^k >= 16
+    for nx in (100, 320):
+        with pytest.raises(ConfigError, match=f"nx must .*got {nx}"):
+            StripGrid(nx=nx, ny=64, depth_under=5.0)
     with pytest.raises(ConfigError):
         StripGrid(nx=128, ny=8, depth_under=5.0)
     with pytest.raises(ConfigError):
@@ -148,6 +152,33 @@ def test_flat_symbols_match_dispersion_matrix(suite):
     assert suite["flat_symbol_max_abs_err"] <= 1e-8
 
 
+def test_flat_symbols_match_on_three_times_a_power_of_two():
+    nx = 3 * NX // 2
+    strip = StripGrid(nx=nx, ny=128, depth_under=14.0 / K0, cg_tol=1e-12)
+    for k in (K0, 2 * K0, 3 * K0):
+        K = dno.flat_K_matrix(k, BENCH, strip, PERIOD)
+        assert np.max(np.abs(K - eval_PF(k, BENCH)[1])) <= 1e-8
+
+
+def test_oracle_checks_a_profile_on_three_times_a_power_of_two(
+        bench_crit, bench_coeffs, fft_record):
+    # at mu = 1e-3 the descent writes its profile on 6144 points, where
+    # the oracle evaluates it; neither transforms at any other size than
+    # 2^k or 3 2^k
+    mu = 1e-3
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m))
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert r.converged and r.eta.grid.n == 6144
+    strip = StripGrid(nx=6144, ny=48, depth_under=12.0 / bench_crit.k0)
+    l_exact = eval_L_exact(r.eta, BENCH, strip)
+    lengths = set(fft_lengths(fft_record))
+    assert {3072, 6144, 12288} <= lengths
+    assert all(_is_grid_size(n) for n in lengths)
+    l_trunc = sum(eval_L_trunc(r.eta, BENCH))
+    assert abs(l_exact / l_trunc - 1.0) <= 5e-4
+
+
 def test_vertical_resolution_spectral_convergence(x):
     # trace self-convergence under ny refinement on a curved geometry;
     # Chebyshev collocation should gain much more than second order
@@ -232,7 +263,7 @@ def test_oracle_shares_no_code_with_the_truncation():
     allowed = {
         "dispersion": {"Params"},
         "errors": None,
-        "fieldops": {"PeriodicGrid", "ProfilePair", "_is_power_of_two"},
+        "fieldops": {"PeriodicGrid", "ProfilePair", "_is_grid_size"},
     }
     tree = ast.parse(Path(dno.__file__).read_text())
     for node in ast.walk(tree):

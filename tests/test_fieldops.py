@@ -13,7 +13,8 @@ from gcwaves.cli import write_profile_csv
 from gcwaves.dispersion import eval_fbar, fbar_entries, find_critical
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
-from gcwaves.fieldops import (PeriodicGrid, _fbar_inverse_entries, _staged,
+from gcwaves.fieldops import (PeriodicGrid, _fbar_inverse_entries,
+                              _is_grid_size, _staged,
                               build_eta_star, eps_of_mu, eval_J,
                               eval_L_trunc, grad_J, make_grid, mu_of_eps,
                               suggest_carrier_multiple, wrap_floor)
@@ -542,7 +543,7 @@ def test_mu_eps_roundtrip(bench_coeffs, bench_crit):
 
 
 @pytest.mark.parametrize("mu, n, n_c", [
-    (4e-3, 4096, 1024), (1e-3, 16384, 4096), (5e-4, 32768, 8192),
+    (4e-3, 4096, 768), (1e-3, 16384, 3072), (5e-4, 32768, 6144),
 ])
 def test_eps_of_mu_evaluates_on_the_carrier_grid(monkeypatch, bench_coeffs,
                                                  bench_crit, mu, n, n_c):
@@ -577,7 +578,7 @@ def test_carrier_waves_built_once_per_fine_grid(monkeypatch, bench_coeffs,
     assert grid.carrier_grid is grid.carrier_grid
     eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
     build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
-    assert built == [4096]
+    assert built == [3072]
 
 
 def test_value_pass_builds_symbols_once(bench_coeffs, bench_crit,
@@ -588,7 +589,7 @@ def test_value_pass_builds_symbols_once(bench_coeffs, bench_crit,
     mu, n = 1e-3, 16384
     eps, eta = _star_on(mu, n, bench_coeffs, bench_crit)
     eval_J(eta, BENCH, mu)
-    assert symbol_builds == [4096]
+    assert symbol_builds == [3072]
 
 
 def test_symbols_are_freed_with_their_grid(bench_crit):
@@ -611,10 +612,10 @@ def test_grids_are_freed_without_the_garbage_collector(bench_coeffs,
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, 1e-3)
     gc.disable()
     try:
-        for n in (16384, 4096):  # a fine grid, and its own carrier grid
+        for n in (16384, 3072):  # a fine grid, and its own carrier grid
             grid = make_grid(n, bench_crit.k0, m)
             coarse = grid.carrier_grid
-            assert coarse.n == 4096 and len(coarse.carrier_waves) == 3
+            assert coarse.n == 3072 and len(coarse.carrier_waves) == 3
             refs = [weakref.ref(grid), weakref.ref(coarse)]
             del grid, coarse
             assert all(ref() is None for ref in refs)
@@ -652,11 +653,73 @@ def test_eta_star_interpolates_the_carrier_grid_profile(bench_coeffs,
     # above the carrier grid's band only the transforms' rounding is
     # left; sampled on the requested grid, the profile held 1e-14 to
     # 1e-13 of its peak coefficient there
-    U = np.abs(np.fft.rfft(rows))
-    assert U[:, coarse.n // 2:].max() <= 1e-15 * U.max()
-    step = n // coarse.n
-    assert (np.abs(rows[:, ::step] - coarse_rows).max()
-            <= 1e-15 * np.abs(coarse_rows).max())
+    U = np.fft.rfft(rows)
+    assert np.abs(U[:, coarse.n // 2:]).max() <= 1e-15 * np.abs(U).max()
+    # below it, the spectrum is the carrier grid's, scaled by n_c / n
+    band = slice(0, coarse.n // 2)
+    coarse_U = np.fft.rfft(coarse_rows)[:, band]
+    assert (np.abs(U[:, band] * (coarse.n / n) - coarse_U).max()
+            <= 1e-15 * np.abs(coarse_U).max())
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 96, 768, 1024, 1536, 3072,
+                               4096, 6144, 3 * 2**14, 2**17])
+def test_grid_takes_powers_of_two_and_three_times_them(n):
+    assert _is_grid_size(n)
+    assert PeriodicGrid(n=n, period=10.0, k0_multiple=1).n == n
+
+
+@pytest.mark.parametrize("n", [-16, 0, 1, 2, 8, 12, 15, 17, 20, 40, 80, 100,
+                               320, 1000, 1025, 5 * 1024, 9 * 1024])
+def test_grid_refuses_other_sizes(n):
+    # 5 2^k and 9 2^k, odd sizes, and 2^k or 3 2^k below 16
+    assert not _is_grid_size(n)
+    with pytest.raises(ConfigError, match=r"2\^k or 3\*2\^k and >= 16"):
+        PeriodicGrid(n=n, period=10.0, k0_multiple=1)
+
+
+#: the benchmark's 24 ansatz levels, each on the next power of two
+#: >= 30 m(mu)
+_ANSATZ_MUS = np.geomspace(5e-4, 4e-3, 24).tolist()
+
+
+def _ansatz_grid(mu, c, crit):
+    m = suggest_carrier_multiple(c, crit, mu)
+    return make_grid(1 << (30 * m - 1).bit_length(), crit.k0, m)
+
+
+def test_carrier_grid_is_the_smallest_size_above_the_third_harmonic(
+        bench_coeffs, bench_crit):
+    grids = [make_grid(n, bench_crit.k0,
+                       suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
+             for mu, n in _SWEEP_PINS]
+    grids += [_ansatz_grid(mu, bench_coeffs, bench_crit)
+              for mu in _ANSATZ_MUS]
+    for grid in grids:
+        n_c, m = grid.carrier_grid.n, grid.k0_multiple
+        assert n_c == min(k for k in range(16, grid.n)
+                          if _is_grid_size(k) and k // 2 > 3 * m)
+    # the sweep's carrier grids are three times powers of two, 3/4 of the
+    # power of two above, and so are 14 of the 24 ansatz levels'
+    assert [g.carrier_grid.n for g in grids[:3]] == [768, 1536, 3072]
+    assert sum(g.carrier_grid.n % 3 == 0 for g in grids[3:]) == 14
+
+
+def test_eps_of_mu_matches_the_power_of_two_carrier_grid(
+        monkeypatch, bench_coeffs, bench_crit):
+    # the root of mu(eps) = mu does not depend on which grid above the third
+    # harmonic holds the test profile: the 24 ansatz levels' roots on the
+    # carrier grid match those on the power of two above 6 m
+    for mu in _ANSATZ_MUS:
+        grid = _ansatz_grid(mu, bench_coeffs, bench_crit)
+        eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+        n_c = grid.carrier_grid.n
+        pow2 = make_grid(n_c if n_c % 3 else 4 * n_c // 3, bench_crit.k0,
+                         grid.k0_multiple)
+        with monkeypatch.context() as patch:
+            patch.setattr(PeriodicGrid, "carrier_grid", property(lambda g: g))
+            eps_pow2 = eps_of_mu(BENCH, bench_coeffs, bench_crit, pow2, mu)
+        assert abs(eps / eps_pow2 - 1.0) <= 1e-13
 
 
 def _counted_inversion(monkeypatch, p, c, crit, mu, n):
@@ -757,12 +820,12 @@ def test_eps_of_mu_returns_the_plain_secant_point(monkeypatch, request,
 # eta*, so a change to the value path that reorders no arithmetic (how
 # transforms are batched, which tables are reused) must keep them.
 _SWEEP_PINS = {
-    (4e-3, 4096): (0.003978691002095201, 0.004789088922404112,
-                   0.006679598898753042),
-    (2e-3, 8192): (0.0019973240493673717, 0.0023951581419858793,
-                   0.0033397994493765213),
-    (1e-3, 16384): (0.000999665468254196, 0.0011976527351596766,
-                    0.0016698997246882609),
+    (4e-3, 4096): (0.003978691002095242, 0.004789088922404098,
+                   0.006679598898753045),
+    (2e-3, 8192): (0.0019973240493673695, 0.0023951581419858793,
+                   0.0033397994493765226),
+    (1e-3, 16384): (0.0009996654682541937, 0.0011976527351596766,
+                    0.0016698997246882613),
 }
 
 
@@ -779,21 +842,21 @@ def test_value_path_is_bit_identical(bench_coeffs, bench_crit, mu, n):
 
 
 def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
-    # grad_J of eta* at mu = 4e-3 on its carrier grid (n = 1024), taken
+    # grad_J of eta* at mu = 4e-3 on its carrier grid (n = 768), taken
     # like _SWEEP_PINS: the SHA-256 of the two gradient rows' bytes
     mu, n = 4e-3, 4096
     eps, j_mu, _ = _SWEEP_PINS[mu, n]
     grid = make_grid(
         n, bench_crit.k0,
         suggest_carrier_multiple(bench_coeffs, bench_crit, mu)).carrier_grid
-    assert grid.n == 1024
+    assert grid.n == 768
     eta = build_eta_star(bench_coeffs, bench_crit, eps, grid, BENCH)
     G, bd = grad_J(eta, BENCH, mu)
     assert G.shape == (2, grid.n // 2 + 1) and not G[:, -1].any()
     gu, gv = np.fft.irfft(G, grid.n)
     digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
-    assert digest == ("31e6c6984107c1ba063139011a568aa6"
-                      "74dad20d2da23e6ef1f732453eeba699")
+    assert digest == ("5dd71f43246ed7778d4a83264a30ba1e"
+                      "413f466792c6b455c436c50a863a7bc9")
     assert bd.j_mu == j_mu
 
 
@@ -831,16 +894,16 @@ def _full_grid_eta_star(coeffs, crit, mu, n):
 
 def test_eval_J_of_eta_star_transforms_carrier_grid_rows(
         bench_coeffs, bench_crit, fft_record):
-    # n = 16384 at mu = 1e-3 has a carrier grid of 4096 points: the value
-    # stage transforms the pair there and its padded fields at 2 * 4096
+    # n = 16384 at mu = 1e-3 has a carrier grid of 3072 points: the value
+    # stage transforms the pair there and its padded fields at 2 * 3072
     eta, _ = _full_grid_eta_star(bench_coeffs, bench_crit, 1e-3, 16384)
-    assert eta.carrier_copy.grid.n == 4096
+    assert eta.carrier_copy.grid.n == 3072
     fft_record.clear()
     eval_J(eta, BENCH, 1e-3)
-    assert sorted(fft_lengths(fft_record)) == [4096, 2 * 4096, 2 * 4096]
+    assert sorted(fft_lengths(fft_record)) == [3072, 2 * 3072, 2 * 3072]
     fft_record.clear()
     eval_L_trunc(eta, BENCH)
-    assert max(fft_lengths(fft_record)) == 2 * 4096
+    assert max(fft_lengths(fft_record)) == 2 * 3072
 
 
 @pytest.mark.parametrize("mu, n", [*_SWEEP_PINS, (5e-4, 32768)])
@@ -890,8 +953,8 @@ def test_gradient_of_full_grid_eta_star_ignores_the_copy(bench_coeffs,
     assert G.shape == (2, n // 2 + 1)
     gu, gv = np.fft.irfft(G, n)
     digest = hashlib.sha256(np.stack([gu, gv]).tobytes()).hexdigest()
-    assert digest == ("d6ab2b19bc7e0b00aa609ac684152137"
-                      "d89afb22efdb66537a1cb9fb97f02e06")
+    assert digest == ("77f48bbfd7ea4140b6e94c17c999a0d6"
+                      "951b452e9d7b676d605c2ccdb27e0f54")
     assert bd == eval_J(ProfilePair(eta.grid, eta.eta_under, eta.eta_over),
                         BENCH, mu)
     assert bd.j_mu == _SWEEP_PINS[mu, n][1]

@@ -4,8 +4,8 @@ import pytest
 from gcwaves import (Params, compute_coefficients, fieldops, find_critical,
                      minimizer)
 from gcwaves.errors import ConfigError, NumericalError, OutOfConeError
-from gcwaves.fieldops import (ProfilePair, build_eta_star, eps_of_mu, eval_J,
-                              eval_L_trunc, make_grid,
+from gcwaves.fieldops import (ProfilePair, _is_grid_size, build_eta_star,
+                              eps_of_mu, eval_J, eval_L_trunc, make_grid,
                               suggest_carrier_multiple)
 from gcwaves.minimizer import (MinimizeConfig, MinimizeResult, _ladder,
                                _prolong, _spectral_tail, minimize,
@@ -19,8 +19,8 @@ MU = 4e-3
 
 @pytest.fixture(scope="module")
 def run(bench_crit, bench_coeffs):
-    # the ladder (1024: 15, 2048: 1, 4096: 0) ends on an idle grid; on
-    # n = 2048 its top grid would still take a step
+    # the ladder (768: 15, 1536: 2, 3072: 0) ends on an idle grid; on
+    # n = 1536 its top grid would still take a step
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
     grid = make_grid(4096, bench_crit.k0, m)
     cfg = MinimizeConfig(mu=MU, grid=grid, max_iters=1200)
@@ -91,9 +91,9 @@ def test_speed_translation_invariant(run):
 
 def test_carrier_band_locking(run, bench_crit):
     # on the carrier band the surface component is -a times the interface
-    r, cfg = run
-    k = cfg.grid.k
-    kc = cfg.grid.carrier
+    r, _ = run
+    k = r.eta.grid.k
+    kc = r.eta.grid.carrier
     band = np.abs(k - kc) <= bench_crit.k0 / 3.0
     U = np.fft.rfft(r.eta.eta_under)[band]
     V = np.fft.rfft(r.eta.eta_over)[band]
@@ -200,7 +200,7 @@ def test_bench_level_converges_in_few_iterations(bench_crit, bench_coeffs):
 
 
 @pytest.mark.parametrize("mu, n, iterations", [
-    (4e-3, 4096, 16), (2e-3, 8192, 12), (1e-3, 16384, 11),
+    (4e-3, 4096, 17), (2e-3, 8192, 13), (1e-3, 16384, 11),
 ])
 def test_sweep_levels_take_their_pinned_iterations(bench_crit, bench_coeffs,
                                                    mu, n, iterations):
@@ -230,14 +230,14 @@ def test_small_mu_descent_starts_next_to_its_minimum(bench_crit,
 
 def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
                                                     bench_coeffs):
-    # it ends at 3.9e-7 mu in 12 iterations on the carrier grid, and the
-    # grid above confirms it without a step
+    # 12 iterations on the carrier grid and one on the grid above; the
+    # requested grid confirms it without a step
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m),
                          grad_tol=1e-6, max_iters=300)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert [lv["n"] for lv in r.levels] == [8192, 16384]
+    assert [lv["n"] for lv in r.levels] == [6144, 12288, 16384]
     assert r.converged and r.final_grad_norm <= cfg.tol
 
 
@@ -246,8 +246,8 @@ def test_tight_tolerance_passes_the_rounding_plateau(bench_crit,
     # at 1e-9 mu the predicted decrease of a step falls below an ulp of J,
     # so no trial passes the Armijo test on its value: that test alone
     # spent all 300 iterations on the carrier grid.  The approximate Wolfe
-    # test reads the slope instead; the ladder (8192: 16, 16384: 1,
-    # 32768: 0) took 17 iterations
+    # test reads the slope instead; the ladder (6144: 16, 12288: 2,
+    # 24576: 0) took 18 iterations
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(32768, bench_crit.k0, m),
@@ -489,7 +489,7 @@ def test_history_counts_every_value(run):
     starts = [i for i, h in enumerate(r.history)
               if i == 0 or h[5] != r.history[i - 1][5]]
     assert [r.history[i][5] for i in starts] == [lv["n"] for lv in r.levels]
-    assert r.history[-1][5] == cfg.grid.n
+    assert r.history[-1][5] == r.eta.grid.n
     for i in starts:
         assert r.history[i][3] == 0.0 and r.history[i][4] == 1
         assert r.history[i][0] == (r.history[i - 1][0] if i else 0)
@@ -534,11 +534,12 @@ def test_speed_fit_degenerate_guard(bench_crit, bench_coeffs):
 
 
 @pytest.mark.parametrize("mu, n, sizes", [
-    (4e-3, 4096, [1024, 2048, 4096]),
-    (2e-3, 8192, [2048, 4096, 8192]),
-    (1e-3, 16384, [4096, 8192, 16384]),
+    (4e-3, 4096, [768, 1536, 3072, 4096]),
+    (2e-3, 8192, [1536, 3072, 6144, 8192]),
+    (1e-3, 16384, [3072, 6144, 12288, 16384]),
     (6e-3, 1024, [512, 1024]),
-    (1e-3, 4096, [4096]),  # the CLI default grid holds no coarser rung
+    (1e-3, 4096, [3072, 4096]),
+    (1e-3, 3072, [3072]),  # a carrier grid holds no coarser rung
 ])
 def test_ladder_starts_above_the_third_harmonic(bench_crit, bench_coeffs,
                                                mu, n, sizes):
@@ -546,9 +547,15 @@ def test_ladder_starts_above_the_third_harmonic(bench_crit, bench_coeffs,
     grid = make_grid(n, bench_crit.k0, m)
     grids = _ladder(grid)
     assert [g.n for g in grids] == sizes
+    # the ladder doubles from the carrier grid and ends on the requested
+    # grid itself, which may be less than twice the grid below it
     assert grids[-1] is grid
-    # the coarsest grid whose Nyquist wavenumber lies above 3 k0
-    assert grids[0].n // 4 <= 3 * m < grids[0].n // 2
+    assert all(2 * a.n == b.n for a, b in zip(grids[:-1], grids[1:-1]))
+    assert all(a.n < b.n <= 2 * a.n for a, b in zip(grids, grids[1:]))
+    # the coarsest grid size whose Nyquist wavenumber lies above 3 k0
+    assert grids[0] is grid.carrier_grid
+    assert grids[0].n == min(k for k in range(16, n + 1)
+                             if _is_grid_size(k) and k // 2 > 3 * m)
     assert all(g.period == grid.period and g.k0_multiple == m
                for g in grids)
 
@@ -579,13 +586,13 @@ def assert_on_last_grid(r, cfg):
 
 def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
     # the single-grid descent on n = 8192 gave these; the ladder, which
-    # ends on its idle grid 4096, must land within the stopping noise
+    # ends on its idle grid 6144, must land within the stopping noise
     mu = 2e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.converged and r.final_grad_norm <= cfg.tol
-    assert [lv["n"] for lv in r.levels] == [2048, 4096]
+    assert [lv["n"] for lv in r.levels] == [1536, 3072, 6144]
     # the profile is on the idle grid that confirmed it
     assert_on_last_grid(r, cfg)
     assert r.speed == pytest.approx(0.5986858459751254, rel=2e-7)
@@ -596,9 +603,9 @@ def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
 
 def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
                                              monkeypatch):
-    # the ladder (2048: 12, 4096: 0) preconditions steps on its carrier
-    # grid alone, so only that grid takes the model's symbol; the full
-    # ladder up to 8192 took it on each of its three grids
+    # the ladder (1536: 12, 3072: 1, 6144: 0) preconditions steps on the
+    # two grids that iterate, so only those take the model's symbol, and
+    # the idle grid takes none
     sizes = []
     pf = minimizer.eval_PF
 
@@ -611,9 +618,9 @@ def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert [(lv["n"], lv["iterations"]) for lv in r.levels] == \
-        [(2048, 12), (4096, 0)]
+        [(1536, 12), (3072, 1), (6144, 0)]
     assert r.converged
-    assert sizes == [2048 // 2 + 1]
+    assert sizes == [1536 // 2 + 1, 3072 // 2 + 1]
 
 
 def test_descent_builds_symbols_once_per_grid(bench_crit, bench_coeffs,
@@ -623,7 +630,7 @@ def test_descent_builds_symbols_once_per_grid(bench_crit, bench_coeffs,
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
     cfg = MinimizeConfig(mu=MU, grid=make_grid(4096, bench_crit.k0, m))
     minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert symbol_builds == [1024, 2048, 4096]
+    assert symbol_builds == [768, 1536, 3072]
 
 
 def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
@@ -634,7 +641,7 @@ def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
                          max_iters=5)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert [(lv["n"], lv["iterations"]) for lv in r.levels] == \
-        [(1024, 5), (2048, 0)]
+        [(768, 5), (1536, 0)]
     assert r.final_grad_norm > cfg.tol
     assert not r.converged and r.reason == "max_iters"
     assert_on_last_grid(r, cfg)
@@ -656,11 +663,11 @@ def test_coarse_grid_failure_names_its_grid(bench_crit, bench_coeffs,
                          grad_tol=1e-30)
     with pytest.raises(NumericalError) as err:
         minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert err.value.diagnostics["n"] == 1024
+    assert err.value.diagnostics["n"] == 768
     # the last iterate is the start of that grid: an even pair whose J is
     # the last history row's (outside the shell, J alone)
     eta = err.value.last_iterate
-    assert eta.grid.n == 1024
+    assert eta.grid.n == 768
     for row in (eta.eta_under, eta.eta_over):
         mirrored = np.roll(row[::-1], 1)
         assert np.max(np.abs(row - mirrored)) <= 1e-15 * np.max(np.abs(row))
