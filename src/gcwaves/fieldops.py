@@ -85,6 +85,12 @@ def _is_grid_size(n: int) -> bool:
     return n >= 16 and odd in (1, 3)
 
 
+def _next_grid_size(n: int) -> int:
+    """The grid size after the grid size n: 2^k -> 3 2^(k-1) -> 2^(k+1),
+    steps of 3/2 and 4/3."""
+    return n * 3 // 2 if n & (n - 1) == 0 else n * 4 // 3
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic grid of n samples on [-period/2, period/2) whose
@@ -138,8 +144,7 @@ class PeriodicGrid:
         m = self.k0_multiple
         n_c = 16
         while n_c < self.n and n_c // 2 <= _CARRIER_HARMONICS * m:
-            # the next grid size: 2^k -> 3 2^(k-1) -> 2^(k+1)
-            n_c = n_c * 3 // 2 if n_c & (n_c - 1) == 0 else n_c * 4 // 3
+            n_c = _next_grid_size(n_c)
         if n_c == self.n:
             return None
         return PeriodicGrid(n=n_c, period=self.period, k0_multiple=m)
@@ -294,13 +299,13 @@ class _Products(NamedTuple):
     """The kinetic-energy products a gradient needs, and the upper quartic
     term they give.
 
-    P = F[u |k|u] and R = F[u u_x, v v_x] are padded spectra, as is
-    Z = Fbar^{-1} W, where W = d/dx F[u B1, v B2] - Fbar R is the
-    first-order flux correction of the upper layer.
+    P = F[u |k|u] and S = F[u B1, v B2] are padded spectra, as is
+    Z = Fbar^{-1} W, where W = d/dx S - Fbar R, with R = F[u u_x, v v_x],
+    is the first-order flux correction of the upper layer.
     """
 
     P: np.ndarray
-    R: np.ndarray
+    S: np.ndarray
     Z: np.ndarray
     upper_l4: float
 
@@ -360,7 +365,7 @@ class StagedProfile:
     @cached_property
     def products(self) -> _Products:
         # the seven spectra come from one transform; the block is dropped
-        # once its integrals are taken, and P and R, which the gradient
+        # once its integrals are taken, and P and S, which the gradient
         # stage needs, are copied out of it so as not to hold all seven:
         # this and the gradient stage set the peak memory of a descent
         s = self.sym
@@ -376,18 +381,19 @@ class StagedProfile:
         np.multiply(v, self.B2, out=Q[6])
         spectra = np.fft.rfft(Q)
         del Q
-        P, R = spectra[0].copy(), spectra[1:3].copy()
-        W = s.ik_pad * spectra[5:]
+        P, S = spectra[0].copy(), spectra[5:].copy()
         Bx = _PAD * s.ik * self.B_hat  # padded spectra of B1', B2', base band
         upper_l4 = 0.5 * self.pairing(Bx, spectra[3:5])
-        del spectra
+        R = spectra[1:3]
         FR = _fbar_apply(s.fb_diag_pad, s.fb_off_pad, R)
         upper_l4 -= 0.5 * self.pairing(FR, R)
+        del spectra, R
+        W = s.ik_pad * S
         W -= FR
         del FR
         Z = _fbar_apply(s.nb_diag_pad, s.nb_off_pad, W)
         upper_l4 += 0.5 * self.pairing(Z, W)
-        return _Products(P, R, Z, upper_l4)
+        return _Products(P, S, Z, upper_l4)
 
     def breakdown(self, p: Params, mu: float) -> FunctionalBreakdown:
         key = (p, mu)
@@ -534,8 +540,8 @@ def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
         point_u -= 0.5 * cr * u**2 * B1xx
         point_v -= 0.5 * cr * v**2 * B2xx
         del B1xx, B2xx
-        T = _fbar_apply(s.fb_diag_pad, s.fb_off_pad, q.Z + q.R)
-        Tu, Tv = np.fft.irfft(s.ik_pad * T, npad)
+        # d/dx Fbar (Z + R) is -k^2 S: Fbar (Z + R) = W + Fbar R = d/dx S
+        Tu, Tv = np.fft.irfft(s.mk2_pad * q.S, npad)
         point_u += cr * u * Tu
         point_v += cr * v * Tv
     G += band_spectra(point_u, point_v)

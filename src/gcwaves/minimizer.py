@@ -57,20 +57,22 @@ is O(eps^j), so the grid whose Nyquist wavenumber first clears the third
 carrier harmonic already holds the wave to within the stopping
 tolerance.  The ladder starts on the coarsest such grid size, 2^k or
 3 2^k (same period), ``PeriodicGrid.carrier_grid``, where ``eps_of_mu``
-and the test profile are computed whatever the requested grid, doubles
-while below the requested grid and ends on the requested grid itself,
-so its last step may be less than twofold.  Each grid descends to the
+and the test profile are computed whatever the requested grid, and
+climbs one grid size at a time, by 3/2 after a power of two and by 4/3
+after 3 2^k, up to the requested grid itself.  Each grid descends to the
 same gradient tolerance with an empty L-BFGS memory and its own
 objective, built from p, mu, M, that grid, nu_m (computed once per run)
 and its start: the iterate of the grid below, prolonged by zero-padding
 its spectrum, which is exact for a band-limited iterate and keeps it
-even.  ``max_iters`` is one
-budget for the whole ladder.  The first grid above the carrier grid
-that takes no iteration ends the ladder, and its gradient test is the
-run's verdict: content the grid below could not hold would show up there
-as gradient, so a start that already meets the tolerance confirms that
-the wave is resolved.  The profile is that grid's iterate, on that grid:
-the requested grid caps the ladder but does not set the profile's
+even.  ``max_iters`` is one budget for the whole ladder.  The first
+grid above the carrier grid that takes no iteration ends the ladder,
+and its gradient test is the run's verdict: content the grid below could
+not hold would show up there as gradient, so a start that already meets
+the tolerance confirms that the wave is resolved.  The idle grid is 3/2
+or 4/3 of the grid below; prolonged to twice the grid below, the
+profiles it confirmed on the benchmark's levels read the same gradient
+norm to three digits.  The profile is that grid's iterate, on that
+grid: the requested grid caps the ladder but does not set the profile's
 size.  A run whose ladder ends on a grid that still iterated (the
 requested grid, or the carrier grid alone) has no such check and
 reports ``under_resolved``; its profile is on that last grid.
@@ -90,7 +92,7 @@ from .dispersion import CriticalPoint, Params, eval_PF
 from .errors import ConfigError, NumericalError, OutOfConeError
 from .fieldops import (FunctionalBreakdown, PeriodicGrid, ProfilePair,
                        StagedProfile, build_eta_star, eps_of_mu, eval_J,
-                       grad_J, _clean)
+                       grad_J, _clean, _next_grid_size)
 from .nls import NlsCoefficients
 
 _MU_CEILING = 1e-2
@@ -113,9 +115,9 @@ class MinimizeConfig:
     #: stopping threshold on the discrete-L2 gradient norm, in units of
     #: mu (``tol``).  With the surface energy free of cancellation
     #: (``fieldops._k_parts``) and the approximate Wolfe test the descent
-    #: reaches 1e-9 at mu = 5e-4.  On the benchmark's sweep grids (17/13/11
-    #: iterations at the default 1e-5) 1e-6 costs 1.05x to 1.2x their
-    #: iterations, and 1e-7 1.2x to 1.5x.
+    #: reaches 1e-9 at mu = 5e-4.  On the benchmark's sweep grids (18/13/11
+    #: iterations at the default 1e-5) 1e-6 costs 1.05x to 1.25x their
+    #: iterations, and 1e-7 1.25x to 1.45x.
     grad_tol: float = 1e-5
     admissibility_M: float = 0.5
 
@@ -183,7 +185,7 @@ class MinimizeResult:
     #: per grid the ladder ran, coarsest first, up to the first idle one:
     #: {n, iterations, value_evals, gradient_evals, spectral_tail}, the
     #: tail read off the level's final spectrum (exactly 0 on an idle
-    #: grid, whose top half is the zero padding)
+    #: grid, whose top quarter or third is the zero padding)
     levels: list = field(default_factory=list)
     #: J_mu, L_trunc and the speed with the period's missing k = 0 term
     #: restored (``line_corrected``): estimates of the values on the line
@@ -374,14 +376,14 @@ def line_corrected(bd: FunctionalBreakdown, p: Params, period: float):
 
 def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
     """Grids the descent may climb, coarsest first: the carrier grid
-    (``PeriodicGrid.carrier_grid``), doubled while below the requested
-    grid, and the requested grid itself, which caps the ladder and is
-    its top rung.  ``[grid]`` where that grid is the carrier grid.
-    ``minimize`` stops at the first grid above the carrier grid that
-    takes no iteration."""
+    (``PeriodicGrid.carrier_grid``) and every grid size above it
+    (``fieldops._next_grid_size``, steps of 3/2 and 4/3) up to the
+    requested grid itself, which caps the ladder and is its top rung.
+    ``[grid]`` where that grid is the carrier grid.  ``minimize`` stops
+    at the first grid above the carrier grid that takes no iteration."""
     grids = [grid.carrier_grid]
     while grids[-1] is not grid:
-        n = 2 * grids[-1].n
+        n = _next_grid_size(grids[-1].n)
         grids.append(grid if n >= grid.n else replace(grid, n=n))
     return grids
 

@@ -37,7 +37,7 @@ def write_config(path, params, extra=""):
 
 @pytest.fixture()
 def bench_cfg(tmp_path):
-    # the descent's ladder (512: 34, 1024: 4, 2048: 1, 4096: 0) ends on an
+    # the descent's ladder (512: 34, 768: 4, 1024: 2, 1536: 0) ends on an
     # idle grid, which confirms the wave is resolved
     return write_config(
         tmp_path / "bench.cfg", BENCH,
@@ -319,7 +319,7 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     # one row per iteration and one start row per grid of the ladder
     levels = result["levels"]
     assert len(iters) == result["iterations"] + len(levels) + 1
-    assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 4096
+    assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 1536
     for key in ("iterations", "value_evals", "gradient_evals"):
         assert sum(lv[key] for lv in levels) == result[key]
     assert all(set(lv) == {"n", "iterations", "value_evals",
@@ -366,23 +366,24 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
         for key in ("iterations", "value_evals", "gradient_evals"):
             assert sum(lv[key] for lv in result["levels"]) == result[key]
     # at mu = 8e-3 the descent starts on the coarser grid n = 384, and
-    # the idle grid 3072 ends it
+    # the idle grid 1536 ends it
     result = json.loads((outdir / "mu_0p008.result.json").read_text())
-    assert [lv["n"] for lv in result["levels"]] == [384, 768, 1536, 3072]
+    assert [lv["n"] for lv in result["levels"]] == [384, 512, 768, 1024,
+                                                    1536]
 
 
 #: the benchmark's sweep levels: mu, [grid] n, the ladder, the SHA-256 of
 #: the profile.csv and the reported J
 SWEEP_LEVELS = [
-    (4e-3, 4096, [(768, 15), (1536, 2), (3072, 0)],
-     "2e3dccb455e0587164376a7e8dce1dd2e41fd4a208e83590e2cfdcda630c7876",
-     0.004788963384652517),
-    (2e-3, 8192, [(1536, 12), (3072, 1), (6144, 0)],
-     "59caacaa66ea3fea95a2cc5e3e8f3711587fae6db23f998ef5895d4aa633b4d7",
-     0.0023951554801740892),
-    (1e-3, 16384, [(3072, 11), (6144, 0)],
-     "e0bfed4897fbd3a9502f8279e5cd55285e1d0eed57724d92dee5196ea8d19513",
-     0.0011976526610054437),
+    (4e-3, 4096, [(768, 15), (1024, 2), (1536, 1), (2048, 0)],
+     "a2f110a591de8ea981847c7d73bb3f99cd294bec27bf7cee0a88c2a4c661f981",
+     0.004788963384652503),
+    (2e-3, 8192, [(1536, 12), (2048, 1), (3072, 0)],
+     "e338ef0952b7b105eac068952bfa9ba07e6dad2eb24bc03613c7386a98b4ee17",
+     0.0023951554801740897),
+    (1e-3, 16384, [(3072, 11), (4096, 0)],
+     "95af44941bfd1e3b8915b893d4431976f0fdcd6ecece22c9daeacd8d4dc1c8d9",
+     0.001197652661005444),
 ]
 
 
@@ -410,7 +411,7 @@ def test_sweep_levels_end_on_their_idle_grid(tmp_path, mu, n, ladder,
 def test_grid_n_caps_the_ladder(tmp_path):
     # under one cap of n = 16384 the benchmark's three sweep levels climb
     # the ladders they climb under their own n, up to their idle grids
-    # (3072, 6144 and 6144), and write the same profiles; each profile
+    # (2048, 3072 and 4096), and write the same profiles; each profile
     # and its sidecar are on the grid that ended its ladder.  Every
     # level's spectral tail reads back as a float, an idle grid's 0.0
     # too
@@ -431,6 +432,33 @@ def test_grid_n_caps_the_ladder(tmp_path):
         assert len(path.read_bytes().splitlines()) == 1 + n
         assert json.loads(Path(cli.sidecar_path(path)).read_text())["n"] == n
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+#: (J_line - 2 nu0 mu) / mu^3 of the expansion sweep's levels, from the
+#: line-corrected J (``minimizer.line_corrected``)
+EXPANSION_LEVELS = {
+    2e-3: -25.1268213570, 1e-3: -24.4287450175, 5e-4: -24.1533604861,
+    2.5e-4: -24.0310260857, 1.25e-4: -23.9734166269,
+}
+
+
+def test_expansion_sweep_converges_at_a_tight_tolerance(tmp_path):
+    # the levels that measure inf J_mu = 2 nu0 mu + I_NLS mu^3 + o(mu^3),
+    # as one command: 1e-9 mu under one cap of n = 131072.  Every level
+    # converges on an idle grid below the cap, and its energy lies within
+    # 1e-8 of the pinned value, which stopping noise alone may move
+    cfg = write_config(tmp_path / "sweep.cfg", BENCH,
+                       "[grid]\nn = 131072\n[minimize]\ngrad_tol = 1e-9\n")
+    outdir = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(outdir),
+                 "--sweep", ",".join(map(repr, EXPANSION_LEVELS))]) == 0
+    for mu, cubic in EXPANSION_LEVELS.items():
+        tag = cli._mu_tag(mu)
+        result = json.loads((outdir / f"{tag}.result.json").read_text())
+        assert result["converged"] is True
+        j_line = result["j_mu_line"]
+        assert ((j_line - 2.0 * result["nu0"] * mu) / mu**3
+                == pytest.approx(cubic, rel=1e-8))
 
 
 @pytest.mark.parametrize("n, ladder", [

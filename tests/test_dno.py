@@ -162,18 +162,18 @@ def test_flat_symbols_match_on_three_times_a_power_of_two():
 
 def test_oracle_checks_a_profile_on_three_times_a_power_of_two(
         bench_crit, bench_coeffs, fft_record):
-    # at mu = 1e-3 the descent writes its profile on 6144 points, where
+    # at mu = 2e-3 the descent writes its profile on 3072 points, where
     # the oracle evaluates it; neither transforms at any other size than
     # 2^k or 3 2^k
-    mu = 1e-3
+    mu = 2e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
-    cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m))
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert r.converged and r.eta.grid.n == 6144
-    strip = StripGrid(nx=6144, ny=48, depth_under=12.0 / bench_crit.k0)
+    assert r.converged and r.eta.grid.n == 3072
+    strip = StripGrid(nx=3072, ny=48, depth_under=12.0 / bench_crit.k0)
     l_exact = eval_L_exact(r.eta, BENCH, strip)
     lengths = set(fft_lengths(fft_record))
-    assert {3072, 6144, 12288} <= lengths
+    assert {1536, 3072, 6144} <= lengths
     assert all(_is_grid_size(n) for n in lengths)
     l_trunc = sum(eval_L_trunc(r.eta, BENCH))
     assert abs(l_exact / l_trunc - 1.0) <= 5e-4

@@ -19,8 +19,8 @@ MU = 4e-3
 
 @pytest.fixture(scope="module")
 def run(bench_crit, bench_coeffs):
-    # the ladder (768: 15, 1536: 2, 3072: 0) ends on an idle grid; on
-    # n = 1536 its top grid would still take a step
+    # the ladder (768: 15, 1024: 2, 1536: 1, 2048: 0) ends on an idle
+    # grid; on n = 1536 its top grid would still take a step
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
     grid = make_grid(4096, bench_crit.k0, m)
     cfg = MinimizeConfig(mu=MU, grid=grid, max_iters=1200)
@@ -61,7 +61,7 @@ def test_descent_monotone(run):
     # iterate is valued on two discretisations; they agreed to 1.9e-13 of
     # J on the bench grids and to 7.7e-13 at mu = 5e-4, n = 32768
     r, _ = run
-    assert len(r.levels) == 3
+    assert len(r.levels) == 4
     rows = r.history
     for prev, row in zip(rows, rows[1:]):
         if row[5] == prev[5]:
@@ -200,7 +200,7 @@ def test_bench_level_converges_in_few_iterations(bench_crit, bench_coeffs):
 
 
 @pytest.mark.parametrize("mu, n, iterations", [
-    (4e-3, 4096, 17), (2e-3, 8192, 13), (1e-3, 16384, 11),
+    (4e-3, 4096, 18), (2e-3, 8192, 13), (1e-3, 16384, 11),
 ])
 def test_sweep_levels_take_their_pinned_iterations(bench_crit, bench_coeffs,
                                                    mu, n, iterations):
@@ -231,13 +231,14 @@ def test_small_mu_descent_starts_next_to_its_minimum(bench_crit,
 def test_small_mu_descent_reaches_a_tight_tolerance(bench_crit,
                                                     bench_coeffs):
     # 12 iterations on the carrier grid and one on the grid above; the
-    # requested grid confirms it without a step
+    # next grid size, below the requested grid, confirms it without a
+    # step
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(16384, bench_crit.k0, m),
                          grad_tol=1e-6, max_iters=300)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert [lv["n"] for lv in r.levels] == [6144, 12288, 16384]
+    assert [lv["n"] for lv in r.levels] == [6144, 8192, 12288]
     assert r.converged and r.final_grad_norm <= cfg.tol
 
 
@@ -246,8 +247,8 @@ def test_tight_tolerance_passes_the_rounding_plateau(bench_crit,
     # at 1e-9 mu the predicted decrease of a step falls below an ulp of J,
     # so no trial passes the Armijo test on its value: that test alone
     # spent all 300 iterations on the carrier grid.  The approximate Wolfe
-    # test reads the slope instead; the ladder (6144: 16, 12288: 2,
-    # 24576: 0) took 18 iterations
+    # test reads the slope instead; the ladder (6144: 16, 8192: 2,
+    # 12288: 1, 16384: 0) took 19 iterations
     mu = 5e-4
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(32768, bench_crit.k0, m),
@@ -288,7 +289,7 @@ def _fail_line_search_trial(monkeypatch, error, entry):
 
 
 def _small_config(bench_crit, bench_coeffs, max_iters):
-    # the ladder (512: 34, 1024: 4, 2048: 1, 4096: 0) ends on an idle grid
+    # the ladder (512: 34, 768: 4, 1024: 2, 1536: 0) ends on an idle grid
     mu = 6e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     return MinimizeConfig(mu=mu, grid=make_grid(4096, bench_crit.k0, m),
@@ -534,10 +535,10 @@ def test_speed_fit_degenerate_guard(bench_crit, bench_coeffs):
 
 
 @pytest.mark.parametrize("mu, n, sizes", [
-    (4e-3, 4096, [768, 1536, 3072, 4096]),
-    (2e-3, 8192, [1536, 3072, 6144, 8192]),
-    (1e-3, 16384, [3072, 6144, 12288, 16384]),
-    (6e-3, 1024, [512, 1024]),
+    (4e-3, 4096, [768, 1024, 1536, 2048, 3072, 4096]),
+    (2e-3, 8192, [1536, 2048, 3072, 4096, 6144, 8192]),
+    (1e-3, 16384, [3072, 4096, 6144, 8192, 12288, 16384]),
+    (6e-3, 1024, [512, 768, 1024]),
     (1e-3, 4096, [3072, 4096]),
     (1e-3, 3072, [3072]),  # a carrier grid holds no coarser rung
 ])
@@ -547,17 +548,42 @@ def test_ladder_starts_above_the_third_harmonic(bench_crit, bench_coeffs,
     grid = make_grid(n, bench_crit.k0, m)
     grids = _ladder(grid)
     assert [g.n for g in grids] == sizes
-    # the ladder doubles from the carrier grid and ends on the requested
-    # grid itself, which may be less than twice the grid below it
+    # the ladder climbs through every grid size from the carrier grid,
+    # by 3/2 after 2^k and by 4/3 after 3 2^k, and ends on the requested
+    # grid itself
     assert grids[-1] is grid
-    assert all(2 * a.n == b.n for a, b in zip(grids[:-1], grids[1:-1]))
-    assert all(a.n < b.n <= 2 * a.n for a, b in zip(grids, grids[1:]))
+    assert [g.n for g in grids] == [k for k in range(grids[0].n, n + 1)
+                                    if _is_grid_size(k)]
     # the coarsest grid size whose Nyquist wavenumber lies above 3 k0
     assert grids[0] is grid.carrier_grid
     assert grids[0].n == min(k for k in range(16, n + 1)
                              if _is_grid_size(k) and k // 2 > 3 * m)
     assert all(g.period == grid.period and g.k0_multiple == m
                for g in grids)
+
+
+@pytest.mark.parametrize("mu, n, grad_tol", [
+    (4e-3, 4096, 1e-5), (2e-3, 8192, 1e-5), (1e-3, 16384, 1e-5),
+    (5e-4, 131072, 1e-9),
+])
+def test_the_verdict_holds_on_twice_the_grid(bench_crit, bench_coeffs, mu,
+                                             n, grad_tol):
+    # the idle grid that confirms a level is 3/2 or 4/3 of the last grid
+    # that iterated.  Prolonged to twice that grid, the profile still
+    # meets the tolerance (0.074, 0.132, 0.892 and 0.018 of it), so a
+    # doubled idle grid would have given the same verdict
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    cfg = MinimizeConfig(mu=mu, grid=make_grid(n, bench_crit.k0, m),
+                         grad_tol=grad_tol)
+    r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
+    assert r.converged
+    n2 = 2 * r.levels[-2]["n"]
+    x = _prolong(np.fft.rfft(np.stack([r.eta.eta_under, r.eta.eta_over])).real,
+                 n2)
+    obj = minimizer._Objective(BENCH, mu, cfg.admissibility_M,
+                               make_grid(n2, bench_crit.k0, m), 0.0, x)
+    g, _, _ = obj.gradient(obj(x)[1])
+    assert np.sqrt(obj.dot(g, g)) <= cfg.tol
 
 
 def test_prolongation_is_exact_for_band_limited_even_rows():
@@ -586,13 +612,13 @@ def assert_on_last_grid(r, cfg):
 
 def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
     # the single-grid descent on n = 8192 gave these; the ladder, which
-    # ends on its idle grid 6144, must land within the stopping noise
+    # ends on its idle grid 3072, must land within the stopping noise
     mu = 2e-3
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert r.converged and r.final_grad_norm <= cfg.tol
-    assert [lv["n"] for lv in r.levels] == [1536, 3072, 6144]
+    assert [lv["n"] for lv in r.levels] == [1536, 2048, 3072]
     # the profile is on the idle grid that confirmed it
     assert_on_last_grid(r, cfg)
     assert r.speed == pytest.approx(0.5986858459751254, rel=2e-7)
@@ -603,7 +629,7 @@ def test_frozen_reference_at_resolved_grid(bench_crit, bench_coeffs):
 
 def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
                                              monkeypatch):
-    # the ladder (1536: 12, 3072: 1, 6144: 0) preconditions steps on the
+    # the ladder (1536: 12, 2048: 1, 3072: 0) preconditions steps on the
     # two grids that iterate, so only those take the model's symbol, and
     # the idle grid takes none
     sizes = []
@@ -618,9 +644,9 @@ def test_an_idle_grid_builds_no_hessian_model(bench_crit, bench_coeffs,
     cfg = MinimizeConfig(mu=mu, grid=make_grid(8192, bench_crit.k0, m))
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert [(lv["n"], lv["iterations"]) for lv in r.levels] == \
-        [(1536, 12), (3072, 1), (6144, 0)]
+        [(1536, 12), (2048, 1), (3072, 0)]
     assert r.converged
-    assert sizes == [1536 // 2 + 1, 3072 // 2 + 1]
+    assert sizes == [1536 // 2 + 1, 2048 // 2 + 1]
 
 
 def test_descent_builds_symbols_once_per_grid(bench_crit, bench_coeffs,
@@ -630,7 +656,7 @@ def test_descent_builds_symbols_once_per_grid(bench_crit, bench_coeffs,
     m = suggest_carrier_multiple(bench_coeffs, bench_crit, MU)
     cfg = MinimizeConfig(mu=MU, grid=make_grid(4096, bench_crit.k0, m))
     minimize(BENCH, bench_coeffs, bench_crit, cfg)
-    assert symbol_builds == [768, 1536, 3072]
+    assert symbol_builds == [768, 1024, 1536, 2048]
 
 
 def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
@@ -641,7 +667,7 @@ def test_a_spent_budget_ends_the_ladder(bench_crit, bench_coeffs):
                          max_iters=5)
     r = minimize(BENCH, bench_coeffs, bench_crit, cfg)
     assert [(lv["n"], lv["iterations"]) for lv in r.levels] == \
-        [(768, 5), (1536, 0)]
+        [(768, 5), (1024, 0)]
     assert r.final_grad_norm > cfg.tol
     assert not r.converged and r.reason == "max_iters"
     assert_on_last_grid(r, cfg)
