@@ -148,6 +148,13 @@ def _pf_derivatives(k, p: Params):
             _sym2(bu * one, zero, bo * one), p.rho * _sym2(d2, o2, d2))
 
 
+def _refuse_overflow(k, finite, what: str):
+    """Raise a RangeError naming the first k where ``finite`` is false."""
+    if not np.all(finite):
+        first = float(k[~finite].flat[0])
+        raise RangeError(f"{what} overflowed at k={first!r}")
+
+
 def eval_PF(k, p: Params):
     """Evaluate the dispersion matrices P(k) and F(k).
 
@@ -157,34 +164,37 @@ def eval_PF(k, p: Params):
     for scalar or array k.  F(0) is the finite (singular) limit
     rho [[1, -1], [-1, 1]].
     """
-    ak = np.abs(np.asarray(k, dtype=float))
+    k = np.asarray(k, dtype=float)
+    ak = np.abs(k)
     diag, off = fbar_entries(ak)
-    P = _sym2(1.0 - p.rho + p.beta_under * ak**2, np.zeros_like(ak),
-              p.rho * (1.0 + p.beta_over * ak**2))
-    F = _sym2(ak + p.rho * diag, p.rho * off, p.rho * diag)
-    if not (np.isfinite(P).all() and np.isfinite(F).all()):
-        raise RangeError(f"P/F overflowed at k={k}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _sym2(1.0 - p.rho + p.beta_under * ak**2, np.zeros_like(ak),
+                  p.rho * (1.0 + p.beta_over * ak**2))
+        F = _sym2(ak + p.rho * diag, p.rho * off, p.rho * diag)
+    _refuse_overflow(k, np.isfinite(P).all((-2, -1))
+                     & np.isfinite(F).all((-2, -1)), "P/F")
     return P, F
 
 
 def _branches(k, p: Params):
     """lambda_minus, lambda_plus, the discriminant D and the slow
     eigenvector v (unnormalised, shape (..., 2)) at scalar or array k."""
-    ak = np.abs(np.asarray(k, dtype=float))
+    k = np.asarray(k, dtype=float)
+    ak = np.abs(k)
     if np.any(ak == 0.0):
         raise RangeError("eigenvalues are evaluated for k != 0")
     d, o = fbar_entries(ak)
     t, sech = ak / d, -o / d
-    p1 = 1.0 - p.rho + p.beta_under * ak**2
-    q = 1.0 + p.beta_over * ak**2
-    x = p1 - (t + p.rho) * q
-    D = x * x + 4.0 * p.rho * sech**2 * p1 * q
-    root = np.sqrt(D)
-    denom = 2.0 * ak * (1.0 + p.rho * t)
-    mean = (p1 + q * (t + p.rho)) / denom
-    half = root / denom
-    if not np.all(np.isfinite(mean + half)):
-        raise RangeError(f"eigenvalue evaluation overflowed at k={k}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1 = 1.0 - p.rho + p.beta_under * ak**2
+        q = 1.0 + p.beta_over * ak**2
+        x = p1 - (t + p.rho) * q
+        D = x * x + 4.0 * p.rho * sech**2 * p1 * q
+        root = np.sqrt(D)
+        denom = 2.0 * ak * (1.0 + p.rho * t)
+        mean = (p1 + q * (t + p.rho)) / denom
+        half = root / denom
+    _refuse_overflow(k, np.isfinite(mean + half), "eigenvalue evaluation")
     # v = (1, -a) up to scale, from whichever of the equal forms
     # a = 2 p1 sech / (sqrt(D) - x) = (sqrt(D) + x) / (2 rho q sech)
     # has no cancellation in its denominator

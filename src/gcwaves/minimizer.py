@@ -379,8 +379,9 @@ def _ladder(grid: PeriodicGrid) -> list[PeriodicGrid]:
     (``PeriodicGrid.carrier_grid``) and every grid size above it
     (``fieldops._next_grid_size``, steps of 3/2 and 4/3) up to the
     requested grid itself, which caps the ladder and is its top rung.
-    ``[grid]`` where that grid is the carrier grid.  ``minimize`` stops
-    at the first grid above the carrier grid that takes no iteration."""
+    The ladder is ``[grid]`` alone where that grid is its own carrier
+    grid.  ``minimize`` stops at the first grid above the carrier grid
+    that takes no iteration."""
     grids = [grid.carrier_grid]
     while grids[-1] is not grid:
         n = _next_grid_size(grids[-1].n)

@@ -129,6 +129,22 @@ def test_coeffs_refuses_non_finite_scan_window(tmp_path, capsys, window):
     assert set(os.listdir(tmp_path)) == {"scan.cfg"}
 
 
+@pytest.mark.parametrize("command", ["dispersion", "coeffs"])
+def test_scan_overflow_prints_one_line(tmp_path, capsys, command):
+    # the window is finite, but lambda overflows above k ~ 6e77: one
+    # stderr line that names the first k, and no RuntimeWarning
+    cfg = write_config(tmp_path / "scan.cfg", BENCH,
+                       "[scan]\nk_max = 1e200\nsamples = 1024\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    k = re.fullmatch(r"numerical failure: eigenvalue evaluation overflowed "
+                     r"at k=(\S+)\n", err).group(1)
+    assert 1e77 < float(k) < 1e200
+    assert set(os.listdir(tmp_path)) == {"scan.cfg"}
+
+
 def test_dispersion_double_minimum_verdict(tmp_path):
     # at the branch-crossing tension the two slow-branch minima tie
     p = Params(0.5, 1.0, 0.055108152548)
@@ -859,6 +875,31 @@ def test_write_csv_holds_no_table_sized_text(tmp_path):
     assert peak <= 4 * path.stat().st_size
 
 
+def test_atomic_write_leaves_the_target_when_a_chunk_raises(tmp_path):
+    # write_csv formats inside its chunk generator, so a block that
+    # raises must leave the old file whole and no temp file behind
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"x\n1\n")
+
+    def chunks():
+        yield b"x\n"
+        raise ValueError("block failed")
+
+    with pytest.raises(ValueError, match="block failed"):
+        cli._atomic_write(path, chunks())
+    assert path.read_bytes() == b"x\n1\n"
+    assert os.listdir(tmp_path) == ["p.csv"]
+
+
+def test_json_keeps_non_finite_floats_floats():
+    text = cli.dump_json({"a": math.nan, "b": math.inf, "c": -math.inf})
+    assert text == '{"a": NaN, "b": Infinity, "c": -Infinity}\n'
+    loaded = json.loads(text)
+    assert all(isinstance(v, float) for v in loaded.values())
+    assert math.isnan(loaded["a"]) and loaded["b"] == -loaded["c"] == math.inf
+    assert cli.dump_json(loaded) == text
+
+
 def test_validate_passes(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "val.cfg", BENCH,
@@ -877,6 +918,40 @@ def test_validate_passes(tmp_path, capsys):
 #: checks fail on that strip, so it exits 3
 VALIDATE_N128_SHA256 = \
     "fbd78ceecd71273eb218c82ebac3e437fc71749141b578133373c6e02ae84577"
+
+
+def test_validate_checks_the_gradient_at_n16(tmp_path):
+    # at n = 16 the random fields' band nx // 12 was empty, so each field
+    # was 0/0 and the gradient check read NaN as 0.0
+    cfg = write_config(tmp_path / "val.cfg", BENCH,
+                       "[scan]\nsamples = 1024\n[grid]\nn = 16\n"
+                       "strip_ny = 48\n")
+    out = tmp_path / "val.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    checks = json.loads(out.read_text())
+    assert checks["pass"] is False
+    assert 0.0 < checks["gradient_max_rel_err"] <= 1e-6
+
+
+def test_validate_fails_a_nan_gradient(tmp_path, monkeypatch):
+    grad_J = cli.fieldops.grad_J
+
+    def nan_grad_J(*args, **kwargs):
+        g = grad_J(*args, **kwargs)
+        return (g[0] * math.nan, *g[1:])
+
+    monkeypatch.setattr(cli.fieldops, "grad_J", nan_grad_J)
+    cfg = write_config(
+        tmp_path / "val.cfg", BENCH,
+        "[scan]\nsamples = 1024\n[grid]\nn = 256\nstrip_ny = 128\n",
+    )
+    out = tmp_path / "val.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    checks = json.loads(out.read_text())
+    assert checks["pass"] is False
+    assert math.isnan(checks["gradient_max_rel_err"])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -131,6 +131,13 @@ def test_scan_window_validated(window):
         find_critical(NEAR_RESONANT, **window)
 
 
+@pytest.mark.parametrize("f", [eval_lambda, eval_PF])
+def test_overflow_names_its_first_k(f):
+    ks = np.array([1.0, -1e200, 1e300])
+    with pytest.raises(RangeError, match=r"overflowed at k=-1e\+200$"):
+        f(ks, NEAR_RESONANT)
+
+
 def test_null_vector_property(resonant_crit):
     g = eval_g(resonant_crit.k0, NEAR_RESONANT, resonant_crit.nu0)
     resid = np.linalg.norm(g @ resonant_crit.v0)
