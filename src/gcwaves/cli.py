@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -67,16 +68,24 @@ def _mu(text: str) -> float:
     return mu
 
 
-#: (parser, default) of each key; the [params] keys have no default
+_DESCENT = {f.name: f.default
+            for f in dataclasses.fields(minimizer.MinimizeConfig)}
+_SCAN = inspect.signature(disp.find_critical).parameters
+
+#: (parser, default) of each key; the [params] keys have no default, the
+#: descent's take MinimizeConfig's and the scan's find_critical's, each
+#: parsed as its default's type
 _SCHEMA = {
     "params": {"rho": (float, None), "beta_under": (float, None),
                "beta_over": (float, None)},
     "grid": {"n": (int, 4096), "k0_multiples": (int, 0),
              "strip_ny": (int, 128), "depth_under": (float, 0.0)},
-    "minimize": {"mu": (_mu, 2e-3), "max_iters": (int, 2000),
-                 "grad_tol": (float, 1e-5), "M": (float, 0.5)},
-    "scan": {"k_min": (float, 1e-3), "k_max": (float, 1e3),
-             "samples": (int, 4096)},
+    "minimize": {"mu": (_mu, 2e-3),
+                 "max_iters": (int, _DESCENT["max_iters"]),
+                 "grad_tol": (float, _DESCENT["grad_tol"]),
+                 "M": (float, _DESCENT["admissibility_M"])},
+    "scan": {k: (type(_SCAN[k].default), _SCAN[k].default)
+             for k in ("k_min", "k_max", "samples")},
 }
 
 

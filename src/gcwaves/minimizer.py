@@ -166,26 +166,19 @@ class MinimizeResult:
     #: accepted the step, 0 where the Armijo test did; each grid's first
     #: row is its start, with step 0.0 and approx_wolfe 0
     history: list = field(default_factory=list)
-    #: objective values the descent took (line-search trials included)
-    #: and the gradients among them
-    value_evals: int = 0
-    gradient_evals: int = 0
-    #: largest |rfft coefficient| in the top 20% of the band over the
-    #: largest one, the larger of the two components (report only).  It
-    #: reads the profile, the idle grid's iterate, which is the grid
-    #: below's prolonged, so it is at rounding level by construction
-    #: wherever an idle grid ends the ladder; the idle grid's gradient
-    #: test is the resolution check, and each level's own tail is in
-    #: ``levels``
-    spectral_tail: float | None = None
     #: largest s = ||eta||_H2^2 of any trial the descent evaluated, line
     #: search trials included, on every grid of the ladder (report only:
     #: ``boundary_hit`` sees accepted points alone)
     max_trial_h2_sq: float | None = None
     #: per grid the ladder ran, coarsest first, up to the first idle one:
-    #: {n, iterations, value_evals, gradient_evals, spectral_tail}, the
-    #: tail read off the level's final spectrum (exactly 0 on an idle
-    #: grid, whose top quarter or third is the zero padding)
+    #: {n, iterations, value_evals, gradient_evals, spectral_tail}, where
+    #: value_evals counts the objective values the descent took on that
+    #: grid (line-search trials included), gradient_evals the gradients
+    #: among them, and spectral_tail is the largest |rfft coefficient| in
+    #: the top 20% of the band over the largest one, the larger of the two
+    #: components, read off the level's final spectrum (report only;
+    #: exactly 0 on an idle grid, whose top quarter or third is the zero
+    #: padding).  The run's totals are the sums over its levels
     levels: list = field(default_factory=list)
     #: J_mu, L_trunc and the speed with the period's missing k = 0 term
     #: restored (``line_corrected``): estimates of the values on the line
@@ -456,20 +449,14 @@ def minimize(p: Params, c: NlsCoefficients, crit: CriticalPoint,
         if confirmed or level.reason == "stalled":
             break
 
-    eta = obj.profile(x)
     reason = level.reason or (None if confirmed else "under_resolved")
     j_line, l_line, speed_line = line_corrected(level.bd, p, grid.period)
     return MinimizeResult(
-        eta=eta, breakdown=level.bd, speed=cfg.mu / level.bd.l_trunc,
-        iterations=it, final_grad_norm=level.gnorm,
-        boundary_hit=boundary_hit, converged=reason is None, reason=reason,
-        history=history,
-        value_evals=sum(lv["value_evals"] for lv in levels),
-        gradient_evals=sum(lv["gradient_evals"] for lv in levels),
-        spectral_tail=_spectral_tail(
-            np.fft.rfft(np.stack([eta.eta_under, eta.eta_over]))),
-        max_trial_h2_sq=max_h2_sq,
-        levels=levels,
+        eta=obj.profile(x), breakdown=level.bd,
+        speed=cfg.mu / level.bd.l_trunc, iterations=it,
+        final_grad_norm=level.gnorm, boundary_hit=boundary_hit,
+        converged=reason is None, reason=reason, history=history,
+        max_trial_h2_sq=max_h2_sq, levels=levels,
         j_mu_line=j_line, l_trunc_line=l_line, speed_line=speed_line,
     )
 

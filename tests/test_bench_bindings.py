@@ -4,16 +4,23 @@ A renamed target fails no benchmark run: ``bench/clock.py`` prints
 ``clock: cannot hook`` and loses its host-drift correction inside long
 operations, and ``bench/tracer.py`` reads zero work for it.  A top-level
 name that the benchmark or a script uses, dropped from ``gcwaves``,
-would fail only when that file runs.
+would fail only when that file runs.  A ``result.json`` key that the
+benchmark reads, dropped from the file, would show only as a failed
+operation in a benchmark run.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import gcwaves
+from gcwaves import cli
+from gcwaves.fieldops import FunctionalBreakdown
+from gcwaves.minimizer import MinimizeResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,3 +77,27 @@ def test_bench_and_scripts_use_exported_names():
     assert used
     missing = {n: f for n, f in used.items() if n not in gcwaves.__all__}
     assert missing == {}
+
+
+def _sweep_result_keys():
+    """The string keys the ``sweep`` workload indexes on the result it
+    reads back from ``result.json`` (its ``r``)."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    (sweep,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Sweep"]
+    return {node.slice.value for node in ast.walk(sweep)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "r"
+            and isinstance(node.slice, ast.Constant)}
+
+
+def test_result_json_holds_the_keys_the_benchmark_reads():
+    keys = _sweep_result_keys()
+    assert keys == {"converged", "speed", "iterations"}
+    bd = FunctionalBreakdown(
+        *[0.0] * len(dataclasses.fields(FunctionalBreakdown)))
+    r = MinimizeResult(eta=None, breakdown=bd, speed=0.0, iterations=0,
+                       final_grad_norm=0.0, boundary_hit=False,
+                       converged=True)
+    written = cli._result_dict(r, SimpleNamespace(nu0=1.0))
+    assert keys - set(written) == set()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwaves import cli, nls
+from gcwaves import cli, minimizer, nls
 from gcwaves.cli import main, parse_config, ConfigParseError
 from gcwaves.dispersion import Params, find_critical, refine_degenerate
 from gcwaves.errors import NumericalError, RegimeError
@@ -53,7 +54,9 @@ def bench_cfg(tmp_path):
     ("[params]\nrho = 0.5\nbeta_under = 1.0\nbeta_over = 1.0\n"
      "[minimize]\nmu = 1e-3\nuse_exact_refinement = true\n", 7,
      "use_exact_refinement"),
-], ids=["params", "minimize"])
+    ("[params]\nrho = 0.5\n[foo]\n", 3, "[foo]"),
+    ("[params]\nrho 0.5\n", 2, "'rho 0.5'"),
+], ids=["params", "minimize", "section", "no_equals"])
 def test_parse_error_reports_line(tmp_path, capsys, text, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -68,6 +71,37 @@ def test_parse_error_outside_section(tmp_path):
     cfg.write_text("rho = 0.5\n")
     with pytest.raises(ConfigParseError, match="bad.cfg:1"):
         parse_config(str(cfg))
+
+
+def test_unreadable_config_refused(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["coeffs", "--config", str(missing)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"{missing}: cannot read config:")
+
+
+def test_params_out_of_range_refused(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[params]\nrho = 1.5\nbeta_under = 0.17\n"
+                   "beta_over = 0.17\n")
+    assert main(["coeffs", "--config", str(cfg)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"{cfg}: invalid [params]: rho must lie in (0, 1), got 1.5"
+
+
+def test_config_defaults_are_their_owners(tmp_path):
+    # the descent's defaults are MinimizeConfig's, and the scan's are
+    # find_critical's, parsed as the types their owners hold
+    cfg = parse_config(write_config(tmp_path / "min.cfg", BENCH))
+    owner = minimizer.MinimizeConfig(mu=1e-3, grid=None)
+    assert (cfg["minimize"]["max_iters"], cfg["minimize"]["grad_tol"],
+            cfg["minimize"]["M"]) == (owner.max_iters, owner.grad_tol,
+                                      owner.admissibility_M)
+    scan = {k: v.default for k, v in
+            inspect.signature(find_critical).parameters.items() if k != "p"}
+    assert cfg["scan"] == scan
+    assert [type(v) for v in cfg["scan"].values()] == \
+        [type(v) for v in scan.values()]
 
 
 def test_parse_missing_params(tmp_path):
@@ -302,7 +336,8 @@ def test_minimize_dry_run_passthrough(tmp_path):
     tag = "mu_0p006"
     result = json.loads((outdir / f"{tag}.result.json").read_text())
     assert result["iterations"] == 0
-    assert result["value_evals"] == result["gradient_evals"] == 1
+    (level,) = result["levels"]
+    assert level["value_evals"] == level["gradient_evals"] == 1
     # the emitted profile is the test function itself
     star = tmp_path / "star.csv"
     assert main(["ansatz", "--config", cfg, "--out", str(star)]) == 0
@@ -321,8 +356,7 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     tag = "mu_0p006"
     result = json.loads((outdir / f"{tag}.result.json").read_text())
     assert set(result) == {
-        "breakdown", "speed", "nu0", "iterations", "value_evals",
-        "gradient_evals", "spectral_tail", "final_grad_norm",
+        "breakdown", "speed", "nu0", "iterations", "final_grad_norm",
         "boundary_hit", "max_trial_h2_sq", "converged", "reason", "levels",
         "j_mu_line", "l_trunc_line", "speed_line"}
     assert set(result["breakdown"]) == {
@@ -336,8 +370,7 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     levels = result["levels"]
     assert len(iters) == result["iterations"] + len(levels) + 1
     assert [int(row.split(",")[5]) for row in iters[1:]][-1] == 1536
-    for key in ("iterations", "value_evals", "gradient_evals"):
-        assert sum(lv[key] for lv in levels) == result[key]
+    assert sum(lv["iterations"] for lv in levels) == result["iterations"]
     assert all(set(lv) == {"n", "iterations", "value_evals",
                            "gradient_evals", "spectral_tail"}
                for lv in levels)
@@ -347,14 +380,11 @@ def test_minimize_run_and_outputs(tmp_path, bench_cfg):
     assert levels[-1]["iterations"] == 0 and levels[-1]["spectral_tail"] == 0
     # each row counts the values evaluated since the one before
     trials = [int(row.split(",")[4]) for row in iters[1:]]
-    assert sum(trials) == result["value_evals"]
-    # reported, not gated: the profile is the idle grid's iterate, the
-    # grid below's prolonged, so its top band holds rounding alone
-    assert 0.0 < result["spectral_tail"] < 1.0
-    # one gradient per accepted step and at the start; the line search
-    # evaluates at least as many values
-    assert (result["iterations"] + 1 <= result["gradient_evals"]
-            <= result["value_evals"])
+    assert sum(trials) == sum(lv["value_evals"] for lv in levels)
+    # one gradient per accepted step and at each grid's start; the line
+    # search evaluates at least as many values
+    assert all(lv["iterations"] + 1 <= lv["gradient_evals"]
+               <= lv["value_evals"] for lv in levels)
 
 
 def test_minimize_sweep_writes_speed_fit(tmp_path):
@@ -379,8 +409,8 @@ def test_minimize_sweep_writes_speed_fit(tmp_path):
         assert (outdir / f"{mu_tag}.result.json").exists()
         result = json.loads((outdir / f"{mu_tag}.result.json").read_text())
         assert result["converged"] is True
-        for key in ("iterations", "value_evals", "gradient_evals"):
-            assert sum(lv[key] for lv in result["levels"]) == result[key]
+        assert sum(lv["iterations"]
+                   for lv in result["levels"]) == result["iterations"]
     # at mu = 8e-3 the descent starts on the coarser grid n = 384, and
     # the idle grid 1536 ends it
     result = json.loads((outdir / "mu_0p008.result.json").read_text())

@@ -518,14 +518,18 @@ def test_nyquist_flux_refused(depth):
 
 @pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
 def test_cg_refuses_direction_without_curvature(solver):
-    # past the datum check, a checkerboard right-hand side gives CG a
-    # direction with d.Ad = 0, which used to raise ZeroDivisionError
+    # a smooth datum, the period's first cosine mode, passes the
+    # checkerboard check, but flux coefficients with q22 = -100 make the
+    # operator indefinite, so the first direction has d.Ad < 0
     strip = StripGrid(nx=256, ny=48, depth_under=5.0)
     op = solver(strip, PERIOD)
     flat = np.zeros((2, strip.nx))
-    q = (op.set_geometry(flat[0]) if solver is LowerSolver
-         else op.set_geometry(flat, flat))
+    q11, q12, q22 = (op.set_geometry(flat[0]) if solver is LowerSolver
+                     else op.set_geometry(flat, flat))
     b = np.zeros((strip.ny + 1, strip.nx))
-    b[0] = op.hx * NYQUIST
-    with pytest.raises(NumericalError, match="curvature"):
-        op.solve(np.fft.rfft(b, axis=1), q, slice(None))
+    b[0] = op.hx * np.cos(2.0 * np.pi / PERIOD * op.hx * np.arange(op.nx))
+    indefinite = (q11, q12, np.full_like(q22, -100.0))
+    with pytest.raises(NumericalError,
+                       match="CG direction with curvature") as ex:
+        op.solve(np.fft.rfft(b, axis=1), indefinite, slice(None))
+    assert ex.value.diagnostics == {"iterations": 1}

@@ -795,6 +795,33 @@ def test_eps_of_mu_widens_the_bracket(monkeypatch):
     assert abs(mu_of_eps(p, c, crit, grid, eps) / mu - 1.0) <= 1e-12
 
 
+def test_eps_of_mu_widens_the_bracket_above(monkeypatch, bench_coeffs,
+                                           bench_crit):
+    # a synthetic increasing law mu(eps) = eps + k1 eps^3 + k2 eps^5, with
+    # k1 mu^2 = -0.02 and k2 mu^4 = -0.01, lies below mu at eps0 = mu and at
+    # the cubic model's root, so only the rung at 1.06 mu brackets the root
+    from gcwaves import fieldops
+    mu = 2e-3
+    k1, k2 = -0.02 / mu**2, -0.01 / mu**4
+    grid = make_grid(4096, bench_crit.k0,
+                     suggest_carrier_multiple(bench_coeffs, bench_crit, mu))
+
+    probes = []
+
+    def law(eps):
+        return eps + k1 * eps**3 + k2 * eps**5
+
+    def probe(p, c, crit, grid, eps):
+        probes.append(eps)
+        return law(eps)
+    monkeypatch.setattr(fieldops, "mu_of_eps", probe)
+    eps = eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+    assert all(law(e) < mu for e in probes[:2])
+    assert 1.06 * mu in probes
+    assert abs(law(eps) / mu - 1.0) <= 1e-12
+    assert min(probes) >= wrap_floor(bench_coeffs, grid)
+
+
 @pytest.mark.parametrize("regime, mu, n", [
     ("resonant", 2e-4, 4096),
     ("resonant", 2e-4, 8192),

@@ -21,7 +21,9 @@ def test_package_imports_no_scipy():
 
 
 def test_cli_imports_neither_fractions_nor_decimal():
-    # the CSV writer builds its powers of ten from integer arithmetic
+    # the CSV and JSON writers format every float with Python's own
+    # "%.17g", so no output needs exact decimal or rational arithmetic,
+    # and neither module should add its load time to a CLI start
     code = ("import sys, gcwaves.cli; "
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
