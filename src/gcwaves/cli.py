@@ -78,8 +78,7 @@ _SCAN = inspect.signature(disp.find_critical).parameters
 _SCHEMA = {
     "params": {"rho": (float, None), "beta_under": (float, None),
                "beta_over": (float, None)},
-    "grid": {"n": (int, 4096), "k0_multiples": (int, 0),
-             "strip_ny": (int, 128), "depth_under": (float, 0.0)},
+    "grid": {"n": (int, 4096), "strip_ny": (int, 128)},
     "minimize": {"mu": (_mu, 2e-3),
                  "max_iters": (int, _DESCENT["max_iters"]),
                  "grad_tol": (float, _DESCENT["grad_tol"]),
@@ -190,8 +189,6 @@ def _format_value(v):
         return "null"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_format_value(x) for x in v) + "]"
     if isinstance(v, dict):
@@ -319,11 +316,8 @@ def _gate(cfg: dict, out, focusing: bool):
 
 
 def _grid_for(cfg: dict, crit, coeffs, mu: float) -> fieldops.PeriodicGrid:
-    g = cfg["grid"]
-    m = g["k0_multiples"]
-    if m == 0:
-        m = fieldops.suggest_carrier_multiple(coeffs, crit, mu)
-    return fieldops.make_grid(g["n"], crit.k0, m)
+    m = fieldops.suggest_carrier_multiple(coeffs, crit, mu)
+    return fieldops.make_grid(cfg["grid"]["n"], crit.k0, m)
 
 
 def _coeff_dict(crit, c: nls.NlsCoefficients) -> dict:
@@ -502,9 +496,8 @@ def cmd_validate(args) -> int:
     k0 = crit.k0
     nx = min(cfg["grid"]["n"], 256)
     ny = cfg["grid"]["strip_ny"]
-    depth = cfg["grid"]["depth_under"] or 14.0 / k0
     grid = fieldops.make_grid(nx, k0, 4)
-    strip = dno.StripGrid(nx=nx, ny=ny, depth_under=depth)
+    strip = dno.StripGrid(nx=nx, ny=ny, depth_under=14.0 / k0)
     checks = oracle_suite(p, k0, grid, strip)
     ok = (checks["flat_symbol_max_abs_err"] <= 1e-8
           and np.min(checks["truncation_slopes"]) >= 4.5)

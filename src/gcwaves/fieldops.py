@@ -498,7 +498,10 @@ def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
     transform.  Only the grid band of the result survives, so the
     multipliers, F-bar included, and the weights ck and cl act on that
     band of the padded spectra, whose sum is G.  Each padded field is
-    dropped once its terms are formed.
+    dropped once its terms are formed.  ``grad_J`` passes ck = 1; the
+    weights stay because ``tests/spectral_helpers.py`` takes grad K
+    (ck, cl = 1, 0) and grad L_trunc (0, 1) from this body, which the
+    acceptance and reference-parity tests check one at a time.
     """
     s, r, n = f.sym, p.rho, f.grid.n
     npad = _PAD * n

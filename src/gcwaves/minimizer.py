@@ -570,7 +570,6 @@ class SpeedFit:
     predicted: float
     mus: tuple
     values: tuple       # (nu - nu0) / mu^2 per run
-    residual_trend: tuple
 
 
 def speed_expansion_check(runs: list[MinimizeResult], crit: CriticalPoint,
@@ -590,7 +589,5 @@ def speed_expansion_check(runs: list[MinimizeResult], crit: CriticalPoint,
     A = np.vstack([np.ones_like(mus), mus]).T
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     predicted = c.nu_nls * c.alpha  # = 2 nu_NLS / (nu0 F(k0) v0.v0)
-    resid = ys - A @ coef
     return SpeedFit(fitted=float(coef[0]), predicted=float(predicted),
-                    mus=tuple(mus.tolist()), values=tuple(ys.tolist()),
-                    residual_trend=tuple(resid.tolist()))
+                    mus=tuple(mus.tolist()), values=tuple(ys.tolist()))

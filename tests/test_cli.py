@@ -54,9 +54,15 @@ def bench_cfg(tmp_path):
     ("[params]\nrho = 0.5\nbeta_under = 1.0\nbeta_over = 1.0\n"
      "[minimize]\nmu = 1e-3\nuse_exact_refinement = true\n", 7,
      "use_exact_refinement"),
+    # the period and the oracle strip's depth are derived from k0 and mu
+    ("[params]\nrho = 0.5\nbeta_under = 1.0\nbeta_over = 1.0\n"
+     "[grid]\nk0_multiples = 3\n", 6, "'k0_multiples' in [grid]"),
+    ("[params]\nrho = 0.5\nbeta_under = 1.0\nbeta_over = 1.0\n"
+     "[grid]\nn = 256\ndepth_under = 5\n", 7, "'depth_under' in [grid]"),
     ("[params]\nrho = 0.5\n[foo]\n", 3, "[foo]"),
     ("[params]\nrho 0.5\n", 2, "'rho 0.5'"),
-], ids=["params", "minimize", "section", "no_equals"])
+], ids=["params", "minimize", "k0_multiples", "depth_under", "section",
+        "no_equals"])
 def test_parse_error_reports_line(tmp_path, capsys, text, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -757,37 +763,6 @@ def test_minimize_refuses_bad_stopping_rule(tmp_path, capsys, line, key):
     assert record["mu"] == 0.006 and key in record["error"]
     assert os.listdir(outdir) == ["mu_0p006.error.json"]
     assert "Traceback" not in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("depth", ["nan", "inf"])
-def test_validate_refuses_non_finite_depth(tmp_path, capsys, depth):
-    # nan passed the old depth check and failed in the SVD with a traceback
-    cfg = write_config(
-        tmp_path / "v.cfg", BENCH,
-        f"[scan]\nsamples = 1024\n[grid]\nn = 256\ndepth_under = {depth}\n",
-    )
-    out = tmp_path / "v.json"
-    assert main(["validate", "--config", cfg, "--out", str(out)]) \
-        == cli.EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "depth_under" in err
-    assert not out.exists()
-
-
-def test_negative_carrier_multiple_refused(tmp_path, capsys):
-    # only 0 means "choose per mu"; a negative count of wavelengths ran
-    # as 0 did
-    cfg = write_config(
-        tmp_path / "a.cfg", BENCH,
-        "[scan]\nsamples = 1024\n[grid]\nn = 1024\nk0_multiples = -3\n"
-        "[minimize]\nmu = 6e-3\n",
-    )
-    out = tmp_path / "a.csv"
-    assert main(["ansatz", "--config", cfg, "--out", str(out)]) \
-        == cli.EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "carrier wavelength" in err
-    assert not out.exists()
 
 
 def test_carrier_above_nyquist_refused(tmp_path, capsys):

@@ -160,6 +160,15 @@ def test_a_matches_eigenvector_ratio(resonant_crit):
     assert eval_a(NEAR_RESONANT, resonant_crit.k0) == resonant_crit.a
 
 
+@pytest.mark.parametrize("k0, match", [
+    (0.0, "k0 must be positive"), (-1.0, "k0 must be positive"),
+    (30.5, "ill-conditioned for k0=30.5 > 30"),
+], ids=["zero", "negative", "above_cutoff"])
+def test_a_refused_outside_its_range(k0, match):
+    with pytest.raises(RangeError, match=match):
+        eval_a(NEAR_RESONANT, k0)
+
+
 @given(rho=st.floats(0.05, 0.95), bu=st.floats(0.05, 2.0),
        bo=st.floats(0.05, 2.0))
 @settings(max_examples=20, deadline=None)
@@ -286,6 +295,12 @@ def test_double_minimum_bracketing():
     assert rep_mid.verdict == "DoubleMinimum"
     assert len(rep_mid.competing_minima) >= 1
     assert not rep_mid.crit.assumption1_global
+
+
+def test_branch_crossing_needs_two_branches():
+    # beta_over = 0.16 and 0.18 both select the long-wave minimum
+    with pytest.raises(ConfigError, match="same minimum branch"):
+        locate_branch_crossing(0.5, 0.17, 0.16, 0.18)
 
 
 def test_side_configurations_valid():

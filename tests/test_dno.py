@@ -49,8 +49,9 @@ def test_strip_validation():
             StripGrid(nx=nx, ny=64, depth_under=5.0)
     with pytest.raises(ConfigError):
         StripGrid(nx=128, ny=8, depth_under=5.0)
-    with pytest.raises(ConfigError):
-        StripGrid(nx=128, ny=64, depth_under=-1.0)
+    for depth in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="depth_under must be positive"):
+            StripGrid(nx=128, ny=64, depth_under=depth)
 
 
 @pytest.mark.parametrize("cg_tol", [0.0, -1.0, float("nan"), 1.0, 2.0])

@@ -533,3 +533,23 @@ def test_cg_refuses_direction_without_curvature(solver):
                        match="CG direction with curvature") as ex:
         op.solve(np.fft.rfft(b, axis=1), indefinite, slice(None))
     assert ex.value.diagnostics == {"iterations": 1}
+
+
+@pytest.mark.parametrize("solver", [LowerSolver, UpperSolver])
+def test_cg_refuses_checkerboard_datum(solver, monkeypatch):
+    # the checkerboard is a null vector of the operator, so a datum that
+    # meets it has no solution: it is refused before the first CG step
+    strip = StripGrid(nx=256, ny=48, depth_under=5.0)
+    op = solver(strip, PERIOD)
+    flat = np.zeros((2, strip.nx))
+    q = (op.set_geometry(flat[0]) if solver is LowerSolver
+         else op.set_geometry(flat, flat))
+    b = np.zeros((strip.ny + 1, strip.nx))
+    b[0] = NYQUIST
+
+    def no_step(*args):
+        raise AssertionError("CG took a step")
+
+    monkeypatch.setattr(solver, "apply", no_step)
+    with pytest.raises(NumericalError, match="Nyquist checkerboard"):
+        op.solve(np.fft.rfft(b, axis=1), q, slice(None))

@@ -533,6 +533,18 @@ def test_eta_star_domain_too_small(bench_coeffs, bench_crit):
         build_eta_star(bench_coeffs, bench_crit, 1e-3, grid, BENCH)
 
 
+def test_eta_star_refuses_a_grid_off_the_carrier(bench_coeffs, bench_crit):
+    # a period 1.001 times m carrier wavelengths puts the grid's carrier
+    # 0.1% below k0, off the profile's wavenumber
+    m = suggest_carrier_multiple(bench_coeffs, bench_crit, 2e-3)
+    grid = PeriodicGrid(n=1024, period=1.001 * 2.0 * np.pi * m / bench_crit.k0,
+                        k0_multiple=m)
+    with pytest.raises(ConfigError) as ex:
+        build_eta_star(bench_coeffs, bench_crit, 2e-3, grid, BENCH)
+    assert str(ex.value) == (f"grid carrier {grid.carrier} does not "
+                             f"represent k0={bench_crit.k0}")
+
+
 def test_mu_eps_roundtrip(bench_coeffs, bench_crit):
     for eps in (1e-2, 1e-3):
         m = suggest_carrier_multiple(bench_coeffs, bench_crit, eps)
