@@ -9,33 +9,37 @@ profiles.  Horizontal discretization is Fourier-spectral, vertical is
 Chebyshev collocation with Clenshaw-Curtis quadrature (the energy form is
 assembled from the quadrature, which keeps the operator symmetric
 positive semi-definite); the linear systems are solved by conjugate
-gradients preconditioned with the exact flat-geometry per-mode inverse.
-
-CG runs on the rfft spectra of the (ny+1) x nx fields along x, with
-Parseval inner products: the only transforms are the two irffts and two
-rffts of each operator application, around the flux formed in physical
-space, plus one rfft of the flux rows that hold the datum and one irfft
-of the trace rows that L reads.  CG stops when the energy has
-converged, not the residual: L is a sum of b.u, whose error is the
-square of the solver's energy-norm error.
-
-Each ``StripGrid`` owns the oracle's state on it: one work area
-(``_WorkArea``) of nine (ny+1) x nx arrays, shared by every solver built
-on the strip, and the solver pair of the latest period solved on it,
-which a new period replaces.  Every transform, matrix product and ufunc
-of a solve writes into the area, so a solve allocates no array of that
-size; it returns only what L reads, the solution on the trace rows.
-A strip runs one solve at a time.  ``eval_L_exact`` takes the profile's
-slopes once: they are both the flux datum and the geometry.
+gradients preconditioned with the exact flat-geometry per-mode inverse,
+in the flat strip's vertical eigenbasis.
 
 On a flat strip Fourier mode k_j decouples into the vertical matrix
 M_j = hx (k_j^2 W + D^T W D), W = diag(quadrature weights).  Every mode
 shares one generalized eigenbasis, D^T W D V = W V Lambda with
-V^T W V = I, so M_j^{-1} = V diag(1 / (hx (k_j^2 + Lambda))) V^T and the
-preconditioner is two real matrix products over all modes at once, on
-the float view of the spectrum.  Mode 0 is singular only along the
-constants (Lambda = 0); its inverse drops that one direction and
-projects column 0 onto zero mean, so the constant is left to one gauge.
+V^T W V = I, so M_j^{-1} = V diag(1 / (hx (k_j^2 + Lambda))) V^T.  CG
+runs in that basis: its residual, direction and preconditioned residual
+are coefficient spectra C along x, the field's rfft spectrum being V C,
+so the flat-strip inverse that preconditions it is one elementwise
+product.  Mode 0 is singular only along the constants (Lambda = 0); the
+inverse drops that one direction, whose coefficient stays 0 in every
+direction, so the constant is left to one gauge.
+
+Inner products are Parseval sums, which the basis carries over.  The
+only transforms are the two irffts and two rffts of each operator
+application, around the flux formed in physical space, plus one rfft of
+the flux rows that hold the datum and one irfft of the trace rows that L
+reads; the operator's two matrix products, into and out of the basis,
+take every mode at once, on the float view of the spectra.  CG stops
+when the energy has converged, not the residual: L is a sum of b.u,
+whose error is the square of the solver's energy-norm error.
+
+Each ``StripGrid`` owns the oracle's state on it: one work area
+(``_WorkArea``) the size of nine (ny+1) x nx arrays, shared by every
+solver built on the strip, and the solver pair of the latest period
+solved on it, which a new period replaces.  Every transform, matrix product and ufunc
+of a solve writes into the area, so a solve allocates no array of that
+size; it returns only what L reads, the solution on the trace rows.
+A strip runs one solve at a time.  ``eval_L_exact`` takes the profile's
+slopes once: they are both the flux datum and the geometry.
 
 The module is the independent oracle against which the spectral
 truncations are validated, so it shares no code path with the truncated
@@ -104,7 +108,11 @@ class StripGrid:
     def solvers(self, period: float) -> tuple:
         """The lower and upper solvers of ``period``.  The strip keeps the
         pair of the latest period solved on it; another period frees that
-        pair before it builds its own."""
+        pair before it builds its own.  A period that is not positive and
+        finite is refused, and the kept pair stays."""
+        if not 0.0 < period < math.inf:
+            raise ConfigError(
+                f"period must be positive and finite, got {period}")
         state = vars(self)
         if "_solvers" not in state or state["_solvers"][0].period != period:
             state.pop("_solvers", None)
@@ -154,15 +162,18 @@ def _parseval_dot(a: np.ndarray, b: np.ndarray) -> float:
 class _WorkArea:
     """The arrays a solve runs in, on a strip of (ny+1) x nx samples.
 
-    Four spectra of shape (ny+1, nx/2+1): the residual ``r`` (which
-    ``_solve_flux`` fills with the datum), the preconditioned residual
-    ``z``, the direction ``d`` and ``ad`` = A d.  Three physical arrays
-    for ``apply``: ``u0``, ``u1`` and ``wide``, two columns wider so that
-    it also takes the preconditioner's float V^T R; ``wide_c`` views it
-    as a spectrum, and ``wide_p`` and ``z_p`` view the leading
-    (ny+1) x nx doubles of ``wide`` and ``z`` as physical arrays.  The
-    upper layer's flux coefficients -f_x and (1 + f_x^2)/(1 + f_y) go to
-    ``fx`` and ``q22``.
+    Three spectra of shape (ny+1, nx/2+1), each holding coefficients in
+    the flat strip's vertical eigenbasis V (the field is V C): the
+    residual ``r``, the direction ``d`` and ``z``, the preconditioned
+    residual, which ``apply`` also writes A d into.  One block ``pair``
+    of two stacked spectra, (2(ny+1), nx/2+1), whose halves ``lo`` and
+    ``hi`` take in turn the datum (``_solve_flux`` writes it into
+    ``lo``), ``apply``'s forward product [V; D V] C and the pair
+    [F2; ik F1] of its backward product; ``pair_f`` is its float view,
+    and ``lo_p`` and ``z_p`` view the leading (ny+1) x nx doubles of
+    ``lo`` and ``z`` as physical arrays.  Four physical arrays: ``u0``
+    and ``u1`` for ``apply``, and the upper layer's flux coefficients
+    -f_x and (1 + f_x^2)/(1 + f_y) in ``fx`` and ``q22``.
 
     A ``StripGrid`` allocates its one area on first use and shares it
     among the solvers built on it, which therefore solve one at a time.
@@ -170,30 +181,32 @@ class _WorkArea:
 
     def __init__(self, nx: int, ny: int):
         m = ny + 1
-        self.r, self.z, self.d, self.ad = (
-            np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(4))
+        self.r, self.z, self.d = (
+            np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(3))
+        self.pair = np.empty((2 * m, nx // 2 + 1), dtype=complex)
+        self.pair_f = self.pair.view(float)
+        self.lo, self.hi = self.pair[:m], self.pair[m:]
         self.u0, self.u1, self.fx, self.q22 = (
             np.empty((m, nx)) for _ in range(4))
-        self.wide = np.empty((m, nx + 2))
-        self.wide_c = self.wide.view(complex)
-        self.wide_p, self.z_p = (
+        self.lo_p, self.z_p = (
             a.view(float).reshape(-1)[:m * nx].reshape(m, nx)
-            for a in (self.wide, self.z))
+            for a in (self.lo, self.z))
 
 
 class _StripOperator:
-    """Shared machinery: grid, derivatives, quadrature, flat preconditioner.
+    """Shared machinery: grid, derivatives, quadrature, flat eigenbasis.
 
-    ``solve`` runs CG on rfft spectra of shape (ny+1, nx/2+1): ``apply``
-    and ``precondition`` take a spectrum and the array to write theirs
-    into, at four transforms per iteration, all in ``apply``.  The
-    preconditioner inverts the flat-geometry operator mode by mode,
-    through the shared eigenbasis ``_V`` scaled by the inverse
-    eigenvalues ``_inv_eig`` (one column per mode).  ``set_geometry``
-    returns the flux coefficients q = (q11, q12, q22) that ``solve`` and
-    ``apply`` take; q11 is None where it is identically 1, as in the
-    lower layer.  Everything of (ny+1) x nx size lives in ``work``, the
-    strip's ``_WorkArea``; the solver keeps no reference to the strip.
+    ``solve`` runs CG on coefficient spectra C of shape (ny+1, nx/2+1)
+    in the vertical eigenbasis ``_V`` of the flat strip, shared by every
+    Fourier mode: the field's spectrum is V C.  There the flat-strip
+    inverse is the diagonal ``_inv_eig`` (one column per mode), so
+    preconditioning is one elementwise product, and ``apply`` maps C to
+    V^T A V C at four transforms and two matrix products.
+    ``set_geometry`` returns the flux coefficients q = (q11, q12, q22)
+    that ``solve`` and ``apply`` take; q11 is None where it is
+    identically 1, as in the lower layer.  Everything of (ny+1) x nx
+    size lives in ``work``, the strip's ``_WorkArea``; the solver keeps
+    no reference to the strip.
     """
 
     def __init__(self, strip: StripGrid, period: float, y_bot: float,
@@ -207,24 +220,28 @@ class _StripOperator:
         self.y = y_bot + (t + 1.0) / scale
         self.D = D * scale
         self.wy = _clenshaw_curtis(ny) / scale
-        self._w = self.hx * self.wy[:, None]
-        self._DtW = np.ascontiguousarray(self.D.T * self._w.T)
         self.k = 2.0 * np.pi / period * np.arange(nx // 2 + 1)
         # the Nyquist mode of a real sample has no derivative on the grid
         # (irfft drops the imaginary part it would carry)
         self.ik = 1j * self.k
         self.ik[-1] = 0.0
-        self._build_flat_preconditioner()
+        self._build_flat_eigenbasis()
         self.work = strip.work
 
-    def _build_flat_preconditioner(self):
+    def _build_flat_eigenbasis(self):
         # D^T W D V = W V Lambda with V^T W V = I, read off the SVD
         # W^(1/2) D W^(-1/2) = U S Y^T as Lambda = S^2, V = W^(-1/2) Y;
         # not forming D^T W D keeps its small eigenvalues accurate
         sw = np.sqrt(self.wy)
         _, s, Yt = np.linalg.svd(sw[:, None] * self.D / sw)
-        self._V = Yt.T / sw[:, None]
-        self._Vt = np.ascontiguousarray(self._V.T)
+        V = Yt.T / sw[:, None]
+        DV = self.D @ V
+        w = self.hx * self.wy
+        # apply's two products: the field and its y-derivative, [V; D V] C,
+        # and the energy form's two fluxes, [V^T D^T W, -V^T W] [F2; ik F1]
+        self._forward = np.vstack([V, DV])
+        self._backward = np.hstack([DV.T * w, -(V.T * w)])
+        self._V = self._forward[:len(V)]
         self._inv_eig = 1.0 / (self.hx * (self.k**2 + s[:, None]**2))
         # the last singular value (about 1e-14) is that of the constants,
         # D 1 = 0: mode 0 drops their direction
@@ -252,106 +269,109 @@ class _StripOperator:
     def dx(self, U: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
 
-    def precondition(self, Rh: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Flat-geometry inverse of a residual spectrum, mean projected
-        out, written into the spectrum ``out``.
+    def apply(self, C: np.ndarray, q: tuple, out: np.ndarray,
+              keep: tuple | None = None) -> np.ndarray:
+        """V^T A V C for the energy-form operator A with flux coefficients
+        ``q`` and the coefficient spectrum C, written into ``out``.
 
-        Runs no transform: every mode is in the two real matrix products
-        on the float view of the spectrum (real and imaginary parts side
-        by side), the first into the work area's ``wide``.
+        The forward product [V; D V] C gives the spectra of the field U
+        and of U_y, two irffts take U_x and U_y to physical space, where
+        the fluxes are formed, and after two rffts the backward product
+        [V^T D^T W, -V^T W] [F2; ik F1] gives the coefficients of
+        D^T W F2 - ik W F1.  Both products run on the float view (real and
+        imaginary parts side by side) of the work area's ``pair``, and the
+        quadrature weights W are in the backward table.  ``keep``, a
+        (rows, array) pair, takes the spectrum of U on those rows from
+        the forward product.  The physical temporaries are ``u0``, ``u1``,
+        ``z_p`` and ``lo_p``; ``out`` may be the work area's ``z``.
         """
         w = self.work
-        np.matmul(self._Vt, Rh.view(float), out=w.wide)
-        w.wide_c *= self._inv_eig
-        np.matmul(self._V, w.wide, out=out.view(float))
-        out[:, 0] -= out[:, 0].mean()
-        return out
-
-    def apply(self, Uh: np.ndarray, q: tuple,
-              out: np.ndarray) -> np.ndarray:
-        """The energy-form operator with flux coefficients ``q`` on a
-        spectrum, written into the spectrum ``out``: two irffts, the flux
-        in physical space, two rffts.  The temporaries are the work area's
-        ``u0``, ``u1`` and ``wide``, each reused once the flux has absorbed
-        what it held, and q11 Ux goes to ``z``, which ``solve`` has added
-        to the direction before it applies the operator."""
-        w = self.work
         q11, q12, q22 = q
-        np.multiply(self.ik, Uh, out=w.wide_c)
-        Ux = np.fft.irfft(w.wide_c, self.nx, axis=1, out=w.u0)
-        U = np.fft.irfft(Uh, self.nx, axis=1, out=w.u1)
-        Uy = np.matmul(self.D, U, out=w.wide_p)
-        f1 = np.multiply(q12, Uy, out=U)
-        f1 += Ux if q11 is None else np.multiply(q11, Ux, out=w.z_p)
-        f1 *= self._w
+        np.matmul(self._forward, C.view(float), out=w.pair_f)
+        if keep is not None:
+            rows, kept = keep
+            kept[...] = w.lo[rows]
+        w.lo *= self.ik
+        Ux = np.fft.irfft(w.lo, self.nx, axis=1, out=w.u0)
+        Uy = np.fft.irfft(w.hi, self.nx, axis=1, out=w.u1)
+        f1 = np.multiply(q12, Uy, out=w.z_p)
+        f1 += Ux if q11 is None else np.multiply(q11, Ux, out=w.lo_p)
         # f2 takes Ux's array, which f1 no longer needs
         f2 = Ux
         f2 *= q12
         Uy *= q22
         f2 += Uy
-        # the uniform-grid spectral derivative is antisymmetric
-        F1 = np.fft.rfft(f1, axis=1, out=w.wide_c)
+        np.fft.rfft(f2, axis=1, out=w.lo)
+        F1 = np.fft.rfft(f1, axis=1, out=w.hi)
         F1 *= self.ik
-        f2 = np.matmul(self._DtW, f2, out=f1)
-        np.fft.rfft(f2, axis=1, out=out)
-        out -= F1
+        np.matmul(self._backward, w.pair_f, out=out.view(float))
         return out
 
     def solve(self, b: np.ndarray, q: tuple, rows):
         """Projected preconditioned CG for A u = b with A 1 = 0, A the
         operator with flux coefficients ``q``.
 
-        Takes the datum's rfft spectrum, which it overwrites (b becomes
-        the residual), and returns the solution's spectrum on ``rows``,
-        with the iterations and the final ``rel``.  The residual and
-        directions are spectra too and inner products are Parseval sums;
-        column 0 of the datum and of every direction is mean-free, and
-        the solution's constant is left to the caller.  CG stops on the
-        energy: P being the exact flat-strip inverse, r.Pr estimates the
-        A-norm error ||e||_A^2, which is exactly the error of b.u for an
-        iterate started at 0, so once rel = sqrt(r.Pr / b.Pb) <= ``cg_tol``
-        the relative error of b.u is about rel**2.  A datum that meets the
-        operator's other null vector, the depth-constant Nyquist
-        checkerboard (its spectrum is column nx/2, the same on every row),
-        would give CG a direction without curvature: it is refused with
-        NumericalError before the first step.  Its level, 1e-10 of
-        sqrt((ny+1) nx b.b), bounds 1e-10 nx times the sum of the rows'
-        largest samples, so any datum ``refuse_unsolvable`` passes stays
-        below it.  A direction without positive curvature met later raises
-        NumericalError too.  The preconditioned residual, the direction
-        and A d are the work area's ``z``, ``d`` and ``ad``.
+        Takes the datum's rfft spectrum, which it overwrites, and returns
+        the solution's spectrum on ``rows``, with the iterations and the
+        final ``rel``.  The residual, the preconditioned residual and the
+        directions are coefficient spectra in the flat eigenbasis V, the
+        work area's ``r``, ``z`` and ``d``: the residual starts at V^T b,
+        and the flat-strip inverse P = V diag(``_inv_eig``) V^T makes the
+        preconditioned residual the elementwise product ``_inv_eig`` r.
+        Inner products are Parseval sums, which V carries over: r.Pr and
+        d.Ad are sums over the coefficients.
+        Column 0 of the datum is made mean-free, and the constants'
+        coefficient of every direction stays 0, so the solution's
+        constant is left to the caller.  The solution accumulates on
+        ``rows`` only, from the field that ``apply`` forms anyway.
+
+        CG stops on the energy: P being the exact flat-strip inverse,
+        r.Pr estimates the A-norm error ||e||_A^2, which is exactly the
+        error of b.u for an iterate started at 0, so once
+        rel = sqrt(r.Pr / b.Pb) <= ``cg_tol`` the relative error of b.u
+        is about rel**2.  A datum that meets the operator's other null
+        vector, the depth-constant Nyquist checkerboard (its spectrum is
+        column nx/2, the same on every row), would give CG a direction
+        without curvature: it is refused with NumericalError before the
+        first step.  Its level, 1e-10 of sqrt((ny+1) nx b.b), bounds
+        1e-10 nx times the sum of the rows' largest samples, so any datum
+        ``refuse_unsolvable`` passes stays below it.  A direction whose
+        curvature is not positive, NaN included, raises NumericalError
+        too, at the iteration that meets it.
         """
         w = self.work
-        r = b
-        checker = abs(float(np.sum(r[:, -1].real)))
-        bb = _parseval_dot(r, r)
-        if checker > 1e-10 * math.sqrt(len(r) * self.nx * bb):
+        checker = abs(float(np.sum(b[:, -1].real)))
+        bb = _parseval_dot(b, b)
+        if checker > 1e-10 * math.sqrt(len(b) * self.nx * bb):
             raise NumericalError(
                 f"datum meets the Nyquist checkerboard ({checker:.3e}), a "
                 "direction without curvature")
-        r[:, 0] -= r[:, 0].mean()
+        b[:, 0] -= b[:, 0].mean()
+        r = w.r
+        np.matmul(self._V.T, b.view(float), out=r.view(float))
         # the first direction is the first preconditioned residual
-        d = self.precondition(r, w.d)
+        d = np.multiply(self._inv_eig, r, out=w.d)
         rz = _parseval_dot(r, d)
-        x = np.zeros_like(r[rows])
+        x = np.zeros_like(b[rows])
         # P is definite on mean-free spectra: r.Pr = 0 only for r = 0
         if rz <= 0.0:
             return x, 0, 0.0
+        u = np.empty_like(x)
         bpb = rz
         it = 0
         for it in range(1, 4000):
-            Ad = self.apply(d, q, w.ad)
+            Ad = self.apply(d, q, w.z, keep=(rows, u))
             dAd = _parseval_dot(d, Ad)
-            if dAd <= 0.0:
+            if not dAd > 0.0:
                 raise NumericalError(
-                    f"CG direction with curvature {dAd:.3e} <= 0",
+                    f"CG direction with curvature {dAd:.3e}, not positive",
                     diagnostics={"iterations": it},
                 )
             alpha = rz / dAd
-            x += alpha * d[rows]
+            x += alpha * u
             Ad *= alpha
             r -= Ad
-            z = self.precondition(r, w.z)
+            z = np.multiply(self._inv_eig, r, out=w.z)
             rz_new = max(_parseval_dot(r, z), 0.0)
             rel = math.sqrt(rz_new / bpb)
             if rel <= self.cg_tol:
@@ -371,12 +391,12 @@ class _StripOperator:
         (row, psi) of ``flux_rows``, on the geometry of the flux
         coefficients ``q``, and return its traces on ``trace_rows``.
         Only those rows are transformed: one rfft of the flux rows into
-        an otherwise zero datum spectrum, the work area's residual, and
+        an otherwise zero datum spectrum, the work area's ``lo``, and
         one irfft of the trace rows, the only rows the solve keeps.  The
         potential is defined up to constants, and this is its one gauge:
         the first trace is given zero mean."""
         rows, psis = zip(*flux_rows)
-        b = self.work.r
+        b = self.work.lo
         b.fill(0.0)
         b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
         traces, _, _ = self.solve(b, q, list(trace_rows))
@@ -488,13 +508,13 @@ def flat_K_matrix(k: float, p: Params, strip: StripGrid, period: float) -> np.nd
     flat geometry and reads off the cosine coefficients; for the continuum
     operator this is exactly the dispersion matrix F(k).
     """
+    lower, upper = strip.solvers(period)
     nx = strip.nx
     x = period / nx * np.arange(nx)
     cosk = np.cos(k * x)
     norm = float(np.sum(cosk * cosk))
     flat = np.zeros((2, nx))  # the flat profile, and its slopes
     out = np.empty((2, 2))
-    lower, upper = strip.solvers(period)
     for col, (au, av) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         zeta = lower.dx(np.stack([au * cosk, av * cosk]))
         xi = _xi(lower, upper, flat, flat, zeta, p.rho)

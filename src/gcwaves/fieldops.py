@@ -112,8 +112,9 @@ class PeriodicGrid:
             raise ConfigError(
                 f"carrier multiple {self.k0_multiple} is at or above the "
                 f"Nyquist index {self.n // 2} of n = {self.n}; raise n")
-        if self.period <= 0.0:
-            raise ConfigError("period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise ConfigError(
+                f"period must be positive and finite, got {self.period}")
 
     @cached_property
     def dx(self) -> float:
@@ -691,6 +692,8 @@ def suggest_carrier_multiple(c: NlsCoefficients, crit: CriticalPoint,
     kappa mu^2 of a few percent; ``eps_of_mu`` never probes below the
     floor.
     """
+    if not 0.0 < mu < math.inf:
+        raise RangeError(f"mu must be positive and finite, got {mu}")
     _, decay = soliton_shape(c)
     period_min = 2.0 * 28.4 * _WRAP_SAFETY / (decay * 0.95 * mu)
     return max(1, math.ceil(period_min * crit.k0 / (2.0 * np.pi)))
@@ -758,8 +761,8 @@ def eps_of_mu(p: Params, c: NlsCoefficients, crit: CriticalPoint,
     builds the profile there with no transform: 17 rows in 3 calls per
     value of mu(eps).
     """
-    if mu <= 0.0:
-        raise RangeError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise RangeError(f"mu must be positive and finite, got {mu}")
     eps_min = wrap_floor(c, grid)
 
     def f(eps: float) -> float:

@@ -922,7 +922,7 @@ def test_validate_passes(tmp_path, capsys):
 #: SHA-256 of validate's JSON at [grid] n = 128, strip_ny = 48; its
 #: checks fail on that strip, so it exits 3
 VALIDATE_N128_SHA256 = \
-    "fbd78ceecd71273eb218c82ebac3e437fc71749141b578133373c6e02ae84577"
+    "b56057ae5178110e25679a9c329ad3a195cc0ba27fba42a9f46bc96102cdcea4"
 
 
 def test_validate_checks_the_gradient_at_n16(tmp_path):

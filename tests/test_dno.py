@@ -54,6 +54,21 @@ def test_strip_validation():
             StripGrid(nx=128, ny=64, depth_under=depth)
 
 
+@pytest.mark.parametrize("period", [float("nan"), 0.0, -1.0, float("inf")])
+def test_strip_refuses_period_outside_the_positive_reals(period):
+    # flat_K_matrix failed each a different way: nan ran 3999 NaN CG
+    # iterations, 0 divided by zero, -1 read a mean flux and inf warned
+    strip = StripGrid(nx=128, ny=48, depth_under=5.0)
+    kept = strip.solvers(PERIOD)
+    match = f"period must be positive and finite, got {period}"
+    with pytest.raises(ConfigError, match=match):
+        strip.solvers(period)
+    with pytest.raises(ConfigError, match=match):
+        dno.flat_K_matrix(K0, BENCH, strip, period)
+    # the refused period leaves the kept pair
+    assert strip.solvers(PERIOD) is kept
+
+
 @pytest.mark.parametrize("cg_tol", [0.0, -1.0, float("nan"), 1.0, 2.0])
 def test_strip_refuses_cg_tol_outside_unit_interval(cg_tol):
     # 2.0 stopped CG at once with L 0.7% off, and 0 ran every iteration

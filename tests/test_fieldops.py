@@ -1008,6 +1008,18 @@ def test_wrap_floor_is_the_eta_star_test(bench_coeffs, bench_crit):
                        grid, BENCH)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1.0])
+def test_mu_outside_the_positive_reals_refused(bench_coeffs, bench_crit, mu):
+    # suggest_carrier_multiple failed on nan with a bare ValueError,
+    # returned m = 1 at inf and overflowed at 0; eps_of_mu called a nan
+    # "eps", and blamed the bracket at inf
+    with pytest.raises(RangeError, match=f"positive and finite, got {mu}"):
+        suggest_carrier_multiple(bench_coeffs, bench_crit, mu)
+    grid = make_grid(1024, bench_crit.k0, 8)
+    with pytest.raises(RangeError, match=f"positive and finite, got {mu}"):
+        eps_of_mu(BENCH, bench_coeffs, bench_crit, grid, mu)
+
+
 def test_eps_of_mu_past_the_small_amplitude_range(bench_coeffs, bench_crit):
     # mu(eps) at the suggested grid's wrap floor already exceeds mu = 0.02;
     # a trial below the floor would raise GeometryError instead
@@ -1077,8 +1089,11 @@ def test_grid_validation():
         PeriodicGrid(n=100, period=10.0, k0_multiple=1)
     with pytest.raises(ConfigError):
         PeriodicGrid(n=8, period=10.0, k0_multiple=1)
-    with pytest.raises(ConfigError):
-        PeriodicGrid(n=64, period=-1.0, k0_multiple=1)
+    # nan made dx nan, and inf made every wavenumber 0
+    for period in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError,
+                           match=f"positive and finite, got {period}"):
+            PeriodicGrid(n=64, period=period, k0_multiple=1)
     for m in (0, -3):
         with pytest.raises(ConfigError, match="carrier wavelength"):
             PeriodicGrid(n=64, period=10.0, k0_multiple=m)
