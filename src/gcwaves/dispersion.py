@@ -119,9 +119,15 @@ def fbar_entries(k):
 
 
 def _sym2(a, b, c) -> np.ndarray:
-    """Stack entries into symmetric matrices [[a, b], [b, c]] of shape
+    """Stack entries, scalars or arrays broadcast together, into
+    symmetric matrices [[a, b], [b, c]], a new C-ordered array of shape
     (..., 2, 2)."""
-    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+    a, b, c = np.broadcast_arrays(a, b, c)
+    out = np.empty(a.shape + (2, 2), dtype=np.result_type(a, b, c))
+    out[..., 0, 0] = a
+    out[..., 0, 1] = out[..., 1, 0] = b
+    out[..., 1, 1] = c
+    return out
 
 
 def eval_fbar(k) -> np.ndarray:
@@ -150,7 +156,7 @@ def _pf_derivatives(k, p: Params):
 
 def _refuse_overflow(k, finite, what: str):
     """Raise a RangeError naming the first k where ``finite`` is false."""
-    if not np.all(finite):
+    if not finite.all():
         first = float(k[~finite].flat[0])
         raise RangeError(f"{what} overflowed at k={first!r}")
 
@@ -198,9 +204,10 @@ def _branches(k, p: Params):
     # v = (1, -a) up to scale, from whichever of the equal forms
     # a = 2 p1 sech / (sqrt(D) - x) = (sqrt(D) + x) / (2 rho q sech)
     # has no cancellation in its denominator
-    v = np.where((x < 0.0)[..., None],
-                 np.stack([root - x, -2.0 * p1 * sech], -1),
-                 np.stack([2.0 * p.rho * q * sech, -(root + x)], -1))
+    neg = x < 0.0
+    v = np.empty(neg.shape + (2,))
+    v[..., 0] = np.where(neg, root - x, 2.0 * p.rho * q * sech)
+    v[..., 1] = np.where(neg, -2.0 * p1 * sech, -(root + x))
     return mean - half, mean + half, D, v
 
 

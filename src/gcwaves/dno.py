@@ -55,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Params
-from .errors import ConfigError, GeometryError, NumericalError, SolvabilityError
+from .errors import (ConfigError, GeometryError, NumericalError, RangeError,
+                     SolvabilityError)
 from .fieldops import ProfilePair, _is_grid_size
 
 #: the upper layer counts as pinched off where its depth falls to this
@@ -489,11 +490,20 @@ def eval_L_exact(eta: ProfilePair, p: Params, strip: StripGrid) -> float:
     and L = (1/2) int [zeta_under (Phi_under - rho Phi_i)
                         + zeta_over rho Phi_s] dx.
     zeta is taken once and is also the slopes of the geometry.  The
-    profile must be sampled on the strip's horizontal grid.
+    profile must be sampled on the strip's horizontal grid, and a profile
+    with a non-finite sample is refused with RangeError, naming its row
+    and first index, before any transform: NaN compares false, so it
+    would pass every later refusal and reach CG.
     """
     if eta.grid.n != strip.nx:
         raise ConfigError(
             f"profile has n={eta.grid.n} samples, the strip nx={strip.nx}")
+    for name, row in (("eta_under", eta.eta_under),
+                      ("eta_over", eta.eta_over)):
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            raise RangeError(f"profile row {name} holds a non-finite sample "
+                             f"{float(row[bad[0]])} at index {bad[0]}")
     lower, upper = strip.solvers(eta.grid.period)
     profile = np.stack([eta.eta_under, eta.eta_over])
     zu, zv = zeta = lower.dx(profile)

@@ -249,8 +249,13 @@ def _rfft(u: np.ndarray, n: int) -> np.ndarray:
 
 def _fbar_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Apply the symmetric matrix multiplier [[diag, off], [off, diag]] to
-    the stacked spectra X = (X1, X2)."""
-    return np.stack([diag * X[0] + off * X[1], off * X[0] + diag * X[1]])
+    the stacked spectra X = (X1, X2), into a new C-ordered array; each
+    entry is the sum of the same two products as in the written-out
+    form [d X1 + o X2, o X1 + d X2]."""
+    Y = diag * X
+    Y[0] += off * X[1]
+    Y[1] += off * X[0]
+    return Y
 
 
 @dataclass
@@ -352,7 +357,8 @@ class StagedProfile:
         return np.fft.irfft(_PAD * X, _PAD * self.grid.n)
 
     def integral(self, w: np.ndarray) -> float:
-        return float(np.mean(w)) * self.grid.period
+        # np.mean's sum and division, without its Python wrapper
+        return float(w.sum() / w.size) * self.grid.period
 
     def pairing(self, A: np.ndarray, C: np.ndarray) -> float:
         """Integral of the product of two fields given by padded spectra
@@ -360,7 +366,10 @@ class StagedProfile:
         m = A.shape[-1]
         wA = (self.sym.parseval[:m] * A).view(float).ravel()
         # einsum, not vdot: vdot goes through BLAS, whose worker threads
-        # made it up to 60 times slower on a busy 2-core host
+        # made it up to 60 times slower on a busy 2-core host.  einsum's
+        # sum order follows its operands' memory order, so the helpers
+        # that build the spectra it reads (``_fbar_apply``, ``_staged``)
+        # return C-ordered arrays
         return float(np.einsum("i,i->", wA, C[..., :m].view(float).ravel()))
 
     @cached_property
@@ -411,7 +420,9 @@ class StagedProfile:
 
 def _staged(eta: ProfilePair) -> StagedProfile:
     """The pair staged from the spectrum of its rows."""
-    rows = np.stack([eta.eta_under, eta.eta_over])
+    rows = np.empty((2, eta.grid.n))
+    rows[0] = eta.eta_under
+    rows[1] = eta.eta_over
     return StagedProfile(eta.grid, _rfft(rows, eta.grid.n))
 
 
@@ -459,14 +470,14 @@ def _k_parts(f: StagedProfile, p: Params):
     written as eta_x^2 / (sqrt(1 + eta_x^2) + 1), which keeps full relative
     precision at small slopes."""
     r, bu, bo = p.rho, p.beta_under, p.beta_over
-    ux2, vx2 = f.ux**2, f.vx**2
+    u2, v2, ux2, vx2 = f.u**2, f.v**2, f.ux**2, f.vx**2
     k_total = f.integral(
-        0.5 * (1.0 - r) * f.u**2 + 0.5 * r * f.v**2
+        0.5 * (1.0 - r) * u2 + 0.5 * r * v2
         + bu * ux2 / (np.sqrt(1.0 + ux2) + 1.0)
         + r * bo * vx2 / (np.sqrt(1.0 + vx2) + 1.0)
     )
     k2 = 0.5 * f.integral(
-        (1.0 - r) * f.u**2 + r * f.v**2 + bu * ux2 + r * bo * vx2
+        (1.0 - r) * u2 + r * v2 + bu * ux2 + r * bo * vx2
     )
     # squared squares: numpy's power takes a slow generic path for **4
     k4 = -0.125 * f.integral(bu * ux2**2 + r * bo * vx2**2)
@@ -509,7 +520,10 @@ def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
     u, v, ux, vx = f.u, f.v, f.ux, f.vx
 
     def band_spectra(a, b):
-        return np.fft.rfft(np.stack([a, b]))[:, : n // 2 + 1]
+        rows = np.empty((2, npad))
+        rows[0] = a
+        rows[1] = b
+        return np.fft.rfft(rows)[:, : n // 2 + 1]
 
     # surface tension: -beta d/dx (eta_x / sqrt(1 + eta_x^2))
     beta = np.array([[p.beta_under], [r * p.beta_over]])

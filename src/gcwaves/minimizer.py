@@ -270,15 +270,24 @@ class _Objective:
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # einsum, not @: BLAS worker threads made single dot products
-        # erratically slow on a busy 2-core host
+        # erratically slow on a busy 2-core host.  einsum's sum order
+        # follows its operands' memory order, so ``_flat`` returns a new
+        # C-ordered array whatever the order of its input (``ell`` is
+        # Fortran-ordered)
         return float(np.einsum("k,ik,ik->", self.weights, a, b))
 
     @staticmethod
     def _flat(inv, q: np.ndarray) -> np.ndarray:
-        """Apply the inverse symbol to a gradient, mode by mode."""
+        """Apply the inverse symbol to a gradient, mode by mode, into a
+        new C-ordered array."""
         a, b, c = inv
         U, V = q
-        return np.stack([a * U + b * V, b * U + c * V])
+        y = np.empty(q.shape)
+        np.multiply(a, U, out=y[0])
+        y[0] += b * V
+        np.multiply(b, U, out=y[1])
+        y[1] += c * V
+        return y
 
     def precondition(self, q: np.ndarray) -> np.ndarray:
         """Apply the inverse Hessian model to a gradient."""

@@ -35,6 +35,20 @@ def fft_record(monkeypatch):
     return record
 
 
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Record the name of every call of numpy's ``stack`` and ``mean``
+    wrappers made through the ``numpy`` namespace, in call order."""
+    record = []
+    for name in ("stack", "mean"):
+        def recorded(*args, _original=getattr(np, name), _name=name,
+                     **kwargs):
+            record.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, recorded)
+    return record
+
+
 def fft_lengths(record):
     """The n of every call in an ``fft_record``."""
     return [n for _, n in record]

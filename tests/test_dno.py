@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from gcwaves import ProfilePair, StripGrid, dno
 from gcwaves.cli import oracle_suite
 from gcwaves.dispersion import eval_fbar, eval_PF
 from gcwaves.dno import LowerSolver, UpperSolver, eval_L_exact
-from gcwaves.errors import ConfigError, GeometryError, SolvabilityError
+from gcwaves.errors import (ConfigError, GeometryError, RangeError,
+                            SolvabilityError)
 from gcwaves.fieldops import (PeriodicGrid, _is_grid_size, eval_L_trunc,
                               make_grid, suggest_carrier_multiple)
 from gcwaves.minimizer import MinimizeConfig, minimize
@@ -83,6 +85,25 @@ def test_profile_off_the_strip_grid_refused(strip, n):
     eta = ProfilePair(g, 1e-2 * np.cos(K0 * g.x), np.zeros(n))
     with pytest.raises(ConfigError, match=f"n={n}"):
         eval_L_exact(eta, BENCH, strip)
+
+
+@pytest.mark.parametrize("row", ["eta_under", "eta_over"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_non_finite_profile_refused_before_any_transform(strip, row, value,
+                                                         fft_record):
+    # NaN compares false, so a NaN sample passed every refusal: dx warned
+    # twice and CG stopped on "curvature nan, not positive"
+    g = PeriodicGrid(n=NX, period=PERIOD, k0_multiple=4)
+    rows = {"eta_under": 1e-2 * np.cos(K0 * g.x), "eta_over": np.zeros(NX)}
+    rows[row][[17, 40]] = value
+    eta = ProfilePair(g, rows["eta_under"], rows["eta_over"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=f"row {row} holds a non-finite "
+                           f"sample {value} at index 17$"):
+            eval_L_exact(eta, BENCH, strip)
+    assert fft_record == []
 
 
 def test_flat_lower_inverts_modulus_multiplier(lower, x):
