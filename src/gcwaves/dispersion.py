@@ -137,14 +137,15 @@ def eval_fbar(k) -> np.ndarray:
     return _sym2(diag, off, diag)
 
 
-def _pf_derivatives(k, p: Params):
-    """(P', F', P'', F'') at scalar or array k > 0, each (..., 2, 2).
+def _pf_derivatives(k, p: Params, entries):
+    """(P', F', P'', F'') at scalar or array k > 0, each (..., 2, 2),
+    from ``entries``, F-bar's (``fbar_entries``) at k.
 
     The F-bar entries (d, o) obey d' = (d - o^2)/k, o' = o (1 - d)/k,
     d'' = 2 o^2 (d - 1)/k^2 and o'' = o (d^2 + o^2 - 2 d)/k^2.
     """
     k = np.asarray(k, dtype=float)
-    d, o = fbar_entries(k)
+    d, o = entries
     d1, o1 = (d - o**2) / k, o * (1.0 - d) / k
     d2, o2 = 2.0 * o**2 * (d - 1.0) / k**2, o * (d**2 + o**2 - 2.0 * d) / k**2
     zero, one = np.zeros_like(k), np.ones_like(k)
@@ -171,8 +172,14 @@ def eval_PF(k, p: Params):
     rho [[1, -1], [-1, 1]].
     """
     k = np.asarray(k, dtype=float)
+    return _pf(k, p, fbar_entries(k))
+
+
+def _pf(k: np.ndarray, p: Params, entries):
+    """``eval_PF`` at the float array k, from ``entries``, F-bar's
+    (``fbar_entries``) at k."""
     ak = np.abs(k)
-    diag, off = fbar_entries(ak)
+    diag, off = entries
     with np.errstate(over="ignore", invalid="ignore"):
         P = _sym2(1.0 - p.rho + p.beta_under * ak**2, np.zeros_like(ak),
                   p.rho * (1.0 + p.beta_over * ak**2))
@@ -182,14 +189,15 @@ def eval_PF(k, p: Params):
     return P, F
 
 
-def _branches(k, p: Params):
+def _branches(k, p: Params, entries):
     """lambda_minus, lambda_plus, the discriminant D and the slow
-    eigenvector v (unnormalised, shape (..., 2)) at scalar or array k."""
+    eigenvector v (unnormalised, shape (..., 2)) at scalar or array k,
+    from ``entries``, F-bar's (``fbar_entries``) at k."""
     k = np.asarray(k, dtype=float)
     ak = np.abs(k)
     if np.any(ak == 0.0):
         raise RangeError("eigenvalues are evaluated for k != 0")
-    d, o = fbar_entries(ak)
+    d, o = entries
     t, sech = ak / d, -o / d
     with np.errstate(over="ignore", invalid="ignore"):
         p1 = 1.0 - p.rho + p.beta_under * ak**2
@@ -221,16 +229,19 @@ def eval_lambda(k, p: Params):
         The two branches and the (positive) discriminant, each of the
         shape of k.
     """
-    lm, lp, D, _ = _branches(k, p)
+    lm, lp, D, _ = _branches(k, p, fbar_entries(k))
     return lm[()], lp[()], D[()]
 
 
 def _slope(k, p: Params):
     """lambda_minus'(k) = v.(P' - lambda_minus F')v / v.Fv at scalar or
-    array k > 0, with v the slow eigenvector."""
-    lm, _, _, v = _branches(k, p)
-    _, F = eval_PF(k, p)
-    dP, dF, _, _ = _pf_derivatives(k, p)
+    array k > 0, with v the slow eigenvector; F-bar's entries at k are
+    taken once, for the branches, F and the derivatives."""
+    k = np.asarray(k, dtype=float)
+    entries = fbar_entries(k)
+    lm, _, _, v = _branches(k, p, entries)
+    _, F = _pf(k, p, entries)
+    dP, dF, _, _ = _pf_derivatives(k, p, entries)
 
     def quad(M):
         return np.einsum("...i,...ij,...j->...", v, M, v)
@@ -261,7 +272,7 @@ def eval_a(p: Params, k0: float) -> float:
         raise RangeError(
             f"closed-form a is ill-conditioned for k0={k0} > {_K_HYPERBOLIC_CUTOFF}"
         )
-    v = _branches(k0, p)[3]
+    v = _branches(k0, p, fbar_entries(k0))[3]
     return float(-v[1] / v[0])
 
 
@@ -368,7 +379,8 @@ def find_critical(
     # A2 = d^2/dk^2 [g(k) v0 . v0] at k0 = v0 . g''(k0) v0, v0 held fixed,
     # equals lambda'' F v0.v0 + 2 g v0'.v0' at k0, where lambda' = 0 and
     # v0' = (0, -a') with a = g11/g12 and g' = P' - nu0^2 F'
-    (P, F), (dP, dF, d2P, d2F) = eval_PF(k0, p), _pf_derivatives(k0, p)
+    (P, F), (dP, dF, d2P, d2F) = (eval_PF(k0, p),
+                                  _pf_derivatives(k0, p, fbar_entries(k0)))
     v0 = np.array([1.0, -a])
     a2 = float(v0 @ (d2P - nu0**2 * d2F) @ v0)
     g, dg = P - nu0**2 * F, dP - nu0**2 * dF

@@ -5,8 +5,10 @@ Neumann-Dirichlet maps of both fluid layers.  This module realizes those
 maps by solving the flattened-domain boundary-value problems directly:
 each layer is pulled back to a fixed strip, where the Laplacian becomes a
 divergence-form operator with coefficient matrix I + Q depending on the
-profiles.  Horizontal discretization is Fourier-spectral, vertical is
-Chebyshev collocation with Clenshaw-Curtis quadrature (the energy form is
+profiles; its determinant is 1 in both layers, so the second flux is
+formed from the first, and the matrix's last entry is never stored.
+Horizontal discretization is Fourier-spectral, vertical is Chebyshev
+collocation with Clenshaw-Curtis quadrature (the energy form is
 assembled from the quadrature, which keeps the operator symmetric
 positive semi-definite); the linear systems are solved by conjugate
 gradients preconditioned with the exact flat-geometry per-mode inverse,
@@ -33,7 +35,7 @@ when the energy has converged, not the residual: L is a sum of b.u,
 whose error is the square of the solver's energy-norm error.
 
 Each ``StripGrid`` owns the oracle's state on it: one work area
-(``_WorkArea``) the size of nine (ny+1) x nx arrays, shared by every
+(``_WorkArea``) the size of six (ny+1) x nx arrays, shared by every
 solver built on the strip, and the solver pair of the latest period
 solved on it, which a new period replaces.  Every transform, matrix product and ufunc
 of a solve writes into the area, so a solve allocates no array of that
@@ -163,18 +165,19 @@ def _parseval_dot(a: np.ndarray, b: np.ndarray) -> float:
 class _WorkArea:
     """The arrays a solve runs in, on a strip of (ny+1) x nx samples.
 
-    Three spectra of shape (ny+1, nx/2+1), each holding coefficients in
-    the flat strip's vertical eigenbasis V (the field is V C): the
-    residual ``r``, the direction ``d`` and ``z``, the preconditioned
-    residual, which ``apply`` also writes A d into.  One block ``pair``
-    of two stacked spectra, (2(ny+1), nx/2+1), whose halves ``lo`` and
-    ``hi`` take in turn the datum (``_solve_flux`` writes it into
-    ``lo``), ``apply``'s forward product [V; D V] C and the pair
-    [F2; ik F1] of its backward product; ``pair_f`` is its float view,
-    and ``lo_p`` and ``z_p`` view the leading (ny+1) x nx doubles of
-    ``lo`` and ``z`` as physical arrays.  Four physical arrays: ``u0``
-    and ``u1`` for ``apply``, and the upper layer's flux coefficients
-    -f_x and (1 + f_x^2)/(1 + f_y) in ``fx`` and ``q22``.
+    Six strip-sized arrays.  Two spectra of shape (ny+1, nx/2+1), each
+    holding coefficients in the flat strip's vertical eigenbasis V (the
+    field is V C): the residual ``r`` and the direction ``d``.  One block
+    ``abc`` of three stacked spectra, (3(ny+1), nx/2+1), whose thirds
+    ``a``, ``b`` and ``c`` ``apply`` cycles through: the forward product
+    [V; D V] C into [a; b] (``ab_f``, their float view), the field's two
+    derivatives into the physical views ``c_p`` and ``a_p``, the fluxes
+    into ``b_p`` and ``c_p``, their spectra back into [a; b], and the
+    product A d into ``c``.  ``c`` also takes the datum (``_solve_flux``
+    writes it there) and the preconditioned residual.  The physical views
+    ``a_p``, ``b_p`` and ``c_p`` are the leading (ny+1) x nx doubles of
+    ``a``, ``b`` and ``c``.  One physical array, ``fx``, holds the upper
+    layer's flux coefficient -f_x.
 
     A ``StripGrid`` allocates its one area on first use and shares it
     among the solvers built on it, which therefore solve one at a time.
@@ -182,16 +185,16 @@ class _WorkArea:
 
     def __init__(self, nx: int, ny: int):
         m = ny + 1
-        self.r, self.z, self.d = (
-            np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(3))
-        self.pair = np.empty((2 * m, nx // 2 + 1), dtype=complex)
-        self.pair_f = self.pair.view(float)
-        self.lo, self.hi = self.pair[:m], self.pair[m:]
-        self.u0, self.u1, self.fx, self.q22 = (
-            np.empty((m, nx)) for _ in range(4))
-        self.lo_p, self.z_p = (
-            a.view(float).reshape(-1)[:m * nx].reshape(m, nx)
-            for a in (self.lo, self.z))
+        self.r, self.d = (
+            np.empty((m, nx // 2 + 1), dtype=complex) for _ in range(2))
+        self.abc = np.empty((3 * m, nx // 2 + 1), dtype=complex)
+        self.a, self.b, self.c = (self.abc[i * m:(i + 1) * m]
+                                  for i in range(3))
+        self.ab_f = self.abc[:2 * m].view(float)
+        self.fx = np.empty((m, nx))
+        self.a_p, self.b_p, self.c_p = (
+            s.view(float).reshape(-1)[:m * nx].reshape(m, nx)
+            for s in (self.a, self.b, self.c))
 
 
 class _StripOperator:
@@ -203,9 +206,11 @@ class _StripOperator:
     inverse is the diagonal ``_inv_eig`` (one column per mode), so
     preconditioning is one elementwise product, and ``apply`` maps C to
     V^T A V C at four transforms and two matrix products.
-    ``set_geometry`` returns the flux coefficients q = (q11, q12, q22)
-    that ``solve`` and ``apply`` take; q11 is None where it is
-    identically 1, as in the lower layer.  Everything of (ny+1) x nx
+    ``set_geometry`` returns the flux coefficients q = (q11, q12, 1/q11)
+    that ``solve`` and ``apply`` take; the coefficient matrix
+    [[q11, q12], [q12, q22]] has determinant 1 in both layers, so q22 =
+    (1 + q12^2)/q11 is never formed.  q11 and 1/q11 are None where they
+    are identically 1, as in the lower layer.  Everything of (ny+1) x nx
     size lives in ``work``, the strip's ``_WorkArea``; the solver keeps
     no reference to the strip.
     """
@@ -239,9 +244,9 @@ class _StripOperator:
         DV = self.D @ V
         w = self.hx * self.wy
         # apply's two products: the field and its y-derivative, [V; D V] C,
-        # and the energy form's two fluxes, [V^T D^T W, -V^T W] [F2; ik F1]
+        # and the energy form's two fluxes, [-V^T W, V^T D^T W] [ik F1; F2]
         self._forward = np.vstack([V, DV])
-        self._backward = np.hstack([DV.T * w, -(V.T * w)])
+        self._backward = np.hstack([-(V.T * w), DV.T * w])
         self._V = self._forward[:len(V)]
         self._inv_eig = 1.0 / (self.hx * (self.k**2 + s[:, None]**2))
         # the last singular value (about 1e-14) is that of the constants,
@@ -276,36 +281,41 @@ class _StripOperator:
         ``q`` and the coefficient spectrum C, written into ``out``.
 
         The forward product [V; D V] C gives the spectra of the field U
-        and of U_y, two irffts take U_x and U_y to physical space, where
-        the fluxes are formed, and after two rffts the backward product
-        [V^T D^T W, -V^T W] [F2; ik F1] gives the coefficients of
-        D^T W F2 - ik W F1.  Both products run on the float view (real and
-        imaginary parts side by side) of the work area's ``pair``, and the
-        quadrature weights W are in the backward table.  ``keep``, a
-        (rows, array) pair, takes the spectrum of U on those rows from
-        the forward product.  The physical temporaries are ``u0``, ``u1``,
-        ``z_p`` and ``lo_p``; ``out`` may be the work area's ``z``.
+        and of U_y in the work area's ``a`` and ``b``; two irffts take
+        U_x to ``c`` and U_y to ``a`` in physical space, where the fluxes
+        F1 = q11 U_x + q12 U_y and F2 = (U_y + q12 F1)/q11 are formed into
+        ``b`` and ``c`` (the coefficient matrix has determinant 1, so this
+        F2 is q12 U_x + q22 U_y).  Two rffts take F1 to ``a`` and F2 to
+        ``b``, and the backward product [-V^T W, V^T D^T W] [ik F1; F2]
+        gives the coefficients of D^T W F2 - ik W F1.  Both products run
+        on the float view (real and imaginary parts side by side) of
+        [a; b], and the quadrature weights W are in the backward table.
+        ``keep``, a (rows, array) pair, takes the spectrum of U on those
+        rows from the forward product.  ``out`` may be the work area's
+        ``c``, which holds F2 only until its rfft.
         """
         w = self.work
-        q11, q12, q22 = q
-        np.matmul(self._forward, C.view(float), out=w.pair_f)
+        q11, q12, r11 = q
+        np.matmul(self._forward, C.view(float), out=w.ab_f)
         if keep is not None:
             rows, kept = keep
-            kept[...] = w.lo[rows]
-        w.lo *= self.ik
-        Ux = np.fft.irfft(w.lo, self.nx, axis=1, out=w.u0)
-        Uy = np.fft.irfft(w.hi, self.nx, axis=1, out=w.u1)
-        f1 = np.multiply(q12, Uy, out=w.z_p)
-        f1 += Ux if q11 is None else np.multiply(q11, Ux, out=w.lo_p)
-        # f2 takes Ux's array, which f1 no longer needs
-        f2 = Ux
-        f2 *= q12
-        Uy *= q22
-        f2 += Uy
-        np.fft.rfft(f2, axis=1, out=w.lo)
-        F1 = np.fft.rfft(f1, axis=1, out=w.hi)
-        F1 *= self.ik
-        np.matmul(self._backward, w.pair_f, out=out.view(float))
+            kept[...] = w.a[rows]
+        w.a *= self.ik
+        Ux = np.fft.irfft(w.a, self.nx, axis=1, out=w.c_p)
+        Uy = np.fft.irfft(w.b, self.nx, axis=1, out=w.a_p)
+        F1 = np.multiply(q12, Uy, out=w.b_p)
+        if q11 is not None:
+            Ux *= q11
+        F1 += Ux
+        # F2 takes Ux's array, which F1 no longer needs
+        F2 = np.multiply(q12, F1, out=w.c_p)
+        F2 += Uy
+        if r11 is not None:
+            F2 *= r11
+        np.fft.rfft(F1, axis=1, out=w.a)
+        np.fft.rfft(F2, axis=1, out=w.b)
+        w.a *= self.ik
+        np.matmul(self._backward, w.ab_f, out=out.view(float))
         return out
 
     def solve(self, b: np.ndarray, q: tuple, rows):
@@ -314,11 +324,14 @@ class _StripOperator:
 
         Takes the datum's rfft spectrum, which it overwrites, and returns
         the solution's spectrum on ``rows``, with the iterations and the
-        final ``rel``.  The residual, the preconditioned residual and the
-        directions are coefficient spectra in the flat eigenbasis V, the
-        work area's ``r``, ``z`` and ``d``: the residual starts at V^T b,
-        and the flat-strip inverse P = V diag(``_inv_eig``) V^T makes the
-        preconditioned residual the elementwise product ``_inv_eig`` r.
+        final ``rel``.  The residual, the directions and the
+        preconditioned residual are coefficient spectra in the flat
+        eigenbasis V, the work area's ``r``, ``d`` and ``c``; each
+        iteration's A d goes into ``c`` too, and is spent on the residual
+        before the preconditioned residual replaces it.  The residual
+        starts at V^T b, and the flat-strip inverse P = V diag(``_inv_eig``)
+        V^T makes the preconditioned residual the elementwise product
+        ``_inv_eig`` r.
         Inner products are Parseval sums, which V carries over: r.Pr and
         d.Ad are sums over the coefficients.
         Column 0 of the datum is made mean-free, and the constants'
@@ -361,7 +374,7 @@ class _StripOperator:
         bpb = rz
         it = 0
         for it in range(1, 4000):
-            Ad = self.apply(d, q, w.z, keep=(rows, u))
+            Ad = self.apply(d, q, w.c, keep=(rows, u))
             dAd = _parseval_dot(d, Ad)
             if not dAd > 0.0:
                 raise NumericalError(
@@ -372,7 +385,7 @@ class _StripOperator:
             x += alpha * u
             Ad *= alpha
             r -= Ad
-            z = np.multiply(self._inv_eig, r, out=w.z)
+            z = np.multiply(self._inv_eig, r, out=w.c)
             rz_new = max(_parseval_dot(r, z), 0.0)
             rel = math.sqrt(rz_new / bpb)
             if rel <= self.cg_tol:
@@ -392,12 +405,12 @@ class _StripOperator:
         (row, psi) of ``flux_rows``, on the geometry of the flux
         coefficients ``q``, and return its traces on ``trace_rows``.
         Only those rows are transformed: one rfft of the flux rows into
-        an otherwise zero datum spectrum, the work area's ``lo``, and
+        an otherwise zero datum spectrum, the work area's ``c``, and
         one irfft of the trace rows, the only rows the solve keeps.  The
         potential is defined up to constants, and this is its one gauge:
         the first trace is given zero mean."""
         rows, psis = zip(*flux_rows)
-        b = self.work.lo
+        b = self.work.c
         b.fill(0.0)
         b[list(rows)] = np.fft.rfft(self.hx * np.stack(psis), axis=1)
         traces, _, _ = self.solve(b, q, list(trace_rows))
@@ -418,8 +431,10 @@ class LowerSolver(_StripOperator):
         super().__init__(strip, period, -strip.depth_under, 0.0)
 
     def set_geometry(self, slope: np.ndarray) -> tuple:
-        """The flux coefficients, which depend only on the slope eta_x."""
-        return None, -slope[None, :], (1.0 + slope**2)[None, :]
+        """The flux coefficients (q11, q12, 1/q11), which depend only on
+        the slope eta_x: q11 = 1, given as None, and q12 = -eta_x, one
+        row that every depth shares."""
+        return None, -slope[None, :], None
 
     def solve_neumann(self, slope: np.ndarray,
                       psi: np.ndarray) -> np.ndarray:
@@ -443,21 +458,22 @@ class UpperSolver(_StripOperator):
         super().__init__(strip, period, 0.0, 1.0)
 
     def set_geometry(self, eta: np.ndarray, slopes: np.ndarray) -> tuple:
-        """The flux coefficients of the stacked profile and its slopes."""
+        """The flux coefficients (q11, q12, 1/q11) of the stacked profile
+        and its slopes: q11 = 1 + f_y and its reciprocal are rows that
+        every depth shares, and q12 = -f_x, in the work area's ``fx``, is
+        the one (ny+1) x nx array of the geometry."""
         fy = eta[1] - eta[0]
         if 1.0 + float(np.min(fy)) <= _PINCH_OFF_H0:
             raise GeometryError(
                 f"layer pinch-off: 1 + inf(eta_over - eta_under) <= {_PINCH_OFF_H0}"
             )
         ex_u, ex_o = slopes
-        w = self.work
-        fx = np.multiply((ex_o - ex_u)[None, :], self.y[:, None], out=w.fx)
-        fx += ex_u[None, :]
-        q22 = np.square(fx, out=w.q22)
-        q22 += 1.0
+        # -f_x = (ex_u - ex_o) y - ex_u, bit for bit the negated f_x
+        q12 = np.multiply((ex_u - ex_o)[None, :], self.y[:, None],
+                          out=self.work.fx)
+        q12 -= ex_u[None, :]
         one_fy = 1.0 + fy[None, :]
-        q22 /= one_fy
-        return one_fy, np.negative(fx, out=fx), q22
+        return one_fy, q12, 1.0 / one_fy
 
     def solve_neumann(self, eta: np.ndarray, slopes: np.ndarray,
                       psi_i: np.ndarray, psi_s: np.ndarray) -> tuple:

@@ -652,7 +652,9 @@ def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,
     dphi = np.zeros_like(x)
     for j in (-1, 0, 1):
         z = decay * eps * (x + j * L)
-        sech = 1.0 / np.cosh(z)
+        # cosh overflows far out on a wide envelope: 1/inf = 0 is the sech
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(z)
         phi += amp * sech
         dphi -= amp * decay * eps**2 * sech * np.tanh(z)
 

@@ -208,10 +208,12 @@ def physical_apply(op, q, U):
     """The energy-form operator of a ``dno`` strip operator with flux
     coefficients ``q`` on a physical (ny+1, nx) array, with the flux
     formed by two spectral derivatives (the transpose of ``dx`` is ``-dx``
-    on the uniform grid); a q11 of None is the lower layer's,
-    identically 1."""
-    q11, q12, q22 = q
+    on the uniform grid) and from the full coefficient matrix, with q22 =
+    (1 + q12^2)/q11 of determinant 1; a q11 of None is the lower
+    layer's, identically 1."""
+    q11, q12, _ = q
     q11 = 1.0 if q11 is None else q11
+    q22 = (1.0 + q12**2) / q11
     Ux = op.dx(U)
     Uy = op.D @ U
     f1 = q11 * Ux + q12 * Uy

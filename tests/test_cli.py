@@ -922,7 +922,7 @@ def test_validate_passes(tmp_path, capsys):
 #: SHA-256 of validate's JSON at [grid] n = 128, strip_ny = 48; its
 #: checks fail on that strip, so it exits 3
 VALIDATE_N128_SHA256 = \
-    "b56057ae5178110e25679a9c329ad3a195cc0ba27fba42a9f46bc96102cdcea4"
+    "bdb3d09e0b09bd49aad7ae246dfdb7be036edd3a1ad554a50e8ecf48f6cb9f39"
 
 
 def test_validate_checks_the_gradient_at_n16(tmp_path):

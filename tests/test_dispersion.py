@@ -340,6 +340,23 @@ def test_flat_minimum_refines_in_few_slope_evaluations(monkeypatch):
         assert len(calls) <= 30
 
 
+def test_slope_takes_fbar_entries_once_per_call(monkeypatch):
+    # the branches, F and the derivatives of F share one evaluation of
+    # F-bar's entries, at a scalar k as the secant gives it and at the
+    # scan's arrays of bracket ends
+    from gcwaves import dispersion
+    calls = []
+
+    def counted(k):
+        calls.append(np.shape(k))
+        return fbar_entries(k)
+    monkeypatch.setattr(dispersion, "fbar_entries", counted)
+    for k in (1.25, np.geomspace(0.5, 2.0, 7)):
+        calls.clear()
+        dispersion._slope(k, BENCH)
+        assert calls == [np.shape(k)]
+
+
 # frozen 40-digit evaluations of (k0, nu0, a, lambda''(k0), A2): k0 is the
 # root of lambda_minus', and the rest follow from the same closed forms
 MINIMUM_DATA = {

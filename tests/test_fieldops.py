@@ -1034,6 +1034,24 @@ def test_eps_of_mu_past_the_small_amplitude_range(bench_coeffs, bench_crit):
     assert f"carrier multiple {m}" in str(err.value)
 
 
+def test_eps_of_mu_refuses_a_wide_envelope_before_any_warning():
+    # next to the degenerate point the envelope is wide, and cosh
+    # overflows in build_eta_star's far wraps; sech = 1/inf = 0 there, so
+    # the overflow must not warn, and the RangeError is what the caller
+    # sees (tier-1 turns a RuntimeWarning into an error)
+    import dataclasses
+    from conftest import DEGENERATE_SEED
+    from gcwaves.dispersion import refine_degenerate
+    q = refine_degenerate(Params(*DEGENERATE_SEED))
+    q = dataclasses.replace(q, beta_over=q.beta_over + 1e-3)
+    crit = find_critical(q).crit
+    c = compute_coefficients(q, crit)
+    mu = 1e-3
+    grid = make_grid(64, crit.k0, suggest_carrier_multiple(c, crit, mu))
+    with pytest.raises(RangeError, match="not increasing through the target"):
+        eps_of_mu(q, c, crit, grid, mu)
+
+
 def test_cubic_law_near_resonant_regime(resonant_crit, resonant_coeffs):
     # close to the long-wave resonance the coefficients are large and the
     # cubic law of the test profile sets in only near mu ~ 1e-4; the
