@@ -408,7 +408,8 @@ def _result_dict(r: minimizer.MinimizeResult, crit) -> dict:
 
 def cmd_minimize(args) -> int:
     cfg = parse_config(args.config)
-    mus = _parse_sweep(args.sweep) if args.sweep else [cfg["minimize"]["mu"]]
+    sweep = args.sweep is not None
+    mus = _parse_sweep(args.sweep) if sweep else [cfg["minimize"]["mu"]]
     crit, c = _gate(cfg, None, focusing=True)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -442,7 +443,7 @@ def cmd_minimize(args) -> int:
                   list(zip(*r.history)))
     unconverged = [f"mu={mu:g} ({r.reason})"
                    for mu, r in zip(mus, runs) if not r.converged]
-    if args.sweep and unconverged:
+    if sweep and unconverged:
         print(f"sweep not converged, no speed fit: {', '.join(unconverged)}",
               file=sys.stderr)
         return EXIT_NUMERICAL

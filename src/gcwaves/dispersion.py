@@ -171,13 +171,12 @@ def eval_PF(k, p: Params):
     for scalar or array k.  F(0) is the finite (singular) limit
     rho [[1, -1], [-1, 1]].
     """
-    k = np.asarray(k, dtype=float)
     return _pf(k, p, fbar_entries(k))
 
 
-def _pf(k: np.ndarray, p: Params, entries):
-    """``eval_PF`` at the float array k, from ``entries``, F-bar's
-    (``fbar_entries``) at k."""
+def _pf(k, p: Params, entries):
+    """``eval_PF`` from ``entries``, F-bar's (``fbar_entries``) at k."""
+    k = np.asarray(k, dtype=float)
     ak = np.abs(k)
     diag, off = entries
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,13 +265,18 @@ def eval_a(p: Params, k0: float) -> float:
     (sqrt(D) + x) / (2 rho q sech k0), has no cancellation.  Always
     positive.
     """
+    return _a(k0, p, fbar_entries(k0))
+
+
+def _a(k0: float, p: Params, entries) -> float:
+    """``eval_a`` from ``entries``, F-bar's (``fbar_entries``) at k0."""
     if k0 <= 0.0:
         raise RangeError("k0 must be positive")
     if k0 > _K_HYPERBOLIC_CUTOFF:
         raise RangeError(
             f"closed-form a is ill-conditioned for k0={k0} > {_K_HYPERBOLIC_CUTOFF}"
         )
-    v = _branches(k0, p, fbar_entries(k0))[3]
+    v = _branches(k0, p, entries)[3]
     return float(-v[1] / v[0])
 
 
@@ -332,9 +336,9 @@ def find_critical(
 
     Dense log-spaced scan; every local minimum of the scan is then
     refined to the root of the closed-form slope lambda_minus' between
-    its two neighbours.  The global one fills a CriticalPoint, the others
-    are screened for near-ties (double minima).  Deterministic for fixed
-    inputs.
+    its two neighbours.  The global one fills a CriticalPoint, from one
+    evaluation of F-bar's entries at k0, and the others are screened for
+    near-ties (double minima).  Deterministic for fixed inputs.
     """
     if not (0.0 < k_min < k_max < math.inf and samples >= 3):
         raise ConfigError(
@@ -375,12 +379,13 @@ def find_critical(
     ]
 
     nu0 = math.sqrt(lam0)
-    a = eval_a(p, k0)
+    entries = fbar_entries(k0)
+    a = _a(k0, p, entries)
     # A2 = d^2/dk^2 [g(k) v0 . v0] at k0 = v0 . g''(k0) v0, v0 held fixed,
     # equals lambda'' F v0.v0 + 2 g v0'.v0' at k0, where lambda' = 0 and
     # v0' = (0, -a') with a = g11/g12 and g' = P' - nu0^2 F'
-    (P, F), (dP, dF, d2P, d2F) = (eval_PF(k0, p),
-                                  _pf_derivatives(k0, p, fbar_entries(k0)))
+    (P, F), (dP, dF, d2P, d2F) = (_pf(k0, p, entries),
+                                  _pf_derivatives(k0, p, entries))
     v0 = np.array([1.0, -a])
     a2 = float(v0 @ (d2P - nu0**2 * d2F) @ v0)
     g, dg = P - nu0**2 * F, dP - nu0**2 * dF

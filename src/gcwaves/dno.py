@@ -276,7 +276,7 @@ class _StripOperator:
         return np.fft.irfft(self.ik * np.fft.rfft(U, axis=1), self.nx, axis=1)
 
     def apply(self, C: np.ndarray, q: tuple, out: np.ndarray,
-              keep: tuple | None = None) -> np.ndarray:
+              keep: tuple) -> np.ndarray:
         """V^T A V C for the energy-form operator A with flux coefficients
         ``q`` and the coefficient spectrum C, written into ``out``.
 
@@ -290,16 +290,15 @@ class _StripOperator:
         gives the coefficients of D^T W F2 - ik W F1.  Both products run
         on the float view (real and imaginary parts side by side) of
         [a; b], and the quadrature weights W are in the backward table.
-        ``keep``, a (rows, array) pair, takes the spectrum of U on those
-        rows from the forward product.  ``out`` may be the work area's
-        ``c``, which holds F2 only until its rfft.
+        ``keep``, a (rows, array) pair, copies the spectrum of U on those
+        rows into the array, from which CG accumulates its solution.
+        ``out`` may be the work area's ``c``, which holds F2 until its rfft.
         """
         w = self.work
         q11, q12, r11 = q
         np.matmul(self._forward, C.view(float), out=w.ab_f)
-        if keep is not None:
-            rows, kept = keep
-            kept[...] = w.a[rows]
+        rows, kept = keep
+        kept[...] = w.a[rows]
         w.a *= self.ik
         Ux = np.fft.irfft(w.a, self.nx, axis=1, out=w.c_p)
         Uy = np.fft.irfft(w.b, self.nx, axis=1, out=w.a_p)

@@ -215,9 +215,10 @@ class _Symbols:
     multiplier matrix, from ``dispersion.fbar_entries``, and
     ``nb_diag_pad``/``nb_off_pad`` those of its inverse; every F-bar
     product in the truncated functionals is formed from them.
-    ``parseval`` weights products of padded-grid rfft coefficients so that
-    their sum is the integral of the product of the two fields over the
-    period.  ``h2_weight`` is the base-band H^2 symbol 1 + k^2 + k^4.
+    ``parseval_pad`` and ``parseval`` weight products of padded-grid and
+    n-grid rfft coefficients so that their sum is the integral of the
+    product of the two fields over the period.  ``h2_weight`` is the
+    base-band H^2 symbol 1 + k^2 + k^4.
     """
 
     def __init__(self, n: int, period: float):
@@ -235,7 +236,8 @@ class _Symbols:
         npad = _PAD * n
         w = np.full(npad // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
-        self.parseval = w * period / npad**2
+        self.parseval_pad = w * period / npad**2
+        self.parseval = np.append(w[: n // 2], 1.0) * (period / n**2)
 
 
 def _clean(U: np.ndarray, n: int) -> np.ndarray:
@@ -364,7 +366,7 @@ class StagedProfile:
         """Integral of the product of two fields given by padded spectra
         (summed over stacked components; A may stop at any wavenumber)."""
         m = A.shape[-1]
-        wA = (self.sym.parseval[:m] * A).view(float).ravel()
+        wA = (self.sym.parseval_pad[:m] * A).view(float).ravel()
         # einsum, not vdot: vdot goes through BLAS, whose worker threads
         # made it up to 60 times slower on a busy 2-core host.  einsum's
         # sum order follows its operands' memory order, so the helpers
@@ -500,20 +502,17 @@ def _breakdown(f: StagedProfile, p: Params, mu: float) -> FunctionalBreakdown:
     )
 
 
-def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
-    """Gradient stage: the L^2 gradient of ck K + cl L_trunc on the n-grid,
+def _gradient(f: StagedProfile, p: Params, cl: float):
+    """Gradient stage: the L^2 gradient of K + cl L_trunc on the n-grid,
     as its rfft spectrum G, shape (2, n/2 + 1), Nyquist column zero
     (``np.fft.irfft(G, n)`` gives the two gradient rows).
 
     Terms free of an outer multiplier are summed on the padded grid, and
     products under a common multiplier are summed before their forward
     transform.  Only the grid band of the result survives, so the
-    multipliers, F-bar included, and the weights ck and cl act on that
-    band of the padded spectra, whose sum is G.  Each padded field is
-    dropped once its terms are formed.  ``grad_J`` passes ck = 1; the
-    weights stay because ``tests/spectral_helpers.py`` takes grad K
-    (ck, cl = 1, 0) and grad L_trunc (0, 1) from this body, which the
-    acceptance and reference-parity tests check one at a time.
+    multipliers, F-bar included, and the weight cl act on that band of
+    the padded spectra, whose sum is G.  Each padded field is dropped
+    once its terms are formed.
     """
     s, r, n = f.sym, p.rho, f.grid.n
     npad = _PAD * n
@@ -527,41 +526,40 @@ def _gradient(f: StagedProfile, p: Params, ck: float, cl: float):
 
     # surface tension: -beta d/dx (eta_x / sqrt(1 + eta_x^2))
     beta = np.array([[p.beta_under], [r * p.beta_over]])
-    G = -ck * beta * s.ik * band_spectra(ux / np.sqrt(1.0 + ux**2),
-                                         vx / np.sqrt(1.0 + vx**2))
-    point_u = ck * (1.0 - r) * u
-    point_v = ck * r * v
-    if cl:
-        q = f.products
-        uxx, Ku, B1, B2 = f.uxx, f.Ku, f.B1, f.B2
-        # lower layer, with the products under -k^2 and under |k|
-        KuKu = np.fft.irfft(s.absk_pad * q.P, npad)
-        point_u += cl * (Ku - 0.5 * Ku**2 - 0.5 * ux**2 - u * uxx
-                         + u * uxx * Ku + Ku * KuKu)
-        Y = band_spectra(u**2 * Ku, 0.5 * u**2 * uxx + u * (KuKu - Ku))
-        G[0] += cl * (0.5 * s.mk2 * Y[0] + s.absk * Y[1])
-        del KuKu
-        # upper layer, with the products under F-bar, where
-        # d/dx (u^2 u_x) / 2 enters as u u_x^2 + u^2 u_xx / 2
-        cr = cl * r
-        vxx = f.padded(s.mk2 * f.UV[1])
-        point_u += cr * (B1 + 0.5 * ux**2 + u * uxx + 0.5 * B1**2)
-        point_v += cr * (B2 - 0.5 * vx**2 - v * vxx - 0.5 * B2**2)
-        z1x, z2x = np.fft.irfft(s.ik_pad * q.Z, npad)
-        point_u -= cr * z1x * B1
-        point_v -= cr * z2x * B2
-        Y = band_spectra(u * (z1x - B1 + ux**2 + 0.5 * u * uxx),
-                         v * (z2x + B2 + vx**2 + 0.5 * v * vxx))
-        G -= cr * _fbar_apply(s.fb_diag, s.fb_off, Y)
-        del vxx, z1x, z2x
-        B1xx, B2xx = f.padded(s.mk2 * f.B_hat)
-        point_u -= 0.5 * cr * u**2 * B1xx
-        point_v -= 0.5 * cr * v**2 * B2xx
-        del B1xx, B2xx
-        # d/dx Fbar (Z + R) is -k^2 S: Fbar (Z + R) = W + Fbar R = d/dx S
-        Tu, Tv = np.fft.irfft(s.mk2_pad * q.S, npad)
-        point_u += cr * u * Tu
-        point_v += cr * v * Tv
+    G = -beta * s.ik * band_spectra(ux / np.sqrt(1.0 + ux**2),
+                                    vx / np.sqrt(1.0 + vx**2))
+    point_u = (1.0 - r) * u
+    point_v = r * v
+    q = f.products
+    uxx, Ku, B1, B2 = f.uxx, f.Ku, f.B1, f.B2
+    # lower layer, with the products under -k^2 and under |k|
+    KuKu = np.fft.irfft(s.absk_pad * q.P, npad)
+    point_u += cl * (Ku - 0.5 * Ku**2 - 0.5 * ux**2 - u * uxx
+                     + u * uxx * Ku + Ku * KuKu)
+    Y = band_spectra(u**2 * Ku, 0.5 * u**2 * uxx + u * (KuKu - Ku))
+    G[0] += cl * (0.5 * s.mk2 * Y[0] + s.absk * Y[1])
+    del KuKu
+    # upper layer, with the products under F-bar, where
+    # d/dx (u^2 u_x) / 2 enters as u u_x^2 + u^2 u_xx / 2
+    cr = cl * r
+    vxx = f.padded(s.mk2 * f.UV[1])
+    point_u += cr * (B1 + 0.5 * ux**2 + u * uxx + 0.5 * B1**2)
+    point_v += cr * (B2 - 0.5 * vx**2 - v * vxx - 0.5 * B2**2)
+    z1x, z2x = np.fft.irfft(s.ik_pad * q.Z, npad)
+    point_u -= cr * z1x * B1
+    point_v -= cr * z2x * B2
+    Y = band_spectra(u * (z1x - B1 + ux**2 + 0.5 * u * uxx),
+                     v * (z2x + B2 + vx**2 + 0.5 * v * vxx))
+    G -= cr * _fbar_apply(s.fb_diag, s.fb_off, Y)
+    del vxx, z1x, z2x
+    B1xx, B2xx = f.padded(s.mk2 * f.B_hat)
+    point_u -= 0.5 * cr * u**2 * B1xx
+    point_v -= 0.5 * cr * v**2 * B2xx
+    del B1xx, B2xx
+    # d/dx Fbar (Z + R) is -k^2 S: Fbar (Z + R) = W + Fbar R = d/dx S
+    Tu, Tv = np.fft.irfft(s.mk2_pad * q.S, npad)
+    point_u += cr * u * Tu
+    point_v += cr * v * Tv
     G += band_spectra(point_u, point_v)
     G /= _PAD
     G[:, n // 2] = 0.0
@@ -595,7 +593,7 @@ def grad_J(eta: ProfilePair | StagedProfile, p: Params, mu: float):
     (``_gradient``), plus the breakdown."""
     staged = eta if isinstance(eta, StagedProfile) else _staged(eta)
     bd = staged.breakdown(p, mu)
-    return _gradient(staged, p, 1.0, -((mu / bd.l_trunc) ** 2)), bd
+    return _gradient(staged, p, -((mu / bd.l_trunc) ** 2)), bd
 
 
 def build_eta_star(c: NlsCoefficients, crit: CriticalPoint, eps: float,

@@ -29,7 +29,7 @@ reflection is a symmetry.  An even pair is held as its cosine spectrum,
 the real rfft coefficients of its two rows, shape (2, n/2 + 1): the
 iterate, the gradient (the even part of ``grad_J``'s, its real part),
 the direction and the L-BFGS memory are such arrays, and dot products
-carry the Parseval weights (period / n^2) (1, 2, ..., 2, 1), which
+carry the grid's Parseval weights (period / n^2) (1, 2, ..., 2, 1), which
 makes them the L^2 products of the rows.  The Hessian model and the
 prolongation are Fourier multipliers, so the descent transforms only to
 stage a trial and to return a profile.
@@ -224,11 +224,7 @@ class _Objective:
 
     def __init__(self, p: Params, mu: float, M: float, grid: PeriodicGrid,
                  nu: float, x0: np.ndarray):
-        self.p, self.mu, self.grid = p, mu, grid
-        w = np.full(grid.n // 2 + 1, 2.0)
-        w[0] = w[-1] = 1.0
-        self.weights = w * (grid.period / grid.n**2)
-        self.h2_weight = grid.symbols.h2_weight
+        self.p, self.mu, self.grid, self.sym = p, mu, grid, grid.symbols
         self.s0 = (0.9 * M) ** 2
         self.s_edge = M**2
         self.value_evals = self.gradient_evals = 0
@@ -274,7 +270,7 @@ class _Objective:
         # follows its operands' memory order, so ``_flat`` returns a new
         # C-ordered array whatever the order of its input (``ell`` is
         # Fortran-ordered)
-        return float(np.einsum("k,ik,ik->", self.weights, a, b))
+        return float(np.einsum("k,ik,ik->", self.sym.parseval, a, b))
 
     @staticmethod
     def _flat(inv, q: np.ndarray) -> np.ndarray:
@@ -332,11 +328,11 @@ class _Objective:
         g = G.real.copy()
         shell = None
         if trial.dvds is not None:
-            b = self.h2_weight * trial.eta.UV
+            b = self.sym.h2_weight * trial.eta.UV
             g += trial.dvds * 2.0 * b
             # V'' = 2 / (s_edge - s0)^2, so sqrt(4 V'') = 2 sqrt(2) / width
             scale = 2.0 * math.sqrt(2.0) / (self.s_edge - self.s0)
-            shell = (2.0 * trial.dvds * self.h2_weight, scale * b)
+            shell = (2.0 * trial.dvds * self.sym.h2_weight, scale * b)
         return g, bd, shell
 
     def move(self, shell):

@@ -51,16 +51,17 @@ def eval_K(eta, p):
 
 
 def grad_K(eta, p):
-    """L^2 gradient of the exact surface energy, as its two rows."""
-    return np.fft.irfft(fo._gradient(fo._staged(eta), p, 1.0, 0.0),
-                        eta.grid.n)
+    """L^2 gradient of the exact surface energy, as its two rows: the
+    gradient stage at cl = 0."""
+    return np.fft.irfft(fo._gradient(fo._staged(eta), p, 0.0), eta.grid.n)
 
 
 def grad_L_trunc(eta, p):
     """L^2 gradient of the combined truncated kinetic energy, as its two
-    rows."""
-    return np.fft.irfft(fo._gradient(fo._staged(eta), p, 0.0, 1.0),
-                        eta.grid.n)
+    rows: the gradient stage at cl = 1 less grad K."""
+    staged = fo._staged(eta)
+    G = fo._gradient(staged, p, 1.0) - fo._gradient(staged, p, 0.0)
+    return np.fft.irfft(G, eta.grid.n)
 
 
 def apply_multiplier(symbol, f, grid):

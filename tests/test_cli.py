@@ -554,15 +554,17 @@ def test_sweep_with_unconverged_runs_reports_no_fit(tmp_path, capsys):
 
 
 def test_minimize_sweep_parse_error(tmp_path, capsys, bench_cfg):
+    # an empty --sweep is a list with one empty entry, not the config's mu
     outdir = tmp_path / "sweep"
-    rc = main(["minimize", "--config", bench_cfg, "--out", str(outdir),
-               "--sweep", "4e-3,abc"])
-    assert rc == cli.EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "--sweep" in captured.err and "'abc'" in captured.err
-    assert set(os.listdir(tmp_path)) == {"bench.cfg"}
+    for sweep, entry in (("4e-3,abc", "'abc'"), ("", "''")):
+        rc = main(["minimize", "--config", bench_cfg, "--out", str(outdir),
+                   "--sweep", sweep])
+        assert rc == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--sweep" in captured.err and entry in captured.err
+        assert set(os.listdir(tmp_path)) == {"bench.cfg"}
 
 
 @pytest.mark.parametrize("sweep", ["4e-3,nan", "4e-3,-1e-3", "4e-3,inf"])

@@ -357,6 +357,22 @@ def test_slope_takes_fbar_entries_once_per_call(monkeypatch):
         assert calls == [np.shape(k)]
 
 
+def test_find_critical_takes_fbar_entries_once_at_k0(monkeypatch):
+    # the scan, the seven slopes of the bracket ends and the secant, the
+    # refined minimum's eigenvalue, and one evaluation at k0 for a, P, F
+    # and their derivatives
+    from gcwaves import dispersion
+    expected = find_critical(BENCH, samples=512)
+    calls = []
+
+    def counted(k):
+        calls.append(np.shape(k))
+        return fbar_entries(k)
+    monkeypatch.setattr(dispersion, "fbar_entries", counted)
+    assert dispersion.find_critical(BENCH, samples=512) == expected
+    assert len(calls) == 10
+
+
 # frozen 40-digit evaluations of (k0, nu0, a, lambda''(k0), A2): k0 is the
 # root of lambda_minus', and the rest follow from the same closed forms
 MINIMUM_DATA = {

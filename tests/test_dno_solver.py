@@ -189,14 +189,24 @@ def test_energy_stop_bounds_the_error_of_b_dot_u(eta_star, solver, cg_tol):
 @pytest.mark.parametrize("ny", [48, 128])
 def test_spectral_apply_matches_physical_form(solver, ny):
     # apply maps eigenbasis coefficients C to V^T A V C, with A the
-    # operator on the field's spectrum
+    # operator on the field's spectrum, and keeps the field's spectrum
+    # V C on the rows it is given
     strip = StripGrid(nx=256, ny=ny, depth_under=14.0 / K0)
     op = solver(strip, PERIOD)
     q, _ = geometry(op, np.stack(curved_profile(strip)))
     rng = np.random.default_rng(ny)
     a, b = (np.fft.rfft(rng.standard_normal((ny + 1, strip.nx)), axis=1)
             for _ in range(2))
-    Aa, Ab = (op.apply(c, q, out=np.empty_like(c)) for c in (a, b))
+    rows = [0, ny]
+    kept = [np.empty_like(c[rows]) for c in (a, b)]
+    Aa, Ab = (op.apply(c, q, out=np.empty_like(c), keep=(rows, u))
+              for c, u in zip((a, b), kept))
+    for c, u in zip((a, b), kept):
+        field_rows = (op._V @ c)[rows]
+        assert (np.linalg.norm(u - field_rows)
+                <= 1e-14 * np.linalg.norm(field_rows))
+    with pytest.raises(TypeError, match="keep"):
+        op.apply(a, q, np.empty_like(a))
     fields = [np.fft.irfft(op._V @ c, strip.nx, axis=1) for c in (a, b)]
     A_vb = physical_apply(op, q, fields[1])
     ref = op._V.T @ np.fft.rfft(A_vb, axis=1)

@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import inspect
 import os
 import weakref
 
@@ -14,7 +15,7 @@ from gcwaves.dispersion import eval_fbar, fbar_entries, find_critical
 from gcwaves.errors import (ConfigError, GeometryError, OutOfConeError,
                             RangeError)
 from gcwaves.fieldops import (PeriodicGrid, _fbar_inverse_entries,
-                              _is_grid_size, _staged,
+                              _gradient, _is_grid_size, _staged,
                               build_eta_star, eps_of_mu, eval_J,
                               eval_L_trunc, grad_J, make_grid, mu_of_eps,
                               suggest_carrier_multiple, wrap_floor)
@@ -897,6 +898,11 @@ def test_gradient_is_bit_identical(bench_coeffs, bench_crit):
     assert digest == ("29342638d341ac7891e18873868e4ca6"
                       "092afca4464036c25a2ff3d662368fe1")
     assert bd.j_mu == j_mu
+
+
+def test_gradient_stage_weights_only_the_kinetic_energy():
+    # grad_J takes K at weight 1; the tests take grad K at cl = 0
+    assert list(inspect.signature(_gradient).parameters) == ["f", "p", "cl"]
 
 
 def test_eta_star_on_its_carrier_grid_takes_no_transform(
